@@ -19,6 +19,7 @@ from .analysis import (
     rate_reference,
     regret_bound_check,
     states_at_checkpoints,
+    trace_information_gain,
     uniform_bound_audit,
 )
 from .config import ExperimentConfig, ObjectiveSpec, parse_config, parse_config_file, render_config
@@ -33,15 +34,14 @@ from .kernels import (
     kernel_matrix,
 )
 from .posterior import (
+    GrowingPosterior,
     NormChainReport,
     NumericError,
     PosteriorState,
     fit,
     logdet_information,
     norm_chain_check,
-    posterior_mean,
     posterior_mean_at,
-    posterior_var,
     posterior_var_at,
     update,
 )

@@ -5,9 +5,10 @@ These operations grade completed runs:
 * ``greedy_info_gain`` builds a computable surrogate for the maximal
   information gain by greedily growing the design that maximizes the
   marginal log-determinant increase.
-* ``uniform_bound_audit`` replays a run's designs and measures the sup
-  ratio |f - mean| / sd over a grid, split into its noiseless-bias and
-  random-error components.
+* ``prefix_bound_audit`` replays a trace's selections and measures the sup
+  ratio |f - mean| / sd over a grid at checkpoints, split into its
+  noiseless-bias and random-error components; ``uniform_bound_audit``
+  grades given posterior states the same way (the replay's test reference).
 * ``regret_bound_check`` tests the conditional cumulative-regret
   inequality R_T <= sqrt(8/ln(1+1/rho)) * sqrt(T * beta_{T-1} * I_T)
   on traces whose per-step error-bound flags all held.
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .kernels import KernelFamily, KernelSpec, kernel_cross, kernel_matrix
-from .posterior import PosteriorState, fit, logdet_information
+from .posterior import GrowingPosterior, PosteriorState, fit
 from .rkhs import RkhsFunction
 from .ucb import RegretTrace
 
@@ -40,6 +41,7 @@ __all__ = [
     "states_at_checkpoints",
     "uniform_bound_audit",
     "prefix_bound_audit",
+    "trace_information_gain",
     "regret_bound_check",
     "calibrate_c0",
 ]
@@ -90,20 +92,15 @@ def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.nda
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     M = kernel_matrix(spec, candidates)
-    W = np.empty((T, m))
-    sumsq = np.zeros(m)
+    post = GrowingPosterior(rho, m, T, n_targets=0)
     series = np.empty(T)
     total = 0.0
     for t in range(T):
-        var = np.maximum(1.0 - sumsq, 0.0)
+        var = post.variance()
         c = int(np.argmax(var))
         total += 0.5 * math.log1p(var[c] / rho)
         series[t] = total
-        r = W[:t, c]
-        d_new = math.sqrt(rho + var[c])
-        w_row = (M[c] - r @ W[:t]) / d_new
-        W[t] = w_row
-        sumsq += w_row * w_row
+        post.observe(c, M[c])
     return series
 
 
@@ -214,42 +211,47 @@ def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid)
 def prefix_bound_audit(
     f: RkhsFunction, trace: RegretTrace, rho: float, grid, checkpoints: Sequence[int]
 ) -> AuditSeries:
-    """Same ratios as ``uniform_bound_audit`` over trace prefixes, sharing work.
+    """Same ratios as ``uniform_bound_audit`` over trace prefixes, in one replay.
 
-    The Cholesky factor of the full design contains the factor of every
-    prefix as its leading block, and forward substitution fills rows top to
-    bottom, so one factorization and one triangular solve serve all
-    checkpoints.  Agrees with refitting each prefix to well below the audit
-    tolerances.
+    The trace's selections are replayed through a posterior over the grid
+    that tracks the recorded observations and the exact f values side by
+    side, with one kernel row per distinct design point.  Agrees with
+    refitting each prefix to well below the audit tolerances.  Raises
+    ValueError if a design point is not a grid point.
     """
     checkpoints = sorted(checkpoints)
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > trace.horizon:
         raise ValueError(f"checkpoints must lie in [1, {trace.horizon}], got {checkpoints}")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     T = checkpoints[-1]
-    state = fit(trace.spec, rho, trace.X[:T], trace.y[:T])
-    C = kernel_cross(trace.spec, state.X, grid)
-    W = solve_triangular(state.chol, C, lower=True, check_finite=False)
-    u_noisy = solve_triangular(state.chol, trace.y[:T], lower=True, check_finite=False)
-    u_exact = solve_triangular(state.chol, f.on_points(state.X), lower=True, check_finite=False)
+    X = trace.X[:T]
+    index = {tuple(p): i for i, p in enumerate(grid.tolist())}
+    try:
+        cols = [index[tuple(p)] for p in X.tolist()]
+    except KeyError as exc:
+        raise ValueError(f"design point {list(exc.args[0])} is not in the audit grid") from None
+    rows, which = np.unique(cols, return_inverse=True)
+    K = kernel_cross(trace.spec, grid[rows], grid)
+    y_exact = f.on_points(X)
     f_grid = f.on_points(grid)
+    post = GrowingPosterior(rho, grid.shape[0], T, n_targets=2)
     ts, ratios, biases, randoms = [], [], [], []
-    sumsq = np.zeros(grid.shape[0])
-    mean = np.zeros(grid.shape[0])
-    mean_exact = np.zeros(grid.shape[0])
-    prev = 0
-    for t in checkpoints:
-        block = W[prev:t]
-        sumsq += np.sum(block * block, axis=0)
-        mean += u_noisy[prev:t] @ block
-        mean_exact += u_exact[prev:t] @ block
-        prev = t
-        sd = np.sqrt(np.maximum(1.0 - sumsq, 0.0))
-        ts.append(t)
+    for cp in checkpoints:
+        for t in range(post.t, cp):
+            post.observe(cols[t], K[which[t]], trace.y[t], y_exact[t])
+        sd = np.sqrt(post.variance())
+        mean, mean_exact = post.mean
+        ts.append(cp)
         ratios.append(float(np.max(np.abs(f_grid - mean) / sd)))
         biases.append(float(np.max(np.abs(f_grid - mean_exact) / sd)))
         randoms.append(float(np.max(np.abs(mean - mean_exact) / sd)))
     return AuditSeries(tuple(ts), tuple(ratios), tuple(biases), tuple(randoms))
+
+
+def trace_information_gain(trace: RegretTrace, rho: float) -> float:
+    """Half log-determinant of I + rho^{-1} K for the trace's own design, read
+    off its sd column by the chain identity 0.5 * sum_t ln(1 + sigma_t^2/rho)."""
+    return 0.5 * float(np.sum(np.log1p(trace.sigma * trace.sigma / rho)))
 
 
 @dataclass(frozen=True)
@@ -264,14 +266,13 @@ def regret_bound_check(trace: RegretTrace, rho: float, grid_gap: float = 0.0) ->
     """Conditional cumulative-regret inequality for one trace.
 
     rhs = sqrt(8 / ln(1 + 1/rho)) * sqrt(T * beta_{T-1} * I_T), with I_T the
-    half log-determinant of the trace's own design (a certified lower
-    bracket of the maximal information gain).  The check applies only when
-    the per-step error-bound flags all held; otherwise it is vacuous and
-    reported as not applicable.
+    half log-determinant of the trace's own design (``trace_information_gain``,
+    a certified lower bracket of the maximal information gain).  The check
+    applies only when the per-step error-bound flags all held; otherwise it
+    is vacuous and reported as not applicable.
     """
     T = trace.horizon
-    state = fit(trace.spec, rho, trace.X, trace.y)
-    info = logdet_information(state)
+    info = trace_information_gain(trace, rho)
     c2 = math.sqrt(8.0 / math.log1p(1.0 / rho))
     lhs = float(trace.cum_regret[-1])
     rhs = c2 * math.sqrt(T * float(trace.beta[-1]) * info) + T * grid_gap

@@ -1,8 +1,8 @@
 """Command-line benchmark harness: validate, run, sweep, report.
 
 Exit codes: 0 success, 2 malformed config, 3 numeric failure mid-run,
-4 insufficient data for a report.  Outputs are deterministic: rerunning a
-command with the same inputs produces byte-identical files.
+4 insufficient or damaged data for a report.  Outputs are deterministic:
+rerunning a command with the same inputs produces byte-identical files.
 
 Run layout (one directory per suite)::
 
@@ -30,15 +30,15 @@ import numpy as np
 from .analysis import (
     fit_regret_exponent,
     greedy_info_gain,
+    prefix_bound_audit,
     rate_reference,
     regret_bound_check,
-    states_at_checkpoints,
-    uniform_bound_audit,
+    trace_information_gain,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
 from .kernels import KernelFamily
-from .posterior import NumericError, fit, logdet_information
-from .rkhs import grid_maximum, objective_record, parse_objective_record
+from .posterior import NumericError
+from .rkhs import _fmt, grid_maximum, objective_record, parse_objective_record
 from .ucb import RegretTrace, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
@@ -52,10 +52,6 @@ _SLOPE_BANDS = {
 }
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def _run_one_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
     f = config.objective_for_seed(seed)
     return run_gp_ucb(config, f, seed)
@@ -64,8 +60,7 @@ def _run_one_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
 def _summary_rows(config: ExperimentConfig, traces: list[RegretTrace]) -> str:
     lines = ["seed,horizon,f_star,cum_regret,beta_last,info_gain,flags_all,flag_count"]
     for tr in traces:
-        state = fit(tr.spec, config.rho, tr.X, tr.y)
-        info = logdet_information(state)
+        info = trace_information_gain(tr, config.rho)
         lines.append(
             ",".join(
                 [
@@ -187,7 +182,8 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
 
 
 def _load_suite(cell: Path) -> tuple[ExperimentConfig, list[RegretTrace]]:
-    config = parse_config(( cell / "config.txt").read_text(encoding="utf-8"))
+    """Config and traces of one suite; OSError or ValueError names what is damaged."""
+    config = parse_config((cell / "config.txt").read_text(encoding="utf-8"))
     objectives = {}
     for block in (cell / "objective.txt").read_text(encoding="utf-8").split("\n\n"):
         if not block.strip():
@@ -195,17 +191,26 @@ def _load_suite(cell: Path) -> tuple[ExperimentConfig, list[RegretTrace]]:
         f, seed = parse_objective_record(block)
         objectives[seed] = f
     grid = config.evaluation_points()
+    on_grid = {tuple(p) for p in grid.tolist()}
     traces = []
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"
-        f = objectives[seed]
-        x_star, f_star = grid_maximum(f, grid)
-        traces.append(
-            trace_from_csv(
+        if seed not in objectives:
+            raise ValueError(f"{cell / 'objective.txt'}: no record for seed {seed}")
+        x_star, f_star = grid_maximum(objectives[seed], grid)
+        try:
+            trace = trace_from_csv(
                 path.read_text(encoding="utf-8"), config.kernel, f_star, x_star,
                 config.digest(), seed,
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if trace.horizon != config.horizon:
+            raise ValueError(f"{path}: {trace.horizon} rows for horizon {config.horizon}")
+        off_grid = [p for p in trace.X.tolist() if tuple(p) not in on_grid]
+        if off_grid:
+            raise ValueError(f"{path}: design point {off_grid[0]} is not on the evaluation grid")
+        traces.append(trace)
     return config, traces
 
 
@@ -224,7 +229,11 @@ def cmd_report(out_dir: str) -> int:
         print("error: no completed runs found", file=sys.stderr)
         return 4
     # grade the largest-horizon suite; smaller horizons are its prefixes
-    suites = [_load_suite(c) for c in cells]
+    try:
+        suites = [_load_suite(c) for c in cells]
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     config, traces = max(suites, key=lambda ct: ct[0].horizon)
     horizons = sorted({c.horizon for c, _ in suites})
     t_max = horizons[-1]
@@ -265,8 +274,7 @@ def cmd_report(out_dir: str) -> int:
     growth_detail = []
     for tr in audit_traces:
         f = config.objective_for_seed(tr.seed)
-        states = states_at_checkpoints(tr, config.rho, checkpoints)
-        audit = uniform_bound_audit(f, states, grid)
+        audit = prefix_bound_audit(f, tr, config.rho, grid, checkpoints)
         bias_ok &= max(audit.bias_ratio) <= f.norm * (1.0 + 1e-6)
         allowed = 1.5 * math.sqrt(
             math.log1p(config.rho * checkpoints[-1]) / math.log1p(config.rho * checkpoints[0])

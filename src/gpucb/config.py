@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import KernelFamily, KernelSpec
-from .rkhs import Box, RkhsFunction, make_rkhs_function, sample_random_rkhs
+from .rkhs import Box, RkhsFunction, _fmt, make_rkhs_function, sample_random_rkhs
 from .ucb import BetaKind, BetaSchedule
 
 __all__ = [
@@ -415,10 +415,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def parse_config_file(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def render_config(config: ExperimentConfig) -> str:

@@ -8,6 +8,9 @@ factor L of K + rho*I.  Predictions follow the standard ridge form
 
 States are immutable; ``update`` extends the factor by one row and returns
 a new state, which matches a from-scratch refit to within round-off.
+``GrowingPosterior`` is the same recursion over a fixed set of n points at
+O(t n) per step; the UCB loop, the greedy information gain and the prefix
+audits all grow their posteriors through it.
 """
 
 from __future__ import annotations
@@ -17,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .kernels import KernelSpec, kernel_cross, kernel_eval, kernel_matrix
 
 __all__ = [
     "NumericError",
     "PosteriorState",
+    "GrowingPosterior",
     "NormChainReport",
     "fit",
     "update",
-    "posterior_mean",
-    "posterior_var",
     "posterior_mean_at",
     "posterior_var_at",
     "logdet_information",
@@ -73,22 +76,6 @@ class PosteriorState:
         return self.X.shape[1]
 
 
-def _failing_pivot(A: np.ndarray) -> int:
-    """Index of the first non-positive pivot in a plain Cholesky sweep."""
-    n = A.shape[0]
-    L = np.zeros_like(A)
-    for i in range(n):
-        for j in range(i + 1):
-            acc = A[i, j] - L[i, :j] @ L[j, :j]
-            if i == j:
-                if acc <= 0.0 or not math.isfinite(acc):
-                    return i
-                L[i, i] = math.sqrt(acc)
-            else:
-                L[i, j] = acc / L[j, j]
-    return n - 1
-
-
 def fit(spec: KernelSpec, rho: float, X, y) -> PosteriorState:
     """Factorize K + rho*I for the given design and observations.
 
@@ -111,13 +98,12 @@ def fit(spec: KernelSpec, rho: float, X, y) -> PosteriorState:
         )
     A = kernel_matrix(spec, X)
     A[np.diag_indices(t)] += rho
-    try:
-        L = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        idx = _failing_pivot(A)
-        raise NumericError(
-            f"Cholesky factorization of K + rho*I failed at pivot {idx}", index=idx
-        ) from None
+    # A.T is A in the Fortran order LAPACK factors in place; info > 0 is the
+    # 1-based order of the first non-positive (or non-finite) leading minor
+    L, info = dpotrf(A.T, lower=True, clean=True, overwrite_a=True)
+    if info > 0:
+        idx = info - 1
+        raise NumericError(f"Cholesky factorization of K + rho*I failed at pivot {idx}", index=idx)
     alpha = cho_solve((L, True), y, check_finite=False)
     return PosteriorState(spec, rho, _freeze(X), _freeze(y), _freeze(L), _freeze(alpha))
 
@@ -147,28 +133,11 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
     return PosteriorState(state.spec, state.rho, _freeze(X), _freeze(y), _freeze(L), _freeze(alpha))
 
 
-def posterior_mean(state: PosteriorState, x) -> float:
-    """Predictive mean at one point; 0 for the empty state."""
-    if state.t == 0:
-        return 0.0
-    k_vec = kernel_cross(state.spec, state.X, np.asarray(x, dtype=float).reshape(1, -1))[:, 0]
-    return float(k_vec @ state.alpha)
-
-
-def _clamped_var(raw: np.ndarray) -> np.ndarray:
+def _clamped_var(raw: np.ndarray, step: int | None = None) -> np.ndarray:
     low = float(np.min(raw)) if raw.size else 0.0
     if low < -_VAR_CLAMP:
-        raise NumericError(f"negative posterior variance {low} signals a broken factorization")
+        raise NumericError(f"negative posterior variance {low} signals a broken factorization", step=step)
     return np.maximum(raw, 0.0)
-
-
-def posterior_var(state: PosteriorState, x) -> float:
-    """Predictive variance at one point; 1 for the empty state."""
-    if state.t == 0:
-        return 1.0
-    k_vec = kernel_cross(state.spec, state.X, np.asarray(x, dtype=float).reshape(1, -1))[:, 0]
-    w = solve_triangular(state.chol, k_vec, lower=True, check_finite=False)
-    return float(_clamped_var(np.array([1.0 - w @ w]))[0])
 
 
 def posterior_mean_at(state: PosteriorState, X) -> np.ndarray:
@@ -188,6 +157,42 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     C = kernel_cross(state.spec, state.X, X)
     W = solve_triangular(state.chol, C, lower=True, check_finite=False)
     return _clamped_var(1.0 - np.sum(W * W, axis=0))
+
+
+class GrowingPosterior:
+    """Posterior over a fixed set of n points, grown one observation at a time.
+
+    It keeps W = L^{-1} K(design, points), one row per observation, and
+    u_j = L^{-1} y_j for each tracked observation vector (target), so
+    ``mean[j]`` = W' u_j and the variance is 1 - colsum(W^2).  Design points
+    must be among the n points: a point's column of W feeds its new row.
+    """
+
+    def __init__(self, rho: float, n_points: int, horizon: int, n_targets: int = 1):
+        self.rho = rho
+        self.t = 0
+        self.mean = np.zeros((n_targets, n_points))
+        self._W = np.empty((horizon, n_points))
+        self._u = np.empty((n_targets, horizon))
+        self._sumsq = np.zeros(n_points)
+
+    def variance(self) -> np.ndarray:
+        """Predictive variance at every point before step t+1."""
+        return _clamped_var(1.0 - self._sumsq, step=self.t + 1)
+
+    def observe(self, c: int, k_row: np.ndarray, *ys: float) -> None:
+        """Add point ``c``, given its kernel row over the points and one observation per target."""
+        t = self.t
+        r = self._W[:t, c]
+        d_new = math.sqrt(self.rho + max(1.0 - self._sumsq[c], 0.0))
+        w_row = (k_row - r @ self._W[:t]) / d_new
+        self._W[t] = w_row
+        for j, y in enumerate(ys):
+            u_new = (y - r @ self._u[j, :t]) / d_new
+            self._u[j, t] = u_new
+            self.mean[j] += w_row * u_new
+        self._sumsq += w_row * w_row
+        self.t = t + 1
 
 
 def logdet_information(state: PosteriorState) -> float:

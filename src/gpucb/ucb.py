@@ -2,9 +2,9 @@
 
 Each step selects the candidate maximizing mean + sqrt(beta) * sd under the
 current posterior, observes the objective plus sub-Gaussian noise, and
-updates the posterior incrementally.  The loop maintains the triangular
-solve of the candidate cross-covariance one row per step, which makes a
-full run O(T^2 m) instead of O(T^3 m); it is algebraically the same
+updates the posterior incrementally.  A ``posterior.GrowingPosterior``
+over the candidates extends its triangular solve one row per step, so a
+full run is O(T^2 m) instead of O(T^3 m); it is algebraically the same
 recursion as ``posterior.update`` restricted to the candidate set, and the
 tests pin the two against each other.
 
@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kernels import KernelSpec, kernel_matrix
-from .posterior import NumericError, PosteriorState, posterior_mean_at, posterior_var_at
-from .rkhs import RkhsFunction, grid_maximum
+from .posterior import GrowingPosterior, NumericError, PosteriorState, posterior_mean_at, posterior_var_at
+from .rkhs import RkhsFunction, _fmt, grid_maximum
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -166,10 +166,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     M = kernel_matrix(spec, pts)
     draw_noise = _noise_stream(config.noise_kind, config.noise_sigma, np.random.default_rng(seed + 1))
 
-    W = np.empty((T, m + 1))     # rows: L^{-1} K(design, pts)
-    u = np.empty(T)              # L^{-1} y
-    mean = np.zeros(m + 1)
-    sumsq = np.zeros(m + 1)
+    post = GrowingPosterior(rho, m + 1, T)
 
     X_out = np.empty((T, cand.shape[1]))
     y_out = np.empty(T)
@@ -183,13 +180,8 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     cum = 0.0
     for t in range(T):
         beta = beta_value(config.beta, t, rho)
-        var = 1.0 - sumsq
-        low = float(var.min())
-        if low < 0.0:
-            if low < -1e-12:
-                raise NumericError(f"negative variance {low} at step {t + 1}", step=t + 1)
-            np.maximum(var, 0.0, out=var)
-        sd = np.sqrt(var)
+        mean = post.mean[0]
+        sd = np.sqrt(post.variance())
         root_beta = math.sqrt(beta)
         score = mean[:m] + root_beta * sd[:m]
         bad = np.flatnonzero(~np.isfinite(score))
@@ -214,16 +206,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
         mu_out[t] = mean[c]
         inst_out[t] = inst
         cum_out[t] = cum
-
-        # extend the factorization: the new row of L^{-1} K(design, pts)
-        r = W[:t, c]
-        d_new = math.sqrt(rho + var[c])
-        w_row = (M[c] - r @ W[:t]) / d_new
-        u_new = (y_obs - r @ u[:t]) / d_new
-        W[t] = w_row
-        u[t] = u_new
-        mean += w_row * u_new
-        sumsq += w_row * w_row
+        post.observe(c, M[c], y_obs)
 
     for arr in (X_out, y_out, beta_out, sigma_out, mu_out, inst_out, cum_out, flag_out):
         arr.setflags(write=False)
@@ -246,10 +229,6 @@ def edp_recommend(trace: RegretTrace, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Trace serialization (17 significant digits round-trips doubles exactly)
 # ---------------------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
 
 
 def trace_to_csv(trace: RegretTrace) -> str:
@@ -278,10 +257,18 @@ def trace_from_csv(
     config_digest: str = "",
     seed: int = -1,
 ) -> RegretTrace:
+    """Inverse of ``trace_to_csv``; ValueError on an empty trace, a ragged row or a skipped t."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty trace")
     header = lines[0].split(",")
     d = sum(1 for h in header if h.startswith("x_"))
     rows = [ln.split(",") for ln in lines[1:]]
+    for step, r in enumerate(rows, start=1):
+        if len(r) != len(header):
+            raise ValueError(f"ragged row at line {step + 1}: {len(r)} fields, header has {len(header)}")
+        if r[0] != str(step):
+            raise ValueError(f"non-consecutive t at line {step + 1}: {r[0]!r} where {step} was expected")
     T = len(rows)
     X = np.array([[float(r[1 + j]) for j in range(d)] for r in rows])
     cols = {name: i for i, name in enumerate(header)}

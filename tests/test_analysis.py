@@ -14,6 +14,8 @@ from gpucb import (
     fit_regret_exponent,
     greedy_info_gain,
     kernel_matrix,
+    logdet_information,
+    prefix_bound_audit,
     rate_reference,
     regret_bound_check,
     run_gp_ucb,
@@ -199,8 +201,6 @@ class TestUniformBoundAudit:
         assert audit.ratio[0] <= audit.bias_ratio[0] + audit.random_ratio[0] + 1e-12
 
     def test_prefix_audit_matches_refits(self):
-        from gpucb import prefix_bound_audit
-
         config = make_config(horizon=96, noise_sigma=0.15, seeds=(5,))
         f = config.objective_for_seed(5)
         trace = run_gp_ucb(config, f, 5)
@@ -212,6 +212,17 @@ class TestUniformBoundAudit:
         assert np.allclose(fast.ratio, slow.ratio, rtol=1e-8)
         assert np.allclose(fast.bias_ratio, slow.bias_ratio, rtol=1e-8)
         assert np.allclose(fast.random_ratio, slow.random_ratio, rtol=1e-6, atol=1e-10)
+
+    def test_prefix_audit_rejects_design_off_grid(self):
+        config = make_config(horizon=16, seeds=(1,))
+        f = config.objective_for_seed(1)
+        trace = run_gp_ucb(config, f, 1)
+        grid = config.evaluation_points()
+        off_grid = trace.X.copy()
+        off_grid[3] += 1e-3
+        moved = RegretTrace(**{**trace.__dict__, "X": off_grid})
+        with pytest.raises(ValueError, match="not in the audit grid"):
+            prefix_bound_audit(f, moved, config.rho, grid, [8, 16])
 
 
 class TestRegretBoundCheck:
@@ -226,6 +237,15 @@ class TestRegretBoundCheck:
         if res.applicable:
             assert res.lhs <= 2.0 * math.sqrt(trace.beta[0]) + 1e-12
             assert res.holds
+
+    def test_rhs_matches_refit_information(self):
+        config = make_config(horizon=96, c0=2.0, seeds=(2,))
+        f = config.objective_for_seed(2)
+        trace = run_gp_ucb(config, f, 2)
+        info = logdet_information(fit(trace.spec, config.rho, trace.X, trace.y))
+        c2 = math.sqrt(8.0 / math.log1p(1.0 / config.rho))
+        expected = c2 * math.sqrt(trace.horizon * trace.beta[-1] * info)
+        assert regret_bound_check(trace, config.rho).rhs == pytest.approx(expected, rel=1e-10)
 
     def test_unflagged_trace_not_applicable(self):
         cum = np.linspace(1.0, 10.0, 8)

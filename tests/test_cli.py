@@ -1,8 +1,11 @@
 """Command-line harness: exit codes, artifacts, determinism."""
 
+import shutil
+
 import numpy as np
 import pytest
 
+from gpucb import fit, logdet_information, parse_config, trace_from_csv
 from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 
 MINIMAL = """\
@@ -93,6 +96,20 @@ class TestRun:
             name = f"trace_seed{k}.csv"
             assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes()
 
+    def test_summary_info_gain_matches_refit(self, tmp_path):
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1").replace("horizon = 8", "horizon = 48")
+        out = tmp_path / "out"
+        assert cmd_run(write_config(tmp_path, text), str(out)) == 0
+        config = parse_config(text)
+        lines = (out / "summary.csv").read_text().splitlines()
+        column = lines[0].split(",").index("info_gain")
+        for line, seed in zip(lines[1:], (0, 1)):
+            trace = trace_from_csv(
+                (out / f"trace_seed{seed}.csv").read_text(), config.kernel, 0.0, [0.0]
+            )
+            refit = logdet_information(fit(config.kernel, config.rho, trace.X, trace.y))
+            assert float(line.split(",")[column]) == pytest.approx(refit, rel=1e-10)
+
     def test_bad_config_exit_2(self, tmp_path):
         text = MINIMAL.replace("rho = 1", "rho = -1")
         assert cmd_run(write_config(tmp_path, text), str(tmp_path / "o")) == 2
@@ -159,6 +176,75 @@ class TestReport:
         assert cmd_report(str(out)) == 0
         report = (out / "report.txt").read_text()
         assert "FAIL  cumulative-regret exponent" in report
+
+
+def _drop_trace(cell):
+    (cell / "trace_seed3.csv").unlink()
+
+
+def _drop_objective(cell):
+    path = cell / "objective.txt"
+    blocks = path.read_text().split("\n\n")
+    path.write_text("\n\n".join(b for b in blocks if "seed = 2\n" not in b))
+
+
+def _truncate_trace(cell):
+    path = cell / "trace_seed1.csv"
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+
+
+def _skip_step(cell):
+    path = cell / "trace_seed4.csv"
+    lines = path.read_text().splitlines()
+    del lines[10]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _short_trace(cell):
+    path = cell / "trace_seed0.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:40]) + "\n")
+
+
+def _move_point(cell):
+    path = cell / "trace_seed2.csv"
+    lines = path.read_text().splitlines()
+    row = lines[5].split(",")
+    row[1] = repr(float(row[1]) + 1e-3)
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestDamagedRunReport:
+    @pytest.fixture(scope="class")
+    def suite(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("damaged")
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("horizon = 8", "horizon = 64")
+        out = work / "run"
+        assert cmd_run(write_config(work, text), str(out)) == 0
+        return out
+
+    @pytest.mark.parametrize("damage, message", [
+        (_drop_trace, "trace_seed3.csv"),
+        (_drop_objective, "seed 2"),
+        (_truncate_trace, "trace_seed1.csv"),
+        (_skip_step, "non-consecutive t"),
+        (_short_trace, "rows for horizon 64"),
+        (_move_point, "not on the evaluation grid"),
+    ])
+    def test_damage_exits_4(self, suite, tmp_path, capsys, damage, message):
+        cell = tmp_path / "run"
+        shutil.copytree(suite, cell)
+        damage(cell)
+        assert cmd_report(str(cell)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_undamaged_suite_reports(self, suite, tmp_path):
+        cell = tmp_path / "run"
+        shutil.copytree(suite, cell)
+        assert cmd_report(str(cell)) == 0
 
 
 class TestConfigRoundTrip:

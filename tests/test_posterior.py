@@ -13,9 +13,7 @@ from gpucb import (
     logdet_information,
     make_rkhs_function,
     norm_chain_check,
-    posterior_mean,
     posterior_mean_at,
-    posterior_var,
     posterior_var_at,
     sample_random_rkhs,
     update,
@@ -37,16 +35,16 @@ class TestFit:
     def test_empty_state_prior(self):
         state = fit(SE, 1.0, np.empty((0, 2)), [])
         assert state.t == 0
-        assert posterior_mean(state, [0.3, 0.4]) == 0.0
-        assert posterior_var(state, [0.3, 0.4]) == 1.0
+        assert posterior_mean_at(state, [0.3, 0.4])[0] == 0.0
+        assert posterior_var_at(state, [0.3, 0.4])[0] == 1.0
         assert logdet_information(state) == 0.0
 
     def test_single_point_scalar_algebra(self):
         state = fit(SE, 1.0, [[0.5]], [2.0])
         assert state.chol[0, 0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert state.alpha[0] == pytest.approx(1.0, rel=1e-15)
-        assert posterior_mean(state, [0.5]) == pytest.approx(1.0, rel=1e-14)
-        assert posterior_var(state, [0.5]) == pytest.approx(0.5, rel=1e-14)
+        assert posterior_mean_at(state, [0.5])[0] == pytest.approx(1.0, rel=1e-14)
+        assert posterior_var_at(state, [0.5])[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
@@ -101,8 +99,8 @@ class TestUpdate:
     def test_variance_strictly_decreases_at_new_point(self):
         state, X, y = random_state(SE, 1.0, 5, 1, seed=5)
         x_new = np.array([0.77])
-        before = posterior_var(state, x_new)
-        after = posterior_var(update(state, x_new, 0.3), x_new)
+        before = posterior_var_at(state, x_new)[0]
+        after = posterior_var_at(update(state, x_new, 0.3), x_new)[0]
         assert before > 0
         assert after < before
 
@@ -126,7 +124,7 @@ class TestPredictions:
             for x in rng.uniform(0, 1, size=(10, 2)):
                 k_vec = kernel_cross(MATERN_32, X, x[None, :])[:, 0]
                 bound = np.linalg.norm(y) * np.linalg.norm(k_vec) / 0.7
-                assert abs(posterior_mean(state, x)) <= bound + 1e-12
+                assert abs(posterior_mean_at(state, x)[0]) <= bound + 1e-12
 
     def test_variance_range(self):
         state, _, _ = random_state(SE, 0.2, 30, 1, seed=7)
@@ -155,9 +153,9 @@ class TestPredictions:
         state = fit(SE, 0.5, np.empty((0, 1)), [])
         for j, (x, yi) in enumerate(zip(X, y)):
             state = update(state, x, yi)
-            at_insertion[j] = posterior_var(state, x)
+            at_insertion[j] = posterior_var_at(state, x)[0]
         for j in range(30):
-            assert posterior_var(state, X[j]) <= at_insertion[j] + 1e-10
+            assert posterior_var_at(state, X[j])[0] <= at_insertion[j] + 1e-10
 
     def test_variance_lower_bound(self):
         # var(x) >= rho * A2 / (A1^2 t) with A1 = 1 + rho and A2 the smallest
@@ -208,7 +206,7 @@ class TestLogdetInformation:
         state = fit(SE, rho, np.empty((0, 1)), [])
         acc = 0.0
         for x, yi in zip(X, y):
-            acc += math.log1p(posterior_var(state, x) / rho)
+            acc += math.log1p(posterior_var_at(state, x)[0] / rho)
             state = update(state, x, yi)
         dense = 2.0 * logdet_information(fit(SE, rho, X, y))
         assert acc == pytest.approx(dense, rel=1e-8)
@@ -291,4 +289,12 @@ class TestNumericErrors:
 
         bad = replace(state, chol=broken)
         with pytest.raises(NumericError):
-            posterior_var(bad, state.X[0])
+            posterior_var_at(bad, state.X[0])
+
+    def test_failed_factorization_reports_pivot(self, monkeypatch):
+        # leading minors of orders 1 and 2 are positive, the order-3 one is not
+        indefinite = np.array([[1.0, 0.0, 0.9], [0.0, 1.0, 0.9], [0.9, 0.9, 1.0]])
+        monkeypatch.setattr("gpucb.posterior.kernel_matrix", lambda spec, X: indefinite.copy())
+        with pytest.raises(NumericError) as excinfo:
+            fit(SE, 0.01, np.zeros((3, 1)), np.zeros(3))
+        assert excinfo.value.index == 2
