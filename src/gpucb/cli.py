@@ -207,6 +207,13 @@ def _load_suite(cell: Path) -> tuple[ExperimentConfig, list[RegretTrace]]:
             raise ValueError(f"{path}: {exc}") from None
         if trace.horizon != config.horizon:
             raise ValueError(f"{path}: {trace.horizon} rows for horizon {config.horizon}")
+        # the run sums left to right and writes round-trip digits, so the
+        # column must reproduce exactly
+        forged = np.flatnonzero(np.cumsum(trace.inst_regret) != trace.cum_regret)
+        if forged.size:
+            raise ValueError(
+                f"{path}: cum_regret at t={forged[0] + 1} is not the running sum of inst_regret"
+            )
         off_grid = [p for p in trace.X.tolist() if tuple(p) not in on_grid]
         if off_grid:
             raise ValueError(f"{path}: design point {off_grid[0]} is not on the evaluation grid")

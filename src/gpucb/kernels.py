@@ -15,6 +15,8 @@ exactly 1:
 small-argument series plus a large-argument continued fraction otherwise,
 joined by the standard upward recurrence in the order.  Target accuracy is
 1e-10 relative, verified against an arbitrary-precision reference table.
+It is evaluated over whole arrays: a general-order Matern kernel call makes
+one ``bessel_k`` call on the array of its distinct distances.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ class KernelSpec:
 
 _EPS = 2.220446049250313e-16
 _MAX_ITER = 500
+# Arguments evaluated per vectorized pass; bounds the working arrays of a call.
+_BLOCK = 4096
 
 # Taylor coefficients of 1/gamma(1+x) = 1 + G1*x + ... (odd-order terms only;
 # they drive the small-mu expansion of the gamma-difference term below).
@@ -99,65 +103,99 @@ def _gamma_terms(mu: float):
     return gam1, 0.5 * (gammi + gampl), gampl, gammi
 
 
-def _k_series_small(mu: float, z: float):
+# Both base-pair solvers iterate over a 1-D array of arguments.  An element
+# leaves the active set at the step where its own stopping test holds, so
+# every value is what a scalar loop would return, whatever else is in the
+# batch.
+
+
+def _k_series_small(mu: float, z: np.ndarray):
     """(K_mu(z), K_{mu+1}(z)) by power series, for z <= 2 and |mu| <= 1/2."""
+    k_mu, k_mu1 = np.empty_like(z), np.empty_like(z)
     half_z = 0.5 * z
     pimu = math.pi * mu
     fact = pimu / math.sin(pimu) if mu != 0.0 else 1.0
-    d = -math.log(half_z)
+    d = -np.log(half_z)
     e = mu * d
-    fact2 = math.sinh(e) / e if e != 0.0 else 1.0
+    fact2 = np.ones_like(e)
+    nonzero = e != 0.0
+    fact2[nonzero] = np.sinh(e[nonzero]) / e[nonzero]
     gam1, gam2, gampl, gammi = _gamma_terms(mu)
-    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
+    ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
     total = ff
-    e = math.exp(e)
+    e = np.exp(e)
     p = 0.5 * e / gampl
     q = 0.5 / (e * gammi)
-    c = 1.0
+    c = np.ones_like(z)
     z2 = half_z * half_z
     total1 = p
     mu2 = mu * mu
-    for i in range(1, _MAX_ITER + 1):
+    active = np.arange(z.size)
+    i = 0
+    while active.size:
+        i += 1
+        if i > _MAX_ITER:
+            raise ArithmeticError(f"K_nu series failed to converge at mu={mu}, z={z[0]}")
         ff = (i * ff + p + q) / (i * i - mu2)
-        c *= z2 / i
-        p /= i - mu
-        q /= i + mu
+        c = c * (z2 / i)
+        p = p / (i - mu)
+        q = q / (i + mu)
         delta = c * ff
-        total += delta
-        total1 += c * (p - i * ff)
-        if abs(delta) < abs(total) * _EPS:
-            return total, total1 * (2.0 / z)
-    raise ArithmeticError(f"K_nu series failed to converge at mu={mu}, z={z}")
+        total = total + delta
+        total1 = total1 + c * (p - i * ff)
+        done = np.abs(delta) < np.abs(total) * _EPS
+        if done.any():
+            k_mu[active[done]] = total[done]
+            k_mu1[active[done]] = total1[done] * (2.0 / z[done])
+            left = ~done
+            active, z, z2, ff, c, p, q, total, total1 = (
+                v[left] for v in (active, z, z2, ff, c, p, q, total, total1)
+            )
+    return k_mu, k_mu1
 
 
-def _k_continued_fraction(mu: float, z: float):
+def _k_continued_fraction(mu: float, z: np.ndarray):
     """(K_mu(z), K_{mu+1}(z)) by Steed's continued fraction, for z > 2."""
+    k_mu, k_mu1 = np.empty_like(z), np.empty_like(z)
     b = 2.0 * (1.0 + z)
     d = 1.0 / b
     h = delh = d
-    q1, q2 = 0.0, 1.0
+    q1, q2 = np.zeros_like(z), np.ones_like(z)
     a1 = 0.25 - mu * mu
-    q = c = a1
+    q = np.full_like(z, a1)
+    c = a1  # c and a follow the same sequence for every element
     a = -a1
     s = 1.0 + q * delh
-    for i in range(2, _MAX_ITER + 1):
+    active = np.arange(z.size)
+    i = 1
+    while active.size:
+        i += 1
+        if i > _MAX_ITER:
+            raise ArithmeticError(
+                f"K_nu continued fraction failed to converge at mu={mu}, z={z[0]}"
+            )
         a -= 2 * (i - 1)
         c = -a * c / i
         qnew = (q1 - b * q2) / a
         q1, q2 = q2, qnew
-        q += c * qnew
-        b += 2.0
+        q = q + c * qnew
+        b = b + 2.0
         d = 1.0 / (b + a * d)
         delh = (b * d - 1.0) * delh
-        h += delh
+        h = h + delh
         dels = q * delh
-        s += dels
-        if abs(dels / s) < _EPS:
-            h = a1 * h
-            k_mu = math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) / s
-            k_mu1 = k_mu * (mu + z + 0.5 - h) / z
-            return k_mu, k_mu1
-    raise ArithmeticError(f"K_nu continued fraction failed to converge at mu={mu}, z={z}")
+        s = s + dels
+        done = np.abs(dels / s) < _EPS
+        if done.any():
+            zd = z[done]
+            k = np.sqrt(math.pi / (2.0 * zd)) * np.exp(-zd) / s[done]
+            k_mu[active[done]] = k
+            k_mu1[active[done]] = k * (mu + zd + 0.5 - a1 * h[done]) / zd
+            left = ~done
+            active, z, b, d, delh, h, q1, q2, q, s = (
+                v[left] for v in (active, z, b, d, delh, h, q1, q2, q, s)
+            )
+    return k_mu, k_mu1
 
 
 def _is_half_integer(nu: float) -> bool:
@@ -165,49 +203,66 @@ def _is_half_integer(nu: float) -> bool:
     return two_nu == math.floor(two_nu) and int(two_nu) % 2 == 1
 
 
-def _bessel_k_half_integer(nu: float, z: float) -> float:
+def _bessel_k_half_integer(nu: float, z: np.ndarray) -> np.ndarray:
     # K_{n+1/2}(z) = sqrt(pi/(2z)) e^{-z} sum_{k=0}^{n} (n+k)!/(k!(n-k)!) (2z)^{-k}
     n = int(round(nu - 0.5))
     coef = 1.0
     acc = 1.0
     for k in range(1, n + 1):
-        coef *= (n + k) * (n - k + 1) / (2.0 * k * z)
-        acc += coef
-    return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z) * acc
+        coef = coef * ((n + k) * (n - k + 1) / (2.0 * k * z))
+        acc = acc + coef
+    return np.sqrt(math.pi / (2.0 * z)) * np.exp(-z) * acc
 
 
-def _bessel_k_general(nu: float, z: float) -> float:
+def _bessel_k_general(nu: float, z) -> np.ndarray:
+    """K_nu(z) elementwise by the series / continued-fraction path, any real nu.
+
+    Returns an array of z's shape.  No argument or overflow checks: those
+    belong to ``bessel_k``.
+    """
     # base order mu in [-1/2, 1/2]; K is even in its order, so the shifted
     # base pair feeds the usual three-term upward recurrence
+    z = np.asarray(z, dtype=float)
     n = int(nu + 0.5)
     mu = nu - n
-    if z <= 2.0:
-        k_mu, k_mu1 = _k_series_small(mu, z)
-    else:
-        k_mu, k_mu1 = _k_continued_fraction(mu, z)
+    k_mu, k_mu1 = np.empty_like(z), np.empty_like(z)
+    small = z <= 2.0
+    k_mu[small], k_mu1[small] = _k_series_small(mu, z[small])
+    k_mu[~small], k_mu1[~small] = _k_continued_fraction(mu, z[~small])
     for j in range(1, n + 1):
         k_mu, k_mu1 = k_mu1, k_mu + (2.0 * (mu + j) / z) * k_mu1
     return k_mu
 
 
-def bessel_k(nu: float, z: float) -> float:
+def bessel_k(nu: float, z):
     """Modified Bessel function of the second kind, K_nu(z), for nu > 0, z > 0.
 
-    Half-integer orders use the finite exponential sum; other orders use a
-    small-z series or large-z continued fraction for the base pair
-    (K_mu, K_{mu+1}) and recur upward in the order.
+    ``z`` is a float or an array; a float gives a float, an array gives an
+    array of its shape.  Half-integer orders use the finite exponential sum;
+    other orders use a small-z series or large-z continued fraction for the
+    base pair (K_mu, K_{mu+1}) and recur upward in the order.  Arguments are
+    evaluated in blocks of ``_BLOCK``, each element exactly as it would be
+    alone.
 
-    Raises ValueError for z <= 0 or nu <= 0, and OverflowError if the value
-    exceeds the double range (tiny z at large order).
+    Raises ValueError for any z <= 0 or for nu <= 0, and OverflowError if a
+    value exceeds the double range (tiny z at large order).
     """
     if not (nu > 0.0 and math.isfinite(nu)):
         raise ValueError(f"order nu must be positive and finite, got {nu}")
-    if not (z > 0.0 and math.isfinite(z)):
-        raise ValueError(f"argument z must be positive and finite, got {z}")
-    value = _bessel_k_half_integer(nu, z) if _is_half_integer(nu) else _bessel_k_general(nu, z)
-    if math.isinf(value):
-        raise OverflowError(f"K_nu overflows double precision at nu={nu}, z={z}")
-    return value
+    za = np.asarray(z, dtype=float)
+    flat = za.reshape(-1)
+    bad = np.flatnonzero(~((flat > 0.0) & np.isfinite(flat)))
+    if bad.size:
+        raise ValueError(f"argument z must be positive and finite, got {flat[bad[0]]}")
+    evaluate = _bessel_k_half_integer if _is_half_integer(nu) else _bessel_k_general
+    out = np.empty_like(flat)
+    with np.errstate(over="ignore"):
+        for start in range(0, flat.size, _BLOCK):
+            out[start:start + _BLOCK] = evaluate(nu, flat[start:start + _BLOCK])
+    huge = np.flatnonzero(np.isinf(out))
+    if huge.size:
+        raise OverflowError(f"K_nu overflows double precision at nu={nu}, z={flat[huge[0]]}")
+    return float(out[0]) if za.ndim == 0 else out.reshape(za.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +296,18 @@ def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
         out[pos] = _matern_half_integer_radial(nu, zp)
         return out
     # general order: log-space normalization dodges overflow of z^nu * K_nu;
-    # lattice designs repeat distances, so evaluate unique values only
+    # lattice designs repeat distances, so evaluate unique values only, all
+    # in one bessel_k call; where K_nu underflows to 0 the profile is 0
     log_norm = math.lgamma(nu) + (nu - 1.0) * math.log(2.0)
     uniq, inverse = np.unique(zp, return_inverse=True)
-    vals = np.empty_like(uniq)
-    for i, zi in enumerate(uniq):
-        k_val = bessel_k(nu, float(zi))
-        if k_val <= 0.0:
-            vals[i] = 0.0
-        else:
-            vals[i] = math.exp(nu * math.log(zi) + math.log(k_val) - log_norm)
+    k_val = bessel_k(nu, uniq)
+    live = k_val > 0.0
+    log_psi = np.log(uniq[live])
+    log_psi *= nu
+    log_psi += np.log(k_val[live])
+    log_psi -= log_norm
+    vals = np.zeros_like(uniq)
+    vals[live] = np.exp(log_psi)
     out[pos] = vals[inverse]
     return out
 
@@ -291,8 +348,13 @@ def kernel_eval(spec: KernelSpec, x, x2) -> float:
 
 
 def _pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    # one coordinate at a time, so no (n, m, d) temporary is built
+    sq = np.zeros((X.shape[0], Y.shape[0]))
+    for k in range(X.shape[1]):
+        diff = np.subtract.outer(X[:, k], Y[:, k])
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq, out=sq)
 
 
 def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -305,20 +367,15 @@ def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Symmetric correlation matrix of one point set, unit diagonal.
 
-    The upper triangle is computed and mirrored, so K equals its transpose
-    bit-exactly.  Duplicate points are allowed; the result may then be
-    singular (downstream code always regularizes with rho*I).
+    K equals its transpose bit-exactly: the distance from x_i to x_j squares
+    the exact negation of the difference from x_j to x_i.  Duplicate points
+    are allowed; the result may then be singular (downstream code always
+    regularizes with rho*I).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    t = X.shape[0]
-    if t < 1:
+    if X.shape[0] < 1:
         raise ValueError("kernel_matrix needs at least one point")
-    K = np.empty((t, t))
-    iu = np.triu_indices(t, k=1)
-    if iu[0].size:
-        r = np.linalg.norm(X[iu[0]] - X[iu[1]], axis=1)
-        K[iu] = _radial(spec, r)
-        K[(iu[1], iu[0])] = K[iu]
+    K = _radial(spec, _pairwise_distances(X, X))
     np.fill_diagonal(K, 1.0)
     return K
 

@@ -2,12 +2,15 @@
 
 import csv
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gpucb import bessel_k
-from gpucb.kernels import _bessel_k_general
+from gpucb import KernelFamily, KernelSpec, bessel_k, kernel_cross
+from gpucb import kernels
+from gpucb.kernels import _BLOCK, _bessel_k_general
 
 REFERENCE = Path(__file__).parent / "data" / "bessel_kv_reference.csv"
 
@@ -83,3 +86,72 @@ class TestErrors:
     def test_overflow_at_tiny_argument(self):
         with pytest.raises(OverflowError):
             bessel_k(100.5, 1e-8)
+
+
+def _arguments(n: int, seed: int) -> np.ndarray:
+    """Log-spaced random arguments plus the series / continued-fraction seam."""
+    rng = np.random.default_rng(seed)
+    z = np.exp(rng.uniform(math.log(1e-6), math.log(600.0), n))
+    seam = [np.nextafter(2.0, -np.inf), 2.0, np.nextafter(2.0, np.inf), 1.999, 2.001]
+    return np.concatenate([z[: n // 2], seam, z[n // 2 :]])
+
+
+class TestArrays:
+    @pytest.mark.parametrize("nu", [0.3, 1.2, 7.3, 2.5])
+    def test_batch_equals_single_calls_bit_for_bit(self, nu):
+        z = _arguments(_BLOCK + 900, seed=3)
+        batch = bessel_k(nu, z)
+        # the seam, both sides of the block boundary and a random sample
+        n = z.size
+        picks = set(range(n // 2 - 2, n // 2 + 7)) | set(range(_BLOCK - 5, _BLOCK + 5))
+        picks |= set(np.random.default_rng(4).choice(n, 150, replace=False).tolist())
+        for i in sorted(picks):
+            assert batch[i] == bessel_k(nu, float(z[i])), (nu, z[i])
+        # the values do not depend on the order or company of the arguments
+        perm = np.random.default_rng(5).permutation(n)
+        assert np.array_equal(bessel_k(nu, z[perm]), batch[perm])
+        assert np.array_equal(bessel_k(nu, z[::-3]), batch[::-3])
+
+    def test_float_in_float_out_and_shape_kept(self):
+        assert type(bessel_k(1.2, 0.7)) is float
+        z = np.array([[0.5, 3.0], [1.0, 40.0]])
+        out = bessel_k(1.2, z)
+        assert out.shape == (2, 2)
+        assert out[1, 0] == bessel_k(1.2, 1.0)
+        assert bessel_k(1.2, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("nu", [0.3, 0.8, 1.2, 2.2, 7.3])
+    def test_agrees_with_scipy_kv(self, nu):
+        from scipy.special import kv  # test oracle only
+
+        z = np.logspace(-6.0, math.log10(600.0), 700)
+        expected = kv(nu, z)
+        assert np.max(np.abs(bessel_k(nu, z) - expected) / expected) <= 1e-10
+
+    def test_matern_profile_zero_where_k_underflows(self):
+        spec = KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=1.0)
+        z = np.array([700.0, 745.5, 760.0, 900.0, 5000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bessel_k(1.2, 900.0) == 0.0
+            psi = kernel_cross(spec, [[0.0]], (z / (2.0 * math.sqrt(1.2)))[:, None])[0]
+        assert psi[0] > 0.0
+        assert np.array_equal(psi[2:], np.zeros(3))
+
+    def test_overflow_in_an_array(self):
+        with pytest.raises(OverflowError):
+            bessel_k(100.5, np.array([3.0, 1e-8, 1.0]))
+        with pytest.raises(OverflowError):
+            bessel_k(100.3, np.array([3.0, 1e-8, 1.0]))
+
+    def test_nonpositive_entry_in_an_array(self):
+        with pytest.raises(ValueError):
+            bessel_k(1.2, np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(ValueError):
+            bessel_k(1.2, np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("z", [0.5, 5.0])
+    def test_non_convergence_raises(self, monkeypatch, z):
+        monkeypatch.setattr(kernels, "_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError):
+            bessel_k(1.2, np.array([z, 1.5 * z]))

@@ -216,6 +216,18 @@ def _move_point(cell):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _forge_cum_regret(cell):
+    # inflate the cumulative column from t=20 on, leaving inst_regret alone
+    path = cell / "trace_seed2.csv"
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("cum_regret")
+    for i in range(20, len(lines)):
+        row = lines[i].split(",")
+        row[col] = repr(1.5 * float(row[col]))
+        lines[i] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestDamagedRunReport:
     @pytest.fixture(scope="class")
     def suite(self, tmp_path_factory):
@@ -232,6 +244,7 @@ class TestDamagedRunReport:
         (_skip_step, "non-consecutive t"),
         (_short_trace, "rows for horizon 64"),
         (_move_point, "not on the evaluation grid"),
+        (_forge_cum_regret, "trace_seed2.csv: cum_regret at t=20 is not the running sum"),
     ])
     def test_damage_exits_4(self, suite, tmp_path, capsys, damage, message):
         cell = tmp_path / "run"

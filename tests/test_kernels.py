@@ -9,9 +9,11 @@ from gpucb import (
     KernelFamily,
     KernelSpec,
     holder_validate,
+    kernel_cross,
     kernel_eval,
     kernel_matrix,
 )
+from gpucb import kernels
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_HALF = KernelSpec(KernelFamily.MATERN, nu=0.5, lengthscale=1.0)
@@ -131,6 +133,23 @@ class TestKernelMatrix:
         K = kernel_matrix(spec, X)
         assert np.array_equal(K, K.T)
         assert np.linalg.eigvalsh(K).min() >= -1e-12
+
+    def test_general_order_makes_one_bessel_call(self, monkeypatch):
+        # the whole set of distinct distances goes through one K_nu call
+        calls = []
+        original = kernels.bessel_k
+
+        def counted(nu, z):
+            calls.append(np.size(z))
+            return original(nu, z)
+
+        monkeypatch.setattr(kernels, "bessel_k", counted)
+        spec = KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=0.5)
+        X = np.random.default_rng(0).uniform(size=(40, 2))
+        kernel_matrix(spec, X)
+        assert calls == [40 * 39 // 2]  # one call on every distinct pair distance
+        kernel_cross(spec, X[:7], X)
+        assert len(calls) == 2
 
     def test_duplicates_allowed(self):
         K = kernel_matrix(SE, [[0.2], [0.2]])
