@@ -110,28 +110,31 @@ def _write_suite(config: ExperimentConfig, traces: list[RegretTrace], out_dir: P
         raise
 
 
-def cmd_validate(config_path: str) -> int:
+def _load_configs(config_path: str, axis: str | None = None, values: tuple | list = ()):
+    """The config, or with a sweep axis one override per value; None after
+    printing the one ``error:`` line that a malformed config exits 2 with."""
     try:
-        parse_config_file(config_path)
+        base = parse_config_file(config_path)
+        return [base.with_override(axis, raw) for raw in values] if axis is not None else [base]
     except FileNotFoundError:
         print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_validate(config_path: str) -> int:
+    if _load_configs(config_path) is None:
         return 2
     print("config ok")
     return 0
 
 
 def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
-    try:
-        config = parse_config_file(config_path)
-    except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
+    configs = _load_configs(config_path)
+    if configs is None:
         return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = configs[0]
     try:
         traces = _execute_suite(config, jobs)
         _write_suite(config, traces, Path(out_dir))
@@ -144,25 +147,15 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
 
 
 def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs: int = 1) -> int:
-    try:
-        base = parse_config_file(config_path)
-    except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # every value is converted and checked before any cell runs
+    configs = _load_configs(config_path, axis, values)
+    if configs is None:
         return 2
     top = Path(out_dir)
     top.mkdir(parents=True, exist_ok=True)
     merged = ["axis,value,seed,status,cum_regret"]
     failures = 0
-    for raw in values:
-        try:
-            config = base.with_override(axis, raw)
-            config.validate()
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    for raw, config in zip(values, configs):
         cell = top / f"{axis.replace('.', '_')}_{raw}"
         try:
             traces = _execute_suite(config, jobs)
@@ -181,8 +174,9 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
     return 0
 
 
-def _load_suite(cell: Path) -> tuple[ExperimentConfig, list[RegretTrace]]:
-    """Config and traces of one suite; OSError or ValueError names what is damaged."""
+def _load_suite(cell: Path) -> tuple[ExperimentConfig, list[RegretTrace], dict]:
+    """Config, traces and recorded objectives (by seed) of one suite; OSError
+    or ValueError names what is damaged."""
     config = parse_config((cell / "config.txt").read_text(encoding="utf-8"))
     objectives = {}
     for block in (cell / "objective.txt").read_text(encoding="utf-8").split("\n\n"):
@@ -218,7 +212,7 @@ def _load_suite(cell: Path) -> tuple[ExperimentConfig, list[RegretTrace]]:
         if off_grid:
             raise ValueError(f"{path}: design point {off_grid[0]} is not on the evaluation grid")
         traces.append(trace)
-    return config, traces
+    return config, traces, objectives
 
 
 def cmd_report(out_dir: str) -> int:
@@ -241,8 +235,8 @@ def cmd_report(out_dir: str) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    config, traces = max(suites, key=lambda ct: ct[0].horizon)
-    horizons = sorted({c.horizon for c, _ in suites})
+    config, traces, objectives = max(suites, key=lambda s: s[0].horizon)
+    horizons = sorted({s[0].horizon for s in suites})
     t_max = horizons[-1]
     t_min = horizons[0] if len(horizons) > 1 else max(t_max // 16, 4)
     if t_max < 4 * t_min or len(traces) < 5:
@@ -280,7 +274,7 @@ def cmd_report(out_dir: str) -> int:
     growth_ok, bias_ok = True, True
     growth_detail = []
     for tr in audit_traces:
-        f = config.objective_for_seed(tr.seed)
+        f = objectives[tr.seed]
         audit = prefix_bound_audit(f, tr, config.rho, grid, checkpoints)
         bias_ok &= max(audit.bias_ratio) <= f.norm * (1.0 + 1e-6)
         allowed = 1.5 * math.sqrt(

@@ -1,39 +1,29 @@
 """Declarative experiment configuration and its flat key-path text format.
 
-A config file is plain ``key = value`` lines with dotted key paths, for
-example::
+A config file is plain ``key = value`` lines with dotted key paths, such as
+``kernel.nu = 1.5`` or ``seeds = 0, 1, 2``; blank lines and ``#`` comments
+are skipped.  The table ``_KEYS`` is the format's definition.  It has one
+row per key, in canonical render order, giving the key's kind (how its text
+parses and renders), its default text or ``_REQUIRED``, the key value it
+applies under (``kernel.nu`` only for Matern kernels, say), and whether a
+sweep may override it.  ``parse_config``, ``render_config`` and
+``ExperimentConfig.with_override`` all go through that one table, so a
+value gets the same conversion and checks wherever it comes from.
 
-    kernel.family = matern
-    kernel.nu = 1.5
-    kernel.lengthscale = 0.5
-    domain.dim = 1
-    domain.lower = 0
-    domain.upper = 1
-    rho = 1
-    noise.kind = normal
-    noise.sigma = 0.1
-    horizon = 512
-    beta.kind = log_product
-    beta.delta = 0.1
-    beta.c0 = 1
-    beta.c_subg = 1
-    candidates.count = 256
-    candidates.method = lattice
-    eval_grid.count = 256
-    objective.kind = random
-    objective.m = 30
-    objective.B = 2
-    seeds = 0, 1, 2
-
-Vectors are comma lists; explicit objective centers are semicolon-separated
-points.  Lattice counts round to the nearest per-axis integer grid, so the
-realized count is the nearest perfect d-th power.
+A key outside the table is an error; a known key that does not apply is
+accepted and ignored.  Vectors are comma lists, and a single value is
+repeated to ``domain.dim`` components; explicit objective centers are
+semicolon-separated points.  Lattice counts round to the nearest per-axis
+integer grid, so the realized count is the nearest perfect d-th power.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import math
+import re
+from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -63,6 +53,7 @@ class ConfigError(ValueError):
         if line is not None:
             loc += f" (line {line})"
         super().__init__(message + loc)
+        self.message = message
         self.key = key
         self.line = line
 
@@ -93,51 +84,33 @@ class ExperimentConfig:
     grid_gap: float = 0.0
 
     def validate(self) -> None:
-        if self.rho <= 0.0:
-            raise ConfigError("rho must be positive", key="rho")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1", key="horizon")
-        if self.candidates_count < 1:
-            raise ConfigError("candidates.count must be >= 1", key="candidates.count")
+        """Checks that span several fields.  A single key's checks run where
+        it is parsed (``_KEYS``) or in the constructor of its part."""
         if self.eval_grid_count < self.candidates_count:
             raise ConfigError(
                 "eval_grid.count must be >= candidates.count", key="eval_grid.count"
             )
-        if self.candidates_method not in ("lattice", "low_discrepancy"):
+        if self.candidates_method == "low_discrepancy" and self.domain.dim > len(_PRIMES):
             raise ConfigError(
-                f"unknown candidates.method {self.candidates_method!r}",
-                key="candidates.method",
+                f"low_discrepancy candidates support domain.dim <= {len(_PRIMES)}",
+                key="domain.dim",
             )
-        if self.noise_kind not in ("normal", "uniform"):
-            raise ConfigError(f"unknown noise.kind {self.noise_kind!r}", key="noise.kind")
-        if self.noise_sigma < 0.0:
-            raise ConfigError("noise.sigma must be >= 0", key="noise.sigma")
-        if self.grid_gap < 0.0:
-            raise ConfigError("grid_gap must be >= 0", key="grid_gap")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required", key="seeds")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds must be distinct replicates", key="seeds")
         obj = self.objective
-        if obj.kind == "random":
-            if obj.m < 1:
-                raise ConfigError("objective.m must be >= 1", key="objective.m")
-            if obj.B <= 0.0:
-                raise ConfigError("objective.B must be positive", key="objective.B")
-        elif obj.kind == "explicit":
-            if obj.centers is None or obj.coeffs is None:
+        if obj.kind == "explicit":
+            if not obj.centers or obj.coeffs is None or len(obj.coeffs) != len(obj.centers):
                 raise ConfigError(
-                    "explicit objective needs centers and coeffs", key="objective.centers"
+                    "explicit objective needs one coefficient per center", key="objective.coeffs"
                 )
-            centers = np.array(obj.centers, dtype=float)
-            if centers.shape[1] != self.domain.dim:
+            if any(len(row) != self.domain.dim for row in obj.centers):
                 raise ConfigError(
                     "objective.centers dimension != domain.dim", key="objective.centers"
                 )
-            if not self.domain.contains(centers):
+            if not self.domain.contains(np.array(obj.centers, dtype=float)):
                 raise ConfigError(
                     "objective.centers must lie inside the domain", key="objective.centers"
                 )
-        else:
-            raise ConfigError(f"unknown objective.kind {obj.kind!r}", key="objective.kind")
 
     # -- point sets ---------------------------------------------------------
 
@@ -174,28 +147,13 @@ class ExperimentConfig:
         return hashlib.sha256(render_config(self).encode()).hexdigest()[:16]
 
     def with_override(self, key: str, value) -> "ExperimentConfig":
-        """New config with one scalar key-path replaced (sweep support)."""
-        if key == "horizon":
-            return replace(self, horizon=int(value))
-        if key == "rho":
-            return replace(self, rho=float(value))
-        if key == "noise.sigma":
-            return replace(self, noise_sigma=float(value))
-        if key == "grid_gap":
-            return replace(self, grid_gap=float(value))
-        if key == "objective.B":
-            return replace(self, objective=replace(self.objective, B=float(value)))
-        if key == "kernel.lengthscale":
-            return replace(self, kernel=replace(self.kernel, lengthscale=float(value)))
-        if key == "kernel.nu":
-            return replace(self, kernel=replace(self.kernel, nu=float(value)))
-        if key in ("beta.c0", "beta.c_subg", "beta.delta", "beta.constant_value"):
-            field = key.split(".", 1)[1]
-            return replace(self, beta=replace(self.beta, **{field: float(value)}))
-        if key in ("candidates.count", "eval_grid.count"):
-            field = "candidates_count" if key == "candidates.count" else "eval_grid_count"
-            return replace(self, **{field: int(value)})
-        raise ConfigError(f"cannot sweep over key {key!r}", key=key)
+        """New config with one sweepable key set to ``value`` (sweep support).
+
+        The value is converted and checked exactly as the same text in a
+        config file would be."""
+        if key not in _KEYS or not _KEYS[key].sweep:
+            raise ConfigError(f"cannot sweep over key {key!r}", key=key)
+        return _build({**_flatten(self), key: str(value).strip()})
 
 
 # ---------------------------------------------------------------------------
@@ -241,37 +199,179 @@ def halton_points(box: Box, count: int) -> np.ndarray:
 # Text format
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = (
-    "kernel.family",
-    "kernel.lengthscale",
-    "domain.dim",
-    "domain.lower",
-    "domain.upper",
-    "rho",
-    "noise.kind",
-    "noise.sigma",
-    "horizon",
-    "beta.kind",
-    "candidates.count",
-    "candidates.method",
-    "eval_grid.count",
-    "objective.kind",
-    "seeds",
-)
+
+class _Kind(NamedTuple):
+    """How one key's value is read from text and written back."""
+
+    parse: Callable[[str], Any]
+    render: Callable[[Any], str]
 
 
-def _parse_float(raw: str, key: str, line: int) -> float:
+def _float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise ConfigError(f"expected a number, got {raw!r}", key=key, line=line) from None
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-def _parse_int(raw: str, key: str, line: int) -> int:
+def _int(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {raw!r}", key=key, line=line) from None
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+
+
+def _checked(parse: Callable[[str], Any], ok: Callable[[Any], bool], rule: str):
+    def check(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(f"must be {rule}, got {raw}")
+        return value
+
+    return check
+
+
+def _list(parse: Callable[[str], Any], sep: str = ","):
+    def split(raw: str) -> tuple:
+        items = tuple(parse(part.strip()) for part in raw.split(sep) if part.strip())
+        if not items:
+            raise ValueError("expected at least one value")
+        return items
+
+    return split
+
+
+def _word(*names: str) -> _Kind:
+    def parse(raw: str) -> str:
+        if raw.lower() not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {raw!r}")
+        return raw.lower()
+
+    return _Kind(parse, str)
+
+
+def _enum(cls) -> _Kind:
+    """A member spelled by its value or its lower-case name (``se`` or
+    ``squared_exponential``)."""
+
+    def parse(raw: str):
+        for member in cls:
+            if raw.lower() in (member.value, member.name.lower()):
+                return member
+        raise ValueError(f"expected one of {', '.join(m.value for m in cls)}, got {raw!r}")
+
+    return _Kind(parse, lambda member: member.value)
+
+
+_FLOAT = _Kind(_float, _fmt)
+_POSITIVE = _Kind(_checked(_float, lambda v: v > 0.0, "positive"), _fmt)
+_NONNEGATIVE = _Kind(_checked(_float, lambda v: v >= 0.0, ">= 0"), _fmt)
+_COUNT = _Kind(_checked(_int, lambda v: v >= 1, ">= 1"), str)
+_FLOATS = _Kind(_list(_float), lambda v: ", ".join(map(_fmt, v)))
+_POINTS = _Kind(
+    _list(_list(_float), ";"), lambda v: "; ".join(",".join(map(_fmt, row)) for row in v)
+)
+_SEEDS = _Kind(_list(_checked(_int, lambda v: v >= 0, ">= 0")), lambda v: ", ".join(map(str, v)))
+
+_REQUIRED = None
+_MATERN = ("kernel.family", KernelFamily.MATERN)
+_EXPLICIT = ("objective.kind", "explicit")
+_RANDOM = ("objective.kind", "random")
+
+
+class _Key(NamedTuple):
+    kind: _Kind
+    default: str | None                  # text used when the key is absent
+    when: tuple[str, Any] | None = None  # applies only while that key has that value
+    sweep: bool = False                  # a sweep axis may override it
+
+    def applies(self, values: dict[str, Any]) -> bool:
+        return self.when is None or values[self.when[0]] == self.when[1]
+
+
+_KEYS = {
+    "kernel.family": _Key(_enum(KernelFamily), _REQUIRED),
+    "kernel.nu": _Key(_FLOAT, _REQUIRED, when=_MATERN, sweep=True),
+    "kernel.lengthscale": _Key(_FLOAT, _REQUIRED, sweep=True),
+    "domain.dim": _Key(_COUNT, _REQUIRED),
+    "domain.lower": _Key(_FLOATS, _REQUIRED),
+    "domain.upper": _Key(_FLOATS, _REQUIRED),
+    "rho": _Key(_POSITIVE, _REQUIRED, sweep=True),
+    "noise.kind": _Key(_word("normal", "uniform"), _REQUIRED),
+    "noise.sigma": _Key(_NONNEGATIVE, _REQUIRED, sweep=True),
+    "horizon": _Key(_COUNT, _REQUIRED, sweep=True),
+    "beta.kind": _Key(_enum(BetaKind), _REQUIRED),
+    "beta.delta": _Key(_FLOAT, "0.1", sweep=True),
+    "beta.c0": _Key(_FLOAT, "1", sweep=True),
+    "beta.c_subg": _Key(_FLOAT, "1", sweep=True),
+    "beta.constant_value": _Key(_FLOAT, "1", sweep=True),
+    "candidates.count": _Key(_COUNT, _REQUIRED, sweep=True),
+    "candidates.method": _Key(_word("lattice", "low_discrepancy"), _REQUIRED),
+    "eval_grid.count": _Key(_COUNT, _REQUIRED, sweep=True),
+    "objective.kind": _Key(_word("random", "explicit"), _REQUIRED),
+    "objective.centers": _Key(_POINTS, _REQUIRED, when=_EXPLICIT),
+    "objective.coeffs": _Key(_FLOATS, _REQUIRED, when=_EXPLICIT),
+    "objective.m": _Key(_COUNT, "1", when=_RANDOM),
+    "objective.B": _Key(_POSITIVE, "1", when=_RANDOM, sweep=True),
+    "seeds": _Key(_SEEDS, _REQUIRED),
+    "grid_gap": _Key(_NONNEGATIVE, "0", sweep=True),
+}
+
+# Key prefixes that name a part of the config, with the constructor that
+# checks it; any other key ``a.b`` is the ``ExperimentConfig`` field ``a_b``.
+_PARTS = {"kernel": KernelSpec, "domain": Box, "beta": BetaSchedule, "objective": ObjectiveSpec}
+
+
+def _build(fields: dict[str, str]) -> ExperimentConfig:
+    """The config that text fields describe: each applicable key converted
+    through ``_KEYS``, each part constructed, then the whole validated."""
+    for key in fields:
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}", key=key)
+    values: dict[str, Any] = {}
+    for key, spec in _KEYS.items():
+        if not spec.applies(values):
+            continue
+        raw = fields.get(key, spec.default)
+        if raw is None:
+            raise ConfigError(f"missing key {key!r}", key=key)
+        try:
+            values[key] = spec.kind.parse(raw)
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key) from None
+    dim = values.pop("domain.dim")
+    for key in ("domain.lower", "domain.upper"):
+        if len(values[key]) == 1:
+            values[key] *= dim
+        if len(values[key]) != dim:
+            raise ConfigError(f"expected {dim} components, got {len(values[key])}", key=key)
+    parts = {}
+    for section, cls in _PARTS.items():
+        keys = [key for key in values if key.startswith(section + ".")]
+        try:
+            parts[section] = cls(**{key.partition(".")[2]: values.pop(key) for key in keys})
+        except ValueError as exc:
+            # the constructors name the field they reject in their message
+            named = [k for k in keys if re.search(rf"\b{k.partition('.')[2]}\b", str(exc))]
+            raise ConfigError(str(exc), key=named[0] if named else None) from None
+    config = ExperimentConfig(**parts, **{k.replace(".", "_"): v for k, v in values.items()})
+    config.validate()
+    return config
+
+
+def _flatten(config: ExperimentConfig) -> dict[str, str]:
+    """The config's text fields in table order, without keys that do not apply."""
+    values = {}
+    for key in _KEYS:
+        section, _, field = key.partition(".")
+        owner = getattr(config, section) if section in _PARTS else config
+        values[key] = getattr(owner, field if section in _PARTS else key.replace(".", "_"))
+    return {
+        key: spec.kind.render(values[key]) for key, spec in _KEYS.items() if spec.applies(values)
+    }
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -289,127 +389,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"duplicate key {key!r}", key=key, line=lineno)
         fields[key] = value.strip()
         lines[key] = lineno
-
-    def need(key: str) -> str:
-        if key not in fields:
-            raise ConfigError(f"missing key {key!r}", key=key)
-        return fields[key]
-
-    def opt(key: str, default: str) -> str:
-        return fields.get(key, default)
-
-    def lno(key: str) -> int:
-        return lines.get(key, 0)
-
-    for key in _REQUIRED_KEYS:
-        need(key)
-
-    family_raw = fields["kernel.family"].lower()
-    aliases = {
-        "matern": KernelFamily.MATERN,
-        "se": KernelFamily.SQUARED_EXPONENTIAL,
-        "squared_exponential": KernelFamily.SQUARED_EXPONENTIAL,
-    }
-    if family_raw not in aliases:
-        raise ConfigError(
-            f"unknown kernel.family {family_raw!r}", key="kernel.family", line=lno("kernel.family")
-        )
-    family = aliases[family_raw]
-    nu = None
-    if family is KernelFamily.MATERN:
-        nu = _parse_float(need("kernel.nu"), "kernel.nu", lno("kernel.nu"))
-        if nu <= 0.0:
-            raise ConfigError("kernel.nu must be positive", key="kernel.nu", line=lno("kernel.nu"))
-    lengthscale = _parse_float(fields["kernel.lengthscale"], "kernel.lengthscale", lno("kernel.lengthscale"))
-    if lengthscale <= 0.0:
-        raise ConfigError(
-            "kernel.lengthscale must be positive", key="kernel.lengthscale", line=lno("kernel.lengthscale")
-        )
-    kernel = KernelSpec(family, nu=nu, lengthscale=lengthscale)
-
-    dim = _parse_int(fields["domain.dim"], "domain.dim", lno("domain.dim"))
-    if dim < 1:
-        raise ConfigError("domain.dim must be >= 1", key="domain.dim", line=lno("domain.dim"))
-
-    def vector(key: str) -> tuple[float, ...]:
-        parts = [p for p in fields[key].split(",") if p.strip()]
-        vals = tuple(_parse_float(p.strip(), key, lno(key)) for p in parts)
-        if len(vals) == 1 and dim > 1:
-            vals = vals * dim
-        if len(vals) != dim:
-            raise ConfigError(
-                f"expected {dim} components, got {len(vals)}", key=key, line=lno(key)
-            )
-        return vals
-
-    lower = vector("domain.lower")
-    upper = vector("domain.upper")
-    for lo, hi in zip(lower, upper):
-        if not lo < hi:
-            raise ConfigError(
-                "domain.lower must be < domain.upper componentwise",
-                key="domain.lower", line=lno("domain.lower"),
-            )
-    domain = Box(lower, upper)
-
-    beta_kind_raw = fields["beta.kind"].lower()
     try:
-        beta_kind = BetaKind(beta_kind_raw)
-    except ValueError:
-        raise ConfigError(
-            f"unknown beta.kind {beta_kind_raw!r}", key="beta.kind", line=lno("beta.kind")
-        ) from None
-    beta = BetaSchedule(
-        kind=beta_kind,
-        delta=_parse_float(opt("beta.delta", "0.1"), "beta.delta", lno("beta.delta")),
-        c0=_parse_float(opt("beta.c0", "1"), "beta.c0", lno("beta.c0")),
-        c_subg=_parse_float(opt("beta.c_subg", "1"), "beta.c_subg", lno("beta.c_subg")),
-        constant_value=_parse_float(
-            opt("beta.constant_value", "1"), "beta.constant_value", lno("beta.constant_value")
-        ),
-    )
-
-    obj_kind = fields["objective.kind"].lower()
-    centers = coeffs = None
-    if obj_kind == "explicit":
-        rows = need("objective.centers").split(";")
-        centers = tuple(
-            tuple(_parse_float(c.strip(), "objective.centers", lno("objective.centers")) for c in row.split(","))
-            for row in rows
-        )
-        coeffs = tuple(
-            _parse_float(c.strip(), "objective.coeffs", lno("objective.coeffs"))
-            for c in need("objective.coeffs").split(",")
-        )
-    objective = ObjectiveSpec(
-        kind=obj_kind,
-        m=_parse_int(opt("objective.m", "1"), "objective.m", lno("objective.m")),
-        B=_parse_float(opt("objective.B", "1"), "objective.B", lno("objective.B")),
-        centers=centers,
-        coeffs=coeffs,
-    )
-
-    seeds = tuple(
-        _parse_int(p.strip(), "seeds", lno("seeds")) for p in fields["seeds"].split(",") if p.strip()
-    )
-
-    config = ExperimentConfig(
-        kernel=kernel,
-        domain=domain,
-        rho=_parse_float(fields["rho"], "rho", lno("rho")),
-        noise_kind=fields["noise.kind"].lower(),
-        noise_sigma=_parse_float(fields["noise.sigma"], "noise.sigma", lno("noise.sigma")),
-        horizon=_parse_int(fields["horizon"], "horizon", lno("horizon")),
-        beta=beta,
-        candidates_count=_parse_int(fields["candidates.count"], "candidates.count", lno("candidates.count")),
-        candidates_method=fields["candidates.method"].lower(),
-        eval_grid_count=_parse_int(fields["eval_grid.count"], "eval_grid.count", lno("eval_grid.count")),
-        objective=objective,
-        seeds=seeds,
-        grid_gap=_parse_float(opt("grid_gap", "0"), "grid_gap", lno("grid_gap")),
-    )
-    config.validate()
-    return config
+        return _build(fields)
+    except ConfigError as exc:
+        if exc.key not in lines:
+            raise
+        raise ConfigError(exc.message, key=exc.key, line=lines[exc.key]) from None
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -419,38 +404,4 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def render_config(config: ExperimentConfig) -> str:
     """Canonical text form; parsing it back reproduces the config exactly."""
-    k = config.kernel
-    lines = [f"kernel.family = {k.family.value}"]
-    if k.family is KernelFamily.MATERN:
-        lines.append(f"kernel.nu = {_fmt(k.nu)}")
-    lines.append(f"kernel.lengthscale = {_fmt(k.lengthscale)}")
-    lines.append(f"domain.dim = {config.domain.dim}")
-    lines.append(f"domain.lower = {', '.join(_fmt(v) for v in config.domain.lower)}")
-    lines.append(f"domain.upper = {', '.join(_fmt(v) for v in config.domain.upper)}")
-    lines.append(f"rho = {_fmt(config.rho)}")
-    lines.append(f"noise.kind = {config.noise_kind}")
-    lines.append(f"noise.sigma = {_fmt(config.noise_sigma)}")
-    lines.append(f"horizon = {config.horizon}")
-    b = config.beta
-    lines.append(f"beta.kind = {b.kind.value}")
-    lines.append(f"beta.delta = {_fmt(b.delta)}")
-    lines.append(f"beta.c0 = {_fmt(b.c0)}")
-    lines.append(f"beta.c_subg = {_fmt(b.c_subg)}")
-    lines.append(f"beta.constant_value = {_fmt(b.constant_value)}")
-    lines.append(f"candidates.count = {config.candidates_count}")
-    lines.append(f"candidates.method = {config.candidates_method}")
-    lines.append(f"eval_grid.count = {config.eval_grid_count}")
-    obj = config.objective
-    lines.append(f"objective.kind = {obj.kind}")
-    if obj.kind == "explicit":
-        lines.append(
-            "objective.centers = "
-            + "; ".join(",".join(_fmt(c) for c in row) for row in obj.centers)
-        )
-        lines.append(f"objective.coeffs = {', '.join(_fmt(c) for c in obj.coeffs)}")
-    else:
-        lines.append(f"objective.m = {obj.m}")
-        lines.append(f"objective.B = {_fmt(obj.B)}")
-    lines.append(f"seeds = {', '.join(str(s) for s in config.seeds)}")
-    lines.append(f"grid_gap = {_fmt(config.grid_gap)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {text}\n" for key, text in _flatten(config).items())

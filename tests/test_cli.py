@@ -5,8 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
-from gpucb import fit, logdet_information, parse_config, trace_from_csv
+from gpucb import fit, logdet_information, parse_config, render_config, trace_from_csv
 from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
+from gpucb.config import ExperimentConfig
 
 MINIMAL = """\
 kernel.family = matern
@@ -65,6 +66,39 @@ class TestValidate:
     def test_eval_grid_smaller_than_candidates(self, tmp_path):
         text = MINIMAL.replace("eval_grid.count = 16", "eval_grid.count = 4")
         assert cmd_validate(write_config(tmp_path, text)) == 2
+
+
+# (edit of MINIMAL, key that the error names)
+MALFORMED = {
+    "delta outside (0,1)": (("beta.delta = 0.1", "beta.delta = 1.5"), "beta.delta"),
+    "infinite bound": (("domain.upper = 1", "domain.upper = inf"), "domain.upper"),
+    "nan rho": (("rho = 1", "rho = nan"), "rho"),
+    "nan noise": (("noise.sigma = 0.1", "noise.sigma = nan"), "noise.sigma"),
+    "word horizon": (("horizon = 8", "horizon = abc"), "horizon"),
+    "misspelt key": (("beta.delta = 0.1", "beta.delta = 0.1\nbeta.co = 0.39"), "beta.co"),
+    "repeated seed": (("seeds = 0", "seeds = 0, 0"), "seeds"),
+    "negative seed": (("seeds = 0", "seeds = -1"), "seeds"),
+    "coefficient count": (
+        ("objective.kind = random", "objective.kind = explicit\n"
+         "objective.centers = 0.25; 0.75\nobjective.coeffs = 1.5"),
+        "objective.coeffs",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_malformed_config_exits_2(tmp_path, capsys, command, case):
+    (old, new), key = MALFORMED[case]
+    assert old in MINIMAL
+    config = write_config(tmp_path, MINIMAL.replace(old, new))
+    out = tmp_path / "out"
+    code = cmd_validate(config) if command == "validate" else cmd_run(config, str(out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"(key: {key}) (line " in err
+    assert not out.exists()
 
 
 class TestRun:
@@ -131,6 +165,19 @@ class TestSweep:
 
     def test_unknown_axis(self, tmp_path):
         assert cmd_sweep(write_config(tmp_path), "nonsense.key", ["1"], str(tmp_path / "s")) == 2
+
+    @pytest.mark.parametrize("axis, good, bad", [
+        ("beta.delta", "0.2", "2"),
+        ("horizon", "8", "abc"),
+        ("kernel.lengthscale", "0.5", "-1"),
+        ("rho", "1", "nan"),
+    ])
+    def test_bad_value_exits_2_before_any_cell(self, tmp_path, capsys, axis, good, bad):
+        out = tmp_path / "s"
+        assert cmd_sweep(write_config(tmp_path), axis, [good, bad], str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"(key: {axis})" in err
+        assert not out.exists()
 
 
 class TestReport:
@@ -259,17 +306,87 @@ class TestDamagedRunReport:
         shutil.copytree(suite, cell)
         assert cmd_report(str(cell)) == 0
 
+    def test_report_audits_the_recorded_objectives(self, suite, tmp_path, monkeypatch):
+        def redraw(self, seed):
+            raise AssertionError("report must read objective.txt, not draw again")
+
+        monkeypatch.setattr(ExperimentConfig, "objective_for_seed", redraw)
+        cell = tmp_path / "run"
+        shutil.copytree(suite, cell)
+        assert cmd_report(str(cell)) == 0
+
+
+README_EXAMPLE = """\
+kernel.family = matern
+kernel.nu = 1.5
+kernel.lengthscale = 0.5
+domain.dim = 1
+domain.lower = 0
+domain.upper = 1
+rho = 1
+noise.kind = normal
+noise.sigma = 0.1
+horizon = 4096
+beta.kind = log_product
+beta.delta = 0.1
+beta.c0 = 0.39
+beta.c_subg = 1
+candidates.count = 256
+candidates.method = lattice
+eval_grid.count = 256
+objective.kind = random
+objective.m = 20
+objective.B = 2
+seeds = 0, 1, 2, 3, 4
+"""
+
 
 class TestConfigRoundTrip:
     def test_render_parse_identity(self, tmp_path):
-        from gpucb import parse_config, render_config
-
         config = parse_config(MINIMAL)
         assert parse_config(render_config(config)) == config
 
-    def test_explicit_objective_round_trip(self):
-        from gpucb import parse_config, render_config
+    def test_readme_example_canonical_text(self):
+        # the bytes the digest hashes, and so every run directory's config.txt
+        config = parse_config(README_EXAMPLE)
+        assert render_config(config) == (
+            "kernel.family = matern\n"
+            "kernel.nu = 1.5\n"
+            "kernel.lengthscale = 0.5\n"
+            "domain.dim = 1\n"
+            "domain.lower = 0\n"
+            "domain.upper = 1\n"
+            "rho = 1\n"
+            "noise.kind = normal\n"
+            "noise.sigma = 0.10000000000000001\n"
+            "horizon = 4096\n"
+            "beta.kind = log_product\n"
+            "beta.delta = 0.10000000000000001\n"
+            "beta.c0 = 0.39000000000000001\n"
+            "beta.c_subg = 1\n"
+            "beta.constant_value = 1\n"
+            "candidates.count = 256\n"
+            "candidates.method = lattice\n"
+            "eval_grid.count = 256\n"
+            "objective.kind = random\n"
+            "objective.m = 20\n"
+            "objective.B = 2\n"
+            "seeds = 0, 1, 2, 3, 4\n"
+            "grid_gap = 0\n"
+        )
+        assert config.digest() == "ad94c1dadd668495"
 
+    def test_inapplicable_keys_are_ignored(self):
+        text = MINIMAL.replace("kernel.family = matern", "kernel.family = squared_exponential")
+        config = parse_config(text)
+        assert config.kernel.nu is None
+        assert "kernel.nu" not in render_config(config)
+
+    def test_override_matches_file_text(self):
+        config = parse_config(MINIMAL).with_override("beta.c0", " 0.39")
+        assert config == parse_config(MINIMAL.replace("beta.delta = 0.1", "beta.delta = 0.1\nbeta.c0 = 0.39"))
+
+    def test_explicit_objective_round_trip(self):
         text = MINIMAL.replace(
             "objective.kind = random\nobjective.m = 10\nobjective.B = 2",
             "objective.kind = explicit\n"
