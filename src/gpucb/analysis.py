@@ -37,6 +37,7 @@ __all__ = [
     "BoundCheck",
     "rate_reference",
     "greedy_info_gain",
+    "loglog_slope",
     "fit_regret_exponent",
     "states_at_checkpoints",
     "uniform_bound_audit",
@@ -112,6 +113,17 @@ class ExponentFit:
     excluded: tuple[int, ...]
 
 
+def loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """OLS slope of y on x, both already logged, and its standard error (0
+    with fewer than three points)."""
+    xc = x - x.mean()
+    slope = float((xc @ (y - y.mean())) / (xc @ xc))
+    resid = (y - y.mean()) - slope * xc
+    dof = len(x) - 2
+    stderr = float(math.sqrt((resid @ resid) / dof / (xc @ xc))) if dof > 0 else 0.0
+    return slope, stderr
+
+
 def fit_regret_exponent(traces: Sequence[RegretTrace], t_min: int, t_max: int) -> ExponentFit:
     """OLS slope of ln(mean cumulative regret) on ln t at geometric checkpoints.
 
@@ -140,13 +152,7 @@ def fit_regret_exponent(traces: Sequence[RegretTrace], t_min: int, t_max: int) -
             logs.append(math.log(mean_reg))
     if len(used) < 3:
         raise ValueError(f"only {len(used)} usable checkpoints after exclusions")
-    x = np.log(np.array(used, dtype=float))
-    y = np.array(logs)
-    xc = x - x.mean()
-    slope = float((xc @ (y - y.mean())) / (xc @ xc))
-    resid = (y - y.mean()) - slope * xc
-    dof = len(used) - 2
-    stderr = float(math.sqrt((resid @ resid) / dof / (xc @ xc))) if dof > 0 else 0.0
+    slope, stderr = loglog_slope(np.log(np.array(used, dtype=float)), np.array(logs))
     return ExponentFit(slope, stderr, tuple(used), tuple(excluded))
 
 

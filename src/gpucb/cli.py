@@ -30,6 +30,7 @@ import numpy as np
 from .analysis import (
     fit_regret_exponent,
     greedy_info_gain,
+    loglog_slope,
     prefix_bound_audit,
     rate_reference,
     regret_bound_check,
@@ -38,7 +39,7 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
 from .kernels import KernelFamily
 from .posterior import NumericError
-from .rkhs import _fmt, grid_maximum, objective_record, parse_objective_record
+from .rkhs import RkhsFunction, _fmt, grid_maximum, objective_record, parse_objective_record
 from .ucb import RegretTrace, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
@@ -52,9 +53,9 @@ _SLOPE_BANDS = {
 }
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int) -> RegretTrace:
+def _run_one_seed(config: ExperimentConfig, seed: int) -> tuple[RkhsFunction, RegretTrace]:
     f = config.objective_for_seed(seed)
-    return run_gp_ucb(config, f, seed)
+    return f, run_gp_ucb(config, f, seed)
 
 
 def _summary_rows(config: ExperimentConfig, traces: list[RegretTrace]) -> str:
@@ -78,15 +79,15 @@ def _summary_rows(config: ExperimentConfig, traces: list[RegretTrace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _execute_suite(config: ExperimentConfig, jobs: int) -> list[RegretTrace]:
+def _run_suite(config: ExperimentConfig, jobs: int, out_dir: Path) -> list[RegretTrace]:
+    """Run every seed, then write the suite's files from the objectives and
+    traces those runs produced; a failed write leaves none of its files."""
     if jobs > 1 and len(config.seeds) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_one_seed, config, s) for s in config.seeds]
-            return [f.result() for f in futures]
-    return [_run_one_seed(config, s) for s in config.seeds]
-
-
-def _write_suite(config: ExperimentConfig, traces: list[RegretTrace], out_dir: Path) -> None:
+            runs = list(pool.map(_run_one_seed, [config] * len(config.seeds), config.seeds))
+    else:
+        runs = [_run_one_seed(config, s) for s in config.seeds]
+    traces = [tr for _, tr in runs]
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     try:
@@ -96,11 +97,7 @@ def _write_suite(config: ExperimentConfig, traces: list[RegretTrace], out_dir: P
             written.append(path)
 
         emit("config.txt", render_config(config))
-        blocks = []
-        for seed in config.seeds:
-            f = config.objective_for_seed(seed)
-            blocks.append(f"seed = {seed}\n" + objective_record(f))
-        emit("objective.txt", "\n".join(blocks))
+        emit("objective.txt", "\n".join(objective_record(f, tr.seed) for f, tr in runs))
         for tr in traces:
             emit(f"trace_seed{tr.seed}.csv", trace_to_csv(tr))
         emit("summary.csv", _summary_rows(config, traces))
@@ -108,6 +105,7 @@ def _write_suite(config: ExperimentConfig, traces: list[RegretTrace], out_dir: P
         for path in written:
             path.unlink(missing_ok=True)
         raise
+    return traces
 
 
 def _load_configs(config_path: str, axis: str | None = None, values: tuple | list = ()):
@@ -136,8 +134,7 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
         return 2
     config = configs[0]
     try:
-        traces = _execute_suite(config, jobs)
-        _write_suite(config, traces, Path(out_dir))
+        traces = _run_suite(config, jobs, Path(out_dir))
     except NumericError as exc:
         step = f" at step {exc.step}" if exc.step is not None else ""
         print(f"error: numeric failure{step}: {exc}", file=sys.stderr)
@@ -158,8 +155,7 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
     for raw, config in zip(values, configs):
         cell = top / f"{axis.replace('.', '_')}_{raw}"
         try:
-            traces = _execute_suite(config, jobs)
-            _write_suite(config, traces, cell)
+            traces = _run_suite(config, jobs, cell)
             for tr in traces:
                 merged.append(
                     f"{axis},{raw},{tr.seed},ok,{_fmt(float(tr.cum_regret[-1]))}"
@@ -178,25 +174,25 @@ def _load_suite(cell: Path) -> tuple[ExperimentConfig, list[RegretTrace], dict]:
     """Config, traces and recorded objectives (by seed) of one suite; OSError
     or ValueError names what is damaged."""
     config = parse_config((cell / "config.txt").read_text(encoding="utf-8"))
-    objectives = {}
-    for block in (cell / "objective.txt").read_text(encoding="utf-8").split("\n\n"):
-        if not block.strip():
-            continue
-        f, seed = parse_objective_record(block)
-        objectives[seed] = f
     grid = config.evaluation_points()
+    records = cell / "objective.txt"
+    objectives, f_stars = {}, {}
+    try:
+        for block in records.read_text(encoding="utf-8").split("\n\n"):
+            if block.strip():
+                f, seed = parse_objective_record(block)
+                objectives[seed] = f
+                f_stars[seed] = grid_maximum(f, grid)[1]
+    except ValueError as exc:
+        raise ValueError(f"{records}: {exc}") from None
     on_grid = {tuple(p) for p in grid.tolist()}
     traces = []
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"
         if seed not in objectives:
-            raise ValueError(f"{cell / 'objective.txt'}: no record for seed {seed}")
-        x_star, f_star = grid_maximum(objectives[seed], grid)
+            raise ValueError(f"{records}: no record for seed {seed}")
         try:
-            trace = trace_from_csv(
-                path.read_text(encoding="utf-8"), config.kernel, f_star, x_star,
-                config.digest(), seed,
-            )
+            trace = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, f_stars[seed], seed)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         if trace.horizon != config.horizon:
@@ -316,10 +312,9 @@ def cmd_report(out_dir: str) -> int:
             )
         else:
             ts = [T_gain // 8, T_gain // 4, T_gain // 2, T_gain]
-            x = np.log(np.array(ts, dtype=float))
-            y = np.log(np.array([series[t - 1] for t in ts]))
-            xc = x - x.mean()
-            slope = float((xc @ (y - y.mean())) / (xc @ xc))
+            slope, _ = loglog_slope(
+                np.log(np.array(ts, dtype=float)), np.log(np.array([series[t - 1] for t in ts]))
+            )
             check(
                 "information-gain growth",
                 0.15 <= slope <= 0.40,

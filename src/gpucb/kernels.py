@@ -361,6 +361,8 @@ def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
     """(len(X), len(Y)) matrix of correlations between two point sets."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    if X.shape[1] != Y.shape[1]:
+        raise ValueError(f"dimension mismatch: {X.shape[1]}-d points against {Y.shape[1]}-d points")
     return _radial(spec, _pairwise_distances(X, Y))
 
 

@@ -84,6 +84,8 @@ def make_rkhs_function(spec: KernelSpec, centers, coeffs) -> RkhsFunction:
         raise ValueError(f"{centers.shape[0]} centers but {coeffs.shape[0]} coefficients")
     if centers.shape[0] < 1:
         raise ValueError("need at least one center")
+    if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(coeffs))):
+        raise ValueError("centers and coefficients must be finite")
     K = kernel_matrix(spec, centers)
     norm_sq = float(coeffs @ K @ coeffs)
     if norm_sq < -1e-10:
@@ -145,20 +147,19 @@ def _fmt_points(X: np.ndarray) -> str:
 
 
 def objective_record(f: RkhsFunction, seed: int | None = None) -> str:
-    """Serialize an objective so an experiment can be replayed exactly."""
-    lines = [f"family = {f.spec.family.value}"]
+    """Serialize an objective for exact replay; a given seed is the first line."""
+    lines = [] if seed is None else [f"seed = {seed}"]
+    lines.append(f"family = {f.spec.family.value}")
     if f.spec.family is KernelFamily.MATERN:
         lines.append(f"nu = {_fmt(f.spec.nu)}")
     lines.append(f"lengthscale = {_fmt(f.spec.lengthscale)}")
     lines.append(f"centers = {_fmt_points(f.centers)}")
     lines.append(f"coeffs = {', '.join(_fmt(c) for c in f.coeffs)}")
-    if seed is not None:
-        lines.append(f"seed = {seed}")
     return "\n".join(lines) + "\n"
 
 
 def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
-    """Inverse of objective_record; floats round-trip bit-exactly."""
+    """Inverse of objective_record (floats round-trip bit-exactly); ValueError names a missing field."""
     fields: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -166,6 +167,9 @@ def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
             continue
         key, _, value = line.partition("=")
         fields[key.strip()] = value.strip()
+    missing = [k for k in ("family", "lengthscale", "centers", "coeffs") if k not in fields]
+    if missing:
+        raise ValueError(f"objective record has no {', '.join(missing)} field")
     family = KernelFamily(fields["family"])
     nu = float(fields["nu"]) if "nu" in fields else None
     spec = KernelSpec(family, nu=nu, lengthscale=float(fields["lengthscale"]))

@@ -108,7 +108,8 @@ def acquire(state: PosteriorState, beta: float, candidates) -> int:
 
 @dataclass(frozen=True)
 class RegretTrace:
-    """Per-step record of one run; arrays are indexed by step-1."""
+    """Per-step record of one run: the columns of its trace file plus the
+    kernel, ``f_star`` and seed; arrays are indexed by step-1."""
 
     X: np.ndarray            # (T, d) chosen points
     y: np.ndarray            # (T,) observations
@@ -119,8 +120,6 @@ class RegretTrace:
     cum_regret: np.ndarray   # (T,) running sum, fixed left-to-right order
     flag: np.ndarray         # (T,) bool, error bound held at x_star and x_t
     f_star: float
-    x_star: np.ndarray
-    config_digest: str
     seed: int
     spec: KernelSpec
 
@@ -213,7 +212,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     return RegretTrace(
         X=X_out, y=y_out, beta=beta_out, sigma=sigma_out, mu=mu_out,
         inst_regret=inst_out, cum_regret=cum_out, flag=flag_out,
-        f_star=f_star, x_star=x_star, config_digest=config.digest(), seed=seed, spec=spec,
+        f_star=f_star, seed=seed, spec=spec,
     )
 
 
@@ -249,14 +248,7 @@ def trace_to_csv(trace: RegretTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def trace_from_csv(
-    text: str,
-    spec: KernelSpec,
-    f_star: float,
-    x_star,
-    config_digest: str = "",
-    seed: int = -1,
-) -> RegretTrace:
+def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:
     """Inverse of ``trace_to_csv``; ValueError on an empty trace, a ragged row or a skipped t."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -281,6 +273,5 @@ def trace_from_csv(
         y=col("y"), beta=col("beta"), sigma=col("sigma"), mu=col("mu"),
         inst_regret=col("inst_regret"), cum_regret=col("cum_regret"),
         flag=col("flag", cast=lambda s: bool(int(s))),
-        f_star=f_star, x_star=np.asarray(x_star, dtype=float).reshape(-1),
-        config_digest=config_digest, seed=seed, spec=spec,
+        f_star=f_star, seed=seed, spec=spec,
     )

@@ -39,8 +39,7 @@ def synthetic_trace(cum_regret: np.ndarray, spec=SE) -> RegretTrace:
     return RegretTrace(
         X=np.zeros((T, 1)), y=zeros, beta=np.ones(T), sigma=np.ones(T), mu=zeros,
         inst_regret=inst, cum_regret=np.asarray(cum_regret, dtype=float),
-        flag=np.ones(T, dtype=bool), f_star=0.0, x_star=np.zeros(1),
-        config_digest="synthetic", seed=0, spec=spec,
+        flag=np.ones(T, dtype=bool), f_star=0.0, seed=0, spec=spec,
     )
 
 

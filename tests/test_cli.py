@@ -5,7 +5,8 @@ import shutil
 import numpy as np
 import pytest
 
-from gpucb import fit, logdet_information, parse_config, render_config, trace_from_csv
+import gpucb.config
+from gpucb import fit, logdet_information, parse_config, render_config, sample_random_rkhs, trace_from_csv
 from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 from gpucb.config import ExperimentConfig
 
@@ -126,9 +127,29 @@ class TestRun:
         config = write_config(tmp_path, text)
         assert cmd_run(config, str(out_serial), jobs=1) == 0
         assert cmd_run(config, str(out_parallel), jobs=3) == 0
-        for k in range(3):
-            name = f"trace_seed{k}.csv"
+        # the objectives come back from the workers with the traces
+        names = sorted(p.name for p in out_serial.iterdir())
+        assert names == sorted(p.name for p in out_parallel.iterdir())
+        assert names == ["config.txt", "objective.txt", "summary.csv"] + [
+            f"trace_seed{k}.csv" for k in range(3)
+        ]
+        for name in names:
             assert (out_serial / name).read_bytes() == (out_parallel / name).read_bytes()
+
+    def test_each_objective_drawn_once(self, tmp_path, monkeypatch):
+        draws = []
+
+        def counted(spec, m, B, domain, seed):
+            draws.append(seed)
+            return sample_random_rkhs(spec, m, B, domain, seed)
+
+        monkeypatch.setattr(gpucb.config, "sample_random_rkhs", counted)
+        config = write_config(tmp_path, MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4"))
+        assert cmd_run(config, str(tmp_path / "run")) == 0
+        assert draws == [0, 1, 2, 3, 4]
+        draws.clear()
+        assert cmd_sweep(config, "horizon", ["8", "16", "32"], str(tmp_path / "sweep")) == 0
+        assert draws == [0, 1, 2, 3, 4] * 3
 
     def test_summary_info_gain_matches_refit(self, tmp_path):
         text = MINIMAL.replace("seeds = 0", "seeds = 0, 1").replace("horizon = 8", "horizon = 48")
@@ -138,9 +159,7 @@ class TestRun:
         lines = (out / "summary.csv").read_text().splitlines()
         column = lines[0].split(",").index("info_gain")
         for line, seed in zip(lines[1:], (0, 1)):
-            trace = trace_from_csv(
-                (out / f"trace_seed{seed}.csv").read_text(), config.kernel, 0.0, [0.0]
-            )
+            trace = trace_from_csv((out / f"trace_seed{seed}.csv").read_text(), config.kernel, 0.0)
             refit = logdet_information(fit(config.kernel, config.rho, trace.X, trace.y))
             assert float(line.split(",")[column]) == pytest.approx(refit, rel=1e-10)
 
@@ -235,6 +254,29 @@ def _drop_objective(cell):
     path.write_text("\n\n".join(b for b in blocks if "seed = 2\n" not in b))
 
 
+def _drop_coeffs(cell):
+    path = cell / "objective.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if not l.startswith("coeffs = ")))
+
+
+def _nan_coeff(cell):
+    path = cell / "objective.txt"
+    text = path.read_text()
+    start = text.index("coeffs = ") + len("coeffs = ")
+    path.write_text(text[:start] + "nan" + text[text.index(",", start):])
+
+
+def _widen_centers(cell):
+    # 2-d centers in a 1-d run
+    path = cell / "objective.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith("centers = "):
+            lines[i] = line.rstrip("\n").replace(";", ",0.5;") + ",0.5\n"
+    path.write_text("".join(lines))
+
+
 def _truncate_trace(cell):
     path = cell / "trace_seed1.csv"
     text = path.read_text()
@@ -287,6 +329,9 @@ class TestDamagedRunReport:
     @pytest.mark.parametrize("damage, message", [
         (_drop_trace, "trace_seed3.csv"),
         (_drop_objective, "seed 2"),
+        (_drop_coeffs, "objective.txt: objective record has no coeffs field"),
+        (_nan_coeff, "objective.txt: centers and coefficients must be finite"),
+        (_widen_centers, "objective.txt: dimension mismatch: 2-d points against 1-d points"),
         (_truncate_trace, "trace_seed1.csv"),
         (_skip_step, "non-consecutive t"),
         (_short_trace, "rows for horizon 64"),
@@ -300,6 +345,7 @@ class TestDamagedRunReport:
         assert cmd_report(str(cell)) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_undamaged_suite_reports(self, suite, tmp_path):
         cell = tmp_path / "run"

@@ -155,6 +155,12 @@ class TestKernelMatrix:
         K = kernel_matrix(SE, [[0.2], [0.2]])
         assert np.array_equal(K, np.ones((2, 2)))
 
+    @pytest.mark.parametrize("X, Y", [([[0.0]], [[0.0, 5.0]]), ([[0.0, 5.0]], [[0.0]])])
+    def test_cross_rejects_dim_mismatch(self, X, Y):
+        # neither coordinate set may be read as a prefix of the other
+        with pytest.raises(ValueError, match=rf"{len(X[0])}-d points against {len(Y[0])}-d"):
+            kernel_cross(SE, X, Y)
+
 
 class TestHolderValidate:
     def test_se_ratio_bounded_by_half_radius(self):

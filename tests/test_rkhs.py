@@ -167,7 +167,9 @@ class TestRecords:
     @pytest.mark.parametrize("spec", [SE, MATERN_32])
     def test_round_trip_bit_exact(self, spec):
         f = sample_random_rkhs(spec, m=7, B=1.5, domain=UNIT_BOX_2D, seed=11)
-        g, seed = parse_objective_record(objective_record(f, seed=11))
+        text = objective_record(f, seed=11)
+        assert text.startswith("seed = 11\nfamily = ")
+        g, seed = parse_objective_record(text)
         assert seed == 11
         assert g.spec == f.spec
         assert np.array_equal(g.centers, f.centers)
