@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .kernels import KernelFamily, KernelSpec, kernel_cross, kernel_matrix
-from .posterior import GrowingPosterior, PosteriorState, fit
+from .posterior import GrowingPosterior, PosteriorState, _clamped_var, fit
 from .rkhs import RkhsFunction
 from .ucb import RegretTrace
 
@@ -41,6 +41,7 @@ __all__ = [
     "fit_regret_exponent",
     "states_at_checkpoints",
     "uniform_bound_audit",
+    "grid_columns",
     "prefix_bound_audit",
     "trace_information_gain",
     "regret_bound_check",
@@ -186,7 +187,8 @@ def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid)
     """Measure the sup error ratios of each posterior state over a grid.
 
     rho > 0 keeps sd positive everywhere, so the ratios are well defined;
-    the prior state (mean 0, sd 1) reduces them to the sup of |f|.
+    the prior state (mean 0, sd 1) reduces them to the sup of |f|.  A
+    variance below -1e-12 (a broken factor) raises NumericError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     f_grid = f.on_points(grid)
@@ -203,7 +205,7 @@ def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid)
         # noisy fit and its noiseless replay (same design, same factor)
         C = kernel_cross(state.spec, state.X, grid)
         W = solve_triangular(state.chol, C, lower=True, check_finite=False)
-        sd = np.sqrt(np.maximum(1.0 - np.sum(W * W, axis=0), 0.0))
+        sd = np.sqrt(_clamped_var(1.0 - np.sum(W * W, axis=0)))
         mean = C.T @ state.alpha
         alpha_exact = cho_solve((state.chol, True), f.on_points(state.X), check_finite=False)
         mean_exact = C.T @ alpha_exact
@@ -212,6 +214,16 @@ def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid)
         biases.append(float(np.max(np.abs(f_grid - mean_exact) / sd)))
         randoms.append(float(np.max(np.abs(mean - mean_exact) / sd)))
     return AuditSeries(tuple(ts), tuple(ratios), tuple(biases), tuple(randoms))
+
+
+def grid_columns(grid: np.ndarray, X: np.ndarray, where: str = "in the audit grid") -> np.ndarray:
+    """Grid row of each point of ``X``; the first point off the grid raises
+    ValueError("design point [...] is not <where>")."""
+    index = {tuple(p): i for i, p in enumerate(grid.tolist())}
+    try:
+        return np.array([index[tuple(p)] for p in X.tolist()], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"design point {list(exc.args[0])} is not {where}") from None
 
 
 def prefix_bound_audit(
@@ -231,11 +243,7 @@ def prefix_bound_audit(
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     T = checkpoints[-1]
     X = trace.X[:T]
-    index = {tuple(p): i for i, p in enumerate(grid.tolist())}
-    try:
-        cols = [index[tuple(p)] for p in X.tolist()]
-    except KeyError as exc:
-        raise ValueError(f"design point {list(exc.args[0])} is not in the audit grid") from None
+    cols = grid_columns(grid, X)
     rows, which = np.unique(cols, return_inverse=True)
     K = kernel_cross(trace.spec, grid[rows], grid)
     y_exact = f.on_points(X)

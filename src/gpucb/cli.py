@@ -11,7 +11,8 @@ Run layout (one directory per suite)::
       objective.txt       one replayable objective record per seed
       trace_seed<k>.csv   per-step trace for each seed
       summary.csv         one row per seed
-      report.txt          written by the report command
+      report.txt          written by the report command, one row per check
+      report.csv          written by the report command, the exponent fit
 
 A sweep adds one ``<axis>_<value>`` subdirectory per value plus a merged
 ``summary.csv`` at the top level.
@@ -30,6 +31,7 @@ import numpy as np
 from .analysis import (
     fit_regret_exponent,
     greedy_info_gain,
+    grid_columns,
     loglog_slope,
     prefix_bound_audit,
     rate_reference,
@@ -39,7 +41,7 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
 from .kernels import KernelFamily
 from .posterior import NumericError
-from .rkhs import RkhsFunction, _fmt, grid_maximum, objective_record, parse_objective_record
+from .rkhs import RkhsFunction, _fmt, objective_record, parse_objective_record
 from .ucb import RegretTrace, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
@@ -51,7 +53,6 @@ _SLOPE_BANDS = {
     KernelFamily.MATERN: (0.50, 0.80),
     KernelFamily.SQUARED_EXPONENTIAL: (0.45, 0.75),
 }
-
 
 def _run_one_seed(config: ExperimentConfig, seed: int) -> tuple[RkhsFunction, RegretTrace]:
     f = config.objective_for_seed(seed)
@@ -170,45 +171,70 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
     return 0
 
 
-def _load_suite(cell: Path) -> tuple[ExperimentConfig, list[RegretTrace], dict]:
-    """Config, traces and recorded objectives (by seed) of one suite; OSError
-    or ValueError names what is damaged."""
-    config = parse_config((cell / "config.txt").read_text(encoding="utf-8"))
+def _load_suite(cell: Path, config: ExperimentConfig) -> tuple[list[RegretTrace], dict]:
+    """Traces and recorded objectives (by seed) of one suite, each trace
+    checked against its objective on the evaluation grid; OSError or
+    ValueError names what is damaged."""
     grid = config.evaluation_points()
     records = cell / "objective.txt"
-    objectives, f_stars = {}, {}
+    objectives, f_grids = {}, {}
     try:
         for block in records.read_text(encoding="utf-8").split("\n\n"):
             if block.strip():
                 f, seed = parse_objective_record(block)
                 objectives[seed] = f
-                f_stars[seed] = grid_maximum(f, grid)[1]
+                f_grids[seed] = f.on_points(grid)
     except ValueError as exc:
         raise ValueError(f"{records}: {exc}") from None
-    on_grid = {tuple(p) for p in grid.tolist()}
     traces = []
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"
         if seed not in objectives:
             raise ValueError(f"{records}: no record for seed {seed}")
+        f_grid = f_grids[seed]
+        f_star = float(np.max(f_grid))
         try:
-            trace = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, f_stars[seed], seed)
+            trace = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, f_star, seed)
+            if trace.horizon != config.horizon:
+                raise ValueError(f"{trace.horizon} rows for horizon {config.horizon}")
+            # the run sums left to right and writes round-trip digits, so the
+            # column must reproduce exactly
+            forged = np.flatnonzero(np.cumsum(trace.inst_regret) != trace.cum_regret)
+            if forged.size:
+                raise ValueError(f"cum_regret at t={forged[0] + 1} is not the running sum of inst_regret")
+            played = f_grid[grid_columns(grid, trace.X, "on the evaluation grid")]
+            # round-off only: the last bits of a BLAS product differ between builds
+            off = np.flatnonzero(~(np.abs(f_star - played - trace.inst_regret) <= 1e-9 * max(1.0, abs(f_star))))
+            if off.size:
+                raise ValueError(
+                    f"inst_regret at t={off[0] + 1} is not f_star - f(x_t) under the recorded objective"
+                )
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if trace.horizon != config.horizon:
-            raise ValueError(f"{path}: {trace.horizon} rows for horizon {config.horizon}")
-        # the run sums left to right and writes round-trip digits, so the
-        # column must reproduce exactly
-        forged = np.flatnonzero(np.cumsum(trace.inst_regret) != trace.cum_regret)
-        if forged.size:
-            raise ValueError(
-                f"{path}: cum_regret at t={forged[0] + 1} is not the running sum of inst_regret"
-            )
-        off_grid = [p for p in trace.X.tolist() if tuple(p) not in on_grid]
-        if off_grid:
-            raise ValueError(f"{path}: design point {off_grid[0]} is not on the evaluation grid")
         traces.append(trace)
-    return config, traces, objectives
+    return traces, objectives
+
+
+def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list[RegretTrace], horizon: int) -> None:
+    """ValueError unless ``cell`` holds the run in ``longest`` (its config and
+    traces given) cut at ``horizon``: the same config but for the horizon,
+    the same objectives, and every trace column the first rows of the long one."""
+    path = cell / "config.txt"
+    if path.read_text(encoding="utf-8") != render_config(config.with_override("horizon", horizon)):
+        raise ValueError(f"{path}: not the config of {longest.name} at horizon {horizon}")
+    path = cell / "objective.txt"
+    if path.read_bytes() != (longest / "objective.txt").read_bytes():
+        raise ValueError(f"{path}: not the objectives of {longest.name}")
+    for whole in traces:
+        path = cell / f"trace_seed{whole.seed}.csv"
+        try:
+            cut = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, whole.f_star, whole.seed)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        if cut.horizon != horizon or not all(
+            np.array_equal(v, getattr(whole, k)[:horizon]) for k, v in vars(cut).items() if isinstance(v, np.ndarray)
+        ):
+            raise ValueError(f"{path}: not the first {horizon} rows of {longest.name}'s trace")
 
 
 def cmd_report(out_dir: str) -> int:
@@ -225,14 +251,19 @@ def cmd_report(out_dir: str) -> int:
     if not cells:
         print("error: no completed runs found", file=sys.stderr)
         return 4
-    # grade the largest-horizon suite; smaller horizons are its prefixes
+    # grade the largest-horizon suite; every other cell must be a cut of it
     try:
-        suites = [_load_suite(c) for c in cells]
+        configs = {c: parse_config((c / "config.txt").read_text(encoding="utf-8")) for c in cells}
+        longest = max(cells, key=lambda c: configs[c].horizon)
+        config = configs[longest]
+        traces, objectives = _load_suite(longest, config)
+        for cell in cells:
+            if cell != longest:
+                _check_cut(cell, longest, config, traces, configs[cell].horizon)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    config, traces, objectives = max(suites, key=lambda s: s[0].horizon)
-    horizons = sorted({s[0].horizon for s in suites})
+    horizons = sorted({c.horizon for c in configs.values()})
     t_max = horizons[-1]
     t_min = horizons[0] if len(horizons) > 1 else max(t_max // 16, 4)
     if t_max < 4 * t_min or len(traces) < 5:

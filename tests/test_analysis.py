@@ -1,5 +1,6 @@
 """Information gain, error audits, regret-bound checks, and rate fits."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from gpucb import (
     KernelFamily,
     KernelSpec,
+    NumericError,
     calibrate_c0,
     fit,
     fit_regret_exponent,
@@ -23,6 +25,7 @@ from gpucb import (
     states_at_checkpoints,
     uniform_bound_audit,
 )
+from gpucb.analysis import grid_columns
 from gpucb.rkhs import Box
 from gpucb.ucb import RegretTrace
 from conftest import make_config
@@ -211,6 +214,23 @@ class TestUniformBoundAudit:
         assert np.allclose(fast.ratio, slow.ratio, rtol=1e-8)
         assert np.allclose(fast.bias_ratio, slow.bias_ratio, rtol=1e-8)
         assert np.allclose(fast.random_ratio, slow.random_ratio, rtol=1e-6, atol=1e-10)
+
+    def test_broken_factor_raises_instead_of_clamping(self):
+        # a halved factor doubles L^-1 k, so 1 - |L^-1 k|^2 goes well below 0
+        config = make_config(horizon=32, seeds=(3,))
+        f = config.objective_for_seed(3)
+        trace = run_gp_ucb(config, f, 3)
+        state = states_at_checkpoints(trace, config.rho, [32])[0]
+        broken = dataclasses.replace(state, chol=0.5 * state.chol)
+        with pytest.raises(NumericError, match="negative posterior variance"):
+            uniform_bound_audit(f, [broken], config.evaluation_points())
+
+    def test_grid_columns(self):
+        grid = np.array([[0.0, 0.5], [0.5, 0.5], [1.0, 0.0]])
+        X = np.array([[1.0, 0.0], [0.0, 0.5], [1.0, 0.0]])
+        assert grid_columns(grid, X).tolist() == [2, 0, 2]
+        with pytest.raises(ValueError, match=r"design point \[0.5, 0.0\] is not on the grid"):
+            grid_columns(grid, np.array([[0.0, 0.5], [0.5, 0.0]]), "on the grid")
 
     def test_prefix_audit_rejects_design_off_grid(self):
         config = make_config(horizon=16, seeds=(1,))

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import gpucb.config
-from gpucb import fit, logdet_information, parse_config, render_config, sample_random_rkhs, trace_from_csv
+from gpucb import (
+    fit,
+    logdet_information,
+    parse_config,
+    parse_objective_record,
+    render_config,
+    sample_random_rkhs,
+    trace_from_csv,
+)
 from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 from gpucb.config import ExperimentConfig
 
@@ -218,27 +226,30 @@ class TestReport:
         assert cmd_report(str(tmp_path)) == 4
 
     def test_injected_superlinear_trace_fails(self, tmp_path):
-        # forge a suite whose cumulative regret grows like t^0.9: the
-        # exponent row must FAIL against the reference band
-        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
-        config = write_config(tmp_path, text)
+        # forge a suite that agrees with its objectives but plays the worst
+        # candidate from step 33 on: its cumulative regret grows linearly,
+        # so the exponent row must FAIL against the reference band
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("horizon = 8", "horizon = 512")
         out = tmp_path / "forged"
-        assert cmd_sweep(config, "horizon", ["32", "512"], str(out)) == 0
-        cell = out / "horizon_512"
-        for seed in range(5):
-            path = cell / f"trace_seed{seed}.csv"
+        assert cmd_run(write_config(tmp_path, text), str(out)) == 0
+        config = parse_config(text)
+        cand, grid = config.candidate_points(), config.evaluation_points()
+        for block in (out / "objective.txt").read_text().split("\n\n"):
+            f, seed = parse_objective_record(block)
+            f_star = float(np.max(f.on_points(grid)))
+            worst = int(np.argmin(f.on_points(cand)))
+            path = out / f"trace_seed{seed}.csv"
             lines = path.read_text().splitlines()
-            header = lines[0]
-            rows = [l.split(",") for l in lines[1:]]
-            cum_col = header.split(",").index("cum_regret")
-            inst_col = header.split(",").index("inst_regret")
-            prev = 0.0
-            for i, row in enumerate(rows, start=1):
-                cum = float(i) ** 0.9
-                row[inst_col] = format(cum - prev, ".17g")
-                row[cum_col] = format(cum, ".17g")
-                prev = cum
-            path.write_text("\n".join([header] + [",".join(r) for r in rows]) + "\n")
+            header = lines[0].split(",")
+            x_col, inst_col, cum_col = (header.index(c) for c in ("x_1", "inst_regret", "cum_regret"))
+            rows = [line.split(",") for line in lines[1:]]
+            for row in rows[32:]:
+                row[x_col] = format(cand[worst, 0], ".17g")
+                row[inst_col] = format(f_star - f(cand[worst]), ".17g")
+            cum = np.cumsum([float(row[inst_col]) for row in rows])
+            for row, value in zip(rows, cum):
+                row[cum_col] = format(value, ".17g")
+            path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
         assert cmd_report(str(out)) == 0
         report = (out / "report.txt").read_text()
         assert "FAIL  cumulative-regret exponent" in report
@@ -275,6 +286,12 @@ def _widen_centers(cell):
         if line.startswith("centers = "):
             lines[i] = line.rstrip("\n").replace(";", ",0.5;") + ",0.5\n"
     path.write_text("".join(lines))
+
+
+def _swap_seed_labels(cell):
+    path = cell / "objective.txt"
+    text = path.read_text().replace("seed = 0\n", "seed = x\n").replace("seed = 1\n", "seed = 0\n")
+    path.write_text(text.replace("seed = x\n", "seed = 1\n"))
 
 
 def _truncate_trace(cell):
@@ -332,6 +349,7 @@ class TestDamagedRunReport:
         (_drop_coeffs, "objective.txt: objective record has no coeffs field"),
         (_nan_coeff, "objective.txt: centers and coefficients must be finite"),
         (_widen_centers, "objective.txt: dimension mismatch: 2-d points against 1-d points"),
+        (_swap_seed_labels, "trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t)"),
         (_truncate_trace, "trace_seed1.csv"),
         (_skip_step, "non-consecutive t"),
         (_short_trace, "rows for horizon 64"),
@@ -360,6 +378,68 @@ class TestDamagedRunReport:
         cell = tmp_path / "run"
         shutil.copytree(suite, cell)
         assert cmd_report(str(cell)) == 0
+
+
+def _edit_short_row(cell):
+    # one flipped digit in an observation of the 16-step cell
+    path = cell / "horizon_16" / "trace_seed3.csv"
+    lines = path.read_text().splitlines()
+    row = lines[5].split(",")
+    col = lines[0].split(",").index("y")
+    row[col] = row[col][:-1] + ("1" if row[col][-1] != "1" else "2")
+    lines[5] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _swap_short_objectives(cell):
+    _swap_seed_labels(cell / "horizon_16")
+
+
+def _edit_short_config(cell):
+    path = cell / "horizon_16" / "config.txt"
+    path.write_text(path.read_text().replace("noise.sigma = 0.10000000000000001", "noise.sigma = 0.2"))
+
+
+class TestSweepReport:
+    """``report`` on a sweep grades one run cut at several horizons."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("sweep")
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
+        out = work / "sweep"
+        assert cmd_sweep(write_config(work, text), "horizon", ["16", "64"], str(out)) == 0
+        return out
+
+    def test_cut_sweep_reports(self, sweep, tmp_path):
+        out = tmp_path / "sweep"
+        shutil.copytree(sweep, out)
+        assert cmd_report(str(out)) == 0
+
+    @pytest.mark.parametrize("damage, message", [
+        (_edit_short_row, "horizon_16/trace_seed3.csv: not the first 16 rows of horizon_64's trace"),
+        (_swap_short_objectives, "horizon_16/objective.txt: not the objectives of horizon_64"),
+        (_edit_short_config, "horizon_16/config.txt: not the config of horizon_64 at horizon 16"),
+    ])
+    def test_shorter_cell_not_a_cut_exits_4(self, sweep, tmp_path, capsys, damage, message):
+        out = tmp_path / "sweep"
+        shutil.copytree(sweep, out)
+        damage(out)
+        assert cmd_report(str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_non_horizon_sweep_exits_4(self, tmp_path, capsys):
+        # two cells of one horizon that differ in beta.c0 are not one run
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("horizon = 8", "horizon = 64")
+        out = tmp_path / "cal"
+        assert cmd_sweep(write_config(tmp_path, text), "beta.c0", ["0.2", "1"], str(out)) == 0
+        capsys.readouterr()
+        assert cmd_report(str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "beta_c0_1/config.txt: not the config of beta_c0_0.2 at horizon 64" in err
 
 
 README_EXAMPLE = """\

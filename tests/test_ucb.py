@@ -158,6 +158,20 @@ class TestRunLoop:
         assert trace.inst_regret[-1] <= np.max(trace.inst_regret)
         assert trace.cum_regret[-1] / 256.0 < trace.cum_regret[0]
 
+    @pytest.mark.parametrize("kind", ["normal", "uniform"])
+    def test_noise_array_equals_single_draws(self, kind):
+        # the loop draws its noise as one array; that must not move a draw
+        from gpucb.ucb import _noise
+
+        whole = _noise(kind, 0.3, np.random.default_rng(5), 5000)
+        rng = np.random.default_rng(5)
+        half_width = 0.3 * math.sqrt(3.0)
+        single = [
+            rng.normal(0.0, 0.3) if kind == "normal" else rng.uniform(-half_width, half_width)
+            for _ in range(5000)
+        ]
+        assert np.array_equal(whole, single)
+
     def test_uniform_noise_kind_runs(self):
         config = make_config(horizon=16, noise_kind="uniform")
         f = config.objective_for_seed(0)
@@ -189,14 +203,17 @@ class TestRunLoop:
         trace = run_gp_ucb(config, f, 0)
         assert np.all(np.diff(trace.beta) >= 0.0)
 
-    def test_horizon_extension_preserves_prefix(self):
-        short = make_config(horizon=32, seeds=(4,))
-        long = make_config(horizon=64, seeds=(4,))
+    @pytest.mark.parametrize("noise_kind", ["normal", "uniform"])
+    def test_horizon_extension_preserves_prefix(self, noise_kind):
+        short = make_config(horizon=32, seeds=(4,), noise_kind=noise_kind)
+        long = make_config(horizon=64, seeds=(4,), noise_kind=noise_kind)
         f = short.objective_for_seed(4)
         a = run_gp_ucb(short, f, 4)
         b = run_gp_ucb(long, f, 4)
-        assert np.array_equal(a.X, b.X[:32])
-        assert np.array_equal(a.y, b.y[:32])
+        for field in dataclasses.fields(RegretTrace):
+            whole = getattr(b, field.name)
+            expected = whole[:32] if isinstance(whole, np.ndarray) else whole
+            assert np.array_equal(getattr(a, field.name), expected), field.name
 
 
 class TestEdpRecommend:
@@ -244,6 +261,17 @@ class TestTraceSerialization:
         for field in dataclasses.fields(RegretTrace):
             assert np.array_equal(getattr(back, field.name), getattr(trace, field.name)), field.name
         assert trace_to_csv(back) == text
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_per_value_formatting(self, dim):
+        # reference writer: every value through format(v, ".17g"), row by row
+        config = make_config(horizon=40, dim=dim, candidates_count=25, eval_grid_count=25)
+        tr = run_gp_ucb(config, config.objective_for_seed(1), 1)
+        lines = [trace_to_csv(tr).splitlines()[0]]
+        for i in range(tr.horizon):
+            values = [*tr.X[i], tr.y[i], tr.beta[i], tr.sigma[i], tr.mu[i], tr.inst_regret[i], tr.cum_regret[i]]
+            lines.append(",".join([str(i + 1)] + [format(v, ".17g") for v in values] + [str(int(tr.flag[i]))]))
+        assert trace_to_csv(tr) == "\n".join(lines) + "\n"
 
     def test_header_names_dimension(self):
         config = make_config(horizon=2, dim=2, candidates_count=25, eval_grid_count=25)
