@@ -194,13 +194,6 @@ def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid)
     f_grid = f.on_points(grid)
     ts, ratios, biases, randoms = [], [], [], []
     for state in states:
-        if state.t == 0:
-            sup = float(np.max(np.abs(f_grid)))
-            ts.append(0)
-            ratios.append(sup)
-            biases.append(sup)
-            randoms.append(0.0)
-            continue
         # one triangular solve serves every column; sd is shared between the
         # noisy fit and its noiseless replay (same design, same factor)
         C = kernel_cross(state.spec, state.X, grid)

@@ -289,8 +289,6 @@ def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     z = (2.0 * math.sqrt(nu) / spec.lengthscale) * r
     out = np.ones_like(z)
     pos = z > 0.0
-    if not np.any(pos):
-        return out
     zp = z[pos]
     if _is_half_integer(nu):
         out[pos] = _matern_half_integer_radial(nu, zp)
@@ -341,10 +339,7 @@ def kernel_eval(spec: KernelSpec, x, x2) -> float:
     q = _as_point(x2, "x2")
     if p.shape != q.shape:
         raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    r = float(np.linalg.norm(p - q))
-    if r == 0.0:
-        return 1.0
-    return float(_radial(spec, np.array([r]))[0])
+    return float(_radial(spec, np.array([np.linalg.norm(p - q)]))[0])
 
 
 def _pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -372,11 +367,9 @@ def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
     K equals its transpose bit-exactly: the distance from x_i to x_j squares
     the exact negation of the difference from x_j to x_i.  Duplicate points
     are allowed; the result may then be singular (downstream code always
-    regularizes with rho*I).
+    regularizes with rho*I).  No points give the 0 x 0 matrix.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 1:
-        raise ValueError("kernel_matrix needs at least one point")
     K = _radial(spec, _pairwise_distances(X, X))
     np.fill_diagonal(K, 1.0)
     return K

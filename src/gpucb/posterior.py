@@ -90,12 +90,6 @@ def fit(spec: KernelSpec, rho: float, X, y) -> PosteriorState:
     t = X.shape[0]
     if t != y.shape[0]:
         raise ValueError(f"design/observation length mismatch: {t} vs {y.shape[0]}")
-    if t == 0:
-        d = X.shape[1] if X.ndim == 2 else 1
-        return PosteriorState(
-            spec, rho, _freeze(X.reshape(0, d)), _freeze(y),
-            _freeze(np.empty((0, 0))), _freeze(np.empty(0)),
-        )
     A = kernel_matrix(spec, X)
     A[np.diag_indices(t)] += rho
     # A.T is A in the Fortran order LAPACK factors in place; info > 0 is the
@@ -114,8 +108,6 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
     if x_new.shape[0] != state.dim:
         raise ValueError(f"point dimension {x_new.shape[0]} != design dimension {state.dim}")
     t = state.t
-    if t == 0:
-        return fit(state.spec, state.rho, x_new[None, :], [y_new])
     k_vec = kernel_cross(state.spec, state.X, x_new[None, :])[:, 0]
     r = solve_triangular(state.chol, k_vec, lower=True, check_finite=False)
     diag_sq = 1.0 + state.rho - r @ r
@@ -143,8 +135,6 @@ def _clamped_var(raw: np.ndarray, step: int | None = None) -> np.ndarray:
 def posterior_mean_at(state: PosteriorState, X) -> np.ndarray:
     """Predictive mean over a set of points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if state.t == 0:
-        return np.zeros(X.shape[0])
     C = kernel_cross(state.spec, state.X, X)
     return C.T @ state.alpha
 
@@ -152,8 +142,6 @@ def posterior_mean_at(state: PosteriorState, X) -> np.ndarray:
 def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     """Predictive variance over a set of points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if state.t == 0:
-        return np.ones(X.shape[0])
     C = kernel_cross(state.spec, state.X, X)
     W = solve_triangular(state.chol, C, lower=True, check_finite=False)
     return _clamped_var(1.0 - np.sum(W * W, axis=0))
@@ -201,10 +189,7 @@ def logdet_information(state: PosteriorState) -> float:
     Uses det(K + rho I) = rho^t det(I + rho^{-1} K), so the value reads off
     the factor diagonal.  The empty state yields 0.
     """
-    t = state.t
-    if t == 0:
-        return 0.0
-    return float(np.sum(np.log(np.diag(state.chol))) - 0.5 * t * math.log(state.rho))
+    return float(np.sum(np.log(np.diag(state.chol))) - 0.5 * state.t * math.log(state.rho))
 
 
 @dataclass(frozen=True)

@@ -159,14 +159,20 @@ def objective_record(f: RkhsFunction, seed: int | None = None) -> str:
 
 
 def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
-    """Inverse of objective_record (floats round-trip bit-exactly); ValueError names a missing field."""
+    """Inverse of objective_record (floats round-trip bit-exactly); ValueError
+    names a malformed line, a repeated key or a missing field."""
     fields: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        if "=" not in line:
+            raise ValueError(f"malformed line {line!r}")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ValueError(f"duplicate key {key!r}")
+        fields[key] = value.strip()
     missing = [k for k in ("family", "lengthscale", "centers", "coeffs") if k not in fields]
     if missing:
         raise ValueError(f"objective record has no {', '.join(missing)} field")

@@ -137,8 +137,6 @@ class RegretTrace:
 def _noise(kind: str, sigma: float, rng: np.random.Generator, T: int) -> np.ndarray:
     """T draws, equal to T single draws in turn; both kinds have variance
     sigma^2 and are sub-Gaussian (uniform exercises non-Gaussian noise)."""
-    if sigma == 0.0:
-        return np.zeros(T)
     if kind == "normal":
         return rng.normal(0.0, sigma, T)
     if kind == "uniform":
@@ -217,12 +215,12 @@ def edp_recommend(trace: RegretTrace, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_COLUMNS = ("y", "beta", "sigma", "mu", "inst_regret", "cum_regret", "flag")
+
+
 def trace_to_csv(trace: RegretTrace) -> str:
     d = trace.X.shape[1]
-    header = (
-        ["t"] + [f"x_{j + 1}" for j in range(d)]
-        + ["y", "beta", "sigma", "mu", "inst_regret", "cum_regret", "flag"]
-    )
+    header = ["t"] + [f"x_{j + 1}" for j in range(d)] + list(_COLUMNS)
     # t and flag are small integers, which %.17g prints without a fraction
     block = np.column_stack([
         np.arange(1, trace.horizon + 1), trace.X, trace.y, trace.beta, trace.sigma,
@@ -235,11 +233,15 @@ def trace_to_csv(trace: RegretTrace) -> str:
 
 
 def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:
-    """Inverse of ``trace_to_csv``; ValueError on an empty trace, a ragged row or a skipped t."""
+    """Inverse of ``trace_to_csv``; ValueError on an empty trace, a missing
+    column, a ragged row or a skipped t."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trace")
     header = lines[0].split(",")
+    missing = [name for name in _COLUMNS if name not in header]
+    if missing:
+        raise ValueError(f"trace header has no {', '.join(missing)} column")
     d = sum(1 for h in header if h.startswith("x_"))
     rows = [ln.split(",") for ln in lines[1:]]
     for step, r in enumerate(rows, start=1):

@@ -177,8 +177,9 @@ class TestUniformBoundAudit:
         grid = np.linspace(0, 1, 200)[:, None]
         empty = fit(SE, 1.0, np.empty((0, 1)), [])
         audit = uniform_bound_audit(f, [empty], grid)
+        sup = float(np.max(np.abs(f.on_points(grid))))
         assert audit.t == (0,)
-        assert audit.ratio[0] == pytest.approx(float(np.max(np.abs(f.on_points(grid)))))
+        assert (audit.ratio, audit.bias_ratio, audit.random_ratio) == ((sup,), (sup,), (0.0,))
         assert audit.ratio[0] <= f.norm + 1e-9
 
     def test_noiseless_bias_ratio_bounded_by_norm(self):

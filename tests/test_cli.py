@@ -14,6 +14,7 @@ from gpucb import (
     render_config,
     sample_random_rkhs,
     trace_from_csv,
+    trace_to_csv,
 )
 from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 from gpucb.config import ExperimentConfig
@@ -175,6 +176,52 @@ class TestRun:
         text = MINIMAL.replace("rho = 1", "rho = -1")
         assert cmd_run(write_config(tmp_path, text), str(tmp_path / "o")) == 2
 
+    def test_pool_capped_at_seed_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+        config = write_config(tmp_path, MINIMAL.replace("seeds = 0", "seeds = 0, 1"))
+        assert cmd_run(config, str(tmp_path / "out"), jobs=32) == 0
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("finished_first", [False, True])
+    def test_stopped_write_leaves_no_config(self, tmp_path, monkeypatch, capsys, finished_first):
+        # config.txt is written last, so a suite whose writes stopped part
+        # way is not a finished run, even over an earlier finished one
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("horizon = 8", "horizon = 64")
+        out = tmp_path / "out"
+        if finished_first:
+            assert cmd_run(write_config(tmp_path, text, "first.txt"), str(out)) == 0
+        written = []
+
+        def stop_at_third(trace):
+            if len(written) == 2:
+                raise OSError("no space left on device")
+            written.append(trace.seed)
+            return trace_to_csv(trace)
+
+        monkeypatch.setattr("gpucb.cli.trace_to_csv", stop_at_third)
+        rerun = write_config(tmp_path, text.replace("noise.sigma = 0.1", "noise.sigma = 0.2"))
+        with pytest.raises(OSError):
+            cmd_run(rerun, str(out))
+        assert (out / "trace_seed1.csv").exists() and not (out / "config.txt").exists()
+        capsys.readouterr()
+        assert cmd_report(str(out)) == 4
+        assert capsys.readouterr().err == "error: no completed runs found\n"
+
 
 class TestSweep:
     def test_horizon_sweep_layout(self, tmp_path):
@@ -224,6 +271,32 @@ class TestReport:
 
     def test_empty_dir_exit_4(self, tmp_path):
         assert cmd_report(str(tmp_path)) == 4
+
+    @pytest.mark.parametrize("edits, horizons, message", [
+        # the objective peaks at the first candidate, x = 0, which the first
+        # step plays and, with no noise and a tiny constant beta, every later
+        # step too: the regret is 0 throughout
+        (
+            (("noise.sigma = 0.1", "noise.sigma = 0"),
+             ("beta.kind = log_product", "beta.kind = constant\nbeta.constant_value = 0.0001"),
+             ("objective.kind = random\nobjective.m = 10\nobjective.B = 2",
+              "objective.kind = explicit\nobjective.centers = 0\nobjective.coeffs = 1")),
+            ["64"],
+            "only 0 usable checkpoints after exclusions",
+        ),
+        ((("seeds = 0, 1, 2, 3, 4", "seeds = 0, 1, 2"),), ["64"], "need >= 5 traces, got 3"),
+        ((), ["16", "32"], "need t_max >= 4*t_min, got [16, 32]"),
+    ], ids=["zero_regret", "three_seeds", "narrow_sweep"])
+    def test_insufficient_data_exits_4(self, tmp_path, capsys, edits, horizons, message):
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        out = tmp_path / "out"
+        assert cmd_sweep(write_config(tmp_path, text), "horizon", horizons, str(out)) == 0
+        capsys.readouterr()
+        assert cmd_report(str(out)) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_injected_superlinear_trace_fails(self, tmp_path):
         # forge a suite that agrees with its objectives but plays the worst
@@ -294,6 +367,23 @@ def _swap_seed_labels(cell):
     path.write_text(text.replace("seed = x\n", "seed = 1\n"))
 
 
+def _garbage_record_line(cell):
+    path = cell / "objective.txt"
+    path.write_text(path.read_text().replace("family = ", "garbage line here\nfamily = ", 1))
+
+
+def _repeat_record_key(cell):
+    path = cell / "objective.txt"
+    path.write_text(path.read_text().replace("family = matern\n", "family = matern\nfamily = matern\n", 1))
+
+
+def _rename_column(cell):
+    path = cell / "trace_seed1.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].replace(",mu,", ",mean,")
+    path.write_text("".join(lines))
+
+
 def _truncate_trace(cell):
     path = cell / "trace_seed1.csv"
     text = path.read_text()
@@ -350,6 +440,9 @@ class TestDamagedRunReport:
         (_nan_coeff, "objective.txt: centers and coefficients must be finite"),
         (_widen_centers, "objective.txt: dimension mismatch: 2-d points against 1-d points"),
         (_swap_seed_labels, "trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t)"),
+        (_garbage_record_line, "objective.txt: malformed line 'garbage line here'"),
+        (_repeat_record_key, "objective.txt: duplicate key 'family'"),
+        (_rename_column, "trace_seed1.csv: trace header has no mu column"),
         (_truncate_trace, "trace_seed1.csv"),
         (_skip_step, "non-consecutive t"),
         (_short_trace, "rows for horizon 64"),

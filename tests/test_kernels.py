@@ -40,7 +40,8 @@ class TestKernelSpec:
 
 class TestKernelEval:
     def test_zero_distance_is_one(self):
-        for spec in (SE, MATERN_HALF, MATERN_32):
+        general = KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=1.0)
+        for spec in (SE, MATERN_HALF, MATERN_32, general):
             assert kernel_eval(spec, [0.3, 0.4], [0.3, 0.4]) == 1.0
 
     def test_se_half_value(self):
@@ -118,6 +119,9 @@ class TestKernelEval:
 class TestKernelMatrix:
     def test_single_point(self):
         assert np.array_equal(kernel_matrix(SE, [[0.5]]), np.array([[1.0]]))
+
+    def test_no_points(self):
+        assert kernel_matrix(MATERN_32, np.empty((0, 2))).shape == (0, 0)
 
     def test_two_point_half_correlation(self):
         r = math.sqrt(2.0 * math.log(2.0))

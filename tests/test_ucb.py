@@ -22,6 +22,7 @@ from gpucb import (
     trace_to_csv,
     update,
 )
+from gpucb.analysis import grid_columns
 from conftest import make_config
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -171,6 +172,15 @@ class TestRunLoop:
             for _ in range(5000)
         ]
         assert np.array_equal(whole, single)
+
+    @pytest.mark.parametrize("kind", ["normal", "uniform"])
+    def test_zero_noise_observes_f_exactly(self, kind):
+        config = make_config(horizon=32, noise_kind=kind, noise_sigma=0.0)
+        f = config.objective_for_seed(0)
+        trace = run_gp_ucb(config, f, 0)
+        grid = config.evaluation_points()
+        f_played = f.on_points(grid)[grid_columns(grid, trace.X)]
+        assert np.array_equal(trace.y.view(np.int64), f_played.view(np.int64))
 
     def test_uniform_noise_kind_runs(self):
         config = make_config(horizon=16, noise_kind="uniform")
