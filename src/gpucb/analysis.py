@@ -241,7 +241,10 @@ def prefix_bound_audit(
     K = kernel_cross(trace.spec, grid[rows], grid)
     y_exact = f.on_points(X)
     f_grid = f.on_points(grid)
-    post = GrowingPosterior(rho, grid.shape[0], T, n_targets=2)
+    n = grid.shape[0]
+    # the full grid matrix only for a replay that reaches the covariance form
+    K_full = kernel_matrix(trace.spec, grid) if T > 2 * n else None
+    post = GrowingPosterior(rho, n, T, n_targets=2, K=K_full)
     ts, ratios, biases, randoms = [], [], [], []
     for cp in checkpoints:
         for t in range(post.t, cp):

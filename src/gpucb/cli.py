@@ -1,8 +1,9 @@
 """Command-line benchmark harness: validate, run, sweep, report.
 
-Exit codes: 0 success, 2 malformed config, 3 numeric failure mid-run,
-4 insufficient or damaged data for a report.  Outputs are deterministic:
-rerunning a command with the same inputs produces byte-identical files.
+Exit codes: 0 success, 2 malformed config or an output directory that
+cannot be written, 3 numeric failure mid-run, 4 insufficient or damaged
+data for a report.  Outputs are deterministic: rerunning a command with the
+same inputs produces byte-identical files.
 
 Run layout (one directory per suite)::
 
@@ -16,7 +17,9 @@ Run layout (one directory per suite)::
       report.csv          written by the report command, the exponent fit
 
 A sweep adds one ``<axis>_<value>`` subdirectory per value plus a merged
-``summary.csv`` at the top level.
+``summary.csv`` at the top level, removed before the first cell runs and
+written after the last: a sweep directory without it is not a finished
+sweep.
 """
 
 from __future__ import annotations
@@ -127,6 +130,11 @@ def cmd_validate(config_path: str) -> int:
     return 0
 
 
+def _unwritable(out_dir: str, exc: OSError) -> int:
+    print(f"error: cannot write {out_dir}: {exc}", file=sys.stderr)
+    return 2
+
+
 def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
     configs = _load_configs(config_path)
     if configs is None:
@@ -138,21 +146,26 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
         step = f" at step {exc.step}" if exc.step is not None else ""
         print(f"error: numeric failure{step}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        return _unwritable(out_dir, exc)
     print(f"wrote {len(traces)} trace(s) to {out_dir}")
     return 0
 
 
-def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs: int = 1) -> int:
-    # every value is converted and checked before any cell runs
-    configs = _load_configs(config_path, axis, values)
-    if configs is None:
-        return 2
-    top = Path(out_dir)
+def _cell_name(axis: str, raw: str) -> str:
+    return f"{axis.replace('.', '_')}_{raw}"
+
+
+def _run_sweep(configs: list[ExperimentConfig], axis: str, values: list[str], jobs: int, top: Path) -> int:
+    """Run one suite per value into its cell, then write the merged summary;
+    the number of cells that failed.  The merged summary marks a finished
+    sweep as ``config.txt`` does a suite: removed first, written last."""
     top.mkdir(parents=True, exist_ok=True)
+    (top / "summary.csv").unlink(missing_ok=True)
     merged = ["axis,value,seed,status,cum_regret"]
     failures = 0
     for raw, config in zip(values, configs):
-        cell = top / f"{axis.replace('.', '_')}_{raw}"
+        cell = top / _cell_name(axis, raw)
         try:
             traces = _run_suite(config, jobs, cell)
             for tr in traces:
@@ -165,6 +178,18 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
             for seed in config.seeds:
                 merged.append(f"{axis},{raw},{seed},failed,")
     (top / "summary.csv").write_text("\n".join(merged) + "\n", encoding="utf-8")
+    return failures
+
+
+def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs: int = 1) -> int:
+    # every value is converted and checked before any cell runs
+    configs = _load_configs(config_path, axis, values)
+    if configs is None:
+        return 2
+    try:
+        failures = _run_sweep(configs, axis, values, jobs, Path(out_dir))
+    except OSError as exc:
+        return _unwritable(out_dir, exc)
     print(f"sweep complete: {len(values)} cell(s), {failures} failed")
     return 0
 
@@ -235,6 +260,29 @@ def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list
             raise ValueError(f"{path}: not the first {horizon} rows of {longest.name}'s trace")
 
 
+def _flagged_from(flag: np.ndarray) -> str:
+    """The first step from which every later flag held, or ``never`` when
+    the last one failed."""
+    misses = np.flatnonzero(~flag)
+    step = int(misses[-1]) + 2 if misses.size else 1
+    return str(step) if step <= flag.size else "never"
+
+
+def _check_sweep_finished(top: Path) -> None:
+    """ValueError unless the sweep in ``top`` finished: its merged
+    ``summary.csv`` exists and every cell it lists as ok has a ``config.txt``."""
+    path = top / "summary.csv"
+    if not path.is_file():
+        raise ValueError(f"{path}: missing, so the sweep did not finish")
+    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise ValueError(f"{path}: malformed row {line!r}")
+        name = _cell_name(fields[0], fields[1])
+        if fields[3] == "ok" and not (top / name / "config.txt").is_file():
+            raise ValueError(f"{path}: cell {name} is listed ok but did not finish")
+
+
 def cmd_report(out_dir: str) -> int:
     top = Path(out_dir)
     if not top.is_dir():
@@ -251,6 +299,8 @@ def cmd_report(out_dir: str) -> int:
         return 4
     # grade the largest-horizon suite; every other cell must be a cut of it
     try:
+        if any(c != top for c in cells):
+            _check_sweep_finished(top)
         configs = {c: parse_config((c / "config.txt").read_text(encoding="utf-8")) for c in cells}
         longest = max(cells, key=lambda c: configs[c].horizon)
         config = configs[longest]
@@ -317,7 +367,13 @@ def cmd_report(out_dir: str) -> int:
             f"{holds}/{applicable} flagged traces satisfied the bound",
         )
     else:
-        lines.append("SKIP  conditional regret bound: no fully flagged traces")
+        steps = sum(tr.horizon for tr in traces)
+        rate = sum(int(np.sum(tr.flag)) for tr in traces) / steps
+        lines.append(
+            f"SKIP  conditional regret bound: no fully flagged traces; flag rate {rate:.4f} "
+            f"over {steps} steps; every later flag held from step "
+            + ", ".join(_flagged_from(tr.flag) for tr in traces)
+        )
 
     cand = config.candidate_points()
     T_gain = min(512, cand.shape[0])

@@ -2,11 +2,14 @@
 
 Each step selects the candidate maximizing mean + sqrt(beta) * sd under the
 current posterior, observes the objective plus sub-Gaussian noise, and
-updates the posterior incrementally.  A ``posterior.GrowingPosterior``
-over the candidates extends its triangular solve one row per step, so a
-full run is O(T^2 m) instead of O(T^3 m); it is algebraically the same
-recursion as ``posterior.update`` restricted to the candidate set, and the
-tests pin the two against each other.
+updates the posterior incrementally through a
+``posterior.GrowingPosterior`` over the n = m + 1 tracked points (the
+candidates and the incumbent optimum).  A step costs O(t n) up to t = 2n,
+where the posterior extends its triangular solve one row per step, and
+O(n^2) after, where it downdates the points' posterior covariance; a full
+run is O(min(T, 2n)^2 n + max(T - 2n, 0) n^2) instead of O(T^3 m).  It is
+algebraically the same recursion as ``posterior.update`` restricted to the
+tracked points, and the tests pin the two against each other.
 
 Per step the loop records its choice, the exploration weight, the
 posterior mean/sd at the chosen point, and a flag marking whether the
@@ -169,7 +172,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
 
     # track the incumbent optimum as a shadow column next to the candidates
     M = kernel_matrix(spec, np.vstack([cand, grid[best][None, :]]))
-    post = GrowingPosterior(rho, m + 1, T)
+    post = GrowingPosterior(rho, m + 1, T, K=M)
 
     choice = np.empty(T, dtype=np.intp)
     beta_out, sigma_out, mu_out = np.empty((3, T))

@@ -203,18 +203,27 @@ class TestUniformBoundAudit:
         # triangle inequality between the pieces
         assert audit.ratio[0] <= audit.bias_ratio[0] + audit.random_ratio[0] + 1e-12
 
-    def test_prefix_audit_matches_refits(self):
-        config = make_config(horizon=96, noise_sigma=0.15, seeds=(5,))
+    @staticmethod
+    def assert_prefix_audit_matches_refits(config, checkpoints):
         f = config.objective_for_seed(5)
         trace = run_gp_ucb(config, f, 5)
         grid = config.evaluation_points()
-        checkpoints = [8, 24, 96]
         slow = uniform_bound_audit(f, states_at_checkpoints(trace, config.rho, checkpoints), grid)
         fast = prefix_bound_audit(f, trace, config.rho, grid, checkpoints)
         assert fast.t == slow.t
         assert np.allclose(fast.ratio, slow.ratio, rtol=1e-8)
         assert np.allclose(fast.bias_ratio, slow.bias_ratio, rtol=1e-8)
         assert np.allclose(fast.random_ratio, slow.random_ratio, rtol=1e-6, atol=1e-10)
+
+    def test_prefix_audit_matches_refits(self):
+        config = make_config(horizon=96, noise_sigma=0.15, seeds=(5,))
+        self.assert_prefix_audit_matches_refits(config, [8, 24, 96])
+
+    def test_prefix_audit_matches_refits_past_the_covariance_switch(self):
+        # a 16-point grid: the replay switches at t = 32, between checkpoints
+        config = make_config(horizon=64, noise_sigma=0.15, candidates_count=16, eval_grid_count=16, seeds=(5,))
+        assert config.evaluation_points().shape[0] == 16
+        self.assert_prefix_audit_matches_refits(config, [8, 24, 32, 33, 40, 64])
 
     def test_broken_factor_raises_instead_of_clamping(self):
         # a halved factor doubles L^-1 k, so 1 - |L^-1 k|^2 goes well below 0

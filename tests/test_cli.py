@@ -16,7 +16,7 @@ from gpucb import (
     trace_from_csv,
     trace_to_csv,
 )
-from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
+from gpucb.cli import _flagged_from, cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 from gpucb.config import ExperimentConfig
 
 MINIMAL = """\
@@ -215,12 +215,23 @@ class TestRun:
 
         monkeypatch.setattr("gpucb.cli.trace_to_csv", stop_at_third)
         rerun = write_config(tmp_path, text.replace("noise.sigma = 0.1", "noise.sigma = 0.2"))
-        with pytest.raises(OSError):
-            cmd_run(rerun, str(out))
+        assert cmd_run(rerun, str(out)) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: no space left on device\n"
         assert (out / "trace_seed1.csv").exists() and not (out / "config.txt").exists()
-        capsys.readouterr()
         assert cmd_report(str(out)) == 4
         assert capsys.readouterr().err == "error: no completed runs found\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
+        # --out names an existing file, so the output directory cannot be made
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        sweep = ["--axis", "horizon", "--values", "8"] if command == "sweep" else []
+        assert main([command, "--config", write_config(tmp_path), "--out", str(out)] + sweep) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and "File exists" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out.read_text() == "not a directory\n"
 
 
 class TestSweep:
@@ -297,6 +308,30 @@ class TestReport:
         capsys.readouterr()
         assert cmd_report(str(out)) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_skip_row_names_flag_rate_and_flagged_tail(self, tmp_path):
+        # a small exploration constant leaves no trace fully flagged
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("horizon = 8", "horizon = 64")
+        out = tmp_path / "out"
+        assert cmd_run(write_config(tmp_path, text + "beta.c0 = 0.2\n"), str(out)) == 0
+        assert cmd_report(str(out)) == 0
+        flags = [
+            trace_from_csv((out / f"trace_seed{seed}.csv").read_text(), None, 0.0).flag for seed in range(5)
+        ]
+        assert not any(f.all() for f in flags)
+        rate = sum(int(f.sum()) for f in flags) / 320
+        tails = []
+        for f in flags:
+            held = [t + 1 for t in range(64) if f[t:].all()]
+            tails.append(str(held[0]) if held else "never")
+        expected = (
+            f"SKIP  conditional regret bound: no fully flagged traces; flag rate {rate:.4f} "
+            f"over 320 steps; every later flag held from step {', '.join(tails)}"
+        )
+        assert expected in (out / "report.txt").read_text().splitlines()
+        assert [_flagged_from(np.array(f)) for f in ([True, False], [False, True, True], [True])] == [
+            "never", "2", "1",
+        ]
 
     def test_injected_superlinear_trace_fails(self, tmp_path):
         # forge a suite that agrees with its objectives but plays the worst
@@ -522,6 +557,39 @@ class TestSweepReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("lost, message", [
+        ("horizon_64/config.txt", "summary.csv: cell horizon_64 is listed ok but did not finish"),
+        ("summary.csv", "summary.csv: missing, so the sweep did not finish"),
+    ], ids=["longest_cell_lost", "summary_lost"])
+    def test_unfinished_sweep_exits_4(self, sweep, tmp_path, capsys, lost, message):
+        # without the longest cell, the 16-step cell alone would be graded
+        out = tmp_path / "sweep"
+        shutil.copytree(sweep, out)
+        (out / lost).unlink()
+        assert cmd_report(str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_sweep_stopped_in_its_last_cell_is_not_graded(self, sweep, tmp_path, capsys, monkeypatch):
+        # a rerun over a finished sweep that stops writing its last cell
+        # leaves no merged summary, so report does not grade what is left
+        out = tmp_path / "sweep"
+        shutil.copytree(sweep, out)
+
+        def full_disk(trace):
+            if trace.horizon == 64:
+                raise OSError("no space left on device")
+            return trace_to_csv(trace)
+
+        monkeypatch.setattr("gpucb.cli.trace_to_csv", full_disk)
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
+        assert cmd_sweep(write_config(tmp_path, text), "horizon", ["16", "64"], str(out)) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: no space left on device\n"
+        assert (out / "horizon_16" / "config.txt").exists() and not (out / "summary.csv").exists()
+        assert cmd_report(str(out)) == 4
+        assert "summary.csv: missing, so the sweep did not finish" in capsys.readouterr().err
 
     def test_non_horizon_sweep_exits_4(self, tmp_path, capsys):
         # two cells of one horizon that differ in beta.c0 are not one run

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from gpucb import (
+    GrowingPosterior,
     KernelFamily,
     KernelSpec,
     NumericError,
     fit,
+    kernel_matrix,
     logdet_information,
     make_rkhs_function,
     norm_chain_check,
@@ -22,6 +24,7 @@ from gpucb.rkhs import Box
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=1.0)
+MATERN_03 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.3)
 
 
 def random_state(spec, rho, t, d, seed, y_scale=1.0):
@@ -183,6 +186,61 @@ class TestPredictions:
         grid = rng.uniform(0, 1, size=(100, 2))
         assert np.max(np.abs(posterior_mean_at(state, grid) - posterior_mean_at(direct, grid))) < 1e-9
         assert np.max(np.abs(posterior_var_at(state, grid) - posterior_var_at(direct, grid))) < 1e-9
+
+
+def grow(points, rho, horizon, order, ys, K=None):
+    """A GrowingPosterior over ``points`` fed ``order``, yielding (mean,
+    variance) before each step and after the last."""
+    Kp = kernel_matrix(MATERN_03, points)
+    post = GrowingPosterior(rho, points.shape[0], horizon, n_targets=ys.shape[0], K=K)
+    for t, c in enumerate(order):
+        yield post.mean.copy(), post.variance()
+        post.observe(c, Kp[c], *ys[:, t])
+    yield post.mean.copy(), post.variance()
+
+
+class TestGrowingPosterior:
+    """The fixed-point-set posterior, in its W form up to t = 2n and its
+    covariance form after."""
+
+    points = np.linspace(0.0, 1.0, 8)[:, None]  # n = 8: the switch is at t = 16
+    rng = np.random.default_rng(11)
+    order = rng.integers(0, 8, size=40)  # 40 observations of 8 points: points repeat
+    ys = rng.standard_normal((2, 40))
+
+    def test_matches_fit_on_both_sides_of_the_switch(self):
+        K = kernel_matrix(MATERN_03, self.points)
+        states = grow(self.points, 0.5, 40, self.order, self.ys, K)
+        for t, (mean, var) in enumerate(states):
+            X = self.points[self.order[:t]]
+            fits = [fit(MATERN_03, 0.5, X, self.ys[j, :t]) for j in range(2)]
+            for j, state in enumerate(fits):
+                assert np.allclose(mean[j], posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (t, j)
+            assert np.allclose(var, posterior_var_at(fits[0], self.points), rtol=0, atol=1e-9), t
+
+    @pytest.mark.parametrize("horizon", [10, 16, 17, 24])
+    def test_shorter_horizon_is_a_bitwise_prefix(self, horizon):
+        # the switch step is fixed by n, so the horizon never moves a bit
+        K = kernel_matrix(MATERN_03, self.points)
+        order, ys = self.order[:horizon], self.ys[:, :horizon]
+        short = list(grow(self.points, 0.5, horizon, order, ys, K if horizon > 16 else None))
+        whole = list(grow(self.points, 0.5, 40, self.order, self.ys, K))
+        for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(short, whole)):
+            assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), t
+
+    def test_horizon_past_2n_needs_the_kernel_matrix(self):
+        with pytest.raises(ValueError, match="needs the kernel matrix"):
+            GrowingPosterior(0.5, 8, 17)
+        GrowingPosterior(0.5, 8, 16)
+
+    def test_negative_variance_after_the_switch_is_an_error(self):
+        # a kernel matrix with a halved diagonal leaves S = K - W'W with
+        # negative variances at well-observed points
+        K = kernel_matrix(MATERN_03, self.points)
+        K[np.diag_indices(8)] = 0.5
+        with pytest.raises(NumericError, match="negative posterior variance") as excinfo:
+            list(grow(self.points, 0.5, 40, self.order, self.ys, K))
+        assert excinfo.value.step == 18
 
 
 class TestLogdetInformation:

@@ -112,9 +112,11 @@ class TestRunLoop:
         assert trace_to_csv(a) != trace_to_csv(b)
 
     def test_matches_reference_posterior_loop(self):
-        # the O(T^2 m) recursion must select the same points and record the
-        # same statistics as the direct posterior implementation
-        config = make_config(horizon=24, candidates_count=16, eval_grid_count=16, noise_sigma=0.05)
+        # the fixed-point-set recursion must select the same points and
+        # record the same statistics as the direct posterior implementation,
+        # in its W form (steps 1-35) and its covariance form (36-48): it
+        # tracks n = 17 points, so it switches once t = 2n = 34
+        config = make_config(horizon=48, candidates_count=16, eval_grid_count=16, noise_sigma=0.05)
         f = config.objective_for_seed(0)
         trace = run_gp_ucb(config, f, 0)
 
@@ -136,6 +138,21 @@ class TestRunLoop:
             y = f(cand[idx]) + rng.normal(0.0, config.noise_sigma)
             assert y == pytest.approx(trace.y[t], abs=1e-12)
             state = update(state, cand[idx], y)
+
+    @pytest.mark.slow
+    def test_switched_loop_matches_fit_at_the_readme_horizon(self):
+        # the README example tracks n = 257 points, so steps 516-4096 read
+        # the covariance form; its mu and sigma must agree with a refit
+        config = make_config(horizon=4096, candidates_count=256, eval_grid_count=256, c0=0.39)
+        f = config.objective_for_seed(0)
+        trace = run_gp_ucb(config, f, 0)
+        from gpucb import posterior_mean_at, posterior_var_at
+
+        for step in (516, 4096):
+            state = fit(config.kernel, config.rho, trace.X[: step - 1], trace.y[: step - 1])
+            x = trace.X[step - 1][None]
+            assert posterior_mean_at(state, x)[0] == pytest.approx(trace.mu[step - 1], abs=1e-9)
+            assert math.sqrt(posterior_var_at(state, x)[0]) == pytest.approx(trace.sigma[step - 1], abs=1e-9)
 
     def test_regret_accounting(self):
         config = make_config(horizon=48, seeds=(5,))
@@ -213,17 +230,26 @@ class TestRunLoop:
         trace = run_gp_ucb(config, f, 0)
         assert np.all(np.diff(trace.beta) >= 0.0)
 
-    @pytest.mark.parametrize("noise_kind", ["normal", "uniform"])
-    def test_horizon_extension_preserves_prefix(self, noise_kind):
-        short = make_config(horizon=32, seeds=(4,), noise_kind=noise_kind)
-        long = make_config(horizon=64, seeds=(4,), noise_kind=noise_kind)
-        f = short.objective_for_seed(4)
-        a = run_gp_ucb(short, f, 4)
-        b = run_gp_ucb(long, f, 4)
+    @staticmethod
+    def assert_runs_are_prefixes(short, long, **keys):
+        """The run at horizon ``short`` is the run at ``long`` cut, bit for bit."""
+        a_config, b_config = (make_config(horizon=T, seeds=(4,), **keys) for T in (short, long))
+        f = a_config.objective_for_seed(4)
+        a, b = run_gp_ucb(a_config, f, 4), run_gp_ucb(b_config, f, 4)
         for field in dataclasses.fields(RegretTrace):
             whole = getattr(b, field.name)
-            expected = whole[:32] if isinstance(whole, np.ndarray) else whole
+            expected = whole[:short] if isinstance(whole, np.ndarray) else whole
             assert np.array_equal(getattr(a, field.name), expected), field.name
+
+    @pytest.mark.parametrize("noise_kind", ["normal", "uniform"])
+    def test_horizon_extension_preserves_prefix(self, noise_kind):
+        self.assert_runs_are_prefixes(32, 64, noise_kind=noise_kind)
+
+    @pytest.mark.parametrize("short, long", [(12, 40), (24, 40)], ids=["below_2n", "above_2n"])
+    def test_prefix_across_the_covariance_switch(self, short, long):
+        # 8 candidates and the shadow optimum: the posterior switches at
+        # t = 18, so the short run stops before it or after it
+        self.assert_runs_are_prefixes(short, long, candidates_count=8, eval_grid_count=8)
 
 
 class TestEdpRecommend:
