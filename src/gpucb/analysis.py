@@ -94,7 +94,7 @@ def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.nda
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     M = kernel_matrix(spec, candidates)
-    post = GrowingPosterior(rho, m, T, n_targets=0)
+    post = GrowingPosterior(spec, rho, candidates, T, n_targets=0)
     series = np.empty(T)
     total = 0.0
     for t in range(T):
@@ -241,10 +241,7 @@ def prefix_bound_audit(
     K = kernel_cross(trace.spec, grid[rows], grid)
     y_exact = f.on_points(X)
     f_grid = f.on_points(grid)
-    n = grid.shape[0]
-    # the full grid matrix only for a replay that reaches the covariance form
-    K_full = kernel_matrix(trace.spec, grid) if T > 2 * n else None
-    post = GrowingPosterior(rho, n, T, n_targets=2, K=K_full)
+    post = GrowingPosterior(trace.spec, rho, grid, T, n_targets=2)
     ts, ratios, biases, randoms = [], [], [], []
     for cp in checkpoints:
         for t in range(post.t, cp):

@@ -1,9 +1,11 @@
 """Command-line benchmark harness: validate, run, sweep, report.
 
 Exit codes: 0 success, 2 malformed config or an output directory that
-cannot be written, 3 numeric failure mid-run, 4 insufficient or damaged
-data for a report.  Outputs are deterministic: rerunning a command with the
-same inputs produces byte-identical files.
+cannot be written, 3 numeric failure mid-run (a broken posterior
+factorization, a non-finite score, or a kernel whose K_nu overflows double
+precision), 4 insufficient or damaged data for a report.  Outputs are
+deterministic: rerunning a command with the same inputs produces
+byte-identical files.
 
 Run layout (one directory per suite)::
 
@@ -57,6 +59,11 @@ _SLOPE_BANDS = {
     KernelFamily.MATERN: (0.50, 0.80),
     KernelFamily.SQUARED_EXPONENTIAL: (0.45, 0.75),
 }
+
+# numeric failures mid-run: the posterior's, and the kernel's (K_nu overflows
+# double precision or its series fails to converge)
+_NUMERIC = (NumericError, ArithmeticError)
+
 
 def _run_one_seed(config: ExperimentConfig, seed: int) -> tuple[RkhsFunction, RegretTrace]:
     f = config.objective_for_seed(seed)
@@ -142,9 +149,10 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
     config = configs[0]
     try:
         traces = _run_suite(config, jobs, Path(out_dir))
-    except NumericError as exc:
-        step = f" at step {exc.step}" if exc.step is not None else ""
-        print(f"error: numeric failure{step}: {exc}", file=sys.stderr)
+    except _NUMERIC as exc:
+        step = getattr(exc, "step", None)
+        where = f" at step {step}" if step is not None else ""
+        print(f"error: numeric failure{where}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         return _unwritable(out_dir, exc)
@@ -172,7 +180,7 @@ def _run_sweep(configs: list[ExperimentConfig], axis: str, values: list[str], jo
                 merged.append(
                     f"{axis},{raw},{tr.seed},ok,{_fmt(float(tr.cum_regret[-1]))}"
                 )
-        except NumericError as exc:
+        except _NUMERIC as exc:
             failures += 1
             print(f"warning: cell {cell.name} failed: {exc}", file=sys.stderr)
             for seed in config.seeds:
@@ -194,11 +202,10 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
     return 0
 
 
-def _load_suite(cell: Path, config: ExperimentConfig) -> tuple[list[RegretTrace], dict]:
+def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple[list[RegretTrace], dict]:
     """Traces and recorded objectives (by seed) of one suite, each trace
-    checked against its objective on the evaluation grid; OSError or
-    ValueError names what is damaged."""
-    grid = config.evaluation_points()
+    checked against its objective on the evaluation grid ``grid``; OSError
+    or ValueError names what is damaged."""
     records = cell / "objective.txt"
     objectives, f_grids = {}, {}
     try:
@@ -304,7 +311,8 @@ def cmd_report(out_dir: str) -> int:
         configs = {c: parse_config((c / "config.txt").read_text(encoding="utf-8")) for c in cells}
         longest = max(cells, key=lambda c: configs[c].horizon)
         config = configs[longest]
-        traces, objectives = _load_suite(longest, config)
+        grid = config.evaluation_points()
+        traces, objectives = _load_suite(longest, config, grid)
         for cell in cells:
             if cell != longest:
                 _check_cut(cell, longest, config, traces, configs[cell].horizon)
@@ -337,7 +345,6 @@ def cmd_report(out_dir: str) -> int:
     )
 
     checkpoints = [t for t in fit_res.checkpoints]
-    grid = config.evaluation_points()
     audit_traces = traces[: min(5, len(traces))]
     growth_ok, bias_ok = True, True
     growth_detail = []

@@ -286,9 +286,12 @@ def _matern_half_integer_radial(nu: float, z: np.ndarray) -> np.ndarray:
 
 def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     nu = spec.nu
-    z = (2.0 * math.sqrt(nu) / spec.lengthscale) * r
-    out = np.ones_like(z)
-    pos = z > 0.0
+    # a tiny lengthscale can make the scale, and so z, infinite (NaN at zero
+    # lag): the profile is 1 at zero lag and 0 at an infinite distance
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (2.0 * math.sqrt(nu) / spec.lengthscale) * r
+    out = np.where(np.isinf(z), 0.0, 1.0)
+    pos = (z > 0.0) & (z < math.inf)
     zp = z[pos]
     if _is_half_integer(nu):
         out[pos] = _matern_half_integer_radial(nu, zp)

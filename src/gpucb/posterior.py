@@ -8,10 +8,10 @@ factor L of K + rho*I.  Predictions follow the standard ridge form
 
 States are immutable; ``update`` extends the factor by one row and returns
 a new state, which matches a from-scratch refit to within round-off.
-``GrowingPosterior`` is the same recursion over a fixed set of n points:
-O(t n) per step up to t = 2n, then O(n^2) per step in covariance form.  The
-UCB loop, the greedy information gain and the prefix audits all grow their
-posteriors through it.
+``GrowingPosterior`` is the same recursion over a fixed set of n points, one
+update rule per observation: O(t n) per step up to t = 2n, then O(n^2) in
+covariance form.  The UCB loop, the greedy information gain and the prefix
+audits all grow their posteriors through it.
 """
 
 from __future__ import annotations
@@ -152,29 +152,27 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
 class GrowingPosterior:
     """Posterior over a fixed set of n points, grown one observation at a time.
 
-    Up to t = 2n it keeps W = L^{-1} K(design, points), one row per
-    observation, and u_j = L^{-1} y_j for each tracked observation vector
-    (target), so ``mean[j]`` = W' u_j and the variance is 1 - colsum(W^2):
-    O(t n) per step.  At t = 2n it forms the posterior covariance
-    S = K - W'W of the points once, then downdates S by one rank-one
-    product per observation: O(n^2) per step, whatever t.  The switch step
-    depends on n alone, so a shorter run stays a prefix of a longer one.
-    Design points must be among the n points: a point's column of W (of S)
-    feeds its update.  ``K``, the n x n kernel matrix of the points, is
-    needed only for a horizon above 2n.
+    Observing point c applies one rule (Rasmussen & Williams, GPML, 2006,
+    ch. 2): with s the posterior covariance of c with every point and
+    d2 = rho + var[c], each tracked observation vector (target) moves its
+    mean by s (y - mean[c]) / d2, and the covariance drops by s s' / d2.  Up
+    to t = 2n the drops are kept as rows s / sqrt(d2) of W, so s = k_row -
+    W[:, c]' W: O(t n) per step.  At t = 2n the posterior builds the kernel
+    matrix K of its points and forms S = K - W'W, then reads s off S and
+    downdates it in place: O(n^2) per step.  The switch step depends on n
+    alone, so a shorter run stays a prefix of a longer one.  Design points
+    must be among the n points.
     """
 
-    def __init__(self, rho: float, n_points: int, horizon: int, n_targets: int = 1, K: np.ndarray | None = None):
-        if horizon > 2 * n_points and K is None:
-            raise ValueError(f"horizon {horizon} > 2n = {2 * n_points} needs the kernel matrix of the points")
+    def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int, n_targets: int = 1):
+        n = points.shape[0]
+        self.spec = spec
         self.rho = rho
+        self.points = points
         self.t = 0
-        self.mean = np.zeros((n_targets, n_points))
-        rows = min(horizon, 2 * n_points)
-        self._W = np.empty((rows, n_points))
-        self._u = np.empty((n_targets, rows))
-        self._sumsq = np.zeros(n_points)
-        self._K = K
+        self.mean = np.zeros((n_targets, n))
+        self._W = np.empty((min(horizon, 2 * n), n))
+        self._sumsq = np.zeros(n)
         self._S = None
 
     def variance(self) -> np.ndarray:
@@ -183,26 +181,24 @@ class GrowingPosterior:
         return _clamped_var(raw, step=self.t + 1)
 
     def observe(self, c: int, k_row: np.ndarray, *ys: float) -> None:
-        """Add point ``c``, given its kernel row over the points (the
-        covariance form does not read it) and one observation per target."""
+        """Add point ``c``, given its kernel row over the points (read only
+        before the switch) and one observation per target."""
         t = self.t
         if t == 2 * self.mean.shape[1]:
-            self._S = self._K - self._W.T @ self._W
+            self._S = kernel_matrix(self.spec, self.points) - self._W.T @ self._W
         if self._S is None:
-            r = self._W[:t, c]
-            d_new = math.sqrt(self.rho + max(1.0 - self._sumsq[c], 0.0))
-            w_row = (k_row - r @ self._W[:t]) / d_new
-            self._W[t] = w_row
-            for j, y in enumerate(ys):
-                u_new = (y - r @ self._u[j, :t]) / d_new
-                self._u[j, t] = u_new
-                self.mean[j] += w_row * u_new
-            self._sumsq += w_row * w_row
+            s = k_row - self._W[:t, c] @ self._W[:t]
+            d2 = self.rho + max(1.0 - self._sumsq[c], 0.0)
         else:
             s = self._S[:, c].copy()
             d2 = self.rho + max(self._S[c, c], 0.0)
-            for j, y in enumerate(ys):
-                self.mean[j] += s * ((y - self.mean[j, c]) / d2)
+        for j, y in enumerate(ys):
+            self.mean[j] += s * ((y - self.mean[j, c]) / d2)
+        if self._S is None:
+            w_row = s / math.sqrt(d2)
+            self._W[t] = w_row
+            self._sumsq += w_row * w_row
+        else:
             # S -= s s' / d2 in place: S.T is the Fortran-ordered view BLAS
             # writes into, and the update is the same on either side of it
             dger(-1.0 / d2, s, s, a=self._S.T, overwrite_a=True)

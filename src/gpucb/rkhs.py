@@ -39,8 +39,9 @@ class Box:
         if len(self.lower) != len(self.upper) or len(self.lower) == 0:
             raise ValueError("box bounds must be non-empty and equal length")
         for lo, hi in zip(self.lower, self.upper):
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"box requires lower < upper componentwise, got [{lo}, {hi}]")
+            # a finite width also rules out infinite and NaN bounds
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(f"box requires lower < upper and a finite upper - lower, got [{lo}, {hi}]")
 
     @property
     def dim(self) -> int:

@@ -4,9 +4,9 @@ Each step selects the candidate maximizing mean + sqrt(beta) * sd under the
 current posterior, observes the objective plus sub-Gaussian noise, and
 updates the posterior incrementally through a
 ``posterior.GrowingPosterior`` over the n = m + 1 tracked points (the
-candidates and the incumbent optimum).  A step costs O(t n) up to t = 2n,
-where the posterior extends its triangular solve one row per step, and
-O(n^2) after, where it downdates the points' posterior covariance; a full
+candidates and the incumbent optimum), one rank-one rule per observation:
+O(t n) per step up to t = 2n, then O(n^2), where the posterior builds the
+points' kernel matrix itself and downdates their posterior covariance.  A
 run is O(min(T, 2n)^2 n + max(T - 2n, 0) n^2) instead of O(T^3 m).  It is
 algebraically the same recursion as ``posterior.update`` restricted to the
 tracked points, and the tests pin the two against each other.
@@ -171,8 +171,9 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     noise = _noise(config.noise_kind, config.noise_sigma, np.random.default_rng(seed + 1), T)
 
     # track the incumbent optimum as a shadow column next to the candidates
-    M = kernel_matrix(spec, np.vstack([cand, grid[best][None, :]]))
-    post = GrowingPosterior(rho, m + 1, T, K=M)
+    points = np.vstack([cand, grid[best][None, :]])
+    M = kernel_matrix(spec, points)
+    post = GrowingPosterior(spec, rho, points, T)
 
     choice = np.empty(T, dtype=np.intp)
     beta_out, sigma_out, mu_out = np.empty((3, T))

@@ -25,7 +25,7 @@ from gpucb import (
     states_at_checkpoints,
     uniform_bound_audit,
 )
-from gpucb.analysis import grid_columns
+from gpucb.analysis import grid_columns, loglog_slope
 from gpucb.rkhs import Box
 from gpucb.ucb import RegretTrace
 from conftest import make_config
@@ -128,6 +128,26 @@ class TestGreedyInfoGain:
     def test_requires_enough_candidates(self):
         with pytest.raises(ValueError):
             greedy_info_gain(SE, 1.0, np.zeros((3, 1)), T=4)
+
+
+class TestLoglogSlope:
+    def test_exact_power_law(self):
+        # logged values: ln(e * t^2) at t = 1, e, e^2, e^3; every step is exact
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        assert loglog_slope(x, 2.0 * x + 1.0) == (2.0, 0.0)
+
+    def test_two_points_have_no_stderr(self):
+        assert loglog_slope(np.array([0.0, 2.0]), np.array([1.0, 0.0])) == (-0.5, 0.0)
+
+    def test_noisy_fit_matches_polyfit(self):
+        rng = np.random.default_rng(3)
+        x = np.log(np.array([8.0, 16.0, 32.0, 64.0, 128.0, 256.0]))
+        y = 0.6 * x - 1.0 + rng.normal(0.0, 0.05, 6)
+        coef, cov = np.polyfit(x, y, 1, cov=True)
+        slope, stderr = loglog_slope(x, y)
+        assert slope == pytest.approx(coef[0], rel=1e-12)
+        assert stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+        assert stderr > 0.0
 
 
 class TestFitRegretExponent:

@@ -82,6 +82,10 @@ class TestValidate:
 MALFORMED = {
     "delta outside (0,1)": (("beta.delta = 0.1", "beta.delta = 1.5"), "beta.delta"),
     "infinite bound": (("domain.upper = 1", "domain.upper = inf"), "domain.upper"),
+    "infinite box width": (
+        ("domain.lower = 0\ndomain.upper = 1", "domain.lower = -1e308\ndomain.upper = 1e308"),
+        "domain.lower",
+    ),
     "nan rho": (("rho = 1", "rho = nan"), "rho"),
     "nan noise": (("noise.sigma = 0.1", "noise.sigma = nan"), "noise.sigma"),
     "word horizon": (("horizon = 8", "horizon = abc"), "horizon"),
@@ -232,6 +236,40 @@ class TestRun:
         assert err.startswith(f"error: cannot write {out}: ") and "File exists" in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out.read_text() == "not a directory\n"
+
+
+# a general order whose K_nu overflows at the smallest distance of a
+# 256-point lattice (z = 0.19)
+OVERFLOW = MINIMAL.replace("candidates.count = 16", "candidates.count = 256").replace(
+    "eval_grid.count = 16", "eval_grid.count = 256"
+)
+
+
+class TestKernelExtremes:
+    def test_k_nu_overflow_exits_3(self, tmp_path, capsys):
+        config = write_config(tmp_path, OVERFLOW.replace("kernel.nu = 1.5", "kernel.nu = 150.2"))
+        assert cmd_validate(config) == 0
+        assert cmd_run(config, str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric failure: K_nu overflows double precision")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "config.txt").exists()
+
+    def test_k_nu_overflow_fails_its_sweep_cell(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert cmd_sweep(write_config(tmp_path, OVERFLOW), "kernel.nu", ["1.5", "150.2"], str(out)) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: cell kernel_nu_150.2 failed: K_nu overflows double precision")
+        rows = [line.split(",")[:4] for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert rows == [["kernel.nu", "1.5", "0", "ok"], ["kernel.nu", "150.2", "0", "failed"]]
+
+    @pytest.mark.parametrize("nu", ["1.2", "1.5"])
+    def test_lengthscale_past_the_double_range_runs(self, tmp_path, nu):
+        # every distinct pair is at infinite scaled distance: K = I
+        text = MINIMAL.replace("kernel.nu = 1.5", f"kernel.nu = {nu}")
+        config = write_config(tmp_path, text.replace("kernel.lengthscale = 0.5", "kernel.lengthscale = 1e-310"))
+        assert cmd_run(config, str(tmp_path / "out")) == 0
+        assert (tmp_path / "out" / "config.txt").exists()
 
 
 class TestSweep:

@@ -155,6 +155,17 @@ class TestKernelMatrix:
         kernel_cross(spec, X[:7], X)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("nu", [1.2, 1.5])
+    def test_infinite_scaled_distance_is_uncorrelated(self, nu):
+        # 2 sqrt(nu) / lengthscale overflows to inf: distinct points get 0,
+        # coincident ones 1, and no numpy warning is raised
+        spec = KernelSpec(KernelFamily.MATERN, nu=nu, lengthscale=1e-310)
+        X = np.array([[0.0], [0.25], [0.25], [1.0]])
+        expected = np.eye(4)
+        expected[1, 2] = expected[2, 1] = 1.0
+        assert np.array_equal(kernel_matrix(spec, X), expected)
+        assert np.array_equal(kernel_cross(spec, X[:2], X), expected[:2])
+
     def test_duplicates_allowed(self):
         K = kernel_matrix(SE, [[0.2], [0.2]])
         assert np.array_equal(K, np.ones((2, 2)))

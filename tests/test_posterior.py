@@ -188,11 +188,11 @@ class TestPredictions:
         assert np.max(np.abs(posterior_var_at(state, grid) - posterior_var_at(direct, grid))) < 1e-9
 
 
-def grow(points, rho, horizon, order, ys, K=None):
+def grow(points, rho, horizon, order, ys):
     """A GrowingPosterior over ``points`` fed ``order``, yielding (mean,
     variance) before each step and after the last."""
     Kp = kernel_matrix(MATERN_03, points)
-    post = GrowingPosterior(rho, points.shape[0], horizon, n_targets=ys.shape[0], K=K)
+    post = GrowingPosterior(MATERN_03, rho, points, horizon, n_targets=ys.shape[0])
     for t, c in enumerate(order):
         yield post.mean.copy(), post.variance()
         post.observe(c, Kp[c], *ys[:, t])
@@ -209,8 +209,7 @@ class TestGrowingPosterior:
     ys = rng.standard_normal((2, 40))
 
     def test_matches_fit_on_both_sides_of_the_switch(self):
-        K = kernel_matrix(MATERN_03, self.points)
-        states = grow(self.points, 0.5, 40, self.order, self.ys, K)
+        states = grow(self.points, 0.5, 40, self.order, self.ys)
         for t, (mean, var) in enumerate(states):
             X = self.points[self.order[:t]]
             fits = [fit(MATERN_03, 0.5, X, self.ys[j, :t]) for j in range(2)]
@@ -221,25 +220,20 @@ class TestGrowingPosterior:
     @pytest.mark.parametrize("horizon", [10, 16, 17, 24])
     def test_shorter_horizon_is_a_bitwise_prefix(self, horizon):
         # the switch step is fixed by n, so the horizon never moves a bit
-        K = kernel_matrix(MATERN_03, self.points)
         order, ys = self.order[:horizon], self.ys[:, :horizon]
-        short = list(grow(self.points, 0.5, horizon, order, ys, K if horizon > 16 else None))
-        whole = list(grow(self.points, 0.5, 40, self.order, self.ys, K))
+        short = list(grow(self.points, 0.5, horizon, order, ys))
+        whole = list(grow(self.points, 0.5, 40, self.order, self.ys))
         for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(short, whole)):
             assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), t
 
-    def test_horizon_past_2n_needs_the_kernel_matrix(self):
-        with pytest.raises(ValueError, match="needs the kernel matrix"):
-            GrowingPosterior(0.5, 8, 17)
-        GrowingPosterior(0.5, 8, 16)
-
-    def test_negative_variance_after_the_switch_is_an_error(self):
-        # a kernel matrix with a halved diagonal leaves S = K - W'W with
-        # negative variances at well-observed points
+    def test_negative_variance_after_the_switch_is_an_error(self, monkeypatch):
+        # a kernel matrix with a halved diagonal, built at the switch, leaves
+        # S = K - W'W with negative variances at well-observed points
         K = kernel_matrix(MATERN_03, self.points)
         K[np.diag_indices(8)] = 0.5
+        monkeypatch.setattr("gpucb.posterior.kernel_matrix", lambda spec, X: K.copy())
         with pytest.raises(NumericError, match="negative posterior variance") as excinfo:
-            list(grow(self.points, 0.5, 40, self.order, self.ys, K))
+            list(grow(self.points, 0.5, 40, self.order, self.ys))
         assert excinfo.value.step == 18
 
 
