@@ -30,7 +30,6 @@ from .kernels import (
     bessel_k,
     holder_validate,
     kernel_cross,
-    kernel_eval,
     kernel_matrix,
 )
 from .posterior import (

@@ -28,7 +28,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .kernels import KernelFamily, KernelSpec, kernel_cross, kernel_matrix
 from .posterior import GrowingPosterior, PosteriorState, _clamped_var, fit
 from .rkhs import RkhsFunction
-from .ucb import RegretTrace
+from .ucb import BetaKind, BetaSchedule, RegretTrace, beta_value
 
 __all__ = [
     "RateReference",
@@ -297,21 +297,19 @@ def calibrate_c0(
 ) -> float:
     """Scale constant for the log-product schedule from pilot audit ratios.
 
-    Takes the given quantile of r_t / sqrt(ln(1+rho*t) * ln(e + 6/pi^2 *
-    c_subg * t^2 / delta)) over all pilot (trace, checkpoint) pairs, so the
-    resulting schedule makes the empirical error bound hold at roughly that
-    rate without changing its t-dependence.
+    Takes the given quantile of r_t / sqrt(beta_t) over all pilot (trace,
+    checkpoint) pairs, with beta_t the log-product schedule of ``delta`` and
+    ``c_subg`` at c0 = 1 (``ucb.beta_value``), so the resulting schedule
+    makes the empirical error bound hold at roughly that rate without
+    changing its t-dependence.
     """
+    unit = BetaSchedule(BetaKind.LOG_PRODUCT, delta, c0=1.0, c_subg=c_subg)
     normalized = []
     for series in audits:
         for t, r in zip(series.t, series.ratio):
             if t == 0:
                 continue  # the prior state has no schedule normalizer
-            scale = math.sqrt(
-                math.log(1.0 + rho * t)
-                * math.log(math.e + (6.0 / math.pi**2) * c_subg * t**2 / delta)
-            )
-            normalized.append(r / scale)
+            normalized.append(r / math.sqrt(beta_value(unit, t, rho)))
     if not normalized:
         raise ValueError("no audit ratios to calibrate from")
     return float(np.quantile(np.array(normalized), quantile))

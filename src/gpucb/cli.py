@@ -250,8 +250,11 @@ def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list
     traces given) cut at ``horizon``: the same config but for the horizon,
     the same objectives, and every trace column the first rows of the long one."""
     path = cell / "config.txt"
-    if path.read_text(encoding="utf-8") != render_config(config.with_override("horizon", horizon)):
-        raise ValueError(f"{path}: not the config of {longest.name} at horizon {horizon}")
+    text = path.read_text(encoding="utf-8")
+    want = render_config(config.with_override("horizon", horizon))
+    if text != want:
+        line = next((a for a, b in zip(text.splitlines(), want.splitlines()) if a != b), "its length")
+        raise ValueError(f"{path}: differs from {longest.name} in {line}, not only in horizon")
     path = cell / "objective.txt"
     if path.read_bytes() != (longest / "objective.txt").read_bytes():
         raise ValueError(f"{path}: not the objectives of {longest.name}")

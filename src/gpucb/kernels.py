@@ -11,6 +11,12 @@ exactly 1:
 
       psi(r) = exp(-r**2 / (2 * l**2))
 
+A kernel is evaluated in one way: ``kernel_cross`` gives the correlations
+between two point sets, and ``kernel_matrix`` the same values for one set
+with itself.  Both take points as rows and reject a non-finite coordinate
+with ValueError.  They give exactly 1 at zero lag, and exactly 0, with no
+numpy warning, where a tiny lengthscale makes the profile underflow.
+
 ``K_nu`` is evaluated in-house: closed forms at half-integer orders, a
 small-argument series plus a large-argument continued fraction otherwise,
 joined by the standard upward recurrence in the order.  Target accuracy is
@@ -32,7 +38,6 @@ __all__ = [
     "KernelSpec",
     "HolderReport",
     "bessel_k",
-    "kernel_eval",
     "kernel_matrix",
     "kernel_cross",
     "holder_validate",
@@ -278,10 +283,16 @@ def _matern_half_integer_radial(nu: float, z: np.ndarray) -> np.ndarray:
     coeffs[0] = prefactor
     for k in range(1, n + 1):
         coeffs[k] = coeffs[k - 1] * (n + k) * (n - k + 1) / (2.0 * k)
-    poly = np.zeros_like(z)
-    for k in range(n + 1):
-        poly = poly * z + coeffs[k]
-    return poly * np.exp(-z)
+    decay = np.exp(-z)
+    # where exp(-z) underflows the profile is 0: evaluating the polynomial at
+    # 0 there keeps a huge z from overflowing it into inf * 0
+    z = np.where(decay > 0.0, z, 0.0)
+    poly = np.full_like(z, coeffs[0])
+    for k in range(1, n + 1):
+        poly *= z
+        poly += coeffs[k]
+    poly *= decay
+    return poly
 
 
 def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
@@ -314,8 +325,10 @@ def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 
 
 def _se_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    u = r / spec.lengthscale
-    return np.exp(-0.5 * u * u)
+    # a tiny lengthscale can make u, or its square, overflow: exp(-inf) is 0
+    with np.errstate(over="ignore"):
+        u = r / spec.lengthscale
+        return np.exp(-0.5 * u * u)
 
 
 def _radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
@@ -329,20 +342,14 @@ def _radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _as_point(x, name: str) -> np.ndarray:
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(p)):
-        raise ValueError(f"{name} has non-finite coordinates: {p}")
-    return p
-
-
-def kernel_eval(spec: KernelSpec, x, x2) -> float:
-    """Correlation between two points, psi(x - x2); exactly 1 at zero lag."""
-    p = _as_point(x, "x")
-    q = _as_point(x2, "x2")
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return float(_radial(spec, np.array([np.linalg.norm(p - q)]))[0])
+def _as_points(X, name: str) -> np.ndarray:
+    """X as a float array of points, one per row; ValueError on a point with
+    a non-finite coordinate."""
+    P = np.atleast_2d(np.asarray(X, dtype=float))
+    finite = np.isfinite(P)
+    if not finite.all():
+        raise ValueError(f"{name} has a point with non-finite coordinates: {P[~finite.all(axis=1)][0]}")
+    return P
 
 
 def _pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -356,26 +363,26 @@ def _pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
-    """(len(X), len(Y)) matrix of correlations between two point sets."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    """(len(X), len(Y)) matrix of correlations between two point sets;
+    ValueError on a non-finite coordinate or mixed dimensions."""
+    X = _as_points(X, "X")
+    Y = _as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]}-d points against {Y.shape[1]}-d points")
     return _radial(spec, _pairwise_distances(X, Y))
 
 
 def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
-    """Symmetric correlation matrix of one point set, unit diagonal.
+    """Symmetric correlation matrix of one point set: ``kernel_cross(spec,
+    X, X)`` bit for bit, so its diagonal is exactly 1.
 
     K equals its transpose bit-exactly: the distance from x_i to x_j squares
     the exact negation of the difference from x_j to x_i.  Duplicate points
     are allowed; the result may then be singular (downstream code always
     regularizes with rho*I).  No points give the 0 x 0 matrix.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    K = _radial(spec, _pairwise_distances(X, X))
-    np.fill_diagonal(K, 1.0)
-    return K
+    X = _as_points(X, "X")
+    return _radial(spec, _pairwise_distances(X, X))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +394,6 @@ def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
 class HolderReport:
     theta: float
     fitted_A0: float
-    max_ratio: float
 
 
 def holder_validate(spec: KernelSpec, n_samples: int, max_radius: float, seed: int) -> HolderReport:
@@ -416,5 +422,4 @@ def holder_validate(spec: KernelSpec, n_samples: int, max_radius: float, seed: i
     ratios = gap / r**theta
     if not np.all(np.isfinite(ratios)):
         raise ArithmeticError("Holder ratio diverged on sampled radii")
-    a0 = float(np.max(ratios))
-    return HolderReport(theta=theta, fitted_A0=a0, max_ratio=a0)
+    return HolderReport(theta=theta, fitted_A0=float(np.max(ratios)))

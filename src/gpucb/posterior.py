@@ -24,7 +24,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotrf
 
-from .kernels import KernelSpec, kernel_cross, kernel_eval, kernel_matrix
+from .kernels import KernelSpec, kernel_cross, kernel_matrix
 
 __all__ = [
     "NumericError",
@@ -246,7 +246,7 @@ def norm_chain_check(state: PosteriorState, x, x2, *, eig_threshold: float = 1e-
     kx = kernel_cross(state.spec, state.X, x)[:, 0]
     kx2 = kernel_cross(state.spec, state.X, x2)[:, 0]
     delta = kx - kx2
-    h_sq = max(2.0 * (1.0 - kernel_eval(state.spec, x[0], x2[0])), 0.0)
+    h_sq = max(2.0 * (1.0 - float(kernel_cross(state.spec, x, x2)[0, 0])), 0.0)
     K = kernel_matrix(state.spec, state.X)
     w = cho_solve((state.chol, True), delta, check_finite=False)
     h2_sq = float(w @ K @ w)

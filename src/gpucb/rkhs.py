@@ -63,13 +63,9 @@ class RkhsFunction:
     coeffs: np.ndarray   # (m,)
     norm: float
 
-    def __call__(self, x) -> float:
-        k = kernel_cross(self.spec, self.centers, np.asarray(x, dtype=float).reshape(1, -1))
-        return float(k[:, 0] @ self.coeffs)
-
     def on_points(self, X) -> np.ndarray:
-        """Evaluate on an (n, d) array of points."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        """Values at an (n, d) array of points, one per row (a single point
+        may be given as a 1-d sequence); ValueError on a non-finite coordinate."""
         return kernel_cross(self.spec, self.centers, X).T @ self.coeffs
 
 

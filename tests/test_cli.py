@@ -271,6 +271,16 @@ class TestKernelExtremes:
         assert cmd_run(config, str(tmp_path / "out")) == 0
         assert (tmp_path / "out" / "config.txt").exists()
 
+    @pytest.mark.parametrize("old, new, lengthscale", [
+        ("kernel.nu = 1.5", "kernel.nu = 2.5", "1e-300"),
+        ("kernel.family = matern", "kernel.family = se", "1e-310"),
+    ], ids=["matern_2.5", "se"])
+    def test_underflowing_profile_runs_silently(self, tmp_path, capsys, old, new, lengthscale):
+        # finite but huge scaled distances: K = I, with no warning or error
+        text = MINIMAL.replace(old, new).replace("kernel.lengthscale = 0.5", f"kernel.lengthscale = {lengthscale}")
+        assert cmd_run(write_config(tmp_path, text), str(tmp_path / "out")) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestSweep:
     def test_horizon_sweep_layout(self, tmp_path):
@@ -391,7 +401,7 @@ class TestReport:
             rows = [line.split(",") for line in lines[1:]]
             for row in rows[32:]:
                 row[x_col] = format(cand[worst, 0], ".17g")
-                row[inst_col] = format(f_star - f(cand[worst]), ".17g")
+                row[inst_col] = format(f_star - f.on_points(cand[worst])[0], ".17g")
             cum = np.cumsum([float(row[inst_col]) for row in rows])
             for row, value in zip(rows, cum):
                 row[cum_col] = format(value, ".17g")
@@ -566,6 +576,11 @@ def _edit_short_config(cell):
     path.write_text(path.read_text().replace("noise.sigma = 0.10000000000000001", "noise.sigma = 0.2"))
 
 
+def _cut_short_config_newline(cell):
+    path = cell / "horizon_16" / "config.txt"
+    path.write_text(path.read_text().rstrip("\n"))
+
+
 class TestSweepReport:
     """``report`` on a sweep grades one run cut at several horizons."""
 
@@ -585,7 +600,8 @@ class TestSweepReport:
     @pytest.mark.parametrize("damage, message", [
         (_edit_short_row, "horizon_16/trace_seed3.csv: not the first 16 rows of horizon_64's trace"),
         (_swap_short_objectives, "horizon_16/objective.txt: not the objectives of horizon_64"),
-        (_edit_short_config, "horizon_16/config.txt: not the config of horizon_64 at horizon 16"),
+        (_edit_short_config, "horizon_16/config.txt: differs from horizon_64 in noise.sigma = 0.2, not only in horizon"),
+        (_cut_short_config_newline, "horizon_16/config.txt: differs from horizon_64 in its length, not only in horizon"),
     ])
     def test_shorter_cell_not_a_cut_exits_4(self, sweep, tmp_path, capsys, damage, message):
         out = tmp_path / "sweep"
@@ -638,7 +654,7 @@ class TestSweepReport:
         assert cmd_report(str(out)) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "beta_c0_1/config.txt: not the config of beta_c0_0.2 at horizon 64" in err
+        assert "beta_c0_1/config.txt: differs from beta_c0_0.2 in beta.c0 = 1, not only in horizon" in err
 
 
 README_EXAMPLE = """\

@@ -10,7 +10,6 @@ from gpucb import (
     KernelSpec,
     holder_validate,
     kernel_cross,
-    kernel_eval,
     kernel_matrix,
 )
 from gpucb import kernels
@@ -18,6 +17,11 @@ from gpucb import kernels
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_HALF = KernelSpec(KernelFamily.MATERN, nu=0.5, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=1.0)
+
+
+def psi(spec, x, y):
+    """Correlation between two points x and y, read off kernel_cross."""
+    return float(kernel_cross(spec, x, y)[0, 0])
 
 
 class TestKernelSpec:
@@ -42,23 +46,23 @@ class TestKernelEval:
     def test_zero_distance_is_one(self):
         general = KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=1.0)
         for spec in (SE, MATERN_HALF, MATERN_32, general):
-            assert kernel_eval(spec, [0.3, 0.4], [0.3, 0.4]) == 1.0
+            assert psi(spec, [0.3, 0.4], [0.3, 0.4]) == 1.0
 
     def test_se_half_value(self):
         # exp(-r^2/2) = 1/2 at r = sqrt(2 ln 2)
         r = math.sqrt(2.0 * math.log(2.0))
-        assert kernel_eval(SE, [0.0], [r]) == pytest.approx(0.5, rel=1e-14)
+        assert psi(SE, [0.0], [r]) == pytest.approx(0.5, rel=1e-14)
 
     def test_matern_half_closed_form(self):
         # K_{1/2} closed form collapses the profile to exp(-z), z = sqrt(2) r
-        assert kernel_eval(MATERN_HALF, [0.0], [1.0]) == pytest.approx(
+        assert psi(MATERN_HALF, [0.0], [1.0]) == pytest.approx(
             math.exp(-math.sqrt(2.0)), rel=1e-12
         )
 
     def test_matern_32_closed_form(self):
         # (1 + z) exp(-z) with z = 2 sqrt(1.5) * 0.5
         z = math.sqrt(6.0) * 0.5
-        assert kernel_eval(MATERN_32, [0.0], [0.5]) == pytest.approx(
+        assert psi(MATERN_32, [0.0], [0.5]) == pytest.approx(
             (1.0 + z) * math.exp(-z), rel=1e-12
         )
 
@@ -69,17 +73,23 @@ class TestKernelEval:
         # at r = 0.7 / (2 sqrt(0.3)): z = 0.7, K_0.3(0.7) = 0.68956248975697498
         r = 0.7 / (2.0 * math.sqrt(0.3))
         expected = 0.7**0.3 * 0.68956248975697498 / (math.gamma(0.3) * 2 ** (0.3 - 1))
-        assert kernel_eval(spec, [0.0], [r]) == pytest.approx(expected, rel=1e-12)
+        assert psi(spec, [0.0], [r]) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            kernel_eval(SE, [float("nan")], [0.0])
-        with pytest.raises(ValueError):
-            kernel_eval(SE, [0.0], [float("inf")])
+        # unchecked, a NaN coordinate gave SE a NaN and Matern a correlation
+        # of exactly 1 with every point
+        for spec in (SE, MATERN_32):
+            for bad in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match="non-finite"):
+                    kernel_cross(spec, [[bad]], [[0.0], [0.7]])
+                with pytest.raises(ValueError, match="non-finite"):
+                    kernel_cross(spec, [[0.0, 1.0]], [[0.0, 0.5], [0.0, bad]])
+                with pytest.raises(ValueError, match="non-finite"):
+                    kernel_matrix(spec, [[0.0], [bad], [0.7]])
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(ValueError):
-            kernel_eval(SE, [0.0, 1.0], [0.0])
+            psi(SE, [0.0, 1.0], [0.0])
 
     @pytest.mark.parametrize("spec", [SE, MATERN_HALF, MATERN_32])
     def test_symmetry_bit_exact(self, spec):
@@ -87,7 +97,7 @@ class TestKernelEval:
         for _ in range(50):
             x = rng.uniform(-2, 2, size=3)
             y = rng.uniform(-2, 2, size=3)
-            assert kernel_eval(spec, x, y) == kernel_eval(spec, y, x)
+            assert psi(spec, x, y) == psi(spec, y, x)
 
     @pytest.mark.parametrize(
         "spec",
@@ -95,7 +105,7 @@ class TestKernelEval:
     )
     def test_range_and_monotone_decay(self, spec):
         radii = np.linspace(0.0, 4.0, 200)
-        vals = np.array([kernel_eval(spec, [0.0], [r]) for r in radii])
+        vals = kernel_cross(spec, [[0.0]], radii[:, None])[0]
         assert vals[0] == 1.0
         assert np.all(vals > 0.0)
         assert np.all(vals <= 1.0)
@@ -110,7 +120,7 @@ class TestKernelEval:
         for nu in (50.0, 100.0):
             spec = KernelSpec(KernelFamily.MATERN, nu=nu, lengthscale=1.0)
             sup_gap[nu] = max(
-                abs(kernel_eval(spec, [0.0], [r]) - kernel_eval(matched, [0.0], [r]))
+                abs(psi(spec, [0.0], [r]) - psi(matched, [0.0], [r]))
                 for r in radii
             )
         assert sup_gap[100.0] < sup_gap[50.0]
@@ -166,6 +176,38 @@ class TestKernelMatrix:
         assert np.array_equal(kernel_matrix(spec, X), expected)
         assert np.array_equal(kernel_cross(spec, X[:2], X), expected[:2])
 
+    @pytest.mark.parametrize("family, nu, lengthscale", [
+        (KernelFamily.SQUARED_EXPONENTIAL, None, 1e-310),
+        (KernelFamily.MATERN, 2.5, 1e-300),
+        (KernelFamily.MATERN, 3.5, 1e-300),
+    ])
+    def test_underflowing_profile_is_uncorrelated(self, family, nu, lengthscale):
+        # finite but huge scaled distances: SE's r / l overflows, and the
+        # half-integer polynomial would overflow where exp(-z) underflows;
+        # either way distinct points get exactly 0 and no warning is raised
+        spec = KernelSpec(family, nu=nu, lengthscale=lengthscale)
+        X = np.array([[0.0], [0.5], [0.5], [1.0]])
+        expected = np.eye(4)
+        expected[1, 2] = expected[2, 1] = 1.0
+        assert np.array_equal(kernel_matrix(spec, X), expected)
+        assert np.array_equal(kernel_cross(spec, X[:2], X), expected[:2])
+
+    @pytest.mark.parametrize("lengthscale", [0.5, 1e-310])
+    @pytest.mark.parametrize("family, nu", [
+        (KernelFamily.SQUARED_EXPONENTIAL, None),
+        (KernelFamily.MATERN, 0.5),
+        (KernelFamily.MATERN, 1.2),
+        (KernelFamily.MATERN, 1.5),
+        (KernelFamily.MATERN, 2.5),
+    ])
+    def test_matrix_is_the_cross_of_a_set_with_itself(self, family, nu, lengthscale):
+        # no diagonal is patched in: both profiles are exactly 1 at zero lag
+        spec = KernelSpec(family, nu=nu, lengthscale=lengthscale)
+        X = np.random.default_rng(4).uniform(size=(30, 2))
+        K = kernel_matrix(spec, X)
+        assert np.array_equal(K, kernel_cross(spec, X, X))
+        assert np.all(np.diag(K) == 1.0)
+
     def test_duplicates_allowed(self):
         K = kernel_matrix(SE, [[0.2], [0.2]])
         assert np.array_equal(K, np.ones((2, 2)))
@@ -193,8 +235,7 @@ class TestHolderValidate:
     def test_matern_rough_theta_and_bounded_ratio(self):
         report = holder_validate(MATERN_HALF, n_samples=5000, max_radius=2.0, seed=5)
         assert report.theta == 0.5
-        assert math.isfinite(report.max_ratio)
-        assert report.max_ratio == report.fitted_A0
+        assert math.isfinite(report.fitted_A0)
 
     def test_gap_bounded_by_fitted_constant(self):
         # the defining inequality holds at every sampled radius by
@@ -202,7 +243,7 @@ class TestHolderValidate:
         for spec in (SE, MATERN_HALF, MATERN_32):
             report = holder_validate(spec, n_samples=2000, max_radius=2.0, seed=9)
             radii = np.logspace(-6, math.log10(2.0), 200)
-            gaps = np.array([1.0 - kernel_eval(spec, [0.0], [r]) for r in radii])
+            gaps = 1.0 - kernel_cross(spec, [[0.0]], radii[:, None])[0]
             assert np.all(gaps <= report.fitted_A0 * radii**report.theta * (1 + 1e-6) + 1e-12)
 
     def test_rejects_small_sample(self):

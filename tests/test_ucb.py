@@ -95,7 +95,7 @@ class TestRunLoop:
         trace = run_gp_ucb(config, f, 0)
         cand = config.candidate_points()
         assert np.array_equal(trace.X[0], cand[0])
-        assert trace.inst_regret[0] == trace.f_star - f(cand[0])
+        assert trace.inst_regret[0] == trace.f_star - f.on_points(cand[0])[0]
 
     def test_same_seed_identical_bytes(self):
         config = make_config(horizon=32, seeds=(3,))
@@ -135,7 +135,7 @@ class TestRunLoop:
             assert math.sqrt(posterior_var_at(state, cand[idx][None])[0]) == pytest.approx(
                 trace.sigma[t], abs=1e-9
             )
-            y = f(cand[idx]) + rng.normal(0.0, config.noise_sigma)
+            y = f.on_points(cand[idx])[0] + rng.normal(0.0, config.noise_sigma)
             assert y == pytest.approx(trace.y[t], abs=1e-12)
             state = update(state, cand[idx], y)
 
@@ -278,7 +278,7 @@ class TestEdpRecommend:
         trace = run_gp_ucb(config, f, 6)
         draws = 20_000
         regrets = np.array(
-            [trace.f_star - f(edp_recommend(trace, seed=s)) for s in range(draws)]
+            [trace.f_star - f.on_points(edp_recommend(trace, seed=s))[0] for s in range(draws)]
         )
         target = trace.cum_regret[-1] / trace.horizon
         mc_err = float(np.std(trace.inst_regret)) / math.sqrt(draws)
