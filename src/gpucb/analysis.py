@@ -5,10 +5,10 @@ These operations grade completed runs:
 * ``greedy_info_gain`` builds a computable surrogate for the maximal
   information gain by greedily growing the design that maximizes the
   marginal log-determinant increase.
-* ``prefix_bound_audit`` replays a trace's selections and measures the sup
-  ratio |f - mean| / sd over a grid at checkpoints, split into its
+* ``prefix_bound_audit`` fits a trace's checkpoints from their distinct
+  designs and measures the sup ratio |f - mean| / sd over a grid, split into
   noiseless-bias and random-error components; ``uniform_bound_audit``
-  grades given posterior states the same way (the replay's test reference).
+  grades given posterior states the same way (its refit reference).
 * ``regret_bound_check`` tests the conditional cumulative-regret
   inequality R_T <= sqrt(8/ln(1+1/rho)) * sqrt(T * beta_{T-1} * I_T)
   on traces whose per-step error-bound flags all held.
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .kernels import KernelFamily, KernelSpec, kernel_cross, kernel_matrix
-from .posterior import GrowingPosterior, PosteriorState, _clamped_var, fit
+from .posterior import GrowingPosterior, PosteriorState, _cholesky, _clamped_var, fit
 from .rkhs import RkhsFunction
 from .ucb import BetaKind, BetaSchedule, RegretTrace, beta_value
 
@@ -57,17 +57,16 @@ class RateReference:
     nu: float | None
     d: int
     cum_exponent: float
-    simple_exponent: float
     gamma_exponent: float
 
 
 def rate_reference(family: KernelFamily, nu: float | None, d: int) -> RateReference:
     """Closed-form reference exponents.
 
-    Matern: cumulative regret T^{(nu+d)/(2nu+d)}, information gain
-    T^{d/(2nu+d)}, simple regret T^{-nu/(2nu+d)} (all modulo polylog
-    factors).  Squared exponential: T^{1/2} cumulative with polylog, and
-    purely polylogarithmic information gain, recorded as exponent 0.
+    Matern: cumulative regret T^{(nu+d)/(2nu+d)} and information gain
+    T^{d/(2nu+d)} (both modulo polylog factors).  Squared exponential:
+    T^{1/2} cumulative with polylog, and purely polylogarithmic information
+    gain, recorded as exponent 0.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -75,8 +74,8 @@ def rate_reference(family: KernelFamily, nu: float | None, d: int) -> RateRefere
         if nu is None or nu <= 0.0:
             raise ValueError(f"Matern requires nu > 0, got {nu}")
         denom = 2.0 * nu + d
-        return RateReference(family, nu, d, (nu + d) / denom, -nu / denom, d / denom)
-    return RateReference(family, None, d, 0.5, -0.5, 0.0)
+        return RateReference(family, nu, d, (nu + d) / denom, d / denom)
+    return RateReference(family, None, d, 0.5, 0.0)
 
 
 def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.ndarray:
@@ -94,7 +93,7 @@ def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.nda
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     M = kernel_matrix(spec, candidates)
-    post = GrowingPosterior(spec, rho, candidates, T, n_targets=0)
+    post = GrowingPosterior(spec, rho, candidates, T)
     series = np.empty(T)
     total = 0.0
     for t in range(T):
@@ -102,7 +101,7 @@ def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.nda
         c = int(np.argmax(var))
         total += 0.5 * math.log1p(var[c] / rho)
         series[t] = total
-        post.observe(c, M[c])
+        post.observe(c, M[c], 0.0)
     return series
 
 
@@ -183,6 +182,20 @@ class AuditSeries:
     random_ratio: tuple[float, ...]
 
 
+def _audit(f_grid: np.ndarray, ts: Sequence[int], fits) -> AuditSeries:
+    """Sup ratios over a grid (f values ``f_grid``) at times ``ts`` of the
+    posteriors in ``fits``, each (kernel block of the design against the grid,
+    factor of its kernel-plus-noise matrix, observations, exact values)."""
+    ratios = []
+    for C, L, y, y_exact in fits:
+        W = solve_triangular(L, C, lower=True, check_finite=False)
+        sd = np.sqrt(_clamped_var(1.0 - np.sum(W * W, axis=0)))
+        alpha = cho_solve((L, True), np.column_stack([y, y_exact]), check_finite=False)
+        mean, mean_exact = (C.T @ alpha).T
+        ratios.append([float(np.max(np.abs(d) / sd)) for d in (f_grid - mean, f_grid - mean_exact, mean - mean_exact)])
+    return AuditSeries(tuple(ts), *(tuple(r[i] for r in ratios) for i in range(3)))
+
+
 def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid) -> AuditSeries:
     """Measure the sup error ratios of each posterior state over a grid.
 
@@ -191,22 +204,8 @@ def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid)
     variance below -1e-12 (a broken factor) raises NumericError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    f_grid = f.on_points(grid)
-    ts, ratios, biases, randoms = [], [], [], []
-    for state in states:
-        # one triangular solve serves every column; sd is shared between the
-        # noisy fit and its noiseless replay (same design, same factor)
-        C = kernel_cross(state.spec, state.X, grid)
-        W = solve_triangular(state.chol, C, lower=True, check_finite=False)
-        sd = np.sqrt(_clamped_var(1.0 - np.sum(W * W, axis=0)))
-        mean = C.T @ state.alpha
-        alpha_exact = cho_solve((state.chol, True), f.on_points(state.X), check_finite=False)
-        mean_exact = C.T @ alpha_exact
-        ts.append(state.t)
-        ratios.append(float(np.max(np.abs(f_grid - mean) / sd)))
-        biases.append(float(np.max(np.abs(f_grid - mean_exact) / sd)))
-        randoms.append(float(np.max(np.abs(mean - mean_exact) / sd)))
-    return AuditSeries(tuple(ts), tuple(ratios), tuple(biases), tuple(randoms))
+    fits = ((kernel_cross(s.spec, s.X, grid), s.chol, s.y, f.on_points(s.X)) for s in states)
+    return _audit(f.on_points(grid), [s.t for s in states], fits)
 
 
 def grid_columns(grid: np.ndarray, X: np.ndarray, where: str = "in the audit grid") -> np.ndarray:
@@ -222,37 +221,32 @@ def grid_columns(grid: np.ndarray, X: np.ndarray, where: str = "in the audit gri
 def prefix_bound_audit(
     f: RkhsFunction, trace: RegretTrace, rho: float, grid, checkpoints: Sequence[int]
 ) -> AuditSeries:
-    """Same ratios as ``uniform_bound_audit`` over trace prefixes, in one replay.
+    """Same ratios as ``uniform_bound_audit`` over trace prefixes.
 
-    The trace's selections are replayed through a posterior over the grid
-    that tracks the recorded observations and the exact f values side by
-    side, with one kernel row per distinct design point.  Agrees with
-    refitting each prefix to well below the audit tolerances.  Raises
-    ValueError if a design point is not a grid point.
+    k observations at a point with noise variance rho give the posterior of
+    one observation of their mean with noise rho / k (stochastic kriging's
+    replicate form; Ankenman, Nelson & Staum, Oper. Res. 2010), so a prefix
+    is fit by factoring K[D, D] + diag(rho / k) over its d distinct points D:
+    O(d^3 + d^2 n) on an n-point grid.  ValueError for an off-grid point.
     """
     checkpoints = sorted(checkpoints)
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > trace.horizon:
         raise ValueError(f"checkpoints must lie in [1, {trace.horizon}], got {checkpoints}")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    T = checkpoints[-1]
-    X = trace.X[:T]
-    cols = grid_columns(grid, X)
-    rows, which = np.unique(cols, return_inverse=True)
-    K = kernel_cross(trace.spec, grid[rows], grid)
-    y_exact = f.on_points(X)
+    cols = grid_columns(grid, trace.X[: checkpoints[-1]])
+    # one kernel block, sliced per checkpoint, so bessel_k runs once per audit
+    design = np.unique(cols)
+    K = kernel_cross(trace.spec, grid[design], grid)
     f_grid = f.on_points(grid)
-    post = GrowingPosterior(trace.spec, rho, grid, T, n_targets=2)
-    ts, ratios, biases, randoms = [], [], [], []
-    for cp in checkpoints:
-        for t in range(post.t, cp):
-            post.observe(cols[t], K[which[t]], trace.y[t], y_exact[t])
-        sd = np.sqrt(post.variance())
-        mean, mean_exact = post.mean
-        ts.append(cp)
-        ratios.append(float(np.max(np.abs(f_grid - mean) / sd)))
-        biases.append(float(np.max(np.abs(f_grid - mean_exact) / sd)))
-        randoms.append(float(np.max(np.abs(mean - mean_exact) / sd)))
-    return AuditSeries(tuple(ts), tuple(ratios), tuple(biases), tuple(randoms))
+
+    def fits():
+        for cp in checkpoints:
+            rows, which, count = np.unique(cols[:cp], return_inverse=True, return_counts=True)
+            C = K[np.searchsorted(design, rows)]
+            L = _cholesky(C[:, rows], rho / count)
+            yield C, L, np.bincount(which, weights=trace.y[:cp]) / count, f_grid[rows]
+
+    return _audit(f_grid, checkpoints, fits())
 
 
 def trace_information_gain(trace: RegretTrace, rho: float) -> float:

@@ -48,7 +48,7 @@ from .config import ConfigError, ExperimentConfig, parse_config, parse_config_fi
 from .kernels import KernelFamily
 from .posterior import NumericError
 from .rkhs import RkhsFunction, _fmt, objective_record, parse_objective_record
-from .ucb import RegretTrace, run_gp_ucb, trace_from_csv, trace_to_csv
+from .ucb import RegretTrace, beta_value, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
 
@@ -204,8 +204,8 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
 
 def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple[list[RegretTrace], dict]:
     """Traces and recorded objectives (by seed) of one suite, each trace
-    checked against its objective on the evaluation grid ``grid``; OSError
-    or ValueError names what is damaged."""
+    checked against the config's beta schedule and its objective on the
+    evaluation grid ``grid``; OSError or ValueError names what is damaged."""
     records = cell / "objective.txt"
     objectives, f_grids = {}, {}
     try:
@@ -216,6 +216,7 @@ def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple
                 f_grids[seed] = f.on_points(grid)
     except ValueError as exc:
         raise ValueError(f"{records}: {exc}") from None
+    beta = np.array([beta_value(config.beta, t, config.rho) for t in range(config.horizon)])
     traces = []
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"
@@ -227,6 +228,9 @@ def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple
             trace = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, f_star, seed)
             if trace.horizon != config.horizon:
                 raise ValueError(f"{trace.horizon} rows for horizon {config.horizon}")
+            forged = np.flatnonzero(trace.beta != beta)
+            if forged.size:
+                raise ValueError(f"beta at t={forged[0] + 1} is not the configured schedule")
             # the run sums left to right and writes round-trip digits, so the
             # column must reproduce exactly
             forged = np.flatnonzero(np.cumsum(trace.inst_regret) != trace.cum_regret)
@@ -347,17 +351,14 @@ def cmd_report(out_dir: str) -> int:
         encoding="utf-8",
     )
 
-    checkpoints = [t for t in fit_res.checkpoints]
-    audit_traces = traces[: min(5, len(traces))]
-    growth_ok, bias_ok = True, True
-    growth_detail = []
+    checkpoints = fit_res.checkpoints
+    audit_traces = traces[:5]
+    allowed = 1.5 * math.sqrt(math.log1p(config.rho * checkpoints[-1]) / math.log1p(config.rho * checkpoints[0]))
+    growth_ok, bias_ok, growth_detail = True, True, []
     for tr in audit_traces:
         f = objectives[tr.seed]
         audit = prefix_bound_audit(f, tr, config.rho, grid, checkpoints)
         bias_ok &= max(audit.bias_ratio) <= f.norm * (1.0 + 1e-6)
-        allowed = 1.5 * math.sqrt(
-            math.log1p(config.rho * checkpoints[-1]) / math.log1p(config.rho * checkpoints[0])
-        )
         ratio = audit.ratio[-1] / audit.ratio[0]
         growth_ok &= ratio <= allowed
         growth_detail.append(f"{ratio:.3f}<={allowed:.3f}")

@@ -325,10 +325,12 @@ def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 
 
 def _se_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    # a tiny lengthscale can make u, or its square, overflow: exp(-inf) is 0
+    # in place (no temporaries); a tiny lengthscale overflows u or u * u, and exp(-inf) is 0
     with np.errstate(over="ignore"):
         u = r / spec.lengthscale
-        return np.exp(-0.5 * u * u)
+        u *= u
+        u *= -0.5  # exact, so the bits of exp(-0.5 * u * u)
+        return np.exp(u, out=u)
 
 
 def _radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:

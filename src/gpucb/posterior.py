@@ -10,8 +10,7 @@ States are immutable; ``update`` extends the factor by one row and returns
 a new state, which matches a from-scratch refit to within round-off.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
 update rule per observation: O(t n) per step up to t = 2n, then O(n^2) in
-covariance form.  The UCB loop, the greedy information gain and the prefix
-audits all grow their posteriors through it.
+covariance form, for the UCB loop and the greedy information gain.
 """
 
 from __future__ import annotations
@@ -92,16 +91,20 @@ def fit(spec: KernelSpec, rho: float, X, y) -> PosteriorState:
     t = X.shape[0]
     if t != y.shape[0]:
         raise ValueError(f"design/observation length mismatch: {t} vs {y.shape[0]}")
-    A = kernel_matrix(spec, X)
-    A[np.diag_indices(t)] += rho
-    # A.T is A in the Fortran order LAPACK factors in place; info > 0 is the
-    # 1-based order of the first non-positive (or non-finite) leading minor
-    L, info = dpotrf(A.T, lower=True, clean=True, overwrite_a=True)
-    if info > 0:
-        idx = info - 1
-        raise NumericError(f"Cholesky factorization of K + rho*I failed at pivot {idx}", index=idx)
+    L = _cholesky(kernel_matrix(spec, X), rho)
     alpha = cho_solve((L, True), y, check_finite=False)
     return PosteriorState(spec, rho, _freeze(X), _freeze(y), _freeze(L), _freeze(alpha))
+
+
+def _cholesky(K: np.ndarray, noise) -> np.ndarray:
+    """Lower Cholesky factor of K + diag(noise), computed in K's memory."""
+    K[np.diag_indices(K.shape[0])] += noise
+    # K.T is K in the Fortran order LAPACK factors in place; info > 0 is the
+    # 1-based order of the first non-positive (or non-finite) leading minor
+    L, info = dpotrf(K.T, lower=True, clean=True, overwrite_a=True)
+    if info > 0:
+        raise NumericError(f"Cholesky factorization of K + rho*I failed at pivot {info - 1}", index=info - 1)
+    return L
 
 
 def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
@@ -152,25 +155,24 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
 class GrowingPosterior:
     """Posterior over a fixed set of n points, grown one observation at a time.
 
-    Observing point c applies one rule (Rasmussen & Williams, GPML, 2006,
-    ch. 2): with s the posterior covariance of c with every point and
-    d2 = rho + var[c], each tracked observation vector (target) moves its
-    mean by s (y - mean[c]) / d2, and the covariance drops by s s' / d2.  Up
-    to t = 2n the drops are kept as rows s / sqrt(d2) of W, so s = k_row -
-    W[:, c]' W: O(t n) per step.  At t = 2n the posterior builds the kernel
-    matrix K of its points and forms S = K - W'W, then reads s off S and
-    downdates it in place: O(n^2) per step.  The switch step depends on n
-    alone, so a shorter run stays a prefix of a longer one.  Design points
-    must be among the n points.
+    Observing y at point c applies one rule (Rasmussen & Williams, GPML,
+    2006, ch. 2): with s the posterior covariance of c with every point and
+    d2 = rho + var[c], the mean moves by s (y - mean[c]) / d2, and the
+    covariance drops by s s' / d2.  Up to t = 2n the drops are kept as rows
+    s / sqrt(d2) of W, so s = k_row - W[:, c]' W: O(t n) per step.  At t = 2n
+    the posterior builds the kernel matrix K of its points and forms
+    S = K - W'W, then reads s off S and downdates it in place: O(n^2) per
+    step.  The switch step depends on n alone, so a shorter run stays a
+    prefix of a longer one.  Design points must be among the n points.
     """
 
-    def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int, n_targets: int = 1):
+    def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int):
         n = points.shape[0]
         self.spec = spec
         self.rho = rho
         self.points = points
         self.t = 0
-        self.mean = np.zeros((n_targets, n))
+        self.mean = np.zeros(n)
         self._W = np.empty((min(horizon, 2 * n), n))
         self._sumsq = np.zeros(n)
         self._S = None
@@ -180,11 +182,11 @@ class GrowingPosterior:
         raw = 1.0 - self._sumsq if self._S is None else np.diagonal(self._S)
         return _clamped_var(raw, step=self.t + 1)
 
-    def observe(self, c: int, k_row: np.ndarray, *ys: float) -> None:
-        """Add point ``c``, given its kernel row over the points (read only
-        before the switch) and one observation per target."""
+    def observe(self, c: int, k_row: np.ndarray, y: float) -> None:
+        """Add the observation ``y`` at point ``c``, given its kernel row over
+        the points (read only before the switch)."""
         t = self.t
-        if t == 2 * self.mean.shape[1]:
+        if t == 2 * self.mean.shape[0]:
             self._S = kernel_matrix(self.spec, self.points) - self._W.T @ self._W
         if self._S is None:
             s = k_row - self._W[:t, c] @ self._W[:t]
@@ -192,8 +194,7 @@ class GrowingPosterior:
         else:
             s = self._S[:, c].copy()
             d2 = self.rho + max(self._S[c, c], 0.0)
-        for j, y in enumerate(ys):
-            self.mean[j] += s * ((y - self.mean[j, c]) / d2)
+        self.mean += s * ((y - self.mean[c]) / d2)
         if self._S is None:
             w_row = s / math.sqrt(d2)
             self._W[t] = w_row

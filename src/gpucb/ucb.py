@@ -180,7 +180,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     flag_out = np.empty(T, dtype=bool)
     for t in range(T):
         beta = beta_value(config.beta, t, rho)
-        mean = post.mean[0]
+        mean = post.mean
         sd = np.sqrt(post.variance())
         c = _select(mean[:m], sd[:m], beta, step=t + 1)
         root_beta = math.sqrt(beta)

@@ -51,7 +51,6 @@ class TestRateReference:
         ref = rate_reference(KernelFamily.MATERN, 1.5, 1)
         assert ref.cum_exponent == pytest.approx(0.625)
         assert ref.gamma_exponent == pytest.approx(0.25)
-        assert ref.simple_exponent == pytest.approx(-0.375)
 
     def test_matern_52_d1(self):
         ref = rate_reference(KernelFamily.MATERN, 2.5, 1)
@@ -240,10 +239,30 @@ class TestUniformBoundAudit:
         self.assert_prefix_audit_matches_refits(config, [8, 24, 96])
 
     def test_prefix_audit_matches_refits_past_the_covariance_switch(self):
-        # a 16-point grid: the replay switches at t = 32, between checkpoints
+        # a 16-point grid: t = 32 is where the run's posterior switches to its
+        # covariance form, and from there points repeat
         config = make_config(horizon=64, noise_sigma=0.15, candidates_count=16, eval_grid_count=16, seeds=(5,))
         assert config.evaluation_points().shape[0] == 16
         self.assert_prefix_audit_matches_refits(config, [8, 24, 32, 33, 40, 64])
+
+    def test_prefix_audit_matches_refits_under_heavy_replication(self):
+        # 4 grid points and 200 steps: the distinct design is complete by
+        # t = 8, after which each checkpoint fits 4 points standing for
+        # dozens of observations each
+        config = make_config(horizon=200, noise_sigma=0.15, candidates_count=4, eval_grid_count=4, seeds=(5,))
+        f = config.objective_for_seed(5)
+        trace = run_gp_ucb(config, f, 5)
+        grid = config.evaluation_points()
+        checkpoints = [8, 50, 100, 200]
+        cols = grid_columns(grid, trace.X)
+        assert all(np.unique(cols[:t]).size == 4 for t in checkpoints)
+        assert np.bincount(cols).min() >= 24
+        slow = uniform_bound_audit(f, states_at_checkpoints(trace, config.rho, checkpoints), grid)
+        fast = prefix_bound_audit(f, trace, config.rho, grid, checkpoints)
+        assert fast.t == slow.t
+        for a, b in [(fast.ratio, slow.ratio), (fast.bias_ratio, slow.bias_ratio),
+                     (fast.random_ratio, slow.random_ratio)]:
+            assert np.allclose(a, b, rtol=1e-9, atol=0), (a, b)
 
     def test_broken_factor_raises_instead_of_clamping(self):
         # a halved factor doubles L^-1 k, so 1 - |L^-1 k|^2 goes well below 0

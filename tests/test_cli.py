@@ -507,6 +507,18 @@ def _forge_cum_regret(cell):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _forge_beta(cell):
+    # a larger exploration weight from t=7 on, every other column left alone
+    path = cell / "trace_seed4.csv"
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("beta")
+    for i in range(7, len(lines)):
+        row = lines[i].split(",")
+        row[col] = "1000"
+        lines[i] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestDamagedRunReport:
     @pytest.fixture(scope="class")
     def suite(self, tmp_path_factory):
@@ -531,6 +543,7 @@ class TestDamagedRunReport:
         (_short_trace, "rows for horizon 64"),
         (_move_point, "not on the evaluation grid"),
         (_forge_cum_regret, "trace_seed2.csv: cum_regret at t=20 is not the running sum"),
+        (_forge_beta, "trace_seed4.csv: beta at t=7 is not the configured schedule"),
     ])
     def test_damage_exits_4(self, suite, tmp_path, capsys, damage, message):
         cell = tmp_path / "run"

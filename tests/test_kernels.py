@@ -208,6 +208,16 @@ class TestKernelMatrix:
         assert np.array_equal(K, kernel_cross(spec, X, X))
         assert np.all(np.diag(K) == 1.0)
 
+    @pytest.mark.parametrize("lengthscale", [0.05, 0.5, 3.0, 1e-310, 1e300])
+    def test_se_profile_is_the_textbook_formula_bit_for_bit(self, lengthscale):
+        # 1e-310 overflows r / l to inf; 1e300 underflows u * u to zero
+        spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=lengthscale)
+        X = np.random.default_rng(8).uniform(size=(30, 2))
+        with np.errstate(over="ignore"):
+            u = kernels._pairwise_distances(X[:12], X) / lengthscale
+            expected = np.exp(-0.5 * u * u)
+        assert np.array_equal(kernel_cross(spec, X[:12], X), expected)
+
     def test_duplicates_allowed(self):
         K = kernel_matrix(SE, [[0.2], [0.2]])
         assert np.array_equal(K, np.ones((2, 2)))

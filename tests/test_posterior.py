@@ -188,14 +188,14 @@ class TestPredictions:
         assert np.max(np.abs(posterior_var_at(state, grid) - posterior_var_at(direct, grid))) < 1e-9
 
 
-def grow(points, rho, horizon, order, ys):
-    """A GrowingPosterior over ``points`` fed ``order``, yielding (mean,
-    variance) before each step and after the last."""
+def grow(points, rho, horizon, order, y):
+    """A GrowingPosterior over ``points`` fed ``y`` at ``order``, yielding
+    (mean, variance) before each step and after the last."""
     Kp = kernel_matrix(MATERN_03, points)
-    post = GrowingPosterior(MATERN_03, rho, points, horizon, n_targets=ys.shape[0])
+    post = GrowingPosterior(MATERN_03, rho, points, horizon)
     for t, c in enumerate(order):
         yield post.mean.copy(), post.variance()
-        post.observe(c, Kp[c], *ys[:, t])
+        post.observe(c, Kp[c], y[t])
     yield post.mean.copy(), post.variance()
 
 
@@ -209,22 +209,20 @@ class TestGrowingPosterior:
     ys = rng.standard_normal((2, 40))
 
     def test_matches_fit_on_both_sides_of_the_switch(self):
-        states = grow(self.points, 0.5, 40, self.order, self.ys)
-        for t, (mean, var) in enumerate(states):
-            X = self.points[self.order[:t]]
-            fits = [fit(MATERN_03, 0.5, X, self.ys[j, :t]) for j in range(2)]
-            for j, state in enumerate(fits):
-                assert np.allclose(mean[j], posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (t, j)
-            assert np.allclose(var, posterior_var_at(fits[0], self.points), rtol=0, atol=1e-9), t
+        for j, y in enumerate(self.ys):
+            for t, (mean, var) in enumerate(grow(self.points, 0.5, 40, self.order, y)):
+                state = fit(MATERN_03, 0.5, self.points[self.order[:t]], y[:t])
+                assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (t, j)
+                assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), (t, j)
 
     @pytest.mark.parametrize("horizon", [10, 16, 17, 24])
     def test_shorter_horizon_is_a_bitwise_prefix(self, horizon):
         # the switch step is fixed by n, so the horizon never moves a bit
-        order, ys = self.order[:horizon], self.ys[:, :horizon]
-        short = list(grow(self.points, 0.5, horizon, order, ys))
-        whole = list(grow(self.points, 0.5, 40, self.order, self.ys))
-        for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(short, whole)):
-            assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), t
+        for j, y in enumerate(self.ys):
+            short = list(grow(self.points, 0.5, horizon, self.order[:horizon], y[:horizon]))
+            whole = list(grow(self.points, 0.5, 40, self.order, y))
+            for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(short, whole)):
+                assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), (t, j)
 
     def test_negative_variance_after_the_switch_is_an_error(self, monkeypatch):
         # a kernel matrix with a halved diagonal, built at the switch, leaves
@@ -233,7 +231,7 @@ class TestGrowingPosterior:
         K[np.diag_indices(8)] = 0.5
         monkeypatch.setattr("gpucb.posterior.kernel_matrix", lambda spec, X: K.copy())
         with pytest.raises(NumericError, match="negative posterior variance") as excinfo:
-            list(grow(self.points, 0.5, 40, self.order, self.ys))
+            list(grow(self.points, 0.5, 40, self.order, self.ys[0]))
         assert excinfo.value.step == 18
 
 
