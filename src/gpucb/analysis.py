@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .kernels import KernelFamily, KernelSpec, kernel_cross, kernel_matrix
+from .kernels import KernelFamily, KernelSpec, kernel_cross
 from .posterior import GrowingPosterior, PosteriorState, _cholesky, _clamped_var, fit
 from .rkhs import RkhsFunction
 from .ucb import BetaKind, BetaSchedule, RegretTrace, beta_value
@@ -92,7 +92,6 @@ def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.nda
         raise ValueError(f"need 1 <= T <= |candidates| = {m}, got T = {T}")
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    M = kernel_matrix(spec, candidates)
     post = GrowingPosterior(spec, rho, candidates, T)
     series = np.empty(T)
     total = 0.0
@@ -101,7 +100,7 @@ def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.nda
         c = int(np.argmax(var))
         total += 0.5 * math.log1p(var[c] / rho)
         series[t] = total
-        post.observe(c, M[c], 0.0)
+        post.observe(c, 0.0)
     return series
 
 

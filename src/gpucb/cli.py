@@ -48,7 +48,7 @@ from .config import ConfigError, ExperimentConfig, parse_config, parse_config_fi
 from .kernels import KernelFamily
 from .posterior import NumericError
 from .rkhs import RkhsFunction, _fmt, objective_record, parse_objective_record
-from .ucb import RegretTrace, beta_value, run_gp_ucb, trace_from_csv, trace_to_csv
+from .ucb import RegretTrace, _seed_noise, beta_value, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
 
@@ -204,8 +204,9 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
 
 def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple[list[RegretTrace], dict]:
     """Traces and recorded objectives (by seed) of one suite, each trace
-    checked against the config's beta schedule and its objective on the
-    evaluation grid ``grid``; OSError or ValueError names what is damaged."""
+    checked against the config's beta schedule, its objective on the
+    evaluation grid ``grid`` and its seed's noise draws; OSError or
+    ValueError names what is damaged."""
     records = cell / "objective.txt"
     objectives, f_grids = {}, {}
     try:
@@ -238,11 +239,15 @@ def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple
                 raise ValueError(f"cum_regret at t={forged[0] + 1} is not the running sum of inst_regret")
             played = f_grid[grid_columns(grid, trace.X, "on the evaluation grid")]
             # round-off only: the last bits of a BLAS product differ between builds
-            off = np.flatnonzero(~(np.abs(f_star - played - trace.inst_regret) <= 1e-9 * max(1.0, abs(f_star))))
+            tol = 1e-9 * max(1.0, abs(f_star))
+            off = np.flatnonzero(~(np.abs(f_star - played - trace.inst_regret) <= tol))
             if off.size:
                 raise ValueError(
                     f"inst_regret at t={off[0] + 1} is not f_star - f(x_t) under the recorded objective"
                 )
+            off = np.flatnonzero(~(np.abs(played + _seed_noise(config, seed) - trace.y) <= tol))
+            if off.size:
+                raise ValueError(f"y at t={off[0] + 1} is not f(x_t) plus the seed's noise draw")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         traces.append(trace)

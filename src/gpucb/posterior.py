@@ -9,8 +9,9 @@ factor L of K + rho*I.  Predictions follow the standard ridge form
 States are immutable; ``update`` extends the factor by one row and returns
 a new state, which matches a from-scratch refit to within round-off.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
-update rule per observation: O(t n) per step up to t = 2n, then O(n^2) in
-covariance form, for the UCB loop and the greedy information gain.
+update rule per observation, for the UCB loop and the greedy information
+gain: O(r n) per step with r <= 2d + 1 rows for d distinct points played,
+plus O(d^3 + d^2 n) each time it refactors its rows from those d points.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf
 
 from .kernels import KernelSpec, kernel_cross, kernel_matrix
@@ -158,52 +159,70 @@ class GrowingPosterior:
     Observing y at point c applies one rule (Rasmussen & Williams, GPML,
     2006, ch. 2): with s the posterior covariance of c with every point and
     d2 = rho + var[c], the mean moves by s (y - mean[c]) / d2, and the
-    covariance drops by s s' / d2.  Up to t = 2n the drops are kept as rows
-    s / sqrt(d2) of W, so s = k_row - W[:, c]' W: O(t n) per step.  At t = 2n
-    the posterior builds the kernel matrix K of its points and forms
-    S = K - W'W, then reads s off S and downdates it in place: O(n^2) per
-    step.  The switch step depends on n alone, so a shorter run stays a
-    prefix of a longer one.  Design points must be among the n points.
+    covariance drops by s s' / d2.  The drops are kept as rows s / sqrt(d2)
+    of W, so s = K[c] - W[:, c]' W: O(r n) for r rows.  Once the rows exceed
+    twice the d distinct points played, W is refactored from that distinct
+    design: k plays at a point act as one play of their mean with noise
+    rho / k (Ankenman, Nelson & Staum, Oper. Res. 2010), so W = L^{-1} K[D]
+    with L L' = K[D, D] + diag(rho / k), O(d^3 + d^2 n).  Rows stay at most
+    2d + 1, and the refactor steps depend on the prefix alone, so a shorter
+    run stays a prefix of a longer one.  Design points must be among the n
+    points.
     """
 
     def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int):
         n = points.shape[0]
-        self.spec = spec
         self.rho = rho
-        self.points = points
         self.t = 0
         self.mean = np.zeros(n)
-        self._W = np.empty((min(horizon, 2 * n), n))
+        # built before W: the other order raised a 2026-point sweep's peak RSS
+        # from 156 to 187 MiB
+        self._K = kernel_matrix(spec, points)
+        self._W = np.empty((min(horizon, 2 * n + 1), n))
+        self._rows = 0
         self._sumsq = np.zeros(n)
-        self._S = None
+        self._count = np.zeros(n)
+        self._ysum = np.zeros(n)
 
     def variance(self) -> np.ndarray:
         """Predictive variance at every point before step t+1."""
-        raw = 1.0 - self._sumsq if self._S is None else np.diagonal(self._S)
-        return _clamped_var(raw, step=self.t + 1)
+        return _clamped_var(1.0 - self._sumsq, step=self.t + 1)
 
-    def observe(self, c: int, k_row: np.ndarray, y: float) -> None:
-        """Add the observation ``y`` at point ``c``, given its kernel row over
-        the points (read only before the switch)."""
-        t = self.t
-        if t == 2 * self.mean.shape[0]:
-            self._S = kernel_matrix(self.spec, self.points) - self._W.T @ self._W
-        if self._S is None:
-            s = k_row - self._W[:t, c] @ self._W[:t]
-            d2 = self.rho + max(1.0 - self._sumsq[c], 0.0)
-        else:
-            s = self._S[:, c].copy()
-            d2 = self.rho + max(self._S[c, c], 0.0)
+    def observe(self, c: int, y: float) -> None:
+        """Add the observation ``y`` at point ``c``."""
+        r = self._rows
+        W = self._W
+        s = self._K[c] - W[:r, c] @ W[:r]
+        d2 = self.rho + max(1.0 - self._sumsq[c], 0.0)
         self.mean += s * ((y - self.mean[c]) / d2)
-        if self._S is None:
-            w_row = s / math.sqrt(d2)
-            self._W[t] = w_row
-            self._sumsq += w_row * w_row
-        else:
-            # S -= s s' / d2 in place: S.T is the Fortran-ordered view BLAS
-            # writes into, and the update is the same on either side of it
-            dger(-1.0 / d2, s, s, a=self._S.T, overwrite_a=True)
-        self.t = t + 1
+        w_row = np.divide(s, math.sqrt(d2), out=W[r])
+        self._sumsq += w_row * w_row
+        self._rows = r + 1
+        self._count[c] += 1.0
+        self._ysum[c] += y
+        self.t += 1
+        if self._rows > 2 * np.count_nonzero(self._count):
+            self._refactor()
+
+    def _refactor(self) -> None:
+        """W = L^{-1} K[D] and mean = (L^{-1} ybar)' W over the distinct design D."""
+        D = np.flatnonzero(self._count)
+        k = self._count[D]
+        try:
+            L = _cholesky(self._K[np.ix_(D, D)], self.rho / k)
+        except NumericError as exc:
+            exc.step = self.t
+            raise
+        # mode="clip" (the indices are valid): the default mode buffers ``out``
+        # in a d x n temporary
+        Wd = np.take(self._K, D, axis=0, out=self._W[: D.size], mode="clip")
+        # Wd.T is Wd in the Fortran order BLAS writes into: solving X L' = Wd.T
+        # there leaves Wd = L^{-1} K[D], with no d x n temporary
+        dtrsm(1.0, L, Wd.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        z = solve_triangular(L, self._ysum[D] / k, lower=True, check_finite=False)
+        np.matmul(z, Wd, out=self.mean)
+        np.einsum("ij,ij->j", Wd, Wd, out=self._sumsq)
+        self._rows = D.size
 
 
 def logdet_information(state: PosteriorState) -> float:

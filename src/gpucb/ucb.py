@@ -5,9 +5,10 @@ current posterior, observes the objective plus sub-Gaussian noise, and
 updates the posterior incrementally through a
 ``posterior.GrowingPosterior`` over the n = m + 1 tracked points (the
 candidates and the incumbent optimum), one rank-one rule per observation:
-O(t n) per step up to t = 2n, then O(n^2), where the posterior builds the
-points' kernel matrix itself and downdates their posterior covariance.  A
-run is O(min(T, 2n)^2 n + max(T - 2n, 0) n^2) instead of O(T^3 m).  It is
+O(r n) per step with r <= 2d + 1 rows for the d distinct points played so
+far, plus O(d^3 + d^2 n) whenever the posterior refactors its rows from
+those d points.  Refactors come more than d steps apart, so a run is
+O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  It is
 algebraically the same recursion as ``posterior.update`` restricted to the
 tracked points, and the tests pin the two against each other.
 
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_matrix
+from .kernels import KernelSpec
 from .posterior import GrowingPosterior, NumericError, PosteriorState, posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction
 
@@ -148,13 +149,18 @@ def _noise(kind: str, sigma: float, rng: np.random.Generator, T: int) -> np.ndar
     raise ValueError(f"unknown noise kind: {kind!r}")
 
 
+def _seed_noise(config: "ExperimentConfig", seed: int) -> np.ndarray:
+    """The observation noise of a seed's run, one draw per step, from its own
+    stream at seed + 1: extending the horizon replays the same prefix."""
+    return _noise(config.noise_kind, config.noise_sigma, np.random.default_rng(seed + 1), config.horizon)
+
+
 def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> RegretTrace:
     """Execute one seeded run of the sampling loop.
 
     The fixed candidates are the first rows of the evaluation grid, whose
     maximum is the reference optimum, so instantaneous regret is
-    non-negative.  Noise draws come from a dedicated stream at seed + 1, so
-    extending the horizon replays the same prefix.
+    non-negative.
     """
     T = config.horizon
     if T < 1:
@@ -168,11 +174,10 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     best = int(np.argmax(f_grid))
     f_star = float(f_grid[best])
     f_cand = f_grid[:m]
-    noise = _noise(config.noise_kind, config.noise_sigma, np.random.default_rng(seed + 1), T)
+    noise = _seed_noise(config, seed)
 
     # track the incumbent optimum as a shadow column next to the candidates
     points = np.vstack([cand, grid[best][None, :]])
-    M = kernel_matrix(spec, points)
     post = GrowingPosterior(spec, rho, points, T)
 
     choice = np.empty(T, dtype=np.intp)
@@ -192,7 +197,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
         beta_out[t] = beta
         sigma_out[t] = sd[c]
         mu_out[t] = mean[c]
-        post.observe(c, M[c], f_cand[c] + noise[t])
+        post.observe(c, f_cand[c] + noise[t])
 
     X, y, inst = cand[choice], f_cand[choice] + noise, f_star - f_cand[choice]
     cum = np.cumsum(inst)  # left to right, as report checks it

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The heavy suites (horizon-4096 runs over many seeds) are session fixtures
-shared across criteria.  The whole module runs in roughly 10-15 minutes on
-one core; criteria 6-8 dominate.
+shared across criteria.  The whole module runs in about 30 seconds on one
+core of a 2-vCPU VM; criteria 6-8 dominate.
 
 Exploration-constant calibration follows the pilot protocol: five dedicated
 pilot seeds at horizon 512, audited at the geometric checkpoints

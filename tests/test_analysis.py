@@ -238,9 +238,10 @@ class TestUniformBoundAudit:
         config = make_config(horizon=96, noise_sigma=0.15, seeds=(5,))
         self.assert_prefix_audit_matches_refits(config, [8, 24, 96])
 
-    def test_prefix_audit_matches_refits_past_the_covariance_switch(self):
-        # a 16-point grid: t = 32 is where the run's posterior switches to its
-        # covariance form, and from there points repeat
+    def test_prefix_audit_matches_refits_with_repeated_points(self):
+        # a 16-point grid and 64 steps: every checkpoint's design repeats
+        # points (6 distinct at t = 8, 14 from t = 32), and the run's own
+        # posterior refactors after steps 29, 44 and 59
         config = make_config(horizon=64, noise_sigma=0.15, candidates_count=16, eval_grid_count=16, seeds=(5,))
         assert config.evaluation_points().shape[0] == 16
         self.assert_prefix_audit_matches_refits(config, [8, 24, 32, 33, 40, 64])

@@ -18,6 +18,7 @@ from gpucb import (
 )
 from gpucb.cli import _flagged_from, cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 from gpucb.config import ExperimentConfig
+from gpucb.ucb import _seed_noise
 
 MINIMAL = """\
 kernel.family = matern
@@ -282,6 +283,23 @@ class TestKernelExtremes:
         assert capsys.readouterr().err == ""
 
 
+class TestRefactorFailure:
+    def test_failed_refactor_exits_3_naming_its_step(self, tmp_path, capsys, monkeypatch):
+        # the first refactor comes after the first step t with more rows than
+        # twice the distinct points played, here read off an unbroken run
+        config = write_config(tmp_path, MINIMAL.replace("horizon = 8", "horizon = 64"))
+        assert cmd_run(config, str(tmp_path / "ok")) == 0
+        x = np.loadtxt(tmp_path / "ok" / "trace_seed0.csv", delimiter=",", skiprows=1)[:, 1]
+        step = next(t for t in range(1, 65) if t > 2 * np.unique(x[:t]).size)
+        capsys.readouterr()
+        monkeypatch.setattr("gpucb.posterior.dpotrf", lambda a, **kwargs: (a, 1))
+        assert cmd_run(config, str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: numeric failure at step {step}: Cholesky factorization")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "config.txt").exists()
+
+
 class TestSweep:
     def test_horizon_sweep_layout(self, tmp_path):
         out = tmp_path / "sweep"
@@ -397,10 +415,12 @@ class TestReport:
             path = out / f"trace_seed{seed}.csv"
             lines = path.read_text().splitlines()
             header = lines[0].split(",")
-            x_col, inst_col, cum_col = (header.index(c) for c in ("x_1", "inst_regret", "cum_regret"))
+            x_col, y_col, inst_col, cum_col = (header.index(c) for c in ("x_1", "y", "inst_regret", "cum_regret"))
             rows = [line.split(",") for line in lines[1:]]
-            for row in rows[32:]:
+            noise = _seed_noise(config, seed)
+            for t, row in enumerate(rows[32:], start=32):
                 row[x_col] = format(cand[worst, 0], ".17g")
+                row[y_col] = format(f.on_points(cand[worst])[0] + noise[t], ".17g")
                 row[inst_col] = format(f_star - f.on_points(cand[worst])[0], ".17g")
             cum = np.cumsum([float(row[inst_col]) for row in rows])
             for row, value in zip(rows, cum):
@@ -519,6 +539,18 @@ def _forge_beta(cell):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _forge_y(cell):
+    # every observation 0.5 higher, every other column left alone
+    path = cell / "trace_seed3.csv"
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index("y")
+    for i in range(1, len(lines)):
+        row = lines[i].split(",")
+        row[col] = repr(float(row[col]) + 0.5)
+        lines[i] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestDamagedRunReport:
     @pytest.fixture(scope="class")
     def suite(self, tmp_path_factory):
@@ -544,6 +576,7 @@ class TestDamagedRunReport:
         (_move_point, "not on the evaluation grid"),
         (_forge_cum_regret, "trace_seed2.csv: cum_regret at t=20 is not the running sum"),
         (_forge_beta, "trace_seed4.csv: beta at t=7 is not the configured schedule"),
+        (_forge_y, "trace_seed3.csv: y at t=1 is not f(x_t) plus the seed's noise draw"),
     ])
     def test_damage_exits_4(self, suite, tmp_path, capsys, damage, message):
         cell = tmp_path / "run"

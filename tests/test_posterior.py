@@ -11,7 +11,6 @@ from gpucb import (
     KernelSpec,
     NumericError,
     fit,
-    kernel_matrix,
     logdet_information,
     make_rkhs_function,
     norm_chain_check,
@@ -20,6 +19,7 @@ from gpucb import (
     sample_random_rkhs,
     update,
 )
+from gpucb.posterior import _cholesky
 from gpucb.rkhs import Box
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -191,48 +191,85 @@ class TestPredictions:
 def grow(points, rho, horizon, order, y):
     """A GrowingPosterior over ``points`` fed ``y`` at ``order``, yielding
     (mean, variance) before each step and after the last."""
-    Kp = kernel_matrix(MATERN_03, points)
     post = GrowingPosterior(MATERN_03, rho, points, horizon)
     for t, c in enumerate(order):
         yield post.mean.copy(), post.variance()
-        post.observe(c, Kp[c], y[t])
+        post.observe(c, y[t])
     yield post.mean.copy(), post.variance()
 
 
 class TestGrowingPosterior:
-    """The fixed-point-set posterior, in its W form up to t = 2n and its
-    covariance form after."""
+    """The fixed-point-set posterior, in its W rows and across the refactors
+    that rebuild them from the distinct design."""
 
-    points = np.linspace(0.0, 1.0, 8)[:, None]  # n = 8: the switch is at t = 16
+    points = np.linspace(0.0, 1.0, 8)[:, None]  # n = 8: this order refactors after steps 15, 25 and 34
     rng = np.random.default_rng(11)
     order = rng.integers(0, 8, size=40)  # 40 observations of 8 points: points repeat
     ys = rng.standard_normal((2, 40))
 
-    def test_matches_fit_on_both_sides_of_the_switch(self):
+    def test_matches_fit_across_the_refactors(self):
         for j, y in enumerate(self.ys):
             for t, (mean, var) in enumerate(grow(self.points, 0.5, 40, self.order, y)):
                 state = fit(MATERN_03, 0.5, self.points[self.order[:t]], y[:t])
                 assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (t, j)
                 assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), (t, j)
 
-    @pytest.mark.parametrize("horizon", [10, 16, 17, 24])
+    def test_rows_never_exceed_twice_the_distinct_design_plus_one(self):
+        # the refactor steps the class comment names, and over a long run a
+        # row count that never passes 2 * distinct + 1, written or kept
+        long = np.random.default_rng(12).integers(0, 8, size=400)
+        for order, steps in ((self.order, [15, 25, 34]), (long, None)):
+            post = GrowingPosterior(MATERN_03, 0.5, self.points, order.size)
+            assert post._W.shape[0] == min(order.size, 17)
+            refactors = []
+            for t, c in enumerate(order, start=1):
+                written = post._rows + 1  # the rows once this observation's row is in
+                post.observe(c, 0.0)
+                distinct = np.unique(order[:t]).size
+                assert written <= 2 * distinct + 1 and post._rows <= 2 * distinct, t
+                if post._rows < written:
+                    assert post._rows == distinct, t
+                    refactors.append(t)
+            assert refactors == steps if steps else len(refactors) > 20
+
+    @pytest.mark.parametrize("horizon", [10, 15, 16, 26])
     def test_shorter_horizon_is_a_bitwise_prefix(self, horizon):
-        # the switch step is fixed by n, so the horizon never moves a bit
+        # the refactor steps are fixed by the prefix, so the horizon never
+        # moves a bit: these horizons stop before the first refactor, at it,
+        # just after it and after the second
         for j, y in enumerate(self.ys):
             short = list(grow(self.points, 0.5, horizon, self.order[:horizon], y[:horizon]))
             whole = list(grow(self.points, 0.5, 40, self.order, y))
             for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(short, whole)):
                 assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), (t, j)
 
-    def test_negative_variance_after_the_switch_is_an_error(self, monkeypatch):
-        # a kernel matrix with a halved diagonal, built at the switch, leaves
-        # S = K - W'W with negative variances at well-observed points
-        K = kernel_matrix(MATERN_03, self.points)
-        K[np.diag_indices(8)] = 0.5
-        monkeypatch.setattr("gpucb.posterior.kernel_matrix", lambda spec, X: K.copy())
+    def test_negative_variance_after_a_refactor_is_an_error(self, monkeypatch):
+        # a halved factor at the first refactor (after step 15) doubles its
+        # rows W = L^-1 K[D], leaving negative variances at observed points
+        monkeypatch.setattr("gpucb.posterior._cholesky", lambda K, noise: 0.5 * _cholesky(K, noise))
         with pytest.raises(NumericError, match="negative posterior variance") as excinfo:
             list(grow(self.points, 0.5, 40, self.order, self.ys[0]))
-        assert excinfo.value.step == 18
+        assert excinfo.value.step == 16
+
+    def test_matches_fit_after_5000_replicated_observations(self):
+        # 8 points played 5000 times: the refactors carry the replicate
+        # counts, and the rows must still give the refit posterior, at the
+        # step of the last refactor and at the end
+        rng = np.random.default_rng(13)
+        order = rng.integers(0, 8, size=5000)
+        y = rng.standard_normal(5000)
+        post = GrowingPosterior(MATERN_03, 0.5, self.points, 5000)
+        last = None
+        for t, c in enumerate(order, start=1):
+            rows = post._rows
+            post.observe(c, y[t - 1])
+            if post._rows <= rows:
+                last = (t, post.mean.copy(), post.variance())
+        assert last is not None and last[0] < 5000
+        for t, mean, var in (last, (5000, post.mean, post.variance())):
+            state = fit(MATERN_03, 0.5, self.points[order[:t]], y[:t])
+            assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), t
+            assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), t
 
 
 class TestLogdetInformation:

@@ -114,8 +114,8 @@ class TestRunLoop:
     def test_matches_reference_posterior_loop(self):
         # the fixed-point-set recursion must select the same points and
         # record the same statistics as the direct posterior implementation,
-        # in its W form (steps 1-35) and its covariance form (36-48): it
-        # tracks n = 17 points, so it switches once t = 2n = 34
+        # in its first W rows (steps 1-23) and across the refactors that
+        # rebuild them from the distinct design after steps 23 and 35
         config = make_config(horizon=48, candidates_count=16, eval_grid_count=16, noise_sigma=0.05)
         f = config.objective_for_seed(0)
         trace = run_gp_ucb(config, f, 0)
@@ -140,9 +140,10 @@ class TestRunLoop:
             state = update(state, cand[idx], y)
 
     @pytest.mark.slow
-    def test_switched_loop_matches_fit_at_the_readme_horizon(self):
-        # the README example tracks n = 257 points, so steps 516-4096 read
-        # the covariance form; its mu and sigma must agree with a refit
+    def test_refactored_loop_matches_fit_at_the_readme_horizon(self):
+        # the README example refactors its rows 38 times, first after step
+        # 127; its mu and sigma at step 516, four refactors in, and at the
+        # last step must agree with a refit
         config = make_config(horizon=4096, candidates_count=256, eval_grid_count=256, c0=0.39)
         f = config.objective_for_seed(0)
         trace = run_gp_ucb(config, f, 0)
@@ -245,10 +246,10 @@ class TestRunLoop:
     def test_horizon_extension_preserves_prefix(self, noise_kind):
         self.assert_runs_are_prefixes(32, 64, noise_kind=noise_kind)
 
-    @pytest.mark.parametrize("short, long", [(12, 40), (24, 40)], ids=["below_2n", "above_2n"])
-    def test_prefix_across_the_covariance_switch(self, short, long):
-        # 8 candidates and the shadow optimum: the posterior switches at
-        # t = 18, so the short run stops before it or after it
+    @pytest.mark.parametrize("short, long", [(12, 40), (24, 40)], ids=["before_refactor", "after_refactor"])
+    def test_prefix_across_a_refactor(self, short, long):
+        # 8 candidates: the posterior refactors after steps 15, 25 and 34,
+        # so the short run stops before the first refactor or after it
         self.assert_runs_are_prefixes(short, long, candidates_count=8, eval_grid_count=8)
 
 
