@@ -11,7 +11,11 @@ a new state, which matches a from-scratch refit to within round-off.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
 update rule per observation, for the UCB loop and the greedy information
 gain: O(r n) per step with r <= 2d + 1 rows for d distinct points played,
-plus O(d^3 + d^2 n) each time it refactors its rows from those d points.
+plus O(d^3 + d^2 n) each time it refactors its rows from those d points.  A
+step that replays a point of the design at the last refactor reads a row
+stored by that refactor instead, O(a n) for the a rows appended since.
+Posteriors over the same points in turn share one read-only kernel matrix,
+so a process running many seeds over one point set builds it once.
 """
 
 from __future__ import annotations
@@ -132,10 +136,11 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
 
 
 def _clamped_var(raw: np.ndarray, step: int | None = None) -> np.ndarray:
+    """``raw`` clamped at 0 in place."""
     low = float(np.min(raw)) if raw.size else 0.0
     if low < -_VAR_CLAMP:
         raise NumericError(f"negative posterior variance {low} signals a broken factorization", step=step)
-    return np.maximum(raw, 0.0)
+    return np.maximum(raw, 0.0, out=raw)
 
 
 def posterior_mean_at(state: PosteriorState, X) -> np.ndarray:
@@ -153,6 +158,20 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     return _clamped_var(1.0 - np.sum(W * W, axis=0))
 
 
+# one entry: every seed and every sweep cell of a process runs over one point set
+_KERNELS: dict = {}
+
+
+def _points_kernel(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Read-only ``kernel_matrix(spec, points)``, built once per point set."""
+    key = (spec, points.shape, points.tobytes())
+    K = _KERNELS.get(key)
+    if K is None:
+        _KERNELS.clear()  # drop the old matrix before the new one is built
+        K = _KERNELS[key] = _freeze(kernel_matrix(spec, points))
+    return K
+
+
 class GrowingPosterior:
     """Posterior over a fixed set of n points, grown one observation at a time.
 
@@ -163,11 +182,14 @@ class GrowingPosterior:
     of W, so s = K[c] - W[:, c]' W: O(r n) for r rows.  Once the rows exceed
     twice the d distinct points played, W is refactored from that distinct
     design: k plays at a point act as one play of their mean with noise
-    rho / k (Ankenman, Nelson & Staum, Oper. Res. 2010), so W = L^{-1} K[D]
-    with L L' = K[D, D] + diag(rho / k), O(d^3 + d^2 n).  Rows stay at most
-    2d + 1, and the refactor steps depend on the prefix alone, so a shorter
-    run stays a prefix of a longer one.  Design points must be among the n
-    points.
+    nu = rho / k (Ankenman, Nelson & Staum, Oper. Res. 2010), so W = L^{-1}
+    K[D] with L L' = A = K[D, D] + diag(nu), O(d^3 + d^2 n).  The refactor
+    also keeps B = A^{-1} K[D] = L^{-T} W: for c = D[p], K[c, D] =
+    A[p] - nu_p e_p', so K[c] - W[:d, c]' W[:d] = nu_p B[p], and a replay
+    of c reads s = nu_p B[p] - W[d:, c]' W[d:], O(a n) for the a rows
+    appended since.  Rows stay at most 2d + 1, and the refactor steps depend
+    on the prefix alone, so a shorter run stays a prefix of a longer one.
+    Design points must be among the n points.
     """
 
     def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int):
@@ -177,52 +199,82 @@ class GrowingPosterior:
         self.mean = np.zeros(n)
         # built before W: the other order raised a 2026-point sweep's peak RSS
         # from 156 to 187 MiB
-        self._K = kernel_matrix(spec, points)
+        self._K = _points_kernel(spec, points)
         self._W = np.empty((min(horizon, 2 * n + 1), n))
         self._rows = 0
         self._sumsq = np.zeros(n)
         self._count = np.zeros(n)
         self._ysum = np.zeros(n)
+        self._distinct = 0
+        # the design at the last refactor: B's rows, each point's row in B
+        # (-1 off the design) and its noise rho / k
+        self._B = np.empty((min(horizon, n), n))
+        self._design = 0
+        self._pos = np.full(n, -1)
+        self._nu = np.empty(0)
+        self._s = np.empty(n)
 
-    def variance(self) -> np.ndarray:
-        """Predictive variance at every point before step t+1."""
-        return _clamped_var(1.0 - self._sumsq, step=self.t + 1)
+    def variance(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Predictive variance at every point before step t+1, into ``out``
+        when given."""
+        return _clamped_var(np.subtract(1.0, self._sumsq, out=out), step=self.t + 1)
 
     def observe(self, c: int, y: float) -> None:
         """Add the observation ``y`` at point ``c``."""
         r = self._rows
         W = self._W
-        s = self._K[c] - W[:r, c] @ W[:r]
+        s = self._s
+        p = self._pos[c]
+        if p >= 0:
+            d = self._design
+            np.matmul(W[d:r, c], W[d:r], out=s)
+            # W[r] is free until this step's row is written into it
+            np.subtract(np.multiply(self._B[p], self._nu[p], out=W[r]), s, out=s)
+        else:
+            np.matmul(W[:r, c], W[:r], out=s)
+            np.subtract(self._K[c], s, out=s)
         d2 = self.rho + max(1.0 - self._sumsq[c], 0.0)
-        self.mean += s * ((y - self.mean[c]) / d2)
+        gain = (y - self.mean[c]) / d2
         w_row = np.divide(s, math.sqrt(d2), out=W[r])
-        self._sumsq += w_row * w_row
+        self.mean += np.multiply(s, gain, out=s)
+        self._sumsq += np.multiply(w_row, w_row, out=s)
         self._rows = r + 1
+        if not self._count[c]:
+            self._distinct += 1
         self._count[c] += 1.0
         self._ysum[c] += y
         self.t += 1
-        if self._rows > 2 * np.count_nonzero(self._count):
+        if self._rows > 2 * self._distinct:
             self._refactor()
 
     def _refactor(self) -> None:
-        """W = L^{-1} K[D] and mean = (L^{-1} ybar)' W over the distinct design D."""
+        """W = L^{-1} K[D], B = L^{-T} W and mean = (L^{-1} ybar)' W over the
+        distinct design D."""
         D = np.flatnonzero(self._count)
+        d = D.size
         k = self._count[D]
+        nu = self.rho / k
         try:
-            L = _cholesky(self._K[np.ix_(D, D)], self.rho / k)
+            L = _cholesky(self._K[np.ix_(D, D)], nu)
         except NumericError as exc:
             exc.step = self.t
             raise
         # mode="clip" (the indices are valid): the default mode buffers ``out``
         # in a d x n temporary
-        Wd = np.take(self._K, D, axis=0, out=self._W[: D.size], mode="clip")
+        Wd = np.take(self._K, D, axis=0, out=self._W[:d], mode="clip")
         # Wd.T is Wd in the Fortran order BLAS writes into: solving X L' = Wd.T
-        # there leaves Wd = L^{-1} K[D], with no d x n temporary
+        # there leaves Wd = L^{-1} K[D], with no d x n temporary; solving
+        # X L = W' in B's memory leaves B = L^{-T} W
         dtrsm(1.0, L, Wd.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        Bd = self._B[:d]
+        Bd[...] = Wd
+        dtrsm(1.0, L, Bd.T, side=1, lower=1, trans_a=0, overwrite_b=1)
         z = solve_triangular(L, self._ysum[D] / k, lower=True, check_finite=False)
         np.matmul(z, Wd, out=self.mean)
         np.einsum("ij,ij->j", Wd, Wd, out=self._sumsq)
-        self._rows = D.size
+        self._rows = self._design = d
+        self._pos[D] = np.arange(d)
+        self._nu = nu
 
 
 def logdet_information(state: PosteriorState) -> float:

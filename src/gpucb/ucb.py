@@ -3,14 +3,18 @@
 Each step selects the candidate maximizing mean + sqrt(beta) * sd under the
 current posterior, observes the objective plus sub-Gaussian noise, and
 updates the posterior incrementally through a
-``posterior.GrowingPosterior`` over the n = m + 1 tracked points (the
-candidates and the incumbent optimum), one rank-one rule per observation:
-O(r n) per step with r <= 2d + 1 rows for the d distinct points played so
-far, plus O(d^3 + d^2 n) whenever the posterior refactors its rows from
-those d points.  Refactors come more than d steps apart, so a run is
-O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  It is
-algebraically the same recursion as ``posterior.update`` restricted to the
-tracked points, and the tests pin the two against each other.
+``posterior.GrowingPosterior`` over the tracked points: the m candidates,
+which hold the incumbent optimum when it lies on them, or m + 1 points
+with the optimum as a shadow column when it lies off them.  One rank-one
+rule per observation: O(r n) per step with r <= 2d + 1 rows for the d
+distinct points played so far, O(a n) for a step that replays a point of
+the design at the last refactor (a rows appended since), plus
+O(d^3 + d^2 n) whenever the posterior refactors its rows from those d
+points.  Refactors come more than d steps apart, so a run is O(T d n) in
+all, with d <= min(T, m), instead of O(T^3 m).  The candidates' kernel
+matrix is built once per process and shared by every seed and sweep cell.
+It is algebraically the same recursion as ``posterior.update`` restricted
+to the tracked points, and the tests pin the two against each other.
 
 Per step the loop records its choice, the exploration weight, the
 posterior mean/sd at the chosen point, and a flag marking whether the
@@ -93,15 +97,19 @@ def beta_value(schedule: BetaSchedule, t: int, rho: float) -> float:
     return 2.0 * math.log(t_eff**2 * 2.0 * math.pi**2 / (3.0 * schedule.delta)) + schedule.c0
 
 
-def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int | None = None) -> int:
-    """Index maximizing mean + sqrt(beta) * sd, ties to the lowest index;
-    NumericError on a non-finite score, naming the step when given."""
-    score = mean + math.sqrt(beta) * sd
-    bad = np.flatnonzero(~np.isfinite(score))
-    if bad.size:
+def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int | None = None, out=None) -> int:
+    """Index maximizing mean + sqrt(beta) * sd, ties to the lowest index, the
+    scores written into ``out`` when given; NumericError on a non-finite
+    score, naming the first such candidate and the step when given."""
+    score = np.multiply(sd, math.sqrt(beta), out=out)
+    score += mean
+    c = int(np.argmax(score))
+    # argmax stops at the first NaN and reaches any +inf; min reaches -inf
+    if not (math.isfinite(score[c]) and math.isfinite(score.min())):
+        bad = int(np.flatnonzero(~np.isfinite(score))[0])
         where = "" if step is None else f", step {step}"
-        raise NumericError(f"non-finite acquisition value at candidate {bad[0]}{where}", index=int(bad[0]), step=step)
-    return int(np.argmax(score))
+        raise NumericError(f"non-finite acquisition value at candidate {bad}{where}", index=bad, step=step)
+    return c
 
 
 def acquire(state: PosteriorState, beta: float, candidates) -> int:
@@ -176,21 +184,28 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     f_cand = f_grid[:m]
     noise = _seed_noise(config, seed)
 
-    # track the incumbent optimum as a shadow column next to the candidates
-    points = np.vstack([cand, grid[best][None, :]])
+    # track the optimum through its own candidate column, or through a
+    # shadow column next to the candidates when it lies off them: every seed
+    # then shares the candidates' kernel matrix
+    if best < m:
+        points, opt = cand, best
+    else:
+        points, opt = np.vstack([cand, grid[best][None, :]]), m
     post = GrowingPosterior(spec, rho, points, T)
 
     choice = np.empty(T, dtype=np.intp)
     beta_out, sigma_out, mu_out = np.empty((3, T))
     flag_out = np.empty(T, dtype=bool)
+    sd = np.empty(points.shape[0])
+    score = np.empty(m)
     for t in range(T):
         beta = beta_value(config.beta, t, rho)
         mean = post.mean
-        sd = np.sqrt(post.variance())
-        c = _select(mean[:m], sd[:m], beta, step=t + 1)
+        np.sqrt(post.variance(out=sd), out=sd)
+        c = _select(mean[:m], sd[:m], beta, step=t + 1, out=score)
         root_beta = math.sqrt(beta)
         flag_out[t] = (
-            abs(f_star - mean[m]) <= root_beta * sd[m]
+            abs(f_star - mean[opt]) <= root_beta * sd[opt]
             and abs(f_cand[c] - mean[c]) <= root_beta * sd[c]
         )
         choice[t] = c

@@ -8,6 +8,7 @@ import pytest
 import gpucb.config
 from gpucb import (
     fit,
+    kernel_matrix,
     logdet_information,
     parse_config,
     parse_objective_record,
@@ -298,6 +299,29 @@ class TestRefactorFailure:
         assert err.startswith(f"error: numeric failure at step {step}: Cholesky factorization")
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "config.txt").exists()
+
+
+class TestSharedKernelMatrix:
+    def test_sweep_builds_the_candidates_kernel_matrix_once(self, tmp_path, monkeypatch):
+        # the optimum is one of the 16 candidates, so both seeds of all three
+        # cells run over the candidates alone and share one read-only matrix
+        import gpucb.posterior
+
+        built = []
+
+        def counted(spec, X):
+            built.append(np.array(X))
+            return kernel_matrix(spec, X)
+
+        monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
+        monkeypatch.setattr(gpucb.posterior, "kernel_matrix", counted)
+        config = write_config(tmp_path, MINIMAL.replace("seeds = 0", "seeds = 0, 1"))
+        assert cmd_sweep(config, "horizon", ["8", "16", "32"], str(tmp_path / "sweep")) == 0
+        cand = parse_config((tmp_path / "sweep" / "horizon_32" / "config.txt").read_text()).candidate_points()
+        assert len(built) == 1 and np.array_equal(built[0], cand)
+        (K,) = gpucb.posterior._KERNELS.values()
+        with pytest.raises(ValueError, match="read-only"):
+            K[0, 0] = 0.0
 
 
 class TestSweep:

@@ -271,6 +271,27 @@ class TestGrowingPosterior:
             assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), t
             assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), t
 
+    @pytest.mark.parametrize("rho", [0.5, 1e-3])
+    def test_matches_fit_over_2000_replays_of_the_refactored_design(self, rho):
+        # 4 of the 8 points, played twice each, refactor after step 9; every
+        # later step replays one of them, reading its covariance row from
+        # the refactor (a refactor every 5 steps from there on)
+        rng = np.random.default_rng(14)
+        design = np.array([1, 3, 4, 6])
+        order = np.concatenate([design, design, [1], rng.choice(design, size=2001)])
+        y = rng.standard_normal(order.size)
+        post = GrowingPosterior(MATERN_03, rho, self.points, order.size)
+        seen = {}
+        for t, c in enumerate(order, start=1):
+            if t > 9:
+                assert post._design == 4 and post._pos[c] >= 0, t
+            post.observe(c, y[t - 1])
+            if t in (10, 13, 500, 1999, order.size):
+                seen[t] = (post.mean.copy(), post.variance())
+        for t, (mean, var) in seen.items():
+            state = fit(MATERN_03, rho, self.points[order[:t]], y[:t])
+            assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
+            assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
 
 class TestLogdetInformation:
     def test_single_point(self):

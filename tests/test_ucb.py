@@ -10,8 +10,10 @@ from scipy.stats import chi2
 from gpucb import (
     BetaKind,
     BetaSchedule,
+    GrowingPosterior,
     KernelFamily,
     KernelSpec,
+    NumericError,
     RegretTrace,
     acquire,
     beta_value,
@@ -224,6 +226,48 @@ class TestRunLoop:
         assert flagged.any()
         bound = 2.0 * np.sqrt(trace.beta) * trace.sigma
         assert np.all(trace.inst_regret[flagged] <= bound[flagged] + 1e-9)
+
+    def test_off_candidate_optimum_flags_as_a_refit_at_x_star(self):
+        # a bump centred between two of the 16 candidates puts the optimum on
+        # the 61-point evaluation grid only: the loop tracks it as an extra
+        # point, and every flag must be the one a refit gives at x_star (at
+        # c0 = 0.2, 6 of the 48 steps fail it there)
+        grid = make_config(candidates_count=16, eval_grid_count=61).evaluation_points()
+        x_star = grid[40]
+        config = make_config(
+            horizon=48, candidates_count=16, eval_grid_count=61, noise_sigma=0.05, c0=0.2,
+            objective_kind="explicit", centers=(tuple(x_star),), coeffs=(1.0,), m=1, B=1.0,
+        )
+        f = config.objective_for_seed(0)
+        f_grid = f.on_points(grid)
+        assert int(np.argmax(f_grid)) == 40
+        trace = run_gp_ucb(config, f, 0)
+        f_played = f_grid[grid_columns(grid, trace.X)]
+        from gpucb import posterior_mean_at, posterior_var_at
+
+        for t in range(trace.horizon):
+            state = fit(config.kernel, config.rho, trace.X[:t], trace.y[:t])
+            at = np.vstack([x_star, trace.X[t]])
+            err = np.abs(np.array([trace.f_star, f_played[t]]) - posterior_mean_at(state, at))
+            bound = math.sqrt(trace.beta[t]) * np.sqrt(posterior_var_at(state, at))
+            assert trace.flag[t] == bool(np.all(err <= bound)), f"flag differs at step {t + 1}"
+        assert 0 < np.count_nonzero(trace.flag) < trace.horizon
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan], ids=["-inf", "inf", "nan"])
+    def test_non_finite_score_names_the_first_bad_candidate_and_step(self, monkeypatch, bad):
+        # a -inf score is never chosen, so only the smallest score shows it;
+        # either way the error names the first bad candidate and the step
+        class Broken(GrowingPosterior):
+            def observe(self, c, y):
+                super().observe(c, y)
+                if self.t == 3:
+                    self.mean[[9, 5]] = bad
+
+        monkeypatch.setattr("gpucb.ucb.GrowingPosterior", Broken)
+        config = make_config(horizon=8)
+        with pytest.raises(NumericError, match=r"non-finite acquisition value at candidate 5, step 4$") as excinfo:
+            run_gp_ucb(config, config.objective_for_seed(0), 0)
+        assert (excinfo.value.index, excinfo.value.step) == (5, 4)
 
     def test_beta_column_monotone(self):
         config = make_config(horizon=64)
