@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .kernels import KernelFamily, KernelSpec, kernel_cross
-from .posterior import GrowingPosterior, PosteriorState, _cholesky, _clamped_var, fit
+from .posterior import GrowingPosterior, PosteriorState, _predict, _replicate_predict, fit
 from .rkhs import RkhsFunction
 from .ucb import BetaKind, BetaSchedule, RegretTrace, beta_value
 
@@ -183,14 +182,11 @@ class AuditSeries:
 
 def _audit(f_grid: np.ndarray, ts: Sequence[int], fits) -> AuditSeries:
     """Sup ratios over a grid (f values ``f_grid``) at times ``ts`` of the
-    posteriors in ``fits``, each (kernel block of the design against the grid,
-    factor of its kernel-plus-noise matrix, observations, exact values)."""
+    posteriors in ``fits``, each (means over the grid from the observations
+    and from the exact values, as two rows; variance over the grid)."""
     ratios = []
-    for C, L, y, y_exact in fits:
-        W = solve_triangular(L, C, lower=True, check_finite=False)
-        sd = np.sqrt(_clamped_var(1.0 - np.sum(W * W, axis=0)))
-        alpha = cho_solve((L, True), np.column_stack([y, y_exact]), check_finite=False)
-        mean, mean_exact = (C.T @ alpha).T
+    for (mean, mean_exact), var in fits:
+        sd = np.sqrt(var)
         ratios.append([float(np.max(np.abs(d) / sd)) for d in (f_grid - mean, f_grid - mean_exact, mean - mean_exact)])
     return AuditSeries(tuple(ts), *(tuple(r[i] for r in ratios) for i in range(3)))
 
@@ -203,7 +199,9 @@ def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid)
     variance below -1e-12 (a broken factor) raises NumericError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    fits = ((kernel_cross(s.spec, s.X, grid), s.chol, s.y, f.on_points(s.X)) for s in states)
+    fits = (
+        _predict(s.chol, kernel_cross(s.spec, s.X, grid), np.column_stack([s.y, f.on_points(s.X)])) for s in states
+    )
     return _audit(f.on_points(grid), [s.t for s in states], fits)
 
 
@@ -241,9 +239,9 @@ def prefix_bound_audit(
     def fits():
         for cp in checkpoints:
             rows, which, count = np.unique(cols[:cp], return_inverse=True, return_counts=True)
+            ybar = np.bincount(which, weights=trace.y[:cp]) / count
             C = K[np.searchsorted(design, rows)]
-            L = _cholesky(C[:, rows], rho / count)
-            yield C, L, np.bincount(which, weights=trace.y[:cp]) / count, f_grid[rows]
+            yield _replicate_predict(C, rows, rho / count, np.column_stack([ybar, f_grid[rows]]))
 
     return _audit(f_grid, checkpoints, fits())
 

@@ -119,10 +119,22 @@ def _run_suite(config: ExperimentConfig, jobs: int, out_dir: Path) -> list[Regre
 
 def _load_configs(config_path: str, axis: str | None = None, values: tuple | list = ()):
     """The config, or with a sweep axis one override per value; None after
-    printing the one ``error:`` line that a malformed config exits 2 with."""
+    printing the one ``error:`` line that a malformed config, or an empty or
+    repeating value list, exits 2 with."""
     try:
         base = parse_config_file(config_path)
-        return [base.with_override(axis, raw) for raw in values] if axis is not None else [base]
+        if axis is None:
+            return [base]
+        if not values:
+            raise ConfigError("no values to sweep", key=axis)
+        configs, firsts = [], {}
+        for raw in values:
+            configs.append(base.with_override(axis, raw))
+            # values that convert to the same config repeat a cell
+            first = firsts.setdefault(configs[-1].digest(), raw)
+            if len(firsts) < len(configs):
+                raise ConfigError(f"value {raw!r} repeats {first!r}", key=axis)
+        return configs
     except FileNotFoundError:
         print(f"error: config file not found: {config_path}", file=sys.stderr)
     except ConfigError as exc:

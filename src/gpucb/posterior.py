@@ -7,7 +7,11 @@ factor L of K + rho*I.  Predictions follow the standard ridge form
     var(x)  = 1 - || L^{-1} k_t(x) ||^2
 
 States are immutable; ``update`` extends the factor by one row and returns
-a new state, which matches a from-scratch refit to within round-off.
+a new state, which matches a from-scratch refit to within round-off.  This
+module is the package's only linear algebra: numpy's Cholesky factor, a
+substitution for the triangular solves (O(t^2) per right-hand side), and an
+explicit inverse factor for the solves whose right-hand sides are d x n
+kernel blocks.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
 update rule per observation, for the UCB loop and the greedy information
 gain: O(r n) per step with r <= 2d + 1 rows for d distinct points played,
@@ -24,9 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.blas import dtrsm
-from scipy.linalg.lapack import dpotrf
 
 from .kernels import KernelSpec, kernel_cross, kernel_matrix
 
@@ -97,19 +98,84 @@ def fit(spec: KernelSpec, rho: float, X, y) -> PosteriorState:
     if t != y.shape[0]:
         raise ValueError(f"design/observation length mismatch: {t} vs {y.shape[0]}")
     L = _cholesky(kernel_matrix(spec, X), rho)
-    alpha = cho_solve((L, True), y, check_finite=False)
+    alpha = _cho_solve(L, y)
     return PosteriorState(spec, rho, _freeze(X), _freeze(y), _freeze(L), _freeze(alpha))
 
 
 def _cholesky(K: np.ndarray, noise) -> np.ndarray:
-    """Lower Cholesky factor of K + diag(noise), computed in K's memory."""
+    """Lower Cholesky factor of K + diag(noise); the noise is added to K's
+    diagonal in place.
+
+    When K + diag(noise) is not positive definite, NumericError names the
+    pivot of the first leading block that does not factor (its order - 1),
+    found by bisecting the leading blocks.  K must be finite: a NaN entry
+    gives a NaN factor, not an error (``kernel_cross`` rejects non-finite
+    points, so no kernel matrix holds one).
+    """
     K[np.diag_indices(K.shape[0])] += noise
-    # K.T is K in the Fortran order LAPACK factors in place; info > 0 is the
-    # 1-based order of the first non-positive (or non-finite) leading minor
-    L, info = dpotrf(K.T, lower=True, clean=True, overwrite_a=True)
-    if info > 0:
-        raise NumericError(f"Cholesky factorization of K + rho*I failed at pivot {info - 1}", index=info - 1)
-    return L
+    try:
+        return np.linalg.cholesky(K)
+    except np.linalg.LinAlgError:
+        pass
+    # the leading block of order lo factors, the one of order hi does not
+    lo, hi = 0, K.shape[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.linalg.cholesky(K[:mid, :mid])
+            lo = mid
+        except np.linalg.LinAlgError:
+            hi = mid
+    raise NumericError(f"Cholesky factorization of K + rho*I failed at pivot {hi - 1}", index=hi - 1)
+
+
+# rows per block of _solve_lower: the rows inside a block are solved one at a
+# time, and each block takes the solved blocks before it in one product
+_BLOCK = 64
+
+
+def _solve_lower(L: np.ndarray, b, trans: bool = False) -> np.ndarray:
+    """L^{-1} b, or L^{-T} b with ``trans``, for lower-triangular L (t x t)
+    and b with t rows, by substitution: O(t^2) per right-hand side (a column
+    of b)."""
+    if trans:
+        # L' reversed in both axes is lower triangular
+        return _solve_lower(L.T[::-1, ::-1], np.asarray(b)[::-1])[::-1]
+    x = np.array(b, dtype=float)
+    t = L.shape[0]
+    for i in range(0, t, _BLOCK):
+        j = min(i + _BLOCK, t)
+        x[i:j] -= L[i:j, :i] @ x[:i]
+        for k in range(i, j):
+            x[k] = (x[k] - L[k, i:k] @ x[i:k]) / L[k, k]
+    return x
+
+
+def _cho_solve(L: np.ndarray, b) -> np.ndarray:
+    """(L L')^{-1} b."""
+    return _solve_lower(L, _solve_lower(L, b), trans=True)
+
+
+def _whiten(L: np.ndarray, C: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None):
+    """inv(L), inv(L) C (into ``out`` when given) and inv(L) Y, for a
+    design's factor L and its kernel rows C against n points: the inverse
+    costs O(d^3) once, then C takes one matrix product, O(d^2 n)."""
+    Linv = _solve_lower(L, np.eye(L.shape[0]))
+    return Linv, np.matmul(Linv, C, out=out), Linv @ Y
+
+
+def _predict(L: np.ndarray, C: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means Y' A^{-1} C, one row per column of Y, and the clamped
+    variance 1 - diag(C' A^{-1} C), at the points whose kernel rows against a
+    design are C's columns, for the design's factor L L' = A."""
+    _, W, Z = _whiten(L, C, Y)
+    return Z.T @ W, _clamped_var(1.0 - np.sum(W * W, axis=0))
+
+
+def _replicate_predict(C: np.ndarray, cols: np.ndarray, noise: np.ndarray, Y: np.ndarray):
+    """``_predict`` for a design of distinct points, the columns ``cols`` of
+    C, with per-point noise: A = C[:, cols] + diag(noise)."""
+    return _predict(_cholesky(C[:, cols], noise), C, Y)
 
 
 def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
@@ -119,7 +185,7 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
         raise ValueError(f"point dimension {x_new.shape[0]} != design dimension {state.dim}")
     t = state.t
     k_vec = kernel_cross(state.spec, state.X, x_new[None, :])[:, 0]
-    r = solve_triangular(state.chol, k_vec, lower=True, check_finite=False)
+    r = _solve_lower(state.chol, k_vec)
     diag_sq = 1.0 + state.rho - r @ r
     if diag_sq <= 0.0 or not math.isfinite(diag_sq):
         raise NumericError(f"non-positive pivot {diag_sq} extending to t={t + 1}", index=t)
@@ -130,8 +196,7 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
     L[t, t] = d_new
     X = np.vstack([state.X, x_new[None, :]])
     y = np.append(state.y, y_new)
-    u = solve_triangular(L, y, lower=True, check_finite=False)
-    alpha = solve_triangular(L.T, u, lower=False, check_finite=False)
+    alpha = _cho_solve(L, y)
     return PosteriorState(state.spec, state.rho, _freeze(X), _freeze(y), _freeze(L), _freeze(alpha))
 
 
@@ -154,7 +219,7 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     """Predictive variance over a set of points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     C = kernel_cross(state.spec, state.X, X)
-    W = solve_triangular(state.chol, C, lower=True, check_finite=False)
+    W = _solve_lower(state.chol, C)
     return _clamped_var(1.0 - np.sum(W * W, axis=0))
 
 
@@ -259,17 +324,12 @@ class GrowingPosterior:
         except NumericError as exc:
             exc.step = self.t
             raise
+        # K[D] goes into B's rows, which then take B = inv(L)' W over it;
         # mode="clip" (the indices are valid): the default mode buffers ``out``
         # in a d x n temporary
-        Wd = np.take(self._K, D, axis=0, out=self._W[:d], mode="clip")
-        # Wd.T is Wd in the Fortran order BLAS writes into: solving X L' = Wd.T
-        # there leaves Wd = L^{-1} K[D], with no d x n temporary; solving
-        # X L = W' in B's memory leaves B = L^{-T} W
-        dtrsm(1.0, L, Wd.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-        Bd = self._B[:d]
-        Bd[...] = Wd
-        dtrsm(1.0, L, Bd.T, side=1, lower=1, trans_a=0, overwrite_b=1)
-        z = solve_triangular(L, self._ysum[D] / k, lower=True, check_finite=False)
+        Bd = np.take(self._K, D, axis=0, out=self._B[:d], mode="clip")
+        Linv, Wd, z = _whiten(L, Bd, self._ysum[D] / k, out=self._W[:d])
+        np.matmul(Linv.T, Wd, out=Bd)
         np.matmul(z, Wd, out=self.mean)
         np.einsum("ij,ij->j", Wd, Wd, out=self._sumsq)
         self._rows = self._design = d
@@ -320,7 +380,7 @@ def norm_chain_check(state: PosteriorState, x, x2, *, eig_threshold: float = 1e-
     delta = kx - kx2
     h_sq = max(2.0 * (1.0 - float(kernel_cross(state.spec, x, x2)[0, 0])), 0.0)
     K = kernel_matrix(state.spec, state.X)
-    w = cho_solve((state.chol, True), delta, check_finite=False)
+    w = _cho_solve(state.chol, delta)
     h2_sq = float(w @ K @ w)
     evals, evecs = np.linalg.eigh(K)
     if float(evals[0]) > eig_threshold:

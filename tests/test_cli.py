@@ -293,7 +293,10 @@ class TestRefactorFailure:
         x = np.loadtxt(tmp_path / "ok" / "trace_seed0.csv", delimiter=",", skiprows=1)[:, 1]
         step = next(t for t in range(1, 65) if t > 2 * np.unique(x[:t]).size)
         capsys.readouterr()
-        monkeypatch.setattr("gpucb.posterior.dpotrf", lambda a, **kwargs: (a, 1))
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
         assert cmd_run(config, str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: numeric failure at step {step}: Cholesky factorization")
@@ -346,12 +349,22 @@ class TestSweep:
         ("horizon", "8", "abc"),
         ("kernel.lengthscale", "0.5", "-1"),
         ("rho", "1", "nan"),
+        # the same horizon once converted
+        ("horizon", "8", "08"),
     ])
     def test_bad_value_exits_2_before_any_cell(self, tmp_path, capsys, axis, good, bad):
         out = tmp_path / "s"
         assert cmd_sweep(write_config(tmp_path), axis, [good, bad], str(out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and f"(key: {axis})" in err
+        assert not out.exists()
+
+    def test_empty_value_list_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", write_config(tmp_path), "--axis", "horizon", "--values", ",", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "(key: horizon)" in err
         assert not out.exists()
 
 

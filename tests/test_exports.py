@@ -1,9 +1,12 @@
-"""The package exports only what its modules declare public, and every
-declared name exists."""
+"""The package exports only what its modules declare public, every
+declared name exists, and the CLI runs on numpy alone."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +32,11 @@ def test_every_declared_name_exists(name):
     module = importlib.import_module(f"gpucb.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"gpucb.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_cli_import_loads_no_scipy_module():
+    src = str(Path(gpucb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, gpucb.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

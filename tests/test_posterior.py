@@ -19,12 +19,19 @@ from gpucb import (
     sample_random_rkhs,
     update,
 )
-from gpucb.posterior import _cholesky
+from gpucb.posterior import _BLOCK, _cholesky, _solve_lower, _whiten
 from gpucb.rkhs import Box
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=1.0)
 MATERN_03 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.3)
+
+
+def _arrow(t, v):
+    """The t x t identity with ``v`` off the diagonal in its last row and column."""
+    K = np.eye(t)
+    K[-1, :-1] = K[:-1, -1] = v
+    return K
 
 
 def random_state(spec, rho, t, d, seed, y_scale=1.0):
@@ -399,10 +406,58 @@ class TestNumericErrors:
         with pytest.raises(NumericError):
             posterior_var_at(bad, state.X[0])
 
-    def test_failed_factorization_reports_pivot(self, monkeypatch):
+    @pytest.mark.parametrize("indefinite, pivot", [
         # leading minors of orders 1 and 2 are positive, the order-3 one is not
-        indefinite = np.array([[1.0, 0.0, 0.9], [0.0, 1.0, 0.9], [0.9, 0.9, 1.0]])
+        (np.array([[1.0, 0.0, 0.9], [0.0, 1.0, 0.9], [0.9, 0.9, 1.0]]), 2),
+        # the order-1 minor is already negative
+        (np.array([[-1.0, 0.5], [0.5, 1.0]]), 0),
+        # every leading minor of this 130 x 130 matrix is positive but its own
+        (_arrow(130, 0.2), 129),
+    ], ids=["order3", "order1", "order130"])
+    def test_failed_factorization_reports_pivot(self, monkeypatch, indefinite, pivot):
+        from scipy.linalg.lapack import dpotrf  # test oracle only
+
+        t = indefinite.shape[0]
+        assert dpotrf(indefinite + 0.01 * np.eye(t), lower=True)[1] - 1 == pivot
         monkeypatch.setattr("gpucb.posterior.kernel_matrix", lambda spec, X: indefinite.copy())
-        with pytest.raises(NumericError) as excinfo:
-            fit(SE, 0.01, np.zeros((3, 1)), np.zeros(3))
-        assert excinfo.value.index == 2
+        with pytest.raises(NumericError, match=f"failed at pivot {pivot}$") as excinfo:
+            fit(SE, 0.01, np.zeros((t, 1)), np.zeros(t))
+        assert excinfo.value.index == pivot
+
+
+class TestTriangularSolve:
+    """``_solve_lower`` and ``_whiten`` against SciPy's triangular solve."""
+
+    @staticmethod
+    def factor(t):
+        """Factor of an SE kernel matrix over t random points plus 0.01 I."""
+        x = np.random.default_rng(t).uniform(0, 1, (t, 1))
+        return np.linalg.cholesky(np.exp(-np.square(x - x.T) / 0.1) + 0.01 * np.eye(t))
+
+    @pytest.mark.parametrize("t", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("columns", [None, 5])
+    def test_matches_scipy(self, t, trans, columns):
+        from scipy.linalg import solve_triangular  # test oracle only
+
+        L = self.factor(t)
+        b = np.random.default_rng(t + 1).standard_normal(t if columns is None else (t, columns))
+        ref = solve_triangular(L, b, lower=True, trans=int(trans))
+        got = _solve_lower(L, b, trans=trans)
+        assert got.shape == b.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("t", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    def test_whiten_matches_scipy(self, t):
+        from scipy.linalg import solve_triangular  # test oracle only
+
+        L = self.factor(t)
+        rng = np.random.default_rng(t + 2)
+        C, y = rng.standard_normal((t, 7)), rng.standard_normal(t)
+        out = np.empty((t, 7))
+        Linv, W, z = _whiten(L, C, y, out=out)
+        assert W is out
+        for got, ref in ((Linv, solve_triangular(L, np.eye(t), lower=True)),
+                         (W, solve_triangular(L, C, lower=True)), (z, solve_triangular(L, y, lower=True))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not np.any(np.triu(Linv, 1))
