@@ -8,7 +8,11 @@ These operations grade completed runs:
 * ``prefix_bound_audit`` fits a trace's checkpoints from their distinct
   designs and measures the sup ratio |f - mean| / sd over a grid, split into
   noiseless-bias and random-error components; ``uniform_bound_audit``
-  grades given posterior states the same way (its refit reference).
+  grades given posterior states the same way (its refit reference).  An
+  audit evaluates no kernel and no objective: it reads its design rows from
+  the candidates' kernel rows against the grid and takes the objective's
+  grid values, both computed once per report and shared by every audit and,
+  for the candidates' own columns, by ``greedy_info_gain``.
 * ``regret_bound_check`` tests the conditional cumulative-regret
   inequality R_T <= sqrt(8/ln(1+1/rho)) * sqrt(T * beta_{T-1} * I_T)
   on traces whose per-step error-bound flags all held.
@@ -216,32 +220,31 @@ def grid_columns(grid: np.ndarray, X: np.ndarray, where: str = "in the audit gri
 
 
 def prefix_bound_audit(
-    f: RkhsFunction, trace: RegretTrace, rho: float, grid, checkpoints: Sequence[int]
+    f_grid: np.ndarray, K: np.ndarray, trace: RegretTrace, rho: float, grid, checkpoints: Sequence[int]
 ) -> AuditSeries:
-    """Same ratios as ``uniform_bound_audit`` over trace prefixes.
+    """Same ratios as ``uniform_bound_audit`` over trace prefixes, for an
+    objective with values ``f_grid`` over the grid and the kernel rows ``K``
+    of the grid's first m points, the candidates, against the whole grid.
 
     k observations at a point with noise variance rho give the posterior of
     one observation of their mean with noise rho / k (stochastic kriging's
     replicate form; Ankenman, Nelson & Staum, Oper. Res. 2010), so a prefix
     is fit by factoring K[D, D] + diag(rho / k) over its d distinct points D:
-    O(d^3 + d^2 n) on an n-point grid.  ValueError for an off-grid point.
+    O(d^3 + d^2 n) on an n-point grid.  ValueError for a point off the
+    candidates.
     """
     checkpoints = sorted(checkpoints)
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > trace.horizon:
         raise ValueError(f"checkpoints must lie in [1, {trace.horizon}], got {checkpoints}")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    cols = grid_columns(grid, trace.X[: checkpoints[-1]])
-    # one kernel block, sliced per checkpoint, so bessel_k runs once per audit
-    design = np.unique(cols)
-    K = kernel_cross(trace.spec, grid[design], grid)
-    f_grid = f.on_points(grid)
+    m = K.shape[0]
+    cols = grid_columns(grid[:m], trace.X[: checkpoints[-1]], f"in the audit grid's first {m} rows")
 
     def fits():
         for cp in checkpoints:
             rows, which, count = np.unique(cols[:cp], return_inverse=True, return_counts=True)
             ybar = np.bincount(which, weights=trace.y[:cp]) / count
-            C = K[np.searchsorted(design, rows)]
-            yield _replicate_predict(C, rows, rho / count, np.column_stack([ybar, f_grid[rows]]))
+            yield _replicate_predict(K[rows], rows, rho / count, np.column_stack([ybar, f_grid[rows]]))
 
     return _audit(f_grid, checkpoints, fits())
 

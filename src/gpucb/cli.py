@@ -46,7 +46,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
 from .kernels import KernelFamily
-from .posterior import NumericError
+from .posterior import NumericError, _points_kernel
 from .rkhs import RkhsFunction, _fmt, objective_record, parse_objective_record
 from .ucb import RegretTrace, _seed_noise, beta_value, run_gp_ucb, trace_from_csv, trace_to_csv
 
@@ -214,19 +214,25 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
     return 0
 
 
-def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple[list[RegretTrace], dict]:
-    """Traces and recorded objectives (by seed) of one suite, each trace
-    checked against the config's beta schedule, its objective on the
-    evaluation grid ``grid`` and its seed's noise draws; OSError or
-    ValueError names what is damaged."""
+def _load_suite(
+    cell: Path, config: ExperimentConfig, grid: np.ndarray, m: int
+) -> tuple[list[RegretTrace], dict, dict]:
+    """Traces, recorded objectives and their values over the evaluation grid
+    ``grid`` (each by seed) of one suite, each trace checked against the
+    config's beta schedule, its objective, the grid's first m points (the
+    candidates) and its seed's noise draws; OSError or ValueError names what
+    is damaged.  Seeds that share an objective share its grid values."""
     records = cell / "objective.txt"
-    objectives, f_grids = {}, {}
+    objectives, f_grids, by_record = {}, {}, {}
     try:
         for block in records.read_text(encoding="utf-8").split("\n\n"):
             if block.strip():
                 f, seed = parse_objective_record(block)
+                record = objective_record(f)  # the record without its seed line
+                if record not in by_record:
+                    by_record[record] = f.on_points(grid)
                 objectives[seed] = f
-                f_grids[seed] = f.on_points(grid)
+                f_grids[seed] = by_record[record]
     except ValueError as exc:
         raise ValueError(f"{records}: {exc}") from None
     beta = np.array([beta_value(config.beta, t, config.rho) for t in range(config.horizon)])
@@ -249,7 +255,12 @@ def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple
             forged = np.flatnonzero(np.cumsum(trace.inst_regret) != trace.cum_regret)
             if forged.size:
                 raise ValueError(f"cum_regret at t={forged[0] + 1} is not the running sum of inst_regret")
-            played = f_grid[grid_columns(grid, trace.X, "on the evaluation grid")]
+            cols = grid_columns(grid, trace.X, "on the evaluation grid")
+            # the audits read kernel rows of the candidates alone
+            off = np.flatnonzero(cols >= m)
+            if off.size:
+                raise ValueError(f"x at t={off[0] + 1}, {trace.X[off[0]].tolist()}, is not a candidate")
+            played = f_grid[cols]
             # round-off only: the last bits of a BLAS product differ between builds
             tol = 1e-9 * max(1.0, abs(f_star))
             off = np.flatnonzero(~(np.abs(f_star - played - trace.inst_regret) <= tol))
@@ -263,7 +274,7 @@ def _load_suite(cell: Path, config: ExperimentConfig, grid: np.ndarray) -> tuple
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         traces.append(trace)
-    return traces, objectives
+    return traces, objectives, f_grids
 
 
 def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list[RegretTrace], horizon: int) -> None:
@@ -336,7 +347,8 @@ def cmd_report(out_dir: str) -> int:
         longest = max(cells, key=lambda c: configs[c].horizon)
         config = configs[longest]
         grid = config.evaluation_points()
-        traces, objectives = _load_suite(longest, config, grid)
+        cand = config.candidate_points()
+        traces, objectives, f_grids = _load_suite(longest, config, grid, cand.shape[0])
         for cell in cells:
             if cell != longest:
                 _check_cut(cell, longest, config, traces, configs[cell].horizon)
@@ -368,14 +380,17 @@ def cmd_report(out_dir: str) -> int:
         encoding="utf-8",
     )
 
+    # the candidates' kernel rows against the grid, built once: every audit
+    # reads its design rows from it, and the information gain its leading
+    # square block, the candidates' kernel matrix
+    K = _points_kernel(config.kernel, cand, grid)
     checkpoints = fit_res.checkpoints
     audit_traces = traces[:5]
     allowed = 1.5 * math.sqrt(math.log1p(config.rho * checkpoints[-1]) / math.log1p(config.rho * checkpoints[0]))
     growth_ok, bias_ok, growth_detail = True, True, []
     for tr in audit_traces:
-        f = objectives[tr.seed]
-        audit = prefix_bound_audit(f, tr, config.rho, grid, checkpoints)
-        bias_ok &= max(audit.bias_ratio) <= f.norm * (1.0 + 1e-6)
+        audit = prefix_bound_audit(f_grids[tr.seed], K, tr, config.rho, grid, checkpoints)
+        bias_ok &= max(audit.bias_ratio) <= objectives[tr.seed].norm * (1.0 + 1e-6)
         ratio = audit.ratio[-1] / audit.ratio[0]
         growth_ok &= ratio <= allowed
         growth_detail.append(f"{ratio:.3f}<={allowed:.3f}")
@@ -403,7 +418,6 @@ def cmd_report(out_dir: str) -> int:
             + ", ".join(_flagged_from(tr.flag) for tr in traces)
         )
 
-    cand = config.candidate_points()
     T_gain = min(512, cand.shape[0])
     if T_gain >= 64:
         series = greedy_info_gain(config.kernel, config.rho, cand, T_gain)

@@ -19,7 +19,10 @@ plus O(d^3 + d^2 n) each time it refactors its rows from those d points.  A
 step that replays a point of the design at the last refactor reads a row
 stored by that refactor instead, O(a n) for the a rows appended since.
 Posteriors over the same points in turn share one read-only kernel matrix,
-so a process running many seeds over one point set builds it once.
+so a process running many seeds over one point set builds it once.  A
+report builds the candidates' kernel rows against its evaluation grid once
+(the candidates are the grid's first rows), and the same memo hands out
+their leading square block as the candidates' kernel matrix.
 """
 
 from __future__ import annotations
@@ -223,17 +226,28 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     return _clamped_var(1.0 - np.sum(W * W, axis=0))
 
 
-# one entry: every seed and every sweep cell of a process runs over one point set
+# one entry: every seed and every sweep cell of a process runs over one point
+# set, and a report reads that set's rows against one evaluation grid
 _KERNELS: dict = {}
 
 
-def _points_kernel(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """Read-only ``kernel_matrix(spec, points)``, built once per point set."""
-    key = (spec, points.shape, points.tobytes())
-    K = _KERNELS.get(key)
-    if K is None:
-        _KERNELS.clear()  # drop the old matrix before the new one is built
-        K = _KERNELS[key] = _freeze(kernel_matrix(spec, points))
+def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None = None) -> np.ndarray:
+    """Read-only ``kernel_cross(spec, points, grid)`` for a grid whose first
+    rows are ``points``, or ``kernel_matrix(spec, points)`` without a grid,
+    built once per point set.  The kernel is elementwise, so the leading
+    square block of an entry is ``kernel_matrix(spec, points)`` bit for bit:
+    a request without a grid takes it from an entry for the same points."""
+    m = points.shape[0]
+    rows = (spec, points.shape, points.tobytes())
+    cols = points if grid is None else grid
+    for (key_rows, key_cols), K in _KERNELS.items():
+        if key_rows == rows and (grid is None or key_cols == (grid.shape, grid.tobytes())):
+            return K[:, :m] if grid is None else K
+    if grid is not None and not np.array_equal(grid[:m], points):
+        raise ValueError("the points must be the grid's first rows")
+    _KERNELS.clear()  # drop the old matrix before the new one is built
+    K = _freeze(kernel_matrix(spec, points) if grid is None else kernel_cross(spec, points, grid))
+    _KERNELS[rows, (cols.shape, cols.tobytes())] = K
     return K
 
 

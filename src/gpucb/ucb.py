@@ -258,7 +258,7 @@ def trace_to_csv(trace: RegretTrace) -> str:
 
 def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:
     """Inverse of ``trace_to_csv``; ValueError on an empty trace, a missing
-    column, a ragged row or a skipped t."""
+    column, a ragged row, a skipped t or a flag other than 0 or 1."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trace")
@@ -267,15 +267,17 @@ def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -
     if missing:
         raise ValueError(f"trace header has no {', '.join(missing)} column")
     d = sum(1 for h in header if h.startswith("x_"))
+    cols = {name: i for i, name in enumerate(header)}
     rows = [ln.split(",") for ln in lines[1:]]
     for step, r in enumerate(rows, start=1):
         if len(r) != len(header):
             raise ValueError(f"ragged row at line {step + 1}: {len(r)} fields, header has {len(header)}")
         if r[0] != str(step):
             raise ValueError(f"non-consecutive t at line {step + 1}: {r[0]!r} where {step} was expected")
+        if r[cols["flag"]] not in ("0", "1"):
+            raise ValueError(f"flag at line {step + 1} is {r[cols['flag']]!r}, not 0 or 1")
     T = len(rows)
     X = np.array([[float(r[1 + j]) for j in range(d)] for r in rows])
-    cols = {name: i for i, name in enumerate(header)}
 
     def col(name, cast=float):
         return np.array([cast(r[cols[name]]) for r in rows])
@@ -284,6 +286,6 @@ def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -
         X=X.reshape(T, d),
         y=col("y"), beta=col("beta"), sigma=col("sigma"), mu=col("mu"),
         inst_regret=col("inst_regret"), cum_regret=col("cum_regret"),
-        flag=col("flag", cast=lambda s: bool(int(s))),
+        flag=col("flag", cast=lambda s: s == "1"),
         f_star=f_star, seed=seed, spec=spec,
     )

@@ -63,11 +63,12 @@ def calibrated_c0(family: KernelFamily) -> float:
         candidates_count=256, eval_grid_count=256, seeds=PILOT_SEEDS,
     )
     grid = pilot.evaluation_points()
+    K = kernel_cross(pilot.kernel, pilot.candidate_points(), grid)
     audits = []
     for seed in pilot.seeds:
         f = pilot.objective_for_seed(seed)
         trace = run_gp_ucb(pilot, f, seed)
-        audits.append(prefix_bound_audit(f, trace, pilot.rho, grid, PILOT_CHECKPOINTS))
+        audits.append(prefix_bound_audit(f.on_points(grid), K, trace, pilot.rho, grid, PILOT_CHECKPOINTS))
     return calibrate_c0(audits, rho=pilot.rho, delta=0.1)
 
 
@@ -265,11 +266,12 @@ def test_c06_error_ratio_growth(matern_suite):
     t0 = time.time()
     config = matern_suite.config
     grid = config.evaluation_points()
+    K = kernel_cross(config.kernel, config.candidate_points(), grid)
     checkpoints = (256, 1024, 4096)
     r_by_checkpoint = {t: [] for t in checkpoints}
     for trace in matern_suite.traces:
         f = config.objective_for_seed(trace.seed)
-        audit = prefix_bound_audit(f, trace, config.rho, grid, checkpoints)
+        audit = prefix_bound_audit(f.on_points(grid), K, trace, config.rho, grid, checkpoints)
         for t, r in zip(audit.t, audit.ratio):
             r_by_checkpoint[t].append(r)
     mean_r = {t: float(np.mean(v)) for t, v in r_by_checkpoint.items()}

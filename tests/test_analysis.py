@@ -15,6 +15,7 @@ from gpucb import (
     fit,
     fit_regret_exponent,
     greedy_info_gain,
+    kernel_cross,
     kernel_matrix,
     logdet_information,
     prefix_bound_audit,
@@ -44,6 +45,13 @@ def synthetic_trace(cum_regret: np.ndarray, spec=SE) -> RegretTrace:
         inst_regret=inst, cum_regret=np.asarray(cum_regret, dtype=float),
         flag=np.ones(T, dtype=bool), f_star=0.0, seed=0, spec=spec,
     )
+
+
+def audit_inputs(config, f):
+    """The objective's values over the evaluation grid and the candidates'
+    kernel rows against it, as ``prefix_bound_audit`` takes them."""
+    grid = config.evaluation_points()
+    return f.on_points(grid), kernel_cross(config.kernel, config.candidate_points(), grid)
 
 
 class TestRateReference:
@@ -116,6 +124,27 @@ class TestGreedyInfoGain:
         K = kernel_matrix(SE, cands[chosen])
         _, logdet = np.linalg.slogdet(np.eye(T) + K / rho)
         assert series[-1] == pytest.approx(0.5 * logdet, rel=1e-10)
+
+    def test_shared_block_matches_a_fresh_build_bit_for_bit(self, monkeypatch):
+        # nu = 1.2 takes the general-order K_nu path; the 48 Halton candidates
+        # are the first rows of a grid that adds a lattice
+        import gpucb.posterior
+        from gpucb.config import halton_points, lattice_points
+
+        spec = KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=0.5)
+        box = Box((0.0, 0.0), (1.0, 1.0))
+        cands = halton_points(box, 48)
+        grid = np.vstack([cands, lattice_points(box, 36)])
+        monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
+        fresh = greedy_info_gain(spec, 0.5, cands, T=40)
+        monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
+        block = gpucb.posterior._points_kernel(spec, cands, grid)
+        built = []
+        monkeypatch.setattr(gpucb.posterior, "kernel_matrix", lambda *a: built.append(a) or kernel_matrix(*a))
+        shared = greedy_info_gain(spec, 0.5, cands, T=40)
+        (kept,) = gpucb.posterior._KERNELS.values()
+        assert built == [] and kept is block
+        assert block.shape == (48, 84) and shared.tobytes() == fresh.tobytes()
 
     def test_se_polylog_ratio_bounded(self):
         cands = np.linspace(0, 1, 160)[:, None]
@@ -228,7 +257,7 @@ class TestUniformBoundAudit:
         trace = run_gp_ucb(config, f, 5)
         grid = config.evaluation_points()
         slow = uniform_bound_audit(f, states_at_checkpoints(trace, config.rho, checkpoints), grid)
-        fast = prefix_bound_audit(f, trace, config.rho, grid, checkpoints)
+        fast = prefix_bound_audit(*audit_inputs(config, f), trace, config.rho, grid, checkpoints)
         assert fast.t == slow.t
         assert np.allclose(fast.ratio, slow.ratio, rtol=1e-8)
         assert np.allclose(fast.bias_ratio, slow.bias_ratio, rtol=1e-8)
@@ -259,7 +288,7 @@ class TestUniformBoundAudit:
         assert all(np.unique(cols[:t]).size == 4 for t in checkpoints)
         assert np.bincount(cols).min() >= 24
         slow = uniform_bound_audit(f, states_at_checkpoints(trace, config.rho, checkpoints), grid)
-        fast = prefix_bound_audit(f, trace, config.rho, grid, checkpoints)
+        fast = prefix_bound_audit(*audit_inputs(config, f), trace, config.rho, grid, checkpoints)
         assert fast.t == slow.t
         for a, b in [(fast.ratio, slow.ratio), (fast.bias_ratio, slow.bias_ratio),
                      (fast.random_ratio, slow.random_ratio)]:
@@ -291,7 +320,7 @@ class TestUniformBoundAudit:
         off_grid[3] += 1e-3
         moved = RegretTrace(**{**trace.__dict__, "X": off_grid})
         with pytest.raises(ValueError, match="not in the audit grid"):
-            prefix_bound_audit(f, moved, config.rho, grid, [8, 16])
+            prefix_bound_audit(*audit_inputs(config, f), moved, config.rho, grid, [8, 16])
 
 
 class TestRegretBoundCheck:

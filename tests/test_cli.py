@@ -327,6 +327,74 @@ class TestSharedKernelMatrix:
             K[0, 0] = 0.0
 
 
+class TestSharedReportBlock:
+    """``report`` builds the candidates' kernel rows against the evaluation
+    grid once, and evaluates each distinct objective over the grid once."""
+
+    @staticmethod
+    def report_counting(tmp_path, monkeypatch, text):
+        import gpucb.analysis
+        import gpucb.posterior
+        from gpucb import kernel_cross
+        from gpucb.rkhs import RkhsFunction
+
+        out = tmp_path / "run"
+        assert cmd_run(write_config(tmp_path, text), str(out)) == 0
+        crosses, matrices, evaluated = [], [], []
+
+        def counted_cross(spec, X, Y):
+            crosses.append((np.array(X), np.array(Y)))
+            return kernel_cross(spec, X, Y)
+
+        def counted_matrix(spec, X):
+            matrices.append(np.array(X))
+            return kernel_matrix(spec, X)
+
+        on_points = RkhsFunction.on_points
+
+        def counted_on_points(f, X):
+            evaluated.append(f)
+            return on_points(f, X)
+
+        monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
+        for module in (gpucb.posterior, gpucb.analysis):
+            monkeypatch.setattr(module, "kernel_cross", counted_cross)
+        monkeypatch.setattr(gpucb.posterior, "kernel_matrix", counted_matrix)
+        monkeypatch.setattr(RkhsFunction, "on_points", counted_on_points)
+        assert cmd_report(str(out)) == 0
+        config = parse_config((out / "config.txt").read_text())
+        return config, crosses, matrices, evaluated, (out / "report.txt").read_text()
+
+    def test_report_builds_the_candidates_block_once(self, tmp_path, monkeypatch):
+        # 64 candidates on a grid of more points, 5 audited seeds and the
+        # information gain: one m x n block, no per-audit block and no
+        # second candidates' matrix
+        text = (
+            MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
+            .replace("horizon = 8", "horizon = 64")
+            .replace("candidates.count = 16", "candidates.count = 64")
+            .replace("eval_grid.count = 16", "eval_grid.count = 100")
+        )
+        config, crosses, matrices, evaluated, report = self.report_counting(tmp_path, monkeypatch, text)
+        cand, grid = config.candidate_points(), config.evaluation_points()
+        assert cand.shape[0] < grid.shape[0]
+        assert "PASS  error-ratio growth" in report and "SKIP  information-gain" not in report
+        assert len(crosses) == 1
+        assert np.array_equal(crosses[0][0], cand) and np.array_equal(crosses[0][1], grid)
+        assert matrices == []
+        assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
+
+    def test_seeds_sharing_an_objective_evaluate_it_once(self, tmp_path, monkeypatch):
+        text = (
+            MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
+            .replace("horizon = 8", "horizon = 64")
+            .replace("objective.kind = random", "objective.kind = explicit")
+            + "objective.centers = 0.2; 0.7\nobjective.coeffs = 1, -0.5\n"
+        )
+        _, _, _, evaluated, _ = self.report_counting(tmp_path, monkeypatch, text)
+        assert len(evaluated) == 1
+
+
 class TestSweep:
     def test_horizon_sweep_layout(self, tmp_path):
         out = tmp_path / "sweep"
@@ -588,11 +656,49 @@ def _forge_y(cell):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _forge_flag(cell):
+    # a flag that is neither 0 nor 1, which reads as true once cast to bool
+    path = cell / "trace_seed0.csv"
+    lines = path.read_text().splitlines()
+    row = lines[9].split(",")
+    row[lines[0].split(",").index("flag")] = "2"
+    lines[9] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _move_to_grid_row(cell):
+    # step 5 moved onto a grid point that is not a candidate, with y and the
+    # regret columns made to match it
+    config = parse_config((cell / "config.txt").read_text())
+    grid = config.evaluation_points()
+    row = config.candidate_points().shape[0]
+    records = (cell / "objective.txt").read_text().split("\n\n")
+    f, _ = parse_objective_record(next(r for r in records if r.startswith("seed = 1\n")))
+    f_grid = f.on_points(grid)
+    path = cell / "trace_seed1.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    rows[4][header.index("x_1")] = repr(float(grid[row, 0]))
+    rows[4][header.index("y")] = repr(float(f_grid[row] + _seed_noise(config, 1)[4]))
+    rows[4][header.index("inst_regret")] = repr(float(np.max(f_grid) - f_grid[row]))
+    inst = np.array([float(r[header.index("inst_regret")]) for r in rows])
+    for r, c in zip(rows, np.cumsum(inst)):
+        r[header.index("cum_regret")] = repr(float(c))
+    path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+
+
 class TestDamagedRunReport:
     @pytest.fixture(scope="class")
     def suite(self, tmp_path_factory):
+        # 16 candidates and a 31-point evaluation lattice, so a grid point
+        # need not be a candidate
         work = tmp_path_factory.mktemp("damaged")
-        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("horizon = 8", "horizon = 64")
+        text = (
+            MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
+            .replace("horizon = 8", "horizon = 64")
+            .replace("eval_grid.count = 16", "eval_grid.count = 31")
+        )
         out = work / "run"
         assert cmd_run(write_config(work, text), str(out)) == 0
         return out
@@ -611,6 +717,8 @@ class TestDamagedRunReport:
         (_skip_step, "non-consecutive t"),
         (_short_trace, "rows for horizon 64"),
         (_move_point, "not on the evaluation grid"),
+        (_move_to_grid_row, "trace_seed1.csv: x at t=5, [0.03333333333333333], is not a candidate"),
+        (_forge_flag, "trace_seed0.csv: flag at line 10 is '2', not 0 or 1"),
         (_forge_cum_regret, "trace_seed2.csv: cum_regret at t=20 is not the running sum"),
         (_forge_beta, "trace_seed4.csv: beta at t=7 is not the configured schedule"),
         (_forge_y, "trace_seed3.csv: y at t=1 is not f(x_t) plus the seed's noise draw"),
