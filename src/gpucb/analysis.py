@@ -100,7 +100,7 @@ def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.nda
     total = 0.0
     for t in range(T):
         var = post.variance()
-        c = int(np.argmax(var))
+        c = int(var.argmax())
         total += 0.5 * math.log1p(var[c] / rho)
         series[t] = total
         post.observe(c, 0.0)

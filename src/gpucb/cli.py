@@ -47,8 +47,8 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
 from .kernels import KernelFamily
 from .posterior import NumericError, _points_kernel
-from .rkhs import RkhsFunction, _fmt, objective_record, parse_objective_record
-from .ucb import RegretTrace, _seed_noise, beta_value, run_gp_ucb, trace_from_csv, trace_to_csv
+from .rkhs import RkhsFunction, _fmt, _split_seed, objective_record, parse_objective_record
+from .ucb import RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
 
@@ -221,21 +221,21 @@ def _load_suite(
     ``grid`` (each by seed) of one suite, each trace checked against the
     config's beta schedule, its objective, the grid's first m points (the
     candidates) and its seed's noise draws; OSError or ValueError names what
-    is damaged.  Seeds that share an objective share its grid values."""
+    is damaged.  Seeds that share an objective record share one parse of it
+    and its grid values."""
     records = cell / "objective.txt"
     objectives, f_grids, by_record = {}, {}, {}
     try:
         for block in records.read_text(encoding="utf-8").split("\n\n"):
             if block.strip():
-                f, seed = parse_objective_record(block)
-                record = objective_record(f)  # the record without its seed line
+                seed, record = _split_seed(block)
                 if record not in by_record:
-                    by_record[record] = f.on_points(grid)
-                objectives[seed] = f
-                f_grids[seed] = by_record[record]
+                    f, _ = parse_objective_record(record)
+                    by_record[record] = f, f.on_points(grid)
+                objectives[seed], f_grids[seed] = by_record[record]
     except ValueError as exc:
         raise ValueError(f"{records}: {exc}") from None
-    beta = np.array([beta_value(config.beta, t, config.rho) for t in range(config.horizon)])
+    beta = beta_column(config.beta, config.horizon, config.rho)
     traces = []
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"

@@ -11,18 +11,25 @@ a new state, which matches a from-scratch refit to within round-off.  This
 module is the package's only linear algebra: numpy's Cholesky factor, a
 substitution for the triangular solves (O(t^2) per right-hand side), and an
 explicit inverse factor for the solves whose right-hand sides are d x n
-kernel blocks.
+kernel blocks.  The inverse factor is built by halves, from LAPACK
+inverses of diagonal blocks of at most ``_BLOCK`` rows and matrix products
+for the blocks below them, so it takes no Python step per row.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
 update rule per observation, for the UCB loop and the greedy information
 gain: O(r n) per step with r <= 2d + 1 rows for d distinct points played,
 plus O(d^3 + d^2 n) each time it refactors its rows from those d points.  A
 step that replays a point of the design at the last refactor reads a row
-stored by that refactor instead, O(a n) for the a rows appended since.
+stored by that refactor instead, O(a n) for the a rows appended since.  A
+step is one matrix-vector product and a few elementwise passes over the n
+points, with its scalars read as Python floats.
 Posteriors over the same points in turn share one read-only kernel matrix,
 so a process running many seeds over one point set builds it once.  A
-report builds the candidates' kernel rows against its evaluation grid once
-(the candidates are the grid's first rows), and the same memo hands out
-their leading square block as the candidates' kernel matrix.
+posterior that also tracks shadow points (the UCB loop's optimum, when it
+lies off the candidates) copies that shared matrix and adds the shadow
+points' kernel rows, so the shared entry stays in the memo.  A report
+builds the candidates' kernel rows against its evaluation grid once (the
+candidates are the grid's first rows), and the same memo hands out their
+leading square block as the candidates' kernel matrix.
 """
 
 from __future__ import annotations
@@ -159,11 +166,35 @@ def _cho_solve(L: np.ndarray, b) -> np.ndarray:
     return _solve_lower(L, _solve_lower(L, b), trans=True)
 
 
+# the lower triangle of a diagonal block of _inv_lower, the diagonal included
+_LOWER = _freeze(np.tri(_BLOCK, dtype=bool))
+
+
+def _inv_lower(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """inv(L) for lower-triangular L, exactly zero above the diagonal, into
+    ``out`` (zeros of L's shape) when given.  By halves:
+    inv([[P, 0], [Q, R]]) = [[inv(P), 0], [-inv(R) Q inv(P), inv(R)]], with
+    LAPACK inverting the diagonal blocks of at most ``_BLOCK`` rows, so the
+    O(d^3) work is matrix products, where substitution takes d Python steps."""
+    d = L.shape[0]
+    if out is None:
+        out = np.zeros((d, d))
+    if d <= _BLOCK:
+        np.copyto(out, np.linalg.inv(L), where=_LOWER[:d, :d])
+        return out
+    h = d // 2
+    p_inv = _inv_lower(L[:h, :h], out[:h, :h])
+    r_inv = _inv_lower(L[h:, h:], out[h:, h:])
+    q = np.matmul(r_inv, L[h:, :h] @ p_inv, out=out[h:, :h])
+    np.negative(q, out=q)
+    return out
+
+
 def _whiten(L: np.ndarray, C: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None):
     """inv(L), inv(L) C (into ``out`` when given) and inv(L) Y, for a
     design's factor L and its kernel rows C against n points: the inverse
     costs O(d^3) once, then C takes one matrix product, O(d^2 n)."""
-    Linv = _solve_lower(L, np.eye(L.shape[0]))
+    Linv = _inv_lower(L)
     return Linv, np.matmul(Linv, C, out=out), Linv @ Y
 
 
@@ -204,11 +235,13 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
 
 
 def _clamped_var(raw: np.ndarray, step: int | None = None) -> np.ndarray:
-    """``raw`` clamped at 0 in place."""
-    low = float(np.min(raw)) if raw.size else 0.0
-    if low < -_VAR_CLAMP:
-        raise NumericError(f"negative posterior variance {low} signals a broken factorization", step=step)
-    return np.maximum(raw, 0.0, out=raw)
+    """``raw`` clamped at 0 in place; untouched when nothing is negative."""
+    low = np.minimum.reduce(raw) if raw.size else 0.0
+    if low < 0.0:
+        if low < -_VAR_CLAMP:
+            raise NumericError(f"negative posterior variance {low} signals a broken factorization", step=step)
+        np.maximum(raw, 0.0, out=raw)
+    return raw
 
 
 def posterior_mean_at(state: PosteriorState, X) -> np.ndarray:
@@ -251,6 +284,19 @@ def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None
     return K
 
 
+def _extended_kernel(spec: KernelSpec, K: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``kernel_matrix(spec, points)`` from K, that of the first rows of
+    ``points``, and one ``kernel_cross`` block for the other rows: the kernel
+    is elementwise and K is symmetric bit for bit, so this is the same
+    matrix, for O(e n) kernel evaluations with e other rows."""
+    k = K.shape[0]
+    full = np.empty((points.shape[0],) * 2)
+    full[:k, :k] = K
+    full[k:] = kernel_cross(spec, points[k:], points)
+    full[:k, k:] = full[k:, :k].T
+    return _freeze(full)
+
+
 class GrowingPosterior:
     """Posterior over a fixed set of n points, grown one observation at a time.
 
@@ -268,17 +314,22 @@ class GrowingPosterior:
     of c reads s = nu_p B[p] - W[d:, c]' W[d:], O(a n) for the a rows
     appended since.  Rows stay at most 2d + 1, and the refactor steps depend
     on the prefix alone, so a shorter run stays a prefix of a longer one.
-    Design points must be among the n points.
+    Design points must be among the n points: ``points``, then ``shadow``
+    when given.  The kernel matrix of ``points`` is shared through the memo;
+    the rows of ``shadow`` are built for this posterior alone.
     """
 
-    def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int):
-        n = points.shape[0]
-        self.rho = rho
-        self.t = 0
-        self.mean = np.zeros(n)
+    def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int,
+                 shadow: np.ndarray | None = None):
         # built before W: the other order raised a 2026-point sweep's peak RSS
         # from 156 to 187 MiB
         self._K = _points_kernel(spec, points)
+        if shadow is not None:
+            self._K = _extended_kernel(spec, self._K, np.vstack([points, shadow]))
+        n = self._K.shape[0]
+        self.rho = rho
+        self.t = 0
+        self.mean = np.zeros(n)
         self._W = np.empty((min(horizon, 2 * n + 1), n))
         self._rows = 0
         self._sumsq = np.zeros(n)
@@ -303,24 +354,27 @@ class GrowingPosterior:
         r = self._rows
         W = self._W
         s = self._s
-        p = self._pos[c]
+        # W[r] is free until this step's row is written into it
+        w_row = W[r]
+        p = self._pos.item(c)
         if p >= 0:
             d = self._design
-            np.matmul(W[d:r, c], W[d:r], out=s)
-            # W[r] is free until this step's row is written into it
-            np.subtract(np.multiply(self._B[p], self._nu[p], out=W[r]), s, out=s)
+            np.dot(W[d:r, c], W[d:r], out=s)
+            np.subtract(np.multiply(self._B[p], self._nu.item(p), out=w_row), s, out=s)
         else:
-            np.matmul(W[:r, c], W[:r], out=s)
+            np.dot(W[:r, c], W[:r], out=s)
             np.subtract(self._K[c], s, out=s)
-        d2 = self.rho + max(1.0 - self._sumsq[c], 0.0)
-        gain = (y - self.mean[c]) / d2
-        w_row = np.divide(s, math.sqrt(d2), out=W[r])
+        sumsq = self._sumsq
+        d2 = self.rho + max(1.0 - sumsq.item(c), 0.0)
+        gain = (y - self.mean.item(c)) / d2
+        np.divide(s, math.sqrt(d2), out=w_row)
         self.mean += np.multiply(s, gain, out=s)
-        self._sumsq += np.multiply(w_row, w_row, out=s)
+        sumsq += np.multiply(w_row, w_row, out=s)
         self._rows = r + 1
-        if not self._count[c]:
+        count = self._count
+        if not count.item(c):
             self._distinct += 1
-        self._count[c] += 1.0
+        count[c] += 1.0
         self._ysum[c] += y
         self.t += 1
         if self._rows > 2 * self._distinct:

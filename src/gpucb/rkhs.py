@@ -155,9 +155,25 @@ def objective_record(f: RkhsFunction, seed: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _split_seed(text: str) -> tuple[int | None, str]:
+    """A record's seed (None without a seed line) and the record without it;
+    ValueError on a repeated or malformed seed."""
+    seed, rest = None, []
+    for line in text.splitlines():
+        key, eq, value = line.partition("=")
+        if eq and key.strip() == "seed":
+            if seed is not None:
+                raise ValueError("duplicate key 'seed'")
+            seed = int(value.strip())
+        else:
+            rest.append(line)
+    return seed, "\n".join(rest)
+
+
 def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
     """Inverse of objective_record (floats round-trip bit-exactly); ValueError
     names a malformed line, a repeated key or a missing field."""
+    seed, text = _split_seed(text)
     fields: dict[str, str] = {}
     for line in text.splitlines():
         line = line.strip()
@@ -178,5 +194,4 @@ def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
     spec = KernelSpec(family, nu=nu, lengthscale=float(fields["lengthscale"]))
     centers = [[float(c) for c in row.split(",")] for row in fields["centers"].split(";")]
     coeffs = [float(c) for c in fields["coeffs"].split(",")]
-    seed = int(fields["seed"]) if "seed" in fields else None
     return make_rkhs_function(spec, centers, coeffs), seed

@@ -12,9 +12,16 @@ the design at the last refactor (a rows appended since), plus
 O(d^3 + d^2 n) whenever the posterior refactors its rows from those d
 points.  Refactors come more than d steps apart, so a run is O(T d n) in
 all, with d <= min(T, m), instead of O(T^3 m).  The candidates' kernel
-matrix is built once per process and shared by every seed and sweep cell.
+matrix is built once per process and shared by every seed and sweep cell;
+a seed with a shadow column adds that column's kernel row to a copy of it.
 It is algebraically the same recursion as ``posterior.update`` restricted
 to the tracked points, and the tests pin the two against each other.
+
+Beyond that arithmetic, a step costs about fifteen NumPy calls on arrays of
+n values: the variance and its clamp check, the scores and their argmax and
+finiteness check, and the update.  The exploration weights are one column
+per schedule, horizon and rho, computed before the loop, and the loop reads
+the objective, the noise and the posterior's scalars as Python floats.
 
 Per step the loop records its choice, the exploration weight, the
 posterior mean/sd at the chosen point, and a flag marking whether the
@@ -25,6 +32,7 @@ follow from the choices, the objective on the grid and one noise draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .kernels import KernelSpec
-from .posterior import GrowingPosterior, NumericError, PosteriorState, posterior_mean_at, posterior_var_at
+from .posterior import GrowingPosterior, NumericError, PosteriorState, _freeze, posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction
 
 if TYPE_CHECKING:
@@ -44,6 +52,7 @@ __all__ = [
     "BetaSchedule",
     "RegretTrace",
     "beta_value",
+    "beta_column",
     "acquire",
     "run_gp_ucb",
     "edp_recommend",
@@ -97,15 +106,23 @@ def beta_value(schedule: BetaSchedule, t: int, rho: float) -> float:
     return 2.0 * math.log(t_eff**2 * 2.0 * math.pi**2 / (3.0 * schedule.delta)) + schedule.c0
 
 
+@functools.lru_cache(maxsize=1)
+def beta_column(schedule: BetaSchedule, T: int, rho: float) -> np.ndarray:
+    """Read-only ``beta_value(schedule, t, rho)`` for t = 0..T-1, the weight
+    of each of T steps; computed once and shared by the runs and reports of
+    one schedule, horizon and rho."""
+    return _freeze(np.array([beta_value(schedule, t, rho) for t in range(T)]))
+
+
 def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int | None = None, out=None) -> int:
     """Index maximizing mean + sqrt(beta) * sd, ties to the lowest index, the
     scores written into ``out`` when given; NumericError on a non-finite
     score, naming the first such candidate and the step when given."""
     score = np.multiply(sd, math.sqrt(beta), out=out)
     score += mean
-    c = int(np.argmax(score))
+    c = int(score.argmax())
     # argmax stops at the first NaN and reaches any +inf; min reaches -inf
-    if not (math.isfinite(score[c]) and math.isfinite(score.min())):
+    if not (math.isfinite(score[c]) and math.isfinite(np.minimum.reduce(score))):
         bad = int(np.flatnonzero(~np.isfinite(score))[0])
         where = "" if step is None else f", step {step}"
         raise NumericError(f"non-finite acquisition value at candidate {bad}{where}", index=bad, step=step)
@@ -183,43 +200,46 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     f_star = float(f_grid[best])
     f_cand = f_grid[:m]
     noise = _seed_noise(config, seed)
+    beta = beta_column(config.beta, T, rho)
 
     # track the optimum through its own candidate column, or through a
-    # shadow column next to the candidates when it lies off them: every seed
-    # then shares the candidates' kernel matrix
+    # shadow column next to the candidates when it lies off them; the
+    # candidates' kernel matrix is shared by every seed either way
     if best < m:
-        points, opt = cand, best
+        opt, shadow = best, None
     else:
-        points, opt = np.vstack([cand, grid[best][None, :]]), m
-    post = GrowingPosterior(spec, rho, points, T)
+        opt, shadow = m, grid[best:best + 1]
+    post = GrowingPosterior(spec, rho, cand, T, shadow=shadow)
 
     choice = np.empty(T, dtype=np.intp)
-    beta_out, sigma_out, mu_out = np.empty((3, T))
+    sigma_out, mu_out = np.empty((2, T))
     flag_out = np.empty(T, dtype=bool)
-    sd = np.empty(points.shape[0])
+    # post.mean and sd are updated in place, so their views hold every step
+    mean = post.mean
+    sd = np.empty(mean.shape[0])
+    mean_cand, sd_cand = mean[:m], sd[:m]
     score = np.empty(m)
-    for t in range(T):
-        beta = beta_value(config.beta, t, rho)
-        mean = post.mean
+    f_values, y_noise = f_cand.tolist(), noise.tolist()
+    for t, beta_t in enumerate(beta.tolist()):
         np.sqrt(post.variance(out=sd), out=sd)
-        c = _select(mean[:m], sd[:m], beta, step=t + 1, out=score)
-        root_beta = math.sqrt(beta)
+        c = _select(mean_cand, sd_cand, beta_t, step=t + 1, out=score)
+        root_beta = math.sqrt(beta_t)
+        mean_c, sd_c, f_c = mean.item(c), sd.item(c), f_values[c]
         flag_out[t] = (
-            abs(f_star - mean[opt]) <= root_beta * sd[opt]
-            and abs(f_cand[c] - mean[c]) <= root_beta * sd[c]
+            abs(f_star - mean.item(opt)) <= root_beta * sd.item(opt)
+            and abs(f_c - mean_c) <= root_beta * sd_c
         )
         choice[t] = c
-        beta_out[t] = beta
-        sigma_out[t] = sd[c]
-        mu_out[t] = mean[c]
-        post.observe(c, f_cand[c] + noise[t])
+        sigma_out[t] = sd_c
+        mu_out[t] = mean_c
+        post.observe(c, f_c + y_noise[t])
 
     X, y, inst = cand[choice], f_cand[choice] + noise, f_star - f_cand[choice]
     cum = np.cumsum(inst)  # left to right, as report checks it
-    for arr in (X, y, beta_out, sigma_out, mu_out, inst, cum, flag_out):
+    for arr in (X, y, sigma_out, mu_out, inst, cum, flag_out):
         arr.setflags(write=False)
     return RegretTrace(
-        X=X, y=y, beta=beta_out, sigma=sigma_out, mu=mu_out,
+        X=X, y=y, beta=beta, sigma=sigma_out, mu=mu_out,
         inst_regret=inst, cum_regret=cum, flag=flag_out,
         f_star=f_star, seed=seed, spec=spec,
     )

@@ -329,18 +329,19 @@ class TestSharedKernelMatrix:
 
 class TestSharedReportBlock:
     """``report`` builds the candidates' kernel rows against the evaluation
-    grid once, and evaluates each distinct objective over the grid once."""
+    grid once, and parses and evaluates each distinct objective once."""
 
     @staticmethod
     def report_counting(tmp_path, monkeypatch, text):
         import gpucb.analysis
         import gpucb.posterior
+        import gpucb.rkhs
         from gpucb import kernel_cross
         from gpucb.rkhs import RkhsFunction
 
         out = tmp_path / "run"
         assert cmd_run(write_config(tmp_path, text), str(out)) == 0
-        crosses, matrices, evaluated = [], [], []
+        crosses, matrices, evaluated, norms = [], [], [], []
 
         def counted_cross(spec, X, Y):
             crosses.append((np.array(X), np.array(Y)))
@@ -348,6 +349,10 @@ class TestSharedReportBlock:
 
         def counted_matrix(spec, X):
             matrices.append(np.array(X))
+            return kernel_matrix(spec, X)
+
+        def counted_norm(spec, X):
+            norms.append(np.array(X))
             return kernel_matrix(spec, X)
 
         on_points = RkhsFunction.on_points
@@ -360,10 +365,11 @@ class TestSharedReportBlock:
         for module in (gpucb.posterior, gpucb.analysis):
             monkeypatch.setattr(module, "kernel_cross", counted_cross)
         monkeypatch.setattr(gpucb.posterior, "kernel_matrix", counted_matrix)
+        monkeypatch.setattr(gpucb.rkhs, "kernel_matrix", counted_norm)
         monkeypatch.setattr(RkhsFunction, "on_points", counted_on_points)
         assert cmd_report(str(out)) == 0
         config = parse_config((out / "config.txt").read_text())
-        return config, crosses, matrices, evaluated, (out / "report.txt").read_text()
+        return config, crosses, matrices, evaluated, norms, (out / "report.txt").read_text()
 
     def test_report_builds_the_candidates_block_once(self, tmp_path, monkeypatch):
         # 64 candidates on a grid of more points, 5 audited seeds and the
@@ -375,7 +381,7 @@ class TestSharedReportBlock:
             .replace("candidates.count = 16", "candidates.count = 64")
             .replace("eval_grid.count = 16", "eval_grid.count = 100")
         )
-        config, crosses, matrices, evaluated, report = self.report_counting(tmp_path, monkeypatch, text)
+        config, crosses, matrices, evaluated, norms, report = self.report_counting(tmp_path, monkeypatch, text)
         cand, grid = config.candidate_points(), config.evaluation_points()
         assert cand.shape[0] < grid.shape[0]
         assert "PASS  error-ratio growth" in report and "SKIP  information-gain" not in report
@@ -383,6 +389,7 @@ class TestSharedReportBlock:
         assert np.array_equal(crosses[0][0], cand) and np.array_equal(crosses[0][1], grid)
         assert matrices == []
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
+        assert len(norms) == 5
 
     def test_seeds_sharing_an_objective_evaluate_it_once(self, tmp_path, monkeypatch):
         text = (
@@ -391,8 +398,10 @@ class TestSharedReportBlock:
             .replace("objective.kind = random", "objective.kind = explicit")
             + "objective.centers = 0.2; 0.7\nobjective.coeffs = 1, -0.5\n"
         )
-        _, _, _, evaluated, _ = self.report_counting(tmp_path, monkeypatch, text)
+        _, _, _, evaluated, norms, _ = self.report_counting(tmp_path, monkeypatch, text)
         assert len(evaluated) == 1
+        # one parse of the shared record, so one norm over its two centers
+        assert len(norms) == 1 and norms[0].shape == (2, 1)
 
 
 class TestSweep:
@@ -580,6 +589,11 @@ def _garbage_record_line(cell):
     path.write_text(path.read_text().replace("family = ", "garbage line here\nfamily = ", 1))
 
 
+def _repeat_seed_line(cell):
+    path = cell / "objective.txt"
+    path.write_text(path.read_text().replace("seed = 3\n", "seed = 3\nseed = 4\n", 1))
+
+
 def _repeat_record_key(cell):
     path = cell / "objective.txt"
     path.write_text(path.read_text().replace("family = matern\n", "family = matern\nfamily = matern\n", 1))
@@ -712,6 +726,7 @@ class TestDamagedRunReport:
         (_swap_seed_labels, "trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t)"),
         (_garbage_record_line, "objective.txt: malformed line 'garbage line here'"),
         (_repeat_record_key, "objective.txt: duplicate key 'family'"),
+        (_repeat_seed_line, "objective.txt: duplicate key 'seed'"),
         (_rename_column, "trace_seed1.csv: trace header has no mu column"),
         (_truncate_trace, "trace_seed1.csv"),
         (_skip_step, "non-consecutive t"),

@@ -19,7 +19,9 @@ from gpucb import (
     sample_random_rkhs,
     update,
 )
-from gpucb.posterior import _BLOCK, _cholesky, _solve_lower, _whiten
+import gpucb.posterior
+from gpucb.kernels import kernel_matrix
+from gpucb.posterior import _BLOCK, _cholesky, _inv_lower, _solve_lower, _whiten
 from gpucb.rkhs import Box
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -300,6 +302,19 @@ class TestGrowingPosterior:
             assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
             assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
 
+    def test_shadow_points_extend_the_shared_matrix_bit_for_bit(self, monkeypatch):
+        # two points off the set: their rows are built for this posterior,
+        # and the memo keeps the set's own matrix for the next one
+        monkeypatch.setattr("gpucb.posterior._KERNELS", {})
+        shadow = np.array([[0.05], [0.55]])
+        post = GrowingPosterior(MATERN_03, 0.5, self.points, 40, shadow=shadow)
+        want = kernel_matrix(MATERN_03, np.vstack([self.points, shadow]))
+        assert np.array_equal(post._K.view(np.int64), want.view(np.int64))
+        assert not post._K.flags.writeable
+        (K,) = gpucb.posterior._KERNELS.values()
+        assert K.shape == (8, 8) and np.shares_memory(GrowingPosterior(MATERN_03, 0.5, self.points, 40)._K, K)
+
+
 class TestLogdetInformation:
     def test_single_point(self):
         for rho in (0.25, 1.0, 4.0):
@@ -426,7 +441,7 @@ class TestNumericErrors:
 
 
 class TestTriangularSolve:
-    """``_solve_lower`` and ``_whiten`` against SciPy's triangular solve."""
+    """``_solve_lower``, ``_inv_lower`` and ``_whiten`` against SciPy's triangular solve."""
 
     @staticmethod
     def factor(t):
@@ -461,3 +476,17 @@ class TestTriangularSolve:
                          (W, solve_triangular(L, C, lower=True)), (z, solve_triangular(L, y, lower=True))):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert not np.any(np.triu(Linv, 1))
+
+    @pytest.mark.parametrize("t", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("k", [1, 4, 16, 64, 256, 1024, 4096])
+    def test_inverse_by_halves_matches_substitution_and_scipy(self, t, k):
+        # the factor a refactor inverts: an SE design whose points were each
+        # played k times, so the noise is rho / k (rho = 1)
+        from scipy.linalg import solve_triangular  # test oracle only
+
+        x = np.random.default_rng(t).uniform(0, 1, (t, 2))
+        L = _cholesky(kernel_matrix(KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=0.2), x), 1.0 / k)
+        got = _inv_lower(L)
+        for ref in (solve_triangular(L, np.eye(t), lower=True), _solve_lower(L, np.eye(t))):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert not np.any(np.triu(got, 1))

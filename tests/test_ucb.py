@@ -19,12 +19,16 @@ from gpucb import (
     beta_value,
     edp_recommend,
     fit,
+    kernel_matrix,
     run_gp_ucb,
     trace_from_csv,
     trace_to_csv,
     update,
 )
+from gpucb import posterior
 from gpucb.analysis import grid_columns
+from gpucb.posterior import _clamped_var
+from gpucb.ucb import beta_column
 from conftest import make_config
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -61,6 +65,32 @@ class TestBetaValue:
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
             beta_value(BetaSchedule(BetaKind.CONSTANT), -1, rho=1.0)
+
+    @pytest.mark.parametrize("kind", list(BetaKind))
+    def test_column_is_the_schedule_bit_for_bit_and_read_only(self, kind):
+        sched = BetaSchedule(kind, delta=0.2, c0=0.39, constant_value=3.0)
+        column = beta_column(sched, 300, 0.5)
+        assert np.array_equal(column.view(np.int64), np.array([beta_value(sched, t, 0.5) for t in range(300)]).view(np.int64))
+        assert beta_column(sched, 300, 0.5) is column
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+
+
+class TestClampedVariance:
+    def test_no_negative_entry_leaves_the_input_untouched(self):
+        raw = np.array([0.0, 0.25, 1.0])
+        assert _clamped_var(raw) is raw
+        assert raw.tolist() == [0.0, 0.25, 1.0]
+
+    def test_round_off_below_zero_is_clamped(self):
+        raw = np.array([-1e-13, 0.5, -0.9e-12])
+        assert _clamped_var(raw) is raw
+        assert raw.tolist() == [0.0, 0.5, 0.0]
+
+    def test_larger_negative_entry_is_an_error(self):
+        with pytest.raises(NumericError, match="negative posterior variance") as excinfo:
+            _clamped_var(np.array([0.5, -2e-12]), step=7)
+        assert excinfo.value.step == 7
 
 
 class TestAcquire:
@@ -268,6 +298,48 @@ class TestRunLoop:
         with pytest.raises(NumericError, match=r"non-finite acquisition value at candidate 5, step 4$") as excinfo:
             run_gp_ucb(config, config.objective_for_seed(0), 0)
         assert (excinfo.value.index, excinfo.value.step) == (5, 4)
+
+    def test_nan_in_the_sum_of_squares_names_the_candidate_and_step(self, monkeypatch):
+        # the variance passes a NaN through its clamp, so the score check
+        # is what stops it
+        class Broken(GrowingPosterior):
+            def observe(self, c, y):
+                super().observe(c, y)
+                if self.t == 3:
+                    self._sumsq[[9, 5]] = np.nan
+
+        monkeypatch.setattr("gpucb.ucb.GrowingPosterior", Broken)
+        config = make_config(horizon=8)
+        with pytest.raises(NumericError, match=r"non-finite acquisition value at candidate 5, step 4$") as excinfo:
+            run_gp_ucb(config, config.objective_for_seed(0), 0)
+        assert (excinfo.value.index, excinfo.value.step) == (5, 4)
+
+    def test_traces_do_not_depend_on_the_seed_order_or_the_kernel_memo(self, monkeypatch):
+        # Halton candidates: the optimum is off them for seeds 0, 1, 3, 4, 5
+        # and 7, whose runs track it as a shadow column next to the
+        # candidates' kernel matrix, which all eight seeds share
+        config = make_config(dim=2, candidates_method="low_discrepancy", candidates_count=32,
+                             eval_grid_count=64, horizon=48, seeds=tuple(range(8)))
+        m, grid = config.candidates_count, config.evaluation_points()
+        fs = {s: config.objective_for_seed(s) for s in config.seeds}
+        off = [s for s, f in fs.items() if int(np.argmax(f.on_points(grid))) >= m]
+        assert 0 < len(off) < len(fs)
+
+        def traces(seeds, clear):
+            out = {}
+            for s in seeds:
+                if clear:
+                    posterior._KERNELS.clear()
+                out[s] = trace_to_csv(run_gp_ucb(config, fs[s], s))
+            return out
+
+        posterior._KERNELS.clear()
+        built = []
+        monkeypatch.setattr("gpucb.posterior.kernel_matrix", lambda spec, X: built.append(len(X)) or kernel_matrix(spec, X))
+        ordered = traces(config.seeds, False)
+        assert built == [m]
+        assert traces(config.seeds[::-1], False) == ordered
+        assert traces(config.seeds, True) == ordered
 
     def test_beta_column_monotone(self):
         config = make_config(horizon=64)
