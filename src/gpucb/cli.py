@@ -218,11 +218,11 @@ def _load_suite(
     cell: Path, config: ExperimentConfig, grid: np.ndarray, m: int
 ) -> tuple[list[RegretTrace], dict, dict]:
     """Traces, recorded objectives and their values over the evaluation grid
-    ``grid`` (each by seed) of one suite, each trace checked against the
-    config's beta schedule, its objective, the grid's first m points (the
-    candidates) and its seed's noise draws; OSError or ValueError names what
-    is damaged.  Seeds that share an objective record share one parse of it
-    and its grid values."""
+    ``grid`` (each by seed) of one suite, each objective checked against the
+    config's kernel and each trace against the config's beta schedule, its
+    objective, the grid's first m points (the candidates) and its seed's
+    noise draws; OSError or ValueError names what is damaged.  Seeds that
+    share an objective record share one parse of it and its grid values."""
     records = cell / "objective.txt"
     objectives, f_grids, by_record = {}, {}, {}
     try:
@@ -231,9 +231,12 @@ def _load_suite(
                 seed, record = _split_seed(block)
                 if record not in by_record:
                     f, _ = parse_objective_record(record)
+                    if f.spec != config.kernel:
+                        raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
                     by_record[record] = f, f.on_points(grid)
                 objectives[seed], f_grids[seed] = by_record[record]
-    except ValueError as exc:
+    # ArithmeticError: the record's K_nu overflows at its centers
+    except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"{records}: {exc}") from None
     beta = beta_column(config.beta, config.horizon, config.rho)
     traces = []
@@ -355,7 +358,11 @@ def cmd_report(out_dir: str) -> int:
         horizons = {c.horizon for c in configs.values()}
         t_min = min(horizons) if len(horizons) > 1 else max(config.horizon // 16, 4)
         fit_res = fit_regret_exponent(traces, t_min, config.horizon)
-    except (OSError, ValueError) as exc:
+        # the candidates' kernel rows against the grid, built once: every
+        # audit reads its design rows from it, and the information gain its
+        # leading square block, the candidates' kernel matrix
+        K = _points_kernel(config.kernel, cand, grid)
+    except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 
@@ -380,10 +387,6 @@ def cmd_report(out_dir: str) -> int:
         encoding="utf-8",
     )
 
-    # the candidates' kernel rows against the grid, built once: every audit
-    # reads its design rows from it, and the information gain its leading
-    # square block, the candidates' kernel matrix
-    K = _points_kernel(config.kernel, cand, grid)
     checkpoints = fit_res.checkpoints
     audit_traces = traces[:5]
     allowed = 1.5 * math.sqrt(math.log1p(config.rho * checkpoints[-1]) / math.log1p(config.rho * checkpoints[0]))

@@ -1,4 +1,5 @@
-"""Regularized Gaussian-process posterior with O(t^2) sequential updates.
+"""Regularized Gaussian-process posterior: a refit reference and a
+fixed-point-set posterior grown one observation at a time.
 
 The state holds the design matrix, observations, and the lower Cholesky
 factor L of K + rho*I.  Predictions follow the standard ridge form
@@ -7,13 +8,14 @@ factor L of K + rho*I.  Predictions follow the standard ridge form
     var(x)  = 1 - || L^{-1} k_t(x) ||^2
 
 States are immutable; ``update`` extends the factor by one row and returns
-a new state, which matches a from-scratch refit to within round-off.  This
-module is the package's only linear algebra: numpy's Cholesky factor, a
-substitution for the triangular solves (O(t^2) per right-hand side), and an
-explicit inverse factor for the solves whose right-hand sides are d x n
-kernel blocks.  The inverse factor is built by halves, from LAPACK
-inverses of diagonal blocks of at most ``_BLOCK`` rows and matrix products
-for the blocks below them, so it takes no Python step per row.
+a new state, which matches a from-scratch refit to within round-off.  It
+pays an O(t^3) inverse factor, as ``fit`` does: the state is the test
+oracle of the fast posterior below, not a step of the UCB loop.  This
+module is the package's only linear algebra: numpy's Cholesky factor and
+an explicit inverse factor for every triangular solve.  The inverse factor
+is built by halves, from LAPACK inverses of diagonal blocks of at most
+``_BLOCK`` rows and matrix products for the blocks below them, so it takes
+no Python step per row.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
 update rule per observation, for the UCB loop and the greedy information
 gain: O(r n) per step with r <= 2d + 1 rows for d distinct points played,
@@ -25,11 +27,12 @@ points, with its scalars read as Python floats.
 Posteriors over the same points in turn share one read-only kernel matrix,
 so a process running many seeds over one point set builds it once.  A
 posterior that also tracks shadow points (the UCB loop's optimum, when it
-lies off the candidates) copies that shared matrix and adds the shadow
-points' kernel rows, so the shared entry stays in the memo.  A report
-builds the candidates' kernel rows against its evaluation grid once (the
-candidates are the grid's first rows), and the same memo hands out their
-leading square block as the candidates' kernel matrix.
+lies off the candidates) never observes them, so it copies that shared
+matrix with the shadow points' kernel columns appended, and the shared
+entry stays in the memo.  A report builds the candidates' kernel rows
+against its evaluation grid once (the candidates are the grid's first
+rows), and the same memo hands out their leading square block as the
+candidates' kernel matrix.
 """
 
 from __future__ import annotations
@@ -139,32 +142,8 @@ def _cholesky(K: np.ndarray, noise) -> np.ndarray:
     raise NumericError(f"Cholesky factorization of K + rho*I failed at pivot {hi - 1}", index=hi - 1)
 
 
-# rows per block of _solve_lower: the rows inside a block are solved one at a
-# time, and each block takes the solved blocks before it in one product
+# rows of the largest diagonal block that _inv_lower hands to LAPACK
 _BLOCK = 64
-
-
-def _solve_lower(L: np.ndarray, b, trans: bool = False) -> np.ndarray:
-    """L^{-1} b, or L^{-T} b with ``trans``, for lower-triangular L (t x t)
-    and b with t rows, by substitution: O(t^2) per right-hand side (a column
-    of b)."""
-    if trans:
-        # L' reversed in both axes is lower triangular
-        return _solve_lower(L.T[::-1, ::-1], np.asarray(b)[::-1])[::-1]
-    x = np.array(b, dtype=float)
-    t = L.shape[0]
-    for i in range(0, t, _BLOCK):
-        j = min(i + _BLOCK, t)
-        x[i:j] -= L[i:j, :i] @ x[:i]
-        for k in range(i, j):
-            x[k] = (x[k] - L[k, i:k] @ x[i:k]) / L[k, k]
-    return x
-
-
-def _cho_solve(L: np.ndarray, b) -> np.ndarray:
-    """(L L')^{-1} b."""
-    return _solve_lower(L, _solve_lower(L, b), trans=True)
-
 
 # the lower triangle of a diagonal block of _inv_lower, the diagonal included
 _LOWER = _freeze(np.tri(_BLOCK, dtype=bool))
@@ -188,6 +167,12 @@ def _inv_lower(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     q = np.matmul(r_inv, L[h:, :h] @ p_inv, out=out[h:, :h])
     np.negative(q, out=q)
     return out
+
+
+def _cho_solve(L: np.ndarray, b) -> np.ndarray:
+    """(L L')^{-1} b."""
+    Linv = _inv_lower(L)
+    return Linv.T @ (Linv @ b)
 
 
 def _whiten(L: np.ndarray, C: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None):
@@ -219,7 +204,7 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
         raise ValueError(f"point dimension {x_new.shape[0]} != design dimension {state.dim}")
     t = state.t
     k_vec = kernel_cross(state.spec, state.X, x_new[None, :])[:, 0]
-    r = _solve_lower(state.chol, k_vec)
+    r = _inv_lower(state.chol) @ k_vec
     diag_sq = 1.0 + state.rho - r @ r
     if diag_sq <= 0.0 or not math.isfinite(diag_sq):
         raise NumericError(f"non-positive pivot {diag_sq} extending to t={t + 1}", index=t)
@@ -255,7 +240,7 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     """Predictive variance over a set of points."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     C = kernel_cross(state.spec, state.X, X)
-    W = _solve_lower(state.chol, C)
+    W = _inv_lower(state.chol) @ C
     return _clamped_var(1.0 - np.sum(W * W, axis=0))
 
 
@@ -284,19 +269,6 @@ def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None
     return K
 
 
-def _extended_kernel(spec: KernelSpec, K: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``kernel_matrix(spec, points)`` from K, that of the first rows of
-    ``points``, and one ``kernel_cross`` block for the other rows: the kernel
-    is elementwise and K is symmetric bit for bit, so this is the same
-    matrix, for O(e n) kernel evaluations with e other rows."""
-    k = K.shape[0]
-    full = np.empty((points.shape[0],) * 2)
-    full[:k, :k] = K
-    full[k:] = kernel_cross(spec, points[k:], points)
-    full[:k, k:] = full[k:, :k].T
-    return _freeze(full)
-
-
 class GrowingPosterior:
     """Posterior over a fixed set of n points, grown one observation at a time.
 
@@ -314,9 +286,11 @@ class GrowingPosterior:
     of c reads s = nu_p B[p] - W[d:, c]' W[d:], O(a n) for the a rows
     appended since.  Rows stay at most 2d + 1, and the refactor steps depend
     on the prefix alone, so a shorter run stays a prefix of a longer one.
-    Design points must be among the n points: ``points``, then ``shadow``
-    when given.  The kernel matrix of ``points`` is shared through the memo;
-    the rows of ``shadow`` are built for this posterior alone.
+    The n points are ``points``, then ``shadow`` when given, and design
+    points must be among ``points``: a shadow point has a mean and a
+    variance but is never observed, so it needs its kernel column alone.
+    The kernel matrix of ``points`` is shared through the memo; the columns
+    of ``shadow`` are built for this posterior alone.
     """
 
     def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int,
@@ -325,8 +299,8 @@ class GrowingPosterior:
         # from 156 to 187 MiB
         self._K = _points_kernel(spec, points)
         if shadow is not None:
-            self._K = _extended_kernel(spec, self._K, np.vstack([points, shadow]))
-        n = self._K.shape[0]
+            self._K = _freeze(np.hstack([self._K, kernel_cross(spec, points, shadow)]))
+        n = self._K.shape[1]
         self.rho = rho
         self.t = 0
         self.mean = np.zeros(n)

@@ -13,7 +13,8 @@ O(d^3 + d^2 n) whenever the posterior refactors its rows from those d
 points.  Refactors come more than d steps apart, so a run is O(T d n) in
 all, with d <= min(T, m), instead of O(T^3 m).  The candidates' kernel
 matrix is built once per process and shared by every seed and sweep cell;
-a seed with a shadow column adds that column's kernel row to a copy of it.
+a seed with a shadow column appends that column's kernel entries to a copy
+of it.
 It is algebraically the same recursion as ``posterior.update`` restricted
 to the tracked points, and the tests pin the two against each other.
 
@@ -203,8 +204,9 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     beta = beta_column(config.beta, T, rho)
 
     # track the optimum through its own candidate column, or through a
-    # shadow column next to the candidates when it lies off them; the
-    # candidates' kernel matrix is shared by every seed either way
+    # shadow column when it lies off the candidates: it is never played, so
+    # the posterior appends its kernel column to a copy of the candidates'
+    # kernel matrix, which every seed shares
     if best < m:
         opt, shadow = best, None
     else:
@@ -273,7 +275,7 @@ def trace_to_csv(trace: RegretTrace) -> str:
     # one joined string: np.savetxt into a growing io buffer raised the peak
     # RSS of a 2025-point horizon sweep from 187 to 200 MiB
     row = ",".join(["%.17g"] * block.shape[1])
-    return "\n".join([",".join(header)] + [row % tuple(r) for r in block]) + "\n"
+    return "\n".join([",".join(header)] + [row % tuple(r) for r in block.tolist()]) + "\n"
 
 
 def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:

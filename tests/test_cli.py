@@ -599,6 +599,19 @@ def _repeat_record_key(cell):
     path.write_text(path.read_text().replace("family = matern\n", "family = matern\nfamily = matern\n", 1))
 
 
+def _set_config_nu(value):
+    def damage(cell):
+        path = cell / "config.txt"
+        path.write_text(path.read_text().replace("kernel.nu = 1.5\n", f"kernel.nu = {value}\n"))
+    return damage
+
+
+def _overflow_record_nu(cell):
+    # a smoothness whose K_nu overflows at the first record's centers
+    path = cell / "objective.txt"
+    path.write_text(path.read_text().replace("nu = 1.5\n", "nu = 400.3\n", 1))
+
+
 def _rename_column(cell):
     path = cell / "trace_seed1.csv"
     lines = path.read_text().splitlines(keepends=True)
@@ -727,6 +740,9 @@ class TestDamagedRunReport:
         (_garbage_record_line, "objective.txt: malformed line 'garbage line here'"),
         (_repeat_record_key, "objective.txt: duplicate key 'family'"),
         (_repeat_seed_line, "objective.txt: duplicate key 'seed'"),
+        (_set_config_nu(1.7), "objective.txt: the record of seed 0 has another kernel than config.txt"),
+        (_set_config_nu(400.3), "objective.txt: the record of seed 0 has another kernel than config.txt"),
+        (_overflow_record_nu, "objective.txt: K_nu overflows double precision at nu=400.3"),
         (_rename_column, "trace_seed1.csv: trace header has no mu column"),
         (_truncate_trace, "trace_seed1.csv"),
         (_skip_step, "non-consecutive t"),

@@ -1,5 +1,6 @@
 """The package exports only what its modules declare public, every
-declared name exists, and the CLI runs on numpy alone."""
+declared name exists, the CLI runs on numpy alone, and posterior.py holds
+all of its linear algebra."""
 
 import ast
 import importlib
@@ -40,3 +41,30 @@ def test_cli_import_loads_no_scipy_module():
     code = "import sys, gpucb.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def _linalg_references(tree: ast.AST) -> list[int]:
+    """Lines that reach ``numpy.linalg``: an attribute ``.linalg``, or an
+    import of it or from it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any("linalg" in a.name for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+            "linalg" in (node.module or "") or any(a.name == "linalg" for a in node.names)
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_only_posterior_refers_to_linalg(name):
+    # posterior.py itself is checked too, so the check cannot be vacuous
+    path = Path(gpucb.__file__).with_name(f"{name}.py")
+    lines = _linalg_references(ast.parse(path.read_text(encoding="utf-8")))
+    if name == "posterior":
+        assert lines
+    else:
+        assert not lines, f"gpucb/{name}.py refers to np.linalg at line(s) {lines}; posterior.py owns the linear algebra"

@@ -316,8 +316,9 @@ class TestRunLoop:
 
     def test_traces_do_not_depend_on_the_seed_order_or_the_kernel_memo(self, monkeypatch):
         # Halton candidates: the optimum is off them for seeds 0, 1, 3, 4, 5
-        # and 7, whose runs track it as a shadow column next to the
-        # candidates' kernel matrix, which all eight seeds share
+        # and 7, whose runs track it as a shadow column: its kernel column
+        # appended to a copy of the candidates' kernel matrix, which all
+        # eight seeds share
         config = make_config(dim=2, candidates_method="low_discrepancy", candidates_count=32,
                              eval_grid_count=64, horizon=48, seeds=tuple(range(8)))
         m, grid = config.candidates_count, config.evaluation_points()
