@@ -463,13 +463,29 @@ class TestNumericErrors:
 
 
 class TestTriangularSolve:
-    """``_inv_lower`` and ``_whiten`` against SciPy's triangular solve."""
+    """Solves through ``_inv_lower``, and ``_whiten``, against SciPy's triangular solve."""
 
     @staticmethod
     def factor(t):
         """Factor of an SE kernel matrix over t random points plus 0.01 I."""
         x = np.random.default_rng(t).uniform(0, 1, (t, 1))
         return np.linalg.cholesky(np.exp(-np.square(x - x.T) / 0.1) + 0.01 * np.eye(t))
+
+    @pytest.mark.parametrize("t", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("columns", [None, 5])
+    def test_matches_scipy(self, t, trans, columns):
+        # the solves the refit reference takes through the inverse factor:
+        # inv(L) b in update and posterior_var_at, inv(L)' b in _cho_solve
+        from scipy.linalg import solve_triangular  # test oracle only
+
+        L = self.factor(t)
+        b = np.random.default_rng(t + 1).standard_normal(t if columns is None else (t, columns))
+        ref = solve_triangular(L, b, lower=True, trans=int(trans))
+        Linv = _inv_lower(L)
+        got = (Linv.T if trans else Linv) @ b
+        assert got.shape == b.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("t", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     def test_whiten_matches_scipy(self, t):
