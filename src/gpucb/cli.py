@@ -27,7 +27,6 @@ sweep.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import sys
 from pathlib import Path
@@ -98,6 +97,8 @@ def _run_suite(config: ExperimentConfig, jobs: int, out_dir: Path) -> list[Regre
     last, so a write that stops part way leaves a directory without it."""
     workers = min(jobs, len(config.seeds))
     if workers > 1:
+        import concurrent.futures  # only a pool pays for the import
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_one_seed, [config] * len(config.seeds), config.seeds))
     else:

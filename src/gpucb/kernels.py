@@ -15,14 +15,20 @@ A kernel is evaluated in one way: ``kernel_cross`` gives the correlations
 between two point sets, and ``kernel_matrix`` the same values for one set
 with itself.  Both take points as rows and reject a non-finite coordinate
 with ValueError.  They give exactly 1 at zero lag, and exactly 0, with no
-numpy warning, where a tiny lengthscale makes the profile underflow.
+numpy warning, where a tiny lengthscale makes the profile underflow.  They
+build the matrix in blocks of at most ``_ROW_BLOCK`` entries, each written
+straight into its rows of the output; every entry takes the same elementwise
+steps whatever the blocks, so the blocks never change a bit of the result.
+A block of a set's matrix with itself evaluates only its columns from its
+first row on and copies the rest from the rows above, its transpose.
 
 ``K_nu`` is evaluated in-house: closed forms at half-integer orders, a
 small-argument series plus a large-argument continued fraction otherwise,
 joined by the standard upward recurrence in the order.  Target accuracy is
 1e-10 relative, verified against an arbitrary-precision reference table.
-It is evaluated over whole arrays: a general-order Matern kernel call makes
-one ``bessel_k`` call on the array of its distinct distances.
+It is evaluated over whole arrays: a general-order Matern kernel makes one
+``bessel_k`` call per block of rows, on the array of the distinct distances
+that block evaluates.
 """
 
 from __future__ import annotations
@@ -325,18 +331,12 @@ def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
 
 
 def _se_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    # in place (no temporaries); a tiny lengthscale overflows u or u * u, and exp(-inf) is 0
+    # in place on r (no temporaries); a tiny lengthscale overflows u or u * u, and exp(-inf) is 0
     with np.errstate(over="ignore"):
-        u = r / spec.lengthscale
+        u = np.divide(r, spec.lengthscale, out=r)
         u *= u
         u *= -0.5  # exact, so the bits of exp(-0.5 * u * u)
         return np.exp(u, out=u)
-
-
-def _radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
-    if spec.family is KernelFamily.MATERN:
-        return _matern_radial(spec, r)
-    return _se_radial(spec, r)
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +354,65 @@ def _as_points(X, name: str) -> np.ndarray:
     return P
 
 
-def _pairwise_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # one coordinate at a time, so no (n, m, d) temporary is built
-    sq = np.zeros((X.shape[0], Y.shape[0]))
+# Entries per block of rows in a kernel build.  Each block writes its squared
+# distances straight into its rows of the output, through one scratch block
+# reused across coordinates and blocks, so a build holds the output plus about
+# one block where a whole-matrix build held three output-sized arrays (SE; the
+# Matern profile's temporaries made it seven).  At 2**18 entries (2 MiB, 129
+# rows of a 2025-point lattice) the SE matrix of that lattice takes 37-40 ms
+# against 82 ms whole (Matern 3/2: 48-54 against 187 ms; nu = 1.2: 0.30
+# against 0.89 s), and the se_wide_sweep benchmark no longer peaks in its
+# first build (134 MiB).  Blocks of 2**16 entries were no faster and 2**20
+# slower; the 256 x 512 candidates-by-grid block of the 256-point workloads
+# (2**17 entries) stays one block, so one bessel_k call.
+_ROW_BLOCK = 1 << 18
+
+
+def _squared_distances(X: np.ndarray, Y: np.ndarray, out: np.ndarray, diff: np.ndarray | None) -> None:
+    # one coordinate at a time, so no (n, m, d) temporary is built; the first
+    # goes straight into out (0 + a == a), the others through diff
     for k in range(X.shape[1]):
-        diff = np.subtract.outer(X[:, k], Y[:, k])
-        diff *= diff
-        sq += diff
-    return np.sqrt(sq, out=sq)
+        term = out if k == 0 else diff[: out.shape[0], : out.shape[1]]
+        np.subtract.outer(X[:, k], Y[:, k], out=term)
+        term *= term
+        if k:
+            out += term
+
+
+def _kernel(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
+    """Correlations between the points of X and Y, or of X with itself
+    without Y, in blocks of at most ``_ROW_BLOCK`` entries (one row at
+    least).  Every entry takes the same elementwise steps whatever the
+    blocks, so the result does not depend on them; a general-order Matern
+    block makes one ``bessel_k`` call.  Of X with itself, a block evaluates
+    its columns from its first row on and copies the rest from the rows
+    above, which hold the same values: the matrix equals its transpose bit
+    for bit."""
+    square = Y is None
+    Y = X if square else Y
+    n, m = X.shape[0], Y.shape[0]
+    rows = max(1, min(n, _ROW_BLOCK // m if m else n))
+    # without coordinates every distance is 0
+    out = np.empty((n, m)) if X.shape[1] else np.zeros((n, m))
+    diff = np.empty((rows, m)) if X.shape[1] > 1 else None
+    se = spec.family is KernelFamily.SQUARED_EXPONENTIAL
+    for start in range(0, n, rows):
+        stop, left = start + rows, start if square else 0
+        block = out[start:stop, left:]
+        _squared_distances(X[start:stop], Y[left:], block, diff)
+        np.sqrt(block, out=block)
+        if se:
+            _se_radial(spec, block)
+        elif rows < n:
+            block[...] = _matern_radial(spec, block)
+        if left:
+            out[start:stop, :left] = out[:left, start:stop].T
+    if se or rows < n:
+        return out
+    # one Matern block: the profile's own array is the output, and its
+    # temporaries may take the scratch block's memory
+    del diff
+    return _matern_radial(spec, out)
 
 
 def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -371,7 +422,7 @@ def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
     Y = _as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]}-d points against {Y.shape[1]}-d points")
-    return _radial(spec, _pairwise_distances(X, Y))
+    return _kernel(spec, X, Y)
 
 
 def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -383,8 +434,7 @@ def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
     are allowed; the result may then be singular (downstream code always
     regularizes with rho*I).  No points give the 0 x 0 matrix.
     """
-    X = _as_points(X, "X")
-    return _radial(spec, _pairwise_distances(X, X))
+    return _kernel(spec, _as_points(X, "X"))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +470,7 @@ def holder_validate(spec: KernelSpec, n_samples: int, max_radius: float, seed: i
         u = r / spec.lengthscale
         gap = -np.expm1(-0.5 * u * u)
     else:
-        gap = 1.0 - _radial(spec, r)
+        gap = 1.0 - _matern_radial(spec, r)
     ratios = gap / r**theta
     if not np.all(np.isfinite(ratios)):
         raise ArithmeticError("Holder ratio diverged on sampled radii")

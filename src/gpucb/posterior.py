@@ -32,7 +32,9 @@ matrix with the shadow points' kernel columns appended, and the shared
 entry stays in the memo.  A report builds the candidates' kernel rows
 against its evaluation grid once (the candidates are the grid's first
 rows), and the same memo hands out their leading square block as the
-candidates' kernel matrix.
+candidates' kernel matrix.  A posterior that is done may ``release`` its
+row buffers, and the next posterior with the same shapes takes them, so the
+seeds of a suite grow in one pair of buffers.
 """
 
 from __future__ import annotations
@@ -188,7 +190,9 @@ def _predict(L: np.ndarray, C: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, n
     variance 1 - diag(C' A^{-1} C), at the points whose kernel rows against a
     design are C's columns, for the design's factor L L' = A."""
     _, W, Z = _whiten(L, C, Y)
-    return Z.T @ W, _clamped_var(1.0 - np.sum(W * W, axis=0))
+    mean = Z.T @ W
+    W *= W
+    return mean, _clamped_var(1.0 - np.sum(W, axis=0))
 
 
 def _replicate_predict(C: np.ndarray, cols: np.ndarray, noise: np.ndarray, Y: np.ndarray):
@@ -241,7 +245,8 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     C = kernel_cross(state.spec, state.X, X)
     W = _inv_lower(state.chol) @ C
-    return _clamped_var(1.0 - np.sum(W * W, axis=0))
+    W *= W
+    return _clamped_var(1.0 - np.sum(W, axis=0))
 
 
 # one entry: every seed and every sweep cell of a process runs over one point
@@ -267,6 +272,14 @@ def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None
     K = _freeze(kernel_matrix(spec, points) if grid is None else kernel_cross(spec, points, grid))
     _KERNELS[rows, (cols.shape, cols.tobytes())] = K
     return K
+
+
+# one entry: the row buffers (W, B) of the last released posterior, by shape.
+# The seeds of a suite run one after another, and each takes the buffers the
+# last one released instead of allocating its own: freed, they stayed resident
+# in the heap, and the se_wide_sweep benchmark's peak RSS read 109-120 MiB
+# without reuse (5 runs) against 91-100 MiB with it (10 runs)
+_SPARE: dict = {}
 
 
 class GrowingPosterior:
@@ -304,7 +317,10 @@ class GrowingPosterior:
         self.rho = rho
         self.t = 0
         self.mean = np.zeros(n)
-        self._W = np.empty((min(horizon, 2 * n + 1), n))
+        shapes = ((min(horizon, 2 * n + 1), n), (min(horizon, n), n))
+        spare = _SPARE.pop(shapes, None)
+        _SPARE.clear()  # another shape's buffers go before new ones are allocated
+        self._W, self._B = spare or (np.empty(shapes[0]), np.empty(shapes[1]))
         self._rows = 0
         self._sumsq = np.zeros(n)
         self._count = np.zeros(n)
@@ -312,11 +328,18 @@ class GrowingPosterior:
         self._distinct = 0
         # the design at the last refactor: B's rows, each point's row in B
         # (-1 off the design) and its noise rho / k
-        self._B = np.empty((min(horizon, n), n))
         self._design = 0
         self._pos = np.full(n, -1)
         self._nu = np.empty(0)
         self._s = np.empty(n)
+
+    def release(self) -> None:
+        """Hand W's and B's buffers to the next posterior of the same shapes
+        (every row is written there before it is read); this posterior can
+        no longer observe."""
+        _SPARE.clear()
+        _SPARE[self._W.shape, self._B.shape] = self._W, self._B
+        self._W = self._B = None
 
     def variance(self, out: np.ndarray | None = None) -> np.ndarray:
         """Predictive variance at every point before step t+1, into ``out``

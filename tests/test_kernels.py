@@ -19,6 +19,17 @@ MATERN_HALF = KernelSpec(KernelFamily.MATERN, nu=0.5, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=1.0)
 
 
+def whole_distances(X, Y):
+    """Euclidean distances as a whole-matrix build forms them: squared
+    coordinate differences summed from zero, one coordinate at a time."""
+    sq = np.zeros((len(X), len(Y)))
+    for k in range(X.shape[1]):
+        diff = np.subtract.outer(X[:, k], Y[:, k])
+        diff *= diff
+        sq += diff
+    return np.sqrt(sq)
+
+
 def psi(spec, x, y):
     """Correlation between two points x and y, read off kernel_cross."""
     return float(kernel_cross(spec, x, y)[0, 0])
@@ -214,7 +225,7 @@ class TestKernelMatrix:
         spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=lengthscale)
         X = np.random.default_rng(8).uniform(size=(30, 2))
         with np.errstate(over="ignore"):
-            u = kernels._pairwise_distances(X[:12], X) / lengthscale
+            u = whole_distances(X[:12], X) / lengthscale
             expected = np.exp(-0.5 * u * u)
         assert np.array_equal(kernel_cross(spec, X[:12], X), expected)
 
@@ -227,6 +238,94 @@ class TestKernelMatrix:
         # neither coordinate set may be read as a prefix of the other
         with pytest.raises(ValueError, match=rf"{len(X[0])}-d points against {len(Y[0])}-d"):
             kernel_cross(SE, X, Y)
+
+
+GENERAL = KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=0.5)
+
+
+class TestRowBlocks:
+    """A build in blocks of rows gives the whole-matrix result bit for bit."""
+
+    @staticmethod
+    def blocked(monkeypatch, entries, build, *args):
+        whole = build(*args)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", entries)
+        return build(*args), whole
+
+    @pytest.mark.parametrize("spec", [SE, MATERN_32, GENERAL], ids=["se", "matern32", "matern12"])
+    @pytest.mark.parametrize("n", [8, 9, 10])  # 3 rows per block: k * 3 - 1, k * 3, k * 3 + 1
+    def test_cross_matches_the_whole_matrix(self, monkeypatch, spec, n):
+        rng = np.random.default_rng(n)
+        X, Y = rng.uniform(size=(n, 2)), rng.uniform(size=(7, 2))
+        got, whole = self.blocked(monkeypatch, 3 * 7, kernel_cross, spec, X, Y)
+        assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("spec", [SE, MATERN_32, GENERAL], ids=["se", "matern32", "matern12"])
+    def test_wide_y_takes_one_row_per_block(self, monkeypatch, spec):
+        rng = np.random.default_rng(1)
+        X, Y = rng.uniform(size=(5, 3)), rng.uniform(size=(30, 3))
+        got, whole = self.blocked(monkeypatch, 16, kernel_cross, spec, X, Y)
+        assert np.array_equal(got, whole)
+        got, whole = self.blocked(monkeypatch, 16, kernel_cross, spec, X[:1], Y)
+        assert got.shape == (1, 30) and np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("lengthscale", [1e-310, 1e300])
+    def test_extreme_se_lengthscales_in_place(self, monkeypatch, lengthscale):
+        # 1e-310 overflows r / l to inf; 1e300 underflows u * u to zero
+        spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=lengthscale)
+        X = np.random.default_rng(2).uniform(size=(11, 2))
+        got, whole = self.blocked(monkeypatch, 2 * 11, kernel_matrix, spec, X)
+        assert np.array_equal(got, whole)
+        with np.errstate(over="ignore"):
+            u = whole_distances(X, X) / lengthscale
+            assert np.array_equal(got, np.exp(-0.5 * u * u))
+
+    @pytest.mark.parametrize("spec", [SE, MATERN_32, GENERAL], ids=["se", "matern32", "matern12"])
+    def test_blocked_matrix_is_exactly_symmetric(self, monkeypatch, spec):
+        X = np.random.default_rng(3).uniform(size=(13, 2))
+        K, whole = self.blocked(monkeypatch, 4 * 13, kernel_matrix, spec, X)
+        assert np.array_equal(K, K.T)
+        assert np.array_equal(K, whole)
+        assert np.array_equal(K, kernel_cross(spec, X, X))  # blocked too, both halves evaluated
+        assert np.all(np.diag(K) == 1.0)
+
+    def test_one_bessel_call_per_block_on_its_distinct_distances(self, monkeypatch):
+        calls = []
+        original = kernels.bessel_k
+
+        def recorded(nu, z):
+            calls.append(np.array(z))
+            return original(nu, z)
+
+        monkeypatch.setattr(kernels, "bessel_k", recorded)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 4 * 10)
+        # a lattice repeats distances within and across blocks
+        X = np.array([[i / 4.0, j / 4.0] for i in range(2) for j in range(5)])
+        kernel_matrix(GENERAL, X)
+        z = (2.0 * math.sqrt(GENERAL.nu) / GENERAL.lengthscale) * whole_distances(X, X)
+        # each block evaluates its columns from its first row on
+        want = [np.unique(b[b > 0.0]) for b in (z[:4], z[4:8, 4:], z[8:, 8:])]
+        assert len(calls) == 3
+        for got, expected in zip(calls, want):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("spec, blocks", [
+        (SE, 2),  # the scratch block, plus bookkeeping
+        (MATERN_32, 8),  # the profile's temporaries of one block
+    ], ids=["se", "matern32"])
+    def test_peak_memory_is_the_output_plus_a_few_blocks(self, spec, blocks):
+        # a whole-matrix build peaked at about three outputs (SE) or seven
+        # (Matern); in blocks the output is the only large array
+        import tracemalloc
+
+        X = np.random.default_rng(5).uniform(size=(1500, 2))
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(spec, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= K.nbytes + blocks * 8 * kernels._ROW_BLOCK
 
 
 class TestHolderValidate:

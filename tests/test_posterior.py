@@ -302,6 +302,35 @@ class TestGrowingPosterior:
             assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
             assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
 
+    def test_released_buffers_grow_the_next_posterior_bit_for_bit(self, monkeypatch):
+        # the next posterior of the same shapes takes the released buffers,
+        # poisoned with NaN here, and grows exactly as in fresh ones; a
+        # posterior of other shapes drops them
+        monkeypatch.setattr("gpucb.posterior._SPARE", {})
+
+        def run(post):
+            seen = []
+            for c, y in zip(self.order, self.ys[0]):
+                seen.append((post.mean.copy(), post.variance()))
+                post.observe(c, y)
+            return seen + [(post.mean.copy(), post.variance())]
+
+        fresh = run(GrowingPosterior(MATERN_03, 0.5, self.points, 40))
+        used = GrowingPosterior(MATERN_03, 0.5, self.points, 40)
+        for c, y in zip(self.order[::-1], self.ys[1]):
+            used.observe(c, y)
+        W, B = used._W, used._B
+        used.release()
+        W.fill(np.nan)
+        B.fill(np.nan)
+        reused = GrowingPosterior(MATERN_03, 0.5, self.points, 40)
+        assert reused._W is W and reused._B is B and not gpucb.posterior._SPARE
+        for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(run(reused), fresh)):
+            assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), t
+        reused.release()
+        other = GrowingPosterior(MATERN_03, 0.5, self.points, 12)  # 12 W rows, not 17
+        assert other._W is not W and not gpucb.posterior._SPARE
+
     shadow = np.array([[0.05], [0.55]])
 
     @pytest.mark.parametrize("rho", [0.5, 1e-3])
