@@ -18,10 +18,11 @@ is built by halves, from LAPACK inverses of diagonal blocks of at most
 no Python step per row.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
 update rule per observation, for the UCB loop and the greedy information
-gain: O(r n) per step with r <= 2d + 1 rows for d distinct points played,
-plus O(d^3 + d^2 n) each time it refactors its rows from those d points.  A
-step that replays a point of the design at the last refactor reads a row
-stored by that refactor instead, O(a n) for the a rows appended since.  A
+gain: O(a n) per step for the a rows since the observed point's own latest
+row, plus O(d^3 + d^2 n) each time it refactors its rows from the d
+distinct points played.  That row is the one the point's last observation
+since the refactor appended, else the one the refactor stored for it when
+it is in that design; a point with neither reads all r <= 2d + 1 rows.  A
 step is one matrix-vector product and a few elementwise passes over the n
 points, with its scalars read as Python floats.
 Posteriors over the same points in turn share one read-only kernel matrix,
@@ -296,9 +297,14 @@ class GrowingPosterior:
     K[D] with L L' = A = K[D, D] + diag(nu), O(d^3 + d^2 n).  The refactor
     also keeps B = A^{-1} K[D] = L^{-T} W: for c = D[p], K[c, D] =
     A[p] - nu_p e_p', so K[c] - W[:d, c]' W[:d] = nu_p B[p], and a replay
-    of c reads s = nu_p B[p] - W[d:, c]' W[d:], O(a n) for the a rows
-    appended since.  Rows stay at most 2d + 1, and the refactor steps depend
-    on the prefix alone, so a shorter run stays a prefix of a longer one.
+    of c reads s = nu_p B[p] - W[d:, c]' W[d:].  Likewise the row that
+    observing c at step j appends is W[j] = s_j / sqrt(d2_j), for c's
+    covariance column s_j then, so a later step with no refactor between
+    reads s = sqrt(d2_j) W[j] - W[j:, c]' W[j:].  Each step takes c's latest
+    stored row (its own since the refactor, else its row in B, else K[c]
+    with all the rows): O(a n) for the a rows since that one.  Rows stay at
+    most 2d + 1, and the refactor steps and the rows read depend on the
+    prefix alone, so a shorter run stays a prefix of a longer one.
     The n points are ``points``, then ``shadow`` when given, and design
     points must be among ``points``: a shadow point has a mean and a
     variance but is never observed, so it needs its kernel column alone.
@@ -326,11 +332,12 @@ class GrowingPosterior:
         self._count = np.zeros(n)
         self._ysum = np.zeros(n)
         self._distinct = 0
-        # the design at the last refactor: B's rows, each point's row in B
-        # (-1 off the design) and its noise rho / k
+        # each point's latest covariance row: its own W row since the last
+        # refactor (>= the design size), else its row in B (< it), else -1;
+        # and that row's scale, sqrt(d2) for a W row or rho / k for B's
         self._design = 0
         self._pos = np.full(n, -1)
-        self._nu = np.empty(0)
+        self._scale = np.empty(n)
         self._s = np.empty(n)
 
     def release(self) -> None:
@@ -353,20 +360,27 @@ class GrowingPosterior:
         s = self._s
         # W[r] is free until this step's row is written into it
         w_row = W[r]
-        p = self._pos.item(c)
+        pos = self._pos
+        p = pos.item(c)
         if p >= 0:
+            # c's covariance column when its row was stored, less the rows
+            # appended since, from its own row on when the row is in W
             d = self._design
-            np.dot(W[d:r, c], W[d:r], out=s)
-            np.subtract(np.multiply(self._B[p], self._nu.item(p), out=w_row), s, out=s)
+            a, row = (p, W[p]) if p >= d else (d, self._B[p])
+            np.dot(W[a:r, c], W[a:r], out=s)
+            np.subtract(np.multiply(row, self._scale.item(c), out=w_row), s, out=s)
         else:
             np.dot(W[:r, c], W[:r], out=s)
             np.subtract(self._K[c], s, out=s)
         sumsq = self._sumsq
         d2 = self.rho + max(1.0 - sumsq.item(c), 0.0)
         gain = (y - self.mean.item(c)) / d2
-        np.divide(s, math.sqrt(d2), out=w_row)
+        root = math.sqrt(d2)
+        np.divide(s, root, out=w_row)
         self.mean += np.multiply(s, gain, out=s)
         sumsq += np.multiply(w_row, w_row, out=s)
+        pos[c] = r
+        self._scale[c] = root
         self._rows = r + 1
         count = self._count
         if not count.item(c):
@@ -399,7 +413,7 @@ class GrowingPosterior:
         np.einsum("ij,ij->j", Wd, Wd, out=self._sumsq)
         self._rows = self._design = d
         self._pos[D] = np.arange(d)
-        self._nu = nu
+        self._scale[D] = nu
 
 
 def logdet_information(state: PosteriorState) -> float:

@@ -6,15 +6,14 @@ updates the posterior incrementally through a
 ``posterior.GrowingPosterior`` over the tracked points: the m candidates,
 which hold the incumbent optimum when it lies on them, or m + 1 points
 with the optimum as a shadow column when it lies off them.  One rank-one
-rule per observation: O(r n) per step with r <= 2d + 1 rows for the d
-distinct points played so far, O(a n) for a step that replays a point of
-the design at the last refactor (a rows appended since), plus
-O(d^3 + d^2 n) whenever the posterior refactors its rows from those d
-points.  Refactors come more than d steps apart, so a run is O(T d n) in
-all, with d <= min(T, m), instead of O(T^3 m).  The candidates' kernel
-matrix is built once per process and shared by every seed and sweep cell;
-a seed with a shadow column appends that column's kernel entries to a copy
-of it.
+rule per observation: O(a n) per step for the a rows since the observed
+point's own latest row (at most r <= 2d + 1 rows for the d distinct points
+played so far), plus O(d^3 + d^2 n) whenever the posterior refactors its
+rows from those d points.  Refactors come more than d steps apart, so a
+run is O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  The
+candidates' kernel matrix is built once per process and shared by every
+seed and sweep cell; a seed with a shadow column appends that column's
+kernel entries to a copy of it.
 It is algebraically the same recursion as ``posterior.update`` restricted
 to the tracked points, and the tests pin the two against each other.
 

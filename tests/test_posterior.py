@@ -241,11 +241,13 @@ class TestGrowingPosterior:
                     refactors.append(t)
             assert refactors == steps if steps else len(refactors) > 20
 
-    @pytest.mark.parametrize("horizon", [10, 15, 16, 26])
+    @pytest.mark.parametrize("horizon", [10, 15, 16, 21, 26])
     def test_shorter_horizon_is_a_bitwise_prefix(self, horizon):
         # the refactor steps are fixed by the prefix, so the horizon never
         # moves a bit: these horizons stop before the first refactor, at it,
-        # just after it and after the second
+        # just after it, just after a repeat within its epoch (step 21 plays
+        # point 6 again since step 17 and reads its own row) and after the
+        # second
         for j, y in enumerate(self.ys):
             short = list(grow(self.points, 0.5, horizon, self.order[:horizon], y[:horizon]))
             whole = list(grow(self.points, 0.5, 40, self.order, y))
@@ -301,6 +303,31 @@ class TestGrowingPosterior:
             state = fit(MATERN_03, rho, self.points[order[:t]], y[:t])
             assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
             assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
+
+    @pytest.mark.parametrize("rho", [0.5, 1e-3])
+    def test_matches_fit_over_repeats_within_one_refactor_epoch(self, rho):
+        # 4 of the 8 points, played twice each, refactor after step 9; then
+        # point 0, off that design, is played 3 times and design point 3
+        # twice before the next refactor: 0 reads K first and its own row
+        # after, 3 its row in B first and its own row after
+        rng = np.random.default_rng(16)
+        design = np.array([1, 3, 4, 6])
+        order = np.concatenate([design, design, [1, 0, 3, 5, 0, 3, 0], rng.integers(0, 8, size=60)])
+        y = rng.standard_normal(order.size)
+        post = GrowingPosterior(MATERN_03, rho, self.points, order.size, shadow=self.shadow)
+        every = np.vstack([self.points, self.shadow])
+        sources, designs = [], []
+        for t, c in enumerate(order, start=1):
+            p = post._pos[c]
+            sources.append("own" if p >= post._design else "B" if p >= 0 else "K")
+            designs.append(post._design)
+            post.observe(c, y[t - 1])
+            state = fit(MATERN_03, rho, self.points[order[:t]], y[:t])
+            assert np.allclose(post.mean, posterior_mean_at(state, every), rtol=0, atol=1e-9), (rho, t)
+            assert np.allclose(post.variance(), posterior_var_at(state, every), rtol=0, atol=1e-9), (rho, t)
+        assert sources[9:15] == ["K", "B", "K", "own", "own", "own"]
+        assert designs[9:16] == [4] * 7  # no refactor from step 10 to step 16
+        assert {"K", "B", "own"} <= set(sources[15:])
 
     def test_released_buffers_grow_the_next_posterior_bit_for_bit(self, monkeypatch):
         # the next posterior of the same shapes takes the released buffers,
