@@ -15,16 +15,20 @@ module is the package's only linear algebra: numpy's Cholesky factor and
 an explicit inverse factor for every triangular solve.  The inverse factor
 is built by halves, from LAPACK inverses of diagonal blocks of at most
 ``_BLOCK`` rows and matrix products for the blocks below them, so it takes
-no Python step per row.
+no Python step per row.  A fit over a design whitens its kernel rows against
+n points in place, by blocks of the inverse factor's lower triangle from the
+bottom up, so it holds one d x n array.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
 update rule per observation, for the UCB loop and the greedy information
 gain: O(a n) per step for the a rows since the observed point's own latest
 row, plus O(d^3 + d^2 n) each time it refactors its rows from the d
 distinct points played.  That row is the one the point's last observation
-since the refactor appended, else the one the refactor stored for it when
-it is in that design; a point with neither reads all r <= 2d + 1 rows.  A
-step is one matrix-vector product and a few elementwise passes over the n
-points, with its scalars read as Python floats.
+since the refactor appended, else its row in the refactored design, which
+it reads through the refactor's inverse factor; a point with neither reads
+all r <= 2d + 1 rows.  The refactor orders its design by last play, most
+recent last, so a point played lately reads few design rows.  A step is one
+matrix-vector product and a few elementwise passes over the n points, with
+its scalars read as Python floats.
 Posteriors over the same points in turn share one read-only kernel matrix,
 so a process running many seeds over one point set builds it once.  A
 posterior that also tracks shadow points (the UCB loop's optimum, when it
@@ -34,8 +38,8 @@ entry stays in the memo.  A report builds the candidates' kernel rows
 against its evaluation grid once (the candidates are the grid's first
 rows), and the same memo hands out their leading square block as the
 candidates' kernel matrix.  A posterior that is done may ``release`` its
-row buffers, and the next posterior with the same shapes takes them, so the
-seeds of a suite grow in one pair of buffers.
+row buffer, and the next posterior with the same shape takes it, so the
+seeds of a suite grow in one buffer.
 """
 
 from __future__ import annotations
@@ -178,27 +182,36 @@ def _cho_solve(L: np.ndarray, b) -> np.ndarray:
     return Linv.T @ (Linv @ b)
 
 
-def _whiten(L: np.ndarray, C: np.ndarray, Y: np.ndarray, out: np.ndarray | None = None):
-    """inv(L), inv(L) C (into ``out`` when given) and inv(L) Y, for a
-    design's factor L and its kernel rows C against n points: the inverse
-    costs O(d^3) once, then C takes one matrix product, O(d^2 n)."""
-    Linv = _inv_lower(L)
-    return Linv, np.matmul(Linv, C, out=out), Linv @ Y
+def _lower_product(T: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """C = T C in place, for lower-triangular T.  In blocks of at most
+    ``_BLOCK`` rows from the bottom up, a block's rows become T's rows up to
+    the block's last column times C's rows up to there, which no block has
+    written yet: the product reads T's lower triangle alone, about d^2 n / 2
+    multiplies for d x n C, and holds one block of rows besides C."""
+    d = T.shape[0]
+    part = np.empty((min(d, _BLOCK), C.shape[1]))
+    for lo in range((d - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        hi = min(lo + _BLOCK, d)
+        C[lo:hi] = np.matmul(T[lo:hi, :hi], C[:hi], out=part[: hi - lo])
+    return C
 
 
 def _predict(L: np.ndarray, C: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior means Y' A^{-1} C, one row per column of Y, and the clamped
     variance 1 - diag(C' A^{-1} C), at the points whose kernel rows against a
-    design are C's columns, for the design's factor L L' = A."""
-    _, W, Z = _whiten(L, C, Y)
-    mean = Z.T @ W
+    design are C's columns, for the design's factor L L' = A.  C is
+    overwritten."""
+    Linv = _inv_lower(L)
+    W = _lower_product(Linv, C)
+    mean = (Linv @ Y).T @ W
     W *= W
     return mean, _clamped_var(1.0 - np.sum(W, axis=0))
 
 
 def _replicate_predict(C: np.ndarray, cols: np.ndarray, noise: np.ndarray, Y: np.ndarray):
     """``_predict`` for a design of distinct points, the columns ``cols`` of
-    C, with per-point noise: A = C[:, cols] + diag(noise)."""
+    C, with per-point noise: A = C[:, cols] + diag(noise).  C is
+    overwritten."""
     return _predict(_cholesky(C[:, cols], noise), C, Y)
 
 
@@ -260,7 +273,11 @@ def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None
     rows are ``points``, or ``kernel_matrix(spec, points)`` without a grid,
     built once per point set.  The kernel is elementwise, so the leading
     square block of an entry is ``kernel_matrix(spec, points)`` bit for bit:
-    a request without a grid takes it from an entry for the same points."""
+    an entry builds that block with ``kernel_matrix``, which evaluates each
+    symmetric pair once, and the grid's other rows with ``kernel_cross``
+    (and each build holds a Matern profile's temporaries for its own part
+    alone); a request without a grid takes the block from an entry for the
+    same points."""
     m = points.shape[0]
     rows = (spec, points.shape, points.tobytes())
     cols = points if grid is None else grid
@@ -270,16 +287,21 @@ def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None
     if grid is not None and not np.array_equal(grid[:m], points):
         raise ValueError("the points must be the grid's first rows")
     _KERNELS.clear()  # drop the old matrix before the new one is built
-    K = _freeze(kernel_matrix(spec, points) if grid is None else kernel_cross(spec, points, grid))
-    _KERNELS[rows, (cols.shape, cols.tobytes())] = K
+    if cols.shape[0] == m:
+        K = kernel_matrix(spec, points)
+    else:
+        K = np.empty((m, cols.shape[0]))
+        K[:, :m] = kernel_matrix(spec, points)
+        K[:, m:] = kernel_cross(spec, points, grid[m:])
+    _KERNELS[rows, (cols.shape, cols.tobytes())] = _freeze(K)
     return K
 
 
-# one entry: the row buffers (W, B) of the last released posterior, by shape.
-# The seeds of a suite run one after another, and each takes the buffers the
-# last one released instead of allocating its own: freed, they stayed resident
-# in the heap, and the se_wide_sweep benchmark's peak RSS read 109-120 MiB
-# without reuse (5 runs) against 91-100 MiB with it (10 runs)
+# one entry: the row buffer W of the last released posterior, by shape.  The
+# seeds of a suite run one after another, and each takes the buffer the last
+# one released instead of allocating its own: freed, the buffers stayed
+# resident in the heap, and the se_wide_sweep benchmark's peak RSS read
+# 109-120 MiB without reuse (5 runs) against 91-100 MiB with it (10 runs)
 _SPARE: dict = {}
 
 
@@ -294,17 +316,21 @@ class GrowingPosterior:
     twice the d distinct points played, W is refactored from that distinct
     design: k plays at a point act as one play of their mean with noise
     nu = rho / k (Ankenman, Nelson & Staum, Oper. Res. 2010), so W = L^{-1}
-    K[D] with L L' = A = K[D, D] + diag(nu), O(d^3 + d^2 n).  The refactor
-    also keeps B = A^{-1} K[D] = L^{-T} W: for c = D[p], K[c, D] =
-    A[p] - nu_p e_p', so K[c] - W[:d, c]' W[:d] = nu_p B[p], and a replay
-    of c reads s = nu_p B[p] - W[d:, c]' W[d:].  Likewise the row that
-    observing c at step j appends is W[j] = s_j / sqrt(d2_j), for c's
-    covariance column s_j then, so a later step with no refactor between
-    reads s = sqrt(d2_j) W[j] - W[j:, c]' W[j:].  Each step takes c's latest
-    stored row (its own since the refactor, else its row in B, else K[c]
-    with all the rows): O(a n) for the a rows since that one.  Rows stay at
-    most 2d + 1, and the refactor steps and the rows read depend on the
-    prefix alone, so a shorter run stays a prefix of a longer one.
+    K[D] with L L' = A = K[D, D] + diag(nu), O(d^3 + d^2 n), whitened in
+    place in W's own rows.  The refactor orders D by last play, most recent
+    last, and keeps inv(L), d x d, beside W: for c = D[p], K[c, D] =
+    A[p] - nu_p e_p', so K[c] - W[:d, c]' W[:d] = nu_p (A^{-1} K[D])[p] =
+    nu_p inv(L)[p:, p]' W[p:d] (inv(L) is lower triangular), and c's first
+    replay since the refactor reads s = nu_p inv(L)[p:, p]' W[p:d] -
+    W[d:, c]' W[d:] as one product over rows p on, few when c was played
+    lately.  Likewise the row that observing c at step j appends is W[j] =
+    s_j / sqrt(d2_j), for c's covariance column s_j then, so a later step
+    with no refactor between reads s = sqrt(d2_j) W[j] - W[j:, c]' W[j:].
+    Each step takes c's latest stored row (its own since the refactor, else
+    its design row, else K[c] with all the rows): O(a n) for the a rows
+    since that one.  Rows stay at most 2d + 1, and the refactor steps and
+    the rows read depend on the prefix alone, so a shorter run stays a
+    prefix of a longer one.
     The n points are ``points``, then ``shadow`` when given, and design
     points must be among ``points``: a shadow point has a mean and a
     variance but is never observed, so it needs its kernel column alone.
@@ -323,30 +349,32 @@ class GrowingPosterior:
         self.rho = rho
         self.t = 0
         self.mean = np.zeros(n)
-        shapes = ((min(horizon, 2 * n + 1), n), (min(horizon, n), n))
-        spare = _SPARE.pop(shapes, None)
-        _SPARE.clear()  # another shape's buffers go before new ones are allocated
-        self._W, self._B = spare or (np.empty(shapes[0]), np.empty(shapes[1]))
+        shape = (min(horizon, 2 * n + 1), n)
+        spare = _SPARE.pop(shape, None)
+        _SPARE.clear()  # another shape's buffer goes before a new one is allocated
+        self._W = np.empty(shape) if spare is None else spare
         self._rows = 0
         self._sumsq = np.zeros(n)
         self._count = np.zeros(n)
         self._ysum = np.zeros(n)
         self._distinct = 0
         # each point's latest covariance row: its own W row since the last
-        # refactor (>= the design size), else its row in B (< it), else -1;
-        # and that row's scale, sqrt(d2) for a W row or rho / k for B's
+        # refactor (>= the design size), else its design row (< it), else
+        # -1; and that row's scale, sqrt(d2) for its own row or rho / k
         self._design = 0
         self._pos = np.full(n, -1)
         self._scale = np.empty(n)
+        self._Linv = None  # the last refactor's inv(L)
+        self._coef = np.empty(shape[0])  # a design replay's weights on rows p on
         self._s = np.empty(n)
 
     def release(self) -> None:
-        """Hand W's and B's buffers to the next posterior of the same shapes
-        (every row is written there before it is read); this posterior can
-        no longer observe."""
+        """Hand W's buffer to the next posterior of the same shape (every row
+        is written there before it is read); this posterior can no longer
+        observe."""
         _SPARE.clear()
-        _SPARE[self._W.shape, self._B.shape] = self._W, self._B
-        self._W = self._B = None
+        _SPARE[self._W.shape] = self._W
+        self._W = self._Linv = None
 
     def variance(self, out: np.ndarray | None = None) -> np.ndarray:
         """Predictive variance at every point before step t+1, into ``out``
@@ -362,13 +390,19 @@ class GrowingPosterior:
         w_row = W[r]
         pos = self._pos
         p = pos.item(c)
-        if p >= 0:
+        d = self._design
+        if p >= d:
             # c's covariance column when its row was stored, less the rows
-            # appended since, from its own row on when the row is in W
-            d = self._design
-            a, row = (p, W[p]) if p >= d else (d, self._B[p])
-            np.dot(W[a:r, c], W[a:r], out=s)
-            np.subtract(np.multiply(row, self._scale.item(c), out=w_row), s, out=s)
+            # appended since, from its own row on
+            np.dot(W[p:r, c], W[p:r], out=s)
+            np.subtract(np.multiply(W[p], self._scale.item(c), out=w_row), s, out=s)
+        elif p >= 0:
+            # c = D[p]: nu_p inv(L)[p:, p] weighs the design rows from p on,
+            # -W[d:r, c] the rows appended since the refactor
+            coef = self._coef[: r - p]
+            np.multiply(self._Linv[p:, p], self._scale.item(c), out=coef[: d - p])
+            np.negative(W[d:r, c], out=coef[d - p:])
+            np.dot(coef, W[p:r], out=s)
         else:
             np.dot(W[:r, c], W[:r], out=s)
             np.subtract(self._K[c], s, out=s)
@@ -392,9 +426,13 @@ class GrowingPosterior:
             self._refactor()
 
     def _refactor(self) -> None:
-        """W = L^{-1} K[D], B = L^{-T} W and mean = (L^{-1} ybar)' W over the
-        distinct design D."""
+        """W = L^{-1} K[D] and mean = (L^{-1} ybar)' W over the distinct
+        design D, ordered by last play."""
         D = np.flatnonzero(self._count)
+        # the latest rows order the played points by last play: a row since
+        # the last refactor is newer than every design row, and the design
+        # rows keep that refactor's order
+        D = D[np.argsort(self._pos[D])]
         d = D.size
         k = self._count[D]
         nu = self.rho / k
@@ -403,13 +441,13 @@ class GrowingPosterior:
         except NumericError as exc:
             exc.step = self.t
             raise
-        # K[D] goes into B's rows, which then take B = inv(L)' W over it;
-        # mode="clip" (the indices are valid): the default mode buffers ``out``
-        # in a d x n temporary
-        Bd = np.take(self._K, D, axis=0, out=self._B[:d], mode="clip")
-        Linv, Wd, z = _whiten(L, Bd, self._ysum[D] / k, out=self._W[:d])
-        np.matmul(Linv.T, Wd, out=Bd)
-        np.matmul(z, Wd, out=self.mean)
+        # K[D] goes into W's rows, which are whitened in place; mode="clip"
+        # (the indices are valid): the default mode buffers ``out`` in a d x n
+        # temporary
+        Wd = np.take(self._K, D, axis=0, out=self._W[:d], mode="clip")
+        self._Linv = Linv = _inv_lower(L)
+        _lower_product(Linv, Wd)
+        np.matmul(Linv @ (self._ysum[D] / k), Wd, out=self.mean)
         np.einsum("ij,ij->j", Wd, Wd, out=self._sumsq)
         self._rows = self._design = d
         self._pos[D] = np.arange(d)

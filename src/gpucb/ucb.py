@@ -280,7 +280,8 @@ def trace_to_csv(trace: RegretTrace) -> str:
 
 def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:
     """Inverse of ``trace_to_csv``; ValueError on an empty trace, a missing
-    column, a ragged row, a skipped t or a flag other than 0 or 1."""
+    column, a ragged row, a skipped t or a flag other than 0 or 1, naming the
+    first defective line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trace")
@@ -290,24 +291,36 @@ def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -
         raise ValueError(f"trace header has no {', '.join(missing)} column")
     d = sum(1 for h in header if h.startswith("x_"))
     cols = {name: i for i, name in enumerate(header)}
-    rows = [ln.split(",") for ln in lines[1:]]
-    for step, r in enumerate(rows, start=1):
-        if len(r) != len(header):
-            raise ValueError(f"ragged row at line {step + 1}: {len(r)} fields, header has {len(header)}")
-        if r[0] != str(step):
-            raise ValueError(f"non-consecutive t at line {step + 1}: {r[0]!r} where {step} was expected")
-        if r[cols["flag"]] not in ("0", "1"):
-            raise ValueError(f"flag at line {step + 1} is {r[cols['flag']]!r}, not 0 or 1")
-    T = len(rows)
-    X = np.array([[float(r[1 + j]) for j in range(d)] for r in rows])
+    width = len(header)
+    body = lines[1:]
+    T = len(body)
+    # the rows before the first ragged one split at once into whole columns,
+    # checked at once; a check that fails then finds its first bad row
+    commas = [ln.count(",") for ln in body]
+    whole = next((i for i, n in enumerate(commas) if n != width - 1), T)
+    fields = ",".join(body[:whole]).split(",") if whole else []
+    columns = [fields[j::width] for j in range(width)]
+    faults = []
+    if whole < T:
+        faults.append((whole, f"ragged row at line {whole + 2}: {commas[whole] + 1} fields, header has {width}"))
+    steps = list(map(str, range(1, whole + 1)))
+    if columns[0] != steps:
+        i = next(i for i, (got, want) in enumerate(zip(columns[0], steps)) if got != want)
+        faults.append((i, f"non-consecutive t at line {i + 2}: {columns[0][i]!r} where {i + 1} was expected"))
+    flags = columns[cols["flag"]]
+    if not set(flags) <= {"0", "1"}:
+        i = next(i for i, f in enumerate(flags) if f not in ("0", "1"))
+        faults.append((i, f"flag at line {i + 2} is {flags[i]!r}, not 0 or 1"))
+    if faults:
+        raise ValueError(min(faults, key=lambda fault: fault[0])[1])
 
-    def col(name, cast=float):
-        return np.array([cast(r[cols[name]]) for r in rows])
+    def col(name):
+        return np.array(columns[cols[name]], dtype=float)
 
     return RegretTrace(
-        X=X.reshape(T, d),
+        X=np.ascontiguousarray(np.array(columns[1:1 + d], dtype=float).T).reshape(T, d),
         y=col("y"), beta=col("beta"), sigma=col("sigma"), mu=col("mu"),
         inst_regret=col("inst_regret"), cum_regret=col("cum_regret"),
-        flag=col("flag", cast=lambda s: s == "1"),
+        flag=col("flag") == 1.0,
         f_star=f_star, seed=seed, spec=spec,
     )

@@ -145,6 +145,8 @@ class TestGreedyInfoGain:
         (kept,) = gpucb.posterior._KERNELS.values()
         assert built == [] and kept is block
         assert block.shape == (48, 84) and shared.tobytes() == fresh.tobytes()
+        # the candidates' own columns come from kernel_matrix, the rest from kernel_cross
+        assert block.tobytes() == kernel_cross(spec, cands, grid).tobytes()
 
     def test_se_polylog_ratio_bounded(self):
         cands = np.linspace(0, 1, 160)[:, None]

@@ -373,8 +373,9 @@ class TestSharedReportBlock:
 
     def test_report_builds_the_candidates_block_once(self, tmp_path, monkeypatch):
         # 64 candidates on a grid of more points, 5 audited seeds and the
-        # information gain: one m x n block, no per-audit block and no
-        # second candidates' matrix
+        # information gain: one m x n block, built as the candidates' own
+        # matrix and their rows against the grid's other points, with no
+        # per-audit block and no second candidates' matrix
         text = (
             MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
             .replace("horizon = 8", "horizon = 64")
@@ -386,8 +387,8 @@ class TestSharedReportBlock:
         assert cand.shape[0] < grid.shape[0]
         assert "PASS  error-ratio growth" in report and "SKIP  information-gain" not in report
         assert len(crosses) == 1
-        assert np.array_equal(crosses[0][0], cand) and np.array_equal(crosses[0][1], grid)
-        assert matrices == []
+        assert np.array_equal(crosses[0][0], cand) and np.array_equal(crosses[0][1], grid[cand.shape[0]:])
+        assert len(matrices) == 1 and np.array_equal(matrices[0], cand)
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
         assert len(norms) == 5
 

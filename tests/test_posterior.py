@@ -21,7 +21,7 @@ from gpucb import (
 )
 import gpucb.posterior
 from gpucb.kernels import kernel_matrix
-from gpucb.posterior import _BLOCK, _cholesky, _inv_lower, _whiten
+from gpucb.posterior import _BLOCK, _cholesky, _inv_lower, _lower_product
 from gpucb.rkhs import Box
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -225,7 +225,9 @@ class TestGrowingPosterior:
 
     def test_rows_never_exceed_twice_the_distinct_design_plus_one(self):
         # the refactor steps the class comment names, and over a long run a
-        # row count that never passes 2 * distinct + 1, written or kept
+        # row count that never passes 2 * distinct + 1, written or kept; a
+        # refactor orders its design by last play, so this step's point,
+        # the last played, takes the last design row
         long = np.random.default_rng(12).integers(0, 8, size=400)
         for order, steps in ((self.order, [15, 25, 34]), (long, None)):
             post = GrowingPosterior(MATERN_03, 0.5, self.points, order.size)
@@ -237,17 +239,22 @@ class TestGrowingPosterior:
                 distinct = np.unique(order[:t]).size
                 assert written <= 2 * distinct + 1 and post._rows <= 2 * distinct, t
                 if post._rows < written:
-                    assert post._rows == distinct, t
+                    assert post._rows == post._design == distinct, t
+                    assert post._pos[c] == post._design - 1, t
+                    last = {p: j for j, p in enumerate(order[:t])}
+                    assert list(post._pos[sorted(last, key=last.get)]) == list(range(distinct)), t
                     refactors.append(t)
             assert refactors == steps if steps else len(refactors) > 20
 
-    @pytest.mark.parametrize("horizon", [10, 15, 16, 21, 26])
+    @pytest.mark.parametrize("horizon", [10, 15, 16, 20, 21, 26])
     def test_shorter_horizon_is_a_bitwise_prefix(self, horizon):
         # the refactor steps are fixed by the prefix, so the horizon never
         # moves a bit: these horizons stop before the first refactor, at it,
-        # just after it, just after a repeat within its epoch (step 21 plays
-        # point 6 again since step 17 and reads its own row) and after the
-        # second
+        # just after it, just after a design point's first replay through
+        # the inverse factor (step 20 replays point 4, last played before
+        # the refactor, from the last design row), just after a repeat
+        # within its epoch (step 21 plays point 6 again since step 17 and
+        # reads its own row) and after the second
         for j, y in enumerate(self.ys):
             short = list(grow(self.points, 0.5, horizon, self.order[:horizon], y[:horizon]))
             whole = list(grow(self.points, 0.5, 40, self.order, y))
@@ -330,9 +337,9 @@ class TestGrowingPosterior:
         assert {"K", "B", "own"} <= set(sources[15:])
 
     def test_released_buffers_grow_the_next_posterior_bit_for_bit(self, monkeypatch):
-        # the next posterior of the same shapes takes the released buffers,
-        # poisoned with NaN here, and grows exactly as in fresh ones; a
-        # posterior of other shapes drops them
+        # the next posterior of the same shape takes the released buffer,
+        # poisoned with NaN here, and grows exactly as in a fresh one; a
+        # posterior of another shape drops it
         monkeypatch.setattr("gpucb.posterior._SPARE", {})
 
         def run(post):
@@ -346,12 +353,11 @@ class TestGrowingPosterior:
         used = GrowingPosterior(MATERN_03, 0.5, self.points, 40)
         for c, y in zip(self.order[::-1], self.ys[1]):
             used.observe(c, y)
-        W, B = used._W, used._B
+        W = used._W
         used.release()
         W.fill(np.nan)
-        B.fill(np.nan)
         reused = GrowingPosterior(MATERN_03, 0.5, self.points, 40)
-        assert reused._W is W and reused._B is B and not gpucb.posterior._SPARE
+        assert reused._W is W and not gpucb.posterior._SPARE
         for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(run(reused), fresh)):
             assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), t
         reused.release()
@@ -519,7 +525,7 @@ class TestNumericErrors:
 
 
 class TestTriangularSolve:
-    """Solves through ``_inv_lower``, and ``_whiten``, against SciPy's triangular solve."""
+    """Solves through ``_inv_lower``, and ``_lower_product``, against SciPy's triangular solve."""
 
     @staticmethod
     def factor(t):
@@ -543,20 +549,19 @@ class TestTriangularSolve:
         assert got.shape == b.shape
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("t", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("t", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3, 200])
     def test_whiten_matches_scipy(self, t):
+        # the fits whiten kernel rows C in place, by blocks of inv(L)'s
+        # lower triangle: the full product with inv(L) and the solve
         from scipy.linalg import solve_triangular  # test oracle only
 
         L = self.factor(t)
-        rng = np.random.default_rng(t + 2)
-        C, y = rng.standard_normal((t, 7)), rng.standard_normal(t)
-        out = np.empty((t, 7))
-        Linv, W, z = _whiten(L, C, y, out=out)
-        assert W is out
-        for got, ref in ((Linv, solve_triangular(L, np.eye(t), lower=True)),
-                         (W, solve_triangular(L, C, lower=True)), (z, solve_triangular(L, y, lower=True))):
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert not np.any(np.triu(Linv, 1))
+        C = np.random.default_rng(t + 2).standard_normal((t, 7))
+        Linv = _inv_lower(L)
+        full, ref = Linv @ C, solve_triangular(L, C, lower=True)
+        assert _lower_product(Linv, C) is C
+        assert np.allclose(C, full, rtol=1e-12, atol=0)
+        assert np.max(np.abs(C - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("t", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
     @pytest.mark.parametrize("k", [1, 4, 16, 64, 256, 1024, 4096])
