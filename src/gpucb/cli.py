@@ -236,8 +236,9 @@ def _load_suite(
                         raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
                     by_record[record] = f, f.on_points(grid)
                 objectives[seed], f_grids[seed] = by_record[record]
-    # ArithmeticError: the record's K_nu overflows at its centers
-    except (ValueError, ArithmeticError) as exc:
+    # _NUMERIC: the record's K_nu overflows at its centers, or its squared
+    # norm comes out negative
+    except (ValueError, *_NUMERIC) as exc:
         raise ValueError(f"{records}: {exc}") from None
     beta = beta_column(config.beta, config.horizon, config.rho)
     traces = []

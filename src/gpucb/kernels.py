@@ -15,12 +15,13 @@ A kernel is evaluated in one way: ``kernel_cross`` gives the correlations
 between two point sets, and ``kernel_matrix`` the same values for one set
 with itself.  Both take points as rows and reject a non-finite coordinate
 with ValueError.  They give exactly 1 at zero lag, and exactly 0, with no
-numpy warning, where a tiny lengthscale makes the profile underflow.  They
-build the matrix in blocks of at most ``_ROW_BLOCK`` entries, each written
-straight into its rows of the output; every entry takes the same elementwise
-steps whatever the blocks, so the blocks never change a bit of the result.
-A block of a set's matrix with itself evaluates only its columns from its
-first row on and copies the rest from the rows above, its transpose.
+numpy warning, where a tiny lengthscale makes the profile underflow.  Both
+run one build loop over blocks of at most ``_ROW_BLOCK`` entries, each
+block's distances written into its rows of the output and turned into
+correlations there, in place; every entry takes the same elementwise steps
+whatever the blocks, so the blocks never change a bit of the result.  When
+the second set starts with the first, a block evaluates only its columns
+from its first row on and copies the rest from the rows above, its transpose.
 
 ``K_nu`` is evaluated in-house: closed forms at half-integer orders, a
 small-argument series plus a large-argument continued fraction otherwise,
@@ -302,17 +303,19 @@ def _matern_half_integer_radial(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """The Matern profile at distances r, in place on r as ``_se_radial``;
+    it is evaluated on a copy of the positive finite scaled distances."""
     nu = spec.nu
     # a tiny lengthscale can make the scale, and so z, infinite (NaN at zero
     # lag): the profile is 1 at zero lag and 0 at an infinite distance
     with np.errstate(over="ignore", invalid="ignore"):
-        z = (2.0 * math.sqrt(nu) / spec.lengthscale) * r
-    out = np.where(np.isinf(z), 0.0, 1.0)
+        z = np.multiply(r, 2.0 * math.sqrt(nu) / spec.lengthscale, out=r)
     pos = (z > 0.0) & (z < math.inf)
     zp = z[pos]
+    np.not_equal(z, math.inf, out=z)  # 1 at 0 and NaN, 0 at inf
     if _is_half_integer(nu):
-        out[pos] = _matern_half_integer_radial(nu, zp)
-        return out
+        z[pos] = _matern_half_integer_radial(nu, zp)
+        return z
     # general order: log-space normalization dodges overflow of z^nu * K_nu;
     # lattice designs repeat distances, so evaluate unique values only, all
     # in one bessel_k call; where K_nu underflows to 0 the profile is 0
@@ -326,8 +329,8 @@ def _matern_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
     log_psi -= log_norm
     vals = np.zeros_like(uniq)
     vals[live] = np.exp(log_psi)
-    out[pos] = vals[inverse]
-    return out
+    z[pos] = vals[inverse]
+    return z
 
 
 def _se_radial(spec: KernelSpec, r: np.ndarray) -> np.ndarray:
@@ -354,18 +357,18 @@ def _as_points(X, name: str) -> np.ndarray:
     return P
 
 
-# Entries per block of rows in a kernel build.  Each block writes its squared
-# distances straight into its rows of the output, through one scratch block
-# reused across coordinates and blocks, so a build holds the output plus about
-# one block where a whole-matrix build held three output-sized arrays (SE; the
-# Matern profile's temporaries made it seven).  At 2**18 entries (2 MiB, 129
-# rows of a 2025-point lattice) the SE matrix of that lattice takes 37-40 ms
-# against 82 ms whole (Matern 3/2: 48-54 against 187 ms; nu = 1.2: 0.30
-# against 0.89 s), and the se_wide_sweep benchmark no longer peaks in its
-# first build (134 MiB).  Blocks of 2**16 entries were no faster and 2**20
-# slower; the 256 x 512 candidates-by-grid block of the 256-point workloads
-# (2**17 entries) stays one block, so one bessel_k call.
-_ROW_BLOCK = 1 << 18
+# Entries per block of rows in a kernel build.  A block's distances go
+# straight into its rows of the output, through one scratch block reused
+# across coordinates and blocks, and its profile works there in place, so a
+# build holds the output plus the scratch block and one block's profile
+# temporaries: traced, 1.4 blocks for SE, 5.0 for Matern 3/2 and 8.1 for nu
+# = 1.2 (np.unique sorts a copy).  On se_wide_sweep's 2025-point lattice (one thread), 2**16 entries
+# (512 KiB) build the SE matrix in 60 ms against 61 at 2**18 (Matern 3/2: 69
+# against 77 ms) and peak 1.5 MiB lower (Matern 3/2: 7.7), and they split
+# the 256 x 512 bessel_halton2d block in two (traced peak 4.96 MiB, 8.85 as
+# one).  Each block evaluates K_nu on its own distinct distances, so nu =
+# 1.2 on that lattice, whose blocks repeat them, takes 0.46 s against 0.28.
+_ROW_BLOCK = 1 << 16
 
 
 def _squared_distances(X: np.ndarray, Y: np.ndarray, out: np.ndarray, diff: np.ndarray | None) -> None:
@@ -379,40 +382,34 @@ def _squared_distances(X: np.ndarray, Y: np.ndarray, out: np.ndarray, diff: np.n
             out += term
 
 
-def _kernel(spec: KernelSpec, X: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Correlations between the points of X and Y, or of X with itself
-    without Y, in blocks of at most ``_ROW_BLOCK`` entries (one row at
-    least).  Every entry takes the same elementwise steps whatever the
-    blocks, so the result does not depend on them; a general-order Matern
-    block makes one ``bessel_k`` call.  Of X with itself, a block evaluates
-    its columns from its first row on and copies the rest from the rows
-    above, which hold the same values: the matrix equals its transpose bit
-    for bit."""
-    square = Y is None
-    Y = X if square else Y
+_RADIAL = {KernelFamily.MATERN: _matern_radial, KernelFamily.SQUARED_EXPONENTIAL: _se_radial}
+
+
+def _kernel(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Correlations between the points of X and Y in blocks of at most
+    ``_ROW_BLOCK`` entries (one row at least), each block's distances
+    written into its rows of the output and turned into correlations there
+    by the family's profile.  Every entry takes the same elementwise steps
+    whatever the blocks, so the result does not depend on them; a
+    general-order Matern block makes one ``bessel_k`` call.  When Y's first
+    n rows are X's n points, a block evaluates its columns from its first
+    row on and copies the rest from the rows above, which hold the same
+    values: the square part equals its transpose bit for bit."""
     n, m = X.shape[0], Y.shape[0]
+    shared = np.array_equal(Y[:n], X)
     rows = max(1, min(n, _ROW_BLOCK // m if m else n))
     # without coordinates every distance is 0
     out = np.empty((n, m)) if X.shape[1] else np.zeros((n, m))
     diff = np.empty((rows, m)) if X.shape[1] > 1 else None
-    se = spec.family is KernelFamily.SQUARED_EXPONENTIAL
+    radial = _RADIAL[spec.family]
     for start in range(0, n, rows):
-        stop, left = start + rows, start if square else 0
+        stop, left = min(start + rows, n), start if shared else 0
         block = out[start:stop, left:]
         _squared_distances(X[start:stop], Y[left:], block, diff)
-        np.sqrt(block, out=block)
-        if se:
-            _se_radial(spec, block)
-        elif rows < n:
-            block[...] = _matern_radial(spec, block)
+        radial(spec, np.sqrt(block, out=block))
         if left:
             out[start:stop, :left] = out[:left, start:stop].T
-    if se or rows < n:
-        return out
-    # one Matern block: the profile's own array is the output, and its
-    # temporaries may take the scratch block's memory
-    del diff
-    return _matern_radial(spec, out)
+    return out
 
 
 def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -427,14 +424,15 @@ def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
     """Symmetric correlation matrix of one point set: ``kernel_cross(spec,
-    X, X)`` bit for bit, so its diagonal is exactly 1.
+    X, X)``, the same build, so its diagonal is exactly 1.
 
     K equals its transpose bit-exactly: the distance from x_i to x_j squares
     the exact negation of the difference from x_j to x_i.  Duplicate points
     are allowed; the result may then be singular (downstream code always
     regularizes with rho*I).  No points give the 0 x 0 matrix.
     """
-    return _kernel(spec, _as_points(X, "X"))
+    P = _as_points(X, "X")
+    return _kernel(spec, P, P)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +468,7 @@ def holder_validate(spec: KernelSpec, n_samples: int, max_radius: float, seed: i
         u = r / spec.lengthscale
         gap = -np.expm1(-0.5 * u * u)
     else:
-        gap = 1.0 - _matern_radial(spec, r)
+        gap = 1.0 - _matern_radial(spec, r.copy())
     ratios = gap / r**theta
     if not np.all(np.isfinite(ratios)):
         raise ArithmeticError("Holder ratio diverged on sampled radii")

@@ -35,11 +35,12 @@ posterior that also tracks shadow points (the UCB loop's optimum, when it
 lies off the candidates) never observes them, so it copies that shared
 matrix with the shadow points' kernel columns appended, and the shared
 entry stays in the memo.  A report builds the candidates' kernel rows
-against its evaluation grid once (the candidates are the grid's first
-rows), and the same memo hands out their leading square block as the
-candidates' kernel matrix.  A posterior that is done may ``release`` its
-row buffer, and the next posterior with the same shape takes it, so the
-seeds of a suite grow in one buffer.
+against its evaluation grid once, in one ``kernel_cross`` call (the
+candidates are the grid's first rows, so the build copies the square
+block's lower entries from their transposes), and the same memo hands out
+that leading square block as the candidates' kernel matrix.  A posterior
+that is done may ``release`` its row buffer, and the next posterior with
+the same shape takes it, so the seeds of a suite grow in one buffer.
 """
 
 from __future__ import annotations
@@ -273,11 +274,9 @@ def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None
     rows are ``points``, or ``kernel_matrix(spec, points)`` without a grid,
     built once per point set.  The kernel is elementwise, so the leading
     square block of an entry is ``kernel_matrix(spec, points)`` bit for bit:
-    an entry builds that block with ``kernel_matrix``, which evaluates each
-    symmetric pair once, and the grid's other rows with ``kernel_cross``
-    (and each build holds a Matern profile's temporaries for its own part
-    alone); a request without a grid takes the block from an entry for the
-    same points."""
+    an entry is one build, which shares that block's symmetric part as
+    ``kernel_matrix`` does, and a request without a grid takes the block
+    from an entry for the same points."""
     m = points.shape[0]
     rows = (spec, points.shape, points.tobytes())
     cols = points if grid is None else grid
@@ -287,12 +286,7 @@ def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None
     if grid is not None and not np.array_equal(grid[:m], points):
         raise ValueError("the points must be the grid's first rows")
     _KERNELS.clear()  # drop the old matrix before the new one is built
-    if cols.shape[0] == m:
-        K = kernel_matrix(spec, points)
-    else:
-        K = np.empty((m, cols.shape[0]))
-        K[:, :m] = kernel_matrix(spec, points)
-        K[:, m:] = kernel_cross(spec, points, grid[m:])
+    K = kernel_matrix(spec, points) if grid is None else kernel_cross(spec, points, grid)
     _KERNELS[rows, (cols.shape, cols.tobytes())] = _freeze(K)
     return K
 

@@ -373,9 +373,9 @@ class TestSharedReportBlock:
 
     def test_report_builds_the_candidates_block_once(self, tmp_path, monkeypatch):
         # 64 candidates on a grid of more points, 5 audited seeds and the
-        # information gain: one m x n block, built as the candidates' own
-        # matrix and their rows against the grid's other points, with no
-        # per-audit block and no second candidates' matrix
+        # information gain: one m x n block, built by one call that shares
+        # its square part, with no per-audit block and no candidates' matrix
+        # of its own
         text = (
             MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
             .replace("horizon = 8", "horizon = 64")
@@ -387,8 +387,8 @@ class TestSharedReportBlock:
         assert cand.shape[0] < grid.shape[0]
         assert "PASS  error-ratio growth" in report and "SKIP  information-gain" not in report
         assert len(crosses) == 1
-        assert np.array_equal(crosses[0][0], cand) and np.array_equal(crosses[0][1], grid[cand.shape[0]:])
-        assert len(matrices) == 1 and np.array_equal(matrices[0], cand)
+        assert np.array_equal(crosses[0][0], cand) and np.array_equal(crosses[0][1], grid)
+        assert matrices == []
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
         assert len(norms) == 5
 
@@ -613,6 +613,17 @@ def _overflow_record_nu(cell):
     path.write_text(path.read_text().replace("nu = 1.5\n", "nu = 400.3\n", 1))
 
 
+def _negative_norm_record(cell):
+    # two nearly equal centers with opposite coefficients of 1e8: the norm's
+    # quadratic form cancels to a negative value in floating point
+    path = cell / "objective.txt"
+    text = path.read_text()
+    for key, value in (("centers = ", "0.5; 0.5000000001"), ("coeffs = ", "1e8, -1e8")):
+        start = text.index(key) + len(key)
+        text = text[:start] + value + text[text.index("\n", start):]
+    path.write_text(text)
+
+
 def _rename_column(cell):
     path = cell / "trace_seed1.csv"
     lines = path.read_text().splitlines(keepends=True)
@@ -744,6 +755,7 @@ class TestDamagedRunReport:
         (_set_config_nu(1.7), "objective.txt: the record of seed 0 has another kernel than config.txt"),
         (_set_config_nu(400.3), "objective.txt: the record of seed 0 has another kernel than config.txt"),
         (_overflow_record_nu, "objective.txt: K_nu overflows double precision at nu=400.3"),
+        (_negative_norm_record, "objective.txt: negative squared norm"),
         (_rename_column, "trace_seed1.csv: trace header has no mu column"),
         (_truncate_trace, "trace_seed1.csv"),
         (_skip_step, "non-consecutive t"),

@@ -241,6 +241,8 @@ class TestKernelMatrix:
 
 
 GENERAL = KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=0.5)
+# a lattice repeats distances within and across blocks of rows
+LATTICE = np.array([[i / 4.0, j / 4.0] for i in range(2) for j in range(5)])
 
 
 class TestRowBlocks:
@@ -259,6 +261,16 @@ class TestRowBlocks:
         X, Y = rng.uniform(size=(n, 2)), rng.uniform(size=(7, 2))
         got, whole = self.blocked(monkeypatch, 3 * 7, kernel_cross, spec, X, Y)
         assert np.array_equal(got, whole)
+
+    @pytest.mark.parametrize("spec", [SE, MATERN_32, GENERAL], ids=["se", "matern32", "matern12"])
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_y_led_by_x_shares_the_square_part(self, monkeypatch, spec, n):
+        rng = np.random.default_rng(n)
+        X, Z = rng.uniform(size=(n, 2)), rng.uniform(size=(7, 2))
+        got, whole = self.blocked(monkeypatch, 3 * (n + 7), kernel_cross, spec, X, np.vstack([X, Z]))
+        assert np.array_equal(got, whole)
+        assert np.array_equal(got, np.hstack([kernel_matrix(spec, X), kernel_cross(spec, X, Z)]))
+        assert np.array_equal(got[:, :n], got[:, :n].T)
 
     @pytest.mark.parametrize("spec", [SE, MATERN_32, GENERAL], ids=["se", "matern32", "matern12"])
     def test_wide_y_takes_one_row_per_block(self, monkeypatch, spec):
@@ -289,7 +301,8 @@ class TestRowBlocks:
         assert np.array_equal(K, kernel_cross(spec, X, X))  # blocked too, both halves evaluated
         assert np.all(np.diag(K) == 1.0)
 
-    def test_one_bessel_call_per_block_on_its_distinct_distances(self, monkeypatch):
+    @staticmethod
+    def bessel_calls(monkeypatch):
         calls = []
         original = kernels.bessel_k
 
@@ -298,27 +311,48 @@ class TestRowBlocks:
             return original(nu, z)
 
         monkeypatch.setattr(kernels, "bessel_k", recorded)
-        monkeypatch.setattr(kernels, "_ROW_BLOCK", 4 * 10)
-        # a lattice repeats distances within and across blocks
-        X = np.array([[i / 4.0, j / 4.0] for i in range(2) for j in range(5)])
-        kernel_matrix(GENERAL, X)
-        z = (2.0 * math.sqrt(GENERAL.nu) / GENERAL.lengthscale) * whole_distances(X, X)
-        # each block evaluates its columns from its first row on
-        want = [np.unique(b[b > 0.0]) for b in (z[:4], z[4:8, 4:], z[8:, 8:])]
+        return calls
+
+    @staticmethod
+    def assert_one_call_per_block(calls, X, Y, left):
+        # blocks of 4 rows; block i evaluates Y's columns from left[i] on
+        z = (2.0 * math.sqrt(GENERAL.nu) / GENERAL.lengthscale) * whole_distances(X, Y)
+        want = [np.unique(b[b > 0.0]) for b in (z[start:start + 4, col:] for start, col in zip((0, 4, 8), left))]
         assert len(calls) == 3
         for got, expected in zip(calls, want):
             assert np.array_equal(got, expected)
 
-    @pytest.mark.parametrize("spec, blocks", [
-        (SE, 2),  # the scratch block, plus bookkeeping
-        (MATERN_32, 8),  # the profile's temporaries of one block
-    ], ids=["se", "matern32"])
-    def test_peak_memory_is_the_output_plus_a_few_blocks(self, spec, blocks):
+    def test_one_bessel_call_per_block_on_its_distinct_distances(self, monkeypatch):
+        calls = self.bessel_calls(monkeypatch)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 4 * len(LATTICE))
+        kernel_matrix(GENERAL, LATTICE)
+        # each block evaluates its columns from its first row on
+        self.assert_one_call_per_block(calls, LATTICE, LATTICE, (0, 4, 8))
+
+    @pytest.mark.parametrize("order, left", [
+        (slice(None), (0, 4, 8)),  # Y's first rows are X: from each block's first row on
+        (slice(None, None, -1), (0, 0, 0)),  # X's rows in another order: all columns
+    ], ids=["shared-prefix", "reordered"])
+    def test_one_bessel_call_per_block_of_a_cross_build(self, monkeypatch, order, left):
+        Y = np.vstack([LATTICE[order], LATTICE[:3] + 0.125])
+        whole, M = kernel_cross(GENERAL, LATTICE, Y), kernel_matrix(GENERAL, LATTICE)
+        calls = self.bessel_calls(monkeypatch)
+        monkeypatch.setattr(kernels, "_ROW_BLOCK", 4 * len(Y))
+        K = kernel_cross(GENERAL, LATTICE, Y)
+        assert np.array_equal(K, whole) and np.array_equal(K[:, : len(LATTICE)], M[:, order])
+        self.assert_one_call_per_block(calls, LATTICE, Y, left)
+
+    @pytest.mark.parametrize("spec, n, blocks", [
+        (SE, 1500, 2),  # the scratch block, plus bookkeeping
+        (MATERN_32, 1500, 6),  # the profile's temporaries of one block
+        (KernelSpec(KernelFamily.MATERN, nu=1.2), 600, 9),  # and np.unique's
+    ], ids=["se", "matern32", "matern12"])
+    def test_peak_memory_is_the_output_plus_a_few_blocks(self, spec, n, blocks):
         # a whole-matrix build peaked at about three outputs (SE) or seven
         # (Matern); in blocks the output is the only large array
         import tracemalloc
 
-        X = np.random.default_rng(5).uniform(size=(1500, 2))
+        X = np.random.default_rng(5).uniform(size=(n, 2))
         tracemalloc.start()
         try:
             K = kernel_matrix(spec, X)
