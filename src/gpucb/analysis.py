@@ -6,13 +6,14 @@ These operations grade completed runs:
   information gain by greedily growing the design that maximizes the
   marginal log-determinant increase.
 * ``prefix_bound_audit`` fits a trace's checkpoints from their distinct
-  designs and measures the sup ratio |f - mean| / sd over a grid, split into
-  noiseless-bias and random-error components; ``uniform_bound_audit``
-  grades given posterior states the same way (its refit reference).  An
-  audit evaluates no kernel and no objective: it reads its design rows from
-  the candidates' kernel rows against the grid and takes the objective's
-  grid values, both computed once per report and shared by every audit and,
-  for the candidates' own columns, by ``greedy_info_gain``.
+  designs with the posterior refactor's own fit and measures the sup ratio
+  |f - mean| / sd over a grid, split into noiseless-bias and random-error
+  components; ``uniform_bound_audit``, its reference, grades given states
+  through the refit reference alone, sharing no step with that fit.  The
+  prefix audit evaluates no kernel and no objective: it reads its design
+  rows from the candidates' kernel rows against the grid and takes the
+  objective's grid values, both computed once per report and shared by its
+  audits and, for the candidates' own columns, by ``greedy_info_gain``.
 * ``regret_bound_check`` tests the conditional cumulative-regret
   inequality R_T <= sqrt(8/ln(1+1/rho)) * sqrt(T * beta_{T-1} * I_T)
   on traces whose per-step error-bound flags all held.
@@ -28,8 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, kernel_cross
-from .posterior import GrowingPosterior, PosteriorState, _predict, _replicate_predict, fit
+from .kernels import KernelFamily, KernelSpec
+from .posterior import GrowingPosterior, PosteriorState, _clamped_var, _design_fit, fit
+from .posterior import posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction
 from .ucb import BetaKind, BetaSchedule, RegretTrace, beta_value
 
@@ -198,15 +200,20 @@ def _audit(f_grid: np.ndarray, ts: Sequence[int], fits) -> AuditSeries:
 def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid) -> AuditSeries:
     """Measure the sup error ratios of each posterior state over a grid.
 
-    rho > 0 keeps sd positive everywhere, so the ratios are well defined;
-    the prior state (mean 0, sd 1) reduces them to the sup of |f|.  A
-    variance below -1e-12 (a broken factor) raises NumericError.
+    ``prefix_bound_audit``'s reference: ``posterior_mean_at`` and
+    ``posterior_var_at`` of each state and of its refit on the exact values.
+    The prior state (mean 0, sd 1) reduces the ratios to the sup of |f|.  At
+    tiny rho, 1 - ||L^{-1} k||^2 can cancel to a variance clamped at 0, where
+    a ratio is infinite; below -1e-12 (a broken factor) it raises NumericError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    fits = (
-        _predict(s.chol, kernel_cross(s.spec, s.X, grid), np.column_stack([s.y, f.on_points(s.X)])) for s in states
-    )
-    return _audit(f.on_points(grid), [s.t for s in states], fits)
+
+    def fits():
+        for s in states:
+            exact = fit(s.spec, s.rho, s.X, f.on_points(s.X))
+            yield (posterior_mean_at(s, grid), posterior_mean_at(exact, grid)), posterior_var_at(s, grid)
+
+    return _audit(f.on_points(grid), [s.t for s in states], fits())
 
 
 def grid_columns(grid: np.ndarray, X: np.ndarray, where: str = "in the audit grid") -> np.ndarray:
@@ -225,13 +232,9 @@ def prefix_bound_audit(
     """Same ratios as ``uniform_bound_audit`` over trace prefixes, for an
     objective with values ``f_grid`` over the grid and the kernel rows ``K``
     of the grid's first m points, the candidates, against the whole grid.
-
-    k observations at a point with noise variance rho give the posterior of
-    one observation of their mean with noise rho / k (stochastic kriging's
-    replicate form; Ankenman, Nelson & Staum, Oper. Res. 2010), so a prefix
-    is fit by factoring K[D, D] + diag(rho / k) over its d distinct points D:
-    O(d^3 + d^2 n) on an n-point grid.  ValueError for a point off the
-    candidates.
+    A prefix is fit from its d distinct points, k plays at each standing as
+    one play of their mean (``_design_fit``): O(d^3 + d^2 n) on an n-point
+    grid.  ValueError for a point off the candidates.
     """
     checkpoints = sorted(checkpoints)
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > trace.horizon:
@@ -244,7 +247,10 @@ def prefix_bound_audit(
         for cp in checkpoints:
             rows, which, count = np.unique(cols[:cp], return_inverse=True, return_counts=True)
             ybar = np.bincount(which, weights=trace.y[:cp]) / count
-            yield _replicate_predict(K[rows], rows, rho / count, np.column_stack([ybar, f_grid[rows]]))
+            # inv(L) is dropped here: held across the yield, it stays
+            # resident into the next checkpoint
+            means, sumsq = _design_fit(K, rows, rho, count, np.column_stack([ybar, f_grid[rows]]), None)[1:]
+            yield means, _clamped_var(1.0 - sumsq)
 
     return _audit(f_grid, checkpoints, fits())
 

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 malformed config or an output directory that
 cannot be written, 3 numeric failure mid-run (a broken posterior
 factorization, a non-finite score, or a kernel whose K_nu overflows double
-precision), 4 insufficient or damaged data for a report.  Outputs are
-deterministic: rerunning a command with the same inputs produces
-byte-identical files.
+precision) or while a report grades (then it writes no file), 4
+insufficient or damaged data for a report.  Outputs are deterministic:
+rerunning a command with the same inputs produces byte-identical files.
 
 Run layout (one directory per suite)::
 
@@ -59,8 +59,8 @@ _SLOPE_BANDS = {
     KernelFamily.SQUARED_EXPONENTIAL: (0.45, 0.75),
 }
 
-# numeric failures mid-run: the posterior's, and the kernel's (K_nu overflows
-# double precision or its series fails to converge)
+# numeric failures mid-run or while a report grades: the posterior's, and the
+# kernel's (K_nu overflows double precision or its series fails to converge)
 _NUMERIC = (NumericError, ArithmeticError)
 
 
@@ -382,19 +382,24 @@ def cmd_report(out_dir: str) -> int:
         f"slope={fit_res.slope:.4f} stderr={fit_res.stderr:.4f} "
         f"reference={ref.cum_exponent:.4f} band=[{lo}, {hi}]",
     )
-    (top / "report.csv").write_text(
+    csv = (
         "config_digest,slope,stderr,reference_exponent,passed\n"
         f"{config.digest()},{_fmt(fit_res.slope)},{_fmt(fit_res.stderr)},"
-        f"{_fmt(ref.cum_exponent)},{int(slope_ok)}\n",
-        encoding="utf-8",
+        f"{_fmt(ref.cum_exponent)},{int(slope_ok)}\n"
     )
 
     checkpoints = fit_res.checkpoints
     audit_traces = traces[:5]
+    T_gain = min(512, cand.shape[0])
+    try:
+        audits = [prefix_bound_audit(f_grids[tr.seed], K, tr, config.rho, grid, checkpoints) for tr in audit_traces]
+        series = greedy_info_gain(config.kernel, config.rho, cand, T_gain) if T_gain >= 64 else None
+    except _NUMERIC as exc:
+        print(f"error: numeric failure: {exc}", file=sys.stderr)
+        return 3
     allowed = 1.5 * math.sqrt(math.log1p(config.rho * checkpoints[-1]) / math.log1p(config.rho * checkpoints[0]))
     growth_ok, bias_ok, growth_detail = True, True, []
-    for tr in audit_traces:
-        audit = prefix_bound_audit(f_grids[tr.seed], K, tr, config.rho, grid, checkpoints)
+    for tr, audit in zip(audit_traces, audits):
         bias_ok &= max(audit.bias_ratio) <= objectives[tr.seed].norm * (1.0 + 1e-6)
         ratio = audit.ratio[-1] / audit.ratio[0]
         growth_ok &= ratio <= allowed
@@ -423,9 +428,7 @@ def cmd_report(out_dir: str) -> int:
             + ", ".join(_flagged_from(tr.flag) for tr in traces)
         )
 
-    T_gain = min(512, cand.shape[0])
-    if T_gain >= 64:
-        series = greedy_info_gain(config.kernel, config.rho, cand, T_gain)
+    if series is not None:
         if config.kernel.family is KernelFamily.SQUARED_EXPONENTIAL:
             power = config.domain.dim + 1
             r_half = series[T_gain // 2 - 1] / math.log1p(T_gain // 2) ** power
@@ -449,6 +452,7 @@ def cmd_report(out_dir: str) -> int:
         lines.append("SKIP  information-gain growth: candidate set too small")
 
     report = "\n".join(lines) + "\n"
+    (top / "report.csv").write_text(csv, encoding="utf-8")
     (top / "report.txt").write_text(report, encoding="utf-8")
     print(report, end="")
     return 0

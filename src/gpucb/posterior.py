@@ -15,20 +15,17 @@ module is the package's only linear algebra: numpy's Cholesky factor and
 an explicit inverse factor for every triangular solve.  The inverse factor
 is built by halves, from LAPACK inverses of diagonal blocks of at most
 ``_BLOCK`` rows and matrix products for the blocks below them, so it takes
-no Python step per row.  A fit over a design whitens its kernel rows against
-n points in place, by blocks of the inverse factor's lower triangle from the
-bottom up, so it holds one d x n array.
+no Python step per row.  The fit from a design of distinct points exists
+once, in ``_design_fit``, for ``GrowingPosterior``'s refactor and the prefix
+audits; it whitens the design's kernel rows in place, so it holds one d x n
+array.  The refit states share no step with it: the audits' reference.
 ``GrowingPosterior`` is the same recursion over a fixed set of n points, one
 update rule per observation, for the UCB loop and the greedy information
 gain: O(a n) per step for the a rows since the observed point's own latest
 row, plus O(d^3 + d^2 n) each time it refactors its rows from the d
-distinct points played.  That row is the one the point's last observation
-since the refactor appended, else its row in the refactored design, which
-it reads through the refactor's inverse factor; a point with neither reads
-all r <= 2d + 1 rows.  The refactor orders its design by last play, most
-recent last, so a point played lately reads few design rows.  A step is one
-matrix-vector product and a few elementwise passes over the n points, with
-its scalars read as Python floats.
+distinct points played (its docstring says which rows a step reads).  A
+step is one matrix-vector product and a few elementwise passes over the n
+points, with its scalars read as Python floats.
 Posteriors over the same points in turn share one read-only kernel matrix,
 so a process running many seeds over one point set builds it once.  A
 posterior that also tracks shadow points (the UCB loop's optimum, when it
@@ -197,23 +194,19 @@ def _lower_product(T: np.ndarray, C: np.ndarray) -> np.ndarray:
     return C
 
 
-def _predict(L: np.ndarray, C: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means Y' A^{-1} C, one row per column of Y, and the clamped
-    variance 1 - diag(C' A^{-1} C), at the points whose kernel rows against a
-    design are C's columns, for the design's factor L L' = A.  C is
-    overwritten."""
-    Linv = _inv_lower(L)
-    W = _lower_product(Linv, C)
-    mean = (Linv @ Y).T @ W
-    W *= W
-    return mean, _clamped_var(1.0 - np.sum(W, axis=0))
-
-
-def _replicate_predict(C: np.ndarray, cols: np.ndarray, noise: np.ndarray, Y: np.ndarray):
-    """``_predict`` for a design of distinct points, the columns ``cols`` of
-    C, with per-point noise: A = C[:, cols] + diag(noise).  C is
-    overwritten."""
-    return _predict(_cholesky(C[:, cols], noise), C, Y)
+def _design_fit(K: np.ndarray, D: np.ndarray, rho: float, k: np.ndarray, ybar: np.ndarray, out: np.ndarray | None):
+    """Fit from the distinct points ``D`` (rows of the kernel rows ``K``),
+    played k times each with mean observations ``ybar``: k plays act as one
+    play of their mean with noise rho / k (Ankenman, Nelson & Staum, Oper.
+    Res. 2010), A = K[D, D] + diag(rho / k) = L L'.  K[D] is whitened in
+    ``out`` (a new array when None) to W = inv(L) K[D].  Returns inv(L), the
+    means (inv(L) ybar)' W, a row per column of a 2-d ``ybar``, and W's
+    column sums of squares."""
+    # mode="clip" (the indices are valid): the default buffers ``out`` in a temporary
+    W = np.take(K, D, axis=0, out=out, mode="clip")
+    Linv = _inv_lower(_cholesky(W[:, D], rho / k))
+    _lower_product(Linv, W)
+    return Linv, (Linv @ ybar).T @ W, np.einsum("ij,ij->j", W, W)
 
 
 def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
@@ -307,13 +300,14 @@ class GrowingPosterior:
     d2 = rho + var[c], the mean moves by s (y - mean[c]) / d2, and the
     covariance drops by s s' / d2.  The drops are kept as rows s / sqrt(d2)
     of W, so s = K[c] - W[:, c]' W: O(r n) for r rows.  Once the rows exceed
-    twice the d distinct points played, W is refactored from that distinct
-    design: k plays at a point act as one play of their mean with noise
-    nu = rho / k (Ankenman, Nelson & Staum, Oper. Res. 2010), so W = L^{-1}
-    K[D] with L L' = A = K[D, D] + diag(nu), O(d^3 + d^2 n), whitened in
-    place in W's own rows.  The refactor orders D by last play, most recent
-    last, and keeps inv(L), d x d, beside W: for c = D[p], K[c, D] =
-    A[p] - nu_p e_p', so K[c] - W[:d, c]' W[:d] = nu_p (A^{-1} K[D])[p] =
+    twice the d distinct points played, W is refit in its own rows by
+    ``_design_fit``, the one fit from a distinct design (the prefix audits
+    call it too; their refit reference shares none of it): k plays at a
+    point act as one play of their mean with noise nu = rho / k, so W =
+    L^{-1} K[D] with L L' = A = K[D, D] + diag(nu), O(d^3 + d^2 n).  The
+    refactor orders D by last play, most recent last, and keeps inv(L),
+    d x d, beside W: for c = D[p], K[c, D] = A[p] - nu_p e_p', so
+    K[c] - W[:d, c]' W[:d] = nu_p (A^{-1} K[D])[p] =
     nu_p inv(L)[p:, p]' W[p:d] (inv(L) is lower triangular), and c's first
     replay since the refactor reads s = nu_p inv(L)[p:, p]' W[p:d] -
     W[d:, c]' W[d:] as one product over rows p on, few when c was played
@@ -420,32 +414,25 @@ class GrowingPosterior:
             self._refactor()
 
     def _refactor(self) -> None:
-        """W = L^{-1} K[D] and mean = (L^{-1} ybar)' W over the distinct
-        design D, ordered by last play."""
+        """W, the mean and the sums of squares refit from the distinct
+        design D, ordered by last play (``_design_fit``)."""
         D = np.flatnonzero(self._count)
         # the latest rows order the played points by last play: a row since
         # the last refactor is newer than every design row, and the design
         # rows keep that refactor's order
         D = D[np.argsort(self._pos[D])]
-        d = D.size
         k = self._count[D]
-        nu = self.rho / k
         try:
-            L = _cholesky(self._K[np.ix_(D, D)], nu)
+            self._Linv, mean, sumsq = _design_fit(self._K, D, self.rho, k, self._ysum[D] / k, self._W[: D.size])
         except NumericError as exc:
             exc.step = self.t
             raise
-        # K[D] goes into W's rows, which are whitened in place; mode="clip"
-        # (the indices are valid): the default mode buffers ``out`` in a d x n
-        # temporary
-        Wd = np.take(self._K, D, axis=0, out=self._W[:d], mode="clip")
-        self._Linv = Linv = _inv_lower(L)
-        _lower_product(Linv, Wd)
-        np.matmul(Linv @ (self._ysum[D] / k), Wd, out=self.mean)
-        np.einsum("ij,ij->j", Wd, Wd, out=self._sumsq)
-        self._rows = self._design = d
-        self._pos[D] = np.arange(d)
-        self._scale[D] = nu
+        # the loop holds views of both arrays
+        self.mean[:] = mean
+        self._sumsq[:] = sumsq
+        self._rows = self._design = D.size
+        self._pos[D] = np.arange(D.size)
+        self._scale[D] = self.rho / k
 
 
 def logdet_information(state: PosteriorState) -> float:

@@ -296,6 +296,39 @@ class TestUniformBoundAudit:
                      (fast.random_ratio, slow.random_ratio)]:
             assert np.allclose(a, b, rtol=1e-9, atol=0), (a, b)
 
+    def test_reference_matches_textbook_formulas(self, monkeypatch):
+        # a 16-point grid and 48 steps, so each state's design repeats points
+        config = make_config(horizon=48, noise_sigma=0.15, candidates_count=16, eval_grid_count=16, seeds=(5,))
+        f = config.objective_for_seed(5)
+        trace = run_gp_ucb(config, f, 5)
+        grid = config.evaluation_points()
+        states = states_at_checkpoints(trace, config.rho, [8, 24, 48])
+        assert all(np.unique(s.X, axis=0).shape[0] < s.t for s in states)
+        f_grid = f.on_points(grid)
+        expected = []
+        for s in states:
+            A = kernel_matrix(config.kernel, s.X) + config.rho * np.eye(s.t)
+            k = kernel_cross(config.kernel, s.X, grid)
+            mean = k.T @ np.linalg.solve(A, s.y)
+            mean_exact = k.T @ np.linalg.solve(A, f.on_points(s.X))
+            sd = np.sqrt(1.0 - np.diag(k.T @ np.linalg.solve(A, k)))
+            expected.append([np.max(np.abs(d) / sd) for d in (f_grid - mean, f_grid - mean_exact, mean - mean_exact)])
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the reference shares a step with the distinct-design fit")
+
+        import gpucb.analysis
+        import gpucb.posterior
+
+        monkeypatch.setattr(gpucb.posterior, "_design_fit", unreachable)
+        monkeypatch.setattr(gpucb.analysis, "_design_fit", unreachable)
+        monkeypatch.setattr(gpucb.posterior, "_lower_product", unreachable)
+        audit = uniform_bound_audit(f, states, grid)
+        assert audit.t == (8, 24, 48)
+        np.testing.assert_allclose(
+            np.array([audit.ratio, audit.bias_ratio, audit.random_ratio]), np.array(expected).T, rtol=1e-9, atol=0
+        )
+
     def test_broken_factor_raises_instead_of_clamping(self):
         # a halved factor doubles L^-1 k, so 1 - |L^-1 k|^2 goes well below 0
         config = make_config(horizon=32, seeds=(3,))

@@ -362,8 +362,10 @@ class TestSharedReportBlock:
             return on_points(f, X)
 
         monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
-        for module in (gpucb.posterior, gpucb.analysis):
-            monkeypatch.setattr(module, "kernel_cross", counted_cross)
+        monkeypatch.setattr(gpucb.posterior, "kernel_cross", counted_cross)
+        # analysis evaluates no kernel; were it to import kernel_cross again,
+        # its calls would be counted too
+        monkeypatch.setattr(gpucb.analysis, "kernel_cross", counted_cross, raising=False)
         monkeypatch.setattr(gpucb.posterior, "kernel_matrix", counted_matrix)
         monkeypatch.setattr(gpucb.rkhs, "kernel_matrix", counted_norm)
         monkeypatch.setattr(RkhsFunction, "on_points", counted_on_points)
@@ -489,6 +491,26 @@ class TestReport:
         capsys.readouterr()
         assert cmd_report(str(out)) == 4
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_numeric_failure_while_grading_exits_3(self, tmp_path, capsys):
+        # the README config at horizon 64 under a constant schedule, whose
+        # beta column does not read rho, so the edit to rho = 1e-12 passes the
+        # trace checks; an audit variance then cancels below -1e-12
+        text = README_EXAMPLE.replace("horizon = 4096", "horizon = 64")
+        text = text.replace("beta.kind = log_product", "beta.kind = constant")
+        out = tmp_path / "out"
+        assert cmd_run(write_config(tmp_path, text), str(out)) == 0
+        config = (out / "config.txt").read_text()
+        assert "\nrho = 1\n" in config
+        (out / "config.txt").write_text(config.replace("\nrho = 1\n", "\nrho = 1e-12\n"))
+        capsys.readouterr()
+        # an earlier checkpoint's sd cancels to exactly 0, which numpy warns of
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            assert cmd_report(str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: numeric failure: negative posterior variance")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "report.txt").exists() and not (out / "report.csv").exists()
 
     def test_skip_row_names_flag_rate_and_flagged_tail(self, tmp_path):
         # a small exploration constant leaves no trace fully flagged
