@@ -9,7 +9,9 @@ These operations grade completed runs:
   designs with the posterior refactor's own fit and measures the sup ratio
   |f - mean| / sd over a grid, split into noiseless-bias and random-error
   components; ``uniform_bound_audit``, its reference, grades given states
-  through the refit reference alone, sharing no step with that fit.  The
+  through the refit reference alone, sharing no step with that fit.  A
+  ratio where a variance is clamped at 0 is 0 for a zero error and
+  infinite otherwise.  The
   prefix audit evaluates no kernel and no objective: it reads its design
   rows from the candidates' kernel rows against the grid and takes the
   objective's grid values, both computed once per report and shared by its
@@ -186,6 +188,14 @@ class AuditSeries:
     random_ratio: tuple[float, ...]
 
 
+def _sup_ratio(err: np.ndarray, sd: np.ndarray) -> float:
+    """max |err| / sd; where sd is 0 (a variance clamped at 0) the ratio is 0
+    for a zero error and infinite otherwise."""
+    ratio = np.where(err == 0.0, 0.0, math.inf)
+    np.divide(np.abs(err), sd, out=ratio, where=sd > 0.0)
+    return float(np.max(ratio))
+
+
 def _audit(f_grid: np.ndarray, ts: Sequence[int], fits) -> AuditSeries:
     """Sup ratios over a grid (f values ``f_grid``) at times ``ts`` of the
     posteriors in ``fits``, each (means over the grid from the observations
@@ -193,7 +203,7 @@ def _audit(f_grid: np.ndarray, ts: Sequence[int], fits) -> AuditSeries:
     ratios = []
     for (mean, mean_exact), var in fits:
         sd = np.sqrt(var)
-        ratios.append([float(np.max(np.abs(d) / sd)) for d in (f_grid - mean, f_grid - mean_exact, mean - mean_exact)])
+        ratios.append([_sup_ratio(d, sd) for d in (f_grid - mean, f_grid - mean_exact, mean - mean_exact)])
     return AuditSeries(tuple(ts), *(tuple(r[i] for r in ratios) for i in range(3)))
 
 

@@ -46,7 +46,7 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
 from .kernels import KernelFamily
 from .posterior import NumericError, _points_kernel
-from .rkhs import RkhsFunction, _fmt, _split_seed, objective_record, parse_objective_record
+from .rkhs import RkhsFunction, _fmt, _objective_values, _split_seed, objective_record, parse_objective_record
 from .ucb import RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
@@ -223,19 +223,18 @@ def _load_suite(
     config's kernel and each trace against the config's beta schedule, its
     objective, the grid's first m points (the candidates) and its seed's
     noise draws; OSError or ValueError names what is damaged.  Seeds that
-    share an objective record share one parse of it and its grid values."""
+    share an objective share one build of it and its grid values, as the
+    seeds of a run do."""
     records = cell / "objective.txt"
-    objectives, f_grids, by_record = {}, {}, {}
+    objectives, f_grids = {}, {}
     try:
         for block in records.read_text(encoding="utf-8").split("\n\n"):
             if block.strip():
                 seed, record = _split_seed(block)
-                if record not in by_record:
-                    f, _ = parse_objective_record(record)
-                    if f.spec != config.kernel:
-                        raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
-                    by_record[record] = f, f.on_points(grid)
-                objectives[seed], f_grids[seed] = by_record[record]
+                f, _ = parse_objective_record(record)
+                if f.spec != config.kernel:
+                    raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
+                objectives[seed], f_grids[seed] = f, _objective_values(f, grid)
     # _NUMERIC: the record's K_nu overflows at its centers, or its squared
     # norm comes out negative
     except (ValueError, *_NUMERIC) as exc:
@@ -401,6 +400,12 @@ def cmd_report(out_dir: str) -> int:
     growth_ok, bias_ok, growth_detail = True, True, []
     for tr, audit in zip(audit_traces, audits):
         bias_ok &= max(audit.bias_ratio) <= objectives[tr.seed].norm * (1.0 + 1e-6)
+        # a ratio is infinite only where a variance clamped at 0 meets an error
+        zero_sd = [t for t, r in zip(audit.t, audit.ratio) if r == math.inf]
+        if zero_sd:
+            growth_ok = False
+            growth_detail.append(f"inf<={allowed:.3f} (seed {tr.seed}: sd 0 at t={zero_sd[0]})")
+            continue
         ratio = audit.ratio[-1] / audit.ratio[0]
         growth_ok &= ratio <= allowed
         growth_detail.append(f"{ratio:.3f}<={allowed:.3f}")

@@ -28,7 +28,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .kernels import KernelFamily, KernelSpec
-from .rkhs import Box, RkhsFunction, _fmt, make_rkhs_function, sample_random_rkhs
+from .rkhs import Box, RkhsFunction, _fmt, _shared_objective, sample_random_rkhs
 from .ucb import BetaKind, BetaSchedule
 
 __all__ = [
@@ -137,10 +137,11 @@ class ExperimentConfig:
 
     def objective_for_seed(self, seed: int) -> RkhsFunction:
         """The run objective: the master seed's offset-0 stream draws it, so
-        horizon and noise settings never change the function."""
+        horizon and noise settings never change the function.  An explicit
+        objective is the same for every seed, built once per process."""
         obj = self.objective
         if obj.kind == "explicit":
-            return make_rkhs_function(self.kernel, obj.centers, obj.coeffs)
+            return _shared_objective(self.kernel, obj.centers, obj.coeffs)
         return sample_random_rkhs(self.kernel, obj.m, obj.B, self.domain, seed)
 
     def digest(self) -> str:
@@ -173,12 +174,17 @@ def lattice_points(box: Box, count: int) -> np.ndarray:
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _van_der_corput(index: int, base: int) -> float:
-    x, denom = 0.0, 1.0
-    while index:
-        index, rem = divmod(index, base)
+def _radical_inverses(count: int, base: int) -> np.ndarray:
+    """The base-``base`` radical inverses of 1..count.  Each takes the float
+    steps of the scalar digit loop, x += digit / base**k from the lowest
+    digit up; an index out of digits adds 0.0, which leaves x as it is."""
+    index = np.arange(1, count + 1)
+    x = np.zeros(count)
+    denom = 1.0
+    while index.any():
+        index, digit = np.divmod(index, base)
         denom *= base
-        x += rem / denom
+        x += digit / denom
     return x
 
 
@@ -187,9 +193,7 @@ def halton_points(box: Box, count: int) -> np.ndarray:
     d = box.dim
     if d > len(_PRIMES):
         raise ConfigError(f"low-discrepancy sequence supports dim <= {len(_PRIMES)}")
-    unit = np.array(
-        [[_van_der_corput(i, _PRIMES[j]) for j in range(d)] for i in range(1, count + 1)]
-    )
+    unit = np.column_stack([_radical_inverses(count, _PRIMES[j]) for j in range(d)])
     lo = np.asarray(box.lower)
     hi = np.asarray(box.upper)
     return lo + unit * (hi - lo)

@@ -29,7 +29,13 @@ joined by the standard upward recurrence in the order.  Target accuracy is
 1e-10 relative, verified against an arbitrary-precision reference table.
 It is evaluated over whole arrays: a general-order Matern kernel makes one
 ``bessel_k`` call per block of rows, on the array of the distinct distances
-that block evaluates.
+that block evaluates.  The series and the continued fraction update their
+working arrays in place, and an argument leaves at the step where its own
+stopping test holds.  The kernel passes its distances in ascending order,
+where the continued fraction's arguments finish from the tail (a larger z
+converges sooner) and the series' from the head, so finished arguments
+leave by slicing the working arrays; arguments that finish anywhere else
+leave by compacting them, so no value depends on the order.
 """
 
 from __future__ import annotations
@@ -115,10 +121,24 @@ def _gamma_terms(mu: float):
     return gam1, 0.5 * (gammi + gampl), gampl, gammi
 
 
-# Both base-pair solvers iterate over a 1-D array of arguments.  An element
-# leaves the active set at the step where its own stopping test holds, so
-# every value is what a scalar loop would return, whatever else is in the
-# batch.
+# Both base-pair solvers iterate over a 1-D array of arguments, updating their
+# working arrays in place.  An element leaves the active set at the step where
+# its own stopping test holds, so every value is what a scalar loop would
+# return, whatever else is in the batch; ``_without`` drops the finished ones.
+
+
+def _without(done: np.ndarray, gone: int, state: tuple, scratch: tuple) -> tuple:
+    """The ``state`` and ``scratch`` arrays without the ``gone`` elements
+    ``done`` marks, the rest of ``state`` in order.  Finished elements that
+    form the tail or the head leave by slicing, as views of the same
+    buffers; any others by compacting ``state`` into new arrays."""
+    n = done.size
+    if np.count_nonzero(done[n - gone:]) == gone:
+        return tuple(v[: n - gone] for v in state + scratch)
+    if np.count_nonzero(done[:gone]) == gone:
+        return tuple(v[gone:] for v in state + scratch)
+    left = ~done
+    return tuple(v[left] for v in state) + tuple(v[: n - gone] for v in scratch)
 
 
 def _k_series_small(mu: float, z: np.ndarray):
@@ -134,34 +154,43 @@ def _k_series_small(mu: float, z: np.ndarray):
     fact2[nonzero] = np.sinh(e[nonzero]) / e[nonzero]
     gam1, gam2, gampl, gammi = _gamma_terms(mu)
     ff = fact * (gam1 * np.cosh(e) + gam2 * fact2 * d)
-    total = ff
+    total = ff.copy()
     e = np.exp(e)
     p = 0.5 * e / gampl
     q = 0.5 / (e * gammi)
     c = np.ones_like(z)
     z2 = half_z * half_z
-    total1 = p
+    total1 = p.copy()
     mu2 = mu * mu
-    active = np.arange(z.size)
+    pos = np.arange(z.size)
+    delta, t, done = np.empty_like(z), np.empty_like(z), np.empty(z.size, dtype=bool)
     i = 0
-    while active.size:
+    while z.size:
         i += 1
         if i > _MAX_ITER:
             raise ArithmeticError(f"K_nu series failed to converge at mu={mu}, z={z[0]}")
-        ff = (i * ff + p + q) / (i * i - mu2)
-        c = c * (z2 / i)
-        p = p / (i - mu)
-        q = q / (i + mu)
-        delta = c * ff
-        total = total + delta
-        total1 = total1 + c * (p - i * ff)
-        done = np.abs(delta) < np.abs(total) * _EPS
-        if done.any():
-            k_mu[active[done]] = total[done]
-            k_mu1[active[done]] = total1[done] * (2.0 / z[done])
-            left = ~done
-            active, z, z2, ff, c, p, q, total, total1 = (
-                v[left] for v in (active, z, z2, ff, c, p, q, total, total1)
+        # ff = (i * ff + p + q) / (i * i - mu2) and c = c * (z2 / i)
+        ff *= i
+        ff += p
+        ff += q
+        ff /= i * i - mu2
+        c *= np.divide(z2, i, out=t)
+        p /= i - mu
+        q /= i + mu
+        total += np.multiply(c, ff, out=delta)
+        # total1 = total1 + c * (p - i * ff)
+        np.subtract(p, np.multiply(ff, i, out=t), out=t)
+        t *= c
+        total1 += t
+        # |delta| < |total| * eps
+        np.abs(total, out=t)
+        t *= _EPS
+        gone = np.count_nonzero(np.less(np.abs(delta, out=delta), t, out=done))
+        if gone:
+            k_mu[pos[done]] = total[done]
+            k_mu1[pos[done]] = total1[done] * (2.0 / z[done])
+            pos, z, z2, ff, c, p, q, total, total1, delta, t, done = _without(
+                done, gone, (pos, z, z2, ff, c, p, q, total, total1), (delta, t, done)
             )
     return k_mu, k_mu1
 
@@ -171,16 +200,17 @@ def _k_continued_fraction(mu: float, z: np.ndarray):
     k_mu, k_mu1 = np.empty_like(z), np.empty_like(z)
     b = 2.0 * (1.0 + z)
     d = 1.0 / b
-    h = delh = d
+    h, delh = d.copy(), d.copy()
     q1, q2 = np.zeros_like(z), np.ones_like(z)
     a1 = 0.25 - mu * mu
     q = np.full_like(z, a1)
     c = a1  # c and a follow the same sequence for every element
     a = -a1
     s = 1.0 + q * delh
-    active = np.arange(z.size)
+    pos = np.arange(z.size)
+    t, done = np.empty_like(z), np.empty(z.size, dtype=bool)
     i = 1
-    while active.size:
+    while z.size:
         i += 1
         if i > _MAX_ITER:
             raise ArithmeticError(
@@ -188,24 +218,31 @@ def _k_continued_fraction(mu: float, z: np.ndarray):
             )
         a -= 2 * (i - 1)
         c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1, q2 = q2, qnew
-        q = q + c * qnew
-        b = b + 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
-        dels = q * delh
-        s = s + dels
-        done = np.abs(dels / s) < _EPS
-        if done.any():
+        # qnew = (q1 - b * q2) / a, written over q1, which then becomes q2
+        q1 -= np.multiply(b, q2, out=t)
+        q1 /= a
+        q1, q2 = q2, q1
+        q += np.multiply(q2, c, out=t)
+        b += 2.0
+        # d = 1 / (b + a * d) and delh = (b * d - 1) * delh
+        d *= a
+        d += b
+        np.divide(1.0, d, out=d)
+        np.multiply(b, d, out=t)
+        t -= 1.0
+        delh *= t
+        h += delh
+        # dels = q * delh, s = s + dels, then |dels / s| < eps
+        s += np.multiply(q, delh, out=t)
+        t /= s
+        gone = np.count_nonzero(np.less(np.abs(t, out=t), _EPS, out=done))
+        if gone:
             zd = z[done]
             k = np.sqrt(math.pi / (2.0 * zd)) * np.exp(-zd) / s[done]
-            k_mu[active[done]] = k
-            k_mu1[active[done]] = k * (mu + zd + 0.5 - a1 * h[done]) / zd
-            left = ~done
-            active, z, b, d, delh, h, q1, q2, q, s = (
-                v[left] for v in (active, z, b, d, delh, h, q1, q2, q, s)
+            k_mu[pos[done]] = k
+            k_mu1[pos[done]] = k * (mu + zd + 0.5 - a1 * h[done]) / zd
+            pos, z, b, d, delh, h, q1, q2, q, s, t, done = _without(
+                done, gone, (pos, z, b, d, delh, h, q1, q2, q, s), (t, done)
             )
     return k_mu, k_mu1
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelFamily, KernelSpec, kernel_cross, kernel_matrix
-from .posterior import NumericError
+from .posterior import NumericError, _freeze
 
 __all__ = [
     "Box",
@@ -90,6 +90,39 @@ def make_rkhs_function(spec: KernelSpec, centers, coeffs) -> RkhsFunction:
     centers.setflags(write=False)
     coeffs.setflags(write=False)
     return RkhsFunction(spec, centers, coeffs, math.sqrt(max(norm_sq, 0.0)))
+
+
+# One entry: the objective that every seed of an explicit-objective suite
+# names, and every record of its report, with its values over the grid the
+# suite is evaluated on.
+_SHARED: dict = {}
+
+
+def _shared_objective(spec: KernelSpec, centers, coeffs) -> RkhsFunction:
+    """``make_rkhs_function(spec, centers, coeffs)``, built once per process
+    for one objective: the same kernel, centers and coefficients, bit for
+    bit, give the same function until another objective is asked for."""
+    centers = np.atleast_2d(np.array(centers, dtype=float))
+    coeffs = np.array(coeffs, dtype=float).reshape(-1)
+    key = (spec, centers.shape, centers.tobytes(), coeffs.tobytes())
+    if key not in _SHARED:
+        f = make_rkhs_function(spec, centers, coeffs)
+        _SHARED.clear()
+        _SHARED[key] = f, {}
+    return _SHARED[key][0]
+
+
+def _objective_values(f: RkhsFunction, grid: np.ndarray) -> np.ndarray:
+    """``f.on_points(grid)``; for the shared objective read-only, and
+    evaluated once per grid until another grid is asked for."""
+    for shared, values in _SHARED.values():
+        if shared is f:
+            key = (grid.shape, grid.tobytes())
+            if key not in values:
+                values.clear()
+                values[key] = _freeze(f.on_points(grid))
+            return values[key]
+    return f.on_points(grid)
 
 
 def scale_to_norm(f: RkhsFunction, B: float) -> RkhsFunction:
@@ -171,8 +204,9 @@ def _split_seed(text: str) -> tuple[int | None, str]:
 
 
 def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
-    """Inverse of objective_record (floats round-trip bit-exactly); ValueError
-    names a malformed line, a repeated key or a missing field."""
+    """Inverse of objective_record (floats round-trip bit-exactly), built
+    through the shared objective; ValueError names a malformed line, a
+    repeated key or a missing field."""
     seed, text = _split_seed(text)
     fields: dict[str, str] = {}
     for line in text.splitlines():
@@ -194,4 +228,4 @@ def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
     spec = KernelSpec(family, nu=nu, lengthscale=float(fields["lengthscale"]))
     centers = [[float(c) for c in row.split(",")] for row in fields["centers"].split(";")]
     coeffs = [float(c) for c in fields["coeffs"].split(",")]
-    return make_rkhs_function(spec, centers, coeffs), seed
+    return _shared_objective(spec, centers, coeffs), seed

@@ -33,6 +33,7 @@ follow from the choices, the objective on the grid and one noise draw.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +43,7 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .posterior import GrowingPosterior, NumericError, PosteriorState, _freeze, posterior_mean_at, posterior_var_at
-from .rkhs import RkhsFunction
+from .rkhs import RkhsFunction, _objective_values
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -195,7 +196,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     cand = config.candidate_points()
     grid = config.evaluation_points()
     m = cand.shape[0]
-    f_grid = f.on_points(grid)
+    f_grid = _objective_values(f, grid)
     best = int(np.argmax(f_grid))
     f_star = float(f_grid[best])
     f_cand = f_grid[:m]
@@ -278,10 +279,17 @@ def trace_to_csv(trace: RegretTrace) -> str:
     return "\n".join([",".join(header)] + [row % tuple(r) for r in block.tolist()]) + "\n"
 
 
+def _row_line(text: str, row: int) -> int:
+    """The line number in the file ``text`` of body row ``row`` of its trace,
+    the (row + 1)-th non-blank line from 0: blank lines count in the file."""
+    lines = (number for number, line in enumerate(text.splitlines(), start=1) if line.strip())
+    return next(itertools.islice(lines, row + 1, None))
+
+
 def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:
     """Inverse of ``trace_to_csv``; ValueError on an empty trace, a missing
     column, a ragged row, a skipped t or a flag other than 0 or 1, naming the
-    first defective line."""
+    first defective line by its line number in the file, blank lines counted."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty trace")
@@ -302,15 +310,16 @@ def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -
     columns = [fields[j::width] for j in range(width)]
     faults = []
     if whole < T:
-        faults.append((whole, f"ragged row at line {whole + 2}: {commas[whole] + 1} fields, header has {width}"))
+        line = _row_line(text, whole)
+        faults.append((whole, f"ragged row at line {line}: {commas[whole] + 1} fields, header has {width}"))
     steps = list(map(str, range(1, whole + 1)))
     if columns[0] != steps:
         i = next(i for i, (got, want) in enumerate(zip(columns[0], steps)) if got != want)
-        faults.append((i, f"non-consecutive t at line {i + 2}: {columns[0][i]!r} where {i + 1} was expected"))
+        faults.append((i, f"non-consecutive t at line {_row_line(text, i)}: {columns[0][i]!r} where {i + 1} was expected"))
     flags = columns[cols["flag"]]
     if not set(flags) <= {"0", "1"}:
         i = next(i for i, f in enumerate(flags) if f not in ("0", "1"))
-        faults.append((i, f"flag at line {i + 2} is {flags[i]!r}, not 0 or 1"))
+        faults.append((i, f"flag at line {_row_line(text, i)} is {flags[i]!r}, not 0 or 1"))
     if faults:
         raise ValueError(min(faults, key=lambda fault: fault[0])[1])
 

@@ -18,6 +18,7 @@ from gpucb import (
     kernel_cross,
     kernel_matrix,
     logdet_information,
+    make_rkhs_function,
     prefix_bound_audit,
     rate_reference,
     regret_bound_check,
@@ -328,6 +329,17 @@ class TestUniformBoundAudit:
         np.testing.assert_allclose(
             np.array([audit.ratio, audit.bias_ratio, audit.random_ratio]), np.array(expected).T, rtol=1e-9, atol=0
         )
+
+    def test_ratio_at_a_zero_sd(self):
+        # at rho = 1e-20, 1 + rho rounds to 1, so the variance at the design
+        # point is exactly 0: its ratio is 0 where the error is 0, infinite
+        # elsewhere, with no numpy warning (filterwarnings = error)
+        f = make_rkhs_function(SE, [[0.5]], [1.0])
+        on_f, off_f = (fit(SE, 1e-20, [[0.5]], [y]) for y in (1.0, 1.5))
+        audit = uniform_bound_audit(f, [on_f, off_f], [[0.5]])
+        assert audit.ratio == (0.0, math.inf)
+        assert audit.bias_ratio == (0.0, 0.0)
+        assert audit.random_ratio == (0.0, math.inf)
 
     def test_broken_factor_raises_instead_of_clamping(self):
         # a halved factor doubles L^-1 k, so 1 - |L^-1 k|^2 goes well below 0

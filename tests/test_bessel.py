@@ -111,6 +111,16 @@ class TestArrays:
         perm = np.random.default_rng(5).permutation(n)
         assert np.array_equal(bessel_k(nu, z[perm]), batch[perm])
         assert np.array_equal(bessel_k(nu, z[::-3]), batch[::-3])
+        # finished arguments leave the loops from the tail, from the head or
+        # from the middle of the block: a dense ascending run across the seam
+        # at z = 2, repeated arguments, a descending copy, and an interleaved
+        # block whose continued-fraction arguments finish between unfinished
+        # ones (no ascending block whose arguments finish out of order was found)
+        dense = np.linspace(1.9, 2.1, 301)
+        for extra in (dense, np.repeat(dense[::30], 4), dense[::-1].copy(), np.tile([2.5, 60.0, 7.0], 50)):
+            values = bessel_k(nu, extra)
+            for v, x in zip(values.tolist(), extra.tolist()):
+                assert v == bessel_k(nu, x), (nu, x)
 
     def test_float_in_float_out_and_shape_kept(self):
         assert type(bessel_k(1.2, 0.7)) is float

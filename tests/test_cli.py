@@ -7,6 +7,7 @@ import pytest
 
 import gpucb.config
 from gpucb import (
+    Box,
     fit,
     kernel_matrix,
     logdet_information,
@@ -18,7 +19,7 @@ from gpucb import (
     trace_to_csv,
 )
 from gpucb.cli import _flagged_from, cmd_report, cmd_run, cmd_sweep, cmd_validate, main
-from gpucb.config import ExperimentConfig
+from gpucb.config import ExperimentConfig, halton_points
 from gpucb.ucb import _seed_noise
 
 MINIMAL = """\
@@ -361,7 +362,9 @@ class TestSharedReportBlock:
             evaluated.append(f)
             return on_points(f, X)
 
+        # a report process starts with no kernel or objective from the run
         monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
+        monkeypatch.setattr(gpucb.rkhs, "_SHARED", {})
         monkeypatch.setattr(gpucb.posterior, "kernel_cross", counted_cross)
         # analysis evaluates no kernel; were it to import kernel_cross again,
         # its calls would be counted too
@@ -405,6 +408,74 @@ class TestSharedReportBlock:
         assert len(evaluated) == 1
         # one parse of the shared record, so one norm over its two centers
         assert len(norms) == 1 and norms[0].shape == (2, 1)
+
+
+class TestSeedIndependentInputs:
+    """A general-order Matern suite against an explicit objective, as the
+    bessel_halton2d benchmark workload runs it at a smaller size."""
+
+    TEXT = (
+        MINIMAL.replace("kernel.nu = 1.5", "kernel.nu = 1.2")
+        .replace("domain.dim = 1", "domain.dim = 2")
+        .replace("candidates.method = lattice", "candidates.method = low_discrepancy")
+        .replace("candidates.count = 16", "candidates.count = 64")
+        .replace("eval_grid.count = 16", "eval_grid.count = 81")
+        .replace("horizon = 8", "horizon = 64")
+        .replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
+        .replace("objective.kind = random", "objective.kind = explicit")
+        # peaked at the first Halton point, so no seed needs a shadow column
+        + "objective.centers = 0.5,0.33333333333333331; 0.1,0.9\nobjective.coeffs = 1, -0.5\n"
+    )
+
+    def test_bessel_k_calls_per_command(self, tmp_path, monkeypatch):
+        import gpucb.kernels
+        import gpucb.posterior
+        import gpucb.rkhs
+
+        calls = []
+        bessel_k = gpucb.kernels.bessel_k
+
+        def counted(nu, z):
+            calls.append(np.size(z))
+            return bessel_k(nu, z)
+
+        monkeypatch.setattr(gpucb.kernels, "bessel_k", counted)
+        out = tmp_path / "run"
+        counts = []
+        for command in (lambda: cmd_run(write_config(tmp_path, self.TEXT), str(out)), lambda: cmd_report(str(out))):
+            # each command starts as its own process does, with no kernel or objective built
+            monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
+            monkeypatch.setattr(gpucb.rkhs, "_SHARED", {})
+            calls.clear()
+            assert command() == 0
+            counts.append(len(calls))
+        config = parse_config((out / "config.txt").read_text())
+        f = config.objective_for_seed(0)
+        assert int(np.argmax(f.on_points(config.evaluation_points()))) == 0
+        # the run: the objective's norm, its values over the grid and the
+        # candidates' kernel matrix, once for all five seeds (11 calls when
+        # each seed built its own objective and values); the report: the
+        # record's norm, its grid values and the candidates-by-grid block
+        assert counts == [3, 3]
+
+    def test_halton_points_are_the_scalar_radical_inverses(self):
+        def radical_inverse(index, base):
+            x, denom = 0.0, 1.0
+            while index:
+                index, digit = divmod(index, base)
+                denom *= base
+                x += digit / denom
+            return x
+
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        unit = np.array([[radical_inverse(i, b) for b in primes] for i in range(1, 4097)])
+        for d in range(1, 13):
+            box = Box((0.0,) * d, (1.0,) * d)
+            for count in (1, 2, 3, 64, 1000, 4096):
+                assert halton_points(box, count).tobytes() == unit[:count, :d].tobytes(), (d, count)
+        box = Box((-1.5, 0.25), (2.0, 0.3))
+        scaled = np.array([-1.5, 0.25]) + unit[:300, :2] * (np.array([2.0, 0.3]) - np.array([-1.5, 0.25]))
+        assert halton_points(box, 300).tobytes() == scaled.tobytes()
 
 
 class TestSweep:
@@ -504,13 +575,27 @@ class TestReport:
         assert "\nrho = 1\n" in config
         (out / "config.txt").write_text(config.replace("\nrho = 1\n", "\nrho = 1e-12\n"))
         capsys.readouterr()
-        # an earlier checkpoint's sd cancels to exactly 0, which numpy warns of
-        with pytest.warns(RuntimeWarning, match="divide by zero"):
-            assert cmd_report(str(out)) == 3
+        # an earlier checkpoint's sd cancels to exactly 0, which grades
+        # without a numpy warning (filterwarnings = error would raise it)
+        assert cmd_report(str(out)) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: numeric failure: negative posterior variance")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (out / "report.txt").exists() and not (out / "report.csv").exists()
+
+    def test_zero_sd_fails_growth_naming_the_traces(self, tmp_path):
+        # a genuine run at rho = 1e-12 under a constant schedule: at t = 128
+        # the audit variance of seeds 0 and 3 cancels to exactly 0 where the
+        # error is not 0, so their ratio is infinite
+        text = README_EXAMPLE.replace("horizon = 4096", "horizon = 128").replace("\nrho = 1\n", "\nrho = 1e-12\n")
+        text = text.replace("beta.kind = log_product", "beta.kind = constant")
+        out = tmp_path / "out"
+        assert cmd_run(write_config(tmp_path, text), str(out)) == 0
+        assert cmd_report(str(out)) == 0
+        (row,) = [line for line in (out / "report.txt").read_text().splitlines() if "error-ratio growth" in line]
+        assert row.startswith("FAIL  error-ratio growth: ")
+        zero = [part for part in row.split(": ", 1)[1].split("; ") if "sd 0" in part]
+        assert zero == ["inf<=6.000 (seed 0: sd 0 at t=128)", "inf<=6.000 (seed 3: sd 0 at t=128)"]
 
     def test_skip_row_names_flag_rate_and_flagged_tail(self, tmp_path):
         # a small exploration constant leaves no trace fully flagged
@@ -666,6 +751,18 @@ def _skip_step(cell):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _blank_line_then_skip(cell):
+    # a blank line at line 4 of the file, and t = 99 at line 11: line numbers
+    # count the file's own lines, the blank one included
+    path = cell / "trace_seed2.csv"
+    lines = path.read_text().splitlines()
+    row = lines[9].split(",")
+    row[0] = "99"
+    lines[9] = ",".join(row)
+    lines.insert(3, "")
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _short_trace(cell):
     path = cell / "trace_seed0.csv"
     lines = path.read_text().splitlines()
@@ -781,6 +878,7 @@ class TestDamagedRunReport:
         (_rename_column, "trace_seed1.csv: trace header has no mu column"),
         (_truncate_trace, "trace_seed1.csv"),
         (_skip_step, "non-consecutive t"),
+        (_blank_line_then_skip, "trace_seed2.csv: non-consecutive t at line 11: '99' where 9 was expected"),
         (_short_trace, "rows for horizon 64"),
         (_move_point, "not on the evaluation grid"),
         (_move_to_grid_row, "trace_seed1.csv: x at t=5, [0.03333333333333333], is not a candidate"),
