@@ -257,8 +257,6 @@ def prefix_bound_audit(
         for cp in checkpoints:
             rows, which, count = np.unique(cols[:cp], return_inverse=True, return_counts=True)
             ybar = np.bincount(which, weights=trace.y[:cp]) / count
-            # inv(L) is dropped here: held across the yield, it stays
-            # resident into the next checkpoint
             means, sumsq = _design_fit(K, rows, rho, count, np.column_stack([ybar, f_grid[rows]]), None)[1:]
             yield means, _clamped_var(1.0 - sumsq)
 

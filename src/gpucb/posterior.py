@@ -17,13 +17,14 @@ is built by halves, from LAPACK inverses of diagonal blocks of at most
 ``_BLOCK`` rows and matrix products for the blocks below them, so it takes
 no Python step per row.  The fit from a design of distinct points exists
 once, in ``_design_fit``, for ``GrowingPosterior``'s refactor and the prefix
-audits; it whitens the design's kernel rows in place, so it holds one d x n
-array.  The refit states share no step with it: the audits' reference.
-``GrowingPosterior`` is the same recursion over a fixed set of n points, one
-update rule per observation, for the UCB loop and the greedy information
-gain: O(a n) per step for the a rows since the observed point's own latest
-row, plus O(d^3 + d^2 n) each time it refactors its rows from the d
-distinct points played (its docstring says which rows a step reads).  A
+audits; it whitens the design's kernel rows in place and writes their
+design columns from the factor, so it holds one d x n array and no d x d
+inverse outlives it.  The refit states share no step with it: the audits'
+reference.  ``GrowingPosterior`` is the same recursion over a fixed set of n
+points, one update rule per observation, for the UCB loop and the greedy
+information gain: O(a n) per step for the a rows after the observed point's
+latest row (every row for a point never played), plus O(d^3 + d^2 n) each
+time it refactors its rows from the d distinct points played.  A
 step is one matrix-vector product and a few elementwise passes over the n
 points, with its scalars read as Python floats.
 Posteriors over the same points in turn share one read-only kernel matrix,
@@ -197,16 +198,21 @@ def _lower_product(T: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _design_fit(K: np.ndarray, D: np.ndarray, rho: float, k: np.ndarray, ybar: np.ndarray, out: np.ndarray | None):
     """Fit from the distinct points ``D`` (rows of the kernel rows ``K``),
     played k times each with mean observations ``ybar``: k plays act as one
-    play of their mean with noise rho / k (Ankenman, Nelson & Staum, Oper.
-    Res. 2010), A = K[D, D] + diag(rho / k) = L L'.  K[D] is whitened in
-    ``out`` (a new array when None) to W = inv(L) K[D].  Returns inv(L), the
-    means (inv(L) ybar)' W, a row per column of a 2-d ``ybar``, and W's
-    column sums of squares."""
+    play of their mean with noise nu = rho / k (Ankenman, Nelson & Staum,
+    Oper. Res. 2010), A = K[D, D] + diag(nu) = L L'.  K[D] is whitened in
+    ``out`` (a new array when None) to W = inv(L) K[D], whose design columns
+    inv(L) K[D, D] = L' - inv(L) diag(nu) are written from the factor, where
+    the product cancels.  Returns the pivots diag(L), the means
+    (inv(L) ybar)' W, a row per column of a 2-d ``ybar``, and W's column sums
+    of squares."""
     # mode="clip" (the indices are valid): the default buffers ``out`` in a temporary
     W = np.take(K, D, axis=0, out=out, mode="clip")
-    Linv = _inv_lower(_cholesky(W[:, D], rho / k))
+    nu = rho / k
+    L = _cholesky(W[:, D], nu)
+    Linv = _inv_lower(L)
     _lower_product(Linv, W)
-    return Linv, (Linv @ ybar).T @ W, np.einsum("ij,ij->j", W, W)
+    W[:, D] = L.T - Linv * nu
+    return L.diagonal().copy(), (Linv @ ybar).T @ W, np.einsum("ij,ij->j", W, W)
 
 
 def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
@@ -304,21 +310,20 @@ class GrowingPosterior:
     ``_design_fit``, the one fit from a distinct design (the prefix audits
     call it too; their refit reference shares none of it): k plays at a
     point act as one play of their mean with noise nu = rho / k, so W =
-    L^{-1} K[D] with L L' = A = K[D, D] + diag(nu), O(d^3 + d^2 n).  The
-    refactor orders D by last play, most recent last, and keeps inv(L),
-    d x d, beside W: for c = D[p], K[c, D] = A[p] - nu_p e_p', so
-    K[c] - W[:d, c]' W[:d] = nu_p (A^{-1} K[D])[p] =
-    nu_p inv(L)[p:, p]' W[p:d] (inv(L) is lower triangular), and c's first
-    replay since the refactor reads s = nu_p inv(L)[p:, p]' W[p:d] -
-    W[d:, c]' W[d:] as one product over rows p on, few when c was played
-    lately.  Likewise the row that observing c at step j appends is W[j] =
-    s_j / sqrt(d2_j), for c's covariance column s_j then, so a later step
-    with no refactor between reads s = sqrt(d2_j) W[j] - W[j:, c]' W[j:].
-    Each step takes c's latest stored row (its own since the refactor, else
-    its design row, else K[c] with all the rows): O(a n) for the a rows
-    since that one.  Rows stay at most 2d + 1, and the refactor steps and
-    the rows read depend on the prefix alone, so a shorter run stays a
-    prefix of a longer one.
+    L^{-1} K[D] with L L' = K[D, D] + diag(nu), O(d^3 + d^2 n).  These are
+    the rows the rule writes when it observes D in order, once per point
+    with noise nu: row p is D[p]'s covariance column given D[:p] over its
+    pivot L[p, p].  So every row of W is some point's own row, written with
+    a noise (rho, or nu) over a pivot sqrt(noise + v), v the point's
+    variance then, and holding v / pivot at the point itself.  For c's
+    latest row p the covariance column is therefore s = w W[p] -
+    W[p+1:, c]' W[p+1:] with w = noise / pivot, kept per point so that the
+    entry at c never cancels; a point never played reads K[c] with w = 1
+    less every row.  A step is O(a n) for the a rows after that base row.
+    The refactor orders D by last play, most recent last, so a point played
+    lately finds its design row near the end.  Rows stay at most 2d + 1, and
+    the refactor steps and the rows read depend on the prefix alone, so a
+    shorter run stays a prefix of a longer one.
     The n points are ``points``, then ``shadow`` when given, and design
     points must be among ``points``: a shadow point has a mean and a
     variance but is never observed, so it needs its kernel column alone.
@@ -346,14 +351,10 @@ class GrowingPosterior:
         self._count = np.zeros(n)
         self._ysum = np.zeros(n)
         self._distinct = 0
-        # each point's latest covariance row: its own W row since the last
-        # refactor (>= the design size), else its design row (< it), else
-        # -1; and that row's scale, sqrt(d2) for its own row or rho / k
-        self._design = 0
+        # each point's latest W row, -1 for none, and the weight on that row,
+        # or on K[c] for none: its noise over its pivot, 1 for K[c]
         self._pos = np.full(n, -1)
-        self._scale = np.empty(n)
-        self._Linv = None  # the last refactor's inv(L)
-        self._coef = np.empty(shape[0])  # a design replay's weights on rows p on
+        self._weight = np.ones(n)
         self._s = np.empty(n)
 
     def release(self) -> None:
@@ -362,7 +363,7 @@ class GrowingPosterior:
         observe."""
         _SPARE.clear()
         _SPARE[self._W.shape] = self._W
-        self._W = self._Linv = None
+        self._W = None
 
     def variance(self, out: np.ndarray | None = None) -> np.ndarray:
         """Predictive variance at every point before step t+1, into ``out``
@@ -376,24 +377,11 @@ class GrowingPosterior:
         s = self._s
         # W[r] is free until this step's row is written into it
         w_row = W[r]
-        pos = self._pos
-        p = pos.item(c)
-        d = self._design
-        if p >= d:
-            # c's covariance column when its row was stored, less the rows
-            # appended since, from its own row on
-            np.dot(W[p:r, c], W[p:r], out=s)
-            np.subtract(np.multiply(W[p], self._scale.item(c), out=w_row), s, out=s)
-        elif p >= 0:
-            # c = D[p]: nu_p inv(L)[p:, p] weighs the design rows from p on,
-            # -W[d:r, c] the rows appended since the refactor
-            coef = self._coef[: r - p]
-            np.multiply(self._Linv[p:, p], self._scale.item(c), out=coef[: d - p])
-            np.negative(W[d:r, c], out=coef[d - p:])
-            np.dot(coef, W[p:r], out=s)
-        else:
-            np.dot(W[:r, c], W[:r], out=s)
-            np.subtract(self._K[c], s, out=s)
+        # c's covariance column: its latest row (K[c] when it has none),
+        # weighted, less the rows after it
+        p = self._pos.item(c)
+        np.dot(W[p + 1:r, c], W[p + 1:r], out=s)
+        np.subtract(np.multiply(W[p] if p >= 0 else self._K[c], self._weight.item(c), out=w_row), s, out=s)
         sumsq = self._sumsq
         d2 = self.rho + max(1.0 - sumsq.item(c), 0.0)
         gain = (y - self.mean.item(c)) / d2
@@ -401,8 +389,8 @@ class GrowingPosterior:
         np.divide(s, root, out=w_row)
         self.mean += np.multiply(s, gain, out=s)
         sumsq += np.multiply(w_row, w_row, out=s)
-        pos[c] = r
-        self._scale[c] = root
+        self._pos[c] = r
+        self._weight[c] = self.rho / root
         self._rows = r + 1
         count = self._count
         if not count.item(c):
@@ -423,16 +411,16 @@ class GrowingPosterior:
         D = D[np.argsort(self._pos[D])]
         k = self._count[D]
         try:
-            self._Linv, mean, sumsq = _design_fit(self._K, D, self.rho, k, self._ysum[D] / k, self._W[: D.size])
+            pivots, mean, sumsq = _design_fit(self._K, D, self.rho, k, self._ysum[D] / k, self._W[: D.size])
         except NumericError as exc:
             exc.step = self.t
             raise
         # the loop holds views of both arrays
         self.mean[:] = mean
         self._sumsq[:] = sumsq
-        self._rows = self._design = D.size
+        self._rows = D.size
         self._pos[D] = np.arange(D.size)
-        self._scale[D] = self.rho / k
+        self._weight[D] = self.rho / k / pivots
 
 
 def logdet_information(state: PosteriorState) -> float:

@@ -1,6 +1,8 @@
 """Posterior state: factorization, sequential updates, and diagnostics."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from gpucb.rkhs import Box
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=1.0)
 MATERN_03 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.3)
+REFERENCE = Path(__file__).parent / "data" / "posterior_reference.json"
 
 
 def _arrow(t, v):
@@ -239,8 +242,9 @@ class TestGrowingPosterior:
                 distinct = np.unique(order[:t]).size
                 assert written <= 2 * distinct + 1 and post._rows <= 2 * distinct, t
                 if post._rows < written:
-                    assert post._rows == post._design == distinct, t
-                    assert post._pos[c] == post._design - 1, t
+                    # right after a refactor the rows are the design rows
+                    assert post._rows == distinct, t
+                    assert post._pos[c] == distinct - 1, t
                     last = {p: j for j, p in enumerate(order[:t])}
                     assert list(post._pos[sorted(last, key=last.get)]) == list(range(distinct)), t
                     refactors.append(t)
@@ -250,9 +254,9 @@ class TestGrowingPosterior:
     def test_shorter_horizon_is_a_bitwise_prefix(self, horizon):
         # the refactor steps are fixed by the prefix, so the horizon never
         # moves a bit: these horizons stop before the first refactor, at it,
-        # just after it, just after a design point's first replay through
-        # the inverse factor (step 20 replays point 4, last played before
-        # the refactor, from the last design row), just after a repeat
+        # just after it, just after a design point's first replay since the
+        # refactor (step 20 replays point 4, last played before the
+        # refactor, from the last design row), just after a repeat
         # within its epoch (step 21 plays point 6 again since step 17 and
         # reads its own row) and after the second
         for j, y in enumerate(self.ys):
@@ -299,11 +303,14 @@ class TestGrowingPosterior:
         order = np.concatenate([design, design, [1], rng.choice(design, size=2001)])
         y = rng.standard_normal(order.size)
         post = GrowingPosterior(MATERN_03, rho, self.points, order.size)
-        seen = {}
+        seen, design = {}, 0
         for t, c in enumerate(order, start=1):
             if t > 9:
-                assert post._design == 4 and post._pos[c] >= 0, t
+                assert design == 4 and post._pos[c] >= 0, t
+            rows = post._rows
             post.observe(c, y[t - 1])
+            if post._rows <= rows:
+                design = post._rows  # right after a refactor, the design rows
             if t in (10, 13, 500, 1999, order.size):
                 seen[t] = (post.mean.copy(), post.variance())
         for t, (mean, var) in seen.items():
@@ -311,30 +318,55 @@ class TestGrowingPosterior:
             assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
             assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), (rho, t)
 
-    @pytest.mark.parametrize("rho", [0.5, 1e-3])
+    @pytest.mark.parametrize("rho", [0.5, 1e-3, 1e-4])
     def test_matches_fit_over_repeats_within_one_refactor_epoch(self, rho):
         # 4 of the 8 points, played twice each, refactor after step 9; then
         # point 0, off that design, is played 3 times and design point 3
         # twice before the next refactor: 0 reads K first and its own row
-        # after, 3 its row in B first and its own row after
+        # after, 3 its design row first and its own row after
         rng = np.random.default_rng(16)
         design = np.array([1, 3, 4, 6])
         order = np.concatenate([design, design, [1, 0, 3, 5, 0, 3, 0], rng.integers(0, 8, size=60)])
         y = rng.standard_normal(order.size)
         post = GrowingPosterior(MATERN_03, rho, self.points, order.size, shadow=self.shadow)
         every = np.vstack([self.points, self.shadow])
-        sources, designs = [], []
+        sources, designs, design = [], [], 0
         for t, c in enumerate(order, start=1):
             p = post._pos[c]
-            sources.append("own" if p >= post._design else "B" if p >= 0 else "K")
-            designs.append(post._design)
+            sources.append("own" if p >= design else "design row" if p >= 0 else "K")
+            designs.append(design)
+            rows = post._rows
             post.observe(c, y[t - 1])
+            if post._rows <= rows:
+                design = post._rows  # right after a refactor, the design rows
             state = fit(MATERN_03, rho, self.points[order[:t]], y[:t])
             assert np.allclose(post.mean, posterior_mean_at(state, every), rtol=0, atol=1e-9), (rho, t)
             assert np.allclose(post.variance(), posterior_var_at(state, every), rtol=0, atol=1e-9), (rho, t)
-        assert sources[9:15] == ["K", "B", "K", "own", "own", "own"]
+        assert sources[9:15] == ["K", "design row", "K", "own", "own", "own"]
         assert designs[9:16] == [4] * 7  # no refactor from step 10 to step 16
-        assert {"K", "B", "own"} <= set(sources[15:])
+        assert {"K", "design row", "own"} <= set(sources[15:])
+
+    @pytest.mark.parametrize("rho", [1e-3, 1e-4, 1e-5])
+    def test_matches_the_50_digit_reference_over_300_replays(self, rho):
+        # tests/data/gen_posterior_reference.py: the design {1, 3, 4, 6}
+        # played twice each, then point 1, then 300 seeded replays of it.
+        # The bounds are twice the largest errors of replays through the
+        # refactor's inv(L) (4.5e-12 on the mean, 1.1e-15 on the variance),
+        # rounded up.  With W's design columns taken from the product
+        # inv(L) K[D], where they cancel, the mean reads 4.7e-11 off at
+        # rho = 1e-5; fit reads 7.6e-10 off
+        ref = json.loads(REFERENCE.read_text())
+        spec = KernelSpec(KernelFamily.MATERN, nu=ref["nu"], lengthscale=ref["lengthscale"])
+        points = np.array(ref["points"])[:, None]
+        order, y = ref["order"], ref["y"]
+        checkpoints = {r["t"]: r for r in ref["checkpoints"] if r["rho"] == rho}
+        post = GrowingPosterior(spec, rho, points, len(order))
+        for t, c in enumerate(order, start=1):
+            post.observe(c, y[t - 1])
+            if t in checkpoints:
+                assert np.allclose(post.mean, checkpoints[t]["mean"], rtol=0, atol=1e-11), t
+                assert np.allclose(post.variance(), checkpoints[t]["var"], rtol=0, atol=3e-15), t
+        assert len(checkpoints) == 6
 
     def test_released_buffers_grow_the_next_posterior_bit_for_bit(self, monkeypatch):
         # the next posterior of the same shape takes the released buffer,
