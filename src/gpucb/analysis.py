@@ -11,11 +11,12 @@ These operations grade completed runs:
   components; ``uniform_bound_audit``, its reference, grades given states
   through the refit reference alone, sharing no step with that fit.  A
   ratio where a variance is clamped at 0 is 0 for a zero error and
-  infinite otherwise.  The
-  prefix audit evaluates no kernel and no objective: it reads its design
-  rows from the candidates' kernel rows against the grid and takes the
-  objective's grid values, both computed once per report and shared by its
-  audits and, for the candidates' own columns, by ``greedy_info_gain``.
+  infinite otherwise.  The prefix audit evaluates no kernel and no
+  objective and maps no point: it takes its design's grid rows, the
+  candidates' kernel rows against the grid and the objective's grid
+  values, all computed once per report and shared by its audits; the
+  candidates' own columns of those kernel rows are the kernel matrix that
+  ``greedy_info_gain`` takes.
 * ``regret_bound_check`` tests the conditional cumulative-regret
   inequality R_T <= sqrt(8/ln(1+1/rho)) * sqrt(T * beta_{T-1} * I_T)
   on traces whose per-step error-bound flags all held.
@@ -31,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec
+from .kernels import KernelFamily
 from .posterior import GrowingPosterior, PosteriorState, _clamped_var, _design_fit, fit
 from .posterior import posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction
@@ -85,27 +86,28 @@ def rate_reference(family: KernelFamily, nu: float | None, d: int) -> RateRefere
     return RateReference(family, None, d, 0.5, 0.0)
 
 
-def greedy_info_gain(spec: KernelSpec, rho: float, candidates, T: int) -> np.ndarray:
-    """Greedy information-gain series over a fixed candidate set.
+def greedy_info_gain(K: np.ndarray, rho: float, T: int) -> np.ndarray:
+    """Greedy information-gain series over a fixed candidate set, from the
+    candidates' kernel matrix ``K``.
 
     Step t adds the candidate with the largest current variance (largest
     marginal ln(1 + var/rho)); the running half-sum of those increments is
     returned for t = 1..T.  It lower-bounds the true maximal gain and is
     non-decreasing.
     """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    m = candidates.shape[0]
+    m = K.shape[0]
     if T < 1 or m < T:
         raise ValueError(f"need 1 <= T <= |candidates| = {m}, got T = {T}")
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    post = GrowingPosterior(spec, rho, candidates, T)
+    post = GrowingPosterior(K, rho, T)
     series = np.empty(T)
+    var = np.empty(m)
     total = 0.0
     for t in range(T):
-        var = post.variance()
+        post.variance(out=var)
         c = int(var.argmax())
-        total += 0.5 * math.log1p(var[c] / rho)
+        total += 0.5 * math.log1p(var.item(c) / rho)
         series[t] = total
         post.observe(c, 0.0)
     return series
@@ -116,7 +118,6 @@ class ExponentFit:
     slope: float
     stderr: float
     checkpoints: tuple[int, ...]
-    excluded: tuple[int, ...]
 
 
 def loglog_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -134,7 +135,8 @@ def fit_regret_exponent(traces: Sequence[RegretTrace], t_min: int, t_max: int) -
     """OLS slope of ln(mean cumulative regret) on ln t at geometric checkpoints.
 
     Checkpoints are t_min, 2*t_min, ... up to t_max.  Checkpoints whose
-    mean regret is non-positive are excluded and reported.
+    mean regret is not positive are left out of the fit and of
+    ``checkpoints``.
     """
     if len(traces) < 5:
         raise ValueError(f"need >= 5 traces, got {len(traces)}")
@@ -148,18 +150,16 @@ def fit_regret_exponent(traces: Sequence[RegretTrace], t_min: int, t_max: int) -
     while t <= t_max:
         checkpoints.append(t)
         t *= 2
-    used, excluded, logs = [], [], []
+    used, logs = [], []
     for t in checkpoints:
         mean_reg = float(np.mean([tr.cum_regret[t - 1] for tr in traces]))
-        if mean_reg <= 0.0:
-            excluded.append(t)
-        else:
+        if mean_reg > 0.0:
             used.append(t)
             logs.append(math.log(mean_reg))
     if len(used) < 3:
         raise ValueError(f"only {len(used)} usable checkpoints after exclusions")
     slope, stderr = loglog_slope(np.log(np.array(used, dtype=float)), np.array(logs))
-    return ExponentFit(slope, stderr, tuple(used), tuple(excluded))
+    return ExponentFit(slope, stderr, tuple(used))
 
 
 def states_at_checkpoints(trace: RegretTrace, rho: float, checkpoints: Sequence[int]) -> list[PosteriorState]:
@@ -226,38 +226,40 @@ def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid)
     return _audit(f.on_points(grid), [s.t for s in states], fits())
 
 
-def grid_columns(grid: np.ndarray, X: np.ndarray, where: str = "in the audit grid") -> np.ndarray:
+def grid_columns(grid: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Grid row of each point of ``X``; the first point off the grid raises
-    ValueError("design point [...] is not <where>")."""
+    ValueError("design point [...] is not on the evaluation grid")."""
     index = {tuple(p): i for i, p in enumerate(grid.tolist())}
     try:
         return np.array([index[tuple(p)] for p in X.tolist()], dtype=np.intp)
     except KeyError as exc:
-        raise ValueError(f"design point {list(exc.args[0])} is not {where}") from None
+        raise ValueError(f"design point {list(exc.args[0])} is not on the evaluation grid") from None
 
 
 def prefix_bound_audit(
-    f_grid: np.ndarray, K: np.ndarray, trace: RegretTrace, rho: float, grid, checkpoints: Sequence[int]
+    f_grid: np.ndarray, K: np.ndarray, rows: np.ndarray, y: np.ndarray, rho: float, checkpoints: Sequence[int]
 ) -> AuditSeries:
-    """Same ratios as ``uniform_bound_audit`` over trace prefixes, for an
-    objective with values ``f_grid`` over the grid and the kernel rows ``K``
-    of the grid's first m points, the candidates, against the whole grid.
-    A prefix is fit from its d distinct points, k plays at each standing as
+    """Same ratios as ``uniform_bound_audit`` over the prefixes of a trace
+    that played the grid rows ``rows`` and observed ``y``, for an objective
+    with values ``f_grid`` over the grid and the kernel rows ``K`` of the
+    grid's first m points, the candidates, against the whole grid.  A
+    prefix is fit from its d distinct points, k plays at each standing as
     one play of their mean (``_design_fit``): O(d^3 + d^2 n) on an n-point
-    grid.  ValueError for a point off the candidates.
+    grid.  ValueError for a row off the candidates.
     """
     checkpoints = sorted(checkpoints)
-    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > trace.horizon:
-        raise ValueError(f"checkpoints must lie in [1, {trace.horizon}], got {checkpoints}")
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    m = K.shape[0]
-    cols = grid_columns(grid[:m], trace.X[: checkpoints[-1]], f"in the audit grid's first {m} rows")
+    if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > rows.size:
+        raise ValueError(f"checkpoints must lie in [1, {rows.size}], got {checkpoints}")
+    # _design_fit's gather clips an index past the candidates' rows
+    off = np.flatnonzero((rows < 0) | (rows >= K.shape[0]))
+    if off.size:
+        raise ValueError(f"row {rows[off[0]]} at t={off[0] + 1} is not one of the {K.shape[0]} candidates")
 
     def fits():
         for cp in checkpoints:
-            rows, which, count = np.unique(cols[:cp], return_inverse=True, return_counts=True)
-            ybar = np.bincount(which, weights=trace.y[:cp]) / count
-            means, sumsq = _design_fit(K, rows, rho, count, np.column_stack([ybar, f_grid[rows]]), None)[1:]
+            design, which, count = np.unique(rows[:cp], return_inverse=True, return_counts=True)
+            ybar = np.bincount(which, weights=y[:cp]) / count
+            means, sumsq = _design_fit(K, design, rho, count, np.column_stack([ybar, f_grid[design]]), None)[1:]
             yield means, _clamped_var(1.0 - sumsq)
 
     return _audit(f_grid, checkpoints, fits())

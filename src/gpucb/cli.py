@@ -44,8 +44,8 @@ from .analysis import (
     trace_information_gain,
 )
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
-from .kernels import KernelFamily
-from .posterior import NumericError, _points_kernel
+from .kernels import KernelFamily, kernel_cross
+from .posterior import NumericError
 from .rkhs import RkhsFunction, _fmt, _objective_values, _split_seed, objective_record, parse_objective_record
 from .ucb import RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
 
@@ -217,14 +217,14 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
 
 def _load_suite(
     cell: Path, config: ExperimentConfig, grid: np.ndarray, m: int
-) -> tuple[list[RegretTrace], dict, dict]:
-    """Traces, recorded objectives and their values over the evaluation grid
-    ``grid`` (each by seed) of one suite, each objective checked against the
-    config's kernel and each trace against the config's beta schedule, its
-    objective, the grid's first m points (the candidates) and its seed's
-    noise draws; OSError or ValueError names what is damaged.  Seeds that
-    share an objective share one build of it and its grid values, as the
-    seeds of a run do."""
+) -> tuple[list[RegretTrace], dict, dict, dict]:
+    """Traces, recorded objectives, their values over the evaluation grid
+    ``grid`` and the grid rows each trace played (each by seed) of one
+    suite, each objective checked against the config's kernel and each
+    trace against the config's beta schedule, its objective, the grid's
+    first m points (the candidates) and its seed's noise draws; OSError or
+    ValueError names what is damaged.  Seeds that share an objective share
+    one build of it and its grid values, as the seeds of a run do."""
     records = cell / "objective.txt"
     objectives, f_grids = {}, {}
     try:
@@ -240,7 +240,7 @@ def _load_suite(
     except (ValueError, *_NUMERIC) as exc:
         raise ValueError(f"{records}: {exc}") from None
     beta = beta_column(config.beta, config.horizon, config.rho)
-    traces = []
+    traces, rows = [], {}
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"
         if seed not in objectives:
@@ -259,7 +259,7 @@ def _load_suite(
             forged = np.flatnonzero(np.cumsum(trace.inst_regret) != trace.cum_regret)
             if forged.size:
                 raise ValueError(f"cum_regret at t={forged[0] + 1} is not the running sum of inst_regret")
-            cols = grid_columns(grid, trace.X, "on the evaluation grid")
+            cols = grid_columns(grid, trace.X)
             # the audits read kernel rows of the candidates alone
             off = np.flatnonzero(cols >= m)
             if off.size:
@@ -278,7 +278,8 @@ def _load_suite(
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         traces.append(trace)
-    return traces, objectives, f_grids
+        rows[seed] = cols
+    return traces, objectives, f_grids, rows
 
 
 def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list[RegretTrace], horizon: int) -> None:
@@ -352,7 +353,8 @@ def cmd_report(out_dir: str) -> int:
         config = configs[longest]
         grid = config.evaluation_points()
         cand = config.candidate_points()
-        traces, objectives, f_grids = _load_suite(longest, config, grid, cand.shape[0])
+        m = cand.shape[0]
+        traces, objectives, f_grids, rows = _load_suite(longest, config, grid, m)
         for cell in cells:
             if cell != longest:
                 _check_cut(cell, longest, config, traces, configs[cell].horizon)
@@ -361,8 +363,9 @@ def cmd_report(out_dir: str) -> int:
         fit_res = fit_regret_exponent(traces, t_min, config.horizon)
         # the candidates' kernel rows against the grid, built once: every
         # audit reads its design rows from it, and the information gain its
-        # leading square block, the candidates' kernel matrix
-        K = _points_kernel(config.kernel, cand, grid)
+        # leading square block, the candidates' kernel matrix (the
+        # candidates are the grid's first rows)
+        K = kernel_cross(config.kernel, cand, grid)
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -389,10 +392,13 @@ def cmd_report(out_dir: str) -> int:
 
     checkpoints = fit_res.checkpoints
     audit_traces = traces[:5]
-    T_gain = min(512, cand.shape[0])
+    T_gain = min(512, m)
     try:
-        audits = [prefix_bound_audit(f_grids[tr.seed], K, tr, config.rho, grid, checkpoints) for tr in audit_traces]
-        series = greedy_info_gain(config.kernel, config.rho, cand, T_gain) if T_gain >= 64 else None
+        audits = [
+            prefix_bound_audit(f_grids[tr.seed], K, rows[tr.seed], tr.y, config.rho, checkpoints)
+            for tr in audit_traces
+        ]
+        series = greedy_info_gain(K[:, :m], config.rho, T_gain) if T_gain >= 64 else None
     except _NUMERIC as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -27,18 +27,14 @@ latest row (every row for a point never played), plus O(d^3 + d^2 n) each
 time it refactors its rows from the d distinct points played.  A
 step is one matrix-vector product and a few elementwise passes over the n
 points, with its scalars read as Python floats.
-Posteriors over the same points in turn share one read-only kernel matrix,
-so a process running many seeds over one point set builds it once.  A
-posterior that also tracks shadow points (the UCB loop's optimum, when it
-lies off the candidates) never observes them, so it copies that shared
-matrix with the shadow points' kernel columns appended, and the shared
-entry stays in the memo.  A report builds the candidates' kernel rows
-against its evaluation grid once, in one ``kernel_cross`` call (the
-candidates are the grid's first rows, so the build copies the square
-block's lower entries from their transposes), and the same memo hands out
-that leading square block as the candidates' kernel matrix.  A posterior
-that is done may ``release`` its row buffer, and the next posterior with
-the same shape takes it, so the seeds of a suite grow in one buffer.
+A posterior takes the kernel rows it computes on and builds none: its
+caller owns the point sets.  ``_points_kernel`` builds one point set's
+read-only kernel matrix once per process, so the seeds and sweep cells of
+a run over one candidate set share it; a run that also tracks an optimum
+off the candidates appends that point's kernel column to a copy, and the
+memo keeps the candidates' own matrix.  A posterior that is done may
+``release`` its row buffer, and the next posterior with the same shape
+takes it, so the seeds of a suite grow in one buffer.
 """
 
 from __future__ import annotations
@@ -239,7 +235,8 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
 
 def _clamped_var(raw: np.ndarray, step: int | None = None) -> np.ndarray:
     """``raw`` clamped at 0 in place; untouched when nothing is negative."""
-    low = np.minimum.reduce(raw) if raw.size else 0.0
+    # argmin lands on the first NaN, which fails the test below, or on -inf
+    low = raw.item(raw.argmin()) if raw.size else 0.0
     if low < 0.0:
         if low < -_VAR_CLAMP:
             raise NumericError(f"negative posterior variance {low} signals a broken factorization", step=step)
@@ -263,30 +260,17 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     return _clamped_var(1.0 - np.sum(W, axis=0))
 
 
-# one entry: every seed and every sweep cell of a process runs over one point
-# set, and a report reads that set's rows against one evaluation grid
+# one entry: every seed and every sweep cell of a process runs over one point set
 _KERNELS: dict = {}
 
 
-def _points_kernel(spec: KernelSpec, points: np.ndarray, grid: np.ndarray | None = None) -> np.ndarray:
-    """Read-only ``kernel_cross(spec, points, grid)`` for a grid whose first
-    rows are ``points``, or ``kernel_matrix(spec, points)`` without a grid,
-    built once per point set.  The kernel is elementwise, so the leading
-    square block of an entry is ``kernel_matrix(spec, points)`` bit for bit:
-    an entry is one build, which shares that block's symmetric part as
-    ``kernel_matrix`` does, and a request without a grid takes the block
-    from an entry for the same points."""
-    m = points.shape[0]
-    rows = (spec, points.shape, points.tobytes())
-    cols = points if grid is None else grid
-    for (key_rows, key_cols), K in _KERNELS.items():
-        if key_rows == rows and (grid is None or key_cols == (grid.shape, grid.tobytes())):
-            return K[:, :m] if grid is None else K
-    if grid is not None and not np.array_equal(grid[:m], points):
-        raise ValueError("the points must be the grid's first rows")
-    _KERNELS.clear()  # drop the old matrix before the new one is built
-    K = kernel_matrix(spec, points) if grid is None else kernel_cross(spec, points, grid)
-    _KERNELS[rows, (cols.shape, cols.tobytes())] = _freeze(K)
+def _points_kernel(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Read-only ``kernel_matrix(spec, points)``, built once per point set."""
+    key = (spec, points.shape, points.tobytes())
+    K = _KERNELS.get(key)
+    if K is None:
+        _KERNELS.clear()  # drop the old matrix before the new one is built
+        K = _KERNELS[key] = _freeze(kernel_matrix(spec, points))
     return K
 
 
@@ -324,21 +308,16 @@ class GrowingPosterior:
     lately finds its design row near the end.  Rows stay at most 2d + 1, and
     the refactor steps and the rows read depend on the prefix alone, so a
     shorter run stays a prefix of a longer one.
-    The n points are ``points``, then ``shadow`` when given, and design
-    points must be among ``points``: a shadow point has a mean and a
-    variance but is never observed, so it needs its kernel column alone.
-    The kernel matrix of ``points`` is shared through the memo; the columns
-    of ``shadow`` are built for this posterior alone.
+    The posterior computes on the kernel rows ``K`` of its m observable
+    points against its n >= m tracked points, whose first m are those same
+    points: a tracked point past them has a mean and a variance but is
+    never observed, so it needs its kernel column alone.  The posterior
+    only reads ``K``.
     """
 
-    def __init__(self, spec: KernelSpec, rho: float, points: np.ndarray, horizon: int,
-                 shadow: np.ndarray | None = None):
-        # built before W: the other order raised a 2026-point sweep's peak RSS
-        # from 156 to 187 MiB
-        self._K = _points_kernel(spec, points)
-        if shadow is not None:
-            self._K = _freeze(np.hstack([self._K, kernel_cross(spec, points, shadow)]))
-        n = self._K.shape[1]
+    def __init__(self, K: np.ndarray, rho: float, horizon: int):
+        self._K = K
+        n = K.shape[1]
         self.rho = rho
         self.t = 0
         self.mean = np.zeros(n)

@@ -11,17 +11,22 @@ point's own latest row (at most r <= 2d + 1 rows for the d distinct points
 played so far), plus O(d^3 + d^2 n) whenever the posterior refactors its
 rows from those d points.  Refactors come more than d steps apart, so a
 run is O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  The
-candidates' kernel matrix is built once per process and shared by every
-seed and sweep cell; a seed with a shadow column appends that column's
-kernel entries to a copy of it.
+loop owns the point sets and hands the posterior their kernel rows: the
+candidates' kernel matrix, built once per process and shared by every
+seed and sweep cell, and for a seed with a shadow column a copy with that
+column's kernel entries appended.
 It is algebraically the same recursion as ``posterior.update`` restricted
 to the tracked points, and the tests pin the two against each other.
 
 Beyond that arithmetic, a step costs about fifteen NumPy calls on arrays of
 n values: the variance and its clamp check, the scores and their argmax and
-finiteness check, and the update.  The exploration weights are one column
-per schedule, horizon and rho, computed before the loop, and the loop reads
-the objective, the noise and the posterior's scalars as Python floats.
+finiteness check, and the update.  The two safety minima, the variance's
+in its clamp check and the scores' in their finiteness check, are index
+reads ``a.item(a.argmin())``, which cost less than a ``np.minimum.reduce``
+call on arrays of this size (README times both).  The exploration
+weights are one column per schedule, horizon and rho, computed before the
+loop, and the loop reads the objective, the noise and the posterior's
+scalars as Python floats.
 
 Per step the loop records its choice, the exploration weight, the
 posterior mean/sd at the chosen point, and a flag marking whether the
@@ -41,8 +46,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import KernelSpec
-from .posterior import GrowingPosterior, NumericError, PosteriorState, _freeze, posterior_mean_at, posterior_var_at
+from .kernels import KernelSpec, kernel_cross
+from .posterior import GrowingPosterior, NumericError, PosteriorState, _freeze, _points_kernel
+from .posterior import posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction, _objective_values
 
 if TYPE_CHECKING:
@@ -122,8 +128,8 @@ def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int | None = No
     score = np.multiply(sd, math.sqrt(beta), out=out)
     score += mean
     c = int(score.argmax())
-    # argmax stops at the first NaN and reaches any +inf; min reaches -inf
-    if not (math.isfinite(score[c]) and math.isfinite(np.minimum.reduce(score))):
+    # argmax stops at the first NaN and reaches any +inf; argmin reaches -inf
+    if not (math.isfinite(score.item(c)) and math.isfinite(score.item(score.argmin()))):
         bad = int(np.flatnonzero(~np.isfinite(score))[0])
         where = "" if step is None else f", step {step}"
         raise NumericError(f"non-finite acquisition value at candidate {bad}{where}", index=bad, step=step)
@@ -205,13 +211,15 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
 
     # track the optimum through its own candidate column, or through a
     # shadow column when it lies off the candidates: it is never played, so
-    # the posterior appends its kernel column to a copy of the candidates'
-    # kernel matrix, which every seed shares
+    # it needs its kernel column alone, appended to a copy of the
+    # candidates' kernel matrix, which every seed shares
+    K = _points_kernel(spec, cand)
     if best < m:
-        opt, shadow = best, None
+        opt = best
     else:
-        opt, shadow = m, grid[best:best + 1]
-    post = GrowingPosterior(spec, rho, cand, T, shadow=shadow)
+        opt = m
+        K = _freeze(np.hstack([K, kernel_cross(spec, cand, grid[best:best + 1])]))
+    post = GrowingPosterior(K, rho, T)
 
     choice = np.empty(T, dtype=np.intp)
     sigma_out, mu_out = np.empty((2, T))

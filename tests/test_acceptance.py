@@ -32,6 +32,7 @@ from gpucb import (
     greedy_info_gain,
     holder_validate,
     kernel_cross,
+    kernel_matrix,
     norm_chain_check,
     posterior_mean_at,
     posterior_var_at,
@@ -42,6 +43,7 @@ from gpucb import (
     uniform_bound_audit,
     update,
 )
+from gpucb.analysis import grid_columns
 from gpucb.config import lattice_points
 from gpucb.rkhs import Box
 from conftest import make_config
@@ -68,7 +70,8 @@ def calibrated_c0(family: KernelFamily) -> float:
     for seed in pilot.seeds:
         f = pilot.objective_for_seed(seed)
         trace = run_gp_ucb(pilot, f, seed)
-        audits.append(prefix_bound_audit(f.on_points(grid), K, trace, pilot.rho, grid, PILOT_CHECKPOINTS))
+        rows = grid_columns(grid, trace.X)
+        audits.append(prefix_bound_audit(f.on_points(grid), K, rows, trace.y, pilot.rho, PILOT_CHECKPOINTS))
     return calibrate_c0(audits, rho=pilot.rho, delta=0.1)
 
 
@@ -271,7 +274,8 @@ def test_c06_error_ratio_growth(matern_suite):
     r_by_checkpoint = {t: [] for t in checkpoints}
     for trace in matern_suite.traces:
         f = config.objective_for_seed(trace.seed)
-        audit = prefix_bound_audit(f.on_points(grid), K, trace, config.rho, grid, checkpoints)
+        rows = grid_columns(grid, trace.X)
+        audit = prefix_bound_audit(f.on_points(grid), K, rows, trace.y, config.rho, checkpoints)
         for t, r in zip(audit.t, audit.ratio):
             r_by_checkpoint[t].append(r)
     mean_r = {t: float(np.mean(v)) for t, v in r_by_checkpoint.items()}
@@ -382,13 +386,13 @@ def test_c10_edp_identity():
 def test_c11_information_gain_growth():
     cands = np.linspace(0.0, 1.0, 2048)[:, None]
     se_spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=0.5)
-    series_se = greedy_info_gain(se_spec, 1.0, cands, T=1024)
+    series_se = greedy_info_gain(kernel_matrix(se_spec, cands), 1.0, T=1024)
     r512 = series_se[511] / math.log1p(512.0) ** 2
     r1024 = series_se[1023] / math.log1p(1024.0) ** 2
     se_ok = r1024 <= 1.1 * r512
 
     m_spec = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.5)
-    series_m = greedy_info_gain(m_spec, 1.0, cands, T=1024)
+    series_m = greedy_info_gain(kernel_matrix(m_spec, cands), 1.0, T=1024)
     ts = np.array([128, 256, 512, 1024], dtype=float)
     x = np.log(ts)
     y = np.log(np.array([series_m[int(t) - 1] for t in ts]))

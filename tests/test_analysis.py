@@ -48,11 +48,13 @@ def synthetic_trace(cum_regret: np.ndarray, spec=SE) -> RegretTrace:
     )
 
 
-def audit_inputs(config, f):
-    """The objective's values over the evaluation grid and the candidates'
-    kernel rows against it, as ``prefix_bound_audit`` takes them."""
+def audit_inputs(config, f, trace):
+    """The objective's values over the evaluation grid, the candidates'
+    kernel rows against it, the grid rows the trace played and its
+    observations, as ``prefix_bound_audit`` takes them."""
     grid = config.evaluation_points()
-    return f.on_points(grid), kernel_cross(config.kernel, config.candidate_points(), grid)
+    K = kernel_cross(config.kernel, config.candidate_points(), grid)
+    return f.on_points(grid), K, grid_columns(grid, trace.X), trace.y
 
 
 class TestRateReference:
@@ -83,12 +85,12 @@ class TestGreedyInfoGain:
     def test_first_value(self):
         cands = np.linspace(0, 1, 8)[:, None]
         for rho in (0.5, 1.0):
-            series = greedy_info_gain(SE, rho, cands, T=1)
+            series = greedy_info_gain(kernel_matrix(SE, cands), rho, T=1)
             assert series[0] == pytest.approx(0.5 * math.log1p(1.0 / rho), rel=1e-12)
 
     def test_nondecreasing_and_floor(self):
         cands = np.linspace(0, 1, 32)[:, None]
-        series = greedy_info_gain(MATERN_32, 1.0, cands, T=32)
+        series = greedy_info_gain(kernel_matrix(MATERN_32, cands), 1.0, T=32)
         assert np.all(np.diff(series) >= -1e-15)
         assert np.all(series >= 0.5 * math.log1p(1.0) - 1e-12)
 
@@ -96,7 +98,7 @@ class TestGreedyInfoGain:
         # 6 well-separated candidates, T = 3: enumerate all 20 subsets
         cands = np.linspace(0, 1, 6)[:, None]
         rho = 1.0
-        series = greedy_info_gain(MATERN_32, rho, cands, T=3)
+        series = greedy_info_gain(kernel_matrix(MATERN_32, cands), rho, T=3)
         best = -np.inf
         for subset in itertools.combinations(range(6), 3):
             K = kernel_matrix(MATERN_32, cands[list(subset)])
@@ -111,7 +113,7 @@ class TestGreedyInfoGain:
         cands = np.linspace(0, 1, 16)[:, None]
         rho = 0.7
         T = 10
-        series = greedy_info_gain(SE, rho, cands, T=T)
+        series = greedy_info_gain(kernel_matrix(SE, cands), rho, T=T)
         # replay the greedy selection to recover the chosen subset
         from gpucb import posterior_var_at, update
 
@@ -126,9 +128,11 @@ class TestGreedyInfoGain:
         _, logdet = np.linalg.slogdet(np.eye(T) + K / rho)
         assert series[-1] == pytest.approx(0.5 * logdet, rel=1e-10)
 
-    def test_shared_block_matches_a_fresh_build_bit_for_bit(self, monkeypatch):
+    def test_report_block_gives_the_series_of_a_fresh_build_bit_for_bit(self, monkeypatch):
         # nu = 1.2 takes the general-order K_nu path; the 48 Halton candidates
-        # are the first rows of a grid that adds a lattice
+        # are the first rows of a grid that adds a lattice, and the series
+        # read off the block's leading square columns, with no kernel built,
+        # is the series of the candidates' own kernel matrix
         import gpucb.posterior
         from gpucb.config import halton_points, lattice_points
 
@@ -136,29 +140,29 @@ class TestGreedyInfoGain:
         box = Box((0.0, 0.0), (1.0, 1.0))
         cands = halton_points(box, 48)
         grid = np.vstack([cands, lattice_points(box, 36)])
-        monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
-        fresh = greedy_info_gain(spec, 0.5, cands, T=40)
-        monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
-        block = gpucb.posterior._points_kernel(spec, cands, grid)
-        built = []
-        monkeypatch.setattr(gpucb.posterior, "kernel_matrix", lambda *a: built.append(a) or kernel_matrix(*a))
-        shared = greedy_info_gain(spec, 0.5, cands, T=40)
-        (kept,) = gpucb.posterior._KERNELS.values()
-        assert built == [] and kept is block
+        fresh = greedy_info_gain(kernel_matrix(spec, cands), 0.5, T=40)
+        block = kernel_cross(spec, cands, grid)
+
+        def unreachable(*args):
+            raise AssertionError("the information gain built a kernel")
+
+        for name in ("kernel_matrix", "kernel_cross"):
+            monkeypatch.setattr(gpucb.posterior, name, unreachable)
+        shared = greedy_info_gain(block[:, :48], 0.5, T=40)
         assert block.shape == (48, 84) and shared.tobytes() == fresh.tobytes()
-        # the candidates' own columns come from kernel_matrix, the rest from kernel_cross
-        assert block.tobytes() == kernel_cross(spec, cands, grid).tobytes()
+        # the candidates' own columns are their kernel matrix bit for bit
+        assert block[:, :48].tobytes() == kernel_matrix(spec, cands).tobytes()
 
     def test_se_polylog_ratio_bounded(self):
         cands = np.linspace(0, 1, 160)[:, None]
-        series = greedy_info_gain(SE, 1.0, cands, T=128)
+        series = greedy_info_gain(kernel_matrix(SE, cands), 1.0, T=128)
         r64 = series[63] / math.log1p(64.0) ** 2
         r128 = series[127] / math.log1p(128.0) ** 2
         assert r128 <= 1.1 * r64
 
     def test_requires_enough_candidates(self):
         with pytest.raises(ValueError):
-            greedy_info_gain(SE, 1.0, np.zeros((3, 1)), T=4)
+            greedy_info_gain(kernel_matrix(SE, np.zeros((3, 1))), 1.0, T=4)
 
 
 class TestLoglogSlope:
@@ -207,7 +211,7 @@ class TestFitRegretExponent:
         curve[:40] = 0.0  # zero regret early on
         traces = [synthetic_trace(curve) for _ in range(5)]
         res = fit_regret_exponent(traces, 32, 512)
-        assert 32 in res.excluded
+        assert res.checkpoints == (64, 128, 256, 512)  # 32 is left out
         assert res.slope == pytest.approx(0.6, abs=1e-6)
 
     def test_preconditions(self):
@@ -260,7 +264,7 @@ class TestUniformBoundAudit:
         trace = run_gp_ucb(config, f, 5)
         grid = config.evaluation_points()
         slow = uniform_bound_audit(f, states_at_checkpoints(trace, config.rho, checkpoints), grid)
-        fast = prefix_bound_audit(*audit_inputs(config, f), trace, config.rho, grid, checkpoints)
+        fast = prefix_bound_audit(*audit_inputs(config, f, trace), config.rho, checkpoints)
         assert fast.t == slow.t
         assert np.allclose(fast.ratio, slow.ratio, rtol=1e-8)
         assert np.allclose(fast.bias_ratio, slow.bias_ratio, rtol=1e-8)
@@ -291,7 +295,7 @@ class TestUniformBoundAudit:
         assert all(np.unique(cols[:t]).size == 4 for t in checkpoints)
         assert np.bincount(cols).min() >= 24
         slow = uniform_bound_audit(f, states_at_checkpoints(trace, config.rho, checkpoints), grid)
-        fast = prefix_bound_audit(*audit_inputs(config, f), trace, config.rho, grid, checkpoints)
+        fast = prefix_bound_audit(*audit_inputs(config, f, trace), config.rho, checkpoints)
         assert fast.t == slow.t
         for a, b in [(fast.ratio, slow.ratio), (fast.bias_ratio, slow.bias_ratio),
                      (fast.random_ratio, slow.random_ratio)]:
@@ -355,19 +359,22 @@ class TestUniformBoundAudit:
         grid = np.array([[0.0, 0.5], [0.5, 0.5], [1.0, 0.0]])
         X = np.array([[1.0, 0.0], [0.0, 0.5], [1.0, 0.0]])
         assert grid_columns(grid, X).tolist() == [2, 0, 2]
-        with pytest.raises(ValueError, match=r"design point \[0.5, 0.0\] is not on the grid"):
-            grid_columns(grid, np.array([[0.0, 0.5], [0.5, 0.0]]), "on the grid")
+        with pytest.raises(ValueError, match=r"design point \[0.5, 0.0\] is not on the evaluation grid"):
+            grid_columns(grid, np.array([[0.0, 0.5], [0.5, 0.0]]))
 
-    def test_prefix_audit_rejects_design_off_grid(self):
-        config = make_config(horizon=16, seeds=(1,))
+    def test_prefix_audit_rejects_a_row_off_the_candidates(self):
+        # 16 candidates on a 31-point grid: a grid row past them, or a
+        # negative one, would be clipped by the fit's gather
+        config = make_config(horizon=16, candidates_count=16, eval_grid_count=31, seeds=(1,))
         f = config.objective_for_seed(1)
         trace = run_gp_ucb(config, f, 1)
-        grid = config.evaluation_points()
-        off_grid = trace.X.copy()
-        off_grid[3] += 1e-3
-        moved = RegretTrace(**{**trace.__dict__, "X": off_grid})
-        with pytest.raises(ValueError, match="not in the audit grid"):
-            prefix_bound_audit(*audit_inputs(config, f), moved, config.rho, grid, [8, 16])
+        f_grid, K, rows, y = audit_inputs(config, f, trace)
+        assert K.shape == (16, 31)
+        for bad in (16, -1):
+            moved = rows.copy()
+            moved[3] = bad
+            with pytest.raises(ValueError, match=f"row {bad} at t=4 is not one of the 16 candidates"):
+                prefix_bound_audit(f_grid, K, moved, y, config.rho, [8, 16])
 
 
 class TestRegretBoundCheck:

@@ -330,11 +330,13 @@ class TestSharedKernelMatrix:
 
 class TestSharedReportBlock:
     """``report`` builds the candidates' kernel rows against the evaluation
-    grid once, and parses and evaluates each distinct objective once."""
+    grid once, hands the information gain their leading square block, and
+    parses and evaluates each distinct objective once."""
 
     @staticmethod
     def report_counting(tmp_path, monkeypatch, text):
         import gpucb.analysis
+        import gpucb.cli
         import gpucb.posterior
         import gpucb.rkhs
         from gpucb import kernel_cross
@@ -342,11 +344,18 @@ class TestSharedReportBlock:
 
         out = tmp_path / "run"
         assert cmd_run(write_config(tmp_path, text), str(out)) == 0
-        crosses, matrices, evaluated, norms = [], [], [], []
+        crosses, matrices, evaluated, norms, gains = [], [], [], [], []
 
         def counted_cross(spec, X, Y):
-            crosses.append((np.array(X), np.array(Y)))
-            return kernel_cross(spec, X, Y)
+            K = kernel_cross(spec, X, Y)
+            crosses.append((np.array(X), np.array(Y), K))
+            return K
+
+        greedy_info_gain = gpucb.cli.greedy_info_gain
+
+        def recorded_gain(K, rho, T):
+            gains.append(K)
+            return greedy_info_gain(K, rho, T)
 
         def counted_matrix(spec, X):
             matrices.append(np.array(X))
@@ -365,35 +374,42 @@ class TestSharedReportBlock:
         # a report process starts with no kernel or objective from the run
         monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
         monkeypatch.setattr(gpucb.rkhs, "_SHARED", {})
-        monkeypatch.setattr(gpucb.posterior, "kernel_cross", counted_cross)
-        # analysis evaluates no kernel; were it to import kernel_cross again,
-        # its calls would be counted too
+        # the report builds the block; the posterior and analysis evaluate
+        # no kernel, and were analysis to import kernel_cross again, its
+        # calls would be counted too
+        for module in (gpucb.cli, gpucb.posterior):
+            monkeypatch.setattr(module, "kernel_cross", counted_cross)
         monkeypatch.setattr(gpucb.analysis, "kernel_cross", counted_cross, raising=False)
+        monkeypatch.setattr(gpucb.cli, "greedy_info_gain", recorded_gain)
         monkeypatch.setattr(gpucb.posterior, "kernel_matrix", counted_matrix)
         monkeypatch.setattr(gpucb.rkhs, "kernel_matrix", counted_norm)
         monkeypatch.setattr(RkhsFunction, "on_points", counted_on_points)
         assert cmd_report(str(out)) == 0
         config = parse_config((out / "config.txt").read_text())
-        return config, crosses, matrices, evaluated, norms, (out / "report.txt").read_text()
+        report = (out / "report.txt").read_text()
+        return config, crosses, matrices, evaluated, norms, gains, report
 
     def test_report_builds_the_candidates_block_once(self, tmp_path, monkeypatch):
         # 64 candidates on a grid of more points, 5 audited seeds and the
         # information gain: one m x n block, built by one call that shares
-        # its square part, with no per-audit block and no candidates' matrix
-        # of its own
+        # its square part, with no per-audit block, and the information gain
+        # reads its leading square block with no candidates' matrix of its own
         text = (
             MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
             .replace("horizon = 8", "horizon = 64")
             .replace("candidates.count = 16", "candidates.count = 64")
             .replace("eval_grid.count = 16", "eval_grid.count = 100")
         )
-        config, crosses, matrices, evaluated, norms, report = self.report_counting(tmp_path, monkeypatch, text)
+        config, crosses, matrices, evaluated, norms, gains, report = self.report_counting(tmp_path, monkeypatch, text)
         cand, grid = config.candidate_points(), config.evaluation_points()
         assert cand.shape[0] < grid.shape[0]
         assert "PASS  error-ratio growth" in report and "SKIP  information-gain" not in report
-        assert len(crosses) == 1
-        assert np.array_equal(crosses[0][0], cand) and np.array_equal(crosses[0][1], grid)
+        ((X, Y, block),) = crosses
+        assert np.array_equal(X, cand) and np.array_equal(Y, grid)
         assert matrices == []
+        (K,) = gains
+        m = cand.shape[0]
+        assert K.shape == (m, m) and np.shares_memory(K, block) and np.array_equal(K, block[:, :m])
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
         assert len(norms) == 5
 
@@ -404,7 +420,7 @@ class TestSharedReportBlock:
             .replace("objective.kind = random", "objective.kind = explicit")
             + "objective.centers = 0.2; 0.7\nobjective.coeffs = 1, -0.5\n"
         )
-        _, _, _, evaluated, norms, _ = self.report_counting(tmp_path, monkeypatch, text)
+        _, _, _, evaluated, norms, _, _ = self.report_counting(tmp_path, monkeypatch, text)
         assert len(evaluated) == 1
         # one parse of the shared record, so one norm over its two centers
         assert len(norms) == 1 and norms[0].shape == (2, 1)

@@ -22,7 +22,7 @@ from gpucb import (
     update,
 )
 import gpucb.posterior
-from gpucb.kernels import kernel_matrix
+from gpucb.kernels import kernel_cross, kernel_matrix
 from gpucb.posterior import _BLOCK, _cholesky, _inv_lower, _lower_product
 from gpucb.rkhs import Box
 
@@ -203,7 +203,7 @@ class TestPredictions:
 def grow(points, rho, horizon, order, y):
     """A GrowingPosterior over ``points`` fed ``y`` at ``order``, yielding
     (mean, variance) before each step and after the last."""
-    post = GrowingPosterior(MATERN_03, rho, points, horizon)
+    post = GrowingPosterior(kernel_matrix(MATERN_03, points), rho, horizon)
     for t, c in enumerate(order):
         yield post.mean.copy(), post.variance()
         post.observe(c, y[t])
@@ -215,6 +215,7 @@ class TestGrowingPosterior:
     that rebuild them from the distinct design."""
 
     points = np.linspace(0.0, 1.0, 8)[:, None]  # n = 8: this order refactors after steps 15, 25 and 34
+    K = kernel_matrix(MATERN_03, points)
     rng = np.random.default_rng(11)
     order = rng.integers(0, 8, size=40)  # 40 observations of 8 points: points repeat
     ys = rng.standard_normal((2, 40))
@@ -233,7 +234,7 @@ class TestGrowingPosterior:
         # the last played, takes the last design row
         long = np.random.default_rng(12).integers(0, 8, size=400)
         for order, steps in ((self.order, [15, 25, 34]), (long, None)):
-            post = GrowingPosterior(MATERN_03, 0.5, self.points, order.size)
+            post = GrowingPosterior(self.K, 0.5, order.size)
             assert post._W.shape[0] == min(order.size, 17)
             refactors = []
             for t, c in enumerate(order, start=1):
@@ -280,7 +281,7 @@ class TestGrowingPosterior:
         rng = np.random.default_rng(13)
         order = rng.integers(0, 8, size=5000)
         y = rng.standard_normal(5000)
-        post = GrowingPosterior(MATERN_03, 0.5, self.points, 5000)
+        post = GrowingPosterior(self.K, 0.5, 5000)
         last = None
         for t, c in enumerate(order, start=1):
             rows = post._rows
@@ -302,7 +303,7 @@ class TestGrowingPosterior:
         design = np.array([1, 3, 4, 6])
         order = np.concatenate([design, design, [1], rng.choice(design, size=2001)])
         y = rng.standard_normal(order.size)
-        post = GrowingPosterior(MATERN_03, rho, self.points, order.size)
+        post = GrowingPosterior(self.K, rho, order.size)
         seen, design = {}, 0
         for t, c in enumerate(order, start=1):
             if t > 9:
@@ -328,8 +329,8 @@ class TestGrowingPosterior:
         design = np.array([1, 3, 4, 6])
         order = np.concatenate([design, design, [1, 0, 3, 5, 0, 3, 0], rng.integers(0, 8, size=60)])
         y = rng.standard_normal(order.size)
-        post = GrowingPosterior(MATERN_03, rho, self.points, order.size, shadow=self.shadow)
         every = np.vstack([self.points, self.shadow])
+        post = GrowingPosterior(kernel_cross(MATERN_03, self.points, every), rho, order.size)
         sources, designs, design = [], [], 0
         for t, c in enumerate(order, start=1):
             p = post._pos[c]
@@ -360,7 +361,7 @@ class TestGrowingPosterior:
         points = np.array(ref["points"])[:, None]
         order, y = ref["order"], ref["y"]
         checkpoints = {r["t"]: r for r in ref["checkpoints"] if r["rho"] == rho}
-        post = GrowingPosterior(spec, rho, points, len(order))
+        post = GrowingPosterior(kernel_matrix(spec, points), rho, len(order))
         for t, c in enumerate(order, start=1):
             post.observe(c, y[t - 1])
             if t in checkpoints:
@@ -381,19 +382,19 @@ class TestGrowingPosterior:
                 post.observe(c, y)
             return seen + [(post.mean.copy(), post.variance())]
 
-        fresh = run(GrowingPosterior(MATERN_03, 0.5, self.points, 40))
-        used = GrowingPosterior(MATERN_03, 0.5, self.points, 40)
+        fresh = run(GrowingPosterior(self.K, 0.5, 40))
+        used = GrowingPosterior(self.K, 0.5, 40)
         for c, y in zip(self.order[::-1], self.ys[1]):
             used.observe(c, y)
         W = used._W
         used.release()
         W.fill(np.nan)
-        reused = GrowingPosterior(MATERN_03, 0.5, self.points, 40)
+        reused = GrowingPosterior(self.K, 0.5, 40)
         assert reused._W is W and not gpucb.posterior._SPARE
         for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(run(reused), fresh)):
             assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), t
         reused.release()
-        other = GrowingPosterior(MATERN_03, 0.5, self.points, 12)  # 12 W rows, not 17
+        other = GrowingPosterior(self.K, 0.5, 12)  # 12 W rows, not 17
         assert other._W is not W and not gpucb.posterior._SPARE
 
     shadow = np.array([[0.05], [0.55]])
@@ -407,7 +408,8 @@ class TestGrowingPosterior:
         design = np.array([0, 2, 5, 7])
         order = np.concatenate([rng.integers(0, 8, size=30), design, design, rng.choice(design, size=400)])
         y = rng.standard_normal(order.size)
-        post = GrowingPosterior(MATERN_03, rho, self.points, order.size, shadow=self.shadow)
+        every = np.vstack([self.points, self.shadow])
+        post = GrowingPosterior(kernel_cross(MATERN_03, self.points, every), rho, order.size)
         replays = 0
         for t, c in enumerate(order, start=1):
             replays += int(post._pos[c] >= 0)
@@ -418,17 +420,6 @@ class TestGrowingPosterior:
                 assert np.allclose(mean, posterior_mean_at(state, self.shadow), rtol=0, atol=1e-9), (rho, t)
                 assert np.allclose(var, posterior_var_at(state, self.shadow), rtol=0, atol=1e-9), (rho, t)
         assert replays > 300
-
-    def test_shadow_points_extend_the_shared_matrix_bit_for_bit(self, monkeypatch):
-        # two points off the set: their columns are built for this
-        # posterior, and the memo keeps the set's own matrix for the next one
-        monkeypatch.setattr("gpucb.posterior._KERNELS", {})
-        post = GrowingPosterior(MATERN_03, 0.5, self.points, 40, shadow=self.shadow)
-        want = kernel_matrix(MATERN_03, np.vstack([self.points, self.shadow]))[:8]
-        assert np.array_equal(post._K.view(np.int64), want.view(np.int64))
-        assert not post._K.flags.writeable
-        (K,) = gpucb.posterior._KERNELS.values()
-        assert K.shape == (8, 8) and np.shares_memory(GrowingPosterior(MATERN_03, 0.5, self.points, 40)._K, K)
 
 
 class TestLogdetInformation:

@@ -283,6 +283,43 @@ class TestRunLoop:
             assert trace.flag[t] == bool(np.all(err <= bound)), f"flag differs at step {t + 1}"
         assert 0 < np.count_nonzero(trace.flag) < trace.horizon
 
+    def test_shadow_column_extends_the_shared_matrix_bit_for_bit(self, monkeypatch):
+        # the optimum lies off the 16 candidates: the run hands its posterior
+        # the candidates' kernel matrix with the optimum's column appended,
+        # read-only, and the memo keeps the candidates' own matrix
+        grid = make_config(candidates_count=16, eval_grid_count=61).evaluation_points()
+        config = make_config(
+            horizon=8, candidates_count=16, eval_grid_count=61,
+            objective_kind="explicit", centers=(tuple(grid[40]),), coeffs=(1.0,), m=1, B=1.0,
+        )
+        handed = []
+
+        class Recorded(GrowingPosterior):
+            def __init__(self, K, rho, horizon):
+                handed.append(K)
+                super().__init__(K, rho, horizon)
+
+        monkeypatch.setattr("gpucb.ucb.GrowingPosterior", Recorded)
+        monkeypatch.setattr("gpucb.posterior._KERNELS", {})
+        run_gp_ucb(config, config.objective_for_seed(0), 0)
+        (K,) = handed
+        want = kernel_matrix(config.kernel, np.vstack([grid[:16], grid[40]]))[:16]
+        assert np.array_equal(K.view(np.int64), want.view(np.int64)) and not K.flags.writeable
+        (kept,) = posterior._KERNELS.values()
+        assert kept.shape == (16, 16) and posterior._points_kernel(config.kernel, grid[:16]) is kept
+
+    @pytest.mark.parametrize("kind, dim, count, grid_count", [
+        ("lattice", 1, 64, 100),
+        ("low_discrepancy", 2, 256, 512),
+    ])
+    def test_candidates_are_the_evaluation_grids_first_rows(self, kind, dim, count, grid_count):
+        # the run and the report hand the candidates' kernel rows to the
+        # posterior and the audits as the grid's first columns, unchecked
+        config = make_config(dim=dim, candidates_method=kind, candidates_count=count, eval_grid_count=grid_count)
+        cand, grid = config.candidate_points(), config.evaluation_points()
+        assert grid.shape[0] > cand.shape[0]  # the eval lattice adds points
+        assert grid[: cand.shape[0]].tobytes() == cand.tobytes()
+
     @pytest.mark.parametrize("bad", [-np.inf, np.inf, np.nan], ids=["-inf", "inf", "nan"])
     def test_non_finite_score_names_the_first_bad_candidate_and_step(self, monkeypatch, bad):
         # a -inf score is never chosen, so only the smallest score shows it;
