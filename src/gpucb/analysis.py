@@ -22,20 +22,25 @@ These operations grade completed runs:
   on traces whose per-step error-bound flags all held.
 * ``fit_regret_exponent`` fits the log-log slope of mean cumulative regret
   at geometric checkpoints, for comparison against the reference rates.
+* ``grade_suite`` grades a loaded suite with all of the above: one row per
+  check, each with its verdict and why.  It is the one grading path; the
+  ``report`` command writes its rows, and the acceptance criteria assert on
+  them.  Every band and threshold of a row is written here once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .kernels import KernelFamily
 from .posterior import GrowingPosterior, PosteriorState, _clamped_var, _design_fit, fit
 from .posterior import posterior_mean_at, posterior_var_at
-from .rkhs import RkhsFunction
+from .rkhs import RkhsFunction, _fmt
 from .ucb import BetaKind, BetaSchedule, RegretTrace, beta_value
 
 __all__ = [
@@ -54,7 +59,18 @@ __all__ = [
     "trace_information_gain",
     "regret_bound_check",
     "calibrate_c0",
+    "GradeRow",
+    "information_gain_row",
+    "grade_suite",
 ]
+
+# acceptance bands for the fitted cumulative-regret exponent at desk scale;
+# the polylog factors in the reference rates inflate finite-T slopes, hence
+# the width
+_SLOPE_BANDS = {
+    KernelFamily.MATERN: (0.50, 0.80),
+    KernelFamily.SQUARED_EXPONENTIAL: (0.45, 0.75),
+}
 
 
 @dataclass(frozen=True)
@@ -323,3 +339,162 @@ def calibrate_c0(
     if not normalized:
         raise ValueError("no audit ratios to calibrate from")
     return float(np.quantile(np.array(normalized), quantile))
+
+
+@dataclass(frozen=True)
+class GradeRow:
+    """One graded check: its name, its verdict (PASS, FAIL or SKIP), why,
+    and the ``report.csv`` fields it contributes, header to value."""
+
+    name: str
+    verdict: str
+    detail: str
+    fields: dict[str, str] = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        return f"{self.verdict}  {self.name}: {self.detail}"
+
+
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
+
+
+def _exponent_row(fit_res: ExponentFit, ref: RateReference, digest: str) -> GradeRow:
+    """The fitted cumulative-regret exponent against its family's band."""
+    lo, hi = _SLOPE_BANDS[ref.family]
+    passed = lo <= fit_res.slope <= hi
+    return GradeRow(
+        "cumulative-regret exponent",
+        _verdict(passed),
+        f"slope={fit_res.slope:.4f} stderr={fit_res.stderr:.4f} reference={ref.cum_exponent:.4f} band=[{lo}, {hi}]",
+        {
+            "config_digest": digest,
+            "slope": _fmt(fit_res.slope),
+            "stderr": _fmt(fit_res.stderr),
+            "reference_exponent": _fmt(ref.cum_exponent),
+            "passed": str(int(passed)),
+        },
+    )
+
+
+def _bias_row(audits: Mapping[int, AuditSeries], norms: Mapping[int, float]) -> GradeRow:
+    """Every trace's noiseless bias ratio within its objective's norm, up to
+    a relative 1e-6 of round-off."""
+    passed = all(max(a.bias_ratio) <= norms[seed] * (1.0 + 1e-6) for seed, a in audits.items())
+    return GradeRow("noiseless bias bound", _verdict(passed), f"max ratio <= norm on {len(audits)} trace(s)")
+
+
+def _growth_row(audits: Mapping[int, AuditSeries], rho: float) -> GradeRow:
+    """Each trace's sup ratio at its last audit over its first, within 1.5
+    times the sqrt(log) growth of beta_t between them; a trace with an
+    infinite ratio (a variance clamped at 0 under an error) fails, named
+    with its first such checkpoint."""
+    ts = next(iter(audits.values())).t
+    allowed = 1.5 * math.sqrt(math.log1p(rho * ts[-1]) / math.log1p(rho * ts[0]))
+    passed, parts = True, []
+    for seed, audit in audits.items():
+        zero_sd = [t for t, r in zip(audit.t, audit.ratio) if r == math.inf]
+        if zero_sd:
+            passed = False
+            parts.append(f"inf<={allowed:.3f} (seed {seed}: sd 0 at t={zero_sd[0]})")
+            continue
+        growth = audit.ratio[-1] / audit.ratio[0]
+        passed &= growth <= allowed
+        parts.append(f"{growth:.3f}<={allowed:.3f}")
+    return GradeRow("error-ratio growth", _verdict(passed), "; ".join(parts))
+
+
+def _flagged_from(flag: np.ndarray) -> str:
+    """The first step from which every later flag held, or ``never`` when
+    the last one failed."""
+    misses = np.flatnonzero(~flag)
+    step = int(misses[-1]) + 2 if misses.size else 1
+    return str(step) if step <= flag.size else "never"
+
+
+def _conditional_row(traces: Sequence[RegretTrace], rho: float, grid_gap: float) -> GradeRow:
+    """The conditional regret bound on at least 9 in 10 of the fully flagged
+    traces; SKIP, naming the flag rate and each trace's flagged tail, when
+    none is."""
+    flagged = [c for c in (regret_bound_check(tr, rho, grid_gap) for tr in traces) if c.applicable]
+    if flagged:
+        holds = sum(c.holds for c in flagged)
+        return GradeRow(
+            "conditional regret bound",
+            _verdict(holds >= 0.9 * len(flagged)),
+            f"{holds}/{len(flagged)} flagged traces satisfied the bound",
+        )
+    steps = sum(tr.horizon for tr in traces)
+    rate = sum(int(np.sum(tr.flag)) for tr in traces) / steps
+    return GradeRow(
+        "conditional regret bound",
+        "SKIP",
+        f"no fully flagged traces; flag rate {rate:.4f} over {steps} steps; every later flag held from step "
+        + ", ".join(_flagged_from(tr.flag) for tr in traces),
+    )
+
+
+def information_gain_row(series: np.ndarray, ref: RateReference) -> GradeRow:
+    """The growth of a greedy information-gain series over T >= 8 steps
+    (T/8 and the like round down): for an SE kernel its ratio to
+    ln(1 + t)^(d+1) may grow at most 10% from T/2 to T; for a Matern kernel
+    its log-log slope over T/8, T/4, T/2 and T must lie in [0.15, 0.40]."""
+    T = series.size
+    if ref.family is KernelFamily.SQUARED_EXPONENTIAL:
+        power = ref.d + 1
+        r_half = series[T // 2 - 1] / math.log1p(T // 2) ** power
+        r_full = series[T - 1] / math.log1p(T) ** power
+        return GradeRow(
+            "information-gain growth",
+            _verdict(r_full <= 1.1 * r_half),
+            f"polylog ratio {r_full:.4f} vs {r_half:.4f}",
+        )
+    ts = [T // 8, T // 4, T // 2, T]
+    slope, _ = loglog_slope(np.log(np.array(ts, dtype=float)), np.log(np.array([series[t - 1] for t in ts])))
+    return GradeRow(
+        "information-gain growth",
+        _verdict(0.15 <= slope <= 0.40),
+        f"fitted exponent {slope:.4f} reference {ref.gamma_exponent:.4f}",
+    )
+
+
+def grade_suite(
+    config: ExperimentConfig,
+    traces: Sequence[RegretTrace],
+    f_grids: Mapping[int, np.ndarray],
+    norms: Mapping[int, float],
+    rows: Mapping[int, np.ndarray],
+    K: np.ndarray,
+    t_min: int,
+) -> list[GradeRow]:
+    """Grade a loaded suite: one row per check, in report order.
+
+    Takes the suite's config and traces, each seed's objective values over
+    the evaluation grid, objective norm and played grid rows, the
+    candidates' kernel rows ``K`` against the grid (the candidates are the
+    grid's first rows) and the exponent fit's first checkpoint ``t_min``.
+    The regret exponent is fit from ``t_min`` to the horizon, every trace
+    is audited at the fit's checkpoints, and the greedy information gain
+    runs min(512, m) steps over the m candidates, skipped below 64.  Does
+    no I/O.  ValueError when the fit has too few traces or usable
+    checkpoints; NumericError or ArithmeticError from a fit while auditing.
+    """
+    ref = rate_reference(config.kernel.family, config.kernel.nu, config.domain.dim)
+    fit_res = fit_regret_exponent(traces, t_min, config.horizon)
+    audits = {
+        tr.seed: prefix_bound_audit(f_grids[tr.seed], K, rows[tr.seed], tr.y, config.rho, fit_res.checkpoints)
+        for tr in traces
+    }
+    m = K.shape[0]
+    T_gain = min(512, m)
+    if T_gain >= 64:
+        gain = information_gain_row(greedy_info_gain(K[:, :m], config.rho, T_gain), ref)
+    else:
+        gain = GradeRow("information-gain growth", "SKIP", "candidate set too small")
+    return [
+        _exponent_row(fit_res, ref, config.digest()),
+        _bias_row(audits, norms),
+        _growth_row(audits, config.rho),
+        _conditional_row(traces, config.rho, config.grid_gap),
+        gain,
+    ]

@@ -27,37 +27,19 @@ sweep.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    fit_regret_exponent,
-    greedy_info_gain,
-    grid_columns,
-    loglog_slope,
-    prefix_bound_audit,
-    rate_reference,
-    regret_bound_check,
-    trace_information_gain,
-)
+from .analysis import grade_suite, grid_columns, trace_information_gain
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
-from .kernels import KernelFamily, kernel_cross
+from .kernels import kernel_cross
 from .posterior import NumericError
 from .rkhs import RkhsFunction, _fmt, _objective_values, _split_seed, objective_record, parse_objective_record
 from .ucb import RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
-
-# acceptance bands for the fitted cumulative-regret exponent at desk scale;
-# the polylog factors in the reference rates inflate finite-T slopes, hence
-# the width
-_SLOPE_BANDS = {
-    KernelFamily.MATERN: (0.50, 0.80),
-    KernelFamily.SQUARED_EXPONENTIAL: (0.45, 0.75),
-}
 
 # numeric failures mid-run or while a report grades: the posterior's, and the
 # kernel's (K_nu overflows double precision or its series fails to converge)
@@ -218,15 +200,15 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
 def _load_suite(
     cell: Path, config: ExperimentConfig, grid: np.ndarray, m: int
 ) -> tuple[list[RegretTrace], dict, dict, dict]:
-    """Traces, recorded objectives, their values over the evaluation grid
-    ``grid`` and the grid rows each trace played (each by seed) of one
+    """Traces, the recorded objectives' norms and values over the evaluation
+    grid ``grid`` and the grid rows each trace played (each by seed) of one
     suite, each objective checked against the config's kernel and each
     trace against the config's beta schedule, its objective, the grid's
     first m points (the candidates) and its seed's noise draws; OSError or
     ValueError names what is damaged.  Seeds that share an objective share
     one build of it and its grid values, as the seeds of a run do."""
     records = cell / "objective.txt"
-    objectives, f_grids = {}, {}
+    norms, f_grids = {}, {}
     try:
         for block in records.read_text(encoding="utf-8").split("\n\n"):
             if block.strip():
@@ -234,7 +216,7 @@ def _load_suite(
                 f, _ = parse_objective_record(record)
                 if f.spec != config.kernel:
                     raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
-                objectives[seed], f_grids[seed] = f, _objective_values(f, grid)
+                norms[seed], f_grids[seed] = f.norm, _objective_values(f, grid)
     # _NUMERIC: the record's K_nu overflows at its centers, or its squared
     # norm comes out negative
     except (ValueError, *_NUMERIC) as exc:
@@ -243,7 +225,7 @@ def _load_suite(
     traces, rows = [], {}
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"
-        if seed not in objectives:
+        if seed not in norms:
             raise ValueError(f"{records}: no record for seed {seed}")
         f_grid = f_grids[seed]
         f_star = float(np.max(f_grid))
@@ -279,7 +261,7 @@ def _load_suite(
             raise ValueError(f"{path}: {exc}") from None
         traces.append(trace)
         rows[seed] = cols
-    return traces, objectives, f_grids, rows
+    return traces, norms, f_grids, rows
 
 
 def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list[RegretTrace], horizon: int) -> None:
@@ -305,14 +287,6 @@ def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list
             np.array_equal(v, getattr(whole, k)[:horizon]) for k, v in vars(cut).items() if isinstance(v, np.ndarray)
         ):
             raise ValueError(f"{path}: not the first {horizon} rows of {longest.name}'s trace")
-
-
-def _flagged_from(flag: np.ndarray) -> str:
-    """The first step from which every later flag held, or ``never`` when
-    the last one failed."""
-    misses = np.flatnonzero(~flag)
-    step = int(misses[-1]) + 2 if misses.size else 1
-    return str(step) if step <= flag.size else "never"
 
 
 def _check_sweep_finished(top: Path) -> None:
@@ -353,14 +327,12 @@ def cmd_report(out_dir: str) -> int:
         config = configs[longest]
         grid = config.evaluation_points()
         cand = config.candidate_points()
-        m = cand.shape[0]
-        traces, objectives, f_grids, rows = _load_suite(longest, config, grid, m)
+        traces, norms, f_grids, rows = _load_suite(longest, config, grid, cand.shape[0])
         for cell in cells:
             if cell != longest:
                 _check_cut(cell, longest, config, traces, configs[cell].horizon)
         horizons = {c.horizon for c in configs.values()}
         t_min = min(horizons) if len(horizons) > 1 else max(config.horizon // 16, 4)
-        fit_res = fit_regret_exponent(traces, t_min, config.horizon)
         # the candidates' kernel rows against the grid, built once: every
         # audit reads its design rows from it, and the information gain its
         # leading square block, the candidates' kernel matrix (the
@@ -369,101 +341,18 @@ def cmd_report(out_dir: str) -> int:
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-
-    lines = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        lines.append(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-
-    ref = rate_reference(config.kernel.family, config.kernel.nu, config.domain.dim)
-    lo, hi = _SLOPE_BANDS[config.kernel.family]
-    slope_ok = lo <= fit_res.slope <= hi
-    check(
-        "cumulative-regret exponent",
-        slope_ok,
-        f"slope={fit_res.slope:.4f} stderr={fit_res.stderr:.4f} "
-        f"reference={ref.cum_exponent:.4f} band=[{lo}, {hi}]",
-    )
-    csv = (
-        "config_digest,slope,stderr,reference_exponent,passed\n"
-        f"{config.digest()},{_fmt(fit_res.slope)},{_fmt(fit_res.stderr)},"
-        f"{_fmt(ref.cum_exponent)},{int(slope_ok)}\n"
-    )
-
-    checkpoints = fit_res.checkpoints
-    audit_traces = traces[:5]
-    T_gain = min(512, m)
     try:
-        audits = [
-            prefix_bound_audit(f_grids[tr.seed], K, rows[tr.seed], tr.y, config.rho, checkpoints)
-            for tr in audit_traces
-        ]
-        series = greedy_info_gain(K[:, :m], config.rho, T_gain) if T_gain >= 64 else None
+        graded = grade_suite(config, traces, f_grids, norms, rows, K, t_min)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except _NUMERIC as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 3
-    allowed = 1.5 * math.sqrt(math.log1p(config.rho * checkpoints[-1]) / math.log1p(config.rho * checkpoints[0]))
-    growth_ok, bias_ok, growth_detail = True, True, []
-    for tr, audit in zip(audit_traces, audits):
-        bias_ok &= max(audit.bias_ratio) <= objectives[tr.seed].norm * (1.0 + 1e-6)
-        # a ratio is infinite only where a variance clamped at 0 meets an error
-        zero_sd = [t for t, r in zip(audit.t, audit.ratio) if r == math.inf]
-        if zero_sd:
-            growth_ok = False
-            growth_detail.append(f"inf<={allowed:.3f} (seed {tr.seed}: sd 0 at t={zero_sd[0]})")
-            continue
-        ratio = audit.ratio[-1] / audit.ratio[0]
-        growth_ok &= ratio <= allowed
-        growth_detail.append(f"{ratio:.3f}<={allowed:.3f}")
-    check("noiseless bias bound", bias_ok, f"max ratio <= norm on {len(audit_traces)} trace(s)")
-    check("error-ratio growth", growth_ok, "; ".join(growth_detail))
 
-    applicable = holds = 0
-    for tr in traces:
-        res = regret_bound_check(tr, config.rho, config.grid_gap)
-        if res.applicable:
-            applicable += 1
-            holds += int(res.holds)
-    if applicable:
-        check(
-            "conditional regret bound",
-            holds >= 0.9 * applicable,
-            f"{holds}/{applicable} flagged traces satisfied the bound",
-        )
-    else:
-        steps = sum(tr.horizon for tr in traces)
-        rate = sum(int(np.sum(tr.flag)) for tr in traces) / steps
-        lines.append(
-            f"SKIP  conditional regret bound: no fully flagged traces; flag rate {rate:.4f} "
-            f"over {steps} steps; every later flag held from step "
-            + ", ".join(_flagged_from(tr.flag) for tr in traces)
-        )
-
-    if series is not None:
-        if config.kernel.family is KernelFamily.SQUARED_EXPONENTIAL:
-            power = config.domain.dim + 1
-            r_half = series[T_gain // 2 - 1] / math.log1p(T_gain // 2) ** power
-            r_full = series[T_gain - 1] / math.log1p(T_gain) ** power
-            check(
-                "information-gain growth",
-                r_full <= 1.1 * r_half,
-                f"polylog ratio {r_full:.4f} vs {r_half:.4f}",
-            )
-        else:
-            ts = [T_gain // 8, T_gain // 4, T_gain // 2, T_gain]
-            slope, _ = loglog_slope(
-                np.log(np.array(ts, dtype=float)), np.log(np.array([series[t - 1] for t in ts]))
-            )
-            check(
-                "information-gain growth",
-                0.15 <= slope <= 0.40,
-                f"fitted exponent {slope:.4f} reference {ref.gamma_exponent:.4f}",
-            )
-    else:
-        lines.append("SKIP  information-gain growth: candidate set too small")
-
-    report = "\n".join(lines) + "\n"
-    (top / "report.csv").write_text(csv, encoding="utf-8")
+    fields = next(row.fields for row in graded if row.fields)
+    report = "".join(f"{row}\n" for row in graded)
+    (top / "report.csv").write_text(",".join(fields) + "\n" + ",".join(fields.values()) + "\n", encoding="utf-8")
     (top / "report.txt").write_text(report, encoding="utf-8")
     print(report, end="")
     return 0

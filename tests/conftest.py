@@ -1,6 +1,8 @@
-"""Shared builders for experiment configurations used across test modules."""
+"""Shared builders for experiment configurations, and the grading of their
+traces, used across test modules."""
 
-from gpucb import BetaKind, BetaSchedule, KernelFamily, KernelSpec
+from gpucb import BetaKind, BetaSchedule, KernelFamily, KernelSpec, kernel_cross
+from gpucb.analysis import grade_suite, grid_columns
 from gpucb.config import ExperimentConfig, ObjectiveSpec
 from gpucb.rkhs import Box
 
@@ -51,3 +53,21 @@ def make_config(
     )
     config.validate()
     return config
+
+
+def grade_traces(config: ExperimentConfig, traces: list) -> list:
+    """``analysis.grade_suite``'s rows for ``traces`` run under ``config``
+    against its own objectives, fit from max(T/16, 4) as ``report`` fits a
+    run."""
+    grid = config.evaluation_points()
+    K = kernel_cross(config.kernel, config.candidate_points(), grid)
+    objectives = {tr.seed: config.objective_for_seed(tr.seed) for tr in traces}
+    return grade_suite(
+        config,
+        traces,
+        {seed: f.on_points(grid) for seed, f in objectives.items()},
+        {seed: f.norm for seed, f in objectives.items()},
+        {tr.seed: grid_columns(grid, tr.X) for tr in traces},
+        K,
+        max(config.horizon // 16, 4),
+    )

@@ -4,6 +4,16 @@ The heavy suites (horizon-4096 runs over many seeds) are session fixtures
 shared across criteria.  The whole module runs in about 30 seconds on one
 core of a 2-vCPU VM; criteria 6-8 dominate.
 
+Criteria 6-9 grade their suites with ``analysis.grade_suite``, the grader
+the ``report`` command writes, and assert on its rows: 6 on the
+error-ratio growth row over all 50 traces, 7 and 8 on the
+cumulative-regret exponent row, 9 on the conditional regret bound row.
+Criterion 11 applies the same information-gain rule,
+``analysis.information_gain_row``, to a 2048-point reference set.  The
+bands and thresholds are written once, in ``analysis``.  What ``report``
+does not make stays here: criterion 9's per-step bound and its
+unconditional inequality.
+
 Exploration-constant calibration follows the pilot protocol: five dedicated
 pilot seeds at horizon 512, audited at the geometric checkpoints
 {4, 8, ..., 512}, c0 set to the 95th percentile of the schedule-normalized
@@ -28,7 +38,6 @@ from gpucb import (
     calibrate_c0,
     edp_recommend,
     fit,
-    fit_regret_exponent,
     greedy_info_gain,
     holder_validate,
     kernel_cross,
@@ -37,16 +46,17 @@ from gpucb import (
     posterior_mean_at,
     posterior_var_at,
     prefix_bound_audit,
+    rate_reference,
     regret_bound_check,
     run_gp_ucb,
     sample_random_rkhs,
     uniform_bound_audit,
     update,
 )
-from gpucb.analysis import grid_columns
+from gpucb.analysis import grid_columns, information_gain_row
 from gpucb.config import lattice_points
 from gpucb.rkhs import Box
-from conftest import make_config
+from conftest import grade_traces, make_config
 
 PILOT_CHECKPOINTS = (4, 8, 16, 32, 64, 128, 256, 512)
 PILOT_SEEDS = tuple(range(1000, 1005))
@@ -95,10 +105,21 @@ def build_suite(family: KernelFamily, n_seeds: int) -> Suite:
     return Suite(config, traces, c0, time.time() - t0)
 
 
+def grade(suite: Suite, traces: list) -> dict:
+    """``analysis.grade_suite``'s rows for ``traces`` of ``suite``, by name:
+    fit and audited from T/16 = 256 to T = 4096, as ``report`` grades a run."""
+    return {row.name: row for row in grade_traces(suite.config, traces)}
+
+
 @pytest.fixture(scope="session")
 def matern_suite():
     # 50 seeds serve criterion 6; the first 20 serve criteria 7 and 9
     return build_suite(KernelFamily.MATERN, 50)
+
+
+@pytest.fixture(scope="session")
+def matern_rows(matern_suite):
+    return grade(matern_suite, matern_suite.traces[:20])
 
 
 @pytest.fixture(scope="session")
@@ -267,26 +288,17 @@ def test_c05_bessel_reference_table():
 @pytest.mark.slow
 def test_c06_error_ratio_growth(matern_suite):
     t0 = time.time()
-    config = matern_suite.config
-    grid = config.evaluation_points()
-    K = kernel_cross(config.kernel, config.candidate_points(), grid)
-    checkpoints = (256, 1024, 4096)
-    r_by_checkpoint = {t: [] for t in checkpoints}
-    for trace in matern_suite.traces:
-        f = config.objective_for_seed(trace.seed)
-        rows = grid_columns(grid, trace.X)
-        audit = prefix_bound_audit(f.on_points(grid), K, rows, trace.y, config.rho, checkpoints)
-        for t, r in zip(audit.t, audit.ratio):
-            r_by_checkpoint[t].append(r)
-    mean_r = {t: float(np.mean(v)) for t, v in r_by_checkpoint.items()}
-    growth = mean_r[4096] / mean_r[256]
-    allowed = 1.5 * math.sqrt(math.log1p(4096.0) / math.log1p(256.0))
+    row = grade(matern_suite, matern_suite.traces)["error-ratio growth"]
+    # one "growth<=allowed" part per trace
+    parts = [part.split("<=") for part in row.detail.split("; ")]
+    growth = [float(g) for g, _ in parts]
     elapsed = time.time() - t0 + matern_suite.seconds
-    passed = growth <= allowed and elapsed < 1200.0
+    passed = row.verdict == "PASS" and len(growth) == 50 and elapsed < 1200.0
     announce(6, "error-ratio growth", passed,
-             f"mean r: {mean_r[256]:.4f} -> {mean_r[4096]:.4f}, "
-             f"growth {growth:.3f} <= {allowed:.3f}, 50 seeds in {elapsed:.0f}s")
-    assert growth <= allowed
+             f"per-trace growth {min(growth):.3f}-{max(growth):.3f} <= {parts[0][1]} "
+             f"on {len(growth)} traces, 50 seeds in {elapsed:.0f}s")
+    assert row.verdict == "PASS"
+    assert len(growth) == 50
     assert elapsed < 1200.0
 
 
@@ -295,27 +307,31 @@ def test_c06_error_ratio_growth(matern_suite):
 # -----------------------------------------------------------------------
 
 
+def exponent(row) -> str:
+    """The fit an exponent row graded, from its ``report.csv`` fields."""
+    slope, stderr, reference = (float(row.fields[k]) for k in ("slope", "stderr", "reference_exponent"))
+    return f"slope {slope:.4f} +- {stderr:.4f}, reference {reference:g}"
+
+
 @pytest.mark.slow
-def test_c07_matern_regret_exponent(matern_suite):
-    traces = matern_suite.traces[:20]
-    res = fit_regret_exponent(traces, 256, 4096)
+def test_c07_matern_regret_exponent(matern_suite, matern_rows):
+    row = matern_rows["cumulative-regret exponent"]
+    sublinear = float(row.fields["slope"]) < 0.90
     elapsed = matern_suite.seconds
-    passed = 0.50 <= res.slope <= 0.80 and res.slope < 0.90 and elapsed < 2700.0
+    passed = row.verdict == "PASS" and sublinear and elapsed < 2700.0
     announce(7, "Matern regret exponent", passed,
-             f"slope {res.slope:.4f} +- {res.stderr:.4f}, reference 0.625, "
-             f"c0 {matern_suite.c0:.3f}, suite {elapsed:.0f}s")
-    assert 0.50 <= res.slope <= 0.80
-    assert res.slope < 0.90
+             f"{exponent(row)}, c0 {matern_suite.c0:.3f}, suite {elapsed:.0f}s")
+    assert row.verdict == "PASS"
+    assert sublinear
     assert elapsed < 2700.0
 
 
 @pytest.mark.slow
 def test_c08_se_regret_exponent(se_suite):
-    res = fit_regret_exponent(se_suite.traces, 256, 4096)
-    passed = 0.45 <= res.slope <= 0.75
-    announce(8, "SE regret exponent", passed,
-             f"slope {res.slope:.4f} +- {res.stderr:.4f}, reference 0.5, c0 {se_suite.c0:.3f}")
-    assert 0.45 <= res.slope <= 0.75
+    row = grade(se_suite, se_suite.traces)["cumulative-regret exponent"]
+    passed = row.verdict == "PASS"
+    announce(8, "SE regret exponent", passed, f"{exponent(row)}, c0 {se_suite.c0:.3f}")
+    assert row.verdict == "PASS"
 
 
 # -----------------------------------------------------------------------
@@ -324,22 +340,20 @@ def test_c08_se_regret_exponent(se_suite):
 
 
 @pytest.mark.slow
-def test_c09_conditional_regret_bound(matern_suite):
+def test_c09_conditional_regret_bound(matern_suite, matern_rows):
     config = matern_suite.config
     traces = matern_suite.traces[:20]
-    applicable = held = unconditional = 0
+    unconditional = 0
     for trace in traces:
         # every flagged step of every suite trace obeys the per-step bound
         bound = 2.0 * np.sqrt(trace.beta) * trace.sigma + config.grid_gap
         assert np.all(trace.inst_regret[trace.flag] <= bound[trace.flag] + 1e-9)
         res = regret_bound_check(trace, config.rho, config.grid_gap)
         unconditional += int(res.lhs <= res.rhs)
-        if res.applicable:
-            applicable += 1
-            held += int(res.holds)
-    if applicable > 0:
-        passed = held >= math.ceil(0.9 * applicable)
-        detail = f"{held}/{applicable} flagged traces satisfied the bound"
+    row = matern_rows["conditional regret bound"]
+    if row.verdict != "SKIP":
+        passed = row.verdict == "PASS"
+        detail = row.detail
     else:
         # desk-scale calibration leaves the first few steps unflagged, so the
         # conditional is vacuous; report the unconditional inequality rate
@@ -349,8 +363,8 @@ def test_c09_conditional_regret_bound(matern_suite):
             f"unconditional bound held on {unconditional}/20"
         )
     announce(9, "conditional regret bound", passed, detail)
-    if applicable > 0:
-        assert held >= math.ceil(0.9 * applicable)
+    if row.verdict != "SKIP":
+        assert row.verdict == "PASS"
     else:
         assert unconditional >= 18  # the inequality itself must still hold
 
@@ -387,25 +401,17 @@ def test_c11_information_gain_growth():
     cands = np.linspace(0.0, 1.0, 2048)[:, None]
     se_spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=0.5)
     series_se = greedy_info_gain(kernel_matrix(se_spec, cands), 1.0, T=1024)
-    r512 = series_se[511] / math.log1p(512.0) ** 2
-    r1024 = series_se[1023] / math.log1p(1024.0) ** 2
-    se_ok = r1024 <= 1.1 * r512
+    se = information_gain_row(series_se, rate_reference(KernelFamily.SQUARED_EXPONENTIAL, None, 1))
 
     m_spec = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.5)
     series_m = greedy_info_gain(kernel_matrix(m_spec, cands), 1.0, T=1024)
-    ts = np.array([128, 256, 512, 1024], dtype=float)
-    x = np.log(ts)
-    y = np.log(np.array([series_m[int(t) - 1] for t in ts]))
-    xc = x - x.mean()
-    slope = float((xc @ (y - y.mean())) / (xc @ xc))
-    m_ok = 0.15 <= slope <= 0.40
+    matern = information_gain_row(series_m, rate_reference(KernelFamily.MATERN, 1.5, 1))
 
-    passed = se_ok and m_ok
+    passed = se.verdict == "PASS" and matern.verdict == "PASS"
     announce(11, "information-gain growth", passed,
-             f"SE polylog ratio {r1024:.4f} vs {r512:.4f} (<=1.1x); "
-             f"Matern exponent {slope:.4f} in [0.15, 0.40] (ref 0.25)")
-    assert se_ok
-    assert m_ok
+             f"2048-point reference set, 1024 steps: SE {se.detail}; Matern {matern.detail}")
+    assert se.verdict == "PASS"
+    assert matern.verdict == "PASS"
 
 
 # -----------------------------------------------------------------------

@@ -27,10 +27,21 @@ from gpucb import (
     states_at_checkpoints,
     uniform_bound_audit,
 )
-from gpucb.analysis import grid_columns, loglog_slope
+from gpucb.analysis import (
+    AuditSeries,
+    ExponentFit,
+    _bias_row,
+    _conditional_row,
+    _exponent_row,
+    _flagged_from,
+    _growth_row,
+    grid_columns,
+    information_gain_row,
+    loglog_slope,
+)
 from gpucb.rkhs import Box
 from gpucb.ucb import RegretTrace
-from conftest import make_config
+from conftest import grade_traces, make_config
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.5)
@@ -454,3 +465,144 @@ class TestCalibrateC0:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             calibrate_c0([], rho=1.0, delta=0.1)
+
+
+def graded_suite(config):
+    return grade_traces(config, [run_gp_ucb(config, config.objective_for_seed(s), s) for s in config.seeds])
+
+
+def audit_series(ratio, bias_ratio=(0.0, 0.0), t=(16, 256)):
+    return AuditSeries(tuple(t), tuple(ratio), tuple(bias_ratio), (0.0,) * len(t))
+
+
+def flagged_traces(lhs, n):
+    """``n`` fully flagged 4-step traces of unit sd and beta at rho = 1, whose
+    bound is 8; the first ``lhs`` of them end at regret 1, the rest at 50."""
+    return [synthetic_trace(np.full(4, 1.0 if k < lhs else 50.0)) for k in range(n)]
+
+
+class TestGradeSuite:
+    def test_rows_in_report_order(self):
+        config = make_config(horizon=64, seeds=(0, 1, 2, 3, 4, 5))
+        rows = graded_suite(config)
+        assert [row.name for row in rows] == [
+            "cumulative-regret exponent",
+            "noiseless bias bound",
+            "error-ratio growth",
+            "conditional regret bound",
+            "information-gain growth",
+        ]
+        assert all(row.verdict in ("PASS", "FAIL", "SKIP") for row in rows)
+        # every trace is audited
+        assert rows[1].detail == "max ratio <= norm on 6 trace(s)"
+        assert len(rows[2].detail.split("; ")) == 6
+        # the exponent row alone carries report.csv fields
+        assert list(rows[0].fields) == ["config_digest", "slope", "stderr", "reference_exponent", "passed"]
+        assert rows[0].fields["config_digest"] == config.digest()
+        assert not any(row.fields for row in rows[1:])
+        # 64 candidates are enough for a 64-step information gain
+        assert rows[4].verdict != "SKIP"
+        assert str(rows[1]) == f"{rows[1].verdict}  noiseless bias bound: {rows[1].detail}"
+
+    def test_information_gain_skipped_below_64_candidates(self):
+        config = make_config(horizon=64, candidates_count=32, eval_grid_count=32, seeds=range(5))
+        assert str(graded_suite(config)[-1]) == "SKIP  information-gain growth: candidate set too small"
+
+    def test_too_few_traces_raise(self):
+        with pytest.raises(ValueError, match="need >= 5 traces, got 4"):
+            graded_suite(make_config(horizon=64, seeds=range(4)))
+
+
+class TestGradeRows:
+    MATERN = rate_reference(KernelFamily.MATERN, 1.5, 1)
+
+    @pytest.mark.parametrize("family, slope, verdict", [
+        (KernelFamily.MATERN, 0.50, "PASS"),
+        (KernelFamily.MATERN, 0.81, "FAIL"),
+        (KernelFamily.SQUARED_EXPONENTIAL, 0.75, "PASS"),
+        (KernelFamily.SQUARED_EXPONENTIAL, 0.44, "FAIL"),
+    ])
+    def test_exponent_row(self, family, slope, verdict):
+        ref = rate_reference(family, 1.5, 1)
+        row = _exponent_row(ExponentFit(slope, 0.01, (16, 32, 64)), ref, "abc")
+        assert row.verdict == verdict
+        assert row.fields == {
+            "config_digest": "abc",
+            "slope": format(slope, ".17g"),
+            "stderr": "0.01",
+            "reference_exponent": format(ref.cum_exponent, ".17g"),
+            "passed": str(int(verdict == "PASS")),
+        }
+
+    # the ratio may pass the norm by round-off, a relative 1e-6
+    @pytest.mark.parametrize("norm, verdict", [(2.0, "PASS"), (2.0 / (1 + 0.5e-6), "PASS"), (2.0 / (1 + 2e-6), "FAIL")])
+    def test_bias_row(self, norm, verdict):
+        audits = {0: audit_series((1.0, 1.0), (0.5, 2.0)), 1: audit_series((1.0, 1.0), (0.1, 0.1))}
+        row = _bias_row(audits, {0: norm, 1: 1.0})
+        assert str(row) == f"{verdict}  noiseless bias bound: max ratio <= norm on 2 trace(s)"
+
+    def test_growth_row(self):
+        allowed = 1.5 * math.sqrt(math.log1p(256.0) / math.log1p(16.0))
+        within = audit_series((1.0, allowed))
+        row = _growth_row({0: within, 1: audit_series((2.0, 1.0))}, 1.0)
+        assert str(row) == f"PASS  error-ratio growth: {allowed:.3f}<={allowed:.3f}; 0.500<={allowed:.3f}"
+        row = _growth_row({0: within, 1: audit_series((1.0, 1.01 * allowed))}, 1.0)
+        assert row.verdict == "FAIL"
+        # the allowance follows rho: log1p(rho t) at the first and last checkpoints
+        assert _growth_row({0: audit_series((1.0, 1.0))}, 0.5).detail.endswith(
+            f"<={1.5 * math.sqrt(math.log1p(128.0) / math.log1p(8.0)):.3f}"
+        )
+
+    def test_growth_row_names_a_zero_sd(self):
+        allowed = 1.5 * math.sqrt(math.log1p(256.0) / math.log1p(16.0))
+        row = _growth_row({0: audit_series((1.0, 1.0)), 3: audit_series((0.5, math.inf))}, 1.0)
+        assert row.verdict == "FAIL"
+        assert row.detail.split("; ")[1] == f"inf<={allowed:.3f} (seed 3: sd 0 at t=256)"
+
+    @pytest.mark.parametrize("held, verdict", [(10, "PASS"), (9, "PASS"), (8, "FAIL")])
+    def test_conditional_row_share_of_flagged_traces(self, held, verdict):
+        traces = flagged_traces(held, 10)
+        assert str(_conditional_row(traces, 1.0, 0.0)) == (
+            f"{verdict}  conditional regret bound: {held}/10 flagged traces satisfied the bound"
+        )
+
+    def test_conditional_row_counts_flagged_traces_only(self):
+        unflagged = synthetic_trace(np.full(4, 50.0))
+        unflagged = RegretTrace(**{**unflagged.__dict__, "flag": np.array([False, True, True, True])})
+        row = _conditional_row(flagged_traces(1, 2) + [unflagged], 1.0, 0.0)
+        assert row.detail == "1/2 flagged traces satisfied the bound" and row.verdict == "FAIL"
+
+    def test_conditional_row_skips_without_flagged_traces(self):
+        flags = ([True, False, True, True], [False, True, True, False])
+        traces = [
+            RegretTrace(**{**synthetic_trace(np.ones(4)).__dict__, "flag": np.array(f)}) for f in flags
+        ]
+        assert str(_conditional_row(traces, 1.0, 0.0)) == (
+            "SKIP  conditional regret bound: no fully flagged traces; flag rate 0.6250 over 8 steps; "
+            "every later flag held from step 3, never"
+        )
+
+    def test_flagged_from(self):
+        assert [_flagged_from(np.array(f)) for f in ([True, False], [False, True, True], [True])] == [
+            "never", "2", "1",
+        ]
+
+    @pytest.mark.parametrize("exponent, verdict", [(0.25, "PASS"), (0.16, "PASS"), (0.39, "PASS"), (0.5, "FAIL"), (0.1, "FAIL")])
+    def test_matern_information_gain_row(self, exponent, verdict):
+        series = np.arange(1, 513, dtype=float) ** exponent
+        row = information_gain_row(series, self.MATERN)
+        assert str(row) == f"{verdict}  information-gain growth: fitted exponent {exponent:.4f} reference 0.2500"
+
+    @pytest.mark.parametrize("d, power, verdict", [(1, 2, "PASS"), (2, 3, "PASS"), (1, 3, "FAIL")])
+    def test_se_information_gain_row_polylog(self, d, power, verdict):
+        # the ratio to ln(1 + t)^(d + 1) may grow at most 10% from T/2 to T
+        series = np.log1p(np.arange(1, 513, dtype=float)) ** power
+        row = information_gain_row(series, rate_reference(KernelFamily.SQUARED_EXPONENTIAL, None, d))
+        assert row.verdict == verdict
+        if verdict == "PASS":
+            assert row.detail == "polylog ratio 1.0000 vs 1.0000"
+
+    def test_se_information_gain_row_fails_a_power_law(self):
+        series = np.log1p(np.arange(1, 513, dtype=float)) ** 2 * np.arange(1, 513) ** 0.2
+        row = information_gain_row(series, rate_reference(KernelFamily.SQUARED_EXPONENTIAL, None, 1))
+        assert row.verdict == "FAIL"

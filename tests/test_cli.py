@@ -18,7 +18,7 @@ from gpucb import (
     trace_from_csv,
     trace_to_csv,
 )
-from gpucb.cli import _flagged_from, cmd_report, cmd_run, cmd_sweep, cmd_validate, main
+from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 from gpucb.config import ExperimentConfig, halton_points
 from gpucb.ucb import _seed_noise
 
@@ -351,7 +351,7 @@ class TestSharedReportBlock:
             crosses.append((np.array(X), np.array(Y), K))
             return K
 
-        greedy_info_gain = gpucb.cli.greedy_info_gain
+        greedy_info_gain = gpucb.analysis.greedy_info_gain
 
         def recorded_gain(K, rho, T):
             gains.append(K)
@@ -380,7 +380,7 @@ class TestSharedReportBlock:
         for module in (gpucb.cli, gpucb.posterior):
             monkeypatch.setattr(module, "kernel_cross", counted_cross)
         monkeypatch.setattr(gpucb.analysis, "kernel_cross", counted_cross, raising=False)
-        monkeypatch.setattr(gpucb.cli, "greedy_info_gain", recorded_gain)
+        monkeypatch.setattr(gpucb.analysis, "greedy_info_gain", recorded_gain)
         monkeypatch.setattr(gpucb.posterior, "kernel_matrix", counted_matrix)
         monkeypatch.setattr(gpucb.rkhs, "kernel_matrix", counted_norm)
         monkeypatch.setattr(RkhsFunction, "on_points", counted_on_points)
@@ -652,9 +652,17 @@ class TestReport:
             f"over 320 steps; every later flag held from step {', '.join(tails)}"
         )
         assert expected in (out / "report.txt").read_text().splitlines()
-        assert [_flagged_from(np.array(f)) for f in ([True, False], [False, True, True], [True])] == [
-            "never", "2", "1",
-        ]
+
+    def test_report_audits_every_trace(self, tmp_path):
+        # six seeds: the audits grade the sixth trace too
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4, 5").replace("horizon = 8", "horizon = 64")
+        out = tmp_path / "out"
+        assert cmd_run(write_config(tmp_path, text), str(out)) == 0
+        assert cmd_report(str(out)) == 0
+        rows = (out / "report.txt").read_text().splitlines()
+        assert "PASS  noiseless bias bound: max ratio <= norm on 6 trace(s)" in rows
+        (growth,) = [row for row in rows if "error-ratio growth: " in row]
+        assert len(growth.split(": ", 1)[1].split("; ")) == 6
 
     def test_injected_superlinear_trace_fails(self, tmp_path):
         # forge a suite that agrees with its objectives but plays the worst

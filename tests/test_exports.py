@@ -1,6 +1,7 @@
 """The package exports only what its modules declare public, every
-declared name exists, the CLI runs on numpy alone, and posterior.py holds
-all of its linear algebra."""
+declared name exists, the CLI runs on numpy alone and grades through
+``analysis.grade_suite`` alone, and posterior.py holds all of its linear
+algebra."""
 
 import ast
 import importlib
@@ -41,6 +42,19 @@ def test_cli_import_loads_no_scipy_module():
     code = "import sys, gpucb.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_grades_through_grade_suite_alone():
+    # every band, threshold and verdict lives in analysis; the CLI reaches
+    # only the grader and the two helpers that loading and summaries need
+    tree = ast.parse(Path(gpucb.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("analysis"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not any(a.name.endswith("analysis") for a in node.names), "cli.py imports the analysis module"
+    assert names == {"grade_suite", "grid_columns", "trace_information_gain"}
 
 
 def _linalg_references(tree: ast.AST) -> list[int]:
