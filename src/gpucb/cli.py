@@ -1,10 +1,10 @@
 """Command-line benchmark harness: validate, run, sweep, report.
 
-Exit codes: 0 success, 2 malformed config or an output directory that
-cannot be written, 3 numeric failure mid-run (a broken posterior
-factorization, a non-finite score, or a kernel whose K_nu overflows double
-precision) or while a report grades (then it writes no file), 4
-insufficient or damaged data for a report.  Outputs are deterministic:
+Exit codes: 0 success, 2 a missing, unreadable or malformed config, or
+an output that cannot be written, 3 numeric failure mid-run (a broken
+posterior factorization, a non-finite score, or a kernel whose K_nu
+overflows double precision) or while a report grades (then it writes no
+file), 4 insufficient or damaged data for a report.  Outputs are deterministic:
 rerunning a command with the same inputs produces byte-identical files.
 
 Run layout (one directory per suite)::
@@ -36,13 +36,13 @@ from .analysis import grade_suite, grid_columns, trace_information_gain
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
 from .kernels import kernel_cross
 from .posterior import NumericError
-from .rkhs import RkhsFunction, _fmt, _objective_values, _split_seed, objective_record, parse_objective_record
+from .rkhs import RkhsFunction, _fmt, _objective_values, objective_record, parse_objective_record
 from .ucb import RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
 
 # numeric failures mid-run or while a report grades: the posterior's, and the
-# kernel's (K_nu overflows double precision or its series fails to converge)
+# kernel's (K_nu overflows double precision or its quadrature fails to converge)
 _NUMERIC = (NumericError, ArithmeticError)
 
 
@@ -102,8 +102,8 @@ def _run_suite(config: ExperimentConfig, jobs: int, out_dir: Path) -> list[Regre
 
 def _load_configs(config_path: str, axis: str | None = None, values: tuple | list = ()):
     """The config, or with a sweep axis one override per value; None after
-    printing the one ``error:`` line that a malformed config, or an empty or
-    repeating value list, exits 2 with."""
+    printing the one ``error:`` line that a missing, unreadable or malformed
+    config, or an empty or repeating value list, exits 2 with."""
     try:
         base = parse_config_file(config_path)
         if axis is None:
@@ -120,6 +120,9 @@ def _load_configs(config_path: str, axis: str | None = None, values: tuple | lis
         return configs
     except FileNotFoundError:
         print(f"error: config file not found: {config_path}", file=sys.stderr)
+    # a directory, a file without read permission, or bytes that are not UTF-8
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config file {config_path}: {exc}", file=sys.stderr)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
     return None
@@ -212,8 +215,7 @@ def _load_suite(
     try:
         for block in records.read_text(encoding="utf-8").split("\n\n"):
             if block.strip():
-                seed, record = _split_seed(block)
-                f, _ = parse_objective_record(record)
+                f, seed = parse_objective_record(block)
                 if f.spec != config.kernel:
                     raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
                 norms[seed], f_grids[seed] = f.norm, _objective_values(f, grid)
@@ -352,8 +354,15 @@ def cmd_report(out_dir: str) -> int:
 
     fields = next(row.fields for row in graded if row.fields)
     report = "".join(f"{row}\n" for row in graded)
-    (top / "report.csv").write_text(",".join(fields) + "\n" + ",".join(fields.values()) + "\n", encoding="utf-8")
-    (top / "report.txt").write_text(report, encoding="utf-8")
+    # report.txt holds the verdicts: an earlier one is removed before the
+    # first write and the new one written last, so a write that stops part
+    # way leaves none
+    try:
+        (top / "report.txt").unlink(missing_ok=True)
+        (top / "report.csv").write_text(",".join(fields) + "\n" + ",".join(fields.values()) + "\n", encoding="utf-8")
+        (top / "report.txt").write_text(report, encoding="utf-8")
+    except OSError as exc:
+        return _unwritable(out_dir, exc)
     print(report, end="")
     return 0
 

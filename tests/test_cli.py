@@ -118,6 +118,27 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, unreadable):
+    config = tmp_path / "config.txt"
+    if unreadable == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(MINIMAL.encode("utf-16"))
+    out = tmp_path / "out"
+    extra = {
+        "validate": [],
+        "run": ["--out", str(out)],
+        "sweep": ["--out", str(out), "--axis", "horizon", "--values", "8"],
+    }[command]
+    assert main([command, "--config", str(config)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {config}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestRun:
     def test_minimal_run_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -943,6 +964,22 @@ class TestDamagedRunReport:
         cell = tmp_path / "run"
         shutil.copytree(suite, cell)
         assert cmd_report(str(cell)) == 0
+
+    @pytest.mark.parametrize("blocked", ["report.txt", "report.csv"])
+    def test_unwritable_report_exits_2_leaving_no_verdicts(self, suite, tmp_path, capsys, blocked):
+        # over an earlier report, a directory in the way of one output stops
+        # the writes, and no report.txt is left to read as the verdicts
+        cell = tmp_path / "run"
+        shutil.copytree(suite, cell)
+        assert cmd_report(str(cell)) == 0
+        (cell / blocked).unlink()
+        (cell / blocked).mkdir()
+        capsys.readouterr()
+        assert cmd_report(str(cell)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {cell}: ") and captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not (cell / "report.txt").is_file()
 
     def test_report_audits_the_recorded_objectives(self, suite, tmp_path, monkeypatch):
         def redraw(self, seed):
