@@ -22,7 +22,15 @@ from .analysis import (
     trace_information_gain,
     uniform_bound_audit,
 )
-from .config import ExperimentConfig, ObjectiveSpec, parse_config, parse_config_file, render_config
+from .config import (
+    ExperimentConfig,
+    ObjectiveSpec,
+    objective_record,
+    parse_config,
+    parse_config_file,
+    parse_objective_record,
+    render_config,
+)
 from .kernels import (
     HolderReport,
     KernelFamily,
@@ -49,8 +57,6 @@ from .rkhs import (
     RkhsFunction,
     grid_maximum,
     make_rkhs_function,
-    objective_record,
-    parse_objective_record,
     sample_random_rkhs,
     scale_to_norm,
 )

@@ -36,11 +36,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _fmt
 from .kernels import KernelFamily
 from .posterior import GrowingPosterior, PosteriorState, _clamped_var, _design_fit, fit
 from .posterior import posterior_mean_at, posterior_var_at
-from .rkhs import RkhsFunction, _fmt
+from .rkhs import RkhsFunction
 from .ucb import BetaKind, BetaSchedule, RegretTrace, beta_value
 
 __all__ = [

@@ -1,10 +1,11 @@
 """Command-line benchmark harness: validate, run, sweep, report.
 
-Exit codes: 0 success, 2 a missing, unreadable or malformed config, or
-an output that cannot be written, 3 numeric failure mid-run (a broken
-posterior factorization, a non-finite score, or a kernel whose K_nu
-overflows double precision) or while a report grades (then it writes no
-file), 4 insufficient or damaged data for a report.  Outputs are deterministic:
+Exit codes: 0 success, 2 a missing, unreadable or malformed config, a
+``--jobs`` below 1, or an output that cannot be written, 3 numeric failure
+mid-run (a broken posterior factorization, a non-finite score, or a kernel
+whose K_nu overflows double precision) or while a report grades, 4
+insufficient or damaged data for a report; a report that exits 2, 3 or 4
+leaves no report file.  Outputs are deterministic:
 rerunning a command with the same inputs produces byte-identical files.
 
 Run layout (one directory per suite)::
@@ -33,10 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import grade_suite, grid_columns, trace_information_gain
-from .config import ConfigError, ExperimentConfig, parse_config, parse_config_file, render_config
+from .config import ConfigError, ExperimentConfig, _fmt, objective_record, parse_config
+from .config import parse_config_file, parse_objective_record, render_config
 from .kernels import kernel_cross
 from .posterior import NumericError
-from .rkhs import RkhsFunction, _fmt, _objective_values, objective_record, parse_objective_record
+from .rkhs import RkhsFunction, _objective_values
 from .ucb import RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
@@ -100,11 +102,14 @@ def _run_suite(config: ExperimentConfig, jobs: int, out_dir: Path) -> list[Regre
     return traces
 
 
-def _load_configs(config_path: str, axis: str | None = None, values: tuple | list = ()):
+def _load_configs(config_path: str, jobs: int = 1, axis: str | None = None, values: tuple | list = ()):
     """The config, or with a sweep axis one override per value; None after
-    printing the one ``error:`` line that a missing, unreadable or malformed
-    config, or an empty or repeating value list, exits 2 with."""
+    printing the one ``error:`` line that a ``--jobs`` below 1, a missing,
+    unreadable or malformed config, or an empty or repeating value list,
+    exits 2 with."""
     try:
+        if jobs < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
         base = parse_config_file(config_path)
         if axis is None:
             return [base]
@@ -141,7 +146,7 @@ def _unwritable(out_dir: str, exc: OSError) -> int:
 
 
 def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
-    configs = _load_configs(config_path)
+    configs = _load_configs(config_path, jobs)
     if configs is None:
         return 2
     config = configs[0]
@@ -189,7 +194,7 @@ def _run_sweep(configs: list[ExperimentConfig], axis: str, values: list[str], jo
 
 def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs: int = 1) -> int:
     # every value is converted and checked before any cell runs
-    configs = _load_configs(config_path, axis, values)
+    configs = _load_configs(config_path, jobs, axis, values)
     if configs is None:
         return 2
     try:
@@ -212,13 +217,20 @@ def _load_suite(
     one build of it and its grid values, as the seeds of a run do."""
     records = cell / "objective.txt"
     norms, f_grids = {}, {}
+    start = 0  # the file lines before the record being read
     try:
         for block in records.read_text(encoding="utf-8").split("\n\n"):
             if block.strip():
-                f, seed = parse_objective_record(block)
+                try:
+                    f, seed = parse_objective_record(block)
+                except ConfigError as exc:
+                    # the reader numbers the record's lines; name the file's
+                    line = None if exc.line is None else start + exc.line
+                    raise ConfigError(exc.message, key=exc.key, line=line) from None
                 if f.spec != config.kernel:
                     raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
                 norms[seed], f_grids[seed] = f.norm, _objective_values(f, grid)
+            start += block.count("\n") + 2
     # _NUMERIC: the record's K_nu overflows at its centers, or its squared
     # norm comes out negative
     except (ValueError, *_NUMERIC) as exc:
@@ -311,6 +323,13 @@ def cmd_report(out_dir: str) -> int:
     if not top.is_dir():
         print(f"error: not a directory: {out_dir}", file=sys.stderr)
         return 4
+    # the verdicts of an earlier report go before anything is read, so a
+    # report that stops on damaged data or a failed write leaves none
+    try:
+        for name in ("report.txt", "report.csv"):
+            (top / name).unlink(missing_ok=True)
+    except OSError as exc:
+        return _unwritable(out_dir, exc)
     cells = sorted(
         (p for p in top.iterdir() if p.is_dir() and (p / "config.txt").exists()),
         key=lambda p: p.name,
@@ -354,11 +373,9 @@ def cmd_report(out_dir: str) -> int:
 
     fields = next(row.fields for row in graded if row.fields)
     report = "".join(f"{row}\n" for row in graded)
-    # report.txt holds the verdicts: an earlier one is removed before the
-    # first write and the new one written last, so a write that stops part
-    # way leaves none
+    # report.txt holds the verdicts: written last, so a write that stops
+    # part way leaves none
     try:
-        (top / "report.txt").unlink(missing_ok=True)
         (top / "report.csv").write_text(",".join(fields) + "\n" + ",".join(fields.values()) + "\n", encoding="utf-8")
         (top / "report.txt").write_text(report, encoding="utf-8")
     except OSError as exc:

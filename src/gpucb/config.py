@@ -15,6 +15,7 @@ accepted and ignored.  Vectors are comma lists, and a single value is
 repeated to ``domain.dim`` components; explicit objective centers are
 semicolon-separated points.  Lattice counts round to the nearest per-axis
 integer grid, so the realized count is the nearest perfect d-th power.
+An objective record is the same text, one line per field, its seed first.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .kernels import KernelFamily, KernelSpec
-from .rkhs import Box, RkhsFunction, _fmt, _shared_objective, sample_random_rkhs
+from .rkhs import Box, RkhsFunction, _shared_objective, sample_random_rkhs
 from .ucb import BetaKind, BetaSchedule
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
     "parse_config",
     "parse_config_file",
     "render_config",
+    "objective_record",
+    "parse_objective_record",
     "lattice_points",
     "halton_points",
 ]
@@ -211,6 +214,9 @@ class _Kind(NamedTuple):
     render: Callable[[Any], str]
 
 
+_fmt = "{:.17g}".format  # round-trip digits: the text parses back to the same double
+
+
 def _float(raw: str) -> float:
     try:
         value = float(raw)
@@ -378,9 +384,9 @@ def _flatten(config: ExperimentConfig) -> dict[str, str]:
     }
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    fields: dict[str, str] = {}
-    lines: dict[str, int] = {}
+def _read(text: str) -> tuple[dict[str, str], dict[str, int]]:
+    """The fields of a ``key = value`` text and the line of each."""
+    fields, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
@@ -393,12 +399,19 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"duplicate key {key!r}", key=key, line=lineno)
         fields[key] = value.strip()
         lines[key] = lineno
+    return fields, lines
+
+
+def _write(fields: dict[str, str]) -> str:
+    return "".join(f"{key} = {text}\n" for key, text in fields.items())
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    fields, lines = _read(text)
     try:
         return _build(fields)
     except ConfigError as exc:
-        if exc.key not in lines:
-            raise
-        raise ConfigError(exc.message, key=exc.key, line=lines[exc.key]) from None
+        raise ConfigError(exc.message, key=exc.key, line=lines.get(exc.key)) from None
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -408,4 +421,25 @@ def parse_config_file(path) -> ExperimentConfig:
 
 def render_config(config: ExperimentConfig) -> str:
     """Canonical text form; parsing it back reproduces the config exactly."""
-    return "".join(f"{key} = {text}\n" for key, text in _flatten(config).items())
+    return _write(_flatten(config))
+
+
+def objective_record(f: RkhsFunction, seed: int | None = None) -> str:
+    """Serialize an objective for exact replay; a given seed is the first line."""
+    nu = _fmt(f.spec.nu) if f.spec.family is KernelFamily.MATERN else None
+    fields = {"seed": seed, "family": f.spec.family.value, "nu": nu, "lengthscale": _fmt(f.spec.lengthscale)}
+    fields.update(centers=_POINTS.render(f.centers), coeffs=_FLOATS.render(f.coeffs))
+    return _write({key: str(value) for key, value in fields.items() if value is not None})
+
+
+def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
+    """Inverse of objective_record (floats round-trip bit-exactly), built through
+    the shared objective; ValueError names a malformed line, a repeated key or a missing field."""
+    fields, _ = _read(text)
+    if missing := [k for k in ("family", "lengthscale", "centers", "coeffs") if k not in fields]:
+        raise ConfigError(f"objective record has no {', '.join(missing)} field")
+    nu = float(fields["nu"]) if "nu" in fields else None
+    spec = KernelSpec(KernelFamily(fields["family"]), nu=nu, lengthscale=float(fields["lengthscale"]))
+    centers, coeffs = _list(_list(float), ";")(fields["centers"]), _list(float)(fields["coeffs"])
+    seed = int(fields["seed"]) if "seed" in fields else None
+    return _shared_objective(spec, centers, coeffs), seed

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelFamily, KernelSpec, kernel_cross, kernel_matrix
+from .kernels import KernelSpec, kernel_cross, kernel_matrix
 from .posterior import NumericError, _freeze
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "scale_to_norm",
     "sample_random_rkhs",
     "grid_maximum",
-    "objective_record",
-    "parse_objective_record",
 ]
 
 
@@ -161,71 +159,3 @@ def grid_maximum(f: RkhsFunction, grid) -> tuple[np.ndarray, float]:
     values = f.on_points(grid)
     i = int(np.argmax(values))
     return grid[i].copy(), float(values[i])
-
-
-# ---------------------------------------------------------------------------
-# Replayable text records
-# ---------------------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
-def _fmt_points(X: np.ndarray) -> str:
-    return "; ".join(",".join(_fmt(c) for c in row) for row in np.atleast_2d(X))
-
-
-def objective_record(f: RkhsFunction, seed: int | None = None) -> str:
-    """Serialize an objective for exact replay; a given seed is the first line."""
-    lines = [] if seed is None else [f"seed = {seed}"]
-    lines.append(f"family = {f.spec.family.value}")
-    if f.spec.family is KernelFamily.MATERN:
-        lines.append(f"nu = {_fmt(f.spec.nu)}")
-    lines.append(f"lengthscale = {_fmt(f.spec.lengthscale)}")
-    lines.append(f"centers = {_fmt_points(f.centers)}")
-    lines.append(f"coeffs = {', '.join(_fmt(c) for c in f.coeffs)}")
-    return "\n".join(lines) + "\n"
-
-
-def _split_seed(text: str) -> tuple[int | None, str]:
-    """A record's seed (None without a seed line) and the record without it;
-    ValueError on a repeated or malformed seed."""
-    seed, rest = None, []
-    for line in text.splitlines():
-        key, eq, value = line.partition("=")
-        if eq and key.strip() == "seed":
-            if seed is not None:
-                raise ValueError("duplicate key 'seed'")
-            seed = int(value.strip())
-        else:
-            rest.append(line)
-    return seed, "\n".join(rest)
-
-
-def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
-    """Inverse of objective_record (floats round-trip bit-exactly), built
-    through the shared objective; ValueError names a malformed line, a
-    repeated key or a missing field."""
-    seed, text = _split_seed(text)
-    fields: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed line {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in fields:
-            raise ValueError(f"duplicate key {key!r}")
-        fields[key] = value.strip()
-    missing = [k for k in ("family", "lengthscale", "centers", "coeffs") if k not in fields]
-    if missing:
-        raise ValueError(f"objective record has no {', '.join(missing)} field")
-    family = KernelFamily(fields["family"])
-    nu = float(fields["nu"]) if "nu" in fields else None
-    spec = KernelSpec(family, nu=nu, lengthscale=float(fields["lengthscale"]))
-    centers = [[float(c) for c in row.split(",")] for row in fields["centers"].split(";")]
-    coeffs = [float(c) for c in fields["coeffs"].split(",")]
-    return _shared_objective(spec, centers, coeffs), seed

@@ -1,8 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The heavy suites (horizon-4096 runs over many seeds) are session fixtures
-shared across criteria.  The whole module runs in about 30 seconds on one
-core of a 2-vCPU VM; criteria 6-8 dominate.
+shared across criteria.  The whole module runs in about 17-23 seconds on
+one core of a 2-vCPU VM; criteria 6-8 dominate.
+
+The gate for a change that moves numbers is this whole module,
+``pytest tests/test_acceptance.py -s``, which prints all 12 ACCEPTANCE
+lines.  ``pytest -m slow`` selects only criteria 1, 6-9 and 11.
 
 Criteria 6-9 grade their suites with ``analysis.grade_suite``, the grader
 the ``report`` command writes, and assert on its rows: 6 on the

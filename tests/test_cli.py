@@ -261,6 +261,14 @@ class TestRun:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("command, jobs", [("run", "0"), ("sweep", "-3")])
+    def test_jobs_below_1_exits_2(self, tmp_path, capsys, command, jobs):
+        out = tmp_path / "out"
+        sweep = ["--axis", "horizon", "--values", "8"] if command == "sweep" else []
+        assert main([command, "--config", write_config(tmp_path), "--out", str(out), "--jobs", jobs] + sweep) == 2
+        assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
 
 # a general order whose K_nu overflows at the smallest distance of a
 # 256-point lattice (z = 0.19)
@@ -959,6 +967,27 @@ class TestDamagedRunReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_record_error_names_the_file_line(self, suite, tmp_path, capsys):
+        # the reader numbers a record's lines; report names objective.txt's
+        cell = tmp_path / "run"
+        shutil.copytree(suite, cell)
+        _repeat_seed_line(cell)
+        lines = (cell / "objective.txt").read_text().splitlines()
+        assert cmd_report(str(cell)) == 4
+        assert capsys.readouterr().err.endswith(f"(line {lines.index('seed = 4') + 1})\n")
+
+    def test_damaged_rerun_leaves_no_stale_verdicts(self, suite, tmp_path, capsys):
+        # a report that exits 4 over an earlier one leaves no verdicts to read
+        cell = tmp_path / "run"
+        shutil.copytree(suite, cell)
+        assert cmd_report(str(cell)) == 0
+        path = cell / "trace_seed2.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+        capsys.readouterr()
+        assert cmd_report(str(cell)) == 4
+        assert "9 rows for horizon 64" in capsys.readouterr().err
+        assert not (cell / "report.txt").exists() and not (cell / "report.csv").exists()
 
     def test_undamaged_suite_reports(self, suite, tmp_path):
         cell = tmp_path / "run"

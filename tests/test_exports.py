@@ -1,7 +1,7 @@
 """The package exports only what its modules declare public, every
 declared name exists, the CLI runs on numpy alone and grades through
-``analysis.grade_suite`` alone, and posterior.py holds all of its linear
-algebra."""
+``analysis.grade_suite`` alone, posterior.py holds all of its linear
+algebra, and config.py all of its ``key = value`` text."""
 
 import ast
 import importlib
@@ -82,3 +82,26 @@ def test_only_posterior_refers_to_linalg(name):
         assert lines
     else:
         assert not lines, f"gpucb/{name}.py refers to np.linalg at line(s) {lines}; posterior.py owns the linear algebra"
+
+
+def _key_value_splits(tree: ast.AST) -> list[int]:
+    """Lines that split a ``key = value`` line: a ``.partition("=")`` call."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "partition"
+        and any(isinstance(arg, ast.Constant) and arg.value == "=" for arg in node.args)
+    ]
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_only_config_splits_key_value_lines(name):
+    # config.py itself is checked too, so the check cannot be vacuous
+    path = Path(gpucb.__file__).with_name(f"{name}.py")
+    lines = _key_value_splits(ast.parse(path.read_text(encoding="utf-8")))
+    if name == "config":
+        assert lines
+    else:
+        assert not lines, f"gpucb/{name}.py splits key = value lines at line(s) {lines}; config.py owns that text"

@@ -1,6 +1,7 @@
 """Finite kernel expansions: exact norms, scaling, sampling, records."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.5)
 UNIT_BOX_1D = Box((0.0,), (1.0,))
 UNIT_BOX_2D = Box((0.0, 0.0), (1.0, 1.0))
+PINNED = Path(__file__).parent / "data" / "pinned"
 
 
 class TestBox:
@@ -181,3 +183,14 @@ class TestRecords:
         g, seed = parse_objective_record(objective_record(f))
         assert seed is None
         assert np.array_equal(g.coeffs, f.coeffs)
+
+    @pytest.mark.parametrize(
+        "path", sorted(PINNED.glob("**/objective.txt")), ids=lambda p: str(p.relative_to(PINNED))
+    )
+    def test_pinned_records_render_back_byte_identical(self, path):
+        # every record a pinned suite wrote, seed line included, joined as a
+        # run joins them
+        text = path.read_text(encoding="utf-8")
+        records = [parse_objective_record(block) for block in text.split("\n\n")]
+        assert len(records) >= 5 and all(seed is not None for _, seed in records)
+        assert "\n".join(objective_record(f, seed) for f, seed in records) == text
