@@ -7,8 +7,8 @@ These operations grade completed runs:
   marginal log-determinant increase.
 * ``prefix_bound_audit`` fits a trace's checkpoints from their distinct
   designs with the posterior refactor's own fit and measures the sup ratio
-  |f - mean| / sd over a grid, split into noiseless-bias and random-error
-  components; ``uniform_bound_audit``, its reference, grades given states
+  |f - mean| / sd over a grid, and its noiseless-bias part from the exact
+  values; ``uniform_bound_audit``, its reference, grades given states
   through the refit reference alone, sharing no step with that fit.  A
   ratio where a variance is clamped at 0 is 0 for a zero error and
   infinite otherwise.  The prefix audit evaluates no kernel and no
@@ -195,13 +195,11 @@ class AuditSeries:
     """Sup ratios |f - mean| / sd over a grid, at each audited state.
 
     ``ratio`` uses the recorded (noisy) observations; ``bias_ratio``
-    replays the same designs with exact function values; ``random_ratio``
-    covers the remaining noise-driven part (mean minus noiseless mean)."""
+    replays the same designs with exact function values."""
 
     t: tuple[int, ...]
     ratio: tuple[float, ...]
     bias_ratio: tuple[float, ...]
-    random_ratio: tuple[float, ...]
 
 
 def _sup_ratio(err: np.ndarray, sd: np.ndarray) -> float:
@@ -219,8 +217,8 @@ def _audit(f_grid: np.ndarray, ts: Sequence[int], fits) -> AuditSeries:
     ratios = []
     for (mean, mean_exact), var in fits:
         sd = np.sqrt(var)
-        ratios.append([_sup_ratio(d, sd) for d in (f_grid - mean, f_grid - mean_exact, mean - mean_exact)])
-    return AuditSeries(tuple(ts), *(tuple(r[i] for r in ratios) for i in range(3)))
+        ratios.append([_sup_ratio(d, sd) for d in (f_grid - mean, f_grid - mean_exact)])
+    return AuditSeries(tuple(ts), *(tuple(r[i] for r in ratios) for i in range(2)))
 
 
 def uniform_bound_audit(f: RkhsFunction, states: Sequence[PosteriorState], grid) -> AuditSeries:

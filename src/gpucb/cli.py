@@ -22,7 +22,9 @@ Run layout (one directory per suite)::
 A sweep adds one ``<axis>_<value>`` subdirectory per value plus a merged
 ``summary.csv`` at the top level, removed before the first cell runs and
 written after the last: a sweep directory without it is not a finished
-sweep.
+sweep.  A sweep also removes a top-level ``config.txt`` first, so its
+directory holds no run.  ``report`` grades the run that ``config.txt`` marks,
+or else the cells the merged summary lists as ok, and never leftovers.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
 # numeric failures mid-run or while a report grades: the posterior's, and the
 # kernel's (K_nu overflows double precision or its quadrature fails to converge)
 _NUMERIC = (NumericError, ArithmeticError)
+# the header of a sweep's merged summary.csv, which marks a finished sweep
+_MERGED_HEADER = "axis,value,seed,status,cum_regret"
 
 
 def _run_one_seed(config: ExperimentConfig, seed: int) -> tuple[RkhsFunction, RegretTrace]:
@@ -170,10 +174,12 @@ def _cell_name(axis: str, raw: str) -> str:
 def _run_sweep(configs: list[ExperimentConfig], axis: str, values: list[str], jobs: int, top: Path) -> int:
     """Run one suite per value into its cell, then write the merged summary;
     the number of cells that failed.  The merged summary marks a finished
-    sweep as ``config.txt`` does a suite: removed first, written last."""
+    sweep as ``config.txt`` does a suite: removed first (with a top-level
+    ``config.txt``, so the directory holds no run), written last."""
     top.mkdir(parents=True, exist_ok=True)
-    (top / "summary.csv").unlink(missing_ok=True)
-    merged = ["axis,value,seed,status,cum_regret"]
+    for name in ("config.txt", "summary.csv"):
+        (top / name).unlink(missing_ok=True)
+    merged = [_MERGED_HEADER]
     failures = 0
     for raw, config in zip(values, configs):
         cell = top / _cell_name(axis, raw)
@@ -247,14 +253,6 @@ def _load_suite(
             trace = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, f_star, seed)
             if trace.horizon != config.horizon:
                 raise ValueError(f"{trace.horizon} rows for horizon {config.horizon}")
-            forged = np.flatnonzero(trace.beta != beta)
-            if forged.size:
-                raise ValueError(f"beta at t={forged[0] + 1} is not the configured schedule")
-            # the run sums left to right and writes round-trip digits, so the
-            # column must reproduce exactly
-            forged = np.flatnonzero(np.cumsum(trace.inst_regret) != trace.cum_regret)
-            if forged.size:
-                raise ValueError(f"cum_regret at t={forged[0] + 1} is not the running sum of inst_regret")
             cols = grid_columns(grid, trace.X)
             # the audits read kernel rows of the candidates alone
             off = np.flatnonzero(cols >= m)
@@ -263,14 +261,23 @@ def _load_suite(
             played = f_grid[cols]
             # round-off only: the last bits of a BLAS product differ between builds
             tol = 1e-9 * max(1.0, abs(f_star))
-            off = np.flatnonzero(~(np.abs(f_star - played - trace.inst_regret) <= tol))
-            if off.size:
-                raise ValueError(
-                    f"inst_regret at t={off[0] + 1} is not f_star - f(x_t) under the recorded objective"
-                )
-            off = np.flatnonzero(~(np.abs(played + _seed_noise(config, seed) - trace.y) <= tol))
-            if off.size:
-                raise ValueError(f"y at t={off[0] + 1} is not f(x_t) plus the seed's noise draw")
+            # (column, its wrong steps, why): the first wrong step raises
+            checks = (
+                ("beta", trace.beta != beta, "is not the configured schedule"),
+                # the run sums left to right and writes round-trip digits: exact
+                ("cum_regret", np.cumsum(trace.inst_regret) != trace.cum_regret,
+                 "is not the running sum of inst_regret"),
+                ("inst_regret", ~(np.abs(f_star - played - trace.inst_regret) <= tol),
+                 "is not f_star - f(x_t) under the recorded objective"),
+                ("y", ~(np.abs(played + _seed_noise(config, seed) - trace.y) <= tol),
+                 "is not f(x_t) plus the seed's noise draw"),
+                # the run sets a flag only where this holds, on the values it writes
+                ("flag", trace.flag & ~(np.abs(played - trace.mu) <= np.sqrt(beta) * trace.sigma + tol),
+                 "is 1, yet |f(x_t) - mu| exceeds sqrt(beta) * sigma"),
+            )
+            for name, bad, reason in checks:
+                if bad.any():
+                    raise ValueError(f"{name} at t={np.argmax(bad) + 1} {reason}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         traces.append(trace)
@@ -303,19 +310,32 @@ def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list
             raise ValueError(f"{path}: not the first {horizon} rows of {longest.name}'s trace")
 
 
-def _check_sweep_finished(top: Path) -> None:
-    """ValueError unless the sweep in ``top`` finished: its merged
-    ``summary.csv`` exists and every cell it lists as ok has a ``config.txt``."""
+def _finished_suites(top: Path) -> list[Path]:
+    """The suites in ``top``, found by their completion markers alone: the run
+    that a top-level ``config.txt`` marks, or else the cells the merged
+    ``summary.csv`` lists as ok; ValueError if none, or one did not finish."""
+    if (top / "config.txt").is_file():
+        return [top]
     path = top / "summary.csv"
-    if not path.is_file():
-        raise ValueError(f"{path}: missing, so the sweep did not finish")
-    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+    lines = path.read_text(encoding="utf-8").splitlines() if path.is_file() else []
+    if lines[:1] != [_MERGED_HEADER]:
+        # a run writes objective.txt first and config.txt last: one stopped here
+        if (top / "objective.txt").is_file():
+            raise ValueError("no completed runs found")
+        raise ValueError(f"{path}: {'not a merged summary' if lines else 'missing'}, so the sweep did not finish")
+    cells = set()
+    for line in lines[1:]:
         fields = line.split(",")
         if len(fields) != 5:
             raise ValueError(f"{path}: malformed row {line!r}")
-        name = _cell_name(fields[0], fields[1])
-        if fields[3] == "ok" and not (top / name / "config.txt").is_file():
-            raise ValueError(f"{path}: cell {name} is listed ok but did not finish")
+        cell = top / _cell_name(fields[0], fields[1])
+        if fields[3] == "ok":
+            if not (cell / "config.txt").is_file():
+                raise ValueError(f"{path}: cell {cell.name} is listed ok but did not finish")
+            cells.add(cell)
+    if not cells:
+        raise ValueError("no completed runs found")
+    return sorted(cells)
 
 
 def cmd_report(out_dir: str) -> int:
@@ -330,19 +350,9 @@ def cmd_report(out_dir: str) -> int:
             (top / name).unlink(missing_ok=True)
     except OSError as exc:
         return _unwritable(out_dir, exc)
-    cells = sorted(
-        (p for p in top.iterdir() if p.is_dir() and (p / "config.txt").exists()),
-        key=lambda p: p.name,
-    )
-    if (top / "config.txt").exists():
-        cells.append(top)
-    if not cells:
-        print("error: no completed runs found", file=sys.stderr)
-        return 4
     # grade the largest-horizon suite; every other cell must be a cut of it
     try:
-        if any(c != top for c in cells):
-            _check_sweep_finished(top)
+        cells = _finished_suites(top)
         configs = {c: parse_config((c / "config.txt").read_text(encoding="utf-8")) for c in cells}
         longest = max(cells, key=lambda c: configs[c].horizon)
         config = configs[longest]

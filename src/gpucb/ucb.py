@@ -38,7 +38,6 @@ follow from the choices, the objective on the grid and one noise draw.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -287,13 +286,6 @@ def trace_to_csv(trace: RegretTrace) -> str:
     return "\n".join([",".join(header)] + [row % tuple(r) for r in block.tolist()]) + "\n"
 
 
-def _row_line(text: str, row: int) -> int:
-    """The line number in the file ``text`` of body row ``row`` of its trace,
-    the (row + 1)-th non-blank line from 0: blank lines count in the file."""
-    lines = (number for number, line in enumerate(text.splitlines(), start=1) if line.strip())
-    return next(itertools.islice(lines, row + 1, None))
-
-
 def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:
     """Inverse of ``trace_to_csv``; ValueError on an empty trace, a missing
     column, a ragged row, a skipped t or a flag other than 0 or 1, naming the
@@ -307,29 +299,27 @@ def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -
         raise ValueError(f"trace header has no {', '.join(missing)} column")
     d = sum(1 for h in header if h.startswith("x_"))
     cols = {name: i for i, name in enumerate(header)}
-    width = len(header)
+    width, flag = len(header), cols["flag"]
     body = lines[1:]
     T = len(body)
-    # the rows before the first ragged one split at once into whole columns,
-    # checked at once; a check that fails then finds its first bad row
-    commas = [ln.count(",") for ln in body]
-    whole = next((i for i, n in enumerate(commas) if n != width - 1), T)
-    fields = ",".join(body[:whole]).split(",") if whole else []
+    # the rows split at once into whole columns, checked at once; only a trace
+    # that fails is walked, row by row in file order, to its first fault
+    fields = ",".join(body).split(",") if body else []
     columns = [fields[j::width] for j in range(width)]
-    faults = []
-    if whole < T:
-        line = _row_line(text, whole)
-        faults.append((whole, f"ragged row at line {line}: {commas[whole] + 1} fields, header has {width}"))
-    steps = list(map(str, range(1, whole + 1)))
-    if columns[0] != steps:
-        i = next(i for i, (got, want) in enumerate(zip(columns[0], steps)) if got != want)
-        faults.append((i, f"non-consecutive t at line {_row_line(text, i)}: {columns[0][i]!r} where {i + 1} was expected"))
-    flags = columns[cols["flag"]]
-    if not set(flags) <= {"0", "1"}:
-        i = next(i for i, f in enumerate(flags) if f not in ("0", "1"))
-        faults.append((i, f"flag at line {_row_line(text, i)} is {flags[i]!r}, not 0 or 1"))
-    if faults:
-        raise ValueError(min(faults, key=lambda fault: fault[0])[1])
+    if (
+        any(ln.count(",") != width - 1 for ln in body)
+        or columns[0] != list(map(str, range(1, T + 1)))
+        or not set(columns[flag]) <= {"0", "1"}
+    ):
+        rows = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+        for step, (number, ln) in enumerate(rows[1:], start=1):
+            row = ln.split(",")
+            if len(row) != width:
+                raise ValueError(f"ragged row at line {number}: {len(row)} fields, header has {width}")
+            if row[0] != str(step):
+                raise ValueError(f"non-consecutive t at line {number}: {row[0]!r} where {step} was expected")
+            if row[flag] not in ("0", "1"):
+                raise ValueError(f"flag at line {number} is {row[flag]!r}, not 0 or 1")
 
     def col(name):
         return np.array(columns[cols[name]], dtype=float)

@@ -245,7 +245,7 @@ class TestUniformBoundAudit:
         audit = uniform_bound_audit(f, [empty], grid)
         sup = float(np.max(np.abs(f.on_points(grid))))
         assert audit.t == (0,)
-        assert (audit.ratio, audit.bias_ratio, audit.random_ratio) == ((sup,), (sup,), (0.0,))
+        assert (audit.ratio, audit.bias_ratio) == ((sup,), (sup,))
         assert audit.ratio[0] <= f.norm + 1e-9
 
     def test_noiseless_bias_ratio_bounded_by_norm(self):
@@ -257,17 +257,6 @@ class TestUniformBoundAudit:
         audit = uniform_bound_audit(f, states, grid)
         assert audit.t == (8, 16, 32, 64)
         assert all(r <= f.norm * (1 + 1e-6) for r in audit.bias_ratio)
-        # noiseless run: recorded and replayed observations coincide
-        assert all(r <= 1e-9 for r in audit.random_ratio)
-
-    def test_components_decompose(self):
-        config = make_config(horizon=32, noise_sigma=0.2, seeds=(3,))
-        f = config.objective_for_seed(3)
-        trace = run_gp_ucb(config, f, 3)
-        states = states_at_checkpoints(trace, config.rho, [32])
-        audit = uniform_bound_audit(f, states, config.evaluation_points())
-        # triangle inequality between the pieces
-        assert audit.ratio[0] <= audit.bias_ratio[0] + audit.random_ratio[0] + 1e-12
 
     @staticmethod
     def assert_prefix_audit_matches_refits(config, checkpoints):
@@ -279,7 +268,6 @@ class TestUniformBoundAudit:
         assert fast.t == slow.t
         assert np.allclose(fast.ratio, slow.ratio, rtol=1e-8)
         assert np.allclose(fast.bias_ratio, slow.bias_ratio, rtol=1e-8)
-        assert np.allclose(fast.random_ratio, slow.random_ratio, rtol=1e-6, atol=1e-10)
 
     def test_prefix_audit_matches_refits(self):
         config = make_config(horizon=96, noise_sigma=0.15, seeds=(5,))
@@ -308,8 +296,7 @@ class TestUniformBoundAudit:
         slow = uniform_bound_audit(f, states_at_checkpoints(trace, config.rho, checkpoints), grid)
         fast = prefix_bound_audit(*audit_inputs(config, f, trace), config.rho, checkpoints)
         assert fast.t == slow.t
-        for a, b in [(fast.ratio, slow.ratio), (fast.bias_ratio, slow.bias_ratio),
-                     (fast.random_ratio, slow.random_ratio)]:
+        for a, b in [(fast.ratio, slow.ratio), (fast.bias_ratio, slow.bias_ratio)]:
             assert np.allclose(a, b, rtol=1e-9, atol=0), (a, b)
 
     def test_reference_matches_textbook_formulas(self, monkeypatch):
@@ -328,7 +315,7 @@ class TestUniformBoundAudit:
             mean = k.T @ np.linalg.solve(A, s.y)
             mean_exact = k.T @ np.linalg.solve(A, f.on_points(s.X))
             sd = np.sqrt(1.0 - np.diag(k.T @ np.linalg.solve(A, k)))
-            expected.append([np.max(np.abs(d) / sd) for d in (f_grid - mean, f_grid - mean_exact, mean - mean_exact)])
+            expected.append([np.max(np.abs(d) / sd) for d in (f_grid - mean, f_grid - mean_exact)])
 
         def unreachable(*args, **kwargs):
             raise AssertionError("the reference shares a step with the distinct-design fit")
@@ -342,7 +329,7 @@ class TestUniformBoundAudit:
         audit = uniform_bound_audit(f, states, grid)
         assert audit.t == (8, 24, 48)
         np.testing.assert_allclose(
-            np.array([audit.ratio, audit.bias_ratio, audit.random_ratio]), np.array(expected).T, rtol=1e-9, atol=0
+            np.array([audit.ratio, audit.bias_ratio]), np.array(expected).T, rtol=1e-9, atol=0
         )
 
     def test_ratio_at_a_zero_sd(self):
@@ -354,7 +341,6 @@ class TestUniformBoundAudit:
         audit = uniform_bound_audit(f, [on_f, off_f], [[0.5]])
         assert audit.ratio == (0.0, math.inf)
         assert audit.bias_ratio == (0.0, 0.0)
-        assert audit.random_ratio == (0.0, math.inf)
 
     def test_broken_factor_raises_instead_of_clamping(self):
         # a halved factor doubles L^-1 k, so 1 - |L^-1 k|^2 goes well below 0
@@ -472,7 +458,7 @@ def graded_suite(config):
 
 
 def audit_series(ratio, bias_ratio=(0.0, 0.0), t=(16, 256)):
-    return AuditSeries(tuple(t), tuple(ratio), tuple(bias_ratio), (0.0,) * len(t))
+    return AuditSeries(tuple(t), tuple(ratio), tuple(bias_ratio))
 
 
 def flagged_traces(lhs, n):

@@ -1,6 +1,7 @@
 """Command-line harness: exit codes, artifacts, determinism."""
 
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -696,7 +697,9 @@ class TestReport:
     def test_injected_superlinear_trace_fails(self, tmp_path):
         # forge a suite that agrees with its objectives but plays the worst
         # candidate from step 33 on: its cumulative regret grows linearly,
-        # so the exponent row must FAIL against the reference band
+        # so the exponent row must FAIL against the reference band; the
+        # forged steps claim no error bound (flag 0), since the run's mu and
+        # sigma at them are of other points
         text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("horizon = 8", "horizon = 512")
         out = tmp_path / "forged"
         assert cmd_run(write_config(tmp_path, text), str(out)) == 0
@@ -709,13 +712,16 @@ class TestReport:
             path = out / f"trace_seed{seed}.csv"
             lines = path.read_text().splitlines()
             header = lines[0].split(",")
-            x_col, y_col, inst_col, cum_col = (header.index(c) for c in ("x_1", "y", "inst_regret", "cum_regret"))
+            x_col, y_col, inst_col, cum_col, flag_col = (
+                header.index(c) for c in ("x_1", "y", "inst_regret", "cum_regret", "flag")
+            )
             rows = [line.split(",") for line in lines[1:]]
             noise = _seed_noise(config, seed)
             for t, row in enumerate(rows[32:], start=32):
                 row[x_col] = format(cand[worst, 0], ".17g")
                 row[y_col] = format(f.on_points(cand[worst])[0] + noise[t], ".17g")
                 row[inst_col] = format(f_star - f.on_points(cand[worst])[0], ".17g")
+                row[flag_col] = "0"
             cum = np.cumsum([float(row[inst_col]) for row in rows])
             for row, value in zip(rows, cum):
                 row[cum_col] = format(value, ".17g")
@@ -896,6 +902,41 @@ def _forge_flag(cell):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _forge_sigma_mu_flag(cell):
+    # every step claims the error bound held, at a posterior forged to match
+    for seed in range(5):
+        path = cell / f"trace_seed{seed}.csv"
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            for name, value in (("sigma", "0.5"), ("mu", "-7"), ("flag", "1")):
+                row[header.index(name)] = value
+        path.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+
+
+def _cancelling_ragged_rows(cell):
+    # one field short at line 6 and one too many at line 9: the file holds
+    # as many fields as a whole trace
+    path = cell / "trace_seed1.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0]
+    lines[8] += ",0"
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _flag_before_skipped_step(cell):
+    # a flag of 2 at line 6, then step 12 left out: the first fault in file
+    # order is the flag
+    path = cell / "trace_seed0.csv"
+    lines = path.read_text().splitlines()
+    row = lines[5].split(",")
+    row[lines[0].split(",").index("flag")] = "2"
+    lines[5] = ",".join(row)
+    del lines[12]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _move_to_grid_row(cell):
     # step 5 moved onto a grid point that is not a candidate, with y and the
     # regret columns made to match it
@@ -958,6 +999,9 @@ class TestDamagedRunReport:
         (_forge_cum_regret, "trace_seed2.csv: cum_regret at t=20 is not the running sum"),
         (_forge_beta, "trace_seed4.csv: beta at t=7 is not the configured schedule"),
         (_forge_y, "trace_seed3.csv: y at t=1 is not f(x_t) plus the seed's noise draw"),
+        (_forge_sigma_mu_flag, "trace_seed0.csv: flag at t=1 is 1, yet |f(x_t) - mu| exceeds sqrt(beta) * sigma"),
+        (_cancelling_ragged_rows, "trace_seed1.csv: ragged row at line 6: 8 fields, header has 9"),
+        (_flag_before_skipped_step, "trace_seed0.csv: flag at line 6 is '2', not 0 or 1"),
     ])
     def test_damage_exits_4(self, suite, tmp_path, capsys, damage, message):
         cell = tmp_path / "run"
@@ -1108,6 +1152,46 @@ class TestSweepReport:
         assert (out / "horizon_16" / "config.txt").exists() and not (out / "summary.csv").exists()
         assert cmd_report(str(out)) == 4
         assert "summary.csv: missing, so the sweep did not finish" in capsys.readouterr().err
+
+    @staticmethod
+    def command(tmp_path, out, command, horizons, rho):
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("\nrho = 1\n", f"\nrho = {rho}\n")
+        if command == "run":
+            return cmd_run(write_config(tmp_path, text.replace("horizon = 8", f"horizon = {horizons}")), str(out))
+        return cmd_sweep(write_config(tmp_path, text), "horizon", horizons.split(","), str(out))
+
+    @pytest.mark.parametrize("commands", [
+        # a longer cell of a sweep at another rho is left over
+        [("sweep", "16,128", "1"), ("sweep", "16,64", "0.5")],
+        # a run's files are left over at the top level
+        [("run", "128", "1"), ("sweep", "16,64", "1")],
+        # a sweep's cells are left over
+        [("sweep", "16,32", "1"), ("run", "64", "1")],
+    ], ids=["resweep_at_another_rho", "sweep_over_a_run", "run_over_a_sweep"])
+    def test_report_grades_the_last_command_alone(self, tmp_path, capsys, commands):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        for command in commands:
+            assert self.command(tmp_path, out, *command) == 0
+        assert self.command(tmp_path, fresh, *commands[-1]) == 0
+        assert cmd_report(str(fresh)) == 0
+        capsys.readouterr()
+        assert cmd_report(str(out)) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "report.txt").read_text() == (fresh / "report.txt").read_text()
+
+    def test_report_finds_suites_through_their_markers(self, sweep, tmp_path, monkeypatch):
+        # a finished run and a finished sweep, graded with no directory listed
+        run, out = tmp_path / "run", tmp_path / "sweep"
+        assert self.command(tmp_path, run, "run", "64", "1") == 0
+        shutil.copytree(sweep, out)
+
+        def unlisted(self, *args, **kwargs):
+            raise AssertionError("report lists a directory")
+
+        monkeypatch.setattr(Path, "iterdir", unlisted)
+        monkeypatch.setattr(Path, "glob", unlisted)
+        assert cmd_report(str(run)) == 0
+        assert cmd_report(str(out)) == 0
 
     def test_non_horizon_sweep_exits_4(self, tmp_path, capsys):
         # two cells of one horizon that differ in beta.c0 are not one run
