@@ -1154,7 +1154,7 @@ class TestSweepReport:
         assert "summary.csv: missing, so the sweep did not finish" in capsys.readouterr().err
 
     @staticmethod
-    def command(tmp_path, out, command, horizons, rho):
+    def produce(tmp_path, out, command, horizons, rho):
         text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4").replace("\nrho = 1\n", f"\nrho = {rho}\n")
         if command == "run":
             return cmd_run(write_config(tmp_path, text.replace("horizon = 8", f"horizon = {horizons}")), str(out))
@@ -1171,8 +1171,8 @@ class TestSweepReport:
     def test_report_grades_the_last_command_alone(self, tmp_path, capsys, commands):
         out, fresh = tmp_path / "out", tmp_path / "fresh"
         for command in commands:
-            assert self.command(tmp_path, out, *command) == 0
-        assert self.command(tmp_path, fresh, *commands[-1]) == 0
+            assert self.produce(tmp_path, out, *command) == 0
+        assert self.produce(tmp_path, fresh, *commands[-1]) == 0
         assert cmd_report(str(fresh)) == 0
         capsys.readouterr()
         assert cmd_report(str(out)) == 0
@@ -1182,7 +1182,7 @@ class TestSweepReport:
     def test_report_finds_suites_through_their_markers(self, sweep, tmp_path, monkeypatch):
         # a finished run and a finished sweep, graded with no directory listed
         run, out = tmp_path / "run", tmp_path / "sweep"
-        assert self.command(tmp_path, run, "run", "64", "1") == 0
+        assert self.produce(tmp_path, run, "run", "64", "1") == 0
         shutil.copytree(sweep, out)
 
         def unlisted(self, *args, **kwargs):
