@@ -28,13 +28,13 @@ time it refactors its rows from the d distinct points played.  A
 step is one matrix-vector product and a few elementwise passes over the n
 points, with its scalars read as Python floats.
 A posterior takes the kernel rows it computes on and builds none: its
-caller owns the point sets.  ``_points_kernel`` builds one point set's
-read-only kernel matrix once per process, so the seeds and sweep cells of
-a run over one candidate set share it; a run that also tracks an optimum
-off the candidates appends that point's kernel column to a copy, and the
-memo keeps the candidates' own matrix.  A posterior that is done may
-``release`` its row buffer, and the next posterior with the same shape
-takes it, so the seeds of a suite grow in one buffer.
+caller owns the point sets.  What the seeds and sweep cells of one command
+share, such as the candidates' kernel matrix, the objective, its values over
+the grid and the ``beta_t`` column, is built once per process by ``_held``:
+one read-only value per name, rebuilt only when its key changes.  A
+posterior that is done may ``release`` its row buffer, and the next
+posterior with the same shape takes it, so the seeds of a suite grow in one
+buffer.
 """
 
 from __future__ import annotations
@@ -76,6 +76,27 @@ class NumericError(RuntimeError):
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+# name -> (key, value): the one value held under each name
+_HELD: dict = {}
+
+
+def _held(name: str, key: tuple, build):
+    """``build()``, held under ``name`` while the same ``key`` is asked for,
+    and frozen when it is an array.  Keys compare exactly: an array in
+    ``key`` counts by its shape and bytes.  The old value under ``name`` is
+    dropped before ``build()`` runs, so at most one value per name is held."""
+    key = tuple((k.shape, k.tobytes()) if isinstance(k, np.ndarray) else k for k in key)
+    entry = _HELD.get(name)
+    if entry is not None and entry[0] == key:
+        return entry[1]
+    _HELD.pop(name, None)
+    value = build()
+    if isinstance(value, np.ndarray):
+        _freeze(value)
+    _HELD[name] = key, value
+    return value
 
 
 @dataclass(frozen=True)
@@ -258,20 +279,6 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     W = _inv_lower(state.chol) @ C
     W *= W
     return _clamped_var(1.0 - np.sum(W, axis=0))
-
-
-# one entry: every seed and every sweep cell of a process runs over one point set
-_KERNELS: dict = {}
-
-
-def _points_kernel(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
-    """Read-only ``kernel_matrix(spec, points)``, built once per point set."""
-    key = (spec, points.shape, points.tobytes())
-    K = _KERNELS.get(key)
-    if K is None:
-        _KERNELS.clear()  # drop the old matrix before the new one is built
-        K = _KERNELS[key] = _freeze(kernel_matrix(spec, points))
-    return K
 
 
 # one entry: the row buffer W of the last released posterior, by shape.  The

@@ -3,7 +3,10 @@
 A function f(x) = sum_j c_j psi(x - x_j) has squared native-space norm
 c' K c with K the kernel matrix of the centers, so test objectives can be
 scaled to any target norm B exactly.  Their sup-norm never exceeds the
-native norm, which every test of the error bounds relies on.
+native norm, which every test of the error bounds relies on.  An objective
+named by its kernel, centers and coefficients, and an objective's values over
+a grid, are held once per process by ``posterior._held``, so the seeds of an
+explicit-objective suite and the records of its report share one build.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, kernel_cross, kernel_matrix
-from .posterior import NumericError, _freeze
+from .posterior import NumericError, _held
 
 __all__ = [
     "Box",
@@ -90,37 +93,20 @@ def make_rkhs_function(spec: KernelSpec, centers, coeffs) -> RkhsFunction:
     return RkhsFunction(spec, centers, coeffs, math.sqrt(max(norm_sq, 0.0)))
 
 
-# One entry: the objective that every seed of an explicit-objective suite
-# names, and every record of its report, with its values over the grid the
-# suite is evaluated on.
-_SHARED: dict = {}
-
-
 def _shared_objective(spec: KernelSpec, centers, coeffs) -> RkhsFunction:
-    """``make_rkhs_function(spec, centers, coeffs)``, built once per process
-    for one objective: the same kernel, centers and coefficients, bit for
-    bit, give the same function until another objective is asked for."""
+    """``make_rkhs_function(spec, centers, coeffs)``, held once per process:
+    the same kernel, centers and coefficients, bit for bit, give the same
+    function until another objective is asked for."""
     centers = np.atleast_2d(np.array(centers, dtype=float))
     coeffs = np.array(coeffs, dtype=float).reshape(-1)
-    key = (spec, centers.shape, centers.tobytes(), coeffs.tobytes())
-    if key not in _SHARED:
-        f = make_rkhs_function(spec, centers, coeffs)
-        _SHARED.clear()
-        _SHARED[key] = f, {}
-    return _SHARED[key][0]
+    return _held("objective", (spec, centers, coeffs), lambda: make_rkhs_function(spec, centers, coeffs))
 
 
 def _objective_values(f: RkhsFunction, grid: np.ndarray) -> np.ndarray:
-    """``f.on_points(grid)``; for the shared objective read-only, and
-    evaluated once per grid until another grid is asked for."""
-    for shared, values in _SHARED.values():
-        if shared is f:
-            key = (grid.shape, grid.tobytes())
-            if key not in values:
-                values.clear()
-                values[key] = _freeze(f.on_points(grid))
-            return values[key]
-    return f.on_points(grid)
+    """Read-only ``f.on_points(grid)``, held once per process for the
+    objective's kernel, centers and coefficients and the grid, until
+    another objective or grid is asked for."""
+    return _held("values", (f.spec, f.centers, f.coeffs, grid), lambda: f.on_points(grid))
 
 
 def scale_to_norm(f: RkhsFunction, B: float) -> RkhsFunction:

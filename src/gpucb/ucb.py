@@ -12,9 +12,10 @@ played so far), plus O(d^3 + d^2 n) whenever the posterior refactors its
 rows from those d points.  Refactors come more than d steps apart, so a
 run is O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  The
 loop owns the point sets and hands the posterior their kernel rows: the
-candidates' kernel matrix, built once per process and shared by every
+candidates' kernel matrix, held by ``posterior._held`` and shared by every
 seed and sweep cell, and for a seed with a shadow column a copy with that
-column's kernel entries appended.
+column's kernel entries appended, while the memo keeps the candidates' own
+matrix.
 It is algebraically the same recursion as ``posterior.update`` restricted
 to the tracked points, and the tests pin the two against each other.
 
@@ -24,8 +25,8 @@ finiteness check, and the update.  The two safety minima, the variance's
 in its clamp check and the scores' in their finiteness check, are index
 reads ``a.item(a.argmin())``, which cost less than a ``np.minimum.reduce``
 call on arrays of this size (README times both).  The exploration
-weights are one column per schedule, horizon and rho, computed before the
-loop, and the loop reads the objective, the noise and the posterior's
+weights are one column per schedule, horizon and rho, held like the
+kernel matrix, and the loop reads the objective, the noise and the posterior's
 scalars as Python floats.
 
 Per step the loop records its choice, the exploration weight, the
@@ -37,7 +38,6 @@ follow from the choices, the objective on the grid and one noise draw.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,8 +45,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_cross
-from .posterior import GrowingPosterior, NumericError, PosteriorState, _freeze, _points_kernel
+from .kernels import KernelSpec, kernel_cross, kernel_matrix
+from .posterior import GrowingPosterior, NumericError, PosteriorState, _freeze, _held
 from .posterior import posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction, _objective_values
 
@@ -112,12 +112,11 @@ def beta_value(schedule: BetaSchedule, t: int, rho: float) -> float:
     return 2.0 * math.log(t_eff**2 * 2.0 * math.pi**2 / (3.0 * schedule.delta)) + schedule.c0
 
 
-@functools.lru_cache(maxsize=1)
 def beta_column(schedule: BetaSchedule, T: int, rho: float) -> np.ndarray:
     """Read-only ``beta_value(schedule, t, rho)`` for t = 0..T-1, the weight
-    of each of T steps; computed once and shared by the runs and reports of
-    one schedule, horizon and rho."""
-    return _freeze(np.array([beta_value(schedule, t, rho) for t in range(T)]))
+    of each of T steps; held once per process and shared by the runs and
+    reports of one schedule, horizon and rho."""
+    return _held("beta", (schedule, T, rho), lambda: np.array([beta_value(schedule, t, rho) for t in range(T)]))
 
 
 def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int | None = None, out=None) -> int:
@@ -212,7 +211,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     # shadow column when it lies off the candidates: it is never played, so
     # it needs its kernel column alone, appended to a copy of the
     # candidates' kernel matrix, which every seed shares
-    K = _points_kernel(spec, cand)
+    K = _held("kernel", (spec, cand), lambda: kernel_matrix(spec, cand))
     if best < m:
         opt = best
     else:

@@ -1,10 +1,21 @@
 """Shared builders for experiment configurations, and the grading of their
 traces, used across test modules."""
 
+import pytest
+
 from gpucb import BetaKind, BetaSchedule, KernelFamily, KernelSpec, kernel_cross
 from gpucb.analysis import grade_suite, grid_columns
 from gpucb.config import ExperimentConfig, ObjectiveSpec
 from gpucb.rkhs import Box
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """The per-process memo (``posterior._HELD``), emptied for this test;
+    clearing it again starts the next command as its own process does."""
+    held = {}
+    monkeypatch.setattr("gpucb.posterior._HELD", held)
+    return held
 
 
 def make_config(

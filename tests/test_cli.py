@@ -336,10 +336,10 @@ class TestRefactorFailure:
 
 
 class TestSharedKernelMatrix:
-    def test_sweep_builds_the_candidates_kernel_matrix_once(self, tmp_path, monkeypatch):
+    def test_sweep_builds_the_candidates_kernel_matrix_once(self, tmp_path, monkeypatch, fresh_memo):
         # the optimum is one of the 16 candidates, so both seeds of all three
         # cells run over the candidates alone and share one read-only matrix
-        import gpucb.posterior
+        import gpucb.ucb
 
         built = []
 
@@ -347,13 +347,12 @@ class TestSharedKernelMatrix:
             built.append(np.array(X))
             return kernel_matrix(spec, X)
 
-        monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
-        monkeypatch.setattr(gpucb.posterior, "kernel_matrix", counted)
+        monkeypatch.setattr(gpucb.ucb, "kernel_matrix", counted)
         config = write_config(tmp_path, MINIMAL.replace("seeds = 0", "seeds = 0, 1"))
         assert cmd_sweep(config, "horizon", ["8", "16", "32"], str(tmp_path / "sweep")) == 0
         cand = parse_config((tmp_path / "sweep" / "horizon_32" / "config.txt").read_text()).candidate_points()
         assert len(built) == 1 and np.array_equal(built[0], cand)
-        (K,) = gpucb.posterior._KERNELS.values()
+        _, K = fresh_memo["kernel"]
         with pytest.raises(ValueError, match="read-only"):
             K[0, 0] = 0.0
 
@@ -364,11 +363,12 @@ class TestSharedReportBlock:
     parses and evaluates each distinct objective once."""
 
     @staticmethod
-    def report_counting(tmp_path, monkeypatch, text):
+    def report_counting(tmp_path, monkeypatch, held, text):
         import gpucb.analysis
         import gpucb.cli
         import gpucb.posterior
         import gpucb.rkhs
+        import gpucb.ucb
         from gpucb import kernel_cross
         from gpucb.rkhs import RkhsFunction
 
@@ -402,8 +402,7 @@ class TestSharedReportBlock:
             return on_points(f, X)
 
         # a report process starts with no kernel or objective from the run
-        monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
-        monkeypatch.setattr(gpucb.rkhs, "_SHARED", {})
+        held.clear()
         # the report builds the block; the posterior and analysis evaluate
         # no kernel, and were analysis to import kernel_cross again, its
         # calls would be counted too
@@ -411,7 +410,8 @@ class TestSharedReportBlock:
             monkeypatch.setattr(module, "kernel_cross", counted_cross)
         monkeypatch.setattr(gpucb.analysis, "kernel_cross", counted_cross, raising=False)
         monkeypatch.setattr(gpucb.analysis, "greedy_info_gain", recorded_gain)
-        monkeypatch.setattr(gpucb.posterior, "kernel_matrix", counted_matrix)
+        for module in (gpucb.posterior, gpucb.ucb):
+            monkeypatch.setattr(module, "kernel_matrix", counted_matrix)
         monkeypatch.setattr(gpucb.rkhs, "kernel_matrix", counted_norm)
         monkeypatch.setattr(RkhsFunction, "on_points", counted_on_points)
         assert cmd_report(str(out)) == 0
@@ -419,7 +419,7 @@ class TestSharedReportBlock:
         report = (out / "report.txt").read_text()
         return config, crosses, matrices, evaluated, norms, gains, report
 
-    def test_report_builds_the_candidates_block_once(self, tmp_path, monkeypatch):
+    def test_report_builds_the_candidates_block_once(self, tmp_path, monkeypatch, fresh_memo):
         # 64 candidates on a grid of more points, 5 audited seeds and the
         # information gain: one m x n block, built by one call that shares
         # its square part, with no per-audit block, and the information gain
@@ -430,7 +430,7 @@ class TestSharedReportBlock:
             .replace("candidates.count = 16", "candidates.count = 64")
             .replace("eval_grid.count = 16", "eval_grid.count = 100")
         )
-        config, crosses, matrices, evaluated, norms, gains, report = self.report_counting(tmp_path, monkeypatch, text)
+        config, crosses, matrices, evaluated, norms, gains, report = self.report_counting(tmp_path, monkeypatch, fresh_memo, text)
         cand, grid = config.candidate_points(), config.evaluation_points()
         assert cand.shape[0] < grid.shape[0]
         assert "PASS  error-ratio growth" in report and "SKIP  information-gain" not in report
@@ -443,14 +443,14 @@ class TestSharedReportBlock:
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
         assert len(norms) == 5
 
-    def test_seeds_sharing_an_objective_evaluate_it_once(self, tmp_path, monkeypatch):
+    def test_seeds_sharing_an_objective_evaluate_it_once(self, tmp_path, monkeypatch, fresh_memo):
         text = (
             MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
             .replace("horizon = 8", "horizon = 64")
             .replace("objective.kind = random", "objective.kind = explicit")
             + "objective.centers = 0.2; 0.7\nobjective.coeffs = 1, -0.5\n"
         )
-        _, _, _, evaluated, norms, _, _ = self.report_counting(tmp_path, monkeypatch, text)
+        _, _, _, evaluated, norms, _, _ = self.report_counting(tmp_path, monkeypatch, fresh_memo, text)
         assert len(evaluated) == 1
         # one parse of the shared record, so one norm over its two centers
         assert len(norms) == 1 and norms[0].shape == (2, 1)
@@ -473,10 +473,8 @@ class TestSeedIndependentInputs:
         + "objective.centers = 0.5,0.33333333333333331; 0.1,0.9\nobjective.coeffs = 1, -0.5\n"
     )
 
-    def test_bessel_k_calls_per_command(self, tmp_path, monkeypatch):
+    def test_bessel_k_calls_per_command(self, tmp_path, monkeypatch, fresh_memo):
         import gpucb.kernels
-        import gpucb.posterior
-        import gpucb.rkhs
 
         calls = []
         bessel_k = gpucb.kernels.bessel_k
@@ -490,8 +488,7 @@ class TestSeedIndependentInputs:
         counts = []
         for command in (lambda: cmd_run(write_config(tmp_path, self.TEXT), str(out)), lambda: cmd_report(str(out))):
             # each command starts as its own process does, with no kernel or objective built
-            monkeypatch.setattr(gpucb.posterior, "_KERNELS", {})
-            monkeypatch.setattr(gpucb.rkhs, "_SHARED", {})
+            fresh_memo.clear()
             calls.clear()
             assert command() == 0
             counts.append(len(calls))

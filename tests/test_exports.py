@@ -1,7 +1,8 @@
 """The package exports only what its modules declare public, every
 declared name exists, the CLI runs on numpy alone and grades through
 ``analysis.grade_suite`` alone, posterior.py holds all of its linear
-algebra, and config.py all of its ``key = value`` text."""
+algebra, config.py all of its ``key = value`` text, and posterior.py all
+of the per-process state."""
 
 import ast
 import importlib
@@ -105,3 +106,48 @@ def test_only_config_splits_key_value_lines(name):
         assert lines
     else:
         assert not lines, f"gpucb/{name}.py splits key = value lines at line(s) {lines}; config.py owns that text"
+
+
+
+# the containers that start empty: a displayed {}, [] or set(), or a call
+_CONTAINERS = {"dict", "list", "set", "OrderedDict", "defaultdict", "deque", "Counter"}
+_CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _empty_containers(tree: ast.Module) -> list[int]:
+    """Lines that bind a module-level name to an empty container."""
+    lines = []
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, ast.Dict) and not value.keys or isinstance(value, (ast.List, ast.Set)) and not value.elts:
+            lines.append(node.lineno)
+        elif isinstance(value, ast.Call) and not value.args and not value.keywords:
+            func = value.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in _CONTAINERS:
+                lines.append(node.lineno)
+    return lines
+
+
+def _functools_caches(tree: ast.Module) -> list[int]:
+    """Lines that reach a ``functools`` cache, as a decorator or otherwise."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _CACHES and getattr(node.value, "id", None) == "functools"
+        or isinstance(node, ast.ImportFrom) and node.module == "functools" and any(a.name in _CACHES for a in node.names)
+    ]
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_only_posterior_holds_state_across_calls(name):
+    # what a process builds once is held by posterior._held alone, beside
+    # the posterior's spare row buffer; posterior.py is checked too, so the
+    # check cannot be vacuous
+    tree = ast.parse(Path(gpucb.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
+    caches = _functools_caches(tree)
+    assert not caches, f"gpucb/{name}.py uses a functools cache at line(s) {caches}; posterior._held holds what is built once"
+    lines = _empty_containers(tree)
+    if name == "posterior":
+        assert lines
+    else:
+        assert not lines, f"gpucb/{name}.py binds a module-level empty container at line(s) {lines}; posterior._held holds state"

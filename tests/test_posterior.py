@@ -23,7 +23,7 @@ from gpucb import (
 )
 import gpucb.posterior
 from gpucb.kernels import kernel_cross, kernel_matrix
-from gpucb.posterior import _BLOCK, _cholesky, _inv_lower, _lower_product
+from gpucb.posterior import _BLOCK, _cholesky, _held, _inv_lower, _lower_product
 from gpucb.rkhs import Box
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -420,6 +420,56 @@ class TestGrowingPosterior:
                 assert np.allclose(mean, posterior_mean_at(state, self.shadow), rtol=0, atol=1e-9), (rho, t)
                 assert np.allclose(var, posterior_var_at(state, self.shadow), rtol=0, atol=1e-9), (rho, t)
         assert replays > 300
+
+
+class TestHeld:
+    """``_held``: one value per name, kept while the same key is asked for."""
+
+    def test_a_new_key_builds_with_nothing_held_under_its_name(self, fresh_memo):
+        seen = []
+
+        def build(value):
+            def run():
+                seen.append({name: held for name, (_, held) in fresh_memo.items()})
+                return value
+            return run
+
+        _held("other", (0,), build("kept"))
+        _held("x", (SE, np.arange(3.0)), build("first"))
+        assert _held("x", (SE, np.arange(4.0)), build("second")) == "second"
+        # the old value under the name went before the builder ran; the
+        # other name's value stayed
+        assert seen == [{}, {"other": "kept"}, {"other": "kept"}]
+
+    def test_the_same_key_returns_the_same_object(self, fresh_memo):
+        points = np.linspace(0.0, 1.0, 5)[:, None]
+        first = _held("kernel", (SE, points), lambda: kernel_matrix(SE, points))
+        # an equal key from another array: compared by shape and bytes
+        assert _held("kernel", (SE, points.copy()), None) is first
+        # the same bytes in another shape, or another spec, are another key
+        assert _held("kernel", (SE, points.reshape(1, 5)), lambda: "reshaped") == "reshaped"
+        assert _held("kernel", (MATERN_32, points), lambda: "matern") == "matern"
+        # -0.0 == 0.0, yet its bits differ: exact keys
+        zero = np.zeros(2)
+        _held("v", (zero,), lambda: "zero")
+        assert _held("v", (-zero,), lambda: "negative zero") == "negative zero"
+
+    def test_array_values_are_read_only(self, fresh_memo):
+        K = _held("kernel", (SE,), lambda: kernel_matrix(SE, np.zeros((2, 1))))
+        assert not K.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            K[0, 0] = 0.0
+
+    def test_a_failed_build_holds_nothing(self, fresh_memo):
+        _held("x", (1,), lambda: "old")
+
+        def fail():
+            raise NumericError("no")
+
+        with pytest.raises(NumericError):
+            _held("x", (2,), fail)
+        assert "x" not in fresh_memo
+        assert _held("x", (1,), lambda: "rebuilt") == "rebuilt"
 
 
 class TestLogdetInformation:

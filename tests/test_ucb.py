@@ -283,7 +283,7 @@ class TestRunLoop:
             assert trace.flag[t] == bool(np.all(err <= bound)), f"flag differs at step {t + 1}"
         assert 0 < np.count_nonzero(trace.flag) < trace.horizon
 
-    def test_shadow_column_extends_the_shared_matrix_bit_for_bit(self, monkeypatch):
+    def test_shadow_column_extends_the_shared_matrix_bit_for_bit(self, monkeypatch, fresh_memo):
         # the optimum lies off the 16 candidates: the run hands its posterior
         # the candidates' kernel matrix with the optimum's column appended,
         # read-only, and the memo keeps the candidates' own matrix
@@ -300,13 +300,12 @@ class TestRunLoop:
                 super().__init__(K, rho, horizon)
 
         monkeypatch.setattr("gpucb.ucb.GrowingPosterior", Recorded)
-        monkeypatch.setattr("gpucb.posterior._KERNELS", {})
         run_gp_ucb(config, config.objective_for_seed(0), 0)
         (K,) = handed
         want = kernel_matrix(config.kernel, np.vstack([grid[:16], grid[40]]))[:16]
         assert np.array_equal(K.view(np.int64), want.view(np.int64)) and not K.flags.writeable
-        (kept,) = posterior._KERNELS.values()
-        assert kept.shape == (16, 16) and posterior._points_kernel(config.kernel, grid[:16]) is kept
+        _, kept = fresh_memo["kernel"]
+        assert kept.shape == (16, 16) and posterior._held("kernel", (config.kernel, grid[:16]), None) is kept
 
     @pytest.mark.parametrize("kind, dim, count, grid_count", [
         ("lattice", 1, 64, 100),
@@ -351,7 +350,7 @@ class TestRunLoop:
             run_gp_ucb(config, config.objective_for_seed(0), 0)
         assert (excinfo.value.index, excinfo.value.step) == (5, 4)
 
-    def test_traces_do_not_depend_on_the_seed_order_or_the_kernel_memo(self, monkeypatch):
+    def test_traces_do_not_depend_on_the_seed_order_or_the_kernel_memo(self, monkeypatch, fresh_memo):
         # Halton candidates: the optimum is off them for seeds 0, 1, 3, 4, 5
         # and 7, whose runs track it as a shadow column: its kernel column
         # appended to a copy of the candidates' kernel matrix, which all
@@ -367,13 +366,13 @@ class TestRunLoop:
             out = {}
             for s in seeds:
                 if clear:
-                    posterior._KERNELS.clear()
+                    fresh_memo.clear()
                 out[s] = trace_to_csv(run_gp_ucb(config, fs[s], s))
             return out
 
-        posterior._KERNELS.clear()
+        fresh_memo.clear()
         built = []
-        monkeypatch.setattr("gpucb.posterior.kernel_matrix", lambda spec, X: built.append(len(X)) or kernel_matrix(spec, X))
+        monkeypatch.setattr("gpucb.ucb.kernel_matrix", lambda spec, X: built.append(len(X)) or kernel_matrix(spec, X))
         ordered = traces(config.seeds, False)
         assert built == [m]
         assert traces(config.seeds[::-1], False) == ordered
