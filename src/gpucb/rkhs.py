@@ -120,21 +120,23 @@ def scale_to_norm(f: RkhsFunction, B: float) -> RkhsFunction:
 
 def sample_random_rkhs(spec: KernelSpec, m: int, B: float, domain: Box, seed: int) -> RkhsFunction:
     """Random objective: m centers uniform in the box, normal coefficients,
-    rescaled to norm B.  Deterministic given the seed."""
+    rescaled to norm B.  Deterministic given the seed: the seed's objective
+    stream, ``default_rng([seed, 0])``, draws it, and draws again after a
+    degenerate draw of norm 0."""
     if m < 1:
         raise ValueError(f"need m >= 1 centers, got {m}")
     if not B > 0.0:
         raise ValueError(f"target norm must be positive, got {B}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 0])
     lo = np.asarray(domain.lower)
     hi = np.asarray(domain.upper)
-    centers = rng.uniform(lo, hi, size=(m, domain.dim))
-    coeffs = rng.standard_normal(m)
-    f = make_rkhs_function(spec, centers, coeffs)
-    if f.norm == 0.0:
-        # probability-zero degenerate draw
-        return sample_random_rkhs(spec, m, B, domain, seed + 1)
-    return scale_to_norm(f, B)
+    while True:
+        centers = rng.uniform(lo, hi, size=(m, domain.dim))
+        coeffs = rng.standard_normal(m)
+        f = make_rkhs_function(spec, centers, coeffs)
+        # a norm of 0 is a probability-zero degenerate draw
+        if f.norm != 0.0:
+            return scale_to_norm(f, B)
 
 
 def grid_maximum(f: RkhsFunction, grid) -> tuple[np.ndarray, float]:

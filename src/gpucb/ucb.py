@@ -180,9 +180,10 @@ def _noise(kind: str, sigma: float, rng: np.random.Generator, T: int) -> np.ndar
 
 
 def _seed_noise(config: "ExperimentConfig", seed: int) -> np.ndarray:
-    """The observation noise of a seed's run, one draw per step, from its own
-    stream at seed + 1: extending the horizon replays the same prefix."""
-    return _noise(config.noise_kind, config.noise_sigma, np.random.default_rng(seed + 1), config.horizon)
+    """The observation noise of a seed's run, one draw per step, from the
+    seed's noise stream ``default_rng([seed, 1])``: extending the horizon
+    replays the same prefix."""
+    return _noise(config.noise_kind, config.noise_sigma, np.random.default_rng([seed, 1]), config.horizon)
 
 
 def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> RegretTrace:
@@ -255,10 +256,11 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
 
 
 def edp_recommend(trace: RegretTrace, seed: int) -> np.ndarray:
-    """Recommend a uniformly random past sample point (seeded draw)."""
+    """Recommend a uniformly random past sample point, drawn from the seed's
+    recommendation stream ``default_rng([seed, 2])``."""
     if trace.horizon < 1:
         raise ValueError("trace is empty")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng([seed, 2])
     i = int(rng.integers(trace.horizon))
     return trace.X[i].copy()
 

@@ -647,7 +647,7 @@ class TestReport:
 
     def test_zero_sd_fails_growth_naming_the_traces(self, tmp_path):
         # a genuine run at rho = 1e-14 under a constant schedule: at t = 128
-        # the audit variance of seed 0 cancels to exactly 0 where the error
+        # the audit variance of seed 3 cancels to exactly 0 where the error
         # is not 0, so its ratio is infinite
         text = README_EXAMPLE.replace("horizon = 4096", "horizon = 128").replace("\nrho = 1\n", "\nrho = 1e-14\n")
         text = text.replace("beta.kind = log_product", "beta.kind = constant")
@@ -657,7 +657,7 @@ class TestReport:
         (row,) = [line for line in (out / "report.txt").read_text().splitlines() if "error-ratio growth" in line]
         assert row.startswith("FAIL  error-ratio growth: ")
         zero = [part for part in row.split(": ", 1)[1].split("; ") if "sd 0" in part]
-        assert zero == ["inf<=6.000 (seed 0: sd 0 at t=128)"]
+        assert zero == ["inf<=6.000 (seed 3: sd 0 at t=128)"]
 
     def test_skip_row_names_flag_rate_and_flagged_tail(self, tmp_path):
         # a small exploration constant leaves no trace fully flagged
@@ -1062,12 +1062,13 @@ class TestDamagedRunReport:
 
 
 def _edit_short_row(cell):
-    # one flipped digit in an observation of the 16-step cell
+    # an observation of the 16-step cell moved by one ulp, the least change
+    # to the value it parses to (a flipped 17th digit may parse to the same)
     path = cell / "horizon_16" / "trace_seed3.csv"
     lines = path.read_text().splitlines()
     row = lines[5].split(",")
     col = lines[0].split(",").index("y")
-    row[col] = row[col][:-1] + ("1" if row[col][-1] != "1" else "2")
+    row[col] = repr(float(np.nextafter(float(row[col]), np.inf)))
     lines[5] = ",".join(row)
     path.write_text("\n".join(lines) + "\n")
 

@@ -28,7 +28,7 @@ from gpucb import (
 from gpucb import posterior
 from gpucb.analysis import grid_columns
 from gpucb.posterior import _clamped_var
-from gpucb.ucb import beta_column
+from gpucb.ucb import _seed_noise, beta_column
 from conftest import make_config
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -146,15 +146,15 @@ class TestRunLoop:
     def test_matches_reference_posterior_loop(self):
         # the fixed-point-set recursion must select the same points and
         # record the same statistics as the direct posterior implementation,
-        # in its first W rows (steps 1-23) and across the refactors that
-        # rebuild them from the distinct design after steps 23 and 35
+        # in its first W rows (steps 1-21) and across the refactors that
+        # rebuild them from the distinct design after steps 21 and 34
         config = make_config(horizon=48, candidates_count=16, eval_grid_count=16, noise_sigma=0.05)
         f = config.objective_for_seed(0)
         trace = run_gp_ucb(config, f, 0)
 
         cand = config.candidate_points()
         state = fit(config.kernel, config.rho, np.empty((0, 1)), [])
-        rng = np.random.default_rng(0 + 1)
+        noise = _seed_noise(config, 0)
         from gpucb import posterior_mean_at, posterior_var_at
 
         for t in range(config.horizon):
@@ -167,14 +167,14 @@ class TestRunLoop:
             assert math.sqrt(posterior_var_at(state, cand[idx][None])[0]) == pytest.approx(
                 trace.sigma[t], abs=1e-9
             )
-            y = f.on_points(cand[idx])[0] + rng.normal(0.0, config.noise_sigma)
+            y = f.on_points(cand[idx])[0] + noise[t]
             assert y == pytest.approx(trace.y[t], abs=1e-12)
             state = update(state, cand[idx], y)
 
     @pytest.mark.slow
     def test_refactored_loop_matches_fit_at_the_readme_horizon(self):
-        # the README example refactors its rows 38 times, first after step
-        # 127; its mu and sigma at step 516, four refactors in, and at the
+        # the README example refactors its rows 37 times, first after step
+        # 135; its mu and sigma at step 516, five refactors in, and at the
         # last step must agree with a refit
         config = make_config(horizon=4096, candidates_count=256, eval_grid_count=256, c0=0.39)
         f = config.objective_for_seed(0)
