@@ -7,6 +7,13 @@ resulting traces: uniform error ratios, information-gain growth, and
 cumulative-regret exponents against the reference rates.
 """
 
+import os
+
+# One BLAS thread, set before the modules below load NumPy: a product split
+# over another thread count rounds differently, and a run's bytes would
+# follow the core count.  A caller that loaded NumPy first keeps its own.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from .analysis import (
     AuditSeries,
     BoundCheck,

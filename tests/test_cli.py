@@ -1,6 +1,9 @@
 """Command-line harness: exit codes, artifacts, determinism."""
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +160,39 @@ class TestRun:
         assert cmd_run(config, str(out2)) == 0
         for name in ("config.txt", "objective.txt", "trace_seed0.csv", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_blas_thread_count_leaves_the_bytes_unchanged(self, tmp_path):
+        # the se_wide_sweep workload's config at T = 512, whose refactors'
+        # products are large enough for OpenBLAS to split: at two threads the
+        # last digits of sigma and mu moved when the CLI took the caller's
+        # thread count.  Unset, OpenBLAS takes the core count, which on a
+        # 2-core machine is the run at 2, so the run at 1 is compared too
+        text = (
+            MINIMAL.replace("kernel.family = matern", "kernel.family = se")
+            .replace("kernel.nu = 1.5\n", "")
+            .replace("kernel.lengthscale = 0.5", "kernel.lengthscale = 0.2")
+            .replace("domain.dim = 1", "domain.dim = 2")
+            .replace("horizon = 8", "horizon = 512")
+            .replace("candidates.count = 16", "candidates.count = 2025")
+            .replace("eval_grid.count = 16", "eval_grid.count = 2025")
+            .replace("objective.m = 10", "objective.m = 20")
+            .replace("seeds = 0", "seeds = 0, 1")
+            + "beta.c0 = 0.39\n"
+        )
+        config = write_config(tmp_path, text)
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        src = str(Path(gpucb.config.__file__).resolve().parents[1])
+        trees = []
+        for threads in (None, "1", "2"):
+            env = {k: v for k, v in os.environ.items() if k not in names}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            if threads:
+                env.update(dict.fromkeys(names, threads))
+            out = tmp_path / f"threads_{threads}"
+            argv = [sys.executable, "-m", "gpucb.cli", "run", "--config", config, "--out", str(out)]
+            subprocess.run(argv, env=env, capture_output=True, check=True)
+            trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert trees[0] == trees[1] == trees[2]
 
     def test_multi_seed_and_jobs(self, tmp_path):
         text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2")
