@@ -9,9 +9,8 @@ cumulative-regret exponents against the reference rates.
 
 import os
 
-# One BLAS thread, set before the modules below load NumPy: a product split
-# over another thread count rounds differently, and a run's bytes would
-# follow the core count.  A caller that loaded NumPy first keeps its own.
+# one BLAS thread before NumPy loads: a product split over more threads
+# rounds differently (a caller that loaded NumPy first keeps its own count)
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from .analysis import (

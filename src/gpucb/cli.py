@@ -5,9 +5,8 @@ Exit codes: 0 success, 2 a missing, unreadable or malformed config, a
 mid-run (a broken posterior factorization, a non-finite score, or a kernel
 whose K_nu overflows double precision) or while a report grades, 4
 insufficient or damaged data for a report; a report that exits 2, 3 or 4
-leaves no report file.  Outputs are deterministic:
-rerunning a command with the same inputs produces byte-identical files,
-whatever the BLAS thread count (the package pins one thread).
+leaves no report file.  Rerunning a command with the same inputs produces
+byte-identical files, whatever the BLAS thread count (gpucb pins one).
 
 Run layout (one directory per suite)::
 

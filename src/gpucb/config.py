@@ -139,12 +139,9 @@ class ExperimentConfig:
     # -- per-seed streams ---------------------------------------------------
 
     def objective_for_seed(self, seed: int) -> RkhsFunction:
-        """The run objective: the seed's objective stream,
-        ``default_rng([seed, 0])``, draws it, apart from the noise stream
-        ``[seed, 1]`` and the recommendation stream ``[seed, 2]``, so horizon
-        and noise settings never change the function and no seed's stream
-        replays another's.  An explicit objective is the same for every
-        seed, built once per process."""
+        """The run objective, drawn from the seed's own objective stream, so
+        horizon and noise settings never change the function.  An explicit
+        objective is the same for every seed, built once per process."""
         obj = self.objective
         if obj.kind == "explicit":
             return _shared_objective(self.kernel, obj.centers, obj.coeffs)

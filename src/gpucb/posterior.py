@@ -93,10 +93,8 @@ def _held(name: str, key: tuple, build):
         return entry[1]
     _HELD.pop(name, None)
     value = build()
-    if isinstance(value, np.ndarray):
-        _freeze(value)
     _HELD[name] = key, value
-    return value
+    return _freeze(value) if isinstance(value, np.ndarray) else value
 
 
 @dataclass(frozen=True)

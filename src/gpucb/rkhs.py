@@ -3,10 +3,9 @@
 A function f(x) = sum_j c_j psi(x - x_j) has squared native-space norm
 c' K c with K the kernel matrix of the centers, so test objectives can be
 scaled to any target norm B exactly.  Their sup-norm never exceeds the
-native norm, which every test of the error bounds relies on.  An objective
-named by its kernel, centers and coefficients, and an objective's values over
-a grid, are held once per process by ``posterior._held``, so the seeds of an
-explicit-objective suite and the records of its report share one build.
+native norm, which every test of the error bounds relies on.  Through
+``posterior._held``, the seeds of a suite share one build of an explicit
+objective and of its values over the grid.
 """
 
 from __future__ import annotations

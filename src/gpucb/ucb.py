@@ -12,10 +12,9 @@ played so far), plus O(d^3 + d^2 n) whenever the posterior refactors its
 rows from those d points.  Refactors come more than d steps apart, so a
 run is O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  The
 loop owns the point sets and hands the posterior their kernel rows: the
-candidates' kernel matrix, held by ``posterior._held`` and shared by every
-seed and sweep cell, and for a seed with a shadow column a copy with that
-column's kernel entries appended, while the memo keeps the candidates' own
-matrix.
+candidates' kernel matrix, held by ``posterior._held`` for every seed and
+sweep cell, and for a seed with a shadow column a copy with that column's
+kernel entries appended.
 It is algebraically the same recursion as ``posterior.update`` restricted
 to the tracked points, and the tests pin the two against each other.
 
@@ -25,8 +24,8 @@ finiteness check, and the update.  The two safety minima, the variance's
 in its clamp check and the scores' in their finiteness check, are index
 reads ``a.item(a.argmin())``, which cost less than a ``np.minimum.reduce``
 call on arrays of this size (README times both).  The exploration
-weights are one column per schedule, horizon and rho, held like the
-kernel matrix, and the loop reads the objective, the noise and the posterior's
+weights are one column per schedule, horizon and rho, held like the kernel
+matrix, and the loop reads the objective, the noise and the posterior's
 scalars as Python floats.
 
 Per step the loop records its choice, the exploration weight, the

@@ -108,7 +108,6 @@ def test_only_config_splits_key_value_lines(name):
         assert not lines, f"gpucb/{name}.py splits key = value lines at line(s) {lines}; config.py owns that text"
 
 
-
 # the containers that start empty: a displayed {}, [] or set(), or a call
 _CONTAINERS = {"dict", "list", "set", "OrderedDict", "defaultdict", "deque", "Counter"}
 _CACHES = {"cache", "lru_cache", "cached_property"}
@@ -119,7 +118,7 @@ def _empty_containers(tree: ast.Module) -> list[int]:
     lines = []
     for node in tree.body:
         value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
-        if isinstance(value, ast.Dict) and not value.keys or isinstance(value, (ast.List, ast.Set)) and not value.elts:
+        if (isinstance(value, ast.Dict) and not value.keys) or (isinstance(value, (ast.List, ast.Set)) and not value.elts):
             lines.append(node.lineno)
         elif isinstance(value, ast.Call) and not value.args and not value.keywords:
             func = value.func
