@@ -116,7 +116,7 @@ def greedy_info_gain(K: np.ndarray, rho: float, T: int) -> np.ndarray:
         raise ValueError(f"need 1 <= T <= |candidates| = {m}, got T = {T}")
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    post = GrowingPosterior(K, rho, T)
+    post = GrowingPosterior(K, rho)
     series = np.empty(T)
     var = np.empty(m)
     total = 0.0

@@ -32,9 +32,9 @@ caller owns the point sets.  What the seeds and sweep cells of one command
 share, such as the candidates' kernel matrix, the objective, its values over
 the grid and the ``beta_t`` column, is built once per process by ``_held``:
 one read-only value per name, rebuilt only when its key changes.  A
-posterior that is done may ``release`` its row buffer, and the next
-posterior with the same shape takes it, so the seeds of a suite grow in one
-buffer.
+posterior's row buffer is sized by its points alone, (2m + 1) x n for m
+observable of n tracked points, whatever the horizon: mapped lazily, so a
+run touches only the rows it writes, and handed to no other posterior.
 """
 
 from __future__ import annotations
@@ -279,14 +279,6 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
     return _clamped_var(1.0 - np.sum(W, axis=0))
 
 
-# one entry: the row buffer W of the last released posterior, by shape.  The
-# seeds of a suite run one after another, and each takes the buffer the last
-# one released instead of allocating its own: freed, the buffers stayed
-# resident in the heap, and the se_wide_sweep benchmark's peak RSS read
-# 109-120 MiB without reuse (5 runs) against 91-100 MiB with it (10 runs)
-_SPARE: dict = {}
-
-
 class GrowingPosterior:
     """Posterior over a fixed set of n points, grown one observation at a time.
 
@@ -317,19 +309,19 @@ class GrowingPosterior:
     points against its n >= m tracked points, whose first m are those same
     points: a tracked point past them has a mean and a variance but is
     never observed, so it needs its kernel column alone.  The posterior
-    only reads ``K``.
+    only reads ``K``.  Its row buffer W is (2m + 1) x n whatever the
+    horizon, since the rows stay at most 2d + 1: left unset by
+    ``np.empty``, as every row is written before it is read, so its pages
+    are mapped only as rows are written, and handed to no other posterior.
     """
 
-    def __init__(self, K: np.ndarray, rho: float, horizon: int):
+    def __init__(self, K: np.ndarray, rho: float):
         self._K = K
-        n = K.shape[1]
+        m, n = K.shape
         self.rho = rho
         self.t = 0
         self.mean = np.zeros(n)
-        shape = (min(horizon, 2 * n + 1), n)
-        spare = _SPARE.pop(shape, None)
-        _SPARE.clear()  # another shape's buffer goes before a new one is allocated
-        self._W = np.empty(shape) if spare is None else spare
+        self._W = np.empty((2 * m + 1, n))
         self._rows = 0
         self._sumsq = np.zeros(n)
         self._count = np.zeros(n)
@@ -340,14 +332,6 @@ class GrowingPosterior:
         self._pos = np.full(n, -1)
         self._weight = np.ones(n)
         self._s = np.empty(n)
-
-    def release(self) -> None:
-        """Hand W's buffer to the next posterior of the same shape (every row
-        is written there before it is read); this posterior can no longer
-        observe."""
-        _SPARE.clear()
-        _SPARE[self._W.shape] = self._W
-        self._W = None
 
     def variance(self, out: np.ndarray | None = None) -> np.ndarray:
         """Predictive variance at every point before step t+1, into ``out``

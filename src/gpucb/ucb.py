@@ -217,7 +217,7 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
     else:
         opt = m
         K = _freeze(np.hstack([K, kernel_cross(spec, cand, grid[best:best + 1])]))
-    post = GrowingPosterior(K, rho, T)
+    post = GrowingPosterior(K, rho)
 
     choice = np.empty(T, dtype=np.intp)
     sigma_out, mu_out = np.empty((2, T))
@@ -242,7 +242,6 @@ def run_gp_ucb(config: "ExperimentConfig", f: RkhsFunction, seed: int) -> Regret
         mu_out[t] = mean_c
         post.observe(c, f_c + y_noise[t])
 
-    post.release()
     X, y, inst = cand[choice], f_cand[choice] + noise, f_star - f_cand[choice]
     cum = np.cumsum(inst)  # left to right, as report checks it
     for arr in (X, y, sigma_out, mu_out, inst, cum, flag_out):

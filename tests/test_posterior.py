@@ -21,7 +21,6 @@ from gpucb import (
     sample_random_rkhs,
     update,
 )
-import gpucb.posterior
 from gpucb.kernels import kernel_cross, kernel_matrix
 from gpucb.posterior import _BLOCK, _cholesky, _held, _inv_lower, _lower_product
 from gpucb.rkhs import Box
@@ -200,10 +199,10 @@ class TestPredictions:
         assert np.max(np.abs(posterior_var_at(state, grid) - posterior_var_at(direct, grid))) < 1e-9
 
 
-def grow(points, rho, horizon, order, y):
+def grow(points, rho, order, y):
     """A GrowingPosterior over ``points`` fed ``y`` at ``order``, yielding
     (mean, variance) before each step and after the last."""
-    post = GrowingPosterior(kernel_matrix(MATERN_03, points), rho, horizon)
+    post = GrowingPosterior(kernel_matrix(MATERN_03, points), rho)
     for t, c in enumerate(order):
         yield post.mean.copy(), post.variance()
         post.observe(c, y[t])
@@ -222,7 +221,7 @@ class TestGrowingPosterior:
 
     def test_matches_fit_across_the_refactors(self):
         for j, y in enumerate(self.ys):
-            for t, (mean, var) in enumerate(grow(self.points, 0.5, 40, self.order, y)):
+            for t, (mean, var) in enumerate(grow(self.points, 0.5, self.order, y)):
                 state = fit(MATERN_03, 0.5, self.points[self.order[:t]], y[:t])
                 assert np.allclose(mean, posterior_mean_at(state, self.points), rtol=0, atol=1e-9), (t, j)
                 assert np.allclose(var, posterior_var_at(state, self.points), rtol=0, atol=1e-9), (t, j)
@@ -234,8 +233,8 @@ class TestGrowingPosterior:
         # the last played, takes the last design row
         long = np.random.default_rng(12).integers(0, 8, size=400)
         for order, steps in ((self.order, [15, 25, 34]), (long, None)):
-            post = GrowingPosterior(self.K, 0.5, order.size)
-            assert post._W.shape[0] == min(order.size, 17)
+            post = GrowingPosterior(self.K, 0.5)
+            assert post._W.shape[0] == 17
             refactors = []
             for t, c in enumerate(order, start=1):
                 written = post._rows + 1  # the rows once this observation's row is in
@@ -261,8 +260,8 @@ class TestGrowingPosterior:
         # within its epoch (step 21 plays point 6 again since step 17 and
         # reads its own row) and after the second
         for j, y in enumerate(self.ys):
-            short = list(grow(self.points, 0.5, horizon, self.order[:horizon], y[:horizon]))
-            whole = list(grow(self.points, 0.5, 40, self.order, y))
+            short = list(grow(self.points, 0.5, self.order[:horizon], y[:horizon]))
+            whole = list(grow(self.points, 0.5, self.order, y))
             for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(short, whole)):
                 assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), (t, j)
 
@@ -271,7 +270,7 @@ class TestGrowingPosterior:
         # rows W = L^-1 K[D], leaving negative variances at observed points
         monkeypatch.setattr("gpucb.posterior._cholesky", lambda K, noise: 0.5 * _cholesky(K, noise))
         with pytest.raises(NumericError, match="negative posterior variance") as excinfo:
-            list(grow(self.points, 0.5, 40, self.order, self.ys[0]))
+            list(grow(self.points, 0.5, self.order, self.ys[0]))
         assert excinfo.value.step == 16
 
     def test_matches_fit_after_5000_replicated_observations(self):
@@ -281,7 +280,7 @@ class TestGrowingPosterior:
         rng = np.random.default_rng(13)
         order = rng.integers(0, 8, size=5000)
         y = rng.standard_normal(5000)
-        post = GrowingPosterior(self.K, 0.5, 5000)
+        post = GrowingPosterior(self.K, 0.5)
         last = None
         for t, c in enumerate(order, start=1):
             rows = post._rows
@@ -303,7 +302,7 @@ class TestGrowingPosterior:
         design = np.array([1, 3, 4, 6])
         order = np.concatenate([design, design, [1], rng.choice(design, size=2001)])
         y = rng.standard_normal(order.size)
-        post = GrowingPosterior(self.K, rho, order.size)
+        post = GrowingPosterior(self.K, rho)
         seen, design = {}, 0
         for t, c in enumerate(order, start=1):
             if t > 9:
@@ -330,7 +329,7 @@ class TestGrowingPosterior:
         order = np.concatenate([design, design, [1, 0, 3, 5, 0, 3, 0], rng.integers(0, 8, size=60)])
         y = rng.standard_normal(order.size)
         every = np.vstack([self.points, self.shadow])
-        post = GrowingPosterior(kernel_cross(MATERN_03, self.points, every), rho, order.size)
+        post = GrowingPosterior(kernel_cross(MATERN_03, self.points, every), rho)
         sources, designs, design = [], [], 0
         for t, c in enumerate(order, start=1):
             p = post._pos[c]
@@ -361,7 +360,7 @@ class TestGrowingPosterior:
         points = np.array(ref["points"])[:, None]
         order, y = ref["order"], ref["y"]
         checkpoints = {r["t"]: r for r in ref["checkpoints"] if r["rho"] == rho}
-        post = GrowingPosterior(kernel_matrix(spec, points), rho, len(order))
+        post = GrowingPosterior(kernel_matrix(spec, points), rho)
         for t, c in enumerate(order, start=1):
             post.observe(c, y[t - 1])
             if t in checkpoints:
@@ -369,33 +368,20 @@ class TestGrowingPosterior:
                 assert np.allclose(post.variance(), checkpoints[t]["var"], rtol=0, atol=3e-15), t
         assert len(checkpoints) == 6
 
-    def test_released_buffers_grow_the_next_posterior_bit_for_bit(self, monkeypatch):
-        # the next posterior of the same shape takes the released buffer,
-        # poisoned with NaN here, and grows exactly as in a fresh one; a
-        # posterior of another shape drops it
-        monkeypatch.setattr("gpucb.posterior._SPARE", {})
-
-        def run(post):
+    def test_every_row_is_written_before_it_is_read(self):
+        # W starts unset (np.empty): rows poisoned with NaN grow bit for bit
+        # as rows set to zeros, past the refactors after steps 15, 25 and 34
+        def run(fill):
+            post = GrowingPosterior(self.K, 0.5)
+            post._W.fill(fill)
             seen = []
             for c, y in zip(self.order, self.ys[0]):
                 seen.append((post.mean.copy(), post.variance()))
                 post.observe(c, y)
             return seen + [(post.mean.copy(), post.variance())]
 
-        fresh = run(GrowingPosterior(self.K, 0.5, 40))
-        used = GrowingPosterior(self.K, 0.5, 40)
-        for c, y in zip(self.order[::-1], self.ys[1]):
-            used.observe(c, y)
-        W = used._W
-        used.release()
-        W.fill(np.nan)
-        reused = GrowingPosterior(self.K, 0.5, 40)
-        assert reused._W is W and not gpucb.posterior._SPARE
-        for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(run(reused), fresh)):
+        for t, ((m_a, v_a), (m_b, v_b)) in enumerate(zip(run(np.nan), run(0.0))):
             assert np.array_equal(m_a, m_b) and np.array_equal(v_a, v_b), t
-        reused.release()
-        other = GrowingPosterior(self.K, 0.5, 12)  # 12 W rows, not 17
-        assert other._W is not W and not gpucb.posterior._SPARE
 
     shadow = np.array([[0.05], [0.55]])
 
@@ -409,7 +395,7 @@ class TestGrowingPosterior:
         order = np.concatenate([rng.integers(0, 8, size=30), design, design, rng.choice(design, size=400)])
         y = rng.standard_normal(order.size)
         every = np.vstack([self.points, self.shadow])
-        post = GrowingPosterior(kernel_cross(MATERN_03, self.points, every), rho, order.size)
+        post = GrowingPosterior(kernel_cross(MATERN_03, self.points, every), rho)
         replays = 0
         for t, c in enumerate(order, start=1):
             replays += int(post._pos[c] >= 0)

@@ -295,9 +295,9 @@ class TestRunLoop:
         handed = []
 
         class Recorded(GrowingPosterior):
-            def __init__(self, K, rho, horizon):
+            def __init__(self, K, rho):
                 handed.append(K)
-                super().__init__(K, rho, horizon)
+                super().__init__(K, rho)
 
         monkeypatch.setattr("gpucb.ucb.GrowingPosterior", Recorded)
         run_gp_ucb(config, config.objective_for_seed(0), 0)
