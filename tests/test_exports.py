@@ -113,18 +113,19 @@ _CONTAINERS = {"dict", "list", "set", "OrderedDict", "defaultdict", "deque", "Co
 _CACHES = {"cache", "lru_cache", "cached_property"}
 
 
-def _empty_containers(tree: ast.Module) -> list[int]:
-    """Lines that bind a module-level name to an empty container."""
-    lines = []
+def _empty_containers(tree: ast.Module) -> dict[int, str]:
+    """The module-level names bound to an empty container, by line."""
+    bound = {}
     for node in tree.body:
         value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
-        if (isinstance(value, ast.Dict) and not value.keys) or (isinstance(value, (ast.List, ast.Set)) and not value.elts):
-            lines.append(node.lineno)
-        elif isinstance(value, ast.Call) and not value.args and not value.keywords:
+        empty = (isinstance(value, ast.Dict) and not value.keys) or (isinstance(value, (ast.List, ast.Set)) and not value.elts)
+        if isinstance(value, ast.Call) and not value.args and not value.keywords:
             func = value.func
-            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in _CONTAINERS:
-                lines.append(node.lineno)
-    return lines
+            empty = (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in _CONTAINERS
+        if empty:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound[node.lineno] = ", ".join(ast.unparse(t) for t in targets)
+    return bound
 
 
 def _functools_caches(tree: ast.Module) -> list[int]:
@@ -139,14 +140,14 @@ def _functools_caches(tree: ast.Module) -> list[int]:
 
 @pytest.mark.parametrize("name", ["__init__"] + MODULES)
 def test_only_posterior_holds_state_across_calls(name):
-    # what a process builds once is held by posterior._held alone, beside
-    # the posterior's spare row buffer; posterior.py is checked too, so the
-    # check cannot be vacuous
+    # what a process builds once is held by posterior._held alone, in its
+    # one container _HELD; posterior.py is checked too, so the check cannot
+    # be vacuous
     tree = ast.parse(Path(gpucb.__file__).with_name(f"{name}.py").read_text(encoding="utf-8"))
     caches = _functools_caches(tree)
     assert not caches, f"gpucb/{name}.py uses a functools cache at line(s) {caches}; posterior._held holds what is built once"
-    lines = _empty_containers(tree)
+    bound = _empty_containers(tree)
     if name == "posterior":
-        assert lines
+        assert list(bound.values()) == ["_HELD"], f"gpucb/posterior.py binds {bound} (line: name); _HELD alone holds state"
     else:
-        assert not lines, f"gpucb/{name}.py binds a module-level empty container at line(s) {lines}; posterior._held holds state"
+        assert not bound, f"gpucb/{name}.py binds a module-level empty container at {bound} (line: name); posterior._held holds state"
