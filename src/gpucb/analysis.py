@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -463,22 +463,26 @@ def grade_suite(
     norms: Mapping[int, float],
     rows: Mapping[int, np.ndarray],
     K: np.ndarray,
-    t_min: int,
+    horizons: Collection[int],
 ) -> list[GradeRow]:
     """Grade a loaded suite: one row per check, in report order.
 
     Takes the suite's config and traces, each seed's objective values over
     the evaluation grid, objective norm and played grid rows, the
     candidates' kernel rows ``K`` against the grid (the candidates are the
-    grid's first rows) and the exponent fit's first checkpoint ``t_min``.
-    The regret exponent is fit from ``t_min`` to the horizon, every trace
-    is audited at the fit's checkpoints, and the greedy information gain
-    runs min(512, m) steps over the m candidates, skipped below 64.  Does
-    no I/O.  ValueError when the fit has too few traces or usable
-    checkpoints; NumericError or ArithmeticError from a fit while auditing.
+    grid's first rows) and the horizons of the graded cells, the suite's
+    own T the longest.  The regret exponent is fit up to T from the
+    shortest cell's horizon, or from max(T/16, 4) when every cell runs to
+    T; every trace is audited at the fit's checkpoints, and the greedy
+    information gain runs min(512, m) steps over the m candidates, skipped
+    below 64.  Does no I/O.  ValueError when the fit has too few traces or
+    usable checkpoints; NumericError or ArithmeticError from a fit while
+    auditing.
     """
     ref = rate_reference(config.kernel.family, config.kernel.nu, config.domain.dim)
-    fit_res = fit_regret_exponent(traces, t_min, config.horizon)
+    T = config.horizon
+    t_min = min(horizons) if min(horizons) < T else max(T // 16, 4)
+    fit_res = fit_regret_exponent(traces, t_min, T)
     audits = {
         tr.seed: prefix_bound_audit(f_grids[tr.seed], K, rows[tr.seed], tr.y, config.rho, fit_res.checkpoints)
         for tr in traces

@@ -362,8 +362,6 @@ def cmd_report(out_dir: str) -> int:
         for cell in cells:
             if cell != longest:
                 _check_cut(cell, longest, config, traces, configs[cell].horizon)
-        horizons = {c.horizon for c in configs.values()}
-        t_min = min(horizons) if len(horizons) > 1 else max(config.horizon // 16, 4)
         # the candidates' kernel rows against the grid, built once: every
         # audit reads its design rows from it, and the information gain its
         # leading square block, the candidates' kernel matrix (the
@@ -373,7 +371,7 @@ def cmd_report(out_dir: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     try:
-        graded = grade_suite(config, traces, f_grids, norms, rows, K, t_min)
+        graded = grade_suite(config, traces, f_grids, norms, rows, K, [c.horizon for c in configs.values()])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -68,8 +68,7 @@ def make_config(
 
 def grade_traces(config: ExperimentConfig, traces: list) -> list:
     """``analysis.grade_suite``'s rows for ``traces`` run under ``config``
-    against its own objectives, fit from max(T/16, 4) as ``report`` fits a
-    run."""
+    against its own objectives, graded as ``report`` grades a run."""
     grid = config.evaluation_points()
     K = kernel_cross(config.kernel, config.candidate_points(), grid)
     objectives = {tr.seed: config.objective_for_seed(tr.seed) for tr in traces}
@@ -80,5 +79,5 @@ def grade_traces(config: ExperimentConfig, traces: list) -> list:
         {seed: f.norm for seed, f in objectives.items()},
         {tr.seed: grid_columns(grid, tr.X) for tr in traces},
         K,
-        max(config.horizon // 16, 4),
+        [config.horizon],
     )
