@@ -216,11 +216,12 @@ def _load_suite(
 ) -> tuple[list[RegretTrace], dict, dict, dict]:
     """Traces, the recorded objectives' norms and values over the evaluation
     grid ``grid`` and the grid rows each trace played (each by seed) of one
-    suite, each objective checked against the config's kernel and each
-    trace against the config's beta schedule, its objective, the grid's
-    first m points (the candidates) and its seed's noise draws; OSError or
-    ValueError names what is damaged.  Seeds that share an objective share
-    one build of it and its grid values, as the seeds of a run do."""
+    suite, each objective checked against the config's kernel and then its
+    seed's objective, and each trace against the config's beta schedule,
+    its objective, the grid's first m points (the candidates) and its
+    seed's noise draws; OSError or ValueError names what is damaged.  Seeds
+    that share an objective share one build of it and its grid values, as
+    the seeds of a run do."""
     records = cell / "objective.txt"
     norms, f_grids = {}, {}
     start = 0  # the file lines before the record being read
@@ -236,6 +237,14 @@ def _load_suite(
                 if f.spec != config.kernel:
                     raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
                 norms[seed], f_grids[seed] = f.norm, _objective_values(f, grid)
+                # a record of no configured seed is never read; the centers
+                # must match exactly, the coefficients to round-off, as a
+                # BLAS-computed norm scales them
+                if seed in config.seeds:
+                    want = config.objective_for_seed(seed)
+                    if not (np.array_equal(f.centers, want.centers)
+                            and np.all(np.abs(f.coeffs - want.coeffs) <= 1e-12 * np.abs(want.coeffs))):
+                        raise ValueError(f"the record of seed {seed} is not config.txt's objective for that seed")
             start += block.count("\n") + 2
     # _NUMERIC: the record's K_nu overflows at its centers, or its squared
     # norm comes out negative

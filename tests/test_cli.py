@@ -477,7 +477,9 @@ class TestSharedReportBlock:
         m = cand.shape[0]
         assert K.shape == (m, m) and np.shares_memory(K, block) and np.array_equal(K, block[:, :m])
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
-        assert len(norms) == 5
+        # a norm per record, and two per seed's draw that checks its record:
+        # the draw's and the rescaled one's
+        assert len(norms) == 5 + 2 * 5
 
     def test_seeds_sharing_an_objective_evaluate_it_once(self, tmp_path, monkeypatch, fresh_memo):
         text = (
@@ -680,6 +682,22 @@ class TestReport:
         assert capsys.readouterr().err == ""
         rows = (out / "report.txt").read_text().splitlines()
         assert any(row.startswith("PASS  error-ratio growth: ") for row in rows)
+
+    def test_relabelled_objective_exits_4_naming_the_seed(self, tmp_path, capsys):
+        # a run at B = 0.5 under the config.txt of a run at B = 2: its traces
+        # agree with its own records, so only the records' check against the
+        # config tells the runs apart
+        text = README_EXAMPLE.replace("horizon = 4096", "horizon = 256")
+        for B in ("0.5", "2"):
+            config = write_config(tmp_path, text.replace("objective.B = 2\n", f"objective.B = {B}\n"), f"B{B}.txt")
+            assert cmd_run(config, str(tmp_path / f"B{B}")) == 0
+        out = tmp_path / "B0.5"
+        shutil.copyfile(tmp_path / "B2" / "config.txt", out / "config.txt")
+        capsys.readouterr()
+        assert cmd_report(str(out)) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: {out / 'objective.txt'}: the record of seed 0 is not config.txt's objective for that seed\n"
+        assert cmd_report(str(tmp_path / "B2")) == 0
 
     def test_zero_sd_fails_growth_naming_the_traces(self, tmp_path):
         # a genuine run at rho = 1e-14 under a constant schedule: at t = 128
@@ -1013,7 +1031,7 @@ class TestDamagedRunReport:
         (_drop_coeffs, "objective.txt: objective record has no coeffs field"),
         (_nan_coeff, "objective.txt: centers and coefficients must be finite"),
         (_widen_centers, "objective.txt: dimension mismatch: 2-d points against 1-d points"),
-        (_swap_seed_labels, "trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t)"),
+        (_swap_seed_labels, "objective.txt: the record of seed 1 is not config.txt's objective for that seed"),
         (_garbage_record_line, "objective.txt: malformed line 'garbage line here'"),
         (_repeat_record_key, "objective.txt: duplicate key 'family'"),
         (_repeat_seed_line, "objective.txt: duplicate key 'seed'"),
@@ -1088,13 +1106,34 @@ class TestDamagedRunReport:
         assert not (cell / "report.txt").is_file()
 
     def test_report_audits_the_recorded_objectives(self, suite, tmp_path, monkeypatch):
-        def redraw(self, seed):
-            raise AssertionError("report must read objective.txt, not draw again")
+        # each seed's objective is drawn again only to check its record: the
+        # grid values the report grades are the records' alone
+        import gpucb.cli
 
+        parse, draw, values = gpucb.cli.parse_objective_record, ExperimentConfig.objective_for_seed, gpucb.cli._objective_values
+        parsed, drawn, evaluated = [], [], []
+
+        def parse_recorded(text):
+            parsed.append(parse(text))
+            return parsed[-1]
+
+        def redraw(config, seed):
+            drawn.append((seed, draw(config, seed)))
+            return drawn[-1][1]
+
+        def evaluate(f, grid):
+            evaluated.append(f)
+            return values(f, grid)
+
+        monkeypatch.setattr(gpucb.cli, "parse_objective_record", parse_recorded)
         monkeypatch.setattr(ExperimentConfig, "objective_for_seed", redraw)
+        monkeypatch.setattr(gpucb.cli, "_objective_values", evaluate)
         cell = tmp_path / "run"
         shutil.copytree(suite, cell)
         assert cmd_report(str(cell)) == 0
+        assert [seed for seed, _ in drawn] == [seed for _, seed in parsed] == [0, 1, 2, 3, 4]
+        assert [id(f) for f in evaluated] == [id(f) for f, _ in parsed]
+        assert not {id(f) for _, f in drawn} & {id(f) for f in evaluated}
 
 
 def _edit_short_row(cell):
