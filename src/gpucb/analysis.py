@@ -483,16 +483,19 @@ def grade_suite(
     T = config.horizon
     t_min = min(horizons) if min(horizons) < T else max(T // 16, 4)
     fit_res = fit_regret_exponent(traces, t_min, T)
-    audits = {
-        tr.seed: prefix_bound_audit(f_grids[tr.seed], K, rows[tr.seed], tr.y, config.rho, fit_res.checkpoints)
-        for tr in traces
-    }
+    # the information gain goes before the audits: its posterior's row
+    # buffer, mapped afresh, is gone by the time the audits fill the heap,
+    # where after them its pages added to what the heap held
     m = K.shape[0]
     T_gain = min(512, m)
     if T_gain >= 64:
         gain = information_gain_row(greedy_info_gain(K[:, :m], config.rho, T_gain), ref)
     else:
         gain = GradeRow("information-gain growth", "SKIP", "candidate set too small")
+    audits = {
+        tr.seed: prefix_bound_audit(f_grids[tr.seed], K, rows[tr.seed], tr.y, config.rho, fit_res.checkpoints)
+        for tr in traces
+    }
     return [
         _exponent_row(fit_res, ref, config.digest()),
         _bias_row(audits, norms),
