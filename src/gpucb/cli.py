@@ -13,8 +13,9 @@ Run layout (one directory per suite)::
     out_dir/
       config.txt          resolved canonical config, written last: a
                           directory without it is not a finished run
-      objective.txt       one replayable objective record per seed
-      trace_seed<k>.csv   per-step trace for each seed
+      objective.txt       exactly one seed-labelled record per configured seed
+      trace_seed<k>.csv   per-step trace for each seed, header t, x_1..x_d,
+                          y, beta, sigma, mu, inst_regret, cum_regret, flag
       summary.csv         one row per seed
       report.txt          written by the report command, one row per check
       report.csv          written by the report command, the exponent fit
@@ -216,12 +217,12 @@ def _load_suite(
 ) -> tuple[list[RegretTrace], dict, dict, dict]:
     """Traces, the recorded objectives' norms and values over the evaluation
     grid ``grid`` and the grid rows each trace played (each by seed) of one
-    suite, each objective checked against the config's kernel and then its
-    seed's objective, and each trace against the config's beta schedule,
-    its objective, the grid's first m points (the candidates) and its
-    seed's noise draws; OSError or ValueError names what is damaged.  Seeds
-    that share an objective share one build of it and its grid values, as
-    the seeds of a run do."""
+    suite, each record checked to be the only one of a configured seed,
+    then against the config's kernel and its seed's objective, and each
+    trace against the config's beta schedule, its objective, the grid's
+    first m points (the candidates) and its seed's noise draws; OSError or
+    ValueError names what is damaged.  Seeds that share an objective share
+    one build of it and its grid values, as the seeds of a run do."""
     records = cell / "objective.txt"
     norms, f_grids = {}, {}
     start = 0  # the file lines before the record being read
@@ -234,17 +235,19 @@ def _load_suite(
                     # the reader numbers the record's lines; name the file's
                     line = None if exc.line is None else start + exc.line
                     raise ConfigError(exc.message, key=exc.key, line=line) from None
+                if seed not in config.seeds:
+                    raise ValueError(f"line {start + 1}: a record of seed {seed}, which config.txt does not run")
+                if seed in norms:
+                    raise ValueError(f"line {start + 1}: a second record of seed {seed}")
                 if f.spec != config.kernel:
                     raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
                 norms[seed], f_grids[seed] = f.norm, _objective_values(f, grid)
-                # a record of no configured seed is never read; the centers
-                # must match exactly, the coefficients to round-off, as a
-                # BLAS-computed norm scales them
-                if seed in config.seeds:
-                    want = config.objective_for_seed(seed)
-                    if not (np.array_equal(f.centers, want.centers)
-                            and np.all(np.abs(f.coeffs - want.coeffs) <= 1e-12 * np.abs(want.coeffs))):
-                        raise ValueError(f"the record of seed {seed} is not config.txt's objective for that seed")
+                # the centers must match exactly, the coefficients to
+                # round-off, as a BLAS-computed norm scales them
+                want = config.objective_for_seed(seed)
+                if not (np.array_equal(f.centers, want.centers)
+                        and np.all(np.abs(f.coeffs - want.coeffs) <= 1e-12 * np.abs(want.coeffs))):
+                    raise ValueError(f"the record of seed {seed} is not config.txt's objective for that seed")
             start += block.count("\n") + 2
     # _NUMERIC: the record's K_nu overflows at its centers, or its squared
     # norm comes out negative

@@ -424,22 +424,21 @@ def render_config(config: ExperimentConfig) -> str:
     return _write(_flatten(config))
 
 
-def objective_record(f: RkhsFunction, seed: int | None = None) -> str:
-    """Serialize an objective for exact replay; a given seed is the first line."""
+def objective_record(f: RkhsFunction, seed: int) -> str:
+    """Serialize a seed's objective for exact replay, the seed line first."""
     nu = _fmt(f.spec.nu) if f.spec.family is KernelFamily.MATERN else None
     fields = {"seed": seed, "family": f.spec.family.value, "nu": nu, "lengthscale": _fmt(f.spec.lengthscale)}
     fields.update(centers=_POINTS.render(f.centers), coeffs=_FLOATS.render(f.coeffs))
     return _write({key: str(value) for key, value in fields.items() if value is not None})
 
 
-def parse_objective_record(text: str) -> tuple[RkhsFunction, int | None]:
+def parse_objective_record(text: str) -> tuple[RkhsFunction, int]:
     """Inverse of objective_record (floats round-trip bit-exactly), built through
     the shared objective; ValueError names a malformed line, a repeated key or a missing field."""
     fields, _ = _read(text)
-    if missing := [k for k in ("family", "lengthscale", "centers", "coeffs") if k not in fields]:
+    if missing := [k for k in ("seed", "family", "lengthscale", "centers", "coeffs") if k not in fields]:
         raise ConfigError(f"objective record has no {', '.join(missing)} field")
     nu = float(fields["nu"]) if "nu" in fields else None
     spec = KernelSpec(KernelFamily(fields["family"]), nu=nu, lengthscale=float(fields["lengthscale"]))
     centers, coeffs = _list(_list(float), ";")(fields["centers"]), _list(float)(fields["coeffs"])
-    seed = int(fields["seed"]) if "seed" in fields else None
-    return _shared_objective(spec, centers, coeffs), seed
+    return _shared_objective(spec, centers, coeffs), int(fields["seed"])

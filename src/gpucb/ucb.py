@@ -271,9 +271,12 @@ def edp_recommend(trace: RegretTrace, seed: int) -> np.ndarray:
 _COLUMNS = ("y", "beta", "sigma", "mu", "inst_regret", "cum_regret", "flag")
 
 
+def _header(d: int) -> str:
+    """The header line of a trace with d-dimensional points."""
+    return ",".join(["t", *(f"x_{j + 1}" for j in range(d)), *_COLUMNS])
+
+
 def trace_to_csv(trace: RegretTrace) -> str:
-    d = trace.X.shape[1]
-    header = ["t"] + [f"x_{j + 1}" for j in range(d)] + list(_COLUMNS)
     # t and flag are small integers, which %.17g prints without a fraction
     block = np.column_stack([
         np.arange(1, trace.horizon + 1), trace.X, trace.y, trace.beta, trace.sigma,
@@ -282,23 +285,21 @@ def trace_to_csv(trace: RegretTrace) -> str:
     # one joined string: np.savetxt into a growing io buffer raised the peak
     # RSS of a 2025-point horizon sweep from 187 to 200 MiB
     row = ",".join(["%.17g"] * block.shape[1])
-    return "\n".join([",".join(header)] + [row % tuple(r) for r in block.tolist()]) + "\n"
+    return "\n".join([_header(trace.X.shape[1])] + [row % tuple(r) for r in block.tolist()]) + "\n"
 
 
 def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:
-    """Inverse of ``trace_to_csv``; ValueError on an empty trace, a missing
-    column, a ragged row, a skipped t or a flag other than 0 or 1, naming the
-    first defective line by its line number in the file, blank lines counted."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Inverse of ``trace_to_csv``, reading its columns by position;
+    ValueError on an empty trace, a header other than the writer's, a ragged
+    row (a blank one included), a skipped t or a flag other than 0 or 1,
+    naming the first defective line by its line number in the file."""
+    lines = text.splitlines()
     if not lines:
         raise ValueError("empty trace")
-    header = lines[0].split(",")
-    missing = [name for name in _COLUMNS if name not in header]
-    if missing:
-        raise ValueError(f"trace header has no {', '.join(missing)} column")
-    d = sum(1 for h in header if h.startswith("x_"))
-    cols = {name: i for i, name in enumerate(header)}
-    width, flag = len(header), cols["flag"]
+    width = lines[0].count(",") + 1
+    d = width - 1 - len(_COLUMNS)
+    if lines[0] != _header(d):
+        raise ValueError(f"trace header {lines[0]!r} is not t, x_1..x_d, {', '.join(_COLUMNS)}")
     body = lines[1:]
     T = len(body)
     # the rows split at once into whole columns, checked at once; only a trace
@@ -308,25 +309,19 @@ def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -
     if (
         any(ln.count(",") != width - 1 for ln in body)
         or columns[0] != list(map(str, range(1, T + 1)))
-        or not set(columns[flag]) <= {"0", "1"}
+        or not set(columns[-1]) <= {"0", "1"}
     ):
-        rows = [(number, ln) for number, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-        for step, (number, ln) in enumerate(rows[1:], start=1):
+        for step, ln in enumerate(body, start=1):
             row = ln.split(",")
             if len(row) != width:
-                raise ValueError(f"ragged row at line {number}: {len(row)} fields, header has {width}")
+                raise ValueError(f"ragged row at line {step + 1}: {len(row)} fields, header has {width}")
             if row[0] != str(step):
-                raise ValueError(f"non-consecutive t at line {number}: {row[0]!r} where {step} was expected")
-            if row[flag] not in ("0", "1"):
-                raise ValueError(f"flag at line {number} is {row[flag]!r}, not 0 or 1")
-
-    def col(name):
-        return np.array(columns[cols[name]], dtype=float)
-
+                raise ValueError(f"non-consecutive t at line {step + 1}: {row[0]!r} where {step} was expected")
+            if row[-1] not in ("0", "1"):
+                raise ValueError(f"flag at line {step + 1} is {row[-1]!r}, not 0 or 1")
+    y, beta, sigma, mu, inst, cum, flag = (np.array(c, dtype=float) for c in columns[1 + d:])
     return RegretTrace(
         X=np.ascontiguousarray(np.array(columns[1:1 + d], dtype=float).T).reshape(T, d),
-        y=col("y"), beta=col("beta"), sigma=col("sigma"), mu=col("mu"),
-        inst_regret=col("inst_regret"), cum_regret=col("cum_regret"),
-        flag=col("flag") == 1.0,
+        y=y, beta=beta, sigma=sigma, mu=mu, inst_regret=inst, cum_regret=cum, flag=flag == 1.0,
         f_star=f_star, seed=seed, spec=spec,
     )

@@ -18,6 +18,7 @@ from gpucb import (
     sample_random_rkhs,
     scale_to_norm,
 )
+from gpucb.config import ConfigError
 from gpucb.rkhs import Box
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -178,11 +179,14 @@ class TestRecords:
         assert np.array_equal(g.coeffs, f.coeffs)
         assert g.norm == f.norm
 
-    def test_seed_optional(self):
+    def test_seed_required(self):
+        # the writer always leads with the seed line; a record without it is
+        # not one the writer wrote
         f = make_rkhs_function(SE, [[0.1], [0.9]], [1.0, 2.0])
-        g, seed = parse_objective_record(objective_record(f))
-        assert seed is None
-        assert np.array_equal(g.coeffs, f.coeffs)
+        text = objective_record(f, 3)
+        assert text.startswith("seed = 3\n")
+        with pytest.raises(ConfigError, match=r"^objective record has no seed field$"):
+            parse_objective_record(text.removeprefix("seed = 3\n"))
 
     @pytest.mark.parametrize(
         "path", sorted(PINNED.glob("**/objective.txt")), ids=lambda p: str(p.relative_to(PINNED))
@@ -192,5 +196,5 @@ class TestRecords:
         # run joins them
         text = path.read_text(encoding="utf-8")
         records = [parse_objective_record(block) for block in text.split("\n\n")]
-        assert len(records) >= 5 and all(seed is not None for _, seed in records)
+        assert len(records) >= 5
         assert "\n".join(objective_record(f, seed) for f, seed in records) == text

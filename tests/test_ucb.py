@@ -439,18 +439,56 @@ class TestEdpRecommend:
         assert abs(float(np.mean(regrets)) - target) <= 3.0 * mc_err + 1e-12
 
 
+def _edit_columns(text, edit):
+    """The trace text with ``edit`` applied to its columns, each a tuple
+    of the column's name and then its fields."""
+    columns = list(zip(*(line.split(",") for line in text.splitlines())))
+    return "\n".join(",".join(row) for row in zip(*edit(columns))) + "\n"
+
+
 class TestTraceSerialization:
     def test_round_trip_bit_exact(self):
-        config = make_config(horizon=20, dim=2, candidates_count=25, eval_grid_count=25)
-        f = config.objective_for_seed(0)
-        trace = run_gp_ucb(config, f, 0)
-        text = trace_to_csv(trace)
-        back = trace_from_csv(text, trace.spec, trace.f_star, trace.seed)
-        # the record holds the file's columns plus what the reader supplies,
-        # so every field comes back
-        for field in dataclasses.fields(RegretTrace):
-            assert np.array_equal(getattr(back, field.name), getattr(trace, field.name)), field.name
-        assert trace_to_csv(back) == text
+        for dim, count in ((1, 25), (2, 25), (3, 27)):
+            config = make_config(horizon=20, dim=dim, candidates_count=count, eval_grid_count=count)
+            f = config.objective_for_seed(0)
+            trace = run_gp_ucb(config, f, 0)
+            text = trace_to_csv(trace)
+            back = trace_from_csv(text, trace.spec, trace.f_star, trace.seed)
+            # the record holds the file's columns plus what the reader
+            # supplies, so every field comes back
+            for field in dataclasses.fields(RegretTrace):
+                assert np.array_equal(getattr(back, field.name), getattr(trace, field.name)), (dim, field.name)
+            assert trace_to_csv(back) == text
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: [c[0], c[2], c[1], *c[3:]],
+        lambda c: [*c[:5], c[6], c[5], *c[7:]],
+        lambda c: [*c[:7], *c[8:]],
+        lambda c: [*c, ("regret_ratio", *c[7][1:])],
+        lambda c: [c[0], ("x_0", *c[1][1:]), ("x_1", *c[2][1:]), *c[3:]],
+    ], ids=["x_1_x_2_swapped", "sigma_mu_swapped", "inst_regret_dropped", "column_added", "x_0_x_1"])
+    def test_header_other_than_the_writers_is_rejected(self, edit):
+        # a 2-d trace: t, x_1, x_2, y, beta, sigma, mu, inst_regret, ...
+        config = make_config(horizon=6, dim=2, candidates_count=25, eval_grid_count=25)
+        trace = run_gp_ucb(config, config.objective_for_seed(0), 0)
+        text = _edit_columns(trace_to_csv(trace), edit)
+        header = text.split("\n", 1)[0]
+        want = f"trace header {header!r} is not t, x_1..x_d, y, beta, sigma, mu, inst_regret, cum_regret, flag"
+        with pytest.raises(ValueError) as info:
+            trace_from_csv(text, trace.spec, trace.f_star)
+        assert str(info.value) == want
+
+    @pytest.mark.parametrize("line", [2, 5, 8])
+    def test_blank_line_is_a_ragged_row_at_its_own_line(self, line):
+        # lines 2, 5 and 8 of a 6-row trace: the top, the middle and the end
+        # of its body
+        config = make_config(horizon=6)
+        trace = run_gp_ucb(config, config.objective_for_seed(0), 0)
+        lines = trace_to_csv(trace).splitlines()
+        lines.insert(line - 1, "")
+        with pytest.raises(ValueError) as info:
+            trace_from_csv("\n".join(lines) + "\n", trace.spec, trace.f_star)
+        assert str(info.value) == f"ragged row at line {line}: 1 fields, header has 9"
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_per_value_formatting(self, dim):
