@@ -298,7 +298,9 @@ class TestRowBlocks:
         K, whole = self.blocked(monkeypatch, 4 * 13, kernel_matrix, spec, X)
         assert np.array_equal(K, K.T)
         assert np.array_equal(K, whole)
-        assert np.array_equal(K, kernel_cross(spec, X, X))  # blocked too, both halves evaluated
+        # blocked too, every entry evaluated: reversed columns do not start
+        # with X, so no block copies the rows above
+        assert np.array_equal(K, kernel_cross(spec, X, X[::-1])[:, ::-1])
         assert np.all(np.diag(K) == 1.0)
 
     @staticmethod
