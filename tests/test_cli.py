@@ -855,9 +855,9 @@ def _open(reason):
 
 class TestForgeries:
     """Each known forgery of a README-config run (horizon 256, seeds 0-4), and
-    whether report catches it: exit 4, naming the file and, once caught, why.
-    A row marked open is one report still grades; its marker comes off with
-    the check that catches it."""
+    whether report catches it: exit 4 with one error line, naming the file
+    and why.  A row marked open is one report still grades; its marker comes
+    off with the check that catches it."""
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
@@ -876,27 +876,33 @@ class TestForgeries:
         shutil.copytree(runs[name], out)
         assert cmd_report(str(out)) == 0
 
-    @pytest.mark.parametrize("forge, file, message", [
-        pytest.param(_relabelled_run, "trace_seed0.csv", "",
-                     marks=_open("no check ties a choice to the configured rule"), id="relabelled_run"),
-        pytest.param(_consistent_forgery, "trace_seed0.csv", "",
-                     marks=_open("sigma, mu and the flag at the optimum are taken on trust"), id="consistent_forgery"),
-        pytest.param(_swapped_choice, "trace_seed0.csv", "",
-                     marks=_open("no check that a choice maximizes the rule's score"), id="swapped_choice"),
-        pytest.param(_relabelled_objective, "objective.txt",
-                     "the record of seed 0 is not config.txt's objective for that seed", id="relabelled_objective"),
-        pytest.param(_swapped_seeds, "objective.txt",
-                     "the record of seed 1 is not config.txt's objective for that seed", id="swapped_seeds"),
-        pytest.param(_appended_record_of_seed_7, "objective.txt",
-                     "line 36: a record of seed 7, which config.txt does not run", id="record_of_seed_7"),
+    @pytest.mark.parametrize("forge, expected", [
+        pytest.param(_relabelled_run, None, marks=_open("no check ties a choice to the configured rule"),
+                     id="relabelled_run"),
+        pytest.param(_consistent_forgery, None, marks=_open("sigma, mu and the flag at the optimum are taken on trust"),
+                     id="consistent_forgery"),
+        pytest.param(_swapped_choice, None, marks=_open("no check that a choice maximizes the rule's score"),
+                     id="swapped_choice"),
+        pytest.param(_relabelled_objective,
+                     ("objective.txt", "the record of seed 0 is not config.txt's objective for that seed"),
+                     id="relabelled_objective"),
+        pytest.param(_swapped_seeds,
+                     ("objective.txt", "the record of seed 1 is not config.txt's objective for that seed"),
+                     id="swapped_seeds"),
+        pytest.param(_appended_record_of_seed_7,
+                     ("objective.txt", "line 36: a record of seed 7, which config.txt does not run"),
+                     id="record_of_seed_7"),
     ])
-    def test_forgery_exits_4(self, runs, tmp_path, capsys, forge, file, message):
+    def test_forgery_exits_4(self, runs, tmp_path, capsys, forge, expected):
         out = tmp_path / "forged"
         forge(runs, out)
         capsys.readouterr()
         assert cmd_report(str(out)) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {out / file}: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # an open row asks for exit 4 alone: the check that catches it
+        # brings the file and the message it names
+        assert expected is None or err == f"error: {out / expected[0]}: {expected[1]}\n"
 
 
 def _drop_trace(cell):
