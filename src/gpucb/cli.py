@@ -26,23 +26,31 @@ written after the last: a sweep directory without it is not a finished
 sweep.  A sweep also removes a top-level ``config.txt`` first, so its
 directory holds no run.  ``report`` grades the run that ``config.txt`` marks,
 or else the cells the merged summary lists as ok, and never leftovers.
+
+``run`` is a sweep of one cell: one runner runs every cell's seeds, then
+the cells are written in value order.  Cells whose configs differ in the
+horizon alone, the cells of a horizon sweep, draw each seed's objective
+once and run its loop once, at the longest horizon, and cut the others
+from it; the cells of any other axis start afresh.  With ``--jobs`` above
+1 one process pool serves the whole command, mapped over the seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import grade_suite, grid_columns, trace_information_gain
 from .config import ConfigError, ExperimentConfig, _fmt, objective_record, parse_config
-from .config import parse_config_file, parse_objective_record, render_config
+from .config import _written_exactly, parse_config_file, parse_objective_record, render_config
 from .kernels import kernel_cross
 from .posterior import NumericError
-from .rkhs import RkhsFunction, _objective_values
-from .ucb import RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
+from .rkhs import _objective_values
+from .ucb import LoopHold, RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
 
@@ -53,9 +61,49 @@ _NUMERIC = (NumericError, ArithmeticError)
 _MERGED_HEADER = "axis,value,seed,status,cum_regret"
 
 
-def _run_one_seed(config: ExperimentConfig, seed: int) -> tuple[RkhsFunction, RegretTrace]:
-    f = config.objective_for_seed(seed)
-    return f, run_gp_ucb(config, f, seed)
+def _run_seed(configs: list[ExperimentConfig], seed: int) -> list:
+    """Seed ``seed``'s (objective, trace) pair under each of ``configs``,
+    which differ in the horizon alone, or the numeric failure that stopped
+    it there.  The objective is drawn once and one loop serves every
+    horizon: the longest runs first and the others are cut from it, so a
+    loop that fails at step k fails the horizons from k up."""
+    try:
+        f = configs[0].objective_for_seed(seed)
+    except _NUMERIC as exc:
+        return [exc] * len(configs)
+    hold = LoopHold()
+    runs: list = [None] * len(configs)
+    for i in sorted(range(len(configs)), key=lambda i: -configs[i].horizon):
+        try:
+            runs[i] = f, run_gp_ucb(configs[i], f, seed, hold)
+        except _NUMERIC as exc:
+            runs[i] = exc
+    return runs
+
+
+def _run_cells(configs: list[ExperimentConfig], jobs: int) -> list:
+    """Each config's runs, one (objective, trace) pair per seed, or the
+    numeric failure of its first failing seed in config order.  Configs
+    that differ in the horizon alone share each seed's loop (``_run_seed``);
+    with ``jobs`` above 1, one pool runs every such group's seeds."""
+    groups: dict = {}
+    for config in configs:
+        groups.setdefault(replace(config, horizon=0), []).append(config)
+    seeds = configs[0].seeds
+    tasks = [(group, seed) for group in groups.values() for seed in seeds]
+    workers = min(jobs, len(seeds))
+    if workers > 1:
+        import concurrent.futures  # only a pool pays for the import
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_run_seed, *zip(*tasks)))
+    else:
+        done = [_run_seed(*task) for task in tasks]
+    runs: dict = {config: [] for config in configs}
+    for (group, _), results in zip(tasks, done):
+        for config, run in zip(group, results):
+            runs[config].append(run)
+    return [next((run for run in runs[c] if isinstance(run, Exception)), runs[c]) for c in configs]
 
 
 def _summary_rows(config: ExperimentConfig, traces: list[RegretTrace]) -> str:
@@ -79,19 +127,14 @@ def _summary_rows(config: ExperimentConfig, traces: list[RegretTrace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_suite(config: ExperimentConfig, jobs: int, out_dir: Path) -> list[RegretTrace]:
-    """Run every seed, then write the suite's files from the objectives and
-    traces those runs produced.  ``config.txt`` marks a finished suite: any
-    earlier one is removed before the first write and the new one is written
-    last, so a write that stops part way leaves a directory without it."""
-    workers = min(jobs, len(config.seeds))
-    if workers > 1:
-        import concurrent.futures  # only a pool pays for the import
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_one_seed, [config] * len(config.seeds), config.seeds))
-    else:
-        runs = [_run_one_seed(config, s) for s in config.seeds]
+def _write_suite(config: ExperimentConfig, runs: list | Exception, out_dir: Path) -> None:
+    """Write a suite's files from the objectives and traces its seeds ran,
+    or raise the numeric failure that ``runs`` is, writing nothing.
+    ``config.txt`` marks a finished suite: any earlier one is removed
+    before the first write and the new one is written last, so a write that
+    stops part way leaves a directory without it."""
+    if isinstance(runs, Exception):
+        raise runs
     traces = [tr for _, tr in runs]
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -104,7 +147,6 @@ def _run_suite(config: ExperimentConfig, jobs: int, out_dir: Path) -> list[Regre
         write(f"trace_seed{tr.seed}.csv", trace_to_csv(tr))
     write("summary.csv", _summary_rows(config, traces))
     write("config.txt", render_config(config))
-    return traces
 
 
 def _load_configs(config_path: str, jobs: int = 1, axis: str | None = None, values: tuple | list = ()):
@@ -154,9 +196,9 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
     configs = _load_configs(config_path, jobs)
     if configs is None:
         return 2
-    config = configs[0]
     try:
-        traces = _run_suite(config, jobs, Path(out_dir))
+        runs = _run_cells(configs, jobs)[0]
+        _write_suite(configs[0], runs, Path(out_dir))
     except _NUMERIC as exc:
         step = getattr(exc, "step", None)
         where = f" at step {step}" if step is not None else ""
@@ -164,7 +206,7 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
         return 3
     except OSError as exc:
         return _unwritable(out_dir, exc)
-    print(f"wrote {len(traces)} trace(s) to {out_dir}")
+    print(f"wrote {len(runs)} trace(s) to {out_dir}")
     return 0
 
 
@@ -173,20 +215,21 @@ def _cell_name(axis: str, raw: str) -> str:
 
 
 def _run_sweep(configs: list[ExperimentConfig], axis: str, values: list[str], jobs: int, top: Path) -> int:
-    """Run one suite per value into its cell, then write the merged summary;
-    the number of cells that failed.  The merged summary marks a finished
-    sweep as ``config.txt`` does a suite: removed first (with a top-level
-    ``config.txt``, so the directory holds no run), written last."""
+    """Run every cell, then write each cell's suite in value order and the
+    merged summary; the number of cells that failed.  The merged summary
+    marks a finished sweep as ``config.txt`` does a suite: removed first
+    (with a top-level ``config.txt``, so the directory holds no run),
+    written last."""
     top.mkdir(parents=True, exist_ok=True)
     for name in ("config.txt", "summary.csv"):
         (top / name).unlink(missing_ok=True)
     merged = [_MERGED_HEADER]
     failures = 0
-    for raw, config in zip(values, configs):
+    for raw, config, runs in zip(values, configs, _run_cells(configs, jobs)):
         cell = top / _cell_name(axis, raw)
         try:
-            traces = _run_suite(config, jobs, cell)
-            for tr in traces:
+            _write_suite(config, runs, cell)
+            for _, tr in runs:
                 merged.append(
                     f"{axis},{raw},{tr.seed},ok,{_fmt(float(tr.cum_regret[-1]))}"
                 )
@@ -224,17 +267,20 @@ def _load_suite(
     ValueError names what is damaged.  Seeds that share an objective share
     one build of it and its grid values, as the seeds of a run do."""
     records = cell / "objective.txt"
-    norms, f_grids = {}, {}
+    norms, f_grids, parsed = {}, {}, []
     start = 0  # the file lines before the record being read
     try:
-        for block in records.read_text(encoding="utf-8").split("\n\n"):
+        text = records.read_text(encoding="utf-8")
+        for block in text.split("\n\n"):
             if block.strip():
                 try:
                     f, seed = parse_objective_record(block)
                 except ConfigError as exc:
-                    # the reader numbers the record's lines; name the file's
-                    line = None if exc.line is None else start + exc.line
+                    # the reader numbers the record's lines; name the file's,
+                    # or the record's first for a field it lacks
+                    line = start + (1 if exc.line is None else exc.line)
                     raise ConfigError(exc.message, key=exc.key, line=line) from None
+                parsed.append((f, seed))
                 if seed not in config.seeds:
                     raise ValueError(f"line {start + 1}: a record of seed {seed}, which config.txt does not run")
                 if seed in norms:
@@ -249,6 +295,9 @@ def _load_suite(
                         and np.all(np.abs(f.coeffs - want.coeffs) <= 1e-12 * np.abs(want.coeffs))):
                     raise ValueError(f"the record of seed {seed} is not config.txt's objective for that seed")
             start += block.count("\n") + 2
+        # the records as the writer joins them, and nothing else: no blank
+        # line between them but one, and none after the last
+        _written_exactly(text, "\n".join(objective_record(f, seed) for f, seed in parsed))
     # _NUMERIC: the record's K_nu overflows at its centers, or its squared
     # norm comes out negative
     except (ValueError, *_NUMERIC) as exc:

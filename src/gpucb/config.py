@@ -432,13 +432,47 @@ def objective_record(f: RkhsFunction, seed: int) -> str:
     return _write({key: str(value) for key, value in fields.items() if value is not None})
 
 
+def _written_exactly(text: str, written: str) -> None:
+    """ConfigError naming the first line where ``text`` departs from the
+    writer's ``written``, if it does."""
+    if text == written:
+        return
+    got, want = text.splitlines(keepends=True), written.splitlines(keepends=True)
+    n = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    a, b = (lines[n].removesuffix("\n") if n < len(lines) else None for lines in (got, want))
+    if b is None:
+        message = f"line {a!r} after the writer's last line"
+    elif a is None:
+        message = f"the text ends where the writer writes {b!r}"
+    elif a == b:
+        message = "the last line has no newline"
+    else:
+        message = f"line {a!r} where the writer writes {b!r}"
+    raise ConfigError(message, line=n + 1)
+
+
 def parse_objective_record(text: str) -> tuple[RkhsFunction, int]:
     """Inverse of objective_record (floats round-trip bit-exactly), built through
-    the shared objective; ValueError names a malformed line, a repeated key or a missing field."""
-    fields, _ = _read(text)
+    the shared objective; ValueError names a malformed line, a repeated key, a
+    missing field or a field that does not convert, and ConfigError the first
+    line that is not the writer's (a comment, a blank line, other digits).
+    The record's final newline is optional, as a record split from a file at
+    its blank lines has none."""
+    fields, lines = _read(text)
     if missing := [k for k in ("seed", "family", "lengthscale", "centers", "coeffs") if k not in fields]:
         raise ConfigError(f"objective record has no {', '.join(missing)} field")
-    nu = float(fields["nu"]) if "nu" in fields else None
-    spec = KernelSpec(KernelFamily(fields["family"]), nu=nu, lengthscale=float(fields["lengthscale"]))
-    centers, coeffs = _list(_list(float), ";")(fields["centers"]), _list(float)(fields["coeffs"])
-    return _shared_objective(spec, centers, coeffs), int(fields["seed"])
+
+    def field(key: str, parse: Callable[[str], Any]):
+        try:
+            return parse(fields[key])
+        except ValueError as exc:
+            raise ConfigError(str(exc), key=key, line=lines[key]) from None
+
+    nu = field("nu", _float) if "nu" in fields else None
+    family = field("family", _enum(KernelFamily).parse)
+    spec = KernelSpec(family, nu=nu, lengthscale=field("lengthscale", _float))
+    # non-finite centers and coefficients parse, for the objective to reject
+    f = _shared_objective(spec, field("centers", _list(_list(float), ";")), field("coeffs", _list(float)))
+    seed = field("seed", _int)
+    _written_exactly(text if text.endswith("\n") else text + "\n", objective_record(f, seed))
+    return f, seed

@@ -223,8 +223,10 @@ class TestRun:
         assert cmd_run(config, str(tmp_path / "run")) == 0
         assert draws == [0, 1, 2, 3, 4]
         draws.clear()
+        # the objective does not depend on the horizon: one draw per seed
+        # serves every cell of a horizon sweep
         assert cmd_sweep(config, "horizon", ["8", "16", "32"], str(tmp_path / "sweep")) == 0
-        assert draws == [0, 1, 2, 3, 4] * 3
+        assert draws == [0, 1, 2, 3, 4]
 
     def test_summary_info_gain_matches_refit(self, tmp_path):
         text = MINIMAL.replace("seeds = 0", "seeds = 0, 1").replace("horizon = 8", "horizon = 48")
@@ -568,6 +570,74 @@ class TestSweep:
             assert (out / f"horizon_{value}" / "trace_seed0.csv").exists()
         summary = (out / "summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 3 * 1  # header + |values| * |seeds|
+
+    @staticmethod
+    def tree(out):
+        return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_horizon_cells_are_independent_runs(self, tmp_path, fresh_memo):
+        # each seed runs one loop for all three cells, longest first; every
+        # cell is byte for byte the run at its own horizon
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2")
+        out = tmp_path / "sweep"
+        assert cmd_sweep(write_config(tmp_path, text), "horizon", ["32", "8", "16"], str(out)) == 0
+        for horizon in ("32", "8", "16"):
+            fresh_memo.clear()
+            alone = tmp_path / f"run_{horizon}"
+            assert cmd_run(write_config(tmp_path, text.replace("horizon = 8", f"horizon = {horizon}")), str(alone)) == 0
+            assert self.tree(out / f"horizon_{horizon}") == self.tree(alone)
+
+    def test_jobs_2_writes_the_bytes_of_jobs_1(self, tmp_path):
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2")
+        config = write_config(tmp_path, text)
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        assert cmd_sweep(config, "horizon", ["32", "8", "16"], str(serial), jobs=1) == 0
+        assert cmd_sweep(config, "horizon", ["32", "8", "16"], str(parallel), jobs=2) == 0
+        assert len(self.tree(serial)) == 1 + 3 * 6
+        assert self.tree(serial) == self.tree(parallel)
+
+    def test_loop_failing_mid_sweep_fails_the_cells_from_its_step(self, tmp_path, capsys, monkeypatch):
+        # every Cholesky call fails, so each seed's loop fails at its first
+        # refactor: the first step t with more rows than twice the distinct
+        # points played, read off an unbroken run
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2").replace("horizon = 8", "horizon = 64")
+        ok = tmp_path / "ok"
+        assert cmd_run(write_config(tmp_path, text), str(ok)) == 0
+        steps = []
+        for seed in (0, 1, 2):
+            x = np.loadtxt(ok / f"trace_seed{seed}.csv", delimiter=",", skiprows=1)[:, 1]
+            steps.append(next(t for t in range(1, 65) if t > 2 * np.unique(x[:t]).size))
+        k = min(steps)
+        assert 1 < k < max(steps) - 1 < 63
+        horizons = [64, k - 1, k, max(steps) - 1]
+        # the bytes of the cells below k, unbroken
+        unbroken = tmp_path / "unbroken"
+        assert cmd_sweep(write_config(tmp_path, text), "horizon", list(map(str, horizons)), str(unbroken)) == 0
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        # the failure each failing cell names is its own run's, the first
+        # failing seed's in config order
+        expected = []
+        for horizon in horizons[:1] + horizons[2:]:
+            capsys.readouterr()
+            alone = write_config(tmp_path, text.replace("horizon = 64", f"horizon = {horizon}"), f"h{horizon}.txt")
+            assert cmd_run(alone, str(tmp_path / f"failed_{horizon}")) == 3
+            message = capsys.readouterr().err.partition(": ")[2].partition(": ")[2]
+            expected.append(f"warning: cell horizon_{horizon} failed: {message}")
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert cmd_sweep(write_config(tmp_path, text), "horizon", list(map(str, horizons)), str(out)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "".join(expected)
+        assert captured.out == "sweep complete: 4 cell(s), 3 failed\n"
+        rows = [line.split(",")[1:4] for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert rows == [[str(h), str(s), "ok" if h < k else "failed"] for h in horizons for s in (0, 1, 2)]
+        below = out / f"horizon_{k - 1}"
+        assert self.tree(below) == self.tree(unbroken / below.name)
+        assert not any((out / f"horizon_{h}").exists() for h in horizons if h >= k)
 
     def test_c0_sweep(self, tmp_path):
         out = tmp_path / "cal"
@@ -967,6 +1037,34 @@ def _garbage_record_line(cell):
     path.write_text(path.read_text().replace("family = ", "garbage line here\nfamily = ", 1))
 
 
+def _note_in_record(cell):
+    path = cell / "objective.txt"
+    path.write_text(path.read_text().replace("family = ", "# a note\nfamily = ", 1))
+
+
+def _note_between_records(cell):
+    path = cell / "objective.txt"
+    blocks = path.read_text().split("\n\n")
+    path.write_text("\n\n".join(blocks[:1] + ["# a note"] + blocks[1:]))
+
+
+def _trailing_blank_lines(cell):
+    path = cell / "objective.txt"
+    path.write_text(path.read_text() + "\n\n\n")
+
+
+def _edit_record_field(key, value, record):
+    # the field ``key`` of the record-th record (0-based) set to ``value``
+    def damage(cell):
+        path = cell / "objective.txt"
+        blocks = path.read_text().split("\n\n")
+        lines = blocks[record].split("\n")
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+        blocks[record] = "\n".join(lines)
+        path.write_text("\n\n".join(blocks))
+    return damage
+
+
 def _repeat_seed_line(cell):
     path = cell / "objective.txt"
     path.write_text(path.read_text().replace("seed = 3\n", "seed = 3\nseed = 4\n", 1))
@@ -1176,6 +1274,16 @@ class TestDamagedRunReport:
         (_garbage_record_line, "objective.txt: malformed line 'garbage line here'"),
         (_repeat_record_key, "objective.txt: duplicate key 'family'"),
         (_repeat_seed_line, "objective.txt: duplicate key 'seed'"),
+        # layouts the writer never writes; each record is six lines and a blank one
+        (_note_in_record, "objective.txt: line '# a note' where the writer writes 'family = matern' (line 2)"),
+        (_note_between_records, "objective.txt: objective record has no seed, family, lengthscale, centers, "
+                                "coeffs field (line 8)"),
+        (_trailing_blank_lines, "objective.txt: line '' after the writer's last line (line 35)"),
+        # a field that does not convert names itself and its line
+        (_edit_record_field("seed", "two", 2), "objective.txt: expected an integer, got 'two' (key: seed) (line 15)"),
+        (_edit_record_field("nu", "1.5x", 0), "objective.txt: expected a number, got '1.5x' (key: nu) (line 3)"),
+        (_edit_record_field("lengthscale", "half", 1),
+         "objective.txt: expected a number, got 'half' (key: lengthscale) (line 11)"),
         (_record_of_seed_7, "objective.txt: line 36: a record of seed 7, which config.txt does not run"),
         (_second_record_of_seed_3, "objective.txt: line 36: a second record of seed 3"),
         (_drop_seed_line, "objective.txt: objective record has no seed field"),

@@ -28,7 +28,7 @@ from gpucb import (
 from gpucb import posterior
 from gpucb.analysis import grid_columns
 from gpucb.posterior import _clamped_var
-from gpucb.ucb import _seed_noise, beta_column
+from gpucb.ucb import LoopHold, _seed_noise, beta_column
 from conftest import make_config
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -404,6 +404,53 @@ class TestRunLoop:
         # 8 candidates: the posterior refactors after steps 15, 25 and 34,
         # so the short run stops before the first refactor or after it
         self.assert_runs_are_prefixes(short, long, candidates_count=8, eval_grid_count=8)
+
+    @staticmethod
+    def assert_same_run(a, b):
+        for field in dataclasses.fields(RegretTrace):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
+    def test_held_loop_runs_on_and_cuts_bit_for_bit(self):
+        # 8 candidates: refactors after steps 15, 25 and 34, so the held loop
+        # runs on across them and cuts between them
+        configs = {T: make_config(horizon=T, candidates_count=8, eval_grid_count=8, seeds=(4,)) for T in (8, 12, 24, 40)}
+        f = configs[8].objective_for_seed(4)
+        hold = LoopHold()
+        for T in (12, 40, 24, 40, 8):
+            self.assert_same_run(run_gp_ucb(configs[T], f, 4, hold), run_gp_ucb(configs[T], f, 4))
+        loop = hold.loop
+        run_gp_ucb(configs[12], f, 4, hold)
+        assert hold.loop is loop
+        # another seed, objective or config but the horizon starts afresh:
+        # each call changes one of them
+        g = configs[8].objective_for_seed(5)
+        for config, h, seed in (
+            (configs[12], f, 5),
+            (configs[12], g, 5),
+            (make_config(horizon=12, candidates_count=8, eval_grid_count=8, seeds=(4,), rho=0.5), g, 5),
+        ):
+            self.assert_same_run(run_gp_ucb(config, h, seed, hold), run_gp_ucb(config, h, seed))
+            assert hold.loop is not loop
+            loop = hold.loop
+
+    def test_held_loop_failing_at_a_step_fails_from_it_on(self, monkeypatch):
+        configs = {T: make_config(horizon=T, candidates_count=8, eval_grid_count=8, seeds=(4,)) for T in (14, 15, 16, 40)}
+        f = configs[40].objective_for_seed(4)
+        short = run_gp_ucb(configs[14], f, 4)
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        hold = LoopHold()
+        with pytest.raises(posterior.NumericError) as excinfo:
+            run_gp_ucb(configs[40], f, 4, hold)
+        assert excinfo.value.step == 15
+        self.assert_same_run(run_gp_ucb(configs[14], f, 4, hold), short)
+        for T in (15, 16, 40):
+            with pytest.raises(posterior.NumericError) as again:
+                run_gp_ucb(configs[T], f, 4, hold)
+            assert again.value is excinfo.value
 
 
 class TestEdpRecommend:
