@@ -31,7 +31,8 @@ or else the cells the merged summary lists as ok, and never leftovers.
 the cells are written in value order.  Cells whose configs differ in the
 horizon alone, the cells of a horizon sweep, draw each seed's objective
 once and run its loop once, at the longest horizon, and cut the others
-from it; the cells of any other axis start afresh.  With ``--jobs`` above
+from it; a loop that fails at step k runs again to step k for each cell
+from k up.  The cells of any other axis start afresh.  With ``--jobs`` above
 1 one process pool serves the whole command, mapped over the seeds.
 """
 
@@ -64,9 +65,10 @@ _MERGED_HEADER = "axis,value,seed,status,cum_regret"
 def _run_seed(configs: list[ExperimentConfig], seed: int) -> list:
     """Seed ``seed``'s (objective, trace) pair under each of ``configs``,
     which differ in the horizon alone, or the numeric failure that stopped
-    it there.  The objective is drawn once and one loop serves every
-    horizon: the longest runs first and the others are cut from it, so a
-    loop that fails at step k fails the horizons from k up."""
+    it there.  The objective is drawn once, and the longest horizon runs
+    first: a ``LoopHold`` keeps its trace and the others are cut from it.
+    A loop that fails at step k is not held, so each horizon from k up runs
+    afresh to step k and fails there, and the longest below k is held."""
     try:
         f = configs[0].objective_for_seed(seed)
     except _NUMERIC as exc:
@@ -365,9 +367,8 @@ def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list
             cut = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, whole.f_star, whole.seed)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        if cut.horizon != horizon or not all(
-            np.array_equal(v, getattr(whole, k)[:horizon]) for k, v in vars(cut).items() if isinstance(v, np.ndarray)
-        ):
+        want = whole.prefix(horizon)
+        if not all(np.array_equal(v, getattr(want, k)) for k, v in vars(cut).items() if isinstance(v, np.ndarray)):
             raise ValueError(f"{path}: not the first {horizon} rows of {longest.name}'s trace")
 
 
@@ -387,7 +388,7 @@ def _finished_suites(top: Path) -> list[Path]:
     cells = set()
     for line in lines[1:]:
         fields = line.split(",")
-        if len(fields) != 5:
+        if len(fields) != 5 or fields[3] not in ("ok", "failed"):
             raise ValueError(f"{path}: malformed row {line!r}")
         cell = top / _cell_name(fields[0], fields[1])
         if fields[3] == "ok":

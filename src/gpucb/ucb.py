@@ -35,11 +35,13 @@ incumbent optimum and the selected point.  Points, observations and regret
 follow from the choices, the objective on the grid and one noise draw.
 
 A step depends on the steps before it alone, never on the horizon, so the
-run at a shorter horizon is the first rows of a longer one.  A caller that
-runs one seed at several horizons, as a horizon sweep does, passes
-``run_gp_ucb`` a ``LoopHold`` it owns: the seed's one loop is then run on
-from call to call, or cut where a call asks for fewer steps than it has
-run.  A plain call keeps nothing between calls.
+run at a shorter horizon is the first rows of a longer one
+(``RegretTrace.prefix``).  A caller that runs one seed at several
+horizons, as a horizon sweep does, passes ``run_gp_ucb`` a ``LoopHold`` it
+owns and asks for the longest first: the hold keeps that run's trace, and
+a call at a shorter horizon is cut from it instead of running.  A run that
+raises is not held, so the next call runs afresh.  A plain call keeps
+nothing between calls.
 """
 
 from __future__ import annotations
@@ -174,6 +176,11 @@ class RegretTrace:
     def horizon(self) -> int:
         return self.X.shape[0]
 
+    def prefix(self, T: int) -> RegretTrace:
+        """The first T rows of every array, views of this trace's: of a run,
+        the same run at horizon T."""
+        return replace(self, **{k: v[:T] for k, v in vars(self).items() if isinstance(v, np.ndarray)})
+
 
 def _noise(kind: str, sigma: float, rng: np.random.Generator, T: int) -> np.ndarray:
     """T draws, equal to T single draws in turn; both kinds have variance
@@ -195,115 +202,15 @@ def _seed_noise(config: "ExperimentConfig", seed: int) -> np.ndarray:
 
 @dataclass
 class LoopHold:
-    """A caller's hold on one seed's loop between ``run_gp_ucb`` calls:
-    empty at first, then the loop of the last call, which a call on the same
-    inputs but the horizon runs on or cuts instead of starting afresh."""
+    """A caller's hold on the last run it finished through ``run_gp_ucb``:
+    that run's inputs but the horizon and its trace, empty at first.  A call
+    on the same inputs at a horizon no longer than the held one returns the
+    held trace's prefix instead of running."""
 
-    loop: _Loop | None = None
-
-
-class _Loop:
-    """One seed's sampling loop: its posterior and the records of the steps
-    run so far.  ``trace`` runs it on to a longer horizon or cuts it at a
-    shorter one; a step depends on the steps before it alone, so either way
-    the trace is the run at that horizon.  A loop that raised at step k
-    raises the same error for every horizon from k up, and keeps the steps
-    before it for the horizons below."""
-
-    def __init__(self, config: "ExperimentConfig", f: RkhsFunction, seed: int):
-        # the inputs a continued run must share: all but the horizon
-        self.config, self.f, self.seed = replace(config, horizon=0), f, seed
-        spec = config.kernel
-        self.cand = cand = config.candidate_points()
-        grid = config.evaluation_points()
-        m = cand.shape[0]
-        f_grid = _objective_values(f, grid)
-        best = int(np.argmax(f_grid))
-        self.f_star = float(f_grid[best])
-        self.f_cand = f_grid[:m]
-        # track the optimum through its own candidate column, or through a
-        # shadow column when it lies off the candidates: it is never played,
-        # so it needs its kernel column alone, appended to a copy of the
-        # candidates' kernel matrix, which every seed shares
-        K = _held("kernel", (spec, cand), lambda: kernel_matrix(spec, cand))
-        if best < m:
-            self.opt = best
-        else:
-            self.opt = m
-            K = _freeze(np.hstack([K, kernel_cross(spec, cand, grid[best:best + 1])]))
-        self.post = GrowingPosterior(K, config.rho)
-        # steps done, and the error that stopped the loop at the next one
-        self.done = 0
-        self.failure: Exception | None = None
-        self.choice = np.empty(0, dtype=np.intp)
-        self.sigma, self.mu = np.empty((2, 0))
-        self.flag = np.empty(0, dtype=bool)
-        # the noise draws and exploration weights of the longest horizon run
-        self.noise, self.beta = np.empty((2, 0))
-
-    def serves(self, config: "ExperimentConfig", f: RkhsFunction, seed: int) -> bool:
-        return f is self.f and seed == self.seed and replace(config, horizon=0) == self.config
-
-    def trace(self, config: "ExperimentConfig") -> RegretTrace:
-        """The run at ``config.horizon`` steps, run on to it or cut at it."""
-        T = config.horizon
-        if T > self.done:
-            self._run_to(config)
-        choice = self.choice[:T]
-        f_cand = self.f_cand
-        X, y, inst = self.cand[choice], f_cand[choice] + self.noise[:T], self.f_star - f_cand[choice]
-        cum = np.cumsum(inst)  # left to right, as report checks it
-        sigma, mu, flag = self.sigma[:T], self.mu[:T], self.flag[:T]
-        for arr in (X, y, sigma, mu, inst, cum, flag):
-            arr.setflags(write=False)
-        return RegretTrace(
-            X=X, y=y, beta=self.beta[:T], sigma=sigma, mu=mu,
-            inst_regret=inst, cum_regret=cum, flag=flag,
-            f_star=self.f_star, seed=self.seed, spec=config.kernel,
-        )
-
-    def _run_to(self, config: "ExperimentConfig") -> None:
-        """Run the steps from the last one done to ``config.horizon``."""
-        if self.failure is not None:
-            raise self.failure
-        T, t0 = config.horizon, self.done
-        # the seed's noise stream and the schedule replay their prefix at
-        # every horizon, so the longest draws serve every cut
-        self.noise = _seed_noise(config, self.seed)
-        self.beta = beta_column(config.beta, T, config.rho)
-        self.choice, self.sigma, self.mu, self.flag = (
-            np.concatenate([a, np.empty(T - t0, dtype=a.dtype)])
-            for a in (self.choice, self.sigma, self.mu, self.flag)
-        )
-        choice, sigma_out, mu_out, flag_out = self.choice, self.sigma, self.mu, self.flag
-        post, opt, f_star = self.post, self.opt, self.f_star
-        m = self.f_cand.shape[0]
-        # post.mean and sd are updated in place, so their views hold every step
-        mean = post.mean
-        sd = np.empty(mean.shape[0])
-        mean_cand, sd_cand = mean[:m], sd[:m]
-        score = np.empty(m)
-        f_values = self.f_cand.tolist()
-        t = t0
-        try:
-            for t, beta_t, noise_t in zip(range(t0, T), self.beta[t0:].tolist(), self.noise[t0:].tolist()):
-                np.sqrt(post.variance(out=sd), out=sd)
-                c = _select(mean_cand, sd_cand, beta_t, step=t + 1, out=score)
-                root_beta = math.sqrt(beta_t)
-                mean_c, sd_c, f_c = mean.item(c), sd.item(c), f_values[c]
-                flag_out[t] = (
-                    abs(f_star - mean.item(opt)) <= root_beta * sd.item(opt)
-                    and abs(f_c - mean_c) <= root_beta * sd_c
-                )
-                choice[t] = c
-                sigma_out[t] = sd_c
-                mu_out[t] = mean_c
-                post.observe(c, f_c + noise_t)
-        except Exception as exc:
-            # the posterior may be part way through step t + 1
-            self.done, self.failure = t, exc
-            raise
-        self.done = T
+    config: "ExperimentConfig | None" = None  # the held run's, at horizon 0
+    f: RkhsFunction | None = None
+    seed: int | None = None
+    trace: RegretTrace | None = None
 
 
 def run_gp_ucb(
@@ -313,20 +220,79 @@ def run_gp_ucb(
 
     The fixed candidates are the first rows of the evaluation grid, whose
     maximum is the reference optimum, so instantaneous regret is
-    non-negative.  With ``hold``, a loop held there from a call on the same
-    config but the horizon, the same objective (the same object) and seed
-    is run on to this horizon or cut at it, bit for bit the run from
-    scratch; otherwise this call's loop takes its place.  Without it the
-    call keeps nothing.
+    non-negative.  With ``hold``, a trace held there from a run on the same
+    config but the horizon, the same objective (the same object) and seed,
+    at a horizon no shorter, is cut at this one, bit for bit the run from
+    scratch; otherwise the call runs, and a run that finishes takes the
+    hold's place.  A run that raises leaves the hold as it was.  Without
+    ``hold`` the call keeps nothing.
     """
-    if config.horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {config.horizon}")
-    loop = None if hold is None else hold.loop
-    if loop is None or not loop.serves(config, f, seed):
-        loop = _Loop(config, f, seed)
-        if hold is not None:
-            hold.loop = loop
-    return loop.trace(config)
+    T = config.horizon
+    if T < 1:
+        raise ValueError(f"horizon must be >= 1, got {T}")
+    held = None if hold is None else hold.trace
+    if held is not None and T <= held.horizon and f is hold.f and seed == hold.seed:
+        if replace(config, horizon=0) == hold.config:
+            return held.prefix(T)
+    spec = config.kernel
+    rho = config.rho
+    cand = config.candidate_points()
+    grid = config.evaluation_points()
+    m = cand.shape[0]
+    f_grid = _objective_values(f, grid)
+    best = int(np.argmax(f_grid))
+    f_star = float(f_grid[best])
+    f_cand = f_grid[:m]
+    noise = _seed_noise(config, seed)
+    beta = beta_column(config.beta, T, rho)
+
+    # track the optimum through its own candidate column, or through a
+    # shadow column when it lies off the candidates: it is never played, so
+    # it needs its kernel column alone, appended to a copy of the
+    # candidates' kernel matrix, which every seed shares
+    K = _held("kernel", (spec, cand), lambda: kernel_matrix(spec, cand))
+    if best < m:
+        opt = best
+    else:
+        opt = m
+        K = _freeze(np.hstack([K, kernel_cross(spec, cand, grid[best:best + 1])]))
+    post = GrowingPosterior(K, rho)
+
+    choice = np.empty(T, dtype=np.intp)
+    sigma_out, mu_out = np.empty((2, T))
+    flag_out = np.empty(T, dtype=bool)
+    # post.mean and sd are updated in place, so their views hold every step
+    mean = post.mean
+    sd = np.empty(mean.shape[0])
+    mean_cand, sd_cand = mean[:m], sd[:m]
+    score = np.empty(m)
+    f_values, y_noise = f_cand.tolist(), noise.tolist()
+    for t, beta_t in enumerate(beta.tolist()):
+        np.sqrt(post.variance(out=sd), out=sd)
+        c = _select(mean_cand, sd_cand, beta_t, step=t + 1, out=score)
+        root_beta = math.sqrt(beta_t)
+        mean_c, sd_c, f_c = mean.item(c), sd.item(c), f_values[c]
+        flag_out[t] = (
+            abs(f_star - mean.item(opt)) <= root_beta * sd.item(opt)
+            and abs(f_c - mean_c) <= root_beta * sd_c
+        )
+        choice[t] = c
+        sigma_out[t] = sd_c
+        mu_out[t] = mean_c
+        post.observe(c, f_c + y_noise[t])
+
+    X, y, inst = cand[choice], f_cand[choice] + noise, f_star - f_cand[choice]
+    cum = np.cumsum(inst)  # left to right, as report checks it
+    for arr in (X, y, sigma_out, mu_out, inst, cum, flag_out):
+        arr.setflags(write=False)
+    trace = RegretTrace(
+        X=X, y=y, beta=beta, sigma=sigma_out, mu=mu_out,
+        inst_regret=inst, cum_regret=cum, flag=flag_out,
+        f_star=f_star, seed=seed, spec=spec,
+    )
+    if hold is not None:
+        hold.config, hold.f, hold.seed, hold.trace = replace(config, horizon=0), f, seed, trace
+    return trace
 
 
 def edp_recommend(trace: RegretTrace, seed: int) -> np.ndarray:
@@ -364,7 +330,7 @@ def trace_to_csv(trace: RegretTrace) -> str:
     return "\n".join([_header(trace.X.shape[1])] + [row % tuple(r) for r in block.tolist()]) + "\n"
 
 
-def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int = -1) -> RegretTrace:
+def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int) -> RegretTrace:
     """Inverse of ``trace_to_csv``, reading its columns by position;
     ValueError on an empty trace, a header other than the writer's, a ragged
     row (a blank one included), a skipped t or a flag other than 0 or 1,

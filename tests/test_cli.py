@@ -236,7 +236,7 @@ class TestRun:
         lines = (out / "summary.csv").read_text().splitlines()
         column = lines[0].split(",").index("info_gain")
         for line, seed in zip(lines[1:], (0, 1)):
-            trace = trace_from_csv((out / f"trace_seed{seed}.csv").read_text(), config.kernel, 0.0)
+            trace = trace_from_csv((out / f"trace_seed{seed}.csv").read_text(), config.kernel, 0.0, seed)
             refit = logdet_information(fit(config.kernel, config.rho, trace.X, trace.y))
             assert float(line.split(",")[column]) == pytest.approx(refit, rel=1e-10)
 
@@ -775,7 +775,7 @@ class TestReport:
         assert cmd_run(write_config(tmp_path, text + "beta.c0 = 0.2\n"), str(out)) == 0
         assert cmd_report(str(out)) == 0
         flags = [
-            trace_from_csv((out / f"trace_seed{seed}.csv").read_text(), None, 0.0).flag for seed in range(5)
+            trace_from_csv((out / f"trace_seed{seed}.csv").read_text(), None, 0.0, seed).flag for seed in range(5)
         ]
         assert not any(f.all() for f in flags)
         rate = sum(int(f.sum()) for f in flags) / 320
@@ -1459,6 +1459,21 @@ class TestSweepReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_merged_row_of_another_status_exits_4(self, sweep, tmp_path, capsys):
+        # rows neither ok nor failed, read as not ok, would leave the 16-step
+        # cell to be graded alone
+        out = tmp_path / "sweep"
+        shutil.copytree(sweep, out)
+        path = out / "summary.csv"
+        lines = [
+            ln.replace(",ok,", ",okay,") if ln.startswith("horizon,64,") else ln
+            for ln in path.read_text().splitlines()
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        assert cmd_report(str(out)) == 4
+        first = next(ln for ln in lines if ",okay," in ln)
+        assert capsys.readouterr().err == f"error: {path}: malformed row {first!r}\n"
 
     def test_sweep_stopped_in_its_last_cell_is_not_graded(self, sweep, tmp_path, capsys, monkeypatch):
         # a rerun over a finished sweep that stops writing its last cell

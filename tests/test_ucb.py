@@ -411,27 +411,29 @@ class TestRunLoop:
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
     def test_held_loop_runs_on_and_cuts_bit_for_bit(self):
-        # 8 candidates: refactors after steps 15, 25 and 34, so the held loop
-        # runs on across them and cuts between them
+        # 8 candidates: refactors after steps 15, 25 and 34, so the held
+        # trace is cut between them
         configs = {T: make_config(horizon=T, candidates_count=8, eval_grid_count=8, seeds=(4,)) for T in (8, 12, 24, 40)}
         f = configs[8].objective_for_seed(4)
         hold = LoopHold()
         for T in (12, 40, 24, 40, 8):
             self.assert_same_run(run_gp_ucb(configs[T], f, 4, hold), run_gp_ucb(configs[T], f, 4))
-        loop = hold.loop
+        # the cuts left the 40-step run held
+        longest = run_gp_ucb(configs[40], f, 4)
+        self.assert_same_run(hold.trace, longest)
         run_gp_ucb(configs[12], f, 4, hold)
-        assert hold.loop is loop
-        # another seed, objective or config but the horizon starts afresh:
-        # each call changes one of them
+        self.assert_same_run(hold.trace, longest)
+        # another seed, objective or config but the horizon runs afresh, and
+        # its run replaces the held one: each call changes one of them
         g = configs[8].objective_for_seed(5)
         for config, h, seed in (
             (configs[12], f, 5),
             (configs[12], g, 5),
             (make_config(horizon=12, candidates_count=8, eval_grid_count=8, seeds=(4,), rho=0.5), g, 5),
         ):
-            self.assert_same_run(run_gp_ucb(config, h, seed, hold), run_gp_ucb(config, h, seed))
-            assert hold.loop is not loop
-            loop = hold.loop
+            fresh = run_gp_ucb(config, h, seed)
+            self.assert_same_run(run_gp_ucb(config, h, seed, hold), fresh)
+            self.assert_same_run(hold.trace, fresh)
 
     def test_held_loop_failing_at_a_step_fails_from_it_on(self, monkeypatch):
         configs = {T: make_config(horizon=T, candidates_count=8, eval_grid_count=8, seeds=(4,)) for T in (14, 15, 16, 40)}
@@ -446,11 +448,37 @@ class TestRunLoop:
         with pytest.raises(posterior.NumericError) as excinfo:
             run_gp_ucb(configs[40], f, 4, hold)
         assert excinfo.value.step == 15
-        self.assert_same_run(run_gp_ucb(configs[14], f, 4, hold), short)
-        for T in (15, 16, 40):
+
+        def assert_fails_at_step_15(T):
             with pytest.raises(posterior.NumericError) as again:
                 run_gp_ucb(configs[T], f, 4, hold)
-            assert again.value is excinfo.value
+            assert again.value.step == 15 and str(again.value) == str(excinfo.value)
+
+        # a run that raises is not held, so each horizon from 15 up runs to
+        # step 15 again and fails there, before 14 is held and after
+        for T in (16, 15):
+            assert_fails_at_step_15(T)
+        assert hold.trace is None
+        self.assert_same_run(run_gp_ucb(configs[14], f, 4, hold), short)
+        for T in (15, 16, 40):
+            assert_fails_at_step_15(T)
+        self.assert_same_run(hold.trace, short)
+
+    def test_traces_and_held_cuts_are_read_only(self):
+        # a cut shares memory with the held trace, so a writable array would
+        # let one cell's caller change another's trace
+        configs = {T: make_config(horizon=T, seeds=(4,)) for T in (8, 16)}
+        f = configs[16].objective_for_seed(4)
+        hold = LoopHold()
+        whole, cut = run_gp_ucb(configs[16], f, 4, hold), run_gp_ucb(configs[8], f, 4, hold)
+        assert np.shares_memory(cut.X, whole.X)
+        for trace in (whole, cut):
+            arrays = {k: v for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
+            assert len(arrays) == 8
+            for name, arr in arrays.items():
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[0] = arr[-1]
 
 
 class TestEdpRecommend:
@@ -522,7 +550,7 @@ class TestTraceSerialization:
         header = text.split("\n", 1)[0]
         want = f"trace header {header!r} is not t, x_1..x_d, y, beta, sigma, mu, inst_regret, cum_regret, flag"
         with pytest.raises(ValueError) as info:
-            trace_from_csv(text, trace.spec, trace.f_star)
+            trace_from_csv(text, trace.spec, trace.f_star, trace.seed)
         assert str(info.value) == want
 
     @pytest.mark.parametrize("line", [2, 5, 8])
@@ -534,7 +562,7 @@ class TestTraceSerialization:
         lines = trace_to_csv(trace).splitlines()
         lines.insert(line - 1, "")
         with pytest.raises(ValueError) as info:
-            trace_from_csv("\n".join(lines) + "\n", trace.spec, trace.f_star)
+            trace_from_csv("\n".join(lines) + "\n", trace.spec, trace.f_star, trace.seed)
         assert str(info.value) == f"ragged row at line {line}: 1 fields, header has 9"
 
     @pytest.mark.parametrize("dim", [1, 2])
