@@ -293,20 +293,21 @@ class BoundCheck:
     applicable: bool
 
 
-def regret_bound_check(trace: RegretTrace, rho: float, grid_gap: float = 0.0) -> BoundCheck:
+def regret_bound_check(trace: RegretTrace, rho: float) -> BoundCheck:
     """Conditional cumulative-regret inequality for one trace.
 
     rhs = sqrt(8 / ln(1 + 1/rho)) * sqrt(T * beta_{T-1} * I_T), with I_T the
     half log-determinant of the trace's own design (``trace_information_gain``,
-    a certified lower bracket of the maximal information gain).  The check
-    applies only when the per-step error-bound flags all held; otherwise it
-    is vacuous and reported as not applicable.
+    a certified lower bracket of the maximal information gain), against the
+    trace's regret to the evaluation grid's optimum, with no slack.  The
+    check applies only when the per-step error-bound flags all held;
+    otherwise it is vacuous and reported as not applicable.
     """
     T = trace.horizon
     info = trace_information_gain(trace, rho)
     c2 = math.sqrt(8.0 / math.log1p(1.0 / rho))
     lhs = float(trace.cum_regret[-1])
-    rhs = c2 * math.sqrt(T * float(trace.beta[-1]) * info) + T * grid_gap
+    rhs = c2 * math.sqrt(T * float(trace.beta[-1]) * info)
     applicable = bool(np.all(trace.flag))
     holds = (lhs <= rhs) if applicable else True
     return BoundCheck(lhs=lhs, rhs=rhs, holds=holds, applicable=applicable)
@@ -410,11 +411,11 @@ def _flagged_from(flag: np.ndarray) -> str:
     return str(step) if step <= flag.size else "never"
 
 
-def _conditional_row(traces: Sequence[RegretTrace], rho: float, grid_gap: float) -> GradeRow:
+def _conditional_row(traces: Sequence[RegretTrace], rho: float) -> GradeRow:
     """The conditional regret bound on at least 9 in 10 of the fully flagged
     traces; SKIP, naming the flag rate and each trace's flagged tail, when
     none is."""
-    flagged = [c for c in (regret_bound_check(tr, rho, grid_gap) for tr in traces) if c.applicable]
+    flagged = [c for c in (regret_bound_check(tr, rho) for tr in traces) if c.applicable]
     if flagged:
         holds = sum(c.holds for c in flagged)
         return GradeRow(
@@ -500,6 +501,6 @@ def grade_suite(
         _exponent_row(fit_res, ref, config.digest()),
         _bias_row(audits, norms),
         _growth_row(audits, config.rho),
-        _conditional_row(traces, config.rho, config.grid_gap),
+        _conditional_row(traces, config.rho),
         gain,
     ]

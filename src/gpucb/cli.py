@@ -25,7 +25,8 @@ A sweep adds one ``<axis>_<value>`` subdirectory per value plus a merged
 written after the last: a sweep directory without it is not a finished
 sweep.  A sweep also removes a top-level ``config.txt`` first, so its
 directory holds no run.  ``report`` grades the run that ``config.txt`` marks,
-or else the cells the merged summary lists as ok, and never leftovers.
+or else the cells the merged summary lists as ok, and never leftovers; the
+graded ``config.txt`` must be the writer's text, line for line.
 
 ``run`` is a sweep of one cell: one runner runs every cell's seeds, then
 the cells are written in value order.  Cells whose configs differ in the
@@ -388,7 +389,8 @@ def _finished_suites(top: Path) -> list[Path]:
     cells = set()
     for line in lines[1:]:
         fields = line.split(",")
-        if len(fields) != 5 or fields[3] not in ("ok", "failed"):
+        # a cell is a directory of the sweep's own, never a path out of it
+        if len(fields) != 5 or fields[3] not in ("ok", "failed") or "/" in line:
             raise ValueError(f"{path}: malformed row {line!r}")
         cell = top / _cell_name(fields[0], fields[1])
         if fields[3] == "ok":
@@ -415,9 +417,15 @@ def cmd_report(out_dir: str) -> int:
     # grade the largest-horizon suite; every other cell must be a cut of it
     try:
         cells = _finished_suites(top)
-        configs = {c: parse_config((c / "config.txt").read_text(encoding="utf-8")) for c in cells}
+        texts = {c: (c / "config.txt").read_text(encoding="utf-8") for c in cells}
+        configs = {c: parse_config(text) for c, text in texts.items()}
         longest = max(cells, key=lambda c: configs[c].horizon)
         config = configs[longest]
+        # no line the run did not read, nor any other spelling, stands in it
+        try:
+            _written_exactly(texts[longest], render_config(config))
+        except ConfigError as exc:
+            raise ValueError(f"{longest / 'config.txt'}: {exc}") from None
         grid = config.evaluation_points()
         cand = config.candidate_points()
         traces, norms, f_grids, rows = _load_suite(longest, config, grid, cand.shape[0])
@@ -444,11 +452,12 @@ def cmd_report(out_dir: str) -> int:
     fields = next(row.fields for row in graded if row.fields)
     report = "".join(f"{row}\n" for row in graded)
     # report.txt holds the verdicts: written last, so a write that stops
-    # part way leaves none
+    # part way leaves none, and no report.csv
     try:
         (top / "report.csv").write_text(",".join(fields) + "\n" + ",".join(fields.values()) + "\n", encoding="utf-8")
         (top / "report.txt").write_text(report, encoding="utf-8")
     except OSError as exc:
+        (top / "report.csv").unlink(missing_ok=True)
         return _unwritable(out_dir, exc)
     print(report, end="")
     return 0

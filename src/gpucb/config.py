@@ -4,15 +4,15 @@ A config file is plain ``key = value`` lines with dotted key paths, such as
 ``kernel.nu = 1.5`` or ``seeds = 0, 1, 2``; blank lines and ``#`` comments
 are skipped.  The table ``_KEYS`` is the format's definition.  It has one
 row per key, in canonical render order, giving the key's kind (how its text
-parses and renders), its default text or ``_REQUIRED``, the key value it
-applies under (``kernel.nu`` only for Matern kernels, say), and whether a
-sweep may override it.  ``parse_config``, ``render_config`` and
+parses and renders), its default text or ``_REQUIRED``, the values of a
+key it applies under (``beta.c_subg`` only for ``log_product``, say), and
+whether a sweep may override it.  ``parse_config``, ``render_config`` and
 ``ExperimentConfig.with_override`` all go through that one table, so a
 value gets the same conversion and checks wherever it comes from.
 
 A key outside the table is an error; a known key that does not apply is
-accepted and ignored.  Vectors are comma lists, and a single value is
-repeated to ``domain.dim`` components; explicit objective centers are
+accepted, ignored and not rendered.  Vectors are comma lists, a single
+value repeated to ``domain.dim`` components; explicit objective centers are
 semicolon-separated points.  Lattice counts round to the nearest per-axis
 integer grid, so the realized count is the nearest perfect d-th power.
 An objective record is the same text, one line per field, its seed first.
@@ -84,7 +84,6 @@ class ExperimentConfig:
     eval_grid_count: int
     objective: ObjectiveSpec
     seeds: tuple[int, ...]
-    grid_gap: float = 0.0
 
     def validate(self) -> None:
         """Checks that span several fields.  A single key's checks run where
@@ -154,10 +153,12 @@ class ExperimentConfig:
         """New config with one sweepable key set to ``value`` (sweep support).
 
         The value is converted and checked exactly as the same text in a
-        config file would be."""
-        if key not in _KEYS or not _KEYS[key].sweep:
-            raise ConfigError(f"cannot sweep over key {key!r}", key=key)
-        return _build({**_flatten(self), key: str(value).strip()})
+        config file would be; a key that does not apply is not sweepable."""
+        fields = _flatten(self)
+        axes = [k for k in fields if _KEYS[k].sweep]
+        if key not in axes:
+            raise ConfigError(f"cannot sweep over key {key!r}; this config sweeps {', '.join(axes)}", key=key)
+        return _build({**fields, key: str(value).strip()})
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +288,22 @@ _POINTS = _Kind(
 _SEEDS = _Kind(_list(_checked(_int, lambda v: v >= 0, ">= 0")), lambda v: ", ".join(map(str, v)))
 
 _REQUIRED = None
-_MATERN = ("kernel.family", KernelFamily.MATERN)
-_EXPLICIT = ("objective.kind", "explicit")
-_RANDOM = ("objective.kind", "random")
+_MATERN = ("kernel.family", {KernelFamily.MATERN})
+_EXPLICIT = ("objective.kind", {"explicit"})
+_RANDOM = ("objective.kind", {"random"})
+_LOGARITHMIC = ("beta.kind", {BetaKind.LOG_PRODUCT, BetaKind.SRINIVAS})
+_LOG_PRODUCT = ("beta.kind", {BetaKind.LOG_PRODUCT})
+_CONSTANT = ("beta.kind", {BetaKind.CONSTANT})
 
 
 class _Key(NamedTuple):
     kind: _Kind
     default: str | None                  # text used when the key is absent
-    when: tuple[str, Any] | None = None  # applies only while that key has that value
+    when: tuple[str, set] | None = None  # applies only while that key has one of those values
     sweep: bool = False                  # a sweep axis may override it
 
     def applies(self, values: dict[str, Any]) -> bool:
-        return self.when is None or values[self.when[0]] == self.when[1]
+        return self.when is None or values[self.when[0]] in self.when[1]
 
 
 _KEYS = {
@@ -314,10 +318,10 @@ _KEYS = {
     "noise.sigma": _Key(_NONNEGATIVE, _REQUIRED, sweep=True),
     "horizon": _Key(_COUNT, _REQUIRED, sweep=True),
     "beta.kind": _Key(_enum(BetaKind), _REQUIRED),
-    "beta.delta": _Key(_FLOAT, "0.1", sweep=True),
-    "beta.c0": _Key(_FLOAT, "1", sweep=True),
-    "beta.c_subg": _Key(_FLOAT, "1", sweep=True),
-    "beta.constant_value": _Key(_FLOAT, "1", sweep=True),
+    "beta.delta": _Key(_FLOAT, "0.1", when=_LOGARITHMIC, sweep=True),
+    "beta.c0": _Key(_FLOAT, "1", when=_LOGARITHMIC, sweep=True),
+    "beta.c_subg": _Key(_FLOAT, "1", when=_LOG_PRODUCT, sweep=True),
+    "beta.constant_value": _Key(_FLOAT, "1", when=_CONSTANT, sweep=True),
     "candidates.count": _Key(_COUNT, _REQUIRED, sweep=True),
     "candidates.method": _Key(_word("lattice", "low_discrepancy"), _REQUIRED),
     "eval_grid.count": _Key(_COUNT, _REQUIRED, sweep=True),
@@ -327,7 +331,6 @@ _KEYS = {
     "objective.m": _Key(_COUNT, "1", when=_RANDOM),
     "objective.B": _Key(_POSITIVE, "1", when=_RANDOM, sweep=True),
     "seeds": _Key(_SEEDS, _REQUIRED),
-    "grid_gap": _Key(_NONNEGATIVE, "0", sweep=True),
 }
 
 # Key prefixes that name a part of the config, with the constructor that

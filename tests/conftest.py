@@ -41,7 +41,6 @@ def make_config(
     centers=None,
     coeffs=None,
     seeds=(0,),
-    grid_gap=0.0,
 ) -> ExperimentConfig:
     kernel = KernelSpec(family, nu=nu if family is KernelFamily.MATERN else None,
                         lengthscale=lengthscale)
@@ -60,7 +59,6 @@ def make_config(
         eval_grid_count=eval_grid_count,
         objective=ObjectiveSpec(kind=objective_kind, m=m, B=B, centers=centers, coeffs=coeffs),
         seeds=tuple(seeds),
-        grid_gap=grid_gap,
     )
     config.validate()
     return config

@@ -350,9 +350,9 @@ def test_c09_conditional_regret_bound(matern_suite, matern_rows):
     unconditional = 0
     for trace in traces:
         # every flagged step of every suite trace obeys the per-step bound
-        bound = 2.0 * np.sqrt(trace.beta) * trace.sigma + config.grid_gap
+        bound = 2.0 * np.sqrt(trace.beta) * trace.sigma
         assert np.all(trace.inst_regret[trace.flag] <= bound[trace.flag] + 1e-9)
-        res = regret_bound_check(trace, config.rho, config.grid_gap)
+        res = regret_bound_check(trace, config.rho)
         unconditional += int(res.lhs <= res.rhs)
     row = matern_rows["conditional regret bound"]
     if row.verdict != "SKIP":

@@ -419,12 +419,6 @@ class TestRegretBoundCheck:
         if total:
             assert held == total
 
-    def test_grid_gap_relaxes_bound(self):
-        trace = synthetic_trace(np.linspace(1.0, 10.0, 8), spec=SE)
-        tight = regret_bound_check(trace, 1.0, grid_gap=0.0)
-        loose = regret_bound_check(trace, 1.0, grid_gap=5.0)
-        assert loose.rhs == pytest.approx(tight.rhs + 8 * 5.0, rel=1e-12)
-
 
 class TestCalibrateC0:
     def test_quantile_of_normalized_ratios(self):
@@ -548,14 +542,14 @@ class TestGradeRows:
     @pytest.mark.parametrize("held, verdict", [(10, "PASS"), (9, "PASS"), (8, "FAIL")])
     def test_conditional_row_share_of_flagged_traces(self, held, verdict):
         traces = flagged_traces(held, 10)
-        assert str(_conditional_row(traces, 1.0, 0.0)) == (
+        assert str(_conditional_row(traces, 1.0)) == (
             f"{verdict}  conditional regret bound: {held}/10 flagged traces satisfied the bound"
         )
 
     def test_conditional_row_counts_flagged_traces_only(self):
         unflagged = synthetic_trace(np.full(4, 50.0))
         unflagged = RegretTrace(**{**unflagged.__dict__, "flag": np.array([False, True, True, True])})
-        row = _conditional_row(flagged_traces(1, 2) + [unflagged], 1.0, 0.0)
+        row = _conditional_row(flagged_traces(1, 2) + [unflagged], 1.0)
         assert row.detail == "1/2 flagged traces satisfied the bound" and row.verdict == "FAIL"
 
     def test_conditional_row_skips_without_flagged_traces(self):
@@ -563,7 +557,7 @@ class TestGradeRows:
         traces = [
             RegretTrace(**{**synthetic_trace(np.ones(4)).__dict__, "flag": np.array(f)}) for f in flags
         ]
-        assert str(_conditional_row(traces, 1.0, 0.0)) == (
+        assert str(_conditional_row(traces, 1.0)) == (
             "SKIP  conditional regret bound: no fully flagged traces; flag rate 0.6250 over 8 steps; "
             "every later flag held from step 3, never"
         )

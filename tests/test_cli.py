@@ -647,6 +647,26 @@ class TestSweep:
     def test_unknown_axis(self, tmp_path):
         assert cmd_sweep(write_config(tmp_path), "nonsense.key", ["1"], str(tmp_path / "s")) == 2
 
+    @pytest.mark.parametrize("edits, axis", [
+        ((), "beta.constant_value"),
+        ((("kernel.family = matern", "kernel.family = squared_exponential"),), "kernel.nu"),
+        ((("beta.kind = log_product", "beta.kind = srinivas"),), "beta.c_subg"),
+        ((("beta.kind = log_product", "beta.kind = constant"),), "beta.c0"),
+    ], ids=["constant_value_under_log_product", "nu_under_se", "c_subg_under_srinivas",
+            "c0_under_constant"])
+    def test_axis_the_run_does_not_read_exits_2(self, tmp_path, capsys, edits, axis):
+        # two cells that differ in a key the run does not read would be
+        # the same run twice
+        text = MINIMAL
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        out = tmp_path / "s"
+        assert cmd_sweep(write_config(tmp_path, text), axis, ["1", "2"], str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot sweep over key {axis!r}") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("axis, good, bad", [
         ("beta.delta", "0.2", "2"),
         ("horizon", "8", "abc"),
@@ -746,8 +766,8 @@ class TestReport:
         # factor, where the product inv(L) K[D, D] cancels to a variance
         # below -1e-12, which exited 3 as a broken factorization
         out = self.readme_run_at_horizon_64(tmp_path)
-        config = (out / "config.txt").read_text()
-        (out / "config.txt").write_text(config.replace("\nrho = 1\n", "\nrho = 1e-12\n"))
+        config = parse_config((out / "config.txt").read_text())
+        (out / "config.txt").write_text(render_config(config.with_override("rho", "1e-12")))
         capsys.readouterr()
         assert cmd_report(str(out)) == 0
         assert capsys.readouterr().err == ""
@@ -975,6 +995,99 @@ class TestForgeries:
         assert expected is None or err == f"error: {out / expected[0]}: {expected[1]}\n"
 
 
+# ROADMAP item 22's config.txt rows: each key that a README-config run's
+# config.txt renders, the value an edit sets it to, a change to what the run
+# reads beyond report's tolerances, and the error that names the check that
+# catches it
+KERNEL = "objective.txt: the record of seed 0 has another kernel than config.txt"
+OBJECTIVE = "objective.txt: the record of seed 0 is not config.txt's objective for that seed"
+BETA = "trace_seed0.csv: beta at t=1 is not the configured schedule"
+NOISE = "trace_seed0.csv: y at t=1 is not f(x_t) plus the seed's noise draw"
+CONFIG_EDITS = {
+    "kernel.family": ("squared_exponential", KERNEL),
+    "kernel.nu": ("2.5", KERNEL),
+    "kernel.lengthscale": ("0.6", KERNEL),
+    "domain.dim": ("2", "objective.txt: dimension mismatch: 1-d points against 2-d points"),
+    "domain.lower": ("-1", OBJECTIVE),
+    "domain.upper": ("2", OBJECTIVE),
+    "rho": ("2", BETA),
+    "noise.kind": ("uniform", NOISE),
+    "noise.sigma": ("0.2", NOISE),
+    "horizon": ("32", "trace_seed0.csv: 64 rows for horizon 32"),
+    "beta.kind": ("srinivas", BETA),
+    "beta.delta": ("0.2", BETA),
+    "beta.c0": ("0.5", BETA),
+    "beta.c_subg": ("2", BETA),
+    "candidates.count": ("64", "trace_seed0.csv: x at t=3, [0.09411764705882353], is not a candidate"),
+    "candidates.method": ("low_discrepancy", "trace_seed0.csv: x at t=1, [0.0], is not a candidate"),
+    "eval_grid.count": ("1024", "trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t) under the recorded objective"),
+    "objective.kind": ("explicit\nobjective.centers = 0.5\nobjective.coeffs = 1", OBJECTIVE),
+    "objective.m": ("21", OBJECTIVE),
+    "objective.B": ("3", OBJECTIVE),
+    "seeds": ("0, 1, 2, 3", "objective.txt: line 29: a record of seed 4, which config.txt does not run"),
+}
+
+
+class TestConfigEdits:
+    """A README-config run (horizon 64, seeds 0-4) under an edited
+    config.txt: report exits 4 with one error line for each key the file
+    renders, set to another value in the writer's text, and for each line
+    that is not the writer's."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("config_edits")
+        text = README_EXAMPLE.replace("horizon = 4096", "horizon = 64")
+        assert cmd_run(write_config(work, text), str(work / "run")) == 0
+        return work / "run"
+
+    def report_exits_4(self, run, tmp_path, capsys, text):
+        out = tmp_path / "run"
+        shutil.copytree(run, out)
+        (out / "config.txt").write_text(text)
+        capsys.readouterr()
+        assert cmd_report(str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        return err.removeprefix("error: ").replace(f"{out}/", "")
+
+    def test_every_rendered_key_has_an_edit(self, run):
+        text = (run / "config.txt").read_text()
+        assert [line.split(" = ")[0] for line in text.splitlines()] == list(CONFIG_EDITS)
+
+    @pytest.mark.parametrize("key", CONFIG_EDITS)
+    def test_edited_key_exits_4(self, run, tmp_path, capsys, key):
+        value, message = CONFIG_EDITS[key]
+        text = (run / "config.txt").read_text()
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in text.splitlines()]
+        edited = render_config(parse_config("\n".join(lines)))
+        assert edited != text
+        assert self.report_exits_4(run, tmp_path, capsys, edited) == f"{message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        # a key that no run reads
+        (lambda text: text + "regret.slack = 0.5\n", "unknown key 'regret.slack' (key: regret.slack) (line 22)"),
+        # a key this run does not read, which the parser ignores
+        (lambda text: text + "beta.constant_value = 2\n",
+         "config.txt: line 'beta.constant_value = 2' after the writer's last line (line 22)"),
+        (lambda text: text.replace("beta.c_subg = 1\n", "beta.c_subg = 1\nbeta.constant_value = 1\n"),
+         "config.txt: line 'beta.constant_value = 1' where the writer writes 'candidates.count = 256' (line 15)"),
+        # the writer's lines reordered, reformatted or annotated
+        (lambda text: text.replace("rho = 1\nnoise.kind = normal\n", "noise.kind = normal\nrho = 1\n"),
+         "config.txt: line 'noise.kind = normal' where the writer writes 'rho = 1' (line 7)"),
+        (lambda text: text.replace("rho = 1\n", "rho=1\n"), "config.txt: line 'rho=1' where the writer writes 'rho = 1' (line 7)"),
+        (lambda text: text.replace("noise.sigma = 0.10000000000000001\n", "noise.sigma = 0.1\n"),
+         "config.txt: line 'noise.sigma = 0.1' where the writer writes 'noise.sigma = 0.10000000000000001' (line 9)"),
+        (lambda text: "# the README run\n" + text,
+         "config.txt: line '# the README run' where the writer writes 'kernel.family = matern' (line 1)"),
+    ], ids=["unknown_key", "dead_key_appended", "dead_key_inserted", "reordered", "reformatted", "short_digits",
+            "comment"])
+    def test_line_not_the_writers_exits_4(self, run, tmp_path, capsys, edit, message):
+        text = (run / "config.txt").read_text()
+        assert edit(text) != text
+        assert self.report_exits_4(run, tmp_path, capsys, edit(text)) == f"{message}\n"
+
+
 def _drop_trace(cell):
     (cell / "trace_seed3.csv").unlink()
 
@@ -1078,7 +1191,7 @@ def _repeat_record_key(cell):
 def _set_config_nu(value):
     def damage(cell):
         path = cell / "config.txt"
-        path.write_text(path.read_text().replace("kernel.nu = 1.5\n", f"kernel.nu = {value}\n"))
+        path.write_text(render_config(parse_config(path.read_text()).with_override("kernel.nu", value)))
     return damage
 
 
@@ -1358,6 +1471,21 @@ class TestDamagedRunReport:
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
         assert not (cell / "report.txt").is_file()
 
+    def test_verdicts_that_cannot_be_written_leave_no_report_csv(self, suite, tmp_path, capsys, monkeypatch):
+        cell = tmp_path / "run"
+        shutil.copytree(suite, cell)
+        write_text = Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if path.name == "report.txt":
+                raise OSError("no space left on device")
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert cmd_report(str(cell)) == 2
+        assert capsys.readouterr().err == f"error: cannot write {cell}: no space left on device\n"
+        assert not (cell / "report.csv").exists() and not (cell / "report.txt").exists()
+
     def test_report_audits_the_recorded_objectives(self, suite, tmp_path, monkeypatch):
         # each seed's objective is drawn again only to check its record: the
         # grid values the report grades are the records' alone
@@ -1474,6 +1602,20 @@ class TestSweepReport:
         assert cmd_report(str(out)) == 4
         first = next(ln for ln in lines if ",okay," in ln)
         assert capsys.readouterr().err == f"error: {path}: malformed row {first!r}\n"
+
+    def test_merged_row_naming_a_path_out_of_the_sweep_exits_4(self, sweep, tmp_path, capsys):
+        # through a directory named horizon_.., the row's cell would be a
+        # finished run outside the sweep, graded with its verdicts written here
+        out = tmp_path / "x" / "sweep"
+        shutil.copytree(sweep / "horizon_64", tmp_path / "other")
+        (out / "horizon_..").mkdir(parents=True)
+        path = out / "summary.csv"
+        row = "horizon,../../../../other,0,ok,1"
+        path.write_text(f"axis,value,seed,status,cum_regret\n{row}\n")
+        assert (out / "horizon_../../../../other" / "config.txt").is_file()
+        assert cmd_report(str(out)) == 4
+        assert capsys.readouterr().err == f"error: {path}: malformed row {row!r}\n"
+        assert not (out / "report.txt").exists()
 
     def test_sweep_stopped_in_its_last_cell_is_not_graded(self, sweep, tmp_path, capsys, monkeypatch):
         # a rerun over a finished sweep that stops writing its last cell
@@ -1594,7 +1736,6 @@ class TestConfigRoundTrip:
             "beta.delta = 0.10000000000000001\n"
             "beta.c0 = 0.39000000000000001\n"
             "beta.c_subg = 1\n"
-            "beta.constant_value = 1\n"
             "candidates.count = 256\n"
             "candidates.method = lattice\n"
             "eval_grid.count = 256\n"
@@ -1602,9 +1743,8 @@ class TestConfigRoundTrip:
             "objective.m = 20\n"
             "objective.B = 2\n"
             "seeds = 0, 1, 2, 3, 4\n"
-            "grid_gap = 0\n"
         )
-        assert config.digest() == "ad94c1dadd668495"
+        assert config.digest() == "2766402df7a1473c"
 
     def test_inapplicable_keys_are_ignored(self):
         text = MINIMAL.replace("kernel.family = matern", "kernel.family = squared_exponential")
