@@ -31,10 +31,8 @@ from .analysis import (
 from .config import (
     ExperimentConfig,
     ObjectiveSpec,
-    objective_record,
     parse_config,
     parse_config_file,
-    parse_objective_record,
     render_config,
 )
 from .kernels import (

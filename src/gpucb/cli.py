@@ -13,7 +13,6 @@ Run layout (one directory per suite)::
     out_dir/
       config.txt          resolved canonical config, written last: a
                           directory without it is not a finished run
-      objective.txt       exactly one seed-labelled record per configured seed
       trace_seed<k>.csv   per-step trace for each seed, header t, x_1..x_d,
                           y, beta, sigma, mu, inst_regret, cum_regret, flag
       summary.csv         one row per seed
@@ -26,7 +25,9 @@ written after the last: a sweep directory without it is not a finished
 sweep.  A sweep also removes a top-level ``config.txt`` first, so its
 directory holds no run.  ``report`` grades the run that ``config.txt`` marks,
 or else the cells the merged summary lists as ok, and never leftovers; the
-graded ``config.txt`` must be the writer's text, line for line.
+graded ``config.txt`` must be the writer's text, line for line, and fixes
+what is graded: each seed's objective is drawn from it again, as the run
+drew it, and every trace is checked against it.
 
 ``run`` is a sweep of one cell: one runner runs every cell's seeds, then
 the cells are written in value order.  Cells whose configs differ in the
@@ -47,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import grade_suite, grid_columns, trace_information_gain
-from .config import ConfigError, ExperimentConfig, _fmt, objective_record, parse_config
-from .config import _written_exactly, parse_config_file, parse_objective_record, render_config
+from .config import ConfigError, ExperimentConfig, _fmt, _written_exactly, parse_config
+from .config import parse_config_file, render_config
 from .kernels import kernel_cross
 from .posterior import NumericError
 from .rkhs import _objective_values
@@ -64,12 +65,12 @@ _MERGED_HEADER = "axis,value,seed,status,cum_regret"
 
 
 def _run_seed(configs: list[ExperimentConfig], seed: int) -> list:
-    """Seed ``seed``'s (objective, trace) pair under each of ``configs``,
-    which differ in the horizon alone, or the numeric failure that stopped
-    it there.  The objective is drawn once, and the longest horizon runs
-    first: a ``LoopHold`` keeps its trace and the others are cut from it.
-    A loop that fails at step k is not held, so each horizon from k up runs
-    afresh to step k and fails there, and the longest below k is held."""
+    """Seed ``seed``'s trace under each of ``configs``, which differ in the
+    horizon alone, or the numeric failure that stopped it there.  The
+    objective is drawn once, and the longest horizon runs first: a
+    ``LoopHold`` keeps its trace and the others are cut from it.  A loop
+    that fails at step k is not held, so each horizon from k up runs afresh
+    to step k and fails there, and the longest below k is held."""
     try:
         f = configs[0].objective_for_seed(seed)
     except _NUMERIC as exc:
@@ -78,17 +79,17 @@ def _run_seed(configs: list[ExperimentConfig], seed: int) -> list:
     runs: list = [None] * len(configs)
     for i in sorted(range(len(configs)), key=lambda i: -configs[i].horizon):
         try:
-            runs[i] = f, run_gp_ucb(configs[i], f, seed, hold)
+            runs[i] = run_gp_ucb(configs[i], f, seed, hold)
         except _NUMERIC as exc:
             runs[i] = exc
     return runs
 
 
 def _run_cells(configs: list[ExperimentConfig], jobs: int) -> list:
-    """Each config's runs, one (objective, trace) pair per seed, or the
-    numeric failure of its first failing seed in config order.  Configs
-    that differ in the horizon alone share each seed's loop (``_run_seed``);
-    with ``jobs`` above 1, one pool runs every such group's seeds."""
+    """Each config's traces, one per seed, or the numeric failure of its
+    first failing seed in config order.  Configs that differ in the horizon
+    alone share each seed's loop (``_run_seed``); with ``jobs`` above 1, one
+    pool runs every such group's seeds."""
     groups: dict = {}
     for config in configs:
         groups.setdefault(replace(config, horizon=0), []).append(config)
@@ -130,22 +131,20 @@ def _summary_rows(config: ExperimentConfig, traces: list[RegretTrace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_suite(config: ExperimentConfig, runs: list | Exception, out_dir: Path) -> None:
-    """Write a suite's files from the objectives and traces its seeds ran,
-    or raise the numeric failure that ``runs`` is, writing nothing.
-    ``config.txt`` marks a finished suite: any earlier one is removed
-    before the first write and the new one is written last, so a write that
-    stops part way leaves a directory without it."""
-    if isinstance(runs, Exception):
-        raise runs
-    traces = [tr for _, tr in runs]
+def _write_suite(config: ExperimentConfig, traces: list | Exception, out_dir: Path) -> None:
+    """Write a suite's files from the traces its seeds ran, or raise the
+    numeric failure that ``traces`` is, writing nothing.  ``config.txt``
+    marks a finished suite: any earlier one is removed before the first
+    write and the new one is written last, so a write that stops part way
+    leaves a directory without it."""
+    if isinstance(traces, Exception):
+        raise traces
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def write(name: str, text: str) -> None:
         (out_dir / name).write_text(text, encoding="utf-8")
 
     (out_dir / "config.txt").unlink(missing_ok=True)
-    write("objective.txt", "\n".join(objective_record(f, tr.seed) for f, tr in runs))
     for tr in traces:
         write(f"trace_seed{tr.seed}.csv", trace_to_csv(tr))
     write("summary.csv", _summary_rows(config, traces))
@@ -200,8 +199,8 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
     if configs is None:
         return 2
     try:
-        runs = _run_cells(configs, jobs)[0]
-        _write_suite(configs[0], runs, Path(out_dir))
+        traces = _run_cells(configs, jobs)[0]
+        _write_suite(configs[0], traces, Path(out_dir))
     except _NUMERIC as exc:
         step = getattr(exc, "step", None)
         where = f" at step {step}" if step is not None else ""
@@ -209,7 +208,7 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
         return 3
     except OSError as exc:
         return _unwritable(out_dir, exc)
-    print(f"wrote {len(runs)} trace(s) to {out_dir}")
+    print(f"wrote {len(traces)} trace(s) to {out_dir}")
     return 0
 
 
@@ -228,11 +227,11 @@ def _run_sweep(configs: list[ExperimentConfig], axis: str, values: list[str], jo
         (top / name).unlink(missing_ok=True)
     merged = [_MERGED_HEADER]
     failures = 0
-    for raw, config, runs in zip(values, configs, _run_cells(configs, jobs)):
+    for raw, config, traces in zip(values, configs, _run_cells(configs, jobs)):
         cell = top / _cell_name(axis, raw)
         try:
-            _write_suite(config, runs, cell)
-            for _, tr in runs:
+            _write_suite(config, traces, cell)
+            for tr in traces:
                 merged.append(
                     f"{axis},{raw},{tr.seed},ok,{_fmt(float(tr.cum_regret[-1]))}"
                 )
@@ -261,56 +260,25 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
 def _load_suite(
     cell: Path, config: ExperimentConfig, grid: np.ndarray, m: int
 ) -> tuple[list[RegretTrace], dict, dict, dict]:
-    """Traces, the recorded objectives' norms and values over the evaluation
+    """Traces, each seed's objective norm and values over the evaluation
     grid ``grid`` and the grid rows each trace played (each by seed) of one
-    suite, each record checked to be the only one of a configured seed,
-    then against the config's kernel and its seed's objective, and each
-    trace against the config's beta schedule, its objective, the grid's
-    first m points (the candidates) and its seed's noise draws; OSError or
-    ValueError names what is damaged.  Seeds that share an objective share
-    one build of it and its grid values, as the seeds of a run do."""
-    records = cell / "objective.txt"
-    norms, f_grids, parsed = {}, {}, []
-    start = 0  # the file lines before the record being read
+    suite.  Each objective is drawn from ``config.txt`` as the run drew it,
+    and each trace is checked against the config's beta schedule, its
+    seed's objective, the grid's first m points (the candidates) and its
+    seed's noise draws; OSError or ValueError names what is damaged.  Seeds
+    that share an objective share one build of it and its grid values, as
+    the seeds of a run do."""
     try:
-        text = records.read_text(encoding="utf-8")
-        for block in text.split("\n\n"):
-            if block.strip():
-                try:
-                    f, seed = parse_objective_record(block)
-                except ConfigError as exc:
-                    # the reader numbers the record's lines; name the file's,
-                    # or the record's first for a field it lacks
-                    line = start + (1 if exc.line is None else exc.line)
-                    raise ConfigError(exc.message, key=exc.key, line=line) from None
-                parsed.append((f, seed))
-                if seed not in config.seeds:
-                    raise ValueError(f"line {start + 1}: a record of seed {seed}, which config.txt does not run")
-                if seed in norms:
-                    raise ValueError(f"line {start + 1}: a second record of seed {seed}")
-                if f.spec != config.kernel:
-                    raise ValueError(f"the record of seed {seed} has another kernel than config.txt")
-                norms[seed], f_grids[seed] = f.norm, _objective_values(f, grid)
-                # the centers must match exactly, the coefficients to
-                # round-off, as a BLAS-computed norm scales them
-                want = config.objective_for_seed(seed)
-                if not (np.array_equal(f.centers, want.centers)
-                        and np.all(np.abs(f.coeffs - want.coeffs) <= 1e-12 * np.abs(want.coeffs))):
-                    raise ValueError(f"the record of seed {seed} is not config.txt's objective for that seed")
-            start += block.count("\n") + 2
-        # the records as the writer joins them, and nothing else: no blank
-        # line between them but one, and none after the last
-        _written_exactly(text, "\n".join(objective_record(f, seed) for f, seed in parsed))
-    # _NUMERIC: the record's K_nu overflows at its centers, or its squared
-    # norm comes out negative
-    except (ValueError, *_NUMERIC) as exc:
-        raise ValueError(f"{records}: {exc}") from None
+        objectives = {seed: config.objective_for_seed(seed) for seed in config.seeds}
+        f_grids = {seed: _objective_values(f, grid) for seed, f in objectives.items()}
+    # the kernel's K_nu overflows, or the squared norm comes out negative
+    except _NUMERIC as exc:
+        raise ValueError(f"{cell / 'config.txt'}: {exc}") from None
+    norms = {seed: f.norm for seed, f in objectives.items()}
     beta = beta_column(config.beta, config.horizon, config.rho)
     traces, rows = [], {}
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"
-        if seed not in norms:
-            raise ValueError(f"{records}: no record for seed {seed}")
         f_grid = f_grids[seed]
         f_star = float(np.max(f_grid))
         try:
@@ -332,7 +300,7 @@ def _load_suite(
                 ("cum_regret", np.cumsum(trace.inst_regret) != trace.cum_regret,
                  "is not the running sum of inst_regret"),
                 ("inst_regret", ~(np.abs(f_star - played - trace.inst_regret) <= tol),
-                 "is not f_star - f(x_t) under the recorded objective"),
+                 "is not f_star - f(x_t) under config.txt's objective"),
                 ("y", ~(np.abs(played + _seed_noise(config, seed) - trace.y) <= tol),
                  "is not f(x_t) plus the seed's noise draw"),
                 # the run sets a flag only where this holds, on the values it writes
@@ -351,17 +319,14 @@ def _load_suite(
 
 def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list[RegretTrace], horizon: int) -> None:
     """ValueError unless ``cell`` holds the run in ``longest`` (its config and
-    traces given) cut at ``horizon``: the same config but for the horizon,
-    the same objectives, and every trace column the first rows of the long one."""
+    traces given) cut at ``horizon``: the writer's config but for the
+    horizon, line for line, and every trace column the first rows of the
+    long one."""
     path = cell / "config.txt"
-    text = path.read_text(encoding="utf-8")
-    want = render_config(config.with_override("horizon", horizon))
-    if text != want:
-        line = next((a for a, b in zip(text.splitlines(), want.splitlines()) if a != b), "its length")
-        raise ValueError(f"{path}: differs from {longest.name} in {line}, not only in horizon")
-    path = cell / "objective.txt"
-    if path.read_bytes() != (longest / "objective.txt").read_bytes():
-        raise ValueError(f"{path}: not the objectives of {longest.name}")
+    try:
+        _written_exactly(path.read_text(encoding="utf-8"), render_config(config.with_override("horizon", horizon)))
+    except ConfigError as exc:
+        raise ValueError(f"{path}: differs from {longest.name}, not only in horizon: {exc}") from None
     for whole in traces:
         path = cell / f"trace_seed{whole.seed}.csv"
         try:
@@ -382,8 +347,8 @@ def _finished_suites(top: Path) -> list[Path]:
     path = top / "summary.csv"
     lines = path.read_text(encoding="utf-8").splitlines() if path.is_file() else []
     if lines[:1] != [_MERGED_HEADER]:
-        # a run writes objective.txt first and config.txt last: one stopped here
-        if (top / "objective.txt").is_file():
+        # a run writes its traces first and config.txt last: one stopped here
+        if any(top.glob("trace_seed*.csv")):
             raise ValueError("no completed runs found")
         raise ValueError(f"{path}: {'not a merged summary' if lines else 'missing'}, so the sweep did not finish")
     cells = set()
@@ -417,8 +382,15 @@ def cmd_report(out_dir: str) -> int:
     # grade the largest-horizon suite; every other cell must be a cut of it
     try:
         cells = _finished_suites(top)
-        texts = {c: (c / "config.txt").read_text(encoding="utf-8") for c in cells}
-        configs = {c: parse_config(text) for c, text in texts.items()}
+        texts, configs = {}, {}
+        for c in cells:
+            path = c / "config.txt"
+            # bytes that are not UTF-8, or text that does not parse
+            try:
+                texts[c] = path.read_text(encoding="utf-8")
+                configs[c] = parse_config(texts[c])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         longest = max(cells, key=lambda c: configs[c].horizon)
         config = configs[longest]
         # no line the run did not read, nor any other spelling, stands in it

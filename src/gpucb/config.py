@@ -15,7 +15,8 @@ accepted, ignored and not rendered.  Vectors are comma lists, a single
 value repeated to ``domain.dim`` components; explicit objective centers are
 semicolon-separated points.  Lattice counts round to the nearest per-axis
 integer grid, so the realized count is the nearest perfect d-th power.
-An objective record is the same text, one line per field, its seed first.
+A config fixes each seed's objective: ``ExperimentConfig.objective_for_seed``
+draws it from the config and the seed alone, so a run writes no copy of it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ __all__ = [
     "parse_config",
     "parse_config_file",
     "render_config",
-    "objective_record",
-    "parse_objective_record",
     "lattice_points",
     "halton_points",
 ]
@@ -427,14 +426,6 @@ def render_config(config: ExperimentConfig) -> str:
     return _write(_flatten(config))
 
 
-def objective_record(f: RkhsFunction, seed: int) -> str:
-    """Serialize a seed's objective for exact replay, the seed line first."""
-    nu = _fmt(f.spec.nu) if f.spec.family is KernelFamily.MATERN else None
-    fields = {"seed": seed, "family": f.spec.family.value, "nu": nu, "lengthscale": _fmt(f.spec.lengthscale)}
-    fields.update(centers=_POINTS.render(f.centers), coeffs=_FLOATS.render(f.coeffs))
-    return _write({key: str(value) for key, value in fields.items() if value is not None})
-
-
 def _written_exactly(text: str, written: str) -> None:
     """ConfigError naming the first line where ``text`` departs from the
     writer's ``written``, if it does."""
@@ -453,29 +444,3 @@ def _written_exactly(text: str, written: str) -> None:
         message = f"line {a!r} where the writer writes {b!r}"
     raise ConfigError(message, line=n + 1)
 
-
-def parse_objective_record(text: str) -> tuple[RkhsFunction, int]:
-    """Inverse of objective_record (floats round-trip bit-exactly), built through
-    the shared objective; ValueError names a malformed line, a repeated key, a
-    missing field or a field that does not convert, and ConfigError the first
-    line that is not the writer's (a comment, a blank line, other digits).
-    The record's final newline is optional, as a record split from a file at
-    its blank lines has none."""
-    fields, lines = _read(text)
-    if missing := [k for k in ("seed", "family", "lengthscale", "centers", "coeffs") if k not in fields]:
-        raise ConfigError(f"objective record has no {', '.join(missing)} field")
-
-    def field(key: str, parse: Callable[[str], Any]):
-        try:
-            return parse(fields[key])
-        except ValueError as exc:
-            raise ConfigError(str(exc), key=key, line=lines[key]) from None
-
-    nu = field("nu", _float) if "nu" in fields else None
-    family = field("family", _enum(KernelFamily).parse)
-    spec = KernelSpec(family, nu=nu, lengthscale=field("lengthscale", _float))
-    # non-finite centers and coefficients parse, for the objective to reject
-    f = _shared_objective(spec, field("centers", _list(_list(float), ";")), field("coeffs", _list(float)))
-    seed = field("seed", _int)
-    _written_exactly(text if text.endswith("\n") else text + "\n", objective_record(f, seed))
-    return f, seed

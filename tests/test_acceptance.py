@@ -439,9 +439,10 @@ def test_c12_determinism_and_incremental(tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     assert cmd_run(str(config_path), str(out1)) == 0
     assert cmd_run(str(config_path), str(out2)) == 0
-    identical = all(
-        (out1 / name).read_bytes() == (out2 / name).read_bytes()
-        for name in ("config.txt", "objective.txt", "trace_seed0.csv", "trace_seed1.csv", "summary.csv")
+    # every file of the run, whichever files a run writes
+    files = [sorted(p.name for p in out.iterdir()) for out in (out1, out2)]
+    identical = files[0] == files[1] and all(
+        (out1 / name).read_bytes() == (out2 / name).read_bytes() for name in files[0]
     )
 
     spec = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.5)

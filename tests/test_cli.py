@@ -15,9 +15,7 @@ from gpucb import (
     fit,
     kernel_matrix,
     logdet_information,
-    objective_record,
     parse_config,
-    parse_objective_record,
     render_config,
     sample_random_rkhs,
     trace_from_csv,
@@ -150,16 +148,14 @@ class TestRun:
         assert cmd_run(write_config(tmp_path), str(out)) == 0
         trace = (out / "trace_seed0.csv").read_text()
         assert len(trace.splitlines()) == 9  # header + 8 steps
-        assert (out / "config.txt").exists()
-        assert (out / "objective.txt").exists()
-        assert (out / "summary.csv").exists()
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "summary.csv", "trace_seed0.csv"]
 
     def test_rerun_byte_identical(self, tmp_path):
         config = write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cmd_run(config, str(out1)) == 0
         assert cmd_run(config, str(out2)) == 0
-        for name in ("config.txt", "objective.txt", "trace_seed0.csv", "summary.csv"):
+        for name in ("config.txt", "trace_seed0.csv", "summary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_blas_thread_count_leaves_the_bytes_unchanged(self, tmp_path):
@@ -202,10 +198,9 @@ class TestRun:
         config = write_config(tmp_path, text)
         assert cmd_run(config, str(out_serial), jobs=1) == 0
         assert cmd_run(config, str(out_parallel), jobs=3) == 0
-        # the objectives come back from the workers with the traces
         names = sorted(p.name for p in out_serial.iterdir())
         assert names == sorted(p.name for p in out_parallel.iterdir())
-        assert names == ["config.txt", "objective.txt", "summary.csv"] + [
+        assert names == ["config.txt", "summary.csv"] + [
             f"trace_seed{k}.csv" for k in range(3)
         ]
         for name in names:
@@ -480,9 +475,8 @@ class TestSharedReportBlock:
         m = cand.shape[0]
         assert K.shape == (m, m) and np.shares_memory(K, block) and np.array_equal(K, block[:, :m])
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
-        # a norm per record, and two per seed's draw that checks its record:
-        # the draw's and the rescaled one's
-        assert len(norms) == 5 + 2 * 5
+        # two per seed's draw: the draw's and the rescaled one's
+        assert len(norms) == 2 * 5
 
     def test_seeds_sharing_an_objective_evaluate_it_once(self, tmp_path, monkeypatch, fresh_memo):
         text = (
@@ -493,7 +487,7 @@ class TestSharedReportBlock:
         )
         _, _, _, evaluated, norms, _, _ = self.report_counting(tmp_path, monkeypatch, fresh_memo, text)
         assert len(evaluated) == 1
-        # one parse of the shared record, so one norm over its two centers
+        # one build of the shared objective, so one norm over its two centers
         assert len(norms) == 1 and norms[0].shape == (2, 1)
 
 
@@ -593,7 +587,7 @@ class TestSweep:
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert cmd_sweep(config, "horizon", ["32", "8", "16"], str(serial), jobs=1) == 0
         assert cmd_sweep(config, "horizon", ["32", "8", "16"], str(parallel), jobs=2) == 0
-        assert len(self.tree(serial)) == 1 + 3 * 6
+        assert len(self.tree(serial)) == 1 + 3 * 5
         assert self.tree(serial) == self.tree(parallel)
 
     def test_loop_failing_mid_sweep_fails_the_cells_from_its_step(self, tmp_path, capsys, monkeypatch):
@@ -831,8 +825,8 @@ class TestReport:
         assert cmd_run(write_config(tmp_path, text), str(out)) == 0
         config = parse_config(text)
         cand, grid = config.candidate_points(), config.evaluation_points()
-        for block in (out / "objective.txt").read_text().split("\n\n"):
-            f, seed = parse_objective_record(block)
+        for seed in config.seeds:
+            f = config.objective_for_seed(seed)
             f_star = float(np.max(f.on_points(grid)))
             worst = int(np.argmin(f.on_points(cand)))
             path = out / f"trace_seed{seed}.csv"
@@ -897,7 +891,7 @@ def _swapped_choice(runs, out):
     shutil.copytree(runs["base"], out)
     config = parse_config((out / "config.txt").read_text())
     cand = config.candidate_points()
-    f, _ = parse_objective_record((out / "objective.txt").read_text().split("\n\n")[0])
+    f = config.objective_for_seed(0)
     path = out / "trace_seed0.csv"
     header, rows = _trace_rows(path)
     row = rows[9]
@@ -916,25 +910,22 @@ def _swapped_choice(runs, out):
 
 def _relabelled_objective(runs, out):
     # the B = 0.5 run under the B = 2 run's config.txt: its traces agree with
-    # its own records, so only the records' check against the config tells
-    # the runs apart
+    # the B = 0.5 objective, not with the one config.txt draws
     shutil.copytree(runs["B_0.5"], out)
     shutil.copyfile(runs["base"] / "config.txt", out / "config.txt")
 
 
 def _swapped_seeds(runs, out):
-    # the traces of seeds 0 and 1 swapped, and their records' labels with them
+    # the traces of seeds 0 and 1 swapped
     shutil.copytree(runs["base"], out)
     first, second = out / "trace_seed0.csv", out / "trace_seed1.csv"
     text = first.read_text()
     first.write_text(second.read_text())
     second.write_text(text)
-    _swap_seed_labels(out)
 
 
-def _appended_record_of_seed_7(runs, out):
-    shutil.copytree(runs["base"], out)
-    _record_of_seed_7(out)
+# a run whose first step is graded under another objective than its own
+OBJECTIVE = "trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t) under config.txt's objective"
 
 
 # ROADMAP item 4's open checks: report takes sigma, mu, the flag's half at
@@ -973,15 +964,8 @@ class TestForgeries:
                      id="consistent_forgery"),
         pytest.param(_swapped_choice, None, marks=_open("no check that a choice maximizes the rule's score"),
                      id="swapped_choice"),
-        pytest.param(_relabelled_objective,
-                     ("objective.txt", "the record of seed 0 is not config.txt's objective for that seed"),
-                     id="relabelled_objective"),
-        pytest.param(_swapped_seeds,
-                     ("objective.txt", "the record of seed 1 is not config.txt's objective for that seed"),
-                     id="swapped_seeds"),
-        pytest.param(_appended_record_of_seed_7,
-                     ("objective.txt", "line 36: a record of seed 7, which config.txt does not run"),
-                     id="record_of_seed_7"),
+        pytest.param(_relabelled_objective, OBJECTIVE, id="relabelled_objective"),
+        pytest.param(_swapped_seeds, OBJECTIVE, id="swapped_seeds"),
     ])
     def test_forgery_exits_4(self, runs, tmp_path, capsys, forge, expected):
         out = tmp_path / "forged"
@@ -992,24 +976,23 @@ class TestForgeries:
         assert err.startswith("error: ") and err.count("\n") == 1
         # an open row asks for exit 4 alone: the check that catches it
         # brings the file and the message it names
-        assert expected is None or err == f"error: {out / expected[0]}: {expected[1]}\n"
+        assert expected is None or err == f"error: {out}/{expected}\n"
 
 
 # ROADMAP item 22's config.txt rows: each key that a README-config run's
 # config.txt renders, the value an edit sets it to, a change to what the run
 # reads beyond report's tolerances, and the error that names the check that
 # catches it
-KERNEL = "objective.txt: the record of seed 0 has another kernel than config.txt"
-OBJECTIVE = "objective.txt: the record of seed 0 is not config.txt's objective for that seed"
+OFF_GRID = "trace_seed0.csv: design point [{}] is not on the evaluation grid"
 BETA = "trace_seed0.csv: beta at t=1 is not the configured schedule"
 NOISE = "trace_seed0.csv: y at t=1 is not f(x_t) plus the seed's noise draw"
 CONFIG_EDITS = {
-    "kernel.family": ("squared_exponential", KERNEL),
-    "kernel.nu": ("2.5", KERNEL),
-    "kernel.lengthscale": ("0.6", KERNEL),
-    "domain.dim": ("2", "objective.txt: dimension mismatch: 1-d points against 2-d points"),
-    "domain.lower": ("-1", OBJECTIVE),
-    "domain.upper": ("2", OBJECTIVE),
+    "kernel.family": ("squared_exponential", OBJECTIVE),
+    "kernel.nu": ("2.5", OBJECTIVE),
+    "kernel.lengthscale": ("0.6", OBJECTIVE),
+    "domain.dim": ("2", OFF_GRID.format("0.0")),
+    "domain.lower": ("-1", OFF_GRID.format("0.0")),
+    "domain.upper": ("2", OFF_GRID.format("0.1843137254901961")),
     "rho": ("2", BETA),
     "noise.kind": ("uniform", NOISE),
     "noise.sigma": ("0.2", NOISE),
@@ -1020,11 +1003,12 @@ CONFIG_EDITS = {
     "beta.c_subg": ("2", BETA),
     "candidates.count": ("64", "trace_seed0.csv: x at t=3, [0.09411764705882353], is not a candidate"),
     "candidates.method": ("low_discrepancy", "trace_seed0.csv: x at t=1, [0.0], is not a candidate"),
-    "eval_grid.count": ("1024", "trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t) under the recorded objective"),
+    "eval_grid.count": ("1024", OBJECTIVE),
     "objective.kind": ("explicit\nobjective.centers = 0.5\nobjective.coeffs = 1", OBJECTIVE),
     "objective.m": ("21", OBJECTIVE),
     "objective.B": ("3", OBJECTIVE),
-    "seeds": ("0, 1, 2, 3", "objective.txt: line 29: a record of seed 4, which config.txt does not run"),
+    # the seed the edit drops is not graded: the fit lacks a fifth trace
+    "seeds": ("0, 1, 2, 3", "need >= 5 traces, got 4"),
 }
 
 
@@ -1066,7 +1050,7 @@ class TestConfigEdits:
 
     @pytest.mark.parametrize("edit, message", [
         # a key that no run reads
-        (lambda text: text + "regret.slack = 0.5\n", "unknown key 'regret.slack' (key: regret.slack) (line 22)"),
+        (lambda text: text + "regret.slack = 0.5\n", "config.txt: unknown key 'regret.slack' (key: regret.slack) (line 22)"),
         # a key this run does not read, which the parser ignores
         (lambda text: text + "beta.constant_value = 2\n",
          "config.txt: line 'beta.constant_value = 2' after the writer's last line (line 22)"),
@@ -1092,102 +1076,6 @@ def _drop_trace(cell):
     (cell / "trace_seed3.csv").unlink()
 
 
-def _drop_objective(cell):
-    path = cell / "objective.txt"
-    blocks = path.read_text().split("\n\n")
-    path.write_text("\n\n".join(b for b in blocks if "seed = 2\n" not in b))
-
-
-def _drop_coeffs(cell):
-    path = cell / "objective.txt"
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(l for l in lines if not l.startswith("coeffs = ")))
-
-
-def _nan_coeff(cell):
-    path = cell / "objective.txt"
-    text = path.read_text()
-    start = text.index("coeffs = ") + len("coeffs = ")
-    path.write_text(text[:start] + "nan" + text[text.index(",", start):])
-
-
-def _widen_centers(cell):
-    # 2-d centers in a 1-d run
-    path = cell / "objective.txt"
-    lines = path.read_text().splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        if line.startswith("centers = "):
-            lines[i] = line.rstrip("\n").replace(";", ",0.5;") + ",0.5\n"
-    path.write_text("".join(lines))
-
-
-def _swap_seed_labels(cell):
-    path = cell / "objective.txt"
-    text = path.read_text().replace("seed = 0\n", "seed = x\n").replace("seed = 1\n", "seed = 0\n")
-    path.write_text(text.replace("seed = x\n", "seed = 1\n"))
-
-
-def _record_of_seed_7(cell):
-    # a sixth record, the objective of a seed the config does not run
-    config = parse_config((cell / "config.txt").read_text())
-    path = cell / "objective.txt"
-    path.write_text(path.read_text() + "\n" + objective_record(config.objective_for_seed(7), 7))
-
-
-def _second_record_of_seed_3(cell):
-    path = cell / "objective.txt"
-    text = path.read_text()
-    path.write_text(text + "\n" + next(b for b in text.split("\n\n") if b.startswith("seed = 3\n")))
-
-
-def _drop_seed_line(cell):
-    path = cell / "objective.txt"
-    path.write_text(path.read_text().replace("seed = 2\n", "", 1))
-
-
-def _garbage_record_line(cell):
-    path = cell / "objective.txt"
-    path.write_text(path.read_text().replace("family = ", "garbage line here\nfamily = ", 1))
-
-
-def _note_in_record(cell):
-    path = cell / "objective.txt"
-    path.write_text(path.read_text().replace("family = ", "# a note\nfamily = ", 1))
-
-
-def _note_between_records(cell):
-    path = cell / "objective.txt"
-    blocks = path.read_text().split("\n\n")
-    path.write_text("\n\n".join(blocks[:1] + ["# a note"] + blocks[1:]))
-
-
-def _trailing_blank_lines(cell):
-    path = cell / "objective.txt"
-    path.write_text(path.read_text() + "\n\n\n")
-
-
-def _edit_record_field(key, value, record):
-    # the field ``key`` of the record-th record (0-based) set to ``value``
-    def damage(cell):
-        path = cell / "objective.txt"
-        blocks = path.read_text().split("\n\n")
-        lines = blocks[record].split("\n")
-        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
-        blocks[record] = "\n".join(lines)
-        path.write_text("\n\n".join(blocks))
-    return damage
-
-
-def _repeat_seed_line(cell):
-    path = cell / "objective.txt"
-    path.write_text(path.read_text().replace("seed = 3\n", "seed = 3\nseed = 4\n", 1))
-
-
-def _repeat_record_key(cell):
-    path = cell / "objective.txt"
-    path.write_text(path.read_text().replace("family = matern\n", "family = matern\nfamily = matern\n", 1))
-
-
 def _set_config_nu(value):
     def damage(cell):
         path = cell / "config.txt"
@@ -1195,21 +1083,21 @@ def _set_config_nu(value):
     return damage
 
 
-def _overflow_record_nu(cell):
-    # a smoothness whose K_nu overflows at the first record's centers
-    path = cell / "objective.txt"
-    path.write_text(path.read_text().replace("nu = 1.5\n", "nu = 400.3\n", 1))
+def _config_not_utf8(cell):
+    path = cell / "config.txt"
+    path.write_bytes(path.read_text().encode("utf-16"))
 
 
-def _negative_norm_record(cell):
-    # two nearly equal centers with opposite coefficients of 1e8: the norm's
-    # quadratic form cancels to a negative value in floating point
-    path = cell / "objective.txt"
-    text = path.read_text()
-    for key, value in (("centers = ", "0.5; 0.5000000001"), ("coeffs = ", "1e8, -1e8")):
-        start = text.index(key) + len(key)
-        text = text[:start] + value + text[text.index("\n", start):]
-    path.write_text(text)
+def _negative_norm_objective(cell):
+    # an explicit objective of two nearly equal centers with opposite
+    # coefficients of 1e8: its norm's quadratic form cancels to a negative
+    # value in floating point, so it cannot be drawn
+    path = cell / "config.txt"
+    text = path.read_text().replace(
+        "objective.kind = random\nobjective.m = 10\nobjective.B = 2\n",
+        "objective.kind = explicit\nobjective.centers = 0.5; 0.5000000001\nobjective.coeffs = 1e8, -1e8\n",
+    )
+    path.write_text(render_config(parse_config(text)))
 
 
 def _rename_column(cell):
@@ -1346,9 +1234,7 @@ def _move_to_grid_row(cell):
     config = parse_config((cell / "config.txt").read_text())
     grid = config.evaluation_points()
     row = config.candidate_points().shape[0]
-    records = (cell / "objective.txt").read_text().split("\n\n")
-    f, _ = parse_objective_record(next(r for r in records if r.startswith("seed = 1\n")))
-    f_grid = f.on_points(grid)
+    f_grid = config.objective_for_seed(1).on_points(grid)
     path = cell / "trace_seed1.csv"
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -1379,31 +1265,11 @@ class TestDamagedRunReport:
 
     @pytest.mark.parametrize("damage, message", [
         (_drop_trace, "trace_seed3.csv"),
-        (_drop_objective, "seed 2"),
-        (_drop_coeffs, "objective.txt: objective record has no coeffs field"),
-        (_nan_coeff, "objective.txt: centers and coefficients must be finite"),
-        (_widen_centers, "objective.txt: dimension mismatch: 2-d points against 1-d points"),
-        (_swap_seed_labels, "objective.txt: the record of seed 1 is not config.txt's objective for that seed"),
-        (_garbage_record_line, "objective.txt: malformed line 'garbage line here'"),
-        (_repeat_record_key, "objective.txt: duplicate key 'family'"),
-        (_repeat_seed_line, "objective.txt: duplicate key 'seed'"),
-        # layouts the writer never writes; each record is six lines and a blank one
-        (_note_in_record, "objective.txt: line '# a note' where the writer writes 'family = matern' (line 2)"),
-        (_note_between_records, "objective.txt: objective record has no seed, family, lengthscale, centers, "
-                                "coeffs field (line 8)"),
-        (_trailing_blank_lines, "objective.txt: line '' after the writer's last line (line 35)"),
-        # a field that does not convert names itself and its line
-        (_edit_record_field("seed", "two", 2), "objective.txt: expected an integer, got 'two' (key: seed) (line 15)"),
-        (_edit_record_field("nu", "1.5x", 0), "objective.txt: expected a number, got '1.5x' (key: nu) (line 3)"),
-        (_edit_record_field("lengthscale", "half", 1),
-         "objective.txt: expected a number, got 'half' (key: lengthscale) (line 11)"),
-        (_record_of_seed_7, "objective.txt: line 36: a record of seed 7, which config.txt does not run"),
-        (_second_record_of_seed_3, "objective.txt: line 36: a second record of seed 3"),
-        (_drop_seed_line, "objective.txt: objective record has no seed field"),
-        (_set_config_nu(1.7), "objective.txt: the record of seed 0 has another kernel than config.txt"),
-        (_set_config_nu(400.3), "objective.txt: the record of seed 0 has another kernel than config.txt"),
-        (_overflow_record_nu, "objective.txt: K_nu overflows double precision at nu=400.3"),
-        (_negative_norm_record, "objective.txt: negative squared norm"),
+        (_set_config_nu(1.7), "trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t) under config.txt's objective"),
+        # configs whose objectives cannot be drawn
+        (_set_config_nu(400.3), "run/config.txt: K_nu overflows double precision at nu=400.3"),
+        (_negative_norm_objective, "run/config.txt: negative squared norm"),
+        (_config_not_utf8, "run/config.txt: 'utf-8' codec can't decode byte 0xff in position 0"),
         (_rename_column, "trace_seed1.csv: trace header 't,x_1,y,beta,sigma,mean,inst_regret,cum_regret,flag' is not "
                          "t, x_1..x_d, y, beta, sigma, mu, inst_regret, cum_regret, flag"),
         (_truncate_trace, "trace_seed1.csv"),
@@ -1428,15 +1294,6 @@ class TestDamagedRunReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
-
-    def test_record_error_names_the_file_line(self, suite, tmp_path, capsys):
-        # the reader numbers a record's lines; report names objective.txt's
-        cell = tmp_path / "run"
-        shutil.copytree(suite, cell)
-        _repeat_seed_line(cell)
-        lines = (cell / "objective.txt").read_text().splitlines()
-        assert cmd_report(str(cell)) == 4
-        assert capsys.readouterr().err.endswith(f"(line {lines.index('seed = 4') + 1})\n")
 
     def test_damaged_rerun_leaves_no_stale_verdicts(self, suite, tmp_path, capsys):
         # a report that exits 4 over an earlier one leaves no verdicts to read
@@ -1486,17 +1343,13 @@ class TestDamagedRunReport:
         assert capsys.readouterr().err == f"error: cannot write {cell}: no space left on device\n"
         assert not (cell / "report.csv").exists() and not (cell / "report.txt").exists()
 
-    def test_report_audits_the_recorded_objectives(self, suite, tmp_path, monkeypatch):
-        # each seed's objective is drawn again only to check its record: the
-        # grid values the report grades are the records' alone
+    def test_report_draws_each_objective_once_and_grades_its_values(self, suite, tmp_path, monkeypatch):
+        # each seed's objective is drawn once from config.txt, as the run drew
+        # it, and the grid values the report grades are those of the draws
         import gpucb.cli
 
-        parse, draw, values = gpucb.cli.parse_objective_record, ExperimentConfig.objective_for_seed, gpucb.cli._objective_values
-        parsed, drawn, evaluated = [], [], []
-
-        def parse_recorded(text):
-            parsed.append(parse(text))
-            return parsed[-1]
+        draw, values = ExperimentConfig.objective_for_seed, gpucb.cli._objective_values
+        drawn, evaluated = [], []
 
         def redraw(config, seed):
             drawn.append((seed, draw(config, seed)))
@@ -1506,15 +1359,13 @@ class TestDamagedRunReport:
             evaluated.append(f)
             return values(f, grid)
 
-        monkeypatch.setattr(gpucb.cli, "parse_objective_record", parse_recorded)
         monkeypatch.setattr(ExperimentConfig, "objective_for_seed", redraw)
         monkeypatch.setattr(gpucb.cli, "_objective_values", evaluate)
         cell = tmp_path / "run"
         shutil.copytree(suite, cell)
         assert cmd_report(str(cell)) == 0
-        assert [seed for seed, _ in drawn] == [seed for _, seed in parsed] == [0, 1, 2, 3, 4]
-        assert [id(f) for f in evaluated] == [id(f) for f, _ in parsed]
-        assert not {id(f) for _, f in drawn} & {id(f) for f in evaluated}
+        assert [seed for seed, _ in drawn] == [0, 1, 2, 3, 4]
+        assert [id(f) for f in evaluated] == [id(f) for _, f in drawn]
 
 
 def _edit_short_row(cell):
@@ -1529,13 +1380,20 @@ def _edit_short_row(cell):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _swap_short_objectives(cell):
-    _swap_seed_labels(cell / "horizon_16")
-
-
 def _edit_short_config(cell):
     path = cell / "horizon_16" / "config.txt"
     path.write_text(path.read_text().replace("noise.sigma = 0.10000000000000001", "noise.sigma = 0.2"))
+
+
+def _unknown_key_in_short_config(cell):
+    path = cell / "horizon_16" / "config.txt"
+    path.write_text(path.read_text() + "regret.slack = 0.5\n")
+
+
+def _append_short_dead_key(cell):
+    # a key this run does not read, which the parser ignores
+    path = cell / "horizon_16" / "config.txt"
+    path.write_text(path.read_text() + "beta.constant_value = 2\n")
 
 
 def _cut_short_config_newline(cell):
@@ -1561,9 +1419,14 @@ class TestSweepReport:
 
     @pytest.mark.parametrize("damage, message", [
         (_edit_short_row, "horizon_16/trace_seed3.csv: not the first 16 rows of horizon_64's trace"),
-        (_swap_short_objectives, "horizon_16/objective.txt: not the objectives of horizon_64"),
-        (_edit_short_config, "horizon_16/config.txt: differs from horizon_64 in noise.sigma = 0.2, not only in horizon"),
-        (_cut_short_config_newline, "horizon_16/config.txt: differs from horizon_64 in its length, not only in horizon"),
+        (_edit_short_config, "horizon_16/config.txt: differs from horizon_64, not only in horizon: line 'noise.sigma = 0.2' "
+                             "where the writer writes 'noise.sigma = 0.10000000000000001' (line 9)"),
+        (_cut_short_config_newline, "horizon_16/config.txt: differs from horizon_64, not only in horizon: "
+                                   "the last line has no newline (line 21)"),
+        (_append_short_dead_key, "horizon_16/config.txt: differs from horizon_64, not only in horizon: "
+                                "line 'beta.constant_value = 2' after the writer's last line (line 22)"),
+        (_unknown_key_in_short_config,
+         "horizon_16/config.txt: unknown key 'regret.slack' (key: regret.slack) (line 22)"),
     ])
     def test_shorter_cell_not_a_cut_exits_4(self, sweep, tmp_path, capsys, damage, message):
         out = tmp_path / "sweep"
@@ -1685,7 +1548,10 @@ class TestSweepReport:
         assert cmd_report(str(out)) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "beta_c0_1/config.txt: differs from beta_c0_0.2 in beta.c0 = 1, not only in horizon" in err
+        assert err.endswith(
+            "beta_c0_1/config.txt: differs from beta_c0_0.2, not only in horizon: "
+            "line 'beta.c0 = 1' where the writer writes 'beta.c0 = 0.20000000000000001' (line 13)\n"
+        )
 
 
 README_EXAMPLE = """\

@@ -1,7 +1,6 @@
-"""Finite kernel expansions: exact norms, scaling, sampling, records."""
+"""Finite kernel expansions: exact norms, scaling, sampling."""
 
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,19 +12,15 @@ from gpucb import (
     kernel_cross,
     kernel_matrix,
     make_rkhs_function,
-    objective_record,
-    parse_objective_record,
     sample_random_rkhs,
     scale_to_norm,
 )
-from gpucb.config import ConfigError
 from gpucb.rkhs import Box
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.5)
 UNIT_BOX_1D = Box((0.0,), (1.0,))
 UNIT_BOX_2D = Box((0.0, 0.0), (1.0, 1.0))
-PINNED = Path(__file__).parent / "data" / "pinned"
 
 
 class TestBox:
@@ -164,37 +159,3 @@ class TestGridMaximum:
         f = make_rkhs_function(SE, [[0.0]], [1.0])
         with pytest.raises(ValueError):
             grid_maximum(f, np.empty((0, 1)))
-
-
-class TestRecords:
-    @pytest.mark.parametrize("spec", [SE, MATERN_32])
-    def test_round_trip_bit_exact(self, spec):
-        f = sample_random_rkhs(spec, m=7, B=1.5, domain=UNIT_BOX_2D, seed=11)
-        text = objective_record(f, seed=11)
-        assert text.startswith("seed = 11\nfamily = ")
-        g, seed = parse_objective_record(text)
-        assert seed == 11
-        assert g.spec == f.spec
-        assert np.array_equal(g.centers, f.centers)
-        assert np.array_equal(g.coeffs, f.coeffs)
-        assert g.norm == f.norm
-
-    def test_seed_required(self):
-        # the writer always leads with the seed line; a record without it is
-        # not one the writer wrote
-        f = make_rkhs_function(SE, [[0.1], [0.9]], [1.0, 2.0])
-        text = objective_record(f, 3)
-        assert text.startswith("seed = 3\n")
-        with pytest.raises(ConfigError, match=r"^objective record has no seed field$"):
-            parse_objective_record(text.removeprefix("seed = 3\n"))
-
-    @pytest.mark.parametrize(
-        "path", sorted(PINNED.glob("**/objective.txt")), ids=lambda p: str(p.relative_to(PINNED))
-    )
-    def test_pinned_records_render_back_byte_identical(self, path):
-        # every record a pinned suite wrote, seed line included, joined as a
-        # run joins them
-        text = path.read_text(encoding="utf-8")
-        records = [parse_objective_record(block) for block in text.split("\n\n")]
-        assert len(records) >= 5
-        assert "\n".join(objective_record(f, seed) for f, seed in records) == text
