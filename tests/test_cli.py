@@ -48,6 +48,9 @@ seeds = 0
 """
 
 
+PINNED = Path(__file__).parent / "data" / "pinned"
+
+
 def write_config(tmp_path, text=MINIMAL, name="config.txt"):
     path = tmp_path / name
     path.write_text(text)
@@ -1072,6 +1075,28 @@ class TestConfigEdits:
         assert self.report_exits_4(run, tmp_path, capsys, edit(text)) == f"{message}\n"
 
 
+class TestExplicitObjectiveEdits:
+    """The pinned Halton suite, whose config.txt spells out one objective
+    for every seed, under an edit to that objective: report grades the
+    traces under the edited one and exits 4."""
+
+    @pytest.mark.parametrize("old, new", [
+        ("objective.centers = 0.5,0.5;", "objective.centers = 0.5,0.25;"),
+        ("objective.coeffs = 1, -0.5", "objective.coeffs = 1, -0.25"),
+        ("objective.centers = 0.5,0.5; 0.10000000000000001,0.90000000000000002\nobjective.coeffs = 1, -0.5",
+         "objective.centers = 0.5,0.5\nobjective.coeffs = 1"),
+    ], ids=["center_moved", "coefficient_changed", "center_dropped"])
+    def test_edited_objective_exits_4(self, tmp_path, capsys, old, new):
+        out = tmp_path / "run"
+        shutil.copytree(PINNED / "nu12_halton2d", out)
+        path = out / "config.txt"
+        text = path.read_text()
+        assert old in text
+        path.write_text(render_config(parse_config(text.replace(old, new))))
+        assert cmd_report(str(out)) == 4
+        assert capsys.readouterr().err == f"error: {out}/{OBJECTIVE}\n"
+
+
 def _drop_trace(cell):
     (cell / "trace_seed3.csv").unlink()
 
@@ -1098,6 +1123,15 @@ def _negative_norm_objective(cell):
         "objective.kind = explicit\nobjective.centers = 0.5; 0.5000000001\nobjective.coeffs = 1e8, -1e8\n",
     )
     path.write_text(render_config(parse_config(text)))
+
+
+def _edit_config(old, new):
+    def damage(cell):
+        path = cell / "config.txt"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+    return damage
 
 
 def _rename_column(cell):
@@ -1270,6 +1304,31 @@ class TestDamagedRunReport:
         (_set_config_nu(400.3), "run/config.txt: K_nu overflows double precision at nu=400.3"),
         (_negative_norm_objective, "run/config.txt: negative squared norm"),
         (_config_not_utf8, "run/config.txt: 'utf-8' codec can't decode byte 0xff in position 0"),
+        # configs that do not parse, or are not the writer's text
+        (_edit_config("kernel.family", "# a note\nkernel.family"),
+         "run/config.txt: line '# a note' where the writer writes 'kernel.family = matern' (line 1)"),
+        (_edit_config("seeds = 0, 1, 2, 3, 4\n", "seeds = 0, 1, 2, 3, 4\n\n\n"),
+         "run/config.txt: line '' after the writer's last line (line 22)"),
+        (_edit_config("kernel.nu = 1.5\n", "kernel.nu = 1.5\nkernel.nu = 1.5\n"),
+         "run/config.txt: duplicate key 'kernel.nu' (key: kernel.nu) (line 3)"),
+        (_edit_config("rho = 1\n", "rho = 1\ngarbage line here\n"),
+         "run/config.txt: malformed line 'garbage line here' (line 8)"),
+        (_edit_config("kernel.nu = 1.5\n", "kernel.nu = 1.5x\n"),
+         "run/config.txt: expected a number, got '1.5x' (key: kernel.nu) (line 2)"),
+        (_edit_config("seeds = 0, 1, 2", "seeds = 0, 1, two"),
+         "run/config.txt: expected an integer, got 'two' (key: seeds) (line 21)"),
+        (_edit_config("seeds = 0, 1, 2, 3, 4", "seeds = 0, 1, 2, 3, 3"),
+         "run/config.txt: seeds must be distinct replicates (key: seeds) (line 21)"),
+        (_edit_config("objective.B = 2\n", "objective.B = -2\n"),
+         "run/config.txt: must be positive, got -2 (key: objective.B) (line 20)"),
+        # a dropped line reads as its default, which the writer writes out
+        (_edit_config("objective.B = 2\n", ""),
+         "run/config.txt: line 'seeds = 0, 1, 2, 3, 4' where the writer writes 'objective.B = 1' (line 20)"),
+        (_edit_config("kernel.family = matern\n", ""),
+         "run/config.txt: missing key 'kernel.family' (key: kernel.family)"),
+        # a seed the run did not run has no trace to grade
+        (_edit_config("seeds = 0, 1, 2, 3, 4", "seeds = 0, 1, 2, 3, 4, 5"),
+         "run/trace_seed5.csv"),
         (_rename_column, "trace_seed1.csv: trace header 't,x_1,y,beta,sigma,mean,inst_regret,cum_regret,flag' is not "
                          "t, x_1..x_d, y, beta, sigma, mu, inst_regret, cum_regret, flag"),
         (_truncate_trace, "trace_seed1.csv"),
@@ -1401,6 +1460,14 @@ def _cut_short_config_newline(cell):
     path.write_text(path.read_text().rstrip("\n"))
 
 
+def _in_cells(damage, *names):
+    # one damage to the config.txt of each named cell of the sweep
+    def damage_cells(cell):
+        for name in names:
+            damage(cell / name)
+    return damage_cells
+
+
 class TestSweepReport:
     """``report`` on a sweep grades one run cut at several horizons."""
 
@@ -1427,6 +1494,13 @@ class TestSweepReport:
                                 "line 'beta.constant_value = 2' after the writer's last line (line 22)"),
         (_unknown_key_in_short_config,
          "horizon_16/config.txt: unknown key 'regret.slack' (key: regret.slack) (line 22)"),
+        # a short cell under another objective, or another kernel
+        (_in_cells(_edit_config("objective.B = 2\n", "objective.B = 3\n"), "horizon_16"),
+         "horizon_16/config.txt: differs from horizon_64, not only in horizon: "
+         "line 'objective.B = 3' where the writer writes 'objective.B = 2' (line 20)"),
+        (_in_cells(_set_config_nu(400.3), "horizon_16"),
+         "horizon_16/config.txt: differs from horizon_64, not only in horizon: "
+         "line 'kernel.nu = 400.30000000000001' where the writer writes 'kernel.nu = 1.5' (line 2)"),
     ])
     def test_shorter_cell_not_a_cut_exits_4(self, sweep, tmp_path, capsys, damage, message):
         out = tmp_path / "sweep"
@@ -1435,6 +1509,41 @@ class TestSweepReport:
         assert cmd_report(str(out)) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage, message", [
+        # configs whose objectives cannot be drawn, in every cell
+        (_in_cells(_set_config_nu(400.3), "horizon_16", "horizon_64"),
+         "horizon_64/config.txt: K_nu overflows double precision at nu=400.3"),
+        (_in_cells(_negative_norm_objective, "horizon_16", "horizon_64"),
+         "horizon_64/config.txt: negative squared norm"),
+        # configs that do not parse, in the longest cell or a shorter one
+        (_in_cells(_config_not_utf8, "horizon_64"),
+         "horizon_64/config.txt: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (_in_cells(_config_not_utf8, "horizon_16"),
+         "horizon_16/config.txt: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (_in_cells(_edit_config("seeds =", "regret.slack = 0.5\nseeds ="), "horizon_64"),
+         "horizon_64/config.txt: unknown key 'regret.slack' (key: regret.slack) (line 21)"),
+        (_in_cells(_edit_config("kernel.nu = 1.5\n", "kernel.nu = 1.5x\n"), "horizon_16"),
+         "horizon_16/config.txt: expected a number, got '1.5x' (key: kernel.nu) (line 2)"),
+        # the longest cell's config.txt is not the writer's text
+        (_in_cells(_edit_config("kernel.family", "# a note\nkernel.family"), "horizon_64"),
+         "horizon_64/config.txt: line '# a note' where the writer writes 'kernel.family = matern' (line 1)"),
+        (_in_cells(_edit_config("seeds = 0, 1, 2, 3, 4\n", "seeds = 0, 1, 2, 3, 4\nbeta.constant_value = 2\n"),
+                   "horizon_64"),
+         "horizon_64/config.txt: line 'beta.constant_value = 2' after the writer's last line (line 22)"),
+        # every cell under another objective: the longest cell's traces
+        # are graded under the one its config.txt draws
+        (_in_cells(_edit_config("objective.B = 2\n", "objective.B = 3\n"), "horizon_16", "horizon_64"),
+         "horizon_64/trace_seed0.csv: inst_regret at t=1 is not f_star - f(x_t) under config.txt's objective"),
+    ])
+    def test_config_fault_names_its_cell(self, sweep, tmp_path, capsys, damage, message):
+        out = tmp_path / "sweep"
+        shutil.copytree(sweep, out)
+        damage(out)
+        assert cmd_report(str(out)) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}/") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("lost, message", [

@@ -67,6 +67,32 @@ def test_outputs_match_the_pinned_references(tmp_path, capsys, case):
         assert fault is None, fault
 
 
+@pytest.mark.parametrize(
+    "suite", sorted(str(p.parent.relative_to(gen.PINNED)) for p in gen.PINNED.glob("**/config.txt"))
+)
+def test_pinned_traces_pin_the_objectives_config_txt_draws(suite):
+    # no file beside the traces records the objectives: each seed's is drawn
+    # from config.txt, and the traces' regret and observations pin the draw
+    # to the bit
+    from gpucb import trace_from_csv
+    from gpucb.analysis import grid_columns
+    from gpucb.config import parse_config
+    from gpucb.rkhs import _objective_values
+    from gpucb.ucb import _seed_noise
+
+    top = gen.PINNED / suite
+    config = parse_config((top / "config.txt").read_text(encoding="utf-8"))
+    grid = config.evaluation_points()
+    assert len(config.seeds) == 5
+    for seed in config.seeds:
+        f_grid = _objective_values(config.objective_for_seed(seed), grid)
+        f_star = float(np.max(f_grid))
+        trace = trace_from_csv((top / f"trace_seed{seed}.csv").read_text(encoding="utf-8"), config.kernel, f_star, seed)
+        played = f_grid[grid_columns(grid, trace.X)]
+        assert np.array_equal(trace.inst_regret, f_star - played)
+        assert np.array_equal(trace.y, played + _seed_noise(config, seed)[: trace.horizon])
+
+
 def test_the_halton_suite_tracks_a_shadow_column():
     # the objective peaks at a lattice point of the evaluation grid, off
     # the Halton candidates, so each run tracks the optimum past them
