@@ -38,6 +38,7 @@ from .config import (
 from .kernels import (
     HolderReport,
     KernelFamily,
+    KernelRows,
     KernelSpec,
     bessel_k,
     holder_validate,

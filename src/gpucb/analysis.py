@@ -14,9 +14,11 @@ These operations grade completed runs:
   infinite otherwise.  The prefix audit evaluates no kernel and no
   objective and maps no point: it takes its design's grid rows, the
   candidates' kernel rows against the grid and the objective's grid
-  values, all computed once per report and shared by its audits; the
-  candidates' own columns of those kernel rows are the kernel matrix that
-  ``greedy_info_gain`` takes.
+  values, each built once per report and shared by its audits.  A report
+  holds those kernel rows in one ``kernels.KernelRows`` store, which builds
+  a row when it is first read, and hands ``greedy_info_gain`` a view of
+  the candidates' own columns, their kernel matrix, so no row is built
+  twice.
 * ``regret_bound_check`` tests the conditional cumulative-regret
   inequality R_T <= sqrt(8/ln(1+1/rho)) * sqrt(T * beta_{T-1} * I_T)
   on traces whose per-step error-bound flags all held.
@@ -37,7 +39,7 @@ from typing import Collection, Mapping, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, _fmt
-from .kernels import KernelFamily
+from .kernels import KernelFamily, KernelRows
 from .posterior import GrowingPosterior, PosteriorState, _clamped_var, _design_fit, fit
 from .posterior import posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction
@@ -102,9 +104,9 @@ def rate_reference(family: KernelFamily, nu: float | None, d: int) -> RateRefere
     return RateReference(family, None, d, 0.5, 0.0)
 
 
-def greedy_info_gain(K: np.ndarray, rho: float, T: int) -> np.ndarray:
+def greedy_info_gain(K: np.ndarray | KernelRows, rho: float, T: int) -> np.ndarray:
     """Greedy information-gain series over a fixed candidate set, from the
-    candidates' kernel matrix ``K``.
+    candidates' kernel matrix ``K``, an array or a ``KernelRows``.
 
     Step t adds the candidate with the largest current variance (largest
     marginal ln(1 + var/rho)); the running half-sum of those increments is
@@ -251,13 +253,18 @@ def grid_columns(grid: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def prefix_bound_audit(
-    f_grid: np.ndarray, K: np.ndarray, rows: np.ndarray, y: np.ndarray, rho: float, checkpoints: Sequence[int]
+    f_grid: np.ndarray,
+    K: np.ndarray | KernelRows,
+    rows: np.ndarray,
+    y: np.ndarray,
+    rho: float,
+    checkpoints: Sequence[int],
 ) -> AuditSeries:
     """Same ratios as ``uniform_bound_audit`` over the prefixes of a trace
     that played the grid rows ``rows`` and observed ``y``, for an objective
-    with values ``f_grid`` over the grid and the kernel rows ``K`` of the
-    grid's first m points, the candidates, against the whole grid.  A
-    prefix is fit from its d distinct points, k plays at each standing as
+    with values ``f_grid`` over the grid and the kernel rows ``K`` (an
+    array or a ``KernelRows``) of the grid's first m points, the
+    candidates, against the whole grid.  A prefix is fit from its d distinct points, k plays at each standing as
     one play of their mean (``_design_fit``): O(d^3 + d^2 n) on an n-point
     grid.  ValueError for a row off the candidates.
     """
@@ -463,15 +470,16 @@ def grade_suite(
     f_grids: Mapping[int, np.ndarray],
     norms: Mapping[int, float],
     rows: Mapping[int, np.ndarray],
-    K: np.ndarray,
+    K: KernelRows,
     horizons: Collection[int],
 ) -> list[GradeRow]:
     """Grade a loaded suite: one row per check, in report order.
 
     Takes the suite's config and traces, each seed's objective values over
-    the evaluation grid, objective norm and played grid rows, the
-    candidates' kernel rows ``K`` against the grid (the candidates are the
-    grid's first rows) and the horizons of the graded cells, the suite's
+    the evaluation grid, objective norm and played grid rows, the store of
+    the candidates' kernel rows ``K`` against the grid (the candidates are
+    the grid's first rows), which the audits and the information gain
+    share, and the horizons of the graded cells, the suite's
     own T the longest.  The regret exponent is fit up to T from the
     shortest cell's horizon, or from max(T/16, 4) when every cell runs to
     T; every trace is audited at the fit's checkpoints, and the greedy
@@ -485,12 +493,13 @@ def grade_suite(
     t_min = min(horizons) if min(horizons) < T else max(T // 16, 4)
     fit_res = fit_regret_exponent(traces, t_min, T)
     # the information gain goes before the audits: its posterior's row
-    # buffer, mapped afresh, is gone by the time the audits fill the heap,
-    # where after them its pages added to what the heap held
+    # buffer, mapped afresh, is unmapped before the audits grow the heap
+    # and the store, where after them its pages came on top of both
+    # (se_wide_sweep's report peaked 5.4 MiB higher that way round)
     m = K.shape[0]
     T_gain = min(512, m)
     if T_gain >= 64:
-        gain = information_gain_row(greedy_info_gain(K[:, :m], config.rho, T_gain), ref)
+        gain = information_gain_row(greedy_info_gain(K.columns(m), config.rho, T_gain), ref)
     else:
         gain = GradeRow("information-gain growth", "SKIP", "candidate set too small")
     audits = {

@@ -50,7 +50,7 @@ import numpy as np
 from .analysis import grade_suite, grid_columns, trace_information_gain
 from .config import ConfigError, ExperimentConfig, _fmt, _written_exactly, parse_config
 from .config import parse_config_file, render_config
-from .kernels import kernel_cross
+from .kernels import KernelRows
 from .posterior import NumericError
 from .rkhs import _objective_values
 from .ucb import LoopHold, RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
@@ -404,11 +404,13 @@ def cmd_report(out_dir: str) -> int:
         for cell in cells:
             if cell != longest:
                 _check_cut(cell, longest, config, traces, configs[cell].horizon)
-        # the candidates' kernel rows against the grid, built once: every
-        # audit reads its design rows from it, and the information gain its
-        # leading square block, the candidates' kernel matrix (the
-        # candidates are the grid's first rows)
-        K = kernel_cross(config.kernel, cand, grid)
+        # the store of the candidates' kernel rows against the grid, which
+        # the information gain and the audits share, so no row is built
+        # twice; a kernel it builds whole fails here, on config.txt's kernel
+        try:
+            K = KernelRows(config.kernel, cand, grid)
+        except _NUMERIC as exc:
+            raise ValueError(f"{longest / 'config.txt'}: {exc}") from None
     except (OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

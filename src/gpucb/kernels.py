@@ -22,6 +22,9 @@ correlations there, in place; every entry takes the same elementwise steps
 whatever the blocks, so the blocks never change a bit of the result.  When
 the second set starts with the first, a block evaluates only its columns
 from its first row on and copies the rest from the rows above, its transpose.
+``KernelRows`` holds the rows of one ``kernel_cross`` block for readers that
+need only some of them, and builds each through ``kernel_cross`` when it is
+first read.
 
 ``K_nu`` is evaluated in-house, one way for every order and argument: the
 base pair (K_mu, K_{mu+1}), |mu| <= 1/2, by the trapezoid rule on the
@@ -38,6 +41,7 @@ value depends on the order or company of the arguments.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,6 +55,7 @@ __all__ = [
     "bessel_k",
     "kernel_matrix",
     "kernel_cross",
+    "KernelRows",
     "holder_validate",
 ]
 
@@ -346,14 +351,19 @@ def _kernel(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return out
 
 
-def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
-    """(len(X), len(Y)) matrix of correlations between two point sets;
-    ValueError on a non-finite coordinate or mixed dimensions."""
+def _point_sets(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """X and Y as points (``_as_points``); ValueError on mixed dimensions."""
     X = _as_points(X, "X")
     Y = _as_points(Y, "Y")
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]}-d points against {Y.shape[1]}-d points")
-    return _kernel(spec, X, Y)
+    return X, Y
+
+
+def kernel_cross(spec: KernelSpec, X, Y) -> np.ndarray:
+    """(len(X), len(Y)) matrix of correlations between two point sets;
+    ValueError on a non-finite coordinate or mixed dimensions."""
+    return _kernel(spec, *_point_sets(X, Y))
 
 
 def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
@@ -367,6 +377,84 @@ def kernel_matrix(spec: KernelSpec, X) -> np.ndarray:
     """
     P = _as_points(X, "X")
     return _kernel(spec, P, P)
+
+
+class KernelRows:
+    """The rows of the block ``kernel_cross(spec, X, Y)``, each built when it
+    is first read and then kept: an append-only store for readers that need
+    only some rows, as a run needs the rows of the points it plays.
+
+    ``take`` reads rows as ``ndarray.take`` reads them from the whole block
+    along axis 0, so the posterior and the audits read a store and an array
+    alike.  The rows a call needs that are not built yet are built by one
+    ``kernel_cross`` call on their points, and packed in first-use order
+    into a buffer of the block's size, whose pages are mapped only as rows
+    are written: NumPy asks for huge pages on large arrays, so rows written
+    where they lie in the block would map most of it.  A row built alone
+    equals the whole build's row bit for bit, since every entry takes the
+    same elementwise steps whatever the rows built with it.
+
+    A general-order Matern kernel is built whole here, in one
+    ``kernel_cross`` call: each ``bessel_k`` call has a fixed cost, which
+    its rows one at a time would pay once per row, several times the cost
+    of the whole block.
+    So every kernel failure (``K_nu`` overflows, or its quadrature does not
+    converge) raises from the constructor; the rows built on first read
+    evaluate closed forms (the squared exponential and half-integer Matern
+    profiles), which raise nothing.  ValueError, as ``kernel_cross``, on a
+    non-finite coordinate or mixed dimensions.
+    """
+
+    def __init__(self, spec: KernelSpec, X, Y):
+        X, Y = _point_sets(X, Y)
+        self._spec, self._X, self._Y = spec, X, Y
+        m, n = X.shape[0], Y.shape[0]
+        self.shape = (m, n)
+        self._width, self._extra = n, None
+        # each row's place in the packed buffer, -1 until it is built
+        self._slot = np.full(m, -1, dtype=np.intp)
+        if spec.family is KernelFamily.MATERN and not _is_half_integer(spec.nu):
+            self._packed = kernel_cross(spec, X, Y)
+            self._slot[:] = np.arange(m)
+        else:
+            self._packed = np.empty((m, n))
+
+    def take(self, rows, axis=0, out=None, mode="clip") -> np.ndarray:
+        """Rows ``rows`` of the block (an index, or an array of them, giving
+        an array of its shape plus a row's), into ``out`` when given, as
+        ``block.take(rows, axis=0, out=out, mode=mode)`` gives them; rows
+        are the only axis taken."""
+        if axis != 0:
+            raise ValueError(f"a KernelRows is taken along axis 0, not {axis}")
+        rows = np.asarray(rows, dtype=np.intp)
+        slots = self._slot[rows]
+        new = rows[slots < 0]
+        if new.size:
+            # a row asked for twice is built once; np.unique would import
+            # numpy.ma, whose import costs a report 16 ms and 0.5 MiB of heap
+            new = np.flatnonzero(np.bincount(new, minlength=self.shape[0])) if new.size > 1 else new
+            start = np.count_nonzero(self._slot >= 0)
+            self._packed[start:start + new.size] = kernel_cross(self._spec, self._X[new], self._Y)
+            self._slot[new] = np.arange(start, start + new.size)
+            slots = self._slot[rows]
+        width = self._width
+        if width == self._packed.shape[1] and self._extra is None:
+            return self._packed.take(slots, axis=0, out=out, mode=mode)
+        if out is None:
+            out = np.empty(slots.shape + (self.shape[1],))
+        out[..., :width] = self._packed[slots, :width]
+        if self._extra is not None:
+            out[..., width:] = self._extra[rows]
+        return out
+
+    def columns(self, stop: int, extra: np.ndarray | None = None) -> KernelRows:
+        """A view on this store's rows, which it builds and reads with it:
+        their first ``stop`` columns, then those of ``extra``, the kernel
+        of X's points against further points, one row per point of X."""
+        view = copy.copy(self)
+        view._width, view._extra = stop, extra
+        view.shape = (self.shape[0], stop + (0 if extra is None else extra.shape[1]))
+        return view
 
 
 # ---------------------------------------------------------------------------

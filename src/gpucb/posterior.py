@@ -28,10 +28,12 @@ time it refactors its rows from the d distinct points played.  A
 step is one matrix-vector product and a few elementwise passes over the n
 points, with its scalars read as Python floats.
 A posterior takes the kernel rows it computes on and builds none: its
-caller owns the point sets.  What the seeds and sweep cells of one command
-share, such as the candidates' kernel matrix, the objective, its values over
-the grid and the ``beta_t`` column, is built once per process by ``_held``:
-one read-only value per name, rebuilt only when its key changes.  A
+caller owns the point sets.  It reads them by ``K.take`` along axis 0
+alone, so ``K`` is an array or a ``kernels.KernelRows`` store, which builds
+a row when it is first read.  What the seeds and sweep cells of one command
+share, such as the store of the candidates' kernel rows, the objective, its
+values over the grid and the ``beta_t`` column, is built once per process
+by ``_held``: one value per name, rebuilt only when its key changes.  A
 posterior's row buffer is sized by its points alone, (2m + 1) x n for m
 observable of n tracked points, whatever the horizon: mapped lazily, so a
 run touches only the rows it writes, and handed to no other posterior.
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_cross, kernel_matrix
+from .kernels import KernelRows, KernelSpec, kernel_cross, kernel_matrix
 
 __all__ = [
     "NumericError",
@@ -84,9 +86,12 @@ _HELD: dict = {}
 
 def _held(name: str, key: tuple, build):
     """``build()``, held under ``name`` while the same ``key`` is asked for,
-    and frozen when it is an array.  Keys compare exactly: an array in
-    ``key`` counts by its shape and bytes.  The old value under ``name`` is
-    dropped before ``build()`` runs, so at most one value per name is held."""
+    and frozen when it is an array; any other value is held as it is, such
+    as a ``kernels.KernelRows`` store, which is append-only: it adds the
+    rows its readers ask for and hands out copies.  Keys compare exactly:
+    an array in ``key`` counts by its shape and bytes.  The old value under
+    ``name`` is dropped before ``build()`` runs, so at most one value per
+    name is held."""
     key = tuple((k.shape, k.tobytes()) if isinstance(k, np.ndarray) else k for k in key)
     entry = _HELD.get(name)
     if entry is not None and entry[0] == key:
@@ -210,7 +215,9 @@ def _lower_product(T: np.ndarray, C: np.ndarray) -> np.ndarray:
     return C
 
 
-def _design_fit(K: np.ndarray, D: np.ndarray, rho: float, k: np.ndarray, ybar: np.ndarray, out: np.ndarray | None):
+def _design_fit(
+    K: np.ndarray | KernelRows, D: np.ndarray, rho: float, k: np.ndarray, ybar: np.ndarray, out: np.ndarray | None
+):
     """Fit from the distinct points ``D`` (rows of the kernel rows ``K``),
     played k times each with mean observations ``ybar``: k plays act as one
     play of their mean with noise nu = rho / k (Ankenman, Nelson & Staum,
@@ -221,7 +228,7 @@ def _design_fit(K: np.ndarray, D: np.ndarray, rho: float, k: np.ndarray, ybar: n
     (inv(L) ybar)' W, a row per column of a 2-d ``ybar``, and W's column sums
     of squares."""
     # mode="clip" (the indices are valid): the default buffers ``out`` in a temporary
-    W = np.take(K, D, axis=0, out=out, mode="clip")
+    W = K.take(D, axis=0, out=out, mode="clip")
     nu = rho / k
     L = _cholesky(W[:, D], nu)
     Linv = _inv_lower(L)
@@ -253,9 +260,13 @@ def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
 
 
 def _clamped_var(raw: np.ndarray, step: int | None = None) -> np.ndarray:
-    """``raw`` clamped at 0 in place; untouched when nothing is negative."""
-    # argmin lands on the first NaN, which fails the test below, or on -inf
+    """``raw`` clamped at 0 in place; untouched when nothing is negative.
+    A NaN passes through, for the score check to name."""
+    # argmin lands on -inf, or stops at the first NaN, past which only the
+    # other entries' minimum tells whether any is negative
     low = raw.item(raw.argmin()) if raw.size else 0.0
+    if low != low:
+        low = float(np.fmin.reduce(raw))
     if low < 0.0:
         if low < -_VAR_CLAMP:
             raise NumericError(f"negative posterior variance {low} signals a broken factorization", step=step)
@@ -309,13 +320,15 @@ class GrowingPosterior:
     points against its n >= m tracked points, whose first m are those same
     points: a tracked point past them has a mean and a variance but is
     never observed, so it needs its kernel column alone.  The posterior
-    only reads ``K``.  Its row buffer W is (2m + 1) x n whatever the
-    horizon, since the rows stay at most 2d + 1: left unset by
-    ``np.empty``, as every row is written before it is read, so its pages
-    are mapped only as rows are written, and handed to no other posterior.
+    only reads ``K``, by ``K.take`` along axis 0: a point's row at its
+    first play, and the design's rows at a refactor.  Its row buffer W is
+    (2m + 1) x n whatever the horizon, since the rows stay at most 2d + 1:
+    left unset by ``np.empty``, as every row is written before it is read,
+    so its pages are mapped only as rows are written, and handed to no
+    other posterior.
     """
 
-    def __init__(self, K: np.ndarray, rho: float):
+    def __init__(self, K: np.ndarray | KernelRows, rho: float):
         self._K = K
         m, n = K.shape
         self.rho = rho
@@ -345,11 +358,15 @@ class GrowingPosterior:
         s = self._s
         # W[r] is free until this step's row is written into it
         w_row = W[r]
-        # c's covariance column: its latest row (K[c] when it has none),
-        # weighted, less the rows after it
+        # c's covariance column: its latest row weighted, or K[c], whose
+        # weight is 1, when it has none, less the rows after it
         p = self._pos.item(c)
         np.dot(W[p + 1:r, c], W[p + 1:r], out=s)
-        np.subtract(np.multiply(W[p] if p >= 0 else self._K[c], self._weight.item(c), out=w_row), s, out=s)
+        if p >= 0:
+            np.multiply(W[p], self._weight.item(c), out=w_row)
+        else:
+            self._K.take(c, axis=0, out=w_row, mode="clip")
+        np.subtract(w_row, s, out=s)
         sumsq = self._sumsq
         d2 = self.rho + max(1.0 - sumsq.item(c), 0.0)
         gain = (y - self.mean.item(c)) / d2

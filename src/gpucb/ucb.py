@@ -12,9 +12,10 @@ played so far), plus O(d^3 + d^2 n) whenever the posterior refactors its
 rows from those d points.  Refactors come more than d steps apart, so a
 run is O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  The
 loop owns the point sets and hands the posterior their kernel rows: the
-candidates' kernel matrix, held by ``posterior._held`` for every seed and
-sweep cell, and for a seed with a shadow column a copy with that column's
-kernel entries appended.
+store of the candidates' kernel matrix (``kernels.KernelRows``), held by
+``posterior._held`` for every seed and sweep cell, which builds a row when
+a seed first plays its point, and for a seed with a shadow column a view
+of that store that reads the column's kernel entries after its rows.
 It is algebraically the same recursion as ``posterior.update`` restricted
 to the tracked points, and the tests pin the two against each other.
 
@@ -53,8 +54,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_cross, kernel_matrix
-from .posterior import GrowingPosterior, NumericError, PosteriorState, _freeze, _held
+from .kernels import KernelRows, KernelSpec, kernel_cross
+from .posterior import GrowingPosterior, NumericError, PosteriorState, _held
 from .posterior import posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction, _objective_values
 
@@ -248,14 +249,14 @@ def run_gp_ucb(
 
     # track the optimum through its own candidate column, or through a
     # shadow column when it lies off the candidates: it is never played, so
-    # it needs its kernel column alone, appended to a copy of the
-    # candidates' kernel matrix, which every seed shares
-    K = _held("kernel", (spec, cand), lambda: kernel_matrix(spec, cand))
+    # it needs its kernel column alone, read after the rows of the
+    # candidates' kernel matrix, whose store every seed shares
+    K = _held("kernel", (spec, cand), lambda: KernelRows(spec, cand, cand))
     if best < m:
         opt = best
     else:
         opt = m
-        K = _freeze(np.hstack([K, kernel_cross(spec, cand, grid[best:best + 1])]))
+        K = K.columns(m, kernel_cross(spec, cand, grid[best:best + 1]))
     post = GrowingPosterior(K, rho)
 
     choice = np.empty(T, dtype=np.intp)

@@ -3,7 +3,7 @@ traces, used across test modules."""
 
 import pytest
 
-from gpucb import BetaKind, BetaSchedule, KernelFamily, KernelSpec, kernel_cross
+from gpucb import BetaKind, BetaSchedule, KernelFamily, KernelRows, KernelSpec
 from gpucb.analysis import grade_suite, grid_columns
 from gpucb.config import ExperimentConfig, ObjectiveSpec
 from gpucb.rkhs import Box
@@ -68,7 +68,7 @@ def grade_traces(config: ExperimentConfig, traces: list) -> list:
     """``analysis.grade_suite``'s rows for ``traces`` run under ``config``
     against its own objectives, graded as ``report`` grades a run."""
     grid = config.evaluation_points()
-    K = kernel_cross(config.kernel, config.candidate_points(), grid)
+    K = KernelRows(config.kernel, config.candidate_points(), grid)
     objectives = {tr.seed: config.objective_for_seed(tr.seed) for tr in traces}
     return grade_suite(
         config,

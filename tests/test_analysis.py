@@ -9,6 +9,7 @@ import pytest
 
 from gpucb import (
     KernelFamily,
+    KernelRows,
     KernelSpec,
     NumericError,
     calibrate_c0,
@@ -144,6 +145,7 @@ class TestGreedyInfoGain:
         # are the first rows of a grid that adds a lattice, and the series
         # read off the block's leading square columns, with no kernel built,
         # is the series of the candidates' own kernel matrix
+        import gpucb.kernels
         import gpucb.posterior
         from gpucb.config import halton_points, lattice_points
 
@@ -157,10 +159,15 @@ class TestGreedyInfoGain:
         def unreachable(*args):
             raise AssertionError("the information gain built a kernel")
 
+        # the report's store of the block, built whole at this order, reads
+        # its leading square columns through a view
+        store = KernelRows(spec, cands, grid)
         for name in ("kernel_matrix", "kernel_cross"):
             monkeypatch.setattr(gpucb.posterior, name, unreachable)
+            monkeypatch.setattr(gpucb.kernels, name, unreachable)
         shared = greedy_info_gain(block[:, :48], 0.5, T=40)
         assert block.shape == (48, 84) and shared.tobytes() == fresh.tobytes()
+        assert greedy_info_gain(store.columns(48), 0.5, T=40).tobytes() == fresh.tobytes()
         # the candidates' own columns are their kernel matrix bit for bit
         assert block[:, :48].tobytes() == kernel_matrix(spec, cands).tobytes()
 

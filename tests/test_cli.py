@@ -13,6 +13,7 @@ import gpucb.config
 from gpucb import (
     Box,
     fit,
+    kernel_cross,
     kernel_matrix,
     logdet_information,
     parse_config,
@@ -21,6 +22,7 @@ from gpucb import (
     trace_from_csv,
     trace_to_csv,
 )
+from gpucb.analysis import grid_columns
 from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 from gpucb.config import ExperimentConfig, halton_points
 from gpucb.ucb import _seed_noise
@@ -372,32 +374,63 @@ class TestRefactorFailure:
         assert not (tmp_path / "out" / "config.txt").exists()
 
 
+def record_row_builds(monkeypatch):
+    """The (X, Y) of each ``kernel_cross`` call a ``KernelRows`` makes, as
+    a list that fills while the test runs: one per batch of rows built."""
+    import gpucb.kernels
+
+    built = []
+    kernel_cross = gpucb.kernels.kernel_cross
+
+    def counted(spec, X, Y):
+        built.append((np.array(X), np.array(Y)))
+        return kernel_cross(spec, X, Y)
+
+    monkeypatch.setattr(gpucb.kernels, "kernel_cross", counted)
+    return built
+
+
+def played_rows(suite: Path, config: ExperimentConfig) -> set:
+    """The grid rows of the points that ``suite``'s traces played."""
+    grid = config.evaluation_points()
+    rows = set()
+    for seed in config.seeds:
+        trace = trace_from_csv((suite / f"trace_seed{seed}.csv").read_text(), config.kernel, 0.0, seed)
+        rows.update(grid_columns(grid, trace.X).tolist())
+    return rows
+
+
 class TestSharedKernelMatrix:
-    def test_sweep_builds_the_candidates_kernel_matrix_once(self, tmp_path, monkeypatch, fresh_memo):
+    def test_sweep_builds_the_row_of_each_played_candidate_once(self, tmp_path, monkeypatch, fresh_memo):
         # the optimum is one of the 16 candidates, so both seeds of all three
-        # cells run over the candidates alone and share one read-only matrix
-        import gpucb.ucb
-
-        built = []
-
-        def counted(spec, X):
-            built.append(np.array(X))
-            return kernel_matrix(spec, X)
-
-        monkeypatch.setattr(gpucb.ucb, "kernel_matrix", counted)
+        # cells run over the candidates alone and share one store of their
+        # kernel rows, which builds the row of each point they play, once
+        built = record_row_builds(monkeypatch)
         config = write_config(tmp_path, MINIMAL.replace("seeds = 0", "seeds = 0, 1"))
         assert cmd_sweep(config, "horizon", ["8", "16", "32"], str(tmp_path / "sweep")) == 0
-        cand = parse_config((tmp_path / "sweep" / "horizon_32" / "config.txt").read_text()).candidate_points()
-        assert len(built) == 1 and np.array_equal(built[0], cand)
+        cells = [tmp_path / "sweep" / f"horizon_{T}" for T in (8, 16, 32)]
+        config = parse_config((cells[-1] / "config.txt").read_text())
+        cand = config.candidate_points()
+        played = set().union(*(played_rows(cell, config) for cell in cells))
+        assert all(np.array_equal(Y, cand) for _, Y in built)
+        rows = np.concatenate([grid_columns(cand, X) for X, _ in built]).tolist()
+        assert sorted(rows) == sorted(played) and len(played) < 16
+        # the held store's rows are the candidates' kernel matrix's, bit for
+        # bit, and it hands out copies of them, so no reader can write them
         _, K = fresh_memo["kernel"]
-        with pytest.raises(ValueError, match="read-only"):
-            K[0, 0] = 0.0
+        played = sorted(played)
+        taken = K.take(played)
+        assert taken.tobytes() == kernel_matrix(config.kernel, cand)[played].tobytes()
+        taken[0, 0] = 0.0
+        assert K.take(played).tobytes() == kernel_matrix(config.kernel, cand)[played].tobytes()
+        assert len(built) == len(rows)
 
 
 class TestSharedReportBlock:
-    """``report`` builds the candidates' kernel rows against the evaluation
-    grid once, hands the information gain their leading square block, and
-    parses and evaluates each distinct objective once."""
+    """``report`` builds one store of the candidates' kernel rows against the
+    evaluation grid, which the information gain, through its leading square
+    block, and the audits share, and parses and evaluates each distinct
+    objective once."""
 
     @staticmethod
     def report_counting(tmp_path, monkeypatch, held, text):
@@ -405,24 +438,26 @@ class TestSharedReportBlock:
         import gpucb.cli
         import gpucb.posterior
         import gpucb.rkhs
-        import gpucb.ucb
-        from gpucb import kernel_cross
+        from gpucb import GrowingPosterior
         from gpucb.rkhs import RkhsFunction
 
         out = tmp_path / "run"
         assert cmd_run(write_config(tmp_path, text), str(out)) == 0
-        crosses, matrices, evaluated, norms, gains = [], [], [], [], []
+        matrices, evaluated, norms, gains, picks = [], [], [], [], []
 
-        def counted_cross(spec, X, Y):
-            K = kernel_cross(spec, X, Y)
-            crosses.append((np.array(X), np.array(Y), K))
-            return K
+        def unreachable(*args):
+            raise AssertionError("a kernel was built outside the store")
 
         greedy_info_gain = gpucb.analysis.greedy_info_gain
 
         def recorded_gain(K, rho, T):
             gains.append(K)
             return greedy_info_gain(K, rho, T)
+
+        class Picking(GrowingPosterior):
+            def observe(self, c, y):
+                picks.append(c)
+                super().observe(c, y)
 
         def counted_matrix(spec, X):
             matrices.append(np.array(X))
@@ -440,43 +475,57 @@ class TestSharedReportBlock:
 
         # a report process starts with no kernel or objective from the run
         held.clear()
-        # the report builds the block; the posterior and analysis evaluate
-        # no kernel, and were analysis to import kernel_cross again, its
-        # calls would be counted too
-        for module in (gpucb.cli, gpucb.posterior):
-            monkeypatch.setattr(module, "kernel_cross", counted_cross)
-        monkeypatch.setattr(gpucb.analysis, "kernel_cross", counted_cross, raising=False)
+        # the store builds every kernel row; the posterior, analysis and the
+        # CLI evaluate no kernel, and were they to import kernel_cross
+        # again, their calls would fail
+        crosses = record_row_builds(monkeypatch)
+        for module in (gpucb.cli, gpucb.posterior, gpucb.analysis):
+            monkeypatch.setattr(module, "kernel_cross", unreachable, raising=False)
         monkeypatch.setattr(gpucb.analysis, "greedy_info_gain", recorded_gain)
-        for module in (gpucb.posterior, gpucb.ucb):
-            monkeypatch.setattr(module, "kernel_matrix", counted_matrix)
+        monkeypatch.setattr(gpucb.analysis, "GrowingPosterior", Picking)
+        for module in (gpucb.posterior, gpucb.analysis, gpucb.cli):
+            monkeypatch.setattr(module, "kernel_matrix", counted_matrix, raising=False)
         monkeypatch.setattr(gpucb.rkhs, "kernel_matrix", counted_norm)
         monkeypatch.setattr(RkhsFunction, "on_points", counted_on_points)
         assert cmd_report(str(out)) == 0
         config = parse_config((out / "config.txt").read_text())
         report = (out / "report.txt").read_text()
-        return config, crosses, matrices, evaluated, norms, gains, report
+        return config, crosses, matrices, evaluated, norms, (gains, picks), report
 
-    def test_report_builds_the_candidates_block_once(self, tmp_path, monkeypatch, fresh_memo):
+    def test_report_builds_the_audited_and_greedy_rows_once(self, tmp_path, monkeypatch, fresh_memo):
         # 64 candidates on a grid of more points, 5 audited seeds and the
-        # information gain: one m x n block, built by one call that shares
-        # its square part, with no per-audit block, and the information gain
-        # reads its leading square block with no candidates' matrix of its own
+        # information gain: one store, which builds the row of each point
+        # the audits' designs hold or the information gain picks, once, and
+        # the information gain reads its leading square block, no kernel
+        # matrix of its own
         text = (
             MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
             .replace("horizon = 8", "horizon = 64")
             .replace("candidates.count = 16", "candidates.count = 64")
             .replace("eval_grid.count = 16", "eval_grid.count = 100")
         )
-        config, crosses, matrices, evaluated, norms, gains, report = self.report_counting(tmp_path, monkeypatch, fresh_memo, text)
+        config, crosses, matrices, evaluated, norms, (gains, picks), report = self.report_counting(
+            tmp_path, monkeypatch, fresh_memo, text
+        )
         cand, grid = config.candidate_points(), config.evaluation_points()
-        assert cand.shape[0] < grid.shape[0]
-        assert "PASS  error-ratio growth" in report and "SKIP  information-gain" not in report
-        ((X, Y, block),) = crosses
-        assert np.array_equal(X, cand) and np.array_equal(Y, grid)
-        assert matrices == []
-        (K,) = gains
         m = cand.shape[0]
-        assert K.shape == (m, m) and np.shares_memory(K, block) and np.array_equal(K, block[:, :m])
+        assert m < grid.shape[0]
+        assert "PASS  error-ratio growth" in report and "SKIP  information-gain" not in report
+        assert all(np.array_equal(Y, grid) for _, Y in crosses)
+        rows = np.concatenate([grid_columns(cand, X) for X, _ in crosses]).tolist()
+        # the audits' last checkpoint is the horizon: their designs hold
+        # every point a trace played
+        audited = played_rows(tmp_path / "run", config)
+        assert len(picks) == 64 and sorted(rows) == sorted(audited | set(picks)) and len(rows) < m
+        assert matrices == []
+        # the gain's block reads the store's rows, which are the whole
+        # build's leading square block bit for bit, and builds none of them
+        (K,) = gains
+        before = len(crosses)
+        block = kernel_cross(config.kernel, cand, grid)
+        read = K.take(sorted(set(picks)))
+        assert K.shape == (m, m) and len(crosses) == before
+        assert read.tobytes() == block[sorted(set(picks)), :m].tobytes()
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
         # two per seed's draw: the draw's and the rescaled one's
         assert len(norms) == 2 * 5
@@ -529,15 +578,22 @@ class TestSeedIndependentInputs:
             fresh_memo.clear()
             calls.clear()
             assert command() == 0
-            counts.append(len(calls))
+            counts.append(list(calls))
         config = parse_config((out / "config.txt").read_text())
         f = config.objective_for_seed(0)
         assert int(np.argmax(f.on_points(config.evaluation_points()))) == 0
         # the run: the objective's norm, its values over the grid and the
         # candidates' kernel matrix, once for all five seeds (11 calls when
         # each seed built its own objective and values); the report: the
-        # record's norm, its grid values and the candidates-by-grid block
-        assert counts == [3, 3]
+        # record's norm, its grid values and the candidates-by-grid block.
+        # Each store of kernel rows is built whole, by the whole build's
+        # calls, and never a row at a time
+        assert [len(c) for c in counts] == [3, 3]
+        cand = config.candidate_points()
+        for made, others in zip(counts, (cand, config.evaluation_points())):
+            calls.clear()
+            kernel_cross(config.kernel, cand, others)
+            assert made[-1:] == calls
 
     def test_halton_points_are_the_scalar_radical_inverses(self):
         def radical_inverse(index, base):
@@ -1353,6 +1409,24 @@ class TestDamagedRunReport:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("failure", [
+        OverflowError("K_nu overflows double precision at nu=150.3, z=0.015"),
+        ArithmeticError("K_nu quadrature failed to converge at mu=0.3, z=1e-303"),
+    ], ids=["overflow", "quadrature"])
+    def test_kernel_build_failure_names_config_txt(self, suite, tmp_path, capsys, monkeypatch, failure):
+        # a kernel that can fail is built whole where report constructs its
+        # store of kernel rows, so its failure names config.txt and exits 4
+        cell = tmp_path / "run"
+        shutil.copytree(suite, cell)
+
+        def failing(spec, X, Y):
+            raise failure
+
+        monkeypatch.setattr("gpucb.cli.KernelRows", failing)
+        assert cmd_report(str(cell)) == 4
+        assert capsys.readouterr().err == f"error: {cell / 'config.txt'}: {failure}\n"
+        assert not (cell / "report.txt").exists() and not (cell / "report.csv").exists()
 
     def test_damaged_rerun_leaves_no_stale_verdicts(self, suite, tmp_path, capsys):
         # a report that exits 4 over an earlier one leaves no verdicts to read

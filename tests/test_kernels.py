@@ -1,6 +1,10 @@
 """Kernel evaluation, matrix construction, and Holder-continuity checks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +366,118 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= K.nbytes + blocks * 8 * kernels._ROW_BLOCK
+
+
+STORE_SPECS = [
+    SE,
+    MATERN_HALF,
+    MATERN_32,
+    KernelSpec(KernelFamily.MATERN, nu=2.5, lengthscale=0.7),
+    KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=0.7),
+]
+STORE_IDS = ["se", "matern12", "matern32", "matern52", "nu1.2"]
+
+
+class TestKernelRows:
+    """The store of kernel rows: built on first read, each row once, equal
+    to the whole build's rows bit for bit."""
+
+    @staticmethod
+    def cross_calls(monkeypatch):
+        calls = []
+        original = kernels.kernel_cross
+
+        def recorded(spec, X, Y):
+            calls.append(np.array(X))
+            return original(spec, X, Y)
+
+        monkeypatch.setattr(kernels, "kernel_cross", recorded)
+        return calls
+
+    @pytest.mark.parametrize("spec", STORE_SPECS, ids=STORE_IDS)
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_row_built_alone_is_the_whole_builds_row(self, spec, d):
+        # 300 points: 218 rows per block of the square build, so its second
+        # block copies its leading columns from the rows above; the wider
+        # set adds 40 points after the first
+        rng = np.random.default_rng(d)
+        X = rng.uniform(size=(300, d))
+        for Y in (X, np.vstack([X, rng.uniform(size=(40, d))])):
+            whole = kernel_cross(spec, X, Y)
+            if Y is X:
+                assert whole.tobytes() == kernel_matrix(spec, X).tobytes()
+            store = kernels.KernelRows(spec, X, Y)
+            for i in (0, 150, 299):
+                assert kernel_cross(spec, X[i:i + 1], Y).tobytes() == whole[i:i + 1].tobytes(), i
+                assert store.take(i).tobytes() == whole[i].tobytes(), i
+            assert store.take([299, 0, 150]).tobytes() == whole[[299, 0, 150]].tobytes()
+
+    @pytest.mark.parametrize("spec", STORE_SPECS[:4], ids=STORE_IDS[:4])
+    def test_closed_forms_build_each_row_once_on_first_read(self, monkeypatch, spec):
+        X = LATTICE
+        calls = self.cross_calls(monkeypatch)
+        store = kernels.KernelRows(spec, X, X)
+        assert calls == []
+        whole = kernel_matrix(spec, X)
+        # a batch builds its new rows in one call, a row asked for twice once
+        assert store.take([5, 2, 5]).tobytes() == whole[[5, 2, 5]].tobytes()
+        assert store.take(2).tobytes() == whole[2].tobytes()
+        out = np.empty((2, len(X)))
+        assert store.take(np.array([2, 7]), out=out) is out and out.tobytes() == whole[[2, 7]].tobytes()
+        assert [c.tolist() for c in calls] == [X[[2, 5]].tolist(), X[[7]].tolist()]
+        # packed in first-use order, and copied out: a row taken and written
+        # leaves the store's
+        assert store._slot[[2, 5, 7]].tolist() == [0, 1, 2]
+        store.take(7)[:] = 0.0
+        assert store.take(np.arange(len(X))).tobytes() == whole.tobytes()
+
+    def test_a_general_order_is_built_whole_at_construction(self, monkeypatch):
+        # one bessel_k call per block of the whole build, and none per row
+        spec = STORE_SPECS[4]
+        calls = self.cross_calls(monkeypatch)
+        store = kernels.KernelRows(spec, LATTICE, LATTICE)
+        assert len(calls) == 1 and np.array_equal(calls[0], LATTICE)
+        assert store.take(np.arange(len(LATTICE))).tobytes() == kernel_matrix(spec, LATTICE).tobytes()
+        assert len(calls) == 1
+
+    def test_column_views_share_the_rows(self, monkeypatch):
+        # the leading square block of a wider store, and the store with a
+        # column of further points after its rows, read the rows it builds
+        rng = np.random.default_rng(9)
+        X, Z = rng.uniform(size=(12, 2)), rng.uniform(size=(5, 2))
+        store = kernels.KernelRows(MATERN_32, X, np.vstack([X, Z]))
+        square = store.columns(12)
+        shadow = store.columns(12, kernel_cross(MATERN_32, X, Z[:1]))
+        calls = self.cross_calls(monkeypatch)
+        assert square.shape == (12, 12) and shadow.shape == (12, 13) and store.shape == (12, 17)
+        want = kernel_matrix(MATERN_32, np.vstack([X, Z[:1]]))[:12]
+        assert square.take([3, 8]).tobytes() == want[[3, 8], :12].tobytes()
+        assert shadow.take(8).tobytes() == want[8].tobytes()
+        assert shadow.take([8, 1]).tobytes() == want[[8, 1]].tobytes()
+        assert store.take(1).tobytes() == kernel_cross(MATERN_32, X, np.vstack([X, Z]))[1].tobytes()
+        assert [c.tolist() for c in calls] == [X[[3, 8]].tolist(), X[[1]].tolist()]
+
+    def test_a_batch_imports_no_numpy_ma(self):
+        # np.unique would dedupe a batch by importing numpy.ma, which no
+        # other step of a run or a report needs
+        code = (
+            "import sys; from gpucb import KernelRows, KernelSpec, KernelFamily\n"
+            "rows = KernelRows(KernelSpec(KernelFamily.SQUARED_EXPONENTIAL), [[0.0], [0.5], [1.0]], [[0.0], [1.0]])\n"
+            "assert rows.take([2, 0, 2]).shape == (3, 2)\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        src = str(Path(kernels.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
+
+    def test_rejects_what_kernel_cross_rejects(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            kernels.KernelRows(SE, [[0.0], [np.nan]], [[0.0]])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kernels.KernelRows(SE, [[0.0]], [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="axis 0"):
+            kernels.KernelRows(SE, [[0.0]], [[0.0]]).take(0, axis=1)
 
 
 class TestHolderValidate:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import gpucb.kernels
 from gpucb import (
     BetaKind,
     BetaSchedule,
@@ -91,6 +92,18 @@ class TestClampedVariance:
         with pytest.raises(NumericError, match="negative posterior variance") as excinfo:
             _clamped_var(np.array([0.5, -2e-12]), step=7)
         assert excinfo.value.step == 7
+
+    def test_negative_entry_past_a_nan_is_an_error(self):
+        # argmin stops at the NaN, which hides the -1.0 behind it
+        with pytest.raises(NumericError, match=r"negative posterior variance -1.0 "):
+            _clamped_var(np.array([0.5, np.nan, -1.0]))
+
+    def test_round_off_past_a_nan_is_clamped_and_the_nan_kept(self):
+        raw = np.array([np.nan, -1e-13, 0.5, np.nan])
+        assert _clamped_var(raw) is raw
+        assert np.array_equal(raw, [np.nan, 0.0, 0.5, np.nan], equal_nan=True)
+        raw = np.array([np.nan, np.nan])
+        assert np.isnan(_clamped_var(raw)).all()
 
 
 class TestAcquire:
@@ -283,10 +296,10 @@ class TestRunLoop:
             assert trace.flag[t] == bool(np.all(err <= bound)), f"flag differs at step {t + 1}"
         assert 0 < np.count_nonzero(trace.flag) < trace.horizon
 
-    def test_shadow_column_extends_the_shared_matrix_bit_for_bit(self, monkeypatch, fresh_memo):
+    def test_shadow_column_extends_the_shared_rows_bit_for_bit(self, monkeypatch, fresh_memo):
         # the optimum lies off the 16 candidates: the run hands its posterior
-        # the candidates' kernel matrix with the optimum's column appended,
-        # read-only, and the memo keeps the candidates' own matrix
+        # a view of the held store of the candidates' kernel rows with the
+        # optimum's column after them, and the memo keeps the store itself
         grid = make_config(candidates_count=16, eval_grid_count=61).evaluation_points()
         config = make_config(
             horizon=8, candidates_count=16, eval_grid_count=61,
@@ -300,12 +313,24 @@ class TestRunLoop:
                 super().__init__(K, rho)
 
         monkeypatch.setattr("gpucb.ucb.GrowingPosterior", Recorded)
-        run_gp_ucb(config, config.objective_for_seed(0), 0)
+        trace = run_gp_ucb(config, config.objective_for_seed(0), 0)
         (K,) = handed
+        played = sorted(set(grid_columns(grid, trace.X).tolist()))
         want = kernel_matrix(config.kernel, np.vstack([grid[:16], grid[40]]))[:16]
-        assert np.array_equal(K.view(np.int64), want.view(np.int64)) and not K.flags.writeable
         _, kept = fresh_memo["kernel"]
-        assert kept.shape == (16, 16) and posterior._held("kernel", (config.kernel, grid[:16]), None) is kept
+        assert K.shape == (16, 17) and kept.shape == (16, 16)
+        assert posterior._held("kernel", (config.kernel, grid[:16]), None) is kept
+        # the rows the posterior read, those of the points it played, are
+        # built in the held store, where the view reads them with no build
+        # of its own, and they are the whole matrix's rows bit for bit
+        assert np.flatnonzero(kept._slot >= 0).tolist() == played
+        read = K.take(played)
+        assert np.flatnonzero(kept._slot >= 0).tolist() == played
+        assert read.view(np.int64).tobytes() == want[played].view(np.int64).tobytes()
+        # a row taken is a copy: writing it leaves the rows the store holds
+        read[:, -1] = 0.0
+        assert K.take(played).tobytes() == want[played].tobytes()
+        assert K.take(np.arange(16)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind, dim, count, grid_count", [
         ("lattice", 1, 64, 100),
@@ -353,8 +378,8 @@ class TestRunLoop:
     def test_traces_do_not_depend_on_the_seed_order_or_the_kernel_memo(self, monkeypatch, fresh_memo):
         # Halton candidates: the optimum is off them for seeds 0, 1, 3, 4, 5
         # and 7, whose runs track it as a shadow column: its kernel column
-        # appended to a copy of the candidates' kernel matrix, which all
-        # eight seeds share
+        # read after the rows of the store of the candidates' kernel rows,
+        # which all eight seeds share, each row built when first played
         config = make_config(dim=2, candidates_method="low_discrepancy", candidates_count=32,
                              eval_grid_count=64, horizon=48, seeds=tuple(range(8)))
         m, grid = config.candidates_count, config.evaluation_points()
@@ -372,9 +397,14 @@ class TestRunLoop:
 
         fresh_memo.clear()
         built = []
-        monkeypatch.setattr("gpucb.ucb.kernel_matrix", lambda spec, X: built.append(len(X)) or kernel_matrix(spec, X))
+        kernel_cross = gpucb.kernels.kernel_cross
+        monkeypatch.setattr(gpucb.kernels, "kernel_cross", lambda spec, X, Y: built.append(X) or kernel_cross(spec, X, Y))
         ordered = traces(config.seeds, False)
-        assert built == [m]
+        # one store for the eight seeds: the row of each candidate they
+        # play is built once
+        rows = grid_columns(grid, np.vstack(built)).tolist()
+        played = {int(c) for tr in ordered.values() for c in grid_columns(grid, trace_from_csv(tr, config.kernel, 0.0, 0).X)}
+        assert sorted(rows) == sorted(played) and len(played) < m
         assert traces(config.seeds[::-1], False) == ordered
         assert traces(config.seeds, True) == ordered
 
