@@ -44,16 +44,17 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analysis import grade_suite, grid_columns, trace_information_gain
-from .config import ConfigError, ExperimentConfig, _fmt, _written_exactly, parse_config
+from .config import ConfigError, ExperimentConfig, NumericError, _fmt, _written_exactly, parse_config
 from .config import parse_config_file, render_config
-from .kernels import KernelRows
-from .posterior import NumericError
-from .rkhs import _objective_values
-from .ucb import LoopHold, RegretTrace, _seed_noise, beta_column, run_gp_ucb, trace_from_csv, trace_to_csv
+
+# NumPy and the numeric modules load in the functions that call them, so
+# ``validate`` loads the config layer alone
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .ucb import RegretTrace
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
 
@@ -71,6 +72,8 @@ def _run_seed(configs: list[ExperimentConfig], seed: int) -> list:
     ``LoopHold`` keeps its trace and the others are cut from it.  A loop
     that fails at step k is not held, so each horizon from k up runs afresh
     to step k and fails there, and the longest below k is held."""
+    from .ucb import LoopHold, run_gp_ucb
+
     try:
         f = configs[0].objective_for_seed(seed)
     except _NUMERIC as exc:
@@ -111,6 +114,10 @@ def _run_cells(configs: list[ExperimentConfig], jobs: int) -> list:
 
 
 def _summary_rows(config: ExperimentConfig, traces: list[RegretTrace]) -> str:
+    import numpy as np
+
+    from .analysis import trace_information_gain
+
     lines = ["seed,horizon,f_star,cum_regret,beta_last,info_gain,flags_all,flag_count"]
     for tr in traces:
         info = trace_information_gain(tr, config.rho)
@@ -137,6 +144,8 @@ def _write_suite(config: ExperimentConfig, traces: list | Exception, out_dir: Pa
     marks a finished suite: any earlier one is removed before the first
     write and the new one is written last, so a write that stops part way
     leaves a directory without it."""
+    from .ucb import trace_to_csv
+
     if isinstance(traces, Exception):
         raise traces
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -268,6 +277,12 @@ def _load_suite(
     seed's noise draws; OSError or ValueError names what is damaged.  Seeds
     that share an objective share one build of it and its grid values, as
     the seeds of a run do."""
+    import numpy as np
+
+    from .analysis import grid_columns
+    from .rkhs import _objective_values
+    from .ucb import _seed_noise, beta_column, trace_from_csv
+
     try:
         objectives = {seed: config.objective_for_seed(seed) for seed in config.seeds}
         f_grids = {seed: _objective_values(f, grid) for seed, f in objectives.items()}
@@ -322,6 +337,10 @@ def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list
     traces given) cut at ``horizon``: the writer's config but for the
     horizon, line for line, and every trace column the first rows of the
     long one."""
+    import numpy as np
+
+    from .ucb import trace_from_csv
+
     path = cell / "config.txt"
     try:
         _written_exactly(path.read_text(encoding="utf-8"), render_config(config.with_override("horizon", horizon)))
@@ -368,6 +387,9 @@ def _finished_suites(top: Path) -> list[Path]:
 
 
 def cmd_report(out_dir: str) -> int:
+    from .analysis import grade_suite
+    from .kernels import KernelRows
+
     top = Path(out_dir)
     if not top.is_dir():
         print(f"error: not a directory: {out_dir}", file=sys.stderr)

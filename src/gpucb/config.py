@@ -17,24 +17,36 @@ semicolon-separated points.  Lattice counts round to the nearest per-axis
 integer grid, so the realized count is the nearest perfect d-th power.
 A config fixes each seed's objective: ``ExperimentConfig.objective_for_seed``
 draws it from the config and the seed alone, so a run writes no copy of it.
+
+This module is the package's NumPy-free layer.  The value types a config is
+made of (``KernelSpec``, ``Box``, ``BetaSchedule``, ``ObjectiveSpec``) and
+the two error types live here, and each part holds only the fields its kind
+reads, the rest None, so configs with the same text compare and hash equal.
+NumPy, the objective's module and ``hashlib`` load in the methods that use
+them, so parsing and checking a config, as ``validate`` does, loads none.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from enum import Enum
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .kernels import KernelFamily, KernelSpec
-from .rkhs import Box, RkhsFunction, _shared_objective, sample_random_rkhs
-from .ucb import BetaKind, BetaSchedule
+    from .rkhs import RkhsFunction
 
 __all__ = [
     "ConfigError",
+    "NumericError",
+    "KernelFamily",
+    "KernelSpec",
+    "Box",
+    "BetaKind",
+    "BetaSchedule",
     "ObjectiveSpec",
     "ExperimentConfig",
     "parse_config",
@@ -60,13 +72,135 @@ class ConfigError(ValueError):
         self.line = line
 
 
+class NumericError(RuntimeError):
+    """Numeric failure (non-SPD pivot, negative variance, non-finite value)."""
+
+    def __init__(self, message: str, *, index: int | None = None, step: int | None = None):
+        super().__init__(message)
+        self.index = index
+        self.step = step
+
+
+# ---------------------------------------------------------------------------
+# Value types: the parts of a config
+# ---------------------------------------------------------------------------
+
+
+def _keep_read(part, section: str) -> None:
+    """Set each field of ``part``, the config's ``section``, that its kind does
+    not read to None, by the rules of ``_KEYS``: a part holds what its text
+    holds, so parts with the same text compare and hash equal."""
+    values = {f"{section}.{name}": value for name, value in vars(part).items()}
+    for key, spec in _KEYS.items():
+        if key in values and not spec.applies(values):
+            object.__setattr__(part, key.partition(".")[2], None)
+
+
+class KernelFamily(Enum):
+    MATERN = "matern"
+    SQUARED_EXPONENTIAL = "se"
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Parameters of one stationary correlation kernel.
+
+    ``nu`` is the Matern smoothness and must be positive for that family;
+    the squared exponential reads none, and its spec holds None.
+    ``lengthscale`` must be positive for both.
+    """
+
+    family: KernelFamily
+    nu: float | None = None
+    lengthscale: float = 1.0
+
+    def __post_init__(self):
+        if not isinstance(self.family, KernelFamily):
+            raise ValueError(f"unknown kernel family: {self.family!r}")
+        _keep_read(self, "kernel")
+        if not (self.lengthscale > 0.0 and math.isfinite(self.lengthscale)):
+            raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
+        if self.family is KernelFamily.MATERN:
+            if self.nu is None or not (self.nu > 0.0 and math.isfinite(self.nu)):
+                raise ValueError(f"Matern smoothness nu must be positive, got {self.nu}")
+
+
+@dataclass(frozen=True)
+class Box:
+    """Axis-aligned box domain [lower_i, upper_i] per coordinate."""
+
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+
+    def __post_init__(self):
+        # bounds given as lists are held as the tuples that parsing gives
+        object.__setattr__(self, "lower", tuple(self.lower))
+        object.__setattr__(self, "upper", tuple(self.upper))
+        if len(self.lower) != len(self.upper) or len(self.lower) == 0:
+            raise ValueError("box bounds must be non-empty and equal length")
+        for lo, hi in zip(self.lower, self.upper):
+            # a finite width also rules out infinite and NaN bounds
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(f"box requires lower < upper and a finite upper - lower, got [{lo}, {hi}]")
+
+    @property
+    def dim(self) -> int:
+        return len(self.lower)
+
+    def contains(self, points) -> bool:
+        """Whether every point, a row of ``dim`` coordinates, lies in the box;
+        ValueError on a row of another length."""
+        return all(lo <= x <= hi for row in points for x, lo, hi in zip(row, self.lower, self.upper, strict=True))
+
+
+class BetaKind(Enum):
+    # product of the two logarithmic factors ln(1+rho*t) and ln(e + c*t^2/delta)
+    LOG_PRODUCT = "log_product"
+    # classic 2*ln(t^2 * 2*pi^2 / (3*delta)) baseline, plus c0 as an additive offset
+    SRINIVAS = "srinivas"
+    CONSTANT = "constant"
+
+
+@dataclass(frozen=True)
+class BetaSchedule:
+    """Exploration-weight schedule beta_t; the fields its kind does not read
+    hold None."""
+
+    kind: BetaKind
+    delta: float | None = 0.1
+    c0: float | None = 1.0
+    c_subg: float | None = 1.0
+    constant_value: float | None = 1.0
+
+    def __post_init__(self):
+        _keep_read(self, "beta")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must be in (0,1), got {self.delta}")
+        for name in ("c0", "c_subg", "constant_value"):
+            value = getattr(self, name)
+            if value is not None and not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
+    """The objective: ``m`` and ``B`` for a random draw, ``centers`` and
+    ``coeffs`` for an explicit one; the fields its kind does not read hold
+    None."""
+
     kind: str                       # "random" | "explicit"
-    m: int = 1
-    B: float = 1.0
+    m: int | None = 1
+    B: float | None = 1.0
     centers: tuple[tuple[float, ...], ...] | None = None
     coeffs: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        _keep_read(self, "objective")
+        # centers and coefficients given as lists are held as the tuples that parsing gives
+        if self.centers is not None:
+            object.__setattr__(self, "centers", tuple(map(tuple, self.centers)))
+        if self.coeffs is not None:
+            object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -108,7 +242,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     "objective.centers dimension != domain.dim", key="objective.centers"
                 )
-            if not self.domain.contains(np.array(obj.centers, dtype=float)):
+            if not self.domain.contains(obj.centers):
                 raise ConfigError(
                     "objective.centers must lie inside the domain", key="objective.centers"
                 )
@@ -126,6 +260,8 @@ class ExperimentConfig:
         Candidates come first (stable indices), then any lattice point not
         already present, so the evaluation grid is always a superset of the
         candidate grid."""
+        import numpy as np
+
         cand = self.candidate_points()
         extra = lattice_points(self.domain, self.eval_grid_count)
         seen = {row.tobytes() for row in cand}
@@ -140,12 +276,16 @@ class ExperimentConfig:
         """The run objective, drawn from the seed's own objective stream, so
         horizon and noise settings never change the function.  An explicit
         objective is the same for every seed, built once per process."""
+        from .rkhs import _shared_objective, sample_random_rkhs
+
         obj = self.objective
         if obj.kind == "explicit":
             return _shared_objective(self.kernel, obj.centers, obj.coeffs)
         return sample_random_rkhs(self.kernel, obj.m, obj.B, self.domain, seed)
 
     def digest(self) -> str:
+        import hashlib
+
         return hashlib.sha256(render_config(self).encode()).hexdigest()[:16]
 
     def with_override(self, key: str, value) -> "ExperimentConfig":
@@ -167,6 +307,8 @@ class ExperimentConfig:
 
 def lattice_points(box: Box, count: int) -> np.ndarray:
     """Uniform lattice with the per-axis size nearest to count**(1/d)."""
+    import numpy as np
+
     d = box.dim
     n = max(1, round(count ** (1.0 / d)))
     axes = [np.linspace(box.lower[j], box.upper[j], n) for j in range(d)]
@@ -181,6 +323,8 @@ def _radical_inverses(count: int, base: int) -> np.ndarray:
     """The base-``base`` radical inverses of 1..count.  Each takes the float
     steps of the scalar digit loop, x += digit / base**k from the lowest
     digit up; an index out of digits adds 0.0, which leaves x as it is."""
+    import numpy as np
+
     index = np.arange(1, count + 1)
     x = np.zeros(count)
     denom = 1.0
@@ -193,6 +337,8 @@ def _radical_inverses(count: int, base: int) -> np.ndarray:
 
 def halton_points(box: Box, count: int) -> np.ndarray:
     """Halton sequence scaled into the box (first ``count`` points, 1-based)."""
+    import numpy as np
+
     d = box.dim
     if d > len(_PRIMES):
         raise ConfigError(f"low-discrepancy sequence supports dim <= {len(_PRIMES)}")

@@ -44,9 +44,10 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
+
+from .config import KernelFamily, KernelSpec
 
 __all__ = [
     "KernelFamily",
@@ -58,34 +59,6 @@ __all__ = [
     "KernelRows",
     "holder_validate",
 ]
-
-
-class KernelFamily(Enum):
-    MATERN = "matern"
-    SQUARED_EXPONENTIAL = "se"
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Parameters of one stationary correlation kernel.
-
-    ``nu`` is the Matern smoothness and must be positive for that family;
-    it is ignored for the squared exponential.  ``lengthscale`` must be
-    positive for both.
-    """
-
-    family: KernelFamily
-    nu: float | None = None
-    lengthscale: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.family, KernelFamily):
-            raise ValueError(f"unknown kernel family: {self.family!r}")
-        if not (self.lengthscale > 0.0 and math.isfinite(self.lengthscale)):
-            raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
-        if self.family is KernelFamily.MATERN:
-            if self.nu is None or not (self.nu > 0.0 and math.isfinite(self.nu)):
-                raise ValueError(f"Matern smoothness nu must be positive, got {self.nu}")
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelRows, KernelSpec, kernel_cross, kernel_matrix
+from .config import KernelSpec, NumericError
+from .kernels import KernelRows, kernel_cross, kernel_matrix
 
 __all__ = [
     "NumericError",
@@ -64,15 +65,6 @@ __all__ = [
 # round-off in var(x) may produce values in (-VAR_CLAMP, 0); anything below
 # signals a broken factorization and is an error, not a clamp
 _VAR_CLAMP = 1e-12
-
-
-class NumericError(RuntimeError):
-    """Numeric failure (non-SPD pivot, negative variance, non-finite value)."""
-
-    def __init__(self, message: str, *, index: int | None = None, step: int | None = None):
-        super().__init__(message)
-        self.index = index
-        self.step = step
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

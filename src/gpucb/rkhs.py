@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_cross, kernel_matrix
+from .config import Box, KernelSpec
+from .kernels import kernel_cross, kernel_matrix
 from .posterior import NumericError, _held
 
 __all__ = [
@@ -26,32 +27,6 @@ __all__ = [
     "sample_random_rkhs",
     "grid_maximum",
 ]
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box domain [lower_i, upper_i] per coordinate."""
-
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.lower) != len(self.upper) or len(self.lower) == 0:
-            raise ValueError("box bounds must be non-empty and equal length")
-        for lo, hi in zip(self.lower, self.upper):
-            # a finite width also rules out infinite and NaN bounds
-            if not (lo < hi and math.isfinite(hi - lo)):
-                raise ValueError(f"box requires lower < upper and a finite upper - lower, got [{lo}, {hi}]")
-
-    @property
-    def dim(self) -> int:
-        return len(self.lower)
-
-    def contains(self, X) -> bool:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return bool(np.all(X >= lo) and np.all(X <= hi))
 
 
 @dataclass(frozen=True)

@@ -49,12 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .kernels import KernelRows, KernelSpec, kernel_cross
+from .config import BetaKind, BetaSchedule, KernelSpec
+from .kernels import KernelRows, kernel_cross
 from .posterior import GrowingPosterior, NumericError, PosteriorState, _held
 from .posterior import posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction, _objective_values
@@ -75,32 +75,6 @@ __all__ = [
     "trace_to_csv",
     "trace_from_csv",
 ]
-
-
-class BetaKind(Enum):
-    # product of the two logarithmic factors ln(1+rho*t) and ln(e + c*t^2/delta)
-    LOG_PRODUCT = "log_product"
-    # classic 2*ln(t^2 * 2*pi^2 / (3*delta)) baseline, plus c0 as an additive offset
-    SRINIVAS = "srinivas"
-    CONSTANT = "constant"
-
-
-@dataclass(frozen=True)
-class BetaSchedule:
-    """Exploration-weight schedule beta_t."""
-
-    kind: BetaKind
-    delta: float = 0.1
-    c0: float = 1.0
-    c_subg: float = 1.0
-    constant_value: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
-        for name in ("c0", "c_subg", "constant_value"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def beta_value(schedule: BetaSchedule, t: int, rho: float) -> float:

@@ -4,14 +4,19 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gpucb.config
+import gpucb.rkhs
+from conftest import make_config
 from gpucb import (
     Box,
+    KernelFamily,
+    KernelSpec,
     fit,
     kernel_cross,
     kernel_matrix,
@@ -218,7 +223,7 @@ class TestRun:
             draws.append(seed)
             return sample_random_rkhs(spec, m, B, domain, seed)
 
-        monkeypatch.setattr(gpucb.config, "sample_random_rkhs", counted)
+        monkeypatch.setattr(gpucb.rkhs, "sample_random_rkhs", counted)
         config = write_config(tmp_path, MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4"))
         assert cmd_run(config, str(tmp_path / "run")) == 0
         assert draws == [0, 1, 2, 3, 4]
@@ -281,7 +286,7 @@ class TestRun:
             written.append(trace.seed)
             return trace_to_csv(trace)
 
-        monkeypatch.setattr("gpucb.cli.trace_to_csv", stop_at_third)
+        monkeypatch.setattr("gpucb.ucb.trace_to_csv", stop_at_third)
         rerun = write_config(tmp_path, text.replace("noise.sigma = 0.1", "noise.sigma = 0.2"))
         assert cmd_run(rerun, str(out)) == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: no space left on device\n"
@@ -1423,7 +1428,7 @@ class TestDamagedRunReport:
         def failing(spec, X, Y):
             raise failure
 
-        monkeypatch.setattr("gpucb.cli.KernelRows", failing)
+        monkeypatch.setattr("gpucb.kernels.KernelRows", failing)
         assert cmd_report(str(cell)) == 4
         assert capsys.readouterr().err == f"error: {cell / 'config.txt'}: {failure}\n"
         assert not (cell / "report.txt").exists() and not (cell / "report.csv").exists()
@@ -1479,9 +1484,7 @@ class TestDamagedRunReport:
     def test_report_draws_each_objective_once_and_grades_its_values(self, suite, tmp_path, monkeypatch):
         # each seed's objective is drawn once from config.txt, as the run drew
         # it, and the grid values the report grades are those of the draws
-        import gpucb.cli
-
-        draw, values = ExperimentConfig.objective_for_seed, gpucb.cli._objective_values
+        draw, values = ExperimentConfig.objective_for_seed, gpucb.rkhs._objective_values
         drawn, evaluated = [], []
 
         def redraw(config, seed):
@@ -1493,7 +1496,7 @@ class TestDamagedRunReport:
             return values(f, grid)
 
         monkeypatch.setattr(ExperimentConfig, "objective_for_seed", redraw)
-        monkeypatch.setattr(gpucb.cli, "_objective_values", evaluate)
+        monkeypatch.setattr(gpucb.rkhs, "_objective_values", evaluate)
         cell = tmp_path / "run"
         shutil.copytree(suite, cell)
         assert cmd_report(str(cell)) == 0
@@ -1674,7 +1677,7 @@ class TestSweepReport:
                 raise OSError("no space left on device")
             return trace_to_csv(trace)
 
-        monkeypatch.setattr("gpucb.cli.trace_to_csv", full_disk)
+        monkeypatch.setattr("gpucb.ucb.trace_to_csv", full_disk)
         text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
         assert cmd_sweep(write_config(tmp_path, text), "horizon", ["16", "64"], str(out)) == 2
         assert capsys.readouterr().err == f"error: cannot write {out}: no space left on device\n"
@@ -1815,6 +1818,31 @@ class TestConfigRoundTrip:
         config = parse_config(text)
         assert config.objective.centers == ((0.25,), (0.75,))
         assert parse_config(render_config(config)) == config
+
+    # per part, two configs built with different values of a field whose
+    # text is the same: one its kind does not read, or a list for a tuple
+    SE = KernelFamily.SQUARED_EXPONENTIAL
+    EQUAL_TEXT = {
+        "kernel": lambda base: (replace(base, kernel=KernelSpec(TestConfigRoundTrip.SE, nu=1.5, lengthscale=0.5)),
+                                replace(base, kernel=KernelSpec(TestConfigRoundTrip.SE, lengthscale=0.5))),
+        "domain": lambda base: (replace(base, domain=Box([0.0], [1.0])), base),
+        "beta": lambda base: (make_config(constant_value=2.0), base),
+        "objective": lambda base: tuple(
+            make_config(objective_kind="explicit", centers=((0.5,),), coeffs=(1.0,), m=m) for m in (5, 1)
+        ),
+        "objective_lists": lambda base: (
+            make_config(objective_kind="explicit", centers=[[0.5]], coeffs=[1.0]),
+            make_config(objective_kind="explicit", centers=((0.5,),), coeffs=(1.0,)),
+        ),
+    }
+
+    @pytest.mark.parametrize("part", sorted(EQUAL_TEXT))
+    def test_equal_text_is_an_equal_config(self, part):
+        # runs and sweep cells are grouped by config equality, so configs
+        # with one text must be one config
+        a, b = self.EQUAL_TEXT[part](make_config())
+        assert render_config(a) == render_config(b) and a.digest() == b.digest()
+        assert a == b and hash(a) == hash(b)
 
 
 class TestMain:

@@ -1,8 +1,8 @@
 """The package exports only what its modules declare public, every
-declared name exists, the CLI runs on numpy alone and grades through
-``analysis.grade_suite`` alone, posterior.py holds all of its linear
-algebra, config.py all of its ``key = value`` text, and posterior.py all
-of the per-process state."""
+declared name exists, each CLI command loads only the modules it reads,
+the CLI grades through ``analysis.grade_suite`` alone, posterior.py holds
+all of its linear algebra, config.py all of its ``key = value`` text, and
+posterior.py all of the per-process state."""
 
 import ast
 import importlib
@@ -17,17 +17,39 @@ import pytest
 import gpucb
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gpucb.__path__))
+SRC = str(Path(gpucb.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
 def test_every_package_import_is_declared_public():
-    tree = ast.parse(Path(gpucb.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        assert node.level == 1 and node.module in MODULES, f"gpucb imports from outside the package: {node.module}"
-        public = importlib.import_module(f"gpucb.{node.module}").__all__
-        for alias in node.names:
-            assert alias.name in public, f"gpucb exports {node.module}.{alias.name}, which is not in its __all__"
+    # the package resolves each export from the module its table names
+    assert gpucb._EXPORTS
+    for module, names in gpucb._EXPORTS.items():
+        assert module in MODULES, f"gpucb exports from outside the package: {module}"
+        public = importlib.import_module(f"gpucb.{module}").__all__
+        for name in names:
+            assert name in public, f"gpucb exports {module}.{name}, which is not in its __all__"
+
+
+def test_bare_import_resolves_every_export_and_submodule():
+    # a fresh process: importing the package loads none of its modules, and
+    # then every export and submodule resolves and is listed by dir()
+    code = (
+        "import sys, gpucb\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gpucb.')))\n"
+        "listed = dir(gpucb)\n"
+        "for module, names in gpucb._EXPORTS.items():\n"
+        "    for name in names:\n"
+        "        assert getattr(gpucb, name) is getattr(sys.modules['gpucb.' + module], name), name\n"
+        "        assert name in listed, name\n"
+        f"for name in {MODULES!r}:\n"
+        "    assert getattr(gpucb, name) is sys.modules['gpucb.' + name], name\n"
+        "    assert name in listed, name\n"
+        "print('resolved')\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\nresolved\n"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -37,12 +59,67 @@ def test_every_declared_name_exists(name):
     assert not missing, f"gpucb.{name}.__all__ names missing attributes: {missing}"
 
 
-def test_cli_import_loads_no_scipy_module():
-    src = str(Path(gpucb.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, gpucb.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+_CONFIG = """\
+kernel.family = matern
+kernel.nu = 1.5
+kernel.lengthscale = 0.5
+domain.dim = 1
+domain.lower = 0
+domain.upper = 1
+rho = 1
+noise.kind = normal
+noise.sigma = 0.1
+horizon = 64
+beta.kind = log_product
+candidates.count = 64
+candidates.method = lattice
+eval_grid.count = 64
+objective.kind = random
+objective.m = 20
+objective.B = 2
+seeds = 0, 1, 2, 3, 4
+"""
+# the shape of the bessel_halton2d benchmark: a general-order Matern kernel
+# on Halton candidates in d = 2, with an explicit objective
+_EXPLICIT = (
+    _CONFIG.replace("kernel.nu = 1.5", "kernel.nu = 1.2")
+    .replace("domain.dim = 1", "domain.dim = 2")
+    .replace("candidates.method = lattice", "candidates.method = low_discrepancy")
+    .replace("objective.kind = random\nobjective.m = 20\nobjective.B = 2",
+             "objective.kind = explicit\n"
+             "objective.centers = 0.25, 0.5; 0.75, 0.125\n"
+             "objective.coeffs = 1.5, -0.5")
+)
+# the numeric modules, which validate must not load
+_NUMERIC = ("numpy", "gpucb.kernels", "gpucb.posterior", "gpucb.rkhs", "gpucb.ucb", "gpucb.analysis")
+# (config text or None for a bare import, modules it must not load, exit code, stderr)
+_COMMANDS = {
+    "import": (None, ("scipy",), 0, ""),
+    "validate_random": (_CONFIG, _NUMERIC, 0, ""),
+    "validate_explicit": (_EXPLICIT, _NUMERIC, 0, ""),
+    "validate_malformed": (_CONFIG + "seeds 5\n", _NUMERIC, 2, "error: malformed line 'seeds 5' (line 19)\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMMANDS))
+def test_cli_loads_only_the_modules_it_reads(tmp_path, case):
+    # ``-X importtime`` names on stderr every module the process imports
+    text, unloaded, code, err = _COMMANDS[case]
+    if text is None:
+        argv = ["-c", "import gpucb.cli"]
+    else:
+        path = tmp_path / "config.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = ["-m", "gpucb.cli", "validate", "--config", str(path)]
+    done = subprocess.run([sys.executable, "-X", "importtime", *argv], env=ENV, capture_output=True, text=True)
+    lines = done.stderr.splitlines(keepends=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    assert "gpucb.config" in imported
+    assert done.returncode == code
+    assert "".join(line for line in lines if not line.startswith("import time:")) == err
+    assert done.stdout == ("config ok\n" if text is not None and code == 0 else "")
+    loaded = sorted(m for m in imported if m.split(".")[0] in unloaded or m in unloaded)
+    assert not loaded, f"{case} loads {loaded}"
 
 
 def test_cli_grades_through_grade_suite_alone():

@@ -33,6 +33,8 @@ class TestBox:
     def test_contains(self):
         assert UNIT_BOX_2D.contains([[0.5, 0.5], [0.0, 1.0]])
         assert not UNIT_BOX_2D.contains([[0.5, 1.5]])
+        with pytest.raises(ValueError):
+            UNIT_BOX_2D.contains([[0.5]])
 
 
 class TestNorm:
