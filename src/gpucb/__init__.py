@@ -51,23 +51,18 @@ _EXPORTS = {
         "render_config",
     ),
     "kernels": (
-        "HolderReport",
         "KernelRows",
         "bessel_k",
-        "holder_validate",
         "kernel_cross",
         "kernel_matrix",
     ),
     "posterior": (
         "GrowingPosterior",
-        "NormChainReport",
         "PosteriorState",
         "fit",
         "logdet_information",
-        "norm_chain_check",
         "posterior_mean_at",
         "posterior_var_at",
-        "update",
     ),
     "rkhs": (
         "RkhsFunction",
@@ -78,9 +73,7 @@ _EXPORTS = {
     ),
     "ucb": (
         "RegretTrace",
-        "acquire",
         "beta_value",
-        "edp_recommend",
         "run_gp_ucb",
         "trace_from_csv",
         "trace_to_csv",

@@ -16,9 +16,9 @@ These operations grade completed runs:
   candidates' kernel rows against the grid and the objective's grid
   values, each built once per report and shared by its audits.  A report
   holds those kernel rows in one ``kernels.KernelRows`` store, which builds
-  a row when it is first read, and hands ``greedy_info_gain`` a view of
-  the candidates' own columns, their kernel matrix, so no row is built
-  twice.
+  a row when it is first read, and ``greedy_info_gain`` reads the same
+  store, picking among the candidates' own columns alone, so no row is
+  built twice.
 * ``regret_bound_check`` tests the conditional cumulative-regret
   inequality R_T <= sqrt(8/ln(1+1/rho)) * sqrt(T * beta_{T-1} * I_T)
   on traces whose per-step error-bound flags all held.
@@ -106,25 +106,30 @@ def rate_reference(family: KernelFamily, nu: float | None, d: int) -> RateRefere
 
 def greedy_info_gain(K: np.ndarray | KernelRows, rho: float, T: int) -> np.ndarray:
     """Greedy information-gain series over a fixed candidate set, from the
-    candidates' kernel matrix ``K``, an array or a ``KernelRows``.
+    kernel rows ``K`` of its m candidates against n >= m points, the first
+    m of them the candidates (an array or a ``KernelRows``, as
+    ``GrowingPosterior`` reads them).
 
     Step t adds the candidate with the largest current variance (largest
     marginal ln(1 + var/rho)); the running half-sum of those increments is
     returned for t = 1..T.  It lower-bounds the true maximal gain and is
-    non-decreasing.
+    non-decreasing.  The points past the candidates are tracked, never
+    picked, and leave every candidate's variance, bit for bit, as the
+    candidates' own kernel matrix gives it.
     """
-    m = K.shape[0]
+    m, n = K.shape
     if T < 1 or m < T:
         raise ValueError(f"need 1 <= T <= |candidates| = {m}, got T = {T}")
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     post = GrowingPosterior(K, rho)
     series = np.empty(T)
-    var = np.empty(m)
+    var = np.empty(n)
+    var_cand = var[:m]
     total = 0.0
     for t in range(T):
         post.variance(out=var)
-        c = int(var.argmax())
+        c = int(var_cand.argmax())
         total += 0.5 * math.log1p(var.item(c) / rho)
         series[t] = total
         post.observe(c, 0.0)
@@ -499,7 +504,7 @@ def grade_suite(
     m = K.shape[0]
     T_gain = min(512, m)
     if T_gain >= 64:
-        gain = information_gain_row(greedy_info_gain(K.columns(m), config.rho, T_gain), ref)
+        gain = information_gain_row(greedy_info_gain(K, config.rho, T_gain), ref)
     else:
         gain = GradeRow("information-gain growth", "SKIP", "candidate set too small")
     audits = {

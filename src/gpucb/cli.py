@@ -332,18 +332,20 @@ def _load_suite(
     return traces, norms, f_grids, rows
 
 
-def _check_cut(cell: Path, longest: Path, config: ExperimentConfig, traces: list[RegretTrace], horizon: int) -> None:
-    """ValueError unless ``cell`` holds the run in ``longest`` (its config and
-    traces given) cut at ``horizon``: the writer's config but for the
-    horizon, line for line, and every trace column the first rows of the
-    long one."""
+def _check_cut(
+    cell: Path, text: str, longest: Path, config: ExperimentConfig, traces: list[RegretTrace], horizon: int
+) -> None:
+    """ValueError unless ``cell``, whose ``config.txt`` reads ``text``, holds
+    the run in ``longest`` (its config and traces given) cut at ``horizon``:
+    the writer's config but for the horizon, line for line, and every trace
+    column the first rows of the long one."""
     import numpy as np
 
     from .ucb import trace_from_csv
 
     path = cell / "config.txt"
     try:
-        _written_exactly(path.read_text(encoding="utf-8"), render_config(config.with_override("horizon", horizon)))
+        _written_exactly(text, render_config(config.with_override("horizon", horizon)))
     except ConfigError as exc:
         raise ValueError(f"{path}: differs from {longest.name}, not only in horizon: {exc}") from None
     for whole in traces:
@@ -425,7 +427,7 @@ def cmd_report(out_dir: str) -> int:
         traces, norms, f_grids, rows = _load_suite(longest, config, grid, cand.shape[0])
         for cell in cells:
             if cell != longest:
-                _check_cut(cell, longest, config, traces, configs[cell].horizon)
+                _check_cut(cell, texts[cell], longest, config, traces, configs[cell].horizon)
         # the store of the candidates' kernel rows against the grid, which
         # the information gain and the audits share, so no row is built
         # twice; a kernel it builds whole fails here, on config.txt's kernel

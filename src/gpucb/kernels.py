@@ -24,7 +24,9 @@ the second set starts with the first, a block evaluates only its columns
 from its first row on and copies the rest from the rows above, its transpose.
 ``KernelRows`` holds the rows of one ``kernel_cross`` block for readers that
 need only some of them, and builds each through ``kernel_cross`` when it is
-first read.
+first read.  A store is that block and no other: a reader that needs
+further columns makes a store of the wider block, whose rows agree with the
+narrower block's wherever both have an entry.
 
 ``K_nu`` is evaluated in-house, one way for every order and argument: the
 base pair (K_mu, K_{mu+1}), |mu| <= 1/2, by the trapezoid rule on the
@@ -41,9 +43,7 @@ value depends on the order or company of the arguments.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,12 +52,10 @@ from .config import KernelFamily, KernelSpec
 __all__ = [
     "KernelFamily",
     "KernelSpec",
-    "HolderReport",
     "bessel_k",
     "kernel_matrix",
     "kernel_cross",
     "KernelRows",
-    "holder_validate",
 ]
 
 
@@ -383,7 +381,6 @@ class KernelRows:
         self._spec, self._X, self._Y = spec, X, Y
         m, n = X.shape[0], Y.shape[0]
         self.shape = (m, n)
-        self._width, self._extra = n, None
         # each row's place in the packed buffer, -1 until it is built
         self._slot = np.full(m, -1, dtype=np.intp)
         if spec.family is KernelFamily.MATERN and not _is_half_integer(spec.nu):
@@ -410,61 +407,4 @@ class KernelRows:
             self._packed[start:start + new.size] = kernel_cross(self._spec, self._X[new], self._Y)
             self._slot[new] = np.arange(start, start + new.size)
             slots = self._slot[rows]
-        width = self._width
-        if width == self._packed.shape[1] and self._extra is None:
-            return self._packed.take(slots, axis=0, out=out, mode=mode)
-        if out is None:
-            out = np.empty(slots.shape + (self.shape[1],))
-        out[..., :width] = self._packed[slots, :width]
-        if self._extra is not None:
-            out[..., width:] = self._extra[rows]
-        return out
-
-    def columns(self, stop: int, extra: np.ndarray | None = None) -> KernelRows:
-        """A view on this store's rows, which it builds and reads with it:
-        their first ``stop`` columns, then those of ``extra``, the kernel
-        of X's points against further points, one row per point of X."""
-        view = copy.copy(self)
-        view._width, view._extra = stop, extra
-        view.shape = (self.shape[0], stop + (0 if extra is None else extra.shape[1]))
-        return view
-
-
-# ---------------------------------------------------------------------------
-# Holder-continuity validation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class HolderReport:
-    theta: float
-    fitted_A0: float
-
-
-def holder_validate(spec: KernelSpec, n_samples: int, max_radius: float, seed: int) -> HolderReport:
-    """Numerically confirm psi(0) - psi(r) <= A0 * r**theta on sampled radii.
-
-    theta is min(nu, 1) for Matern and 1 for the squared exponential.  Radii
-    are drawn log-uniformly from (1e-6, max_radius] so the r -> 0 regime is
-    probed; the fitted A0 is the largest observed ratio
-    (psi(0) - psi(r)) / r**theta, which must be finite.
-    """
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be >= 100, got {n_samples}")
-    if not max_radius > 1e-5:
-        raise ValueError(f"max_radius too small: {max_radius}")
-    if spec.family is KernelFamily.MATERN:
-        theta = min(spec.nu, 1.0)
-    else:
-        theta = 1.0
-    rng = np.random.default_rng(seed)
-    r = np.exp(rng.uniform(math.log(1e-6), math.log(max_radius), size=n_samples))
-    if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
-        u = r / spec.lengthscale
-        gap = -np.expm1(-0.5 * u * u)
-    else:
-        gap = 1.0 - _matern_radial(spec, r.copy())
-    ratios = gap / r**theta
-    if not np.all(np.isfinite(ratios)):
-        raise ArithmeticError("Holder ratio diverged on sampled radii")
-    return HolderReport(theta=theta, fitted_A0=float(np.max(ratios)))
+        return self._packed.take(slots, axis=0, out=out, mode=mode)

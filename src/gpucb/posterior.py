@@ -7,10 +7,9 @@ factor L of K + rho*I.  Predictions follow the standard ridge form
     mean(x) = k_t(x)' (K + rho I)^{-1} y
     var(x)  = 1 - || L^{-1} k_t(x) ||^2
 
-States are immutable; ``update`` extends the factor by one row and returns
-a new state, which matches a from-scratch refit to within round-off.  It
-pays an O(t^3) inverse factor, as ``fit`` does: the state is the test
-oracle of the fast posterior below, not a step of the UCB loop.  This
+States are immutable, each refit from its whole design at an O(t^3)
+inverse factor: the reference the fast posterior below is tested against,
+read by the tests and the audits' reference, never by the UCB loop.  This
 module is the package's only linear algebra: numpy's Cholesky factor and
 an explicit inverse factor for every triangular solve.  The inverse factor
 is built by halves, from LAPACK inverses of diagonal blocks of at most
@@ -53,13 +52,10 @@ __all__ = [
     "NumericError",
     "PosteriorState",
     "GrowingPosterior",
-    "NormChainReport",
     "fit",
-    "update",
     "posterior_mean_at",
     "posterior_var_at",
     "logdet_information",
-    "norm_chain_check",
 ]
 
 # round-off in var(x) may produce values in (-VAR_CLAMP, 0); anything below
@@ -229,28 +225,6 @@ def _design_fit(
     return L.diagonal().copy(), (Linv @ ybar).T @ W, np.einsum("ij,ij->j", W, W)
 
 
-def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
-    """Posterior for t+1 points via rank-one extension of the Cholesky factor."""
-    x_new = np.asarray(x_new, dtype=float).reshape(-1)
-    if x_new.shape[0] != state.dim:
-        raise ValueError(f"point dimension {x_new.shape[0]} != design dimension {state.dim}")
-    t = state.t
-    k_vec = kernel_cross(state.spec, state.X, x_new[None, :])[:, 0]
-    r = _inv_lower(state.chol) @ k_vec
-    diag_sq = 1.0 + state.rho - r @ r
-    if diag_sq <= 0.0 or not math.isfinite(diag_sq):
-        raise NumericError(f"non-positive pivot {diag_sq} extending to t={t + 1}", index=t)
-    d_new = math.sqrt(diag_sq)
-    L = np.zeros((t + 1, t + 1))
-    L[:t, :t] = state.chol
-    L[t, :t] = r
-    L[t, t] = d_new
-    X = np.vstack([state.X, x_new[None, :]])
-    y = np.append(state.y, y_new)
-    alpha = _cho_solve(L, y)
-    return PosteriorState(state.spec, state.rho, _freeze(X), _freeze(y), _freeze(L), _freeze(alpha))
-
-
 def _clamped_var(raw: np.ndarray, step: int | None = None) -> np.ndarray:
     """``raw`` clamped at 0 in place; untouched when nothing is negative.
     A NaN passes through, for the score check to name."""
@@ -407,53 +381,3 @@ def logdet_information(state: PosteriorState) -> float:
     the factor diagonal.  The empty state yields 0.
     """
     return float(np.sum(np.log(np.diag(state.chol))) - 0.5 * state.t * math.log(state.rho))
-
-
-@dataclass(frozen=True)
-class NormChainReport:
-    """Norms of the kernel-difference functionals h, h1, h2 at a point pair.
-
-    With delta = k_t(x) - k_t(x2):
-      h_norm_sq  = 2 (1 - psi(x - x2))        (raw difference function)
-      h1_norm_sq = delta' K^{-1} delta        (plain interpolant; None when
-                                               K is numerically singular)
-      h2_norm_sq = delta' (K+rho I)^{-1} K (K+rho I)^{-1} delta
-    ``holds`` checks h2^2 <= h1^2 <= 4*|h| with 1e-9 slack.
-    """
-
-    h_norm_sq: float
-    h1_norm_sq: float | None
-    h2_norm_sq: float
-    holds: bool
-
-
-def norm_chain_check(state: PosteriorState, x, x2, *, eig_threshold: float = 1e-10) -> NormChainReport:
-    """Verify the interpolation-norm chain for a pair of probe points.
-
-    The h1 term needs K itself inverted; it is computed through an
-    eigendecomposition and skipped (reported None) when the smallest
-    eigenvalue is at or below ``eig_threshold``.
-    """
-    if state.t < 1:
-        raise ValueError("norm_chain_check needs at least one design point")
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    x2 = np.asarray(x2, dtype=float).reshape(1, -1)
-    kx = kernel_cross(state.spec, state.X, x)[:, 0]
-    kx2 = kernel_cross(state.spec, state.X, x2)[:, 0]
-    delta = kx - kx2
-    h_sq = max(2.0 * (1.0 - float(kernel_cross(state.spec, x, x2)[0, 0])), 0.0)
-    K = kernel_matrix(state.spec, state.X)
-    w = _cho_solve(state.chol, delta)
-    h2_sq = float(w @ K @ w)
-    evals, evecs = np.linalg.eigh(K)
-    if float(evals[0]) > eig_threshold:
-        proj = evecs.T @ delta
-        h1_sq = float(np.sum(proj * proj / evals))
-    else:
-        h1_sq = None
-    bound = 4.0 * math.sqrt(h_sq) + 1e-9
-    if h1_sq is None:
-        holds = h2_sq <= bound
-    else:
-        holds = (h2_sq <= h1_sq + 1e-9) and (h1_sq <= bound)
-    return NormChainReport(h_norm_sq=h_sq, h1_norm_sq=h1_sq, h2_norm_sq=h2_sq, holds=holds)

@@ -11,20 +11,22 @@ point's own latest row (at most r <= 2d + 1 rows for the d distinct points
 played so far), plus O(d^3 + d^2 n) whenever the posterior refactors its
 rows from those d points.  Refactors come more than d steps apart, so a
 run is O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  The
-loop owns the point sets and hands the posterior their kernel rows: the
-store of the candidates' kernel matrix (``kernels.KernelRows``), held by
-``posterior._held`` for every seed and sweep cell, which builds a row when
-a seed first plays its point, and for a seed with a shadow column a view
-of that store that reads the column's kernel entries after its rows.
-It is algebraically the same recursion as ``posterior.update`` restricted
-to the tracked points, and the tests pin the two against each other.
+loop owns the point sets and hands the posterior their kernel rows in a
+store (``kernels.KernelRows``), which builds a row when a seed first plays
+its point.  The store of the candidates' kernel matrix is held by
+``posterior._held`` for every seed and sweep cell; a seed with a shadow
+column makes a store of its own, of the candidates against themselves
+and the optimum, which no other seed reads, so it builds the rows it
+plays again.  The recursion is
+algebraically a refit restricted to the tracked points, and the tests pin
+the two against each other.
 
 Beyond that arithmetic, a step costs about fifteen NumPy calls on arrays of
 n values: the variance and its clamp check, the scores and their argmax and
 finiteness check, and the update.  The two safety minima, the variance's
 in its clamp check and the scores' in their finiteness check, are index
 reads ``a.item(a.argmin())``, which cost less than a ``np.minimum.reduce``
-call on arrays of this size (README times both).  The exploration
+call on arrays of this size (CHANGES.md times both).  The exploration
 weights are one column per schedule, horizon and rho, held like the kernel
 matrix, and the loop reads the objective, the noise and the posterior's
 scalars as Python floats.
@@ -54,9 +56,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import BetaKind, BetaSchedule, KernelSpec
-from .kernels import KernelRows, kernel_cross
-from .posterior import GrowingPosterior, NumericError, PosteriorState, _held
-from .posterior import posterior_mean_at, posterior_var_at
+from .kernels import KernelRows
+from .posterior import GrowingPosterior, NumericError, _held
 from .rkhs import RkhsFunction, _objective_values
 
 if TYPE_CHECKING:
@@ -69,9 +70,7 @@ __all__ = [
     "LoopHold",
     "beta_value",
     "beta_column",
-    "acquire",
     "run_gp_ucb",
-    "edp_recommend",
     "trace_to_csv",
     "trace_from_csv",
 ]
@@ -116,18 +115,6 @@ def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int | None = No
         where = "" if step is None else f", step {step}"
         raise NumericError(f"non-finite acquisition value at candidate {bad}{where}", index=bad, step=step)
     return c
-
-
-def acquire(state: PosteriorState, beta: float, candidates) -> int:
-    """Index of the candidate maximizing mean + sqrt(beta) * sd; ties go to
-    the lowest index."""
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if candidates.shape[0] == 0:
-        raise ValueError("candidate set must be non-empty")
-    if beta < 0.0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    sd = np.sqrt(posterior_var_at(state, candidates))
-    return _select(posterior_mean_at(state, candidates), sd, beta)
 
 
 @dataclass(frozen=True)
@@ -221,16 +208,16 @@ def run_gp_ucb(
     noise = _seed_noise(config, seed)
     beta = beta_column(config.beta, T, rho)
 
-    # track the optimum through its own candidate column, or through a
-    # shadow column when it lies off the candidates: it is never played, so
-    # it needs its kernel column alone, read after the rows of the
-    # candidates' kernel matrix, whose store every seed shares
-    K = _held("kernel", (spec, cand), lambda: KernelRows(spec, cand, cand))
+    # track the optimum through its own candidate column, from the store of
+    # the candidates' kernel rows that every seed shares, or through a shadow
+    # column when it lies off the candidates: it is never played, so it is
+    # one more column of a store of this seed's own
     if best < m:
         opt = best
+        K = _held("kernel", (spec, cand), lambda: KernelRows(spec, cand, cand))
     else:
         opt = m
-        K = K.columns(m, kernel_cross(spec, cand, grid[best:best + 1]))
+        K = KernelRows(spec, cand, np.vstack([cand, grid[best:best + 1]]))
     post = GrowingPosterior(K, rho)
 
     choice = np.empty(T, dtype=np.intp)
@@ -268,16 +255,6 @@ def run_gp_ucb(
     if hold is not None:
         hold.config, hold.f, hold.seed, hold.trace = replace(config, horizon=0), f, seed, trace
     return trace
-
-
-def edp_recommend(trace: RegretTrace, seed: int) -> np.ndarray:
-    """Recommend a uniformly random past sample point, drawn from the seed's
-    recommendation stream ``default_rng([seed, 2])``."""
-    if trace.horizon < 1:
-        raise ValueError("trace is empty")
-    rng = np.random.default_rng([seed, 2])
-    i = int(rng.integers(trace.horizon))
-    return trace.X[i].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,8 @@ class TestGreedyInfoGain:
         T = 10
         series = greedy_info_gain(kernel_matrix(SE, cands), rho, T=T)
         # replay the greedy selection to recover the chosen subset
-        from gpucb import posterior_var_at, update
+        from gpucb import posterior_var_at
+        from reference import update
 
         state = fit(SE, rho, np.empty((0, 1)), [])
         chosen = []
@@ -140,34 +141,35 @@ class TestGreedyInfoGain:
         _, logdet = np.linalg.slogdet(np.eye(T) + K / rho)
         assert series[-1] == pytest.approx(0.5 * logdet, rel=1e-10)
 
-    def test_report_block_gives_the_series_of_a_fresh_build_bit_for_bit(self, monkeypatch):
-        # nu = 1.2 takes the general-order K_nu path; the 48 Halton candidates
-        # are the first rows of a grid that adds a lattice, and the series
-        # read off the block's leading square columns, with no kernel built,
-        # is the series of the candidates' own kernel matrix
+    @pytest.mark.parametrize("nu", [1.2, 1.5, 2.5])
+    def test_report_block_gives_the_series_of_a_fresh_build_bit_for_bit(self, monkeypatch, nu):
+        # the 48 Halton candidates are the first rows of a grid that adds a
+        # lattice: the series over the report's candidates x grid block,
+        # which picks among its first 48 columns alone, is the series of the
+        # candidates' own kernel matrix; nu = 1.2 takes the general-order
+        # K_nu path, whose store is built whole, so the gain builds no kernel
         import gpucb.kernels
         import gpucb.posterior
         from gpucb.config import halton_points, lattice_points
 
-        spec = KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=0.5)
+        spec = KernelSpec(KernelFamily.MATERN, nu=nu, lengthscale=0.5)
         box = Box((0.0, 0.0), (1.0, 1.0))
         cands = halton_points(box, 48)
         grid = np.vstack([cands, lattice_points(box, 36)])
         fresh = greedy_info_gain(kernel_matrix(spec, cands), 0.5, T=40)
         block = kernel_cross(spec, cands, grid)
+        store = KernelRows(spec, cands, grid)
 
         def unreachable(*args):
             raise AssertionError("the information gain built a kernel")
 
-        # the report's store of the block, built whole at this order, reads
-        # its leading square columns through a view
-        store = KernelRows(spec, cands, grid)
-        for name in ("kernel_matrix", "kernel_cross"):
-            monkeypatch.setattr(gpucb.posterior, name, unreachable)
-            monkeypatch.setattr(gpucb.kernels, name, unreachable)
-        shared = greedy_info_gain(block[:, :48], 0.5, T=40)
-        assert block.shape == (48, 84) and shared.tobytes() == fresh.tobytes()
-        assert greedy_info_gain(store.columns(48), 0.5, T=40).tobytes() == fresh.tobytes()
+        if nu == 1.2:
+            for name in ("kernel_matrix", "kernel_cross"):
+                monkeypatch.setattr(gpucb.posterior, name, unreachable)
+                monkeypatch.setattr(gpucb.kernels, name, unreachable)
+        assert block.shape == (48, 84)
+        assert greedy_info_gain(block, 0.5, T=40).tobytes() == fresh.tobytes()
+        assert greedy_info_gain(store, 0.5, T=40).tobytes() == fresh.tobytes()
         # the candidates' own columns are their kernel matrix bit for bit
         assert block[:, :48].tobytes() == kernel_matrix(spec, cands).tobytes()
 

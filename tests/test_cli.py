@@ -433,9 +433,8 @@ class TestSharedKernelMatrix:
 
 class TestSharedReportBlock:
     """``report`` builds one store of the candidates' kernel rows against the
-    evaluation grid, which the information gain, through its leading square
-    block, and the audits share, and parses and evaluates each distinct
-    objective once."""
+    evaluation grid, which the information gain and the audits share, and
+    parses and evaluates each distinct objective once."""
 
     @staticmethod
     def report_counting(tmp_path, monkeypatch, held, text):
@@ -501,8 +500,7 @@ class TestSharedReportBlock:
         # 64 candidates on a grid of more points, 5 audited seeds and the
         # information gain: one store, which builds the row of each point
         # the audits' designs hold or the information gain picks, once, and
-        # the information gain reads its leading square block, no kernel
-        # matrix of its own
+        # the information gain reads that store, no kernel matrix of its own
         text = (
             MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2, 3, 4")
             .replace("horizon = 8", "horizon = 64")
@@ -523,14 +521,14 @@ class TestSharedReportBlock:
         audited = played_rows(tmp_path / "run", config)
         assert len(picks) == 64 and sorted(rows) == sorted(audited | set(picks)) and len(rows) < m
         assert matrices == []
-        # the gain's block reads the store's rows, which are the whole
-        # build's leading square block bit for bit, and builds none of them
+        # the gain reads the report's (m, n) store, whose rows it picked are
+        # built, and they are the whole build's rows bit for bit
         (K,) = gains
         before = len(crosses)
         block = kernel_cross(config.kernel, cand, grid)
         read = K.take(sorted(set(picks)))
-        assert K.shape == (m, m) and len(crosses) == before
-        assert read.tobytes() == block[sorted(set(picks)), :m].tobytes()
+        assert K.shape == (m, grid.shape[0]) and len(crosses) == before
+        assert read.tobytes() == block[sorted(set(picks))].tobytes()
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
         # two per seed's draw: the draw's and the rescaled one's
         assert len(norms) == 2 * 5

