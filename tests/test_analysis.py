@@ -168,6 +168,7 @@ class TestGreedyInfoGain:
                 monkeypatch.setattr(gpucb.posterior, name, unreachable)
                 monkeypatch.setattr(gpucb.kernels, name, unreachable)
         assert block.shape == (48, 84)
+        assert greedy_info_gain(block[:, :48], 0.5, T=40).tobytes() == fresh.tobytes()
         assert greedy_info_gain(block, 0.5, T=40).tobytes() == fresh.tobytes()
         assert greedy_info_gain(store, 0.5, T=40).tobytes() == fresh.tobytes()
         # the candidates' own columns are their kernel matrix bit for bit
