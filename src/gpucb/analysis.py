@@ -38,12 +38,12 @@ from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, _fmt
-from .kernels import KernelFamily, KernelRows
+from .config import BetaKind, BetaSchedule, ExperimentConfig, KernelFamily, _fmt
+from .kernels import KernelRows
 from .posterior import GrowingPosterior, PosteriorState, _clamped_var, _design_fit, fit
 from .posterior import posterior_mean_at, posterior_var_at
 from .rkhs import RkhsFunction
-from .ucb import BetaKind, BetaSchedule, RegretTrace, beta_value
+from .ucb import RegretTrace, beta_value
 
 __all__ = [
     "RateReference",

@@ -50,8 +50,6 @@ import numpy as np
 from .config import KernelFamily, KernelSpec
 
 __all__ = [
-    "KernelFamily",
-    "KernelSpec",
     "bessel_k",
     "kernel_matrix",
     "kernel_cross",

@@ -49,7 +49,6 @@ from .config import KernelSpec, NumericError
 from .kernels import KernelRows, kernel_cross, kernel_matrix
 
 __all__ = [
-    "NumericError",
     "PosteriorState",
     "GrowingPosterior",
     "fit",
@@ -104,10 +103,6 @@ class PosteriorState:
     @property
     def t(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
 
 
 def fit(spec: KernelSpec, rho: float, X, y) -> PosteriorState:

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Box, KernelSpec
+from .config import Box, KernelSpec, NumericError
 from .kernels import kernel_cross, kernel_matrix
-from .posterior import NumericError, _held
+from .posterior import _held
 
 __all__ = [
-    "Box",
     "RkhsFunction",
     "make_rkhs_function",
     "scale_to_norm",

@@ -55,17 +55,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import BetaKind, BetaSchedule, KernelSpec
+from .config import BetaKind, BetaSchedule, KernelSpec, NumericError
 from .kernels import KernelRows
-from .posterior import GrowingPosterior, NumericError, _held
+from .posterior import GrowingPosterior, _held
 from .rkhs import RkhsFunction, _objective_values
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
 __all__ = [
-    "BetaKind",
-    "BetaSchedule",
     "RegretTrace",
     "LoopHold",
     "beta_value",
@@ -102,18 +100,18 @@ def beta_column(schedule: BetaSchedule, T: int, rho: float) -> np.ndarray:
     return _held("beta", (schedule, T, rho), lambda: np.array([beta_value(schedule, t, rho) for t in range(T)]))
 
 
-def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int | None = None, out=None) -> int:
-    """Index maximizing mean + sqrt(beta) * sd, ties to the lowest index, the
-    scores written into ``out`` when given; NumericError on a non-finite
-    score, naming the first such candidate and the step when given."""
+def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int, out=None) -> int:
+    """Index maximizing mean + sqrt(beta) * sd at selection step ``step``,
+    ties to the lowest index, the scores written into ``out`` when given;
+    NumericError on a non-finite score, naming the first such candidate and
+    the step."""
     score = np.multiply(sd, math.sqrt(beta), out=out)
     score += mean
     c = int(score.argmax())
     # argmax stops at the first NaN and reaches any +inf; argmin reaches -inf
     if not (math.isfinite(score.item(c)) and math.isfinite(score.item(score.argmin()))):
         bad = int(np.flatnonzero(~np.isfinite(score))[0])
-        where = "" if step is None else f", step {step}"
-        raise NumericError(f"non-finite acquisition value at candidate {bad}{where}", index=bad, step=step)
+        raise NumericError(f"non-finite acquisition value at candidate {bad}, step {step}", index=bad, step=step)
     return c
 
 

@@ -3,10 +3,17 @@ traces, used across test modules."""
 
 import pytest
 
-from gpucb import BetaKind, BetaSchedule, KernelFamily, KernelRows, KernelSpec
 from gpucb.analysis import grade_suite, grid_columns
-from gpucb.config import ExperimentConfig, ObjectiveSpec
-from gpucb.rkhs import Box
+from gpucb.config import (
+    BetaKind,
+    BetaSchedule,
+    Box,
+    ExperimentConfig,
+    KernelFamily,
+    KernelSpec,
+    ObjectiveSpec,
+)
+from gpucb.kernels import KernelRows
 
 
 @pytest.fixture

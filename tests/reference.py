@@ -48,8 +48,8 @@ __all__ = [
 def update(state: PosteriorState, x_new, y_new: float) -> PosteriorState:
     """Posterior for t+1 points via rank-one extension of the Cholesky factor."""
     x_new = np.asarray(x_new, dtype=float).reshape(-1)
-    if x_new.shape[0] != state.dim:
-        raise ValueError(f"point dimension {x_new.shape[0]} != design dimension {state.dim}")
+    if x_new.shape[0] != state.X.shape[1]:
+        raise ValueError(f"point dimension {x_new.shape[0]} != design dimension {state.X.shape[1]}")
     t = state.t
     k_vec = kernel_cross(state.spec, state.X, x_new[None, :])[:, 0]
     r = _inv_lower(state.chol) @ k_vec
@@ -77,7 +77,7 @@ def acquire(state: PosteriorState, beta: float, candidates) -> int:
     if beta < 0.0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     sd = np.sqrt(posterior_var_at(state, candidates))
-    return _select(posterior_mean_at(state, candidates), sd, beta)
+    return _select(posterior_mean_at(state, candidates), sd, beta, state.t + 1)
 
 
 

@@ -35,27 +35,21 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from gpucb import (
-    KernelFamily,
-    KernelSpec,
-    bessel_k,
+from gpucb.analysis import (
     calibrate_c0,
-    fit,
     greedy_info_gain,
-    kernel_cross,
-    kernel_matrix,
-    posterior_mean_at,
-    posterior_var_at,
+    grid_columns,
+    information_gain_row,
     prefix_bound_audit,
     rate_reference,
     regret_bound_check,
-    run_gp_ucb,
-    sample_random_rkhs,
     uniform_bound_audit,
 )
-from gpucb.analysis import grid_columns, information_gain_row
-from gpucb.config import lattice_points
-from gpucb.rkhs import Box
+from gpucb.config import Box, KernelFamily, KernelSpec, lattice_points
+from gpucb.kernels import bessel_k, kernel_cross, kernel_matrix
+from gpucb.posterior import fit, posterior_mean_at, posterior_var_at
+from gpucb.rkhs import sample_random_rkhs
+from gpucb.ucb import run_gp_ucb
 from reference import edp_recommend, holder_validate, norm_chain_check, update
 from conftest import grade_traces, make_config
 
@@ -181,7 +175,7 @@ def test_c01_bias_bound_noiseless():
 
 
 def test_c02_logdet_chain_identity():
-    from gpucb import kernel_matrix
+    from gpucb.kernels import kernel_matrix
 
     worst = 0.0
     for family, seeds in ((KernelFamily.MATERN, (0, 1, 2)), (KernelFamily.SQUARED_EXPONENTIAL, (0, 1))):

@@ -7,27 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from gpucb import (
-    KernelFamily,
-    KernelRows,
-    KernelSpec,
-    NumericError,
-    calibrate_c0,
-    fit,
-    fit_regret_exponent,
-    greedy_info_gain,
-    kernel_cross,
-    kernel_matrix,
-    logdet_information,
-    make_rkhs_function,
-    prefix_bound_audit,
-    rate_reference,
-    regret_bound_check,
-    run_gp_ucb,
-    sample_random_rkhs,
-    states_at_checkpoints,
-    uniform_bound_audit,
-)
 from gpucb.analysis import (
     AuditSeries,
     ExponentFit,
@@ -36,12 +15,23 @@ from gpucb.analysis import (
     _exponent_row,
     _flagged_from,
     _growth_row,
+    calibrate_c0,
+    fit_regret_exponent,
+    greedy_info_gain,
     grid_columns,
     information_gain_row,
     loglog_slope,
+    prefix_bound_audit,
+    rate_reference,
+    regret_bound_check,
+    states_at_checkpoints,
+    uniform_bound_audit,
 )
-from gpucb.rkhs import Box
-from gpucb.ucb import RegretTrace
+from gpucb.config import Box, KernelFamily, KernelSpec, NumericError
+from gpucb.kernels import KernelRows, kernel_cross, kernel_matrix
+from gpucb.posterior import fit, logdet_information
+from gpucb.rkhs import make_rkhs_function, sample_random_rkhs
+from gpucb.ucb import RegretTrace, run_gp_ucb
 from conftest import grade_traces, make_config
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -127,7 +117,7 @@ class TestGreedyInfoGain:
         T = 10
         series = greedy_info_gain(kernel_matrix(SE, cands), rho, T=T)
         # replay the greedy selection to recover the chosen subset
-        from gpucb import posterior_var_at
+        from gpucb.posterior import posterior_var_at
         from reference import update
 
         state = fit(SE, rho, np.empty((0, 1)), [])

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpucb import KernelFamily, KernelSpec, bessel_k, kernel_cross
 from gpucb import kernels
-from gpucb.kernels import _BLOCK, _bessel_k_general
+from gpucb.config import KernelFamily, KernelSpec
+from gpucb.kernels import _BLOCK, _bessel_k_general, bessel_k, kernel_cross
 
 REFERENCE = Path(__file__).parent / "data" / "bessel_kv_reference.csv"
 

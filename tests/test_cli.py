@@ -13,24 +13,21 @@ import pytest
 import gpucb.config
 import gpucb.rkhs
 from conftest import make_config
-from gpucb import (
-    Box,
-    KernelFamily,
-    KernelSpec,
-    fit,
-    kernel_cross,
-    kernel_matrix,
-    logdet_information,
-    parse_config,
-    render_config,
-    sample_random_rkhs,
-    trace_from_csv,
-    trace_to_csv,
-)
 from gpucb.analysis import grid_columns
 from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
-from gpucb.config import ExperimentConfig, halton_points
-from gpucb.ucb import _seed_noise
+from gpucb.config import (
+    Box,
+    ExperimentConfig,
+    KernelFamily,
+    KernelSpec,
+    halton_points,
+    parse_config,
+    render_config,
+)
+from gpucb.kernels import kernel_cross, kernel_matrix
+from gpucb.posterior import fit, logdet_information
+from gpucb.rkhs import sample_random_rkhs
+from gpucb.ucb import _seed_noise, trace_from_csv, trace_to_csv
 
 MINIMAL = """\
 kernel.family = matern
@@ -442,7 +439,7 @@ class TestSharedReportBlock:
         import gpucb.cli
         import gpucb.posterior
         import gpucb.rkhs
-        from gpucb import GrowingPosterior
+        from gpucb.posterior import GrowingPosterior
         from gpucb.rkhs import RkhsFunction
 
         out = tmp_path / "run"

@@ -1,9 +1,10 @@
-"""The package exports only what its modules declare public, every
-declared name exists, the CLI's commands enter every public function but
-the few named here, each CLI command loads only the modules it reads,
-the CLI grades through ``analysis.grade_suite`` alone, posterior.py holds
-all of its linear algebra, config.py all of its ``key = value`` text, and
-posterior.py all of the per-process state."""
+"""Each public name has one import path, the module that defines it and
+lists it in ``__all__``, and a bare ``import gpucb`` loads no module; the
+CLI's commands enter every public function and property but the few named
+here, each CLI command loads only the modules it reads, the CLI grades
+through ``analysis.grade_suite`` alone, posterior.py holds all of its linear
+algebra, config.py all of its ``key = value`` text, and posterior.py all of
+the per-process state."""
 
 import ast
 import importlib
@@ -21,44 +22,66 @@ import gpucb
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gpucb.__path__))
 SRC = str(Path(gpucb.__file__).resolve().parents[1])
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+# the directories whose code imports from the package (its own modules by
+# relative import)
+_IMPORTERS = [
+    Path(SRC) / "gpucb",
+    Path(__file__).parent,
+    Path(__file__).parent / "data",
+    Path(__file__).parents[1] / "perfbench",
+]
 
 
-def test_every_package_import_is_declared_public():
-    # the package resolves each export from the module its table names
-    assert gpucb._EXPORTS
-    for module, names in gpucb._EXPORTS.items():
-        assert module in MODULES, f"gpucb exports from outside the package: {module}"
-        public = importlib.import_module(f"gpucb.{module}").__all__
-        for name in names:
-            assert name in public, f"gpucb exports {module}.{name}, which is not in its __all__"
-
-
-def test_bare_import_resolves_every_export_and_submodule():
-    # a fresh process: importing the package loads none of its modules, and
-    # then every export and submodule resolves and is listed by dir()
-    code = (
-        "import sys, gpucb\n"
-        "print(sorted(m for m in sys.modules if m.startswith('gpucb.')))\n"
-        "listed = dir(gpucb)\n"
-        "for module, names in gpucb._EXPORTS.items():\n"
-        "    for name in names:\n"
-        "        assert getattr(gpucb, name) is getattr(sys.modules['gpucb.' + module], name), name\n"
-        "        assert name in listed, name\n"
-        f"for name in {MODULES!r}:\n"
-        "    assert getattr(gpucb, name) is sys.modules['gpucb.' + name], name\n"
-        "    assert name in listed, name\n"
-        "print('resolved')\n"
-    )
+def test_bare_import_loads_no_module():
+    # a fresh process: importing the package loads none of its modules
+    code = "import sys, gpucb\nprint(sorted(m for m in sys.modules if m.startswith('gpucb.')))\n"
     done = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\nresolved\n"
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_declared_name_exists(name):
+    # each name in __all__ exists and is defined in that module: no module
+    # re-exports a name another defines
     module = importlib.import_module(f"gpucb.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"gpucb.{name}.__all__ names missing attributes: {missing}"
+    foreign = [n for n in module.__all__ if getattr(module, n).__module__ != module.__name__]
+    assert not foreign, f"gpucb.{name}.__all__ names objects defined elsewhere: {foreign}"
+
+
+def _package_imports(tree: ast.AST):
+    """(line, module, name) for each name a ``from`` import takes from the
+    package: the module ``""`` for ``from gpucb import name``, else the
+    submodule's name; a relative import is the package's own."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module or ""
+        elif node.module == "gpucb" or (node.module or "").startswith("gpucb."):
+            module = node.module.removeprefix("gpucb").removeprefix(".")
+        else:
+            continue
+        for alias in node.names:
+            yield node.lineno, module, alias.name
+
+
+def test_every_import_names_the_defining_module():
+    # ``from gpucb import`` brings in submodules only, and a public name is
+    # imported from the module whose __all__ lists it
+    wrong = []
+    for directory in _IMPORTERS:
+        for path in sorted(directory.glob("*.py")):
+            for line, module, name in _package_imports(ast.parse(path.read_text(encoding="utf-8"))):
+                if module == "":
+                    ok = name in MODULES
+                else:
+                    ok = name.startswith("_") or name in importlib.import_module(f"gpucb.{module}").__all__
+                if not ok:
+                    wrong.append(f"{path}:{line}: from {'.'.join(filter(None, ('gpucb', module)))} import {name}")
+    assert not wrong, "import each public name from the module that defines it:\n" + "\n".join(wrong)
 
 
 _CONFIG = """\
@@ -114,23 +137,22 @@ _UNENTERED = {
     "posterior.posterior_mean_at": "uniform_bound_audit calls it",
     "posterior.posterior_var_at": "uniform_bound_audit calls it",
     "analysis.calibrate_c0": "the calibrate command of ROADMAP item 14 is to call it",
+    "posterior.PosteriorState.t": "uniform_bound_audit and logdet_information read it",
 }
 
 
 def _public_functions() -> dict:
-    """The code of each function a module's ``__all__`` defines there, and of
-    each public method of a class it defines there, by dotted name.  A
-    property is read, not called, and is left out."""
+    """The code of each function in a module's ``__all__``, and of each
+    public method and property getter of a class there, by dotted name."""
     codes = {}
     for name in MODULES:
         module = importlib.import_module(f"gpucb.{name}")
         for attr in module.__all__:
             obj = getattr(module, attr)
-            if getattr(obj, "__module__", None) != module.__name__:
-                continue
             members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
             for key, member in members:
                 member = getattr(member, "__func__", member)  # a static or class method
+                member = getattr(member, "fget", member)  # a property
                 if not key.startswith("_") and inspect.isfunction(member):
                     codes[member.__code__] = ".".join(filter(None, (name, attr, key)))
     return codes

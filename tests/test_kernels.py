@@ -9,13 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpucb import (
-    KernelFamily,
-    KernelSpec,
-    kernel_cross,
-    kernel_matrix,
-)
 from gpucb import kernels
+from gpucb.config import KernelFamily, KernelSpec
+from gpucb.kernels import kernel_cross, kernel_matrix
 from reference import holder_validate
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -444,7 +440,7 @@ class TestKernelRows:
         # np.unique would dedupe a batch by importing numpy.ma, which no
         # other step of a run or a report needs
         code = (
-            "import sys; from gpucb import KernelRows, KernelSpec, KernelFamily\n"
+            "import sys; from gpucb.config import KernelFamily, KernelSpec; from gpucb.kernels import KernelRows\n"
             "rows = KernelRows(KernelSpec(KernelFamily.SQUARED_EXPONENTIAL), [[0.0], [0.5], [1.0]], [[0.0], [1.0]])\n"
             "assert rows.take([2, 0, 2]).shape == (3, 2)\n"
             "print('numpy.ma' in sys.modules)"

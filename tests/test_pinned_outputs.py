@@ -74,11 +74,10 @@ def test_pinned_traces_pin_the_objectives_config_txt_draws(suite):
     # no file beside the traces records the objectives: each seed's is drawn
     # from config.txt, and the traces' regret and observations pin the draw
     # to the bit
-    from gpucb import trace_from_csv
     from gpucb.analysis import grid_columns
     from gpucb.config import parse_config
     from gpucb.rkhs import _objective_values
-    from gpucb.ucb import _seed_noise
+    from gpucb.ucb import _seed_noise, trace_from_csv
 
     top = gen.PINNED / suite
     config = parse_config((top / "config.txt").read_text(encoding="utf-8"))

@@ -7,21 +7,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpucb import (
+from gpucb.config import Box, KernelFamily, KernelSpec, NumericError
+from gpucb.kernels import kernel_cross, kernel_matrix
+from gpucb.posterior import (
     GrowingPosterior,
-    KernelFamily,
-    KernelSpec,
-    NumericError,
+    _BLOCK,
+    _cholesky,
+    _held,
+    _inv_lower,
+    _lower_product,
     fit,
     logdet_information,
-    make_rkhs_function,
     posterior_mean_at,
     posterior_var_at,
-    sample_random_rkhs,
 )
-from gpucb.kernels import kernel_cross, kernel_matrix
-from gpucb.posterior import _BLOCK, _cholesky, _held, _inv_lower, _lower_product
-from gpucb.rkhs import Box
+from gpucb.rkhs import make_rkhs_function, sample_random_rkhs
 from reference import norm_chain_check, update
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
@@ -72,7 +72,7 @@ class TestFit:
 
     def test_residual_invariant(self):
         state, X, y = random_state(MATERN_32, 0.3, 40, 2, seed=1)
-        from gpucb import kernel_matrix
+        from gpucb.kernels import kernel_matrix
 
         A = kernel_matrix(MATERN_32, X) + 0.3 * np.eye(40)
         resid = np.max(np.abs(A @ state.alpha - y))
@@ -131,7 +131,7 @@ class TestPredictions:
         # |mean(x)| <= ||y|| * ||k_t(x)|| / rho from the ridge form
         for seed in range(5):
             state, X, y = random_state(MATERN_32, 0.7, 15, 2, seed=seed)
-            from gpucb import kernel_cross
+            from gpucb.kernels import kernel_cross
 
             rng = np.random.default_rng(100 + seed)
             for x in rng.uniform(0, 1, size=(10, 2)):
@@ -173,7 +173,7 @@ class TestPredictions:
     def test_variance_lower_bound(self):
         # var(x) >= rho * A2 / (A1^2 t) with A1 = 1 + rho and A2 the smallest
         # squared correlation among the (design, probe) pairs in play
-        from gpucb import kernel_cross
+        from gpucb.kernels import kernel_cross
 
         for rho in (0.1, 1.0):
             state, X, _ = random_state(MATERN_32, rho, 25, 1, seed=10)

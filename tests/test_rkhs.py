@@ -5,17 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gpucb import (
-    KernelFamily,
-    KernelSpec,
-    grid_maximum,
-    kernel_cross,
-    kernel_matrix,
-    make_rkhs_function,
-    sample_random_rkhs,
-    scale_to_norm,
-)
-from gpucb.rkhs import Box
+from gpucb.config import Box, KernelFamily, KernelSpec
+from gpucb.kernels import kernel_cross, kernel_matrix
+from gpucb.rkhs import grid_maximum, make_rkhs_function, sample_random_rkhs, scale_to_norm
 
 SE = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale=1.0)
 MATERN_32 = KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.5)

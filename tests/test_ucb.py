@@ -8,27 +8,21 @@ import pytest
 from scipy.stats import chi2
 
 import gpucb.kernels
-from gpucb import (
-    BetaKind,
-    BetaSchedule,
-    GrowingPosterior,
-    KernelFamily,
-    KernelRows,
-    KernelSpec,
-    NumericError,
+from gpucb import posterior
+from gpucb.analysis import grid_columns
+from gpucb.config import BetaKind, BetaSchedule, KernelFamily, KernelSpec, NumericError
+from gpucb.kernels import KernelRows, kernel_cross, kernel_matrix
+from gpucb.posterior import GrowingPosterior, _clamped_var, fit
+from gpucb.ucb import (
+    LoopHold,
     RegretTrace,
+    _seed_noise,
+    beta_column,
     beta_value,
-    fit,
-    kernel_cross,
-    kernel_matrix,
     run_gp_ucb,
     trace_from_csv,
     trace_to_csv,
 )
-from gpucb import posterior
-from gpucb.analysis import grid_columns
-from gpucb.posterior import _clamped_var
-from gpucb.ucb import LoopHold, _seed_noise, beta_column
 from reference import acquire, edp_recommend, update
 from conftest import make_config
 
@@ -116,7 +110,7 @@ class TestAcquire:
         state = fit(SE, 1.0, [[0.2], [0.8]], [-1.0, 3.0])
         cands = np.linspace(0, 1, 21)[:, None]
         idx = acquire(state, beta=0.0, candidates=cands)
-        from gpucb import posterior_mean_at
+        from gpucb.posterior import posterior_mean_at
 
         assert idx == int(np.argmax(posterior_mean_at(state, cands)))
 
@@ -168,7 +162,7 @@ class TestRunLoop:
         cand = config.candidate_points()
         state = fit(config.kernel, config.rho, np.empty((0, 1)), [])
         noise = _seed_noise(config, 0)
-        from gpucb import posterior_mean_at, posterior_var_at
+        from gpucb.posterior import posterior_mean_at, posterior_var_at
 
         for t in range(config.horizon):
             beta = beta_value(config.beta, t, config.rho)
@@ -192,7 +186,7 @@ class TestRunLoop:
         config = make_config(horizon=4096, candidates_count=256, eval_grid_count=256, c0=0.39)
         f = config.objective_for_seed(0)
         trace = run_gp_ucb(config, f, 0)
-        from gpucb import posterior_mean_at, posterior_var_at
+        from gpucb.posterior import posterior_mean_at, posterior_var_at
 
         for step in (516, 4096):
             state = fit(config.kernel, config.rho, trace.X[: step - 1], trace.y[: step - 1])
@@ -286,7 +280,7 @@ class TestRunLoop:
         assert int(np.argmax(f_grid)) == 40
         trace = run_gp_ucb(config, f, 0)
         f_played = f_grid[grid_columns(grid, trace.X)]
-        from gpucb import posterior_mean_at, posterior_var_at
+        from gpucb.posterior import posterior_mean_at, posterior_var_at
 
         for t in range(trace.horizon):
             state = fit(config.kernel, config.rho, trace.X[:t], trace.y[:t])
