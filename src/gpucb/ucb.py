@@ -268,6 +268,11 @@ def _header(d: int) -> str:
     return ",".join(["t", *(f"x_{j + 1}" for j in range(d)), *_COLUMNS])
 
 
+# rows the writer formats at a time, so one block's floats and row strings
+# are alive at once rather than the whole trace's
+_WRITE_ROWS = 512
+
+
 def trace_to_csv(trace: RegretTrace) -> str:
     # t and flag are small integers, which %.17g prints without a fraction
     block = np.column_stack([
@@ -277,14 +282,30 @@ def trace_to_csv(trace: RegretTrace) -> str:
     # one joined string: np.savetxt into a growing io buffer raised the peak
     # RSS of a 2025-point horizon sweep from 187 to 200 MiB
     row = ",".join(["%.17g"] * block.shape[1])
-    return "\n".join([_header(trace.X.shape[1])] + [row % tuple(r) for r in block.tolist()]) + "\n"
+    parts = [_header(trace.X.shape[1])]
+    for start in range(0, trace.horizon, _WRITE_ROWS):
+        parts.append("\n".join([row % tuple(r) for r in block[start:start + _WRITE_ROWS].tolist()]))
+    return "\n".join(parts) + "\n"
+
+
+def _reads(line: str, usecols: int | None = None) -> bool:
+    """Whether ``np.loadtxt`` reads line, or its field ``usecols``, as numbers."""
+    try:
+        np.loadtxt([line], delimiter=",", comments=None, usecols=usecols)
+    except ValueError:
+        return False
+    return True
 
 
 def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int) -> RegretTrace:
     """Inverse of ``trace_to_csv``, reading its columns by position;
     ValueError on an empty trace, a header other than the writer's, a ragged
-    row (a blank one included), a skipped t or a flag other than 0 or 1,
-    naming the first defective line by its line number in the file."""
+    row (a blank one included), a skipped t, a flag other than 0 or 1 or a
+    field that is not a number, naming the first defective line by its line
+    number in the file.  The rows' text is checked first, line by line, then
+    the body is read as numbers in one ``np.loadtxt`` call; only a body that
+    fails that call is walked, line by line, to the first field it cannot
+    read."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty trace")
@@ -293,27 +314,31 @@ def trace_from_csv(text: str, spec: KernelSpec, f_star: float, seed: int) -> Reg
     if lines[0] != _header(d):
         raise ValueError(f"trace header {lines[0]!r} is not t, x_1..x_d, {', '.join(_COLUMNS)}")
     body = lines[1:]
-    T = len(body)
-    # the rows split at once into whole columns, checked at once; only a trace
-    # that fails is walked, row by row in file order, to its first fault
-    fields = ",".join(body).split(",") if body else []
-    columns = [fields[j::width] for j in range(width)]
-    if (
-        any(ln.count(",") != width - 1 for ln in body)
-        or columns[0] != list(map(str, range(1, T + 1)))
-        or not set(columns[-1]) <= {"0", "1"}
-    ):
-        for step, ln in enumerate(body, start=1):
-            row = ln.split(",")
-            if len(row) != width:
-                raise ValueError(f"ragged row at line {step + 1}: {len(row)} fields, header has {width}")
-            if row[0] != str(step):
-                raise ValueError(f"non-consecutive t at line {step + 1}: {row[0]!r} where {step} was expected")
-            if row[-1] not in ("0", "1"):
-                raise ValueError(f"flag at line {step + 1} is {row[-1]!r}, not 0 or 1")
-    y, beta, sigma, mu, inst, cum, flag = (np.array(c, dtype=float) for c in columns[1 + d:])
+    for step, ln in enumerate(body, start=1):
+        if ln.count(",") != width - 1:
+            raise ValueError(f"ragged row at line {step + 1}: {ln.count(',') + 1} fields, header has {width}")
+        if not ln.startswith(f"{step},"):
+            raise ValueError(f"non-consecutive t at line {step + 1}: {ln.split(',', 1)[0]!r} where {step} was expected")
+        if not ln.endswith((",0", ",1")):
+            raise ValueError(f"flag at line {step + 1} is {ln.rsplit(',', 1)[1]!r}, not 0 or 1")
+    if not body:
+        # np.loadtxt warns on input with no rows
+        block = np.empty((0, width))
+    else:
+        # comments=None: a '#' inside a field is a fault, not the start of a comment
+        try:
+            block = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            for step, ln in enumerate(body, start=1):
+                if not _reads(ln):
+                    j = next(j for j in range(width) if not _reads(ln, j))
+                    name = lines[0].split(",")[j]
+                    raise ValueError(f"{name} at line {step + 1} is {ln.split(',')[j]!r}, not a number") from None
+            raise
+    # contiguous copies of the columns, as the writer's arrays are
+    y, beta, sigma, mu, inst, cum = (block[:, j].copy() for j in range(1 + d, width - 1))
     return RegretTrace(
-        X=np.ascontiguousarray(np.array(columns[1:1 + d], dtype=float).T).reshape(T, d),
-        y=y, beta=beta, sigma=sigma, mu=mu, inst_regret=inst, cum_regret=cum, flag=flag == 1.0,
+        X=np.ascontiguousarray(block[:, 1:1 + d]),
+        y=y, beta=beta, sigma=sigma, mu=mu, inst_regret=inst, cum_regret=cum, flag=block[:, -1] == 1.0,
         f_star=f_star, seed=seed, spec=spec,
     )

@@ -1318,6 +1318,25 @@ def _flag_before_skipped_step(cell):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _set_field(seed, line, name, edit):
+    # the field under column name at line (1-based, the header is line 1) of
+    # seed's trace, rewritten by edit
+    def damage(cell):
+        path = cell / f"trace_seed{seed}.csv"
+        lines = path.read_text().splitlines()
+        row = lines[line - 1].split(",")
+        j = lines[0].split(",").index(name)
+        row[j] = edit(row[j])
+        lines[line - 1] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
+def _header_only(cell):
+    path = cell / "trace_seed3.csv"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+
+
 def _move_to_grid_row(cell):
     # step 5 moved onto a grid point that is not a candidate, with y and the
     # regret columns made to match it
@@ -1400,6 +1419,13 @@ class TestDamagedRunReport:
         (_forge_sigma_mu_flag, "trace_seed0.csv: flag at t=1 is 1, yet |f(x_t) - mu| exceeds sqrt(beta) * sigma"),
         (_cancelling_ragged_rows, "trace_seed1.csv: ragged row at line 6: 8 fields, header has 9"),
         (_flag_before_skipped_step, "trace_seed0.csv: flag at line 6 is '2', not 0 or 1"),
+        # fields that are not numbers, named by line and column; float()
+        # reads 1_000, which the writer never writes
+        (_set_field(2, 30, "y", lambda v: "abc"), "trace_seed2.csv: y at line 30 is 'abc', not a number"),
+        # with comments=None, a '#' is a fault rather than the start of a comment
+        (_set_field(4, 17, "mu", lambda v: "0.5#2"), "trace_seed4.csv: mu at line 17 is '0.5#2', not a number"),
+        (_set_field(0, 8, "beta", lambda v: "1_000"), "trace_seed0.csv: beta at line 8 is '1_000', not a number"),
+        (_header_only, "trace_seed3.csv: 0 rows for horizon 64"),
     ])
     def test_damage_exits_4(self, suite, tmp_path, capsys, damage, message):
         cell = tmp_path / "run"

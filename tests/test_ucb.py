@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from gpucb.config import BetaKind, BetaSchedule, KernelFamily, KernelSpec, Numer
 from gpucb.kernels import KernelRows, kernel_cross, kernel_matrix
 from gpucb.posterior import GrowingPosterior, _clamped_var, fit
 from gpucb.ucb import (
+    _WRITE_ROWS,
     LoopHold,
     RegretTrace,
     _seed_noise,
@@ -613,14 +615,62 @@ class TestTraceSerialization:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_per_value_formatting(self, dim):
-        # reference writer: every value through format(v, ".17g"), row by row
-        config = make_config(horizon=40, dim=dim, candidates_count=25, eval_grid_count=25)
-        tr = run_gp_ucb(config, config.objective_for_seed(1), 1)
-        lines = [trace_to_csv(tr).splitlines()[0]]
-        for i in range(tr.horizon):
-            values = [*tr.X[i], tr.y[i], tr.beta[i], tr.sigma[i], tr.mu[i], tr.inst_regret[i], tr.cum_regret[i]]
-            lines.append(",".join([str(i + 1)] + [format(v, ".17g") for v in values] + [str(int(tr.flag[i]))]))
-        assert trace_to_csv(tr) == "\n".join(lines) + "\n"
+        # reference writer: every value through format(v, ".17g"), row by row;
+        # the longer horizon spans three of the writer's row blocks, the last
+        # one row long
+        for horizon in (40, 2 * _WRITE_ROWS + 1):
+            config = make_config(horizon=horizon, dim=dim, candidates_count=25, eval_grid_count=25)
+            tr = run_gp_ucb(config, config.objective_for_seed(1), 1)
+            lines = [trace_to_csv(tr).splitlines()[0]]
+            for i in range(tr.horizon):
+                values = [*tr.X[i], tr.y[i], tr.beta[i], tr.sigma[i], tr.mu[i], tr.inst_regret[i], tr.cum_regret[i]]
+                lines.append(",".join([str(i + 1)] + [format(v, ".17g") for v in values] + [str(int(tr.flag[i]))]))
+            text = trace_to_csv(tr)
+            assert text == "\n".join(lines) + "\n"
+            back = trace_from_csv(text, tr.spec, tr.f_star, tr.seed)
+            for field in dataclasses.fields(RegretTrace):
+                assert np.array_equal(getattr(back, field.name), getattr(tr, field.name)), (horizon, field.name)
+
+    def test_extreme_values_round_trip_bit_for_bit(self):
+        # signed zeros, the smallest subnormal, the smallest normal, the
+        # largest double and values whose shortest form needs 17 digits
+        seventeen = [0.1 + 0.2, math.nextafter(2.0, 0.0), -math.nextafter(1.0, 2.0), math.nextafter(1e300, math.inf)]
+        assert all(float(format(v, ".16g")) != v for v in seventeen)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+        values = np.array(special + seventeen)
+        T = values.size
+        cols = [np.roll(values, k) for k in range(8)]
+        trace = RegretTrace(
+            X=np.column_stack(cols[:2]), y=cols[2], beta=cols[3], sigma=cols[4], mu=cols[5],
+            inst_regret=cols[6], cum_regret=cols[7], flag=np.arange(T) % 2 == 1,
+            f_star=1.0, seed=0, spec=SE,
+        )
+        text = trace_to_csv(trace)
+        back = trace_from_csv(text, trace.spec, trace.f_star, trace.seed)
+        for field in dataclasses.fields(RegretTrace):
+            want, got = getattr(trace, field.name), getattr(back, field.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.shape == want.shape, field.name
+                assert got.tobytes() == want.tobytes(), field.name
+        # each value read is float() of its field, bit for bit
+        read = np.column_stack([back.X, back.y, back.beta, back.sigma, back.mu, back.inst_regret, back.cum_regret])
+        fields = np.array([[float(v) for v in line.split(",")[1:-1]] for line in text.splitlines()[1:]])
+        assert read.tobytes() == fields.tobytes()
+
+    def test_parse_peaks_below_four_times_the_text(self):
+        # one parse of a 4096-row README-config trace holds no Python object
+        # per value; a parse that split the body into field strings and
+        # per-column lists peaked at 6.6 times the text
+        config = make_config(horizon=4096, candidates_count=256, eval_grid_count=256, c0=0.39)
+        trace = run_gp_ucb(config, config.objective_for_seed(0), 0)
+        text = trace_to_csv(trace)
+        tracemalloc.start()
+        try:
+            trace_from_csv(text, trace.spec, trace.f_star, trace.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text), peak / len(text)
 
     def test_header_names_dimension(self):
         config = make_config(horizon=2, dim=2, candidates_count=25, eval_grid_count=25)
