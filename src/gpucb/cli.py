@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 a missing, unreadable or malformed config, a
 ``--jobs`` below 1, or an output that cannot be written, 3 numeric failure
-mid-run (a broken posterior factorization, a non-finite score, or a kernel
-whose K_nu overflows double precision) or while a report grades, 4
+mid-run (a broken posterior factorization, a non-finite score, a kernel
+whose K_nu overflows double precision or an objective whose squared norm
+does) or while a report grades, 4
 insufficient or damaged data for a report; a report that exits 2, 3 or 4
 leaves no report file.  Rerunning a command with the same inputs produces
 byte-identical files, whatever the BLAS thread count (gpucb pins one).
@@ -68,21 +69,22 @@ _MERGED_HEADER = "axis,value,seed,status,cum_regret"
 def _run_seed(configs: list[ExperimentConfig], seed: int) -> list:
     """Seed ``seed``'s trace under each of ``configs``, which differ in the
     horizon alone, or the numeric failure that stopped it there.  The
-    objective is drawn once, and the longest horizon runs first: a
-    ``LoopHold`` keeps its trace and the others are cut from it.  A loop
-    that fails at step k is not held, so each horizon from k up runs afresh
-    to step k and fails there, and the longest below k is held."""
-    from .ucb import LoopHold, run_gp_ucb
+    objective is drawn once, and the longest horizon runs first: each
+    finished trace is handed to the next call as ``longer``, which cuts it.
+    A loop that fails at step k hands over nothing, so each horizon from k
+    up runs afresh to step k and fails there, and the longest below k runs
+    once for the horizons below it."""
+    from .ucb import run_gp_ucb
 
     try:
         f = configs[0].objective_for_seed(seed)
     except _NUMERIC as exc:
         return [exc] * len(configs)
-    hold = LoopHold()
+    longer = None
     runs: list = [None] * len(configs)
     for i in sorted(range(len(configs)), key=lambda i: -configs[i].horizon):
         try:
-            runs[i] = run_gp_ucb(configs[i], f, seed, hold)
+            runs[i] = longer = run_gp_ucb(configs[i], f, seed, longer)
         except _NUMERIC as exc:
             runs[i] = exc
     return runs
@@ -286,7 +288,7 @@ def _load_suite(
     try:
         objectives = {seed: config.objective_for_seed(seed) for seed in config.seeds}
         f_grids = {seed: _objective_values(f, grid) for seed, f in objectives.items()}
-    # the kernel's K_nu overflows, or the squared norm comes out negative
+    # the kernel's K_nu overflows, or the squared norm overflows or comes out negative
     except _NUMERIC as exc:
         raise ValueError(f"{cell / 'config.txt'}: {exc}") from None
     norms = {seed: f.norm for seed, f in objectives.items()}

@@ -310,13 +310,15 @@ def _kernel(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     out = np.empty((n, m)) if X.shape[1] else np.zeros((n, m))
     diff = np.empty((rows, m)) if X.shape[1] > 1 else None
     radial = _RADIAL[spec.family]
-    for start in range(0, n, rows):
-        stop, left = min(start + rows, n), start if shared else 0
-        block = out[start:stop, left:]
-        _squared_distances(X[start:stop], Y[left:], block, diff)
-        radial(spec, np.sqrt(block, out=block))
-        if left:
-            out[start:stop, :left] = out[:left, start:stop].T
+    # far points square to inf, which every profile maps to exactly 0
+    with np.errstate(over="ignore"):
+        for start in range(0, n, rows):
+            stop, left = min(start + rows, n), start if shared else 0
+            block = out[start:stop, left:]
+            _squared_distances(X[start:stop], Y[left:], block, diff)
+            radial(spec, np.sqrt(block, out=block))
+            if left:
+                out[start:stop, :left] = out[:left, start:stop].T
     return out
 
 

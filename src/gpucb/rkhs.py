@@ -47,7 +47,8 @@ def make_rkhs_function(spec: KernelSpec, centers, coeffs) -> RkhsFunction:
     """Build the expansion and cache its norm sqrt(c' K c).
 
     Duplicate centers are allowed; K is positive semidefinite so the
-    quadratic form cannot be meaningfully negative.
+    quadratic form cannot be meaningfully negative.  NumericError when the
+    form overflows double precision or comes out negative.
     """
     centers = np.atleast_2d(np.array(centers, dtype=float))
     coeffs = np.array(coeffs, dtype=float).reshape(-1)
@@ -58,7 +59,11 @@ def make_rkhs_function(spec: KernelSpec, centers, coeffs) -> RkhsFunction:
     if not (np.all(np.isfinite(centers)) and np.all(np.isfinite(coeffs))):
         raise ValueError("centers and coefficients must be finite")
     K = kernel_matrix(spec, centers)
-    norm_sq = float(coeffs @ K @ coeffs)
+    # huge coefficients overflow the form to inf, or to NaN where infs cancel
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_sq = float(coeffs @ K @ coeffs)
+    if not math.isfinite(norm_sq):
+        raise NumericError(f"squared norm overflows double precision: the quadratic form gives {norm_sq}")
     if norm_sq < -1e-10:
         raise NumericError(f"negative squared norm {norm_sq} from a PSD quadratic form")
     centers.setflags(write=False)

@@ -40,11 +40,9 @@ follow from the choices, the objective on the grid and one noise draw.
 A step depends on the steps before it alone, never on the horizon, so the
 run at a shorter horizon is the first rows of a longer one
 (``RegretTrace.prefix``).  A caller that runs one seed at several
-horizons, as a horizon sweep does, passes ``run_gp_ucb`` a ``LoopHold`` it
-owns and asks for the longest first: the hold keeps that run's trace, and
-a call at a shorter horizon is cut from it instead of running.  A run that
-raises is not held, so the next call runs afresh.  A plain call keeps
-nothing between calls.
+horizons, as a horizon sweep does, asks for the longest first and hands
+each finished trace to the next call as ``longer``, which cuts it instead
+of running.  The loop keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RegretTrace",
-    "LoopHold",
     "beta_value",
     "beta_column",
     "run_gp_ucb",
@@ -160,40 +157,23 @@ def _seed_noise(config: "ExperimentConfig", seed: int) -> np.ndarray:
     return _noise(config.noise_kind, config.noise_sigma, np.random.default_rng([seed, 1]), config.horizon)
 
 
-@dataclass
-class LoopHold:
-    """A caller's hold on the last run it finished through ``run_gp_ucb``:
-    that run's inputs but the horizon and its trace, empty at first.  A call
-    on the same inputs at a horizon no longer than the held one returns the
-    held trace's prefix instead of running."""
-
-    config: "ExperimentConfig | None" = None  # the held run's, at horizon 0
-    f: RkhsFunction | None = None
-    seed: int | None = None
-    trace: RegretTrace | None = None
-
-
 def run_gp_ucb(
-    config: "ExperimentConfig", f: RkhsFunction, seed: int, hold: LoopHold | None = None
+    config: "ExperimentConfig", f: RkhsFunction, seed: int, longer: RegretTrace | None = None
 ) -> RegretTrace:
     """Execute one seeded run of the sampling loop.
 
     The fixed candidates are the first rows of the evaluation grid, whose
     maximum is the reference optimum, so instantaneous regret is
-    non-negative.  With ``hold``, a trace held there from a run on the same
-    config but the horizon, the same objective (the same object) and seed,
-    at a horizon no shorter, is cut at this one, bit for bit the run from
-    scratch; otherwise the call runs, and a run that finishes takes the
-    hold's place.  A run that raises leaves the hold as it was.  Without
-    ``hold`` the call keeps nothing.
+    non-negative.  ``longer``, when given, is this run, same config but the
+    horizon, objective and seed, at a horizon no shorter: it is cut at this
+    one, bit for bit the run from scratch.  A ``longer`` shorter than the
+    horizon is ignored, and the call runs.
     """
     T = config.horizon
     if T < 1:
         raise ValueError(f"horizon must be >= 1, got {T}")
-    held = None if hold is None else hold.trace
-    if held is not None and T <= held.horizon and f is hold.f and seed == hold.seed:
-        if replace(config, horizon=0) == hold.config:
-            return held.prefix(T)
+    if longer is not None and T <= longer.horizon:
+        return longer.prefix(T)
     spec = config.kernel
     rho = config.rho
     cand = config.candidate_points()
@@ -245,14 +225,11 @@ def run_gp_ucb(
     cum = np.cumsum(inst)  # left to right, as report checks it
     for arr in (X, y, sigma_out, mu_out, inst, cum, flag_out):
         arr.setflags(write=False)
-    trace = RegretTrace(
+    return RegretTrace(
         X=X, y=y, beta=beta, sigma=sigma_out, mu=mu_out,
         inst_regret=inst, cum_regret=cum, flag=flag_out,
         f_star=f_star, seed=seed, spec=spec,
     )
-    if hold is not None:
-        hold.config, hold.f, hold.seed, hold.trace = replace(config, horizon=0), f, seed, trace
-    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,15 @@ class TestKernelMatrix:
         assert np.array_equal(kernel_matrix(spec, X), expected)
         assert np.array_equal(kernel_cross(spec, X[:2], X), expected[:2])
 
+    @pytest.mark.parametrize("spec", [MATERN_32, SE, KernelSpec(KernelFamily.MATERN, nu=1.2, lengthscale=1.0)],
+                             ids=["matern_1.5", "se", "matern_1.2"])
+    def test_squared_distance_past_the_double_range_is_uncorrelated(self, spec):
+        # 1e160 squared overflows to inf, which every profile maps to exactly
+        # 0, and no numpy warning is raised
+        X = np.array([[0.0], [1e160]])
+        assert np.array_equal(kernel_matrix(spec, X), [[1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(kernel_cross(spec, X, X), [[1.0, 0.0], [0.0, 1.0]])
+
     @pytest.mark.parametrize("family, nu, lengthscale", [
         (KernelFamily.SQUARED_EXPONENTIAL, None, 1e-310),
         (KernelFamily.MATERN, 2.5, 1e-300),

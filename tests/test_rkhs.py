@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gpucb.config import Box, KernelFamily, KernelSpec
+from gpucb.config import Box, KernelFamily, KernelSpec, NumericError
 from gpucb.kernels import kernel_cross, kernel_matrix
 from gpucb.rkhs import grid_maximum, make_rkhs_function, sample_random_rkhs, scale_to_norm
 
@@ -49,6 +49,14 @@ class TestNorm:
         f = make_rkhs_function(spec, centers, coeffs)
         dense = coeffs @ kernel_matrix(spec, centers) @ coeffs
         assert f.norm**2 == pytest.approx(dense, rel=1e-10)
+
+    @pytest.mark.parametrize("coeffs, form", [([1e155], "inf"), ([1e308, 1e308, -1e300], "nan")])
+    def test_overflowing_quadratic_form_raises(self, coeffs, form):
+        # coincident centers: every entry of c' K is the sum of c, which
+        # overflows to inf, and a negative c_j then meets it as -inf
+        centers = [[0.5]] * len(coeffs)
+        with pytest.raises(NumericError, match=f"squared norm overflows double precision: the quadratic form gives {form}$"):
+            make_rkhs_function(SE, centers, coeffs)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

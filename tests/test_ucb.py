@@ -16,7 +16,6 @@ from gpucb.kernels import KernelRows, kernel_cross, kernel_matrix
 from gpucb.posterior import GrowingPosterior, _clamped_var, fit
 from gpucb.ucb import (
     _WRITE_ROWS,
-    LoopHold,
     RegretTrace,
     _seed_noise,
     beta_column,
@@ -459,66 +458,28 @@ class TestRunLoop:
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
 
     def test_held_loop_runs_on_and_cuts_bit_for_bit(self):
-        # 8 candidates: refactors after steps 15, 25 and 34, so the held
+        # 8 candidates: refactors after steps 15, 25 and 34, so the longer
         # trace is cut between them
         configs = {T: make_config(horizon=T, candidates_count=8, eval_grid_count=8, seeds=(4,)) for T in (8, 12, 24, 40)}
         f = configs[8].objective_for_seed(4)
-        hold = LoopHold()
-        for T in (12, 40, 24, 40, 8):
-            self.assert_same_run(run_gp_ucb(configs[T], f, 4, hold), run_gp_ucb(configs[T], f, 4))
-        # the cuts left the 40-step run held
         longest = run_gp_ucb(configs[40], f, 4)
-        self.assert_same_run(hold.trace, longest)
-        run_gp_ucb(configs[12], f, 4, hold)
-        self.assert_same_run(hold.trace, longest)
-        # another seed, objective or config but the horizon runs afresh, and
-        # its run replaces the held one: each call changes one of them
-        g = configs[8].objective_for_seed(5)
-        for config, h, seed in (
-            (configs[12], f, 5),
-            (configs[12], g, 5),
-            (make_config(horizon=12, candidates_count=8, eval_grid_count=8, seeds=(4,), rho=0.5), g, 5),
-        ):
-            fresh = run_gp_ucb(config, h, seed)
-            self.assert_same_run(run_gp_ucb(config, h, seed, hold), fresh)
-            self.assert_same_run(hold.trace, fresh)
-
-    def test_held_loop_failing_at_a_step_fails_from_it_on(self, monkeypatch):
-        configs = {T: make_config(horizon=T, candidates_count=8, eval_grid_count=8, seeds=(4,)) for T in (14, 15, 16, 40)}
-        f = configs[40].objective_for_seed(4)
-        short = run_gp_ucb(configs[14], f, 4)
-
-        def fail(a):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
-        hold = LoopHold()
-        with pytest.raises(posterior.NumericError) as excinfo:
-            run_gp_ucb(configs[40], f, 4, hold)
-        assert excinfo.value.step == 15
-
-        def assert_fails_at_step_15(T):
-            with pytest.raises(posterior.NumericError) as again:
-                run_gp_ucb(configs[T], f, 4, hold)
-            assert again.value.step == 15 and str(again.value) == str(excinfo.value)
-
-        # a run that raises is not held, so each horizon from 15 up runs to
-        # step 15 again and fails there, before 14 is held and after
-        for T in (16, 15):
-            assert_fails_at_step_15(T)
-        assert hold.trace is None
-        self.assert_same_run(run_gp_ucb(configs[14], f, 4, hold), short)
-        for T in (15, 16, 40):
-            assert_fails_at_step_15(T)
-        self.assert_same_run(hold.trace, short)
+        for T in (8, 12, 24, 40):
+            cut = run_gp_ucb(configs[T], f, 4, longest)
+            assert np.shares_memory(cut.X, longest.X)
+            self.assert_same_run(cut, run_gp_ucb(configs[T], f, 4))
+        # a longer trace shorter than the horizon is not cut: the call runs
+        short = run_gp_ucb(configs[12], f, 4)
+        again = run_gp_ucb(configs[24], f, 4, short)
+        assert not np.shares_memory(again.X, short.X)
+        self.assert_same_run(again, run_gp_ucb(configs[24], f, 4))
 
     def test_traces_and_held_cuts_are_read_only(self):
-        # a cut shares memory with the held trace, so a writable array would
-        # let one cell's caller change another's trace
+        # a cut shares memory with the longer trace, so a writable array
+        # would let one cell's caller change another's trace
         configs = {T: make_config(horizon=T, seeds=(4,)) for T in (8, 16)}
         f = configs[16].objective_for_seed(4)
-        hold = LoopHold()
-        whole, cut = run_gp_ucb(configs[16], f, 4, hold), run_gp_ucb(configs[8], f, 4, hold)
+        whole = run_gp_ucb(configs[16], f, 4)
+        cut = run_gp_ucb(configs[8], f, 4, whole)
         assert np.shares_memory(cut.X, whole.X)
         for trace in (whole, cut):
             arrays = {k: v for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
