@@ -5,20 +5,18 @@ These operations grade completed runs:
 * ``greedy_info_gain`` builds a computable surrogate for the maximal
   information gain by greedily growing the design that maximizes the
   marginal log-determinant increase.
-* ``prefix_bound_audit`` fits a trace's checkpoints from their distinct
-  designs with the posterior refactor's own fit and measures the sup ratio
-  |f - mean| / sd over a grid, and its noiseless-bias part from the exact
-  values; ``uniform_bound_audit``, its reference, grades given states
-  through the refit reference alone, sharing no step with that fit.  A
-  ratio where a variance is clamped at 0 is 0 for a zero error and
-  infinite otherwise.  The prefix audit evaluates no kernel and no
-  objective and maps no point: it takes its design's grid rows, the
-  candidates' kernel rows against the grid and the objective's grid
-  values, each built once per report and shared by its audits.  A report
-  holds those kernel rows in one ``kernels.KernelRows`` store, which builds
-  a row when it is first read, and ``greedy_info_gain`` reads the same
-  store, picking among the candidates' own columns alone, so no row is
-  built twice.
+* ``prefix_bound_audit`` measures the sup ratio |f - mean| / sd over a
+  grid at a trace's checkpoints, and its noiseless-bias part from the
+  exact values, fitting each checkpoint from its distinct design with
+  ``posterior._design_fit`` (``posterior``'s module docstring, "The
+  refactor").  It evaluates no kernel and no objective and maps no point:
+  it takes its design's grid rows, the candidates' kernel rows against the
+  grid and the objective's grid values, each built once per report.  A
+  report holds those kernel rows in one ``kernels.KernelRows`` store, which
+  ``greedy_info_gain`` reads too, so no row is built twice.
+  ``uniform_bound_audit``, its reference, grades given states through the
+  refit reference alone, sharing no step with that fit.  A ratio where a
+  variance is clamped at 0 is 0 for a zero error and infinite otherwise.
 * ``regret_bound_check`` tests the conditional cumulative-regret
   inequality R_T <= sqrt(8/ln(1+1/rho)) * sqrt(T * beta_{T-1} * I_T)
   on traces whose per-step error-bound flags all held.
@@ -269,9 +267,10 @@ def prefix_bound_audit(
     that played the grid rows ``rows`` and observed ``y``, for an objective
     with values ``f_grid`` over the grid and the kernel rows ``K`` (an
     array or a ``KernelRows``) of the grid's first m points, the
-    candidates, against the whole grid.  A prefix is fit from its d distinct points, k plays at each standing as
-    one play of their mean (``_design_fit``): O(d^3 + d^2 n) on an n-point
-    grid.  ValueError for a row off the candidates.
+    candidates, against the whole grid.  Each prefix is one
+    ``posterior._design_fit`` of its distinct points.  ValueError for a
+    checkpoint outside [1, len(rows)] or a row off the candidates;
+    NumericError from a fit that does not factor or a variance below -1e-12.
     """
     checkpoints = sorted(checkpoints)
     if not checkpoints or checkpoints[0] < 1 or checkpoints[-1] > rows.size:
@@ -499,8 +498,9 @@ def grade_suite(
     fit_res = fit_regret_exponent(traces, t_min, T)
     # the information gain goes before the audits: its posterior's row
     # buffer, mapped afresh, is unmapped before the audits grow the heap
-    # and the store, where after them its pages came on top of both
-    # (se_wide_sweep's report peaked 5.4 MiB higher that way round)
+    # and the store, where after them its pages came on top of both and
+    # raised se_wide_sweep's report peak (CHANGES.md, "`grade_suite`'s
+    # order, measured again")
     m = K.shape[0]
     T_gain = min(512, m)
     if T_gain >= 64:

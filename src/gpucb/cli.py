@@ -1,42 +1,48 @@
 """Command-line benchmark harness: validate, run, sweep, report.
 
-Exit codes: 0 success, 2 a missing, unreadable or malformed config, a
-``--jobs`` below 1, or an output that cannot be written, 3 numeric failure
-mid-run (a broken posterior factorization, a non-finite score, a kernel
-whose K_nu overflows double precision or an objective whose squared norm
-does) or while a report grades, 4
-insufficient or damaged data for a report; a report that exits 2, 3 or 4
-leaves no report file.  Rerunning a command with the same inputs produces
-byte-identical files, whatever the BLAS thread count (gpucb pins one).
+Exit codes:
+  0  success
+  2  a missing, unreadable or malformed config, a bad sweep axis or value
+     list, a --jobs below 1, or an output that cannot be written
+  3  a numeric failure mid-run (a broken posterior factorization, a
+     non-finite score, a kernel whose K_nu overflows double precision, or
+     an objective's squared norm or an exploration weight that does) or
+     while a report grades
+  4  insufficient or damaged data for a report
+A report that exits 2, 3 or 4 leaves no report file.  Rerunning a command
+with the same inputs writes the same bytes, whatever the BLAS thread count
+(gpucb pins one).
 
-Run layout (one directory per suite)::
+Run layout (one directory per suite):
 
     out_dir/
       config.txt          resolved canonical config, written last: a
                           directory without it is not a finished run
-      trace_seed<k>.csv   per-step trace for each seed, header t, x_1..x_d,
-                          y, beta, sigma, mu, inst_regret, cum_regret, flag
-      summary.csv         one row per seed
-      report.txt          written by the report command, one row per check
-      report.csv          written by the report command, the exponent fit
+      trace_seed<k>.csv   per-step trace for each seed, header
+                          t,x_1,...,x_d,y,beta,sigma,mu,inst_regret,cum_regret,flag
+      summary.csv         one row per seed, header
+                          seed,horizon,f_star,cum_regret,beta_last,info_gain,flags_all,flag_count
+      report.txt          written by report, one row per check
+      report.csv          written by report, the exponent fit
 
-A sweep adds one ``<axis>_<value>`` subdirectory per value plus a merged
-``summary.csv`` at the top level, removed before the first cell runs and
-written after the last: a sweep directory without it is not a finished
-sweep.  A sweep also removes a top-level ``config.txt`` first, so its
-directory holds no run.  ``report`` grades the run that ``config.txt`` marks,
-or else the cells the merged summary lists as ok, and never leftovers; the
-graded ``config.txt`` must be the writer's text, line for line, and fixes
-what is graded: each seed's objective is drawn from it again, as the run
-drew it, and every trace is checked against it.
+A sweep adds one <axis>_<value> subdirectory per value plus a merged
+summary.csv at the top level, header axis,value,seed,status,cum_regret,
+removed before the first cell runs and written after the last: a sweep
+directory without it is not a finished sweep.  A sweep also removes a
+top-level config.txt first, so its directory holds no run.  report grades
+the run that config.txt marks, or else the cells the merged summary lists
+as ok, and never leftovers; the graded config.txt must be the writer's
+text, line for line, and fixes what is graded: each seed's objective is
+drawn from it again, as the run drew it, and every trace is checked
+against it.
 
-``run`` is a sweep of one cell: one runner runs every cell's seeds, then
-the cells are written in value order.  Cells whose configs differ in the
+run is a sweep of one cell: one runner runs every cell's seeds, then the
+cells are written in value order.  Cells whose configs differ in the
 horizon alone, the cells of a horizon sweep, draw each seed's objective
 once and run its loop once, at the longest horizon, and cut the others
 from it; a loop that fails at step k runs again to step k for each cell
-from k up.  The cells of any other axis start afresh.  With ``--jobs`` above
-1 one process pool serves the whole command, mapped over the seeds.
+from k up.  The cells of any other axis start afresh.  With --jobs above 1
+one process pool serves the whole command, mapped over the seeds.
 """
 
 from __future__ import annotations
@@ -288,11 +294,12 @@ def _load_suite(
     try:
         objectives = {seed: config.objective_for_seed(seed) for seed in config.seeds}
         f_grids = {seed: _objective_values(f, grid) for seed, f in objectives.items()}
-    # the kernel's K_nu overflows, or the squared norm overflows or comes out negative
+        beta = beta_column(config.beta, config.horizon, config.rho)
+    # the kernel's K_nu overflows, the squared norm overflows or comes out
+    # negative, or the exploration weight overflows
     except _NUMERIC as exc:
         raise ValueError(f"{cell / 'config.txt'}: {exc}") from None
     norms = {seed: f.norm for seed, f in objectives.items()}
-    beta = beta_column(config.beta, config.horizon, config.rho)
     traces, rows = [], {}
     for seed in config.seeds:
         path = cell / f"trace_seed{seed}.csv"
@@ -464,7 +471,9 @@ def cmd_report(out_dir: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="gpucb-bench", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="gpucb-bench", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse a config and check its invariants")

@@ -1,44 +1,55 @@
 """Stationary correlation kernels and the modified Bessel function of the second kind.
 
-Two kernel families are provided, both normalized so the zero-lag value is
-exactly 1:
+Families.  Both are normalized so the zero-lag value is exactly 1:
 
 * Matern, with smoothness ``nu`` and lengthscale ``l``::
 
       psi(r) = z**nu * K_nu(z) / (gamma(nu) * 2**(nu - 1)),   z = 2*sqrt(nu)*r/l
 
+  A half-integer order has a closed-form profile; any other evaluates K_nu.
+
 * Squared exponential, with lengthscale ``l``::
 
       psi(r) = exp(-r**2 / (2 * l**2))
 
-A kernel is evaluated in one way: ``kernel_cross`` gives the correlations
-between two point sets, and ``kernel_matrix`` the same values for one set
-with itself.  Both take points as rows and reject a non-finite coordinate
-with ValueError.  They give exactly 1 at zero lag, and exactly 0, with no
-numpy warning, where a tiny lengthscale makes the profile underflow.  Both
-run one build loop over blocks of at most ``_ROW_BLOCK`` entries, each
-block's distances written into its rows of the output and turned into
-correlations there, in place; every entry takes the same elementwise steps
-whatever the blocks, so the blocks never change a bit of the result.  When
-the second set starts with the first, a block evaluates only its columns
-from its first row on and copies the rest from the rows above, its transpose.
-``KernelRows`` holds the rows of one ``kernel_cross`` block for readers that
-need only some of them, and builds each through ``kernel_cross`` when it is
-first read.  A store is that block and no other: a reader that needs
-further columns makes a store of the wider block, whose rows agree with the
-narrower block's wherever both have an entry.
+Builds.  ``kernel_cross`` gives the correlations between two point sets
+and ``kernel_matrix`` the same values for one set with itself; a kernel is
+evaluated in no other way.  They give exactly 1 at zero lag, and exactly 0,
+with no numpy warning, where a tiny lengthscale or a far point makes the
+profile underflow.  Both run one build loop over blocks of at most
+``_ROW_BLOCK`` entries: each block's distances are written into its rows
+of the output and turned into correlations there, in place.  Every entry
+takes the same elementwise steps whatever the blocks, so the blocks never
+change a bit of the result, and a row built alone is the whole build's
+row.  When the second set starts with the first, a block evaluates only
+its columns from its first row on and copies the rest from the rows
+above, its transpose.  ``KernelRows`` holds the rows of one block for
+readers that need only some, and builds each when it is first read.
 
-``K_nu`` is evaluated in-house, one way for every order and argument: the
-base pair (K_mu, K_{mu+1}), |mu| <= 1/2, by the trapezoid rule on the
-integral ``K_nu(z) = exp(-z) * int_0^inf exp(-2 z sinh(t/2)**2) cosh(nu t)
-dt``, then the standard upward recurrence in the order.  Target accuracy is
-1e-12 relative, verified against an arbitrary-precision reference table.
-It is evaluated over whole arrays: a general-order Matern kernel makes one
-``bessel_k`` call per block of rows, on the array of the distinct distances
-that block evaluates (a half-integer order has a closed-form profile and
-makes none).  The quadrature updates its working arrays in place, and an
-argument leaves them at the node where its own stopping test holds, so no
-value depends on the order or company of the arguments.
+K_nu.  It is evaluated in-house, one way for every order and argument.  K
+is even in its order, so with n = int(nu + 1/2) and mu = nu - n in
+[-1/2, 1/2) the base pair (K_mu, K_{mu+1}) feeds the upward recurrence
+
+    K_{mu+j+1}(z) = K_{mu+j-1}(z) + (2 (mu + j) / z) K_{mu+j}(z),   j = 1..n.
+
+The base pair is the trapezoid rule, at step 0.2 / max(1, sqrt(z)), on
+
+    K_nu(z) = exp(-z) * int_0^inf exp(-2 z sinh(t/2)**2) cosh(nu t) dt.
+
+The integrand is positive, analytic and decays doubly exponentially, so
+the rule converges geometrically in the step (Trefethen and Weideman,
+SIAM Review 56(3), 2014); the step shrinks with the integrand's width,
+1/sqrt(z), for large z.  The nodes run over an array of arguments,
+updating working arrays in place, and an argument leaves at the first node
+where each of its two terms is below eps times its sum, so every value is
+what it would be alone, whatever arguments share the call.  At tiny z the
+K_{mu+1} sum can overflow while the K_mu sum still grows (its test then
+holds at every node), so neither test decides alone; both hold long
+before exp(-2 z sinh(t/2)**2) underflows, so a cosh that overflows is
+never multiplied by 0.  Target accuracy is 1e-12 relative, verified
+against an arbitrary-precision reference table.  A general-order Matern
+build makes one ``bessel_k`` call per block of rows, on the distinct
+distances that block evaluates.
 """
 
 from __future__ import annotations
@@ -72,23 +83,10 @@ _BLOCK = 4096
 
 
 def _k_base_pair(mu: float, z: np.ndarray):
-    """(K_mu(z), K_{mu+1}(z)) for |mu| <= 1/2 by the trapezoid rule on
-
-        K_nu(z) = exp(-z) * int_0^inf exp(-2 z sinh(t/2)**2) cosh(nu t) dt,
-
-    with step 0.2 / max(1, sqrt(z)).  The integrand is positive, analytic and
-    decays doubly exponentially, so the rule converges geometrically in the
-    step (Trefethen and Weideman, SIAM Review 56(3), 2014); the step shrinks
-    with the integrand's width, 1/sqrt(z), for large z.
-
-    The nodes run over a 1-D array of arguments, updating working arrays in
-    place; an argument leaves at the first node where each of its two terms
-    is below eps times its sum, so every value is what it would be alone.
-    At tiny z the K_{mu+1} sum can overflow while the K_mu sum still grows
-    (its test then holds at every node), so neither test decides alone.
-    Both hold long before exp(-2 z sinh(t/2)**2) underflows, so a cosh that
-    overflows is never multiplied by 0.
-    """
+    """(K_mu(z), K_{mu+1}(z)) for |mu| <= 1/2 and a 1-D array z of positive
+    arguments, by the trapezoid rule (module docstring, "K_nu"); each value
+    is what it would be alone.  ArithmeticError when an argument needs more
+    than ``_MAX_ITER`` nodes."""
     k_mu, k_mu1 = np.empty_like(z), np.empty_like(z)
     half_step = 0.1 / np.sqrt(np.maximum(z, 1.0))
     m2z = -2.0 * z
@@ -132,12 +130,9 @@ def _is_half_integer(nu: float) -> bool:
 
 
 def _bessel_k_general(nu: float, z) -> np.ndarray:
-    """K_nu(z) elementwise, any real nu: the base pair by quadrature, then
-    the upward recurrence in the order.
-
-    Returns an array of z's shape.  No argument or overflow checks: those
-    belong to ``bessel_k``.
-    """
+    """K_nu(z) elementwise for any real nu > 0: the base pair, then the
+    upward recurrence (module docstring, "K_nu").  An array of z's shape;
+    no argument or overflow checks, which belong to ``bessel_k``."""
     # base order mu in [-1/2, 1/2); K is even in its order, so the shifted
     # base pair feeds the usual three-term upward recurrence
     z = np.asarray(z, dtype=float)
@@ -151,21 +146,18 @@ def _bessel_k_general(nu: float, z) -> np.ndarray:
 
 
 def bessel_k(nu: float, z):
-    """Modified Bessel function of the second kind, K_nu(z), for nu > 0, z > 0.
+    """Modified Bessel function of the second kind, K_nu(z), for nu > 0, z > 0
+    (module docstring, "K_nu").
 
     ``z`` is a float or an array; a float gives a float, an array gives an
-    array of its shape.  Every order and argument takes one path: the base
-    pair (K_mu, K_{mu+1}), |mu| <= 1/2, by the trapezoid rule on the
-    integral of exp(-z cosh t) cosh(nu t), then the upward recurrence in the
-    order.  Arguments are evaluated in blocks of ``_BLOCK``, each element
-    exactly as it would be alone.  A value is exactly 0 where exp(-z)
-    underflows.
+    array of its shape, each element exactly as it would be alone.
+    Arguments go through in blocks of ``_BLOCK``.  A value is exactly 0
+    where exp(-z) underflows.
 
     Raises ValueError for any z <= 0 or for nu <= 0, OverflowError if a
     value, or at orders in [1/2, 3/2) a quadrature term, exceeds the double
-    range (tiny z at large order), and
-    ArithmeticError if the quadrature needs more than ``_MAX_ITER`` nodes
-    (z below about 1e-302).
+    range (tiny z at large order), and ArithmeticError if the quadrature
+    needs more than ``_MAX_ITER`` nodes (z below about 1e-302).
     """
     if not (nu > 0.0 and math.isfinite(nu)):
         raise ValueError(f"order nu must be positive and finite, got {nu}")
@@ -267,15 +259,13 @@ def _as_points(X, name: str) -> np.ndarray:
 # Entries per block of rows in a kernel build.  A block's distances go
 # straight into its rows of the output, through one scratch block reused
 # across coordinates and blocks, and its profile works there in place, so a
-# build holds the output plus the scratch block and one block's profile
-# temporaries: traced, 1.4 blocks for SE, 5.0 for Matern 3/2 and 8.1 for nu
-# = 1.2 (np.unique sorts a copy).  On se_wide_sweep's 2025-point lattice (one thread), 2**16 entries
-# (512 KiB) build the SE matrix in 60 ms against 61 at 2**18 (Matern 3/2: 69
-# against 77 ms) and peak 1.5 MiB lower (Matern 3/2: 7.7), and they split
-# the 256 x 512 bessel_halton2d block in two (traced peak 4.96 MiB, 8.85 as
-# one).  Each block evaluates K_nu on its own distinct distances, so nu =
-# 1.2 on that lattice, whose blocks repeat them, takes 0.28 s against 0.20
-# (median of 3).
+# build holds the output plus the scratch block and a few blocks of profile
+# temporaries (more at a general order, where np.unique sorts a copy).
+# 2**16 entries (512 KiB) build as fast as larger blocks with a lower peak,
+# and split bessel_halton2d's 256 x 512 block in two.  Each block evaluates
+# K_nu on its own distinct distances, so a lattice whose blocks repeat them
+# pays for them once per block (CHANGES.md: "One kernel build path" and "One
+# path for K_nu" measured both).
 _ROW_BLOCK = 1 << 16
 
 
@@ -294,15 +284,10 @@ _RADIAL = {KernelFamily.MATERN: _matern_radial, KernelFamily.SQUARED_EXPONENTIAL
 
 
 def _kernel(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Correlations between the points of X and Y in blocks of at most
-    ``_ROW_BLOCK`` entries (one row at least), each block's distances
-    written into its rows of the output and turned into correlations there
-    by the family's profile.  Every entry takes the same elementwise steps
-    whatever the blocks, so the result does not depend on them; a
-    general-order Matern block makes one ``bessel_k`` call.  When Y's first
-    n rows are X's n points, a block evaluates its columns from its first
-    row on and copies the rest from the rows above, which hold the same
-    values: the square part equals its transpose bit for bit."""
+    """The (len(X), len(Y)) correlations between the points of X and Y, of
+    one dimension and finite, built in blocks of rows (module docstring,
+    "Builds"); the square part of a Y that starts with X equals its
+    transpose bit for bit."""
     n, m = X.shape[0], Y.shape[0]
     shared = np.array_equal(Y[:n], X)
     rows = max(1, min(n, _ROW_BLOCK // m if m else n))
@@ -356,24 +341,21 @@ class KernelRows:
     only some rows, as a run needs the rows of the points it plays.
 
     ``take`` reads rows as ``ndarray.take`` reads them from the whole block
-    along axis 0, so the posterior and the audits read a store and an array
-    alike.  The rows a call needs that are not built yet are built by one
-    ``kernel_cross`` call on their points, and packed in first-use order
-    into a buffer of the block's size, whose pages are mapped only as rows
-    are written: NumPy asks for huge pages on large arrays, so rows written
-    where they lie in the block would map most of it.  A row built alone
-    equals the whole build's row bit for bit, since every entry takes the
-    same elementwise steps whatever the rows built with it.
+    along axis 0, so a store and an array read alike, and hands out copies;
+    a row built alone equals the whole build's row bit for bit.  A store is
+    its block and no other: a reader that needs further columns makes a
+    store of the wider block, whose rows agree with this one's wherever both
+    have an entry.  Rows are packed in first-use order into a
+    buffer of the block's size, so only the rows written are mapped: NumPy
+    asks for huge pages on large arrays, which rows written where they lie
+    would map whole.
 
-    A general-order Matern kernel is built whole here, in one
-    ``kernel_cross`` call: each ``bessel_k`` call has a fixed cost, which
-    its rows one at a time would pay once per row, several times the cost
-    of the whole block.
-    So every kernel failure (``K_nu`` overflows, or its quadrature does not
-    converge) raises from the constructor; the rows built on first read
-    evaluate closed forms (the squared exponential and half-integer Matern
-    profiles), which raise nothing.  ValueError, as ``kernel_cross``, on a
-    non-finite coordinate or mixed dimensions.
+    A general-order Matern block is built whole by the constructor, since
+    each ``bessel_k`` call has a fixed cost that one row at a time would pay
+    per row.  So every kernel failure (``K_nu`` overflows, or its quadrature
+    does not converge) raises from the constructor, and the rows built on
+    first read evaluate closed forms, which raise nothing.  ValueError, as
+    ``kernel_cross``, on a non-finite coordinate or mixed dimensions.
     """
 
     def __init__(self, spec: KernelSpec, X, Y):
@@ -401,7 +383,8 @@ class KernelRows:
         new = rows[slots < 0]
         if new.size:
             # a row asked for twice is built once; np.unique would import
-            # numpy.ma, whose import costs a report 16 ms and 0.5 MiB of heap
+            # numpy.ma, which a report otherwise never loads (CHANGES.md,
+            # "Peaks per command", measured its cost)
             new = np.flatnonzero(np.bincount(new, minlength=self.shape[0])) if new.size > 1 else new
             start = np.count_nonzero(self._slot >= 0)
             self._packed[start:start + new.size] = kernel_cross(self._spec, self._X[new], self._Y)

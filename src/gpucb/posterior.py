@@ -1,41 +1,76 @@
 """Regularized Gaussian-process posterior: a refit reference and a
 fixed-point-set posterior grown one observation at a time.
 
-The state holds the design matrix, observations, and the lower Cholesky
-factor L of K + rho*I.  Predictions follow the standard ridge form
+This module is the package's only linear algebra, and its docstring is the
+one place the posterior recursion is derived; the functions below state
+what they take, return and raise, and cite the section they implement.
+
+Refit reference.  A ``PosteriorState`` holds a design X, its observations
+y and the lower Cholesky factor L of K + rho I (numpy's), and predicts in
+the ridge form
 
     mean(x) = k_t(x)' (K + rho I)^{-1} y
     var(x)  = 1 - || L^{-1} k_t(x) ||^2
 
-States are immutable, each refit from its whole design at an O(t^3)
-inverse factor: the reference the fast posterior below is tested against,
-read by the tests and the audits' reference, never by the UCB loop.  This
-module is the package's only linear algebra: numpy's Cholesky factor and
-an explicit inverse factor for every triangular solve.  The inverse factor
-is built by halves, from LAPACK inverses of diagonal blocks of at most
-``_BLOCK`` rows and matrix products for the blocks below them, so it takes
-no Python step per row.  The fit from a design of distinct points exists
-once, in ``_design_fit``, for ``GrowingPosterior``'s refactor and the prefix
-audits; it whitens the design's kernel rows in place and writes their
-design columns from the factor, so it holds one d x n array and no d x d
-inverse outlives it.  The refit states share no step with it: the audits'
-reference.  ``GrowingPosterior`` is the same recursion over a fixed set of n
-points, one update rule per observation, for the UCB loop and the greedy
-information gain: O(a n) per step for the a rows after the observed point's
-latest row (every row for a point never played), plus O(d^3 + d^2 n) each
-time it refactors its rows from the d distinct points played.  A
-step is one matrix-vector product and a few elementwise passes over the n
-points, with its scalars read as Python floats.
-A posterior takes the kernel rows it computes on and builds none: its
-caller owns the point sets.  It reads them by ``K.take`` along axis 0
-alone, so ``K`` is an array or a ``kernels.KernelRows`` store, which builds
-a row when it is first read.  What the seeds and sweep cells of one command
-share, such as the store of the candidates' kernel rows, the objective, its
-values over the grid and the ``beta_t`` column, is built once per process
-by ``_held``: one value per name, rebuilt only when its key changes.  A
-posterior's row buffer is sized by its points alone, (2m + 1) x n for m
-observable of n tracked points, whatever the horizon: mapped lazily, so a
-run touches only the rows it writes, and handed to no other posterior.
+Each state is refit from its whole design, O(t^3).  The fast posterior is
+tested against it and ``analysis.uniform_bound_audit`` reads it; the UCB
+loop never does.  Every triangular solve goes through an explicit inverse
+factor, built by halves,
+
+    inv([[P, 0], [Q, R]]) = [[inv(P), 0], [-inv(R) Q inv(P), inv(R)]],
+
+with LAPACK inverting the diagonal blocks of at most ``_BLOCK`` rows, so
+the O(d^3) work is matrix products and takes no Python step per row.
+
+The rank-one rule.  ``GrowingPosterior`` tracks n fixed points, the first
+m of them observable, through their kernel rows K (m x n).  Observing y at
+point c applies one rule (Rasmussen & Williams, GPML, 2006, ch. 2): with s
+the posterior covariance of c with every point and d2 = rho + var[c], the
+mean moves by s (y - mean[c]) / d2 and the covariance drops by s s' / d2.
+The drops are kept as rows s / sqrt(d2) of a matrix W, so a variance is 1
+less its column's sum of squares in W, and s = K[c] - W[:, c]' W.
+
+The W rows.  Every row of W is some point's own row, written when the
+point was observed with a noise (rho, or nu below) over a pivot
+sqrt(noise + v), v its variance then, so the row holds v / pivot at the
+point itself.  For c's latest row p the covariance column is therefore
+
+    s = w W[p] - W[p+1:, c]' W[p+1:],    w = noise / pivot,
+
+with w kept per point, so that the entry at c never cancels; a point never
+played reads K[c] with w = 1, less every row.  An observation costs O(a n)
+for the a rows after its base row, few for a point played lately.
+
+The refactor.  Once the rows pass twice the number d of distinct points
+played, W is refit from those points D.  k plays at a point act as one
+play of their mean with noise nu = rho / k (Ankenman, Nelson & Staum,
+Oper. Res. 2010), so with A = K[D, D] + diag(nu) = L L' the new rows are
+W = inv(L) K[D].  These are the rows the rule writes when it observes D in
+order, once per point with noise nu: row p is D[p]'s covariance column
+given D[:p] over its pivot L[p, p], so the W-row property holds again,
+with w = nu / L[p, p].  D is ordered by last play, most recent last, so a
+point played lately finds its row near the end.  The fit gathers K[D] into
+W's own first rows, whitens them in place by blocks of inv(L)'s lower
+triangle from the bottom up, and writes their design columns
+inv(L) K[D, D] = L' - inv(L) diag(nu) from the factor, where the product
+cancels; of the factor it keeps only the pivots, so a fit holds one d x n
+array.  The prefix audits in ``analysis`` call the same fit.
+
+Cost.  A refactor is O(d^3 + d^2 n): one inverse of the d x d factor, then
+matrix products.  Refactors come more than d observations apart, so T
+observations cost O(T d n) in all, with d <= min(T, m).  The rows stay at
+most 2d + 1, so the row buffer is (2m + 1) x n whatever the horizon, left
+unset (every row is written before it is read) and so mapped only as rows
+are written.  The refactor steps and the rows read depend on the
+observations so far alone, never on the horizon, so a shorter run is a
+prefix of a longer one.
+
+Kernel rows.  A posterior builds no kernel rows: it reads K by ``K.take``
+along axis 0 alone (a point's row at its first play, the design's rows at
+a refactor), so K is an array or a ``kernels.KernelRows`` store, and its
+caller owns the point sets.  ``_held`` keeps what the seeds and sweep
+cells of one command share: one value per name, rebuilt only when its key
+changes.
 """
 
 from __future__ import annotations
@@ -160,10 +195,8 @@ _LOWER = _freeze(np.tri(_BLOCK, dtype=bool))
 
 def _inv_lower(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """inv(L) for lower-triangular L, exactly zero above the diagonal, into
-    ``out`` (zeros of L's shape) when given.  By halves:
-    inv([[P, 0], [Q, R]]) = [[inv(P), 0], [-inv(R) Q inv(P), inv(R)]], with
-    LAPACK inverting the diagonal blocks of at most ``_BLOCK`` rows, so the
-    O(d^3) work is matrix products, where substitution takes d Python steps."""
+    ``out`` (zeros of L's shape) when given; by halves (module docstring,
+    "Refit reference")."""
     d = L.shape[0]
     if out is None:
         out = np.zeros((d, d))
@@ -201,15 +234,13 @@ def _lower_product(T: np.ndarray, C: np.ndarray) -> np.ndarray:
 def _design_fit(
     K: np.ndarray | KernelRows, D: np.ndarray, rho: float, k: np.ndarray, ybar: np.ndarray, out: np.ndarray | None
 ):
-    """Fit from the distinct points ``D`` (rows of the kernel rows ``K``),
-    played k times each with mean observations ``ybar``: k plays act as one
-    play of their mean with noise nu = rho / k (Ankenman, Nelson & Staum,
-    Oper. Res. 2010), A = K[D, D] + diag(nu) = L L'.  K[D] is whitened in
-    ``out`` (a new array when None) to W = inv(L) K[D], whose design columns
-    inv(L) K[D, D] = L' - inv(L) diag(nu) are written from the factor, where
-    the product cancels.  Returns the pivots diag(L), the means
-    (inv(L) ybar)' W, a row per column of a 2-d ``ybar``, and W's column sums
-    of squares."""
+    """W = inv(L) K[D] for the distinct points ``D`` (rows of the kernel rows
+    ``K``), played ``k`` times each with mean observations ``ybar``, where
+    L L' = K[D, D] + diag(rho / k) (module docstring, "The refactor").  W is
+    written into ``out``, a new d x n array when None.  Returns the pivots
+    diag(L), the means (inv(L) ybar)' W, a row per column of a 2-d ``ybar``,
+    and W's column sums of squares.  NumericError, naming the pivot, when
+    the design matrix does not factor."""
     # mode="clip" (the indices are valid): the default buffers ``out`` in a temporary
     W = K.take(D, axis=0, out=out, mode="clip")
     nu = rho / k
@@ -252,41 +283,18 @@ def posterior_var_at(state: PosteriorState, X) -> np.ndarray:
 
 
 class GrowingPosterior:
-    """Posterior over a fixed set of n points, grown one observation at a time.
+    """Posterior over a fixed set of n points, grown one observation at a time
+    by the rank-one rule and refactored from its distinct design (module
+    docstring, "The rank-one rule" to "Cost").
 
-    Observing y at point c applies one rule (Rasmussen & Williams, GPML,
-    2006, ch. 2): with s the posterior covariance of c with every point and
-    d2 = rho + var[c], the mean moves by s (y - mean[c]) / d2, and the
-    covariance drops by s s' / d2.  The drops are kept as rows s / sqrt(d2)
-    of W, so s = K[c] - W[:, c]' W: O(r n) for r rows.  Once the rows exceed
-    twice the d distinct points played, W is refit in its own rows by
-    ``_design_fit``, the one fit from a distinct design (the prefix audits
-    call it too; their refit reference shares none of it): k plays at a
-    point act as one play of their mean with noise nu = rho / k, so W =
-    L^{-1} K[D] with L L' = K[D, D] + diag(nu), O(d^3 + d^2 n).  These are
-    the rows the rule writes when it observes D in order, once per point
-    with noise nu: row p is D[p]'s covariance column given D[:p] over its
-    pivot L[p, p].  So every row of W is some point's own row, written with
-    a noise (rho, or nu) over a pivot sqrt(noise + v), v the point's
-    variance then, and holding v / pivot at the point itself.  For c's
-    latest row p the covariance column is therefore s = w W[p] -
-    W[p+1:, c]' W[p+1:] with w = noise / pivot, kept per point so that the
-    entry at c never cancels; a point never played reads K[c] with w = 1
-    less every row.  A step is O(a n) for the a rows after that base row.
-    The refactor orders D by last play, most recent last, so a point played
-    lately finds its design row near the end.  Rows stay at most 2d + 1, and
-    the refactor steps and the rows read depend on the prefix alone, so a
-    shorter run stays a prefix of a longer one.
-    The posterior computes on the kernel rows ``K`` of its m observable
-    points against its n >= m tracked points, whose first m are those same
-    points: a tracked point past them has a mean and a variance but is
-    never observed, so it needs its kernel column alone.  The posterior
-    only reads ``K``, by ``K.take`` along axis 0: a point's row at its
-    first play, and the design's rows at a refactor.  Its row buffer W is
-    (2m + 1) x n whatever the horizon, since the rows stay at most 2d + 1:
-    left unset by ``np.empty``, as every row is written before it is read,
-    so its pages are mapped only as rows are written, and handed to no
-    other posterior.
+    Takes the kernel rows ``K`` (an array or a ``KernelRows``) of its m
+    observable points against its n >= m tracked points, whose first m are
+    those same points, and ``rho`` > 0; a tracked point past them has a mean
+    and a variance but is never observed.  ``mean`` is updated in place, so
+    a view of it follows every step.  Its rows stay at most 2d + 1 for d
+    distinct points played, in a (2m + 1) x n buffer of its own, and its
+    state after t observations depends on them alone: a shorter run is a
+    prefix of a longer one.
     """
 
     def __init__(self, K: np.ndarray | KernelRows, rho: float):
@@ -309,11 +317,14 @@ class GrowingPosterior:
 
     def variance(self, out: np.ndarray | None = None) -> np.ndarray:
         """Predictive variance at every point before step t+1, into ``out``
-        when given."""
+        when given; round-off below 0 is clamped to 0, and a variance below
+        -1e-12 raises NumericError naming the step."""
         return _clamped_var(np.subtract(1.0, self._sumsq, out=out), step=self.t + 1)
 
     def observe(self, c: int, y: float) -> None:
-        """Add the observation ``y`` at point ``c``."""
+        """Add the observation ``y`` at the observable point ``c``.
+        NumericError, its ``step`` the observation count, when the refactor
+        this observation triggers does not factor."""
         r = self._rows
         W = self._W
         s = self._s

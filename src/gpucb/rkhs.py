@@ -88,12 +88,19 @@ def _objective_values(f: RkhsFunction, grid: np.ndarray) -> np.ndarray:
 
 
 def scale_to_norm(f: RkhsFunction, B: float) -> RkhsFunction:
-    """Rescale coefficients so the norm equals B (> 0)."""
+    """``f`` with its coefficients rescaled so the norm is B (> 0), which the
+    result holds as its norm: scaling multiplies c' K c by (B / norm)^2, so
+    no kernel matrix is built.  ValueError for B <= 0 or the zero function;
+    NumericError when B * B, the squared norm, overflows double precision."""
     if not B > 0.0:
         raise ValueError(f"target norm must be positive, got {B}")
     if f.norm == 0.0:
         raise ValueError("cannot rescale the zero function")
-    return make_rkhs_function(f.spec, f.centers, f.coeffs * (B / f.norm))
+    if not math.isfinite(B * B):
+        raise NumericError(f"squared norm overflows double precision: B = {B} squares to {B * B}")
+    coeffs = f.coeffs * (B / f.norm)
+    coeffs.setflags(write=False)
+    return RkhsFunction(f.spec, f.centers, coeffs, float(B))
 
 
 def sample_random_rkhs(spec: KernelSpec, m: int, B: float, domain: Box, seed: int) -> RkhsFunction:

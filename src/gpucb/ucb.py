@@ -1,48 +1,34 @@
 """Upper-confidence-bound sampling loop over a fixed candidate grid.
 
-Each step selects the candidate maximizing mean + sqrt(beta) * sd under the
-current posterior, observes the objective plus sub-Gaussian noise, and
-updates the posterior incrementally through a
-``posterior.GrowingPosterior`` over the tracked points: the m candidates,
-which hold the incumbent optimum when it lies on them, or m + 1 points
-with the optimum as a shadow column when it lies off them.  One rank-one
-rule per observation: O(a n) per step for the a rows since the observed
-point's own latest row (at most r <= 2d + 1 rows for the d distinct points
-played so far), plus O(d^3 + d^2 n) whenever the posterior refactors its
-rows from those d points.  Refactors come more than d steps apart, so a
-run is O(T d n) in all, with d <= min(T, m), instead of O(T^3 m).  The
-loop owns the point sets and hands the posterior their kernel rows in a
-store (``kernels.KernelRows``), which builds a row when a seed first plays
-its point.  The store of the candidates' kernel matrix is held by
-``posterior._held`` for every seed and sweep cell; a seed with a shadow
-column makes a store of its own, of the candidates against themselves
-and the optimum, which no other seed reads, so it builds the rows it
-plays again.  The recursion is
-algebraically a refit restricted to the tracked points, and the tests pin
-the two against each other.
-
-Beyond that arithmetic, a step costs about fifteen NumPy calls on arrays of
-n values: the variance and its clamp check, the scores and their argmax and
-finiteness check, and the update.  The two safety minima, the variance's
-in its clamp check and the scores' in their finiteness check, are index
-reads ``a.item(a.argmin())``, which cost less than a ``np.minimum.reduce``
-call on arrays of this size (CHANGES.md times both).  The exploration
-weights are one column per schedule, horizon and rho, held like the kernel
-matrix, and the loop reads the objective, the noise and the posterior's
-scalars as Python floats.
+``run_gp_ucb`` runs one seed.  Each step selects the candidate maximizing
+mean + sqrt(beta) * sd under the current posterior, observes the objective
+plus sub-Gaussian noise, and updates a ``posterior.GrowingPosterior``,
+whose rule, refactor and O(T d n) cost ``posterior``'s module docstring
+derives.  The posterior tracks the m candidates, which hold the optimum
+when it lies on them, or m + 1 points with the optimum as a shadow column
+when it lies off them.  The candidates' kernel rows come from one
+``kernels.KernelRows`` store that ``posterior._held`` keeps for every seed
+and sweep cell; a seed with a shadow column makes a store of its own,
+which no other seed reads, so it builds the rows it plays again.  The two
+safety minima of a step, the variance's and the scores', are index reads
+``a.item(a.argmin())``, cheaper than ``np.minimum.reduce`` on arrays of
+this size (CHANGES.md, "README's Benchmark history, moved", times both).
 
 Per step the loop records its choice, the exploration weight, the
-posterior mean/sd at the chosen point, and a flag marking whether the
-empirical error bound |f - mean| <= sqrt(beta) * sd held at both the
-incumbent optimum and the selected point.  Points, observations and regret
-follow from the choices, the objective on the grid and one noise draw.
+posterior mean and sd at the chosen point, and a flag marking whether
+|f - mean| <= sqrt(beta) * sd held at both the optimum and the chosen
+point.  Points, observations and regret follow from the choices, the
+objective on the grid and the seed's noise draws.  The exploration
+weights (``beta_column``) are one read-only column per schedule, horizon
+and rho, held like the kernel rows.
 
 A step depends on the steps before it alone, never on the horizon, so the
 run at a shorter horizon is the first rows of a longer one
 (``RegretTrace.prefix``).  A caller that runs one seed at several
 horizons, as a horizon sweep does, asks for the longest first and hands
 each finished trace to the next call as ``longer``, which cuts it instead
-of running.  The loop keeps nothing between calls.
+of running.  The loop keeps nothing between calls.  ``trace_to_csv`` and
+``trace_from_csv`` write and read the trace file.
 """
 
 from __future__ import annotations
@@ -76,18 +62,30 @@ def beta_value(schedule: BetaSchedule, t: int, rho: float) -> float:
 
     t = 0 returns the t = 1 value: the first selection needs a weight, and
     with a constant prior surface its value only affects tie-breaking.
+    ValueError for t < 0; NumericError, naming the schedule and the step,
+    when the weight overflows double precision or is not finite.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if schedule.kind is BetaKind.CONSTANT:
-        return schedule.constant_value
     t_eff = max(t, 1)
-    if schedule.kind is BetaKind.LOG_PRODUCT:
+    if schedule.kind is BetaKind.CONSTANT:
+        value = schedule.constant_value
+    elif schedule.kind is BetaKind.LOG_PRODUCT:
         grow = math.log(1.0 + rho * t_eff)
         tail = math.log(math.e + (6.0 / math.pi**2) * schedule.c_subg * t_eff**2 / schedule.delta)
-        return schedule.c0**2 * grow * tail
-    # SRINIVAS
-    return 2.0 * math.log(t_eff**2 * 2.0 * math.pi**2 / (3.0 * schedule.delta)) + schedule.c0
+        # c0**2 raises OverflowError where a product gives inf
+        try:
+            value = schedule.c0**2 * grow * tail
+        except OverflowError:
+            value = math.inf
+    else:  # SRINIVAS
+        value = 2.0 * math.log(t_eff**2 * 2.0 * math.pi**2 / (3.0 * schedule.delta)) + schedule.c0
+    if not math.isfinite(value):
+        raise NumericError(
+            f"exploration weight overflows double precision: the {schedule.kind.value} schedule gives {value}"
+            f" at step {t + 1}"
+        )
+    return value
 
 
 def beta_column(schedule: BetaSchedule, T: int, rho: float) -> np.ndarray:
@@ -257,7 +255,8 @@ def trace_to_csv(trace: RegretTrace) -> str:
         trace.mu, trace.inst_regret, trace.cum_regret, trace.flag,
     ])
     # one joined string: np.savetxt into a growing io buffer raised the peak
-    # RSS of a 2025-point horizon sweep from 187 to 200 MiB
+    # RSS of a 2025-point horizon sweep (CHANGES.md, "One grid index from run
+    # to report")
     row = ",".join(["%.17g"] * block.shape[1])
     parts = [_header(trace.X.shape[1])]
     for start in range(0, trace.horizon, _WRITE_ROWS):

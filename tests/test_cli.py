@@ -348,6 +348,24 @@ class TestKernelExtremes:
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "config.txt").exists()
 
+    WEIGHT_OVERFLOW = "exploration weight overflows double precision: the log_product schedule gives inf at step 1"
+
+    def test_exploration_weight_overflow_exits_3(self, tmp_path, capsys):
+        # c0 = 1e300 passes validate, and c0**2 overflows
+        config = write_config(tmp_path, MINIMAL.replace("beta.delta = 0.1\n", "beta.delta = 0.1\nbeta.c0 = 1e300\n"))
+        assert cmd_validate(config) == 0
+        capsys.readouterr()
+        assert cmd_run(config, str(tmp_path / "out")) == 3
+        assert capsys.readouterr().err == f"error: numeric failure: {self.WEIGHT_OVERFLOW}\n"
+        assert not (tmp_path / "out" / "config.txt").exists()
+
+    def test_exploration_weight_overflow_fails_its_sweep_cell(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert cmd_sweep(write_config(tmp_path), "beta.c0", ["0.39", "1e300"], str(out)) == 0
+        assert capsys.readouterr().err == f"warning: cell beta_c0_1e300 failed: {self.WEIGHT_OVERFLOW}\n"
+        rows = [line.split(",")[:4] for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert rows == [["beta.c0", "0.39", "0", "ok"], ["beta.c0", "1e300", "0", "failed"]]
+
     @pytest.mark.parametrize("nu", ["1.2", "1.5"])
     def test_lengthscale_past_the_double_range_runs(self, tmp_path, nu):
         # every distinct pair is at infinite scaled distance: K = I
@@ -540,8 +558,8 @@ class TestSharedReportBlock:
         assert K.shape == (m, grid.shape[0]) and len(crosses) == before
         assert read.tobytes() == block[sorted(set(picks))].tobytes()
         assert len(evaluated) == 5 and len({id(f) for f in evaluated}) == 5
-        # two per seed's draw: the draw's and the rescaled one's
-        assert len(norms) == 2 * 5
+        # one per seed's draw: rescaling to norm B builds no kernel matrix
+        assert len(norms) == 5
 
     def test_seeds_sharing_an_objective_evaluate_it_once(self, tmp_path, monkeypatch, fresh_memo):
         text = (
@@ -1454,6 +1472,9 @@ class TestDamagedRunReport:
         (_set_config("kernel.nu", 400.3), "run/config.txt: K_nu overflows double precision at nu=400.3"),
         (_negative_norm_objective, "run/config.txt: negative squared norm"),
         (_set_config("objective.B", "1e155"), "run/config.txt: squared norm overflows double precision"),
+        # a schedule whose weight overflows
+        (_set_config("beta.c0", "1e300"), "run/config.txt: exploration weight overflows double precision: "
+                                          "the log_product schedule gives inf at step 1"),
         (_config_not_utf8, "run/config.txt: 'utf-8' codec can't decode byte 0xff in position 0"),
         # configs that do not parse, or are not the writer's text
         (_edit_config("kernel.family", "# a note\nkernel.family"),
@@ -1945,6 +1966,15 @@ class TestConfigRoundTrip:
 class TestMain:
     def test_validate_subcommand(self, tmp_path):
         assert main(["validate", "--config", write_config(tmp_path)]) == 0
+
+    def test_help_prints_the_run_layout_as_written(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        # a reflowed description would run the layout into one paragraph
+        for name in ("out_dir/", "config.txt", "trace_seed<k>.csv", "summary.csv", "report.txt", "report.csv"):
+            assert any(line.lstrip().startswith(f"{name}  ") or line.strip() == name for line in lines), name
 
     def test_run_subcommand(self, tmp_path):
         out = tmp_path / "out"

@@ -62,6 +62,21 @@ class TestBetaValue:
         with pytest.raises(ValueError):
             beta_value(BetaSchedule(BetaKind.CONSTANT), -1, rho=1.0)
 
+    @pytest.mark.parametrize("c0, c_subg, t", [(1e300, 1.0, 0), (1e154, 1.0, 2), (1.0, 1e308, 0)],
+                             ids=["c0_squared", "product", "tail"])
+    def test_overflowing_weight_is_named(self, c0, c_subg, t):
+        # c0**2 raises OverflowError; the product c0^2 * grow * tail grows
+        # past the double range with t (c0 = 1e154 first at step 3); the
+        # tail's log argument overflows at c_subg = 1e308
+        sched = BetaSchedule(BetaKind.LOG_PRODUCT, delta=0.1, c0=c0, c_subg=c_subg)
+        if t:
+            assert math.isfinite(beta_value(sched, t - 1, rho=1.0))
+        message = f"exploration weight overflows double precision: the log_product schedule gives inf at step {t + 1}"
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            beta_value(sched, t, rho=1.0)
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            beta_column(sched, 8, rho=1.0)
+
     @pytest.mark.parametrize("kind", list(BetaKind))
     def test_column_is_the_schedule_bit_for_bit_and_read_only(self, kind):
         sched = BetaSchedule(kind, delta=0.2, c0=0.39, constant_value=3.0)
