@@ -489,8 +489,8 @@ def grade_suite(
     T; every trace is audited at the fit's checkpoints, and the greedy
     information gain runs min(512, m) steps over the m candidates, skipped
     below 64.  Does no I/O.  ValueError when the fit has too few traces or
-    usable checkpoints; NumericError or ArithmeticError from a fit while
-    auditing.
+    usable checkpoints; ArithmeticError, NumericError among them, from a
+    fit while auditing.
     """
     ref = rate_reference(config.kernel.family, config.kernel.nu, config.domain.dim)
     T = config.horizon

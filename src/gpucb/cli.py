@@ -49,11 +49,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import ConfigError, ExperimentConfig, NumericError, _fmt, _written_exactly, parse_config
+from .config import ConfigError, ExperimentConfig, _fmt, _written_exactly, parse_config
 from .config import parse_config_file, render_config
 
 # NumPy and the numeric modules load in the functions that call them, so
@@ -65,9 +66,6 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "cmd_validate", "cmd_run", "cmd_sweep", "cmd_report"]
 
-# numeric failures mid-run or while a report grades: the posterior's, and the
-# kernel's (K_nu overflows double precision or its quadrature fails to converge)
-_NUMERIC = (NumericError, ArithmeticError)
 # the header of a sweep's merged summary.csv, which marks a finished sweep
 _MERGED_HEADER = "axis,value,seed,status,cum_regret"
 
@@ -84,14 +82,14 @@ def _run_seed(configs: list[ExperimentConfig], seed: int) -> list:
 
     try:
         f = configs[0].objective_for_seed(seed)
-    except _NUMERIC as exc:
+    except ArithmeticError as exc:
         return [exc] * len(configs)
     longer = None
     runs: list = [None] * len(configs)
     for i in sorted(range(len(configs)), key=lambda i: -configs[i].horizon):
         try:
             runs[i] = longer = run_gp_ucb(configs[i], f, seed, longer)
-        except _NUMERIC as exc:
+        except ArithmeticError as exc:
             runs[i] = exc
     return runs
 
@@ -211,6 +209,13 @@ def _unwritable(out_dir: str, exc: OSError) -> int:
     return 2
 
 
+def _at_step(exc: ArithmeticError) -> str:
+    """A run's numeric failure as `` at step k: <message>``, or
+    ``: <message>`` when it names no loop step."""
+    step = getattr(exc, "step", None)
+    return f"{'' if step is None else f' at step {step}'}: {exc}"
+
+
 def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
     configs = _load_configs(config_path, jobs)
     if configs is None:
@@ -218,10 +223,8 @@ def cmd_run(config_path: str, out_dir: str, jobs: int = 1) -> int:
     try:
         traces = _run_cells(configs, jobs)[0]
         _write_suite(configs[0], traces, Path(out_dir))
-    except _NUMERIC as exc:
-        step = getattr(exc, "step", None)
-        where = f" at step {step}" if step is not None else ""
-        print(f"error: numeric failure{where}: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:
+        print(f"error: numeric failure{_at_step(exc)}", file=sys.stderr)
         return 3
     except OSError as exc:
         return _unwritable(out_dir, exc)
@@ -252,9 +255,9 @@ def _run_sweep(configs: list[ExperimentConfig], axis: str, values: list[str], jo
                 merged.append(
                     f"{axis},{raw},{tr.seed},ok,{_fmt(float(tr.cum_regret[-1]))}"
                 )
-        except _NUMERIC as exc:
+        except ArithmeticError as exc:
             failures += 1
-            print(f"warning: cell {cell.name} failed: {exc}", file=sys.stderr)
+            print(f"warning: cell {cell.name} failed{_at_step(exc)}", file=sys.stderr)
             for seed in config.seeds:
                 merged.append(f"{axis},{raw},{seed},failed,")
     (top / "summary.csv").write_text("\n".join(merged) + "\n", encoding="utf-8")
@@ -274,6 +277,16 @@ def cmd_sweep(config_path: str, axis: str, values: list[str], out_dir: str, jobs
     return 0
 
 
+@contextmanager
+def _naming(path: Path):
+    """Yield ``path``, the file whose data the block checks, and re-raise a
+    ValueError or ArithmeticError from the block as a ValueError naming it."""
+    try:
+        yield path
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _load_suite(
     cell: Path, config: ExperimentConfig, grid: np.ndarray, m: int
 ) -> tuple[list[RegretTrace], dict, dict, dict]:
@@ -291,21 +304,18 @@ def _load_suite(
     from .rkhs import _objective_values
     from .ucb import _seed_noise, beta_column, trace_from_csv
 
-    try:
+    # the kernel's K_nu overflows, the squared norm overflows or comes out
+    # negative, or the exploration weight overflows
+    with _naming(cell / "config.txt"):
         objectives = {seed: config.objective_for_seed(seed) for seed in config.seeds}
         f_grids = {seed: _objective_values(f, grid) for seed, f in objectives.items()}
         beta = beta_column(config.beta, config.horizon, config.rho)
-    # the kernel's K_nu overflows, the squared norm overflows or comes out
-    # negative, or the exploration weight overflows
-    except _NUMERIC as exc:
-        raise ValueError(f"{cell / 'config.txt'}: {exc}") from None
     norms = {seed: f.norm for seed, f in objectives.items()}
     traces, rows = [], {}
     for seed in config.seeds:
-        path = cell / f"trace_seed{seed}.csv"
         f_grid = f_grids[seed]
         f_star = float(np.max(f_grid))
-        try:
+        with _naming(cell / f"trace_seed{seed}.csv") as path:
             trace = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, f_star, seed)
             if trace.horizon != config.horizon:
                 raise ValueError(f"{trace.horizon} rows for horizon {config.horizon}")
@@ -334,8 +344,6 @@ def _load_suite(
             for name, bad, reason in checks:
                 if bad.any():
                     raise ValueError(f"{name} at t={np.argmax(bad) + 1} {reason}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
         traces.append(trace)
         rows[seed] = cols
     return traces, norms, f_grids, rows
@@ -358,14 +366,11 @@ def _check_cut(
     except ConfigError as exc:
         raise ValueError(f"{path}: differs from {longest.name}, not only in horizon: {exc}") from None
     for whole in traces:
-        path = cell / f"trace_seed{whole.seed}.csv"
-        try:
+        with _naming(cell / f"trace_seed{whole.seed}.csv") as path:
             cut = trace_from_csv(path.read_text(encoding="utf-8"), config.kernel, whole.f_star, whole.seed)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        want = whole.prefix(horizon)
-        if not all(np.array_equal(v, getattr(want, k)) for k, v in vars(cut).items() if isinstance(v, np.ndarray)):
-            raise ValueError(f"{path}: not the first {horizon} rows of {longest.name}'s trace")
+            want = whole.prefix(horizon)
+            if not all(np.array_equal(v, getattr(want, k)) for k, v in vars(cut).items() if isinstance(v, np.ndarray)):
+                raise ValueError(f"not the first {horizon} rows of {longest.name}'s trace")
 
 
 def _finished_suites(top: Path) -> list[Path]:
@@ -417,20 +422,15 @@ def cmd_report(out_dir: str) -> int:
         cells = _finished_suites(top)
         texts, configs = {}, {}
         for c in cells:
-            path = c / "config.txt"
             # bytes that are not UTF-8, or text that does not parse
-            try:
+            with _naming(c / "config.txt") as path:
                 texts[c] = path.read_text(encoding="utf-8")
                 configs[c] = parse_config(texts[c])
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
         longest = max(cells, key=lambda c: configs[c].horizon)
         config = configs[longest]
         # no line the run did not read, nor any other spelling, stands in it
-        try:
+        with _naming(longest / "config.txt"):
             _written_exactly(texts[longest], render_config(config))
-        except ConfigError as exc:
-            raise ValueError(f"{longest / 'config.txt'}: {exc}") from None
         grid = config.evaluation_points()
         cand = config.candidate_points()
         traces, norms, f_grids, rows = _load_suite(longest, config, grid, cand.shape[0])
@@ -440,19 +440,13 @@ def cmd_report(out_dir: str) -> int:
         # the store of the candidates' kernel rows against the grid, which
         # the information gain and the audits share, so no row is built
         # twice; a kernel it builds whole fails here, on config.txt's kernel
-        try:
+        with _naming(longest / "config.txt"):
             K = KernelRows(config.kernel, cand, grid)
-        except _NUMERIC as exc:
-            raise ValueError(f"{longest / 'config.txt'}: {exc}") from None
-    except (OSError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    try:
         graded = grade_suite(config, traces, f_grids, norms, rows, K, [c.horizon for c in configs.values()])
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except _NUMERIC as exc:
+    except ArithmeticError as exc:
         print(f"error: numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -29,7 +29,6 @@ them, so parsing and checking a config, as ``validate`` does, loads none.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
@@ -72,8 +71,10 @@ class ConfigError(ValueError):
         self.line = line
 
 
-class NumericError(RuntimeError):
-    """Numeric failure (non-SPD pivot, negative variance, non-finite value)."""
+class NumericError(ArithmeticError):
+    """Numeric failure (non-SPD pivot, negative variance, non-finite value);
+    an ``ArithmeticError``, as the kernel's overflow and quadrature failures
+    are, so one ``except ArithmeticError`` catches every numeric failure."""
 
     def __init__(self, message: str, *, index: int | None = None, step: int | None = None):
         super().__init__(message)
@@ -116,13 +117,13 @@ class KernelSpec:
 
     def __post_init__(self):
         if not isinstance(self.family, KernelFamily):
-            raise ValueError(f"unknown kernel family: {self.family!r}")
+            raise ConfigError(f"unknown kernel family: {self.family!r}", key="kernel.family")
         _keep_read(self, "kernel")
         if not (self.lengthscale > 0.0 and math.isfinite(self.lengthscale)):
-            raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
+            raise ConfigError(f"lengthscale must be positive, got {self.lengthscale}", key="kernel.lengthscale")
         if self.family is KernelFamily.MATERN:
             if self.nu is None or not (self.nu > 0.0 and math.isfinite(self.nu)):
-                raise ValueError(f"Matern smoothness nu must be positive, got {self.nu}")
+                raise ConfigError(f"Matern smoothness nu must be positive, got {self.nu}", key="kernel.nu")
 
 
 @dataclass(frozen=True)
@@ -137,11 +138,13 @@ class Box:
         object.__setattr__(self, "lower", tuple(self.lower))
         object.__setattr__(self, "upper", tuple(self.upper))
         if len(self.lower) != len(self.upper) or len(self.lower) == 0:
-            raise ValueError("box bounds must be non-empty and equal length")
+            raise ConfigError("box bounds must be non-empty and equal length", key="domain.dim")
         for lo, hi in zip(self.lower, self.upper):
             # a finite width also rules out infinite and NaN bounds
             if not (lo < hi and math.isfinite(hi - lo)):
-                raise ValueError(f"box requires lower < upper and a finite upper - lower, got [{lo}, {hi}]")
+                raise ConfigError(
+                    f"box requires lower < upper and a finite upper - lower, got [{lo}, {hi}]", key="domain.lower"
+                )
 
     @property
     def dim(self) -> int:
@@ -175,11 +178,11 @@ class BetaSchedule:
     def __post_init__(self):
         _keep_read(self, "beta")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
+            raise ConfigError(f"delta must be in (0,1), got {self.delta}", key="beta.delta")
         for name in ("c0", "c_subg", "constant_value"):
             value = getattr(self, name)
             if value is not None and not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+                raise ConfigError(f"{name} must be positive, got {value}", key=f"beta.{name}")
 
 
 @dataclass(frozen=True)
@@ -509,12 +512,8 @@ def _build(fields: dict[str, str]) -> ExperimentConfig:
     parts = {}
     for section, cls in _PARTS.items():
         keys = [key for key in values if key.startswith(section + ".")]
-        try:
-            parts[section] = cls(**{key.partition(".")[2]: values.pop(key) for key in keys})
-        except ValueError as exc:
-            # the constructors name the field they reject in their message
-            named = [k for k in keys if re.search(rf"\b{k.partition('.')[2]}\b", str(exc))]
-            raise ConfigError(str(exc), key=named[0] if named else None) from None
+        # the constructor's ConfigError names the key it rejects
+        parts[section] = cls(**{key.partition(".")[2]: values.pop(key) for key in keys})
     config = ExperimentConfig(**parts, **{k.replace(".", "_"): v for k, v in values.items()})
     config.validate()
     return config

@@ -98,15 +98,15 @@ def beta_column(schedule: BetaSchedule, T: int, rho: float) -> np.ndarray:
 def _select(mean: np.ndarray, sd: np.ndarray, beta: float, step: int, out=None) -> int:
     """Index maximizing mean + sqrt(beta) * sd at selection step ``step``,
     ties to the lowest index, the scores written into ``out`` when given;
-    NumericError on a non-finite score, naming the first such candidate and
-    the step."""
+    NumericError on a non-finite score, naming the first such candidate in
+    its message and ``index``, and the step in ``step``."""
     score = np.multiply(sd, math.sqrt(beta), out=out)
     score += mean
     c = int(score.argmax())
     # argmax stops at the first NaN and reaches any +inf; argmin reaches -inf
     if not (math.isfinite(score.item(c)) and math.isfinite(score.item(score.argmin()))):
         bad = int(np.flatnonzero(~np.isfinite(score))[0])
-        raise NumericError(f"non-finite acquisition value at candidate {bad}, step {step}", index=bad, step=step)
+        raise NumericError(f"non-finite acquisition value at candidate {bad}", index=bad, step=step)
     return c
 
 

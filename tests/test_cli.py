@@ -16,7 +16,10 @@ from conftest import make_config
 from gpucb.analysis import grid_columns
 from gpucb.cli import cmd_report, cmd_run, cmd_sweep, cmd_validate, main
 from gpucb.config import (
+    BetaKind,
+    BetaSchedule,
     Box,
+    ConfigError,
     ExperimentConfig,
     KernelFamily,
     KernelSpec,
@@ -25,7 +28,7 @@ from gpucb.config import (
     render_config,
 )
 from gpucb.kernels import kernel_cross, kernel_matrix
-from gpucb.posterior import fit, logdet_information
+from gpucb.posterior import GrowingPosterior, fit, logdet_information
 from gpucb.rkhs import sample_random_rkhs
 from gpucb.ucb import _seed_noise, trace_from_csv, trace_to_csv
 
@@ -110,6 +113,14 @@ MALFORMED = {
          "objective.centers = 0.25; 0.75\nobjective.coeffs = 1.5"),
         "objective.coeffs",
     ),
+    # rules that the part constructors check, each naming its own key
+    "zero lengthscale": (("kernel.lengthscale = 0.5", "kernel.lengthscale = 0"), "kernel.lengthscale"),
+    "zero c0": (("beta.delta = 0.1", "beta.delta = 0.1\nbeta.c0 = 0"), "beta.c0"),
+    "negative c_subg": (("beta.delta = 0.1", "beta.delta = 0.1\nbeta.c_subg = -1"), "beta.c_subg"),
+    "zero constant value": (
+        ("beta.kind = log_product", "beta.kind = constant\nbeta.constant_value = 0"),
+        "beta.constant_value",
+    ),
 }
 
 
@@ -126,6 +137,23 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"(key: {key}) (line " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("build, key", [
+    (lambda: KernelSpec(KernelFamily.MATERN, nu=1.5, lengthscale=0.0), "kernel.lengthscale"),
+    (lambda: KernelSpec(KernelFamily.MATERN, nu=0.0), "kernel.nu"),
+    (lambda: KernelSpec("matern", nu=1.5), "kernel.family"),
+    (lambda: Box((1.0,), (0.0,)), "domain.lower"),
+    (lambda: BetaSchedule(BetaKind.LOG_PRODUCT, delta=1.0), "beta.delta"),
+    (lambda: BetaSchedule(BetaKind.LOG_PRODUCT, c0=0.0), "beta.c0"),
+    (lambda: BetaSchedule(BetaKind.LOG_PRODUCT, c_subg=-1.0), "beta.c_subg"),
+    (lambda: BetaSchedule(BetaKind.CONSTANT, constant_value=0.0), "beta.constant_value"),
+], ids=["lengthscale", "nu", "family", "crossed_bounds", "delta", "c0", "c_subg", "constant_value"])
+def test_part_constructor_names_its_key(build, key):
+    with pytest.raises(ConfigError) as excinfo:
+        build()
+    assert excinfo.value.key == key
+    assert str(excinfo.value).endswith(f" (key: {key})")
 
 
 @pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
@@ -291,6 +319,20 @@ class TestRun:
         assert cmd_report(str(out)) == 4
         assert capsys.readouterr().err == "error: no completed runs found\n"
 
+    def test_non_finite_score_names_its_step_once(self, tmp_path, capsys, monkeypatch):
+        # the step is the error's own field, which the line names once
+        class Broken(GrowingPosterior):
+            def observe(self, c, y):
+                super().observe(c, y)
+                if self.t == 3:
+                    self.mean[[9, 5]] = np.nan
+
+        monkeypatch.setattr("gpucb.ucb.GrowingPosterior", Broken)
+        assert cmd_run(write_config(tmp_path), str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert err == "error: numeric failure at step 4: non-finite acquisition value at candidate 5\n"
+        assert not (tmp_path / "out" / "config.txt").exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, command):
         # --out names an existing file, so the output directory cannot be made
@@ -405,6 +447,38 @@ class TestRefactorFailure:
         assert err.startswith(f"error: numeric failure at step {step}: Cholesky factorization")
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "config.txt").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_pool_fails_as_one_process_does(self, tmp_path, capsys, monkeypatch, command):
+        # the forked workers inherit the failing factorization, and each
+        # failure comes back through the pool with its step
+        text = MINIMAL.replace("seeds = 0", "seeds = 0, 1, 2").replace("horizon = 8", "horizon = 64")
+        config = write_config(tmp_path, text)
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        results = []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs_{jobs}"
+            if command == "run":
+                code = cmd_run(config, str(out), jobs)
+            else:
+                code = cmd_sweep(config, "horizon", ["64", "2"], str(out), jobs)
+            err = capsys.readouterr().err
+            summary = (out / "summary.csv").read_text() if command == "sweep" else None
+            results.append((code, err, summary))
+        assert results[0] == results[1]
+        code, err, summary = results[0]
+        assert "Traceback" not in err and err.count("\n") == 1
+        if command == "run":
+            assert code == 3 and err.startswith("error: numeric failure at step ")
+            assert not (tmp_path / "jobs_2" / "config.txt").exists()
+        else:
+            assert code == 0 and err.startswith("warning: cell horizon_64 failed at step ")
+            statuses = [line.split(",")[1:4] for line in summary.splitlines()[1:]]
+            assert statuses == [[h, str(s), status] for h, status in (("64", "failed"), ("2", "ok")) for s in (0, 1, 2)]
 
 
 def record_row_builds(monkeypatch):
@@ -702,15 +776,16 @@ class TestSweep:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
-        # the failure each failing cell names is its own run's, the first
-        # failing seed's in config order
+        # the failure each failing cell names, its step with it, is its own
+        # run's, the first failing seed's in config order
         expected = []
         for horizon in horizons[:1] + horizons[2:]:
             capsys.readouterr()
             alone = write_config(tmp_path, text.replace("horizon = 64", f"horizon = {horizon}"), f"h{horizon}.txt")
             assert cmd_run(alone, str(tmp_path / f"failed_{horizon}")) == 3
-            message = capsys.readouterr().err.partition(": ")[2].partition(": ")[2]
-            expected.append(f"warning: cell horizon_{horizon} failed: {message}")
+            failure = capsys.readouterr().err.removeprefix("error: numeric failure")
+            assert failure.startswith(" at step ")
+            expected.append(f"warning: cell horizon_{horizon} failed{failure}")
         out = tmp_path / "sweep"
         capsys.readouterr()
         assert cmd_sweep(write_config(tmp_path, text), "horizon", list(map(str, horizons)), str(out)) == 0
